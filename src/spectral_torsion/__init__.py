@@ -17,8 +17,6 @@ from .scalars import (
     TR_F_PHI,
     rational,
     sym,
-    sym_eval,
-    sym_mul,
     vol_sphere,
 )
 from .clifford import (
@@ -32,7 +30,7 @@ from .clifford import (
     supertrace,
     trace,
 )
-from .matrix_rep import MatrixRep, rep_build, rep_trace
+from .matrix_rep import MatrixRep
 from .forms import (
     AntisymTensor,
     GradeOverflow,
@@ -57,16 +55,12 @@ from .moments import (
 from .symbols import (
     Grading,
     PerturbationCase,
-    SymbolOrderPieces,
     TorsionGrading,
     TorsionVector,
     VectorGrading,
     interior_density,
     perturbation_multivector,
-    q_minus3_normal,
-    recursion_tail,
     sigma_minus2m,
-    symbol_order_pieces,
 )
 from .halfline import (
     NonIntegrable,
@@ -93,5 +87,3 @@ from .torsion import (
     theorem_value,
 )
 from .verify import FINAL_IDS, IDENTITY_IDS, verify_suite
-
-__all__ = [name for name in dir() if not name.startswith("_")]

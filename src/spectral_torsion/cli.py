@@ -95,7 +95,7 @@ def _parse_threeform(config: dict, key: str, n: int, required: bool) -> ThreeFor
         if not isinstance(record, list) or len(record) != 4:
             raise ConfigError(f"{key}: bad record {record!r}")
         a, b, c, value = record
-        if not all(isinstance(x, int) for x in (a, b, c)):
+        if not all(type(x) is int for x in (a, b, c)):  # rejects JSON true/false
             raise ConfigError(f"{key}: indices must be integers in {record!r}")
         coeff = _parse_rational_field(value, f"{key}{(a, b, c)}")
         if not 1 <= a < b < c <= n:
@@ -138,8 +138,7 @@ def run_compute(config: dict, seed: int) -> dict:
     n = config.get("dimension")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"dimension must be an integer, got {n!r}")
-    if n % 2 != 0 or not 4 <= n <= 16:
-        raise ConsistencyError(f"dimension must be even with 4 <= n <= 16, got {n}")
+    spec = ManifoldSpec(n, with_boundary=config.get("with_boundary") is True)
     for key in ("with_boundary", "numeric_eval"):
         if key in config and not isinstance(config[key], bool):
             raise ConfigError(f"{key} must be a boolean")
@@ -147,7 +146,6 @@ def run_compute(config: dict, seed: int) -> dict:
     u = _parse_oneform(config, "u", n, required=True, case_field=False)
     v = _parse_oneform(config, "v", n, required=True, case_field=False)
     w = _parse_oneform(config, "w", n, required=True, case_field=False)
-    spec = ManifoldSpec(n, with_boundary=bool(config.get("with_boundary", False)))
     report = spectral_torsion(case, u, v, w, spec, with_identities=True, seed=seed)
 
     numeric = None
@@ -247,9 +245,10 @@ def _cmd_verify(args) -> int:
         except ValueError:
             print(f"error: bad dimension {raw!r}", file=sys.stderr)
             return EXIT_PARSE
-        if n % 2 != 0 or not 4 <= n <= 16:
-            print(f"error: dimension must be even with 4 <= n <= 16, got {n}",
-                  file=sys.stderr)
+        try:
+            ManifoldSpec(n)
+        except UnsupportedDimension as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         dims.append(n)
     try:

@@ -3,9 +3,9 @@
 Generators satisfy c(e_i)c(e_j) + c(e_j)c(e_i) = -2 delta_ij, so each
 generator squares to -1.  A blade is an ascending product of distinct
 generators, encoded as a bitmask over {1..n}; multivectors map blades to
-symbolic scalar coefficients.  The spinor-representation trace of a
-multivector is 2^m times its scalar part (n = 2m); the supertrace composes
-with the grading operator.
+Gaussian-rational coefficients.  The spinor-representation trace of a
+multivector is 2^m times its scalar part (n = 2m), returned as a symbolic
+scalar; the supertrace composes with the grading operator.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from typing import Iterator
 
 from .scalars import (
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
-    Rational,
     SymScalar,
+    _as_gaussian,
     i_power,
-    rational,
     sym,
 )
 
@@ -80,22 +80,22 @@ def blade_indices(mask: int) -> tuple[int, ...]:
 
 
 class Multivector:
-    """Element of Cl(n): finite map from blade masks to SymScalar coefficients."""
+    """Element of Cl(n): finite map from blade masks to GaussianRational coefficients."""
 
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs=None):
         if not 1 <= dim <= MAX_DIM:
             raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {dim}")
-        clean: dict[int, SymScalar] = {}
+        clean: dict[int, GaussianRational] = {}
         if coeffs:
             top = 1 << dim
             for mask, c in coeffs.items():
                 if mask >= top or mask < 0:
                     raise DimensionMismatch(f"blade {mask:b} does not fit dim {dim}")
-                s = sym(c)
-                if not s.is_zero():
-                    clean[mask] = s
+                c = _as_gaussian(c)
+                if not c.is_zero():
+                    clean[mask] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", clean)
 
@@ -148,15 +148,10 @@ class Multivector:
         return _raw(self.dim, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, s) -> "Multivector":
-        s = sym(s)
+        s = _as_gaussian(s)
         if s.is_zero():
             return Multivector(self.dim)
-        out = {}
-        for mask, c in self.coeffs.items():
-            p = c * s
-            if not p.is_zero():
-                out[mask] = p
-        return _raw(self.dim, out)
+        return _raw(self.dim, {mask: c * s for mask, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -169,8 +164,8 @@ class Multivector:
 
     # -- structure queries ----------------------------------------------
 
-    def scalar_part(self) -> SymScalar:
-        return self.coeffs.get(0, SymScalar.zero())
+    def scalar_part(self) -> GaussianRational:
+        return self.coeffs.get(0, GR_ZERO)
 
     def grade_part(self, k: int) -> "Multivector":
         return _raw(self.dim, {m: c for m, c in self.coeffs.items()
@@ -190,7 +185,7 @@ class Multivector:
     def __hash__(self):
         return hash((self.dim, frozenset(self.coeffs.items())))
 
-    def __iter__(self) -> Iterator[tuple[int, SymScalar]]:
+    def __iter__(self) -> Iterator[tuple[int, GaussianRational]]:
         return iter(sorted(self.coeffs.items()))
 
     def __str__(self):
@@ -199,7 +194,7 @@ class Multivector:
         parts = []
         for mask in sorted(self.coeffs):
             idx = " ".join(str(i) for i in blade_indices(mask))
-            parts.append(f"({self.coeffs[mask]})*e{{{idx}}}")
+            parts.append(f"({sym(self.coeffs[mask])})*e{{{idx}}}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -207,15 +202,11 @@ class Multivector:
 
     @classmethod
     def parse(cls, dim: int, text: str) -> "Multivector":
-        """Parse the printed form: "(coeff)*e{i j ...}" terms joined by " + ".
-
-        Coefficients must be Gaussian rationals (the printed form of symbolic
-        coefficients is display-only).
-        """
+        """Parse the printed form: "(coeff)*e{i j ...}" terms joined by " + "."""
         text = text.strip()
         if text == "0":
             return cls(dim)
-        coeffs: dict[int, SymScalar] = {}
+        coeffs: dict[int, GaussianRational] = {}
         matched = []
         for m in _MV_TERM_RE.finditer(text):
             matched.append(m.group(0))
@@ -225,8 +216,7 @@ class Multivector:
             coeff = GaussianRational.parse(raw)
             indices = [int(t) for t in m.group(2).split()]
             mask = blade_mask(indices)
-            cur = coeffs.get(mask, SymScalar.zero())
-            coeffs[mask] = cur + sym(coeff)
+            coeffs[mask] = coeffs.get(mask, GR_ZERO) + coeff
         if " + ".join(matched) != text:
             raise ValueError(f"bad multivector literal {text!r}")
         return cls(dim, coeffs)
@@ -235,7 +225,7 @@ class Multivector:
 _MV_TERM_RE = _re.compile(r"\((.*?)\)\*e\{([\d\s]*)\}")
 
 
-def _raw(dim: int, coeffs: dict[int, SymScalar]) -> Multivector:
+def _raw(dim: int, coeffs: dict[int, GaussianRational]) -> Multivector:
     mv = Multivector.__new__(Multivector)
     object.__setattr__(mv, "dim", dim)
     object.__setattr__(mv, "coeffs", coeffs)
@@ -246,19 +236,15 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-    out: dict[int, SymScalar] = {}
+    out: dict[int, GaussianRational] = {}
     b_items = list(b.coeffs.items())
     for ma, ca in a.coeffs.items():
         for mb, cb in b_items:
             mask, sign = blade_product(ma, mb)
-            term = ca._product(cb, sign < 0)
+            term = ca * cb if sign > 0 else -(ca * cb)
             cur = out.get(mask)
-            s = term if cur is None else cur + term
-            if s.terms:
-                out[mask] = s
-            else:
-                out.pop(mask, None)
-    return _raw(a.dim, out)
+            out[mask] = term if cur is None else cur + term
+    return _raw(a.dim, {m: c for m, c in out.items() if not c.is_zero()})
 
 
 def grading(n: int) -> Multivector:
@@ -275,7 +261,7 @@ def trace(a: Multivector) -> SymScalar:
     representation; the matrix oracle cross-checks this definition.
     """
     _check_even_dim(a.dim)
-    return a.scalar_part() * rational(2 ** (a.dim // 2))
+    return sym(a.scalar_part() * 2 ** (a.dim // 2))
 
 
 def supertrace(a: Multivector) -> SymScalar:

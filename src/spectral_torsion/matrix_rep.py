@@ -8,7 +8,7 @@ algebraically in `clifford` can be cross-checked against literal matrices.
 from __future__ import annotations
 
 from .clifford import DimensionMismatch, Multivector, _check_even_dim
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, SymScalar
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, SymScalar, sym
 
 MAX_REP_DIM = 12
 
@@ -103,12 +103,12 @@ class MatrixRep:
         self._blade_cache[mask] = mat
         return mat
 
-    def of(self, a: Multivector) -> list:
-        """Image of a multivector as a dense matrix of SymScalar entries."""
+    def of(self, a: Multivector) -> Matrix:
+        """Image of a multivector as a dense Gaussian-rational matrix."""
         if a.dim != self.dim:
             raise DimensionMismatch(f"dim {a.dim} vs rep dim {self.dim}")
         d = self.size
-        acc = [[SymScalar.zero() for _ in range(d)] for _ in range(d)]
+        acc = [[GR_ZERO] * d for _ in range(d)]
         for mask, coeff in a.coeffs.items():
             mat = self.blade_matrix(mask)
             for i in range(d):
@@ -116,20 +116,8 @@ class MatrixRep:
                 for j in range(d):
                     if not row[j].is_zero():
                         acc[i][j] = acc[i][j] + coeff * row[j]
-        return acc
+        return tuple(tuple(row) for row in acc)
 
     def trace(self, a: Multivector) -> SymScalar:
-        mat = self.of(a)
-        total = SymScalar.zero()
-        for i in range(self.size):
-            total = total + mat[i][i]
-        return total
-
-
-def rep_build(n: int) -> MatrixRep:
-    return MatrixRep(n)
-
-
-def rep_trace(rep: MatrixRep, a: Multivector) -> SymScalar:
-    """Literal matrix trace of the represented multivector."""
-    return rep.trace(a)
+        """Literal matrix trace of the represented multivector."""
+        return sym(mat_trace(self.of(a)))

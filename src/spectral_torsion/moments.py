@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .clifford import DimensionMismatch, Multivector
-from .scalars import SymScalar, rational, vol_sphere
+from .scalars import Rational, SymScalar, rational, vol_sphere
 
 
 # an exponent vector over the cosphere variables, one entry per variable
@@ -28,8 +28,8 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def moment(n: int, alpha) -> SymScalar:
-    """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2."""
+def _moment_weight(n: int, alpha) -> Rational:
+    """Integral of prod xi_i^alpha_i over S^(n-1) in units of vol(S^(n-1))."""
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
     alpha = tuple(alpha)
@@ -38,7 +38,7 @@ def moment(n: int, alpha) -> SymScalar:
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be non-negative")
     if any(a % 2 for a in alpha):
-        return SymScalar.zero()
+        return rational(0)
     total = sum(alpha)
     num = 1
     for a in alpha:
@@ -46,7 +46,13 @@ def moment(n: int, alpha) -> SymScalar:
     den = 1
     for j in range(total // 2):
         den *= n + 2 * j
-    return SymScalar.from_atom(vol_sphere(n - 1), rational(num) / rational(den))
+    return rational(num) / rational(den)
+
+
+def moment(n: int, alpha) -> SymScalar:
+    """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2."""
+    weight = _moment_weight(n, alpha)
+    return SymScalar.from_atom(vol_sphere(n - 1), weight)
 
 
 def vol_numeric(k: int) -> float:
@@ -122,12 +128,16 @@ def xi_monomial(nvars: int, *indices: int) -> tuple:
 
 
 def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
-    """Termwise sphere integration: sum of moment(n, alpha) * coefficient."""
+    """Termwise sphere integration in units of vol(S^(n-1)).
+
+    The result is sum_alpha (moment(n, alpha) / vol(S^(n-1))) * coefficient;
+    the caller attaches the volume atom.
+    """
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
     total = Multivector.zero(p.mv_dim)
     for expo, mv in p.terms.items():
-        weight = moment(n, expo)
-        if not weight.is_zero():
+        weight = _moment_weight(n, expo)
+        if weight:
             total = total + mv.scale(weight)
     return total

@@ -23,19 +23,23 @@ class MissingAtom(KeyError):
     """An atom occurring in a symbolic scalar has no numeric assignment."""
 
 
+# the only accepted string form of a rational: "p" or "p/q", optionally signed
+_SIGNED_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?", _re.ASCII)
+
+
 def rational(value) -> Rational:
     """Coerce an int, string ("p/q" or "p") or rational to a Rational."""
     if isinstance(value, Rational):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
-    if isinstance(value, (int, str, _Fraction)):
+    if isinstance(value, str):
+        if not _SIGNED_RATIONAL_RE.fullmatch(value):
+            raise ValueError(f"not a rational: {value!r}")
+        return Rational(value.lstrip("+"))
+    if isinstance(value, (int, _Fraction)):
         return Rational(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def format_rational(q) -> str:
-    return str(q)
 
 
 _ZERO = Rational(0)
@@ -63,12 +67,12 @@ class GaussianRational:
         if not s:
             raise ValueError("empty Gaussian rational")
         if not s.endswith("i"):
-            return cls(_parse_signed_rational(s), _ZERO)
+            return cls(rational(s.replace(" ", "")), _ZERO)
         body = s[:-1].strip()
         # locate a +/- separating real and imaginary parts (not a leading sign)
         split = max(body.rfind("+"), body.rfind("-"))
         if split > 0:
-            re_part = _parse_signed_rational(body[:split].strip())
+            re_part = rational(body[:split].replace(" ", ""))
             im_text = body[split:].strip()
         else:
             re_part = _ZERO
@@ -78,7 +82,7 @@ class GaussianRational:
         elif im_text == "-":
             im_part = -_ONE
         else:
-            im_part = _parse_signed_rational(im_text)
+            im_part = rational(im_text.replace(" ", ""))
         return cls(re_part, im_part)
 
     # -- arithmetic ---------------------------------------------------
@@ -173,16 +177,6 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_SIGNED_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
-
-
-def _parse_signed_rational(s: str):
-    s = s.replace(" ", "")
-    if not _SIGNED_RATIONAL_RE.fullmatch(s):
-        raise ValueError(f"not a rational: {s!r}")
-    return rational(s.lstrip("+"))
-
-
 def _gr(re, im) -> GaussianRational:
     """Fast constructor for already-reduced rational parts."""
     z = GaussianRational.__new__(GaussianRational)
@@ -202,10 +196,6 @@ def _as_gaussian(x) -> GaussianRational:
     if isinstance(x, (int, Rational)):
         return GaussianRational(x)
     raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
-
-
-def gaussian(re=0, im=0) -> GaussianRational:
-    return GaussianRational(re, im)
 
 
 def i_power(k: int) -> GaussianRational:
@@ -309,7 +299,7 @@ class SymScalar:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _as_sym(other)
+        other = sym(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -333,47 +323,22 @@ class SymScalar:
         return _raw_sym({m: _gr(-c.re, -c.im) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_as_sym(other))
+        return self + (-sym(other))
 
     def __rsub__(self, other):
-        return _as_sym(other) + (-self)
-
-    def _product(self, other: "SymScalar", negate: bool) -> "SymScalar":
-        """self * other with the sign folded in (hot path for blade products)."""
-        st, ot = self.terms, other.terms
-        if not st or not ot:
-            return _SYM_ZERO
-        out: dict = {}
-        for m1, c1 in st.items():
-            a, b = c1.re, c1.im
-            for m2, c2 in ot.items():
-                c, d = c2.re, c2.im
-                if b == 0:
-                    if d == 0:
-                        pre, pim = a * c, _ZERO
-                    else:
-                        pre, pim = a * c, a * d
-                elif d == 0:
-                    pre, pim = a * c, b * c
-                else:
-                    pre, pim = a * c - b * d, a * d + b * c
-                if negate:
-                    pre, pim = -pre, -pim
-                mono = m1 if not m2 else (m2 if not m1 else tuple(sorted(m1 + m2)))
-                cur = out.get(mono)
-                if cur is None:
-                    if pre != 0 or pim != 0:
-                        out[mono] = _gr(pre, pim)
-                else:
-                    sre, sim = cur.re + pre, cur.im + pim
-                    if sre == 0 and sim == 0:
-                        del out[mono]
-                    else:
-                        out[mono] = _gr(sre, sim)
-        return _raw_sym(out)
+        return sym(other) + (-self)
 
     def __mul__(self, other):
-        return self._product(_as_sym(other), False)
+        """Distributive exact product; monomials merge multiset-wise."""
+        other = sym(other)
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = _merge_monomials(m1, m2)
+                term = c1 * c2
+                cur = out.get(mono)
+                out[mono] = term if cur is None else cur + term
+        return SymScalar(out)
 
     __rmul__ = __mul__
 
@@ -387,7 +352,7 @@ class SymScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Rational, GaussianRational)):
-            other = _as_sym(other)
+            other = sym(other)
         if not isinstance(other, SymScalar):
             return NotImplemented
         return self.terms == other.terms
@@ -473,28 +438,10 @@ def _raw_sym(terms: dict) -> SymScalar:
     return s
 
 
-_SYM_ZERO = SymScalar()
-SYM_ZERO = _SYM_ZERO
-SYM_ONE = SymScalar.from_coeff(1)
-
-
-def _as_sym(x) -> SymScalar:
+def sym(x) -> SymScalar:
+    """A symbolic scalar as is; an int or (Gaussian) rational as a constant."""
     if isinstance(x, SymScalar):
         return x
     if isinstance(x, (int, Rational, GaussianRational)):
         return SymScalar.from_coeff(_as_gaussian(x))
     raise TypeError(f"cannot interpret {x!r} as a symbolic scalar")
-
-
-def sym(x) -> SymScalar:
-    return _as_sym(x)
-
-
-def sym_mul(a: SymScalar, b: SymScalar) -> SymScalar:
-    """Distributive exact product; monomials merge multiset-wise."""
-    return _as_sym(a) * _as_sym(b)
-
-
-def sym_eval(a: SymScalar, env: Mapping[Atom, complex]) -> complex:
-    """Evaluate `a` numerically; raises MissingAtom for unassigned atoms."""
-    return _as_sym(a).evaluate(env)

@@ -27,7 +27,7 @@ from .clifford import (
 )
 from .forms import OneForm, ThreeForm, to_clifford
 from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
-from .scalars import GR_I, SymScalar, TR_F_PHI, rational
+from .scalars import GR_I, SymScalar, TR_F_PHI, rational, vol_sphere
 
 
 @dataclass(frozen=True)
@@ -98,78 +98,6 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
     raise TypeError(f"unknown perturbation case {case!r}")
 
 
-@dataclass(frozen=True)
-class SymbolOrderPieces:
-    """Order-2 and order-1 symbol pieces of the squared perturbed operator.
-
-    At the flat point: p2 = |xi|^2 Id and p1 = sqrt(-1) sum_j xi_j
-    (c(e_j) B + B c(e_j)), with the perturbation B carried separately (its
-    twist factor enters only at trace time).
-    """
-
-    p2: XiPolynomialMV
-    p1: XiPolynomialMV
-    B: Multivector
-
-
-def symbol_order_pieces(case: PerturbationCase, n: int) -> SymbolOrderPieces:
-    if n % 2 != 0:
-        raise OddDimension(f"dimension must be even, got {n}")
-    b = perturbation_multivector(case, n)
-    identity = Multivector.identity(n)
-    p2 = XiPolynomialMV(n, n, {xi_monomial(n, j, j): identity
-                               for j in range(1, n + 1)})
-    p1_terms = {}
-    for j in range(1, n + 1):
-        bracket = anticommutator(Multivector.generator(n, j), b)
-        if not bracket.is_zero():
-            p1_terms[xi_monomial(n, j)] = bracket.scale(GR_I)
-    return SymbolOrderPieces(p2=p2, p1=XiPolynomialMV(n, n, p1_terms), B=b)
-
-
-def q_minus3_normal(b: Multivector, n: int) -> XiPolynomialMV:
-    """Subleading symbol of the squared-operator inverse at the flat point.
-
-    q_{-3} = -p2^{-1} p1 q_{-2}; restricted to |xi| = 1 (the suppressed
-    prefactor is |xi|^-4) only the perturbation-linear part survives,
-
-        -sqrt(-1) * sum_j xi_j (c(e_j) B + B c(e_j)).
-    """
-    terms = {}
-    for j in range(1, n + 1):
-        bracket = anticommutator(Multivector.generator(n, j), b)
-        if not bracket.is_zero():
-            terms[xi_monomial(n, j)] = bracket.scale(-GR_I)
-    return XiPolynomialMV(n, n, terms)
-
-
-def recursion_tail(n: int, metric_derivatives=None) -> XiPolynomialMV:
-    """The k-sum correction to the subleading inverse-power symbol.
-
-    sum_{k=0}^{m-2} of d_xi(sigma2^(1-m+k)) * d_x(sigma2^(-1)) * sigma2^(-k)
-    with the leading -sqrt(-1), evaluated on |xi| = 1.  Its only first-order
-    input is d_x g^(ab); in normal coordinates that is zero, so the whole sum
-    vanishes — it is carried through the pipeline and asserted zero rather
-    than omitted.
-    """
-    m = n // 2
-    result = XiPolynomialMV.zero(n, n)
-    if not metric_derivatives:
-        return result
-    identity = Multivector.identity(n)
-    terms: dict[tuple, Multivector] = {}
-    for k in range(0, m - 1):
-        power = -m + k + 1
-        for (mu, alpha, beta), dg in metric_derivatives.items():
-            # d_xi(sigma2^power) = 2*power*xi_mu; d_x(sigma2^-1) = -dg xi_a xi_b
-            coeff = -GR_I * rational(2 * power) * rational(-1) * rational(dg)
-            expo = xi_monomial(n, mu, alpha, beta)
-            mv = identity.scale(coeff)
-            cur = terms.get(expo)
-            terms[expo] = mv if cur is None else cur + mv
-    return result + XiPolynomialMV(n, n, terms)
-
-
 def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
                   case: PerturbationCase, n: int) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere."""
@@ -207,24 +135,7 @@ def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
                 terms.pop(expo, None)
             else:
                 terms[expo] = s
-    sigma = XiPolynomialMV(n, n, terms)
-
-    # x-derivative recursion terms: identically zero in normal coordinates,
-    # composed with i*c(xi) and carried explicitly.
-    tail = recursion_tail(n)
-    if not tail.is_zero():  # pragma: no cover - zero at the flat point
-        composed: dict[tuple, Multivector] = {}
-        for expo, mv in tail.terms.items():
-            for l in range(1, n + 1):
-                lifted = list(expo)
-                lifted[l - 1] += 1
-                term = mv_mul(mv_mul(cuvw, mv),
-                              Multivector.generator(n, l)).scale(GR_I)
-                key = tuple(lifted)
-                cur = composed.get(key)
-                composed[key] = term if cur is None else cur + term
-        sigma = sigma + XiPolynomialMV(n, n, composed)
-    return sigma
+    return XiPolynomialMV(n, n, terms)
 
 
 def interior_density(u: OneForm, v: OneForm, w: OneForm,
@@ -232,8 +143,9 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     """Unit-cosphere integral of the symbol trace: the interior density.
 
     Carries one factor tr_F(Phi) (every surviving term is perturbation
-    linear) and the atom vol(S^(n-1)) from the sphere moments.
+    linear) and the atom vol(S^(n-1)) from the sphere moments, attached here
+    to the exact trace of the integrated symbol.
     """
-    sigma = sigma_minus2m(u, v, w, case, n)
-    integrated = integrate_sphere(n, sigma)
-    return trace(integrated) * SymScalar.from_atom(TR_F_PHI)
+    integrated = integrate_sphere(n, sigma_minus2m(u, v, w, case, n))
+    atoms = SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI))
+    return trace(integrated) * atoms

@@ -35,6 +35,7 @@ from .moments import XiPolynomialMV, integrate_sphere, moment, xi_monomial
 from .scalars import (
     GR_I,
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
     SymScalar,
     i_power,
@@ -93,7 +94,10 @@ def _cuvw(u: OneForm, v: OneForm, w: OneForm) -> Multivector:
 def _sphere_trace_integral(n: int, left: Multivector, middle: Multivector,
                            generator_first: bool) -> SymScalar:
     """Integral over |xi|=1 of Tr(left * c(e_i) * middle * xi_i c(xi)) summed
-    over i (generator_first) or Tr(left * middle * c(e_i) * xi_i c(xi))."""
+    over i (generator_first) or Tr(left * middle * c(e_i) * xi_i c(xi)).
+
+    The sphere integral is exact in units of vol(S^(n-1)); the atom is
+    attached to its trace."""
     terms: dict[tuple, Multivector] = {}
     for i in range(1, n + 1):
         gi = Multivector.generator(n, i)
@@ -112,7 +116,7 @@ def _sphere_trace_integral(n: int, left: Multivector, middle: Multivector,
                 terms.pop(expo, None)
             else:
                 terms[expo] = s
-    return trace(integrate_sphere(n, XiPolynomialMV(n, n, terms)))
+    return trace(integrate_sphere(n, XiPolynomialMV(n, n, terms))) * _vol(n)
 
 
 def _vol(n: int) -> SymScalar:
@@ -244,8 +248,8 @@ def _run_e431(n, rng):
     reference_mv = -mv_mul(_cuvw(u, v, w), grading(n))
     # probe one blade coefficient for display; match over full multivectors
     probe_mask = next(iter(sorted(reference_mv.coeffs)), 0)
-    return (SymScalar.zero() + computed_mv.coeffs.get(probe_mask, SymScalar.zero()),
-            SymScalar.zero() + reference_mv.coeffs.get(probe_mask, SymScalar.zero()),
+    return (sym(computed_mv.coeffs.get(probe_mask, GR_ZERO)),
+            sym(reference_mv.coeffs.get(probe_mask, GR_ZERO)),
             computed_mv == reference_mv)
 
 

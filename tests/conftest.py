@@ -8,6 +8,7 @@ matrices instead of blades.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -23,27 +24,14 @@ from spectral_torsion import (
 )
 from spectral_torsion.matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
 from spectral_torsion.moments import moment, xi_monomial
-from spectral_torsion.scalars import GR_ZERO, GaussianRational
+from spectral_torsion.scalars import GaussianRational
 from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import to_clifford
+from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
+from spectral_torsion.verify import rand_threeform as _rand_threeform
 
-
-def rand_rational(rng: random.Random):
-    return rational(rng.randint(-6, 6)) / rational(rng.randint(1, 4))
-
-
-def rand_oneform(rng: random.Random, n: int) -> OneForm:
-    return OneForm(tuple(rand_rational(rng) for _ in range(n)))
-
-
-def rand_threeform(rng: random.Random, n: int, sparsity: float = 0.6) -> ThreeForm:
-    comps = {}
-    for a in range(1, n - 1):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n + 1):
-                if rng.random() < sparsity:
-                    comps[(a, b, c)] = rand_rational(rng)
-    return ThreeForm(n, comps)
+# the tests draw denser 3-forms than the verify catalog
+rand_threeform = functools.partial(_rand_threeform, sparsity=0.6)
 
 
 def rand_multivector(rng: random.Random, n: int, max_blades: int = 6) -> Multivector:
@@ -147,21 +135,6 @@ def rotate_threeform(q, t: ThreeForm) -> ThreeForm:
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(rep: MatrixRep, mv: Multivector):
-    """Dense Gaussian-rational matrix of a multivector with constant coefficients."""
-    d = rep.size
-    acc = [[GR_ZERO] * d for _ in range(d)]
-    for mask, coeff in mv.coeffs.items():
-        value = coeff.constant_part()
-        mat = rep.blade_matrix(mask)
-        for i in range(d):
-            row = mat[i]
-            for j in range(d):
-                if not row[j].is_zero():
-                    acc[i][j] = acc[i][j] + value * row[j]
-    return tuple(tuple(r) for r in acc)
-
-
 def density_via_matrix_rep(u, v, w, case, n) -> SymScalar:
     """Interior density recomputed on literal representation matrices.
 
@@ -170,10 +143,9 @@ def density_via_matrix_rep(u, v, w, case, n) -> SymScalar:
     """
     rep = MatrixRep(n)
     m = n // 2
-    cw = _as_matrix(rep, mv_mul(mv_mul(to_clifford(u), to_clifford(v)),
-                                to_clifford(w)))
-    bmat = _as_matrix(rep, perturbation_multivector(case, n))
-    gens = [_as_matrix(rep, Multivector.generator(n, i)) for i in range(1, n + 1)]
+    cw = rep.of(mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w)))
+    bmat = rep.of(perturbation_multivector(case, n))
+    gens = [rep.of(Multivector.generator(n, i)) for i in range(1, n + 1)]
 
     total = SymScalar.zero()
     total = total + SymScalar.from_coeff(mat_trace(mat_mul(cw, bmat))) \

@@ -18,6 +18,7 @@ import time
 from spectral_torsion import (
     Grading,
     ManifoldSpec,
+    MatrixRep,
     Multivector,
     OneForm,
     PI,
@@ -37,8 +38,6 @@ from spectral_torsion import (
     mv_mul,
     normal_trace_combination,
     rational,
-    rep_build,
-    rep_trace,
     residue_derivative,
     supertrace,
     sym,
@@ -218,10 +217,10 @@ def test_criterion_6_oracle_equivalence():
     """Blade trace equals the literal matrix trace on 500 random elements."""
     rng = random.Random(SEED + 5)
     for n in (2, 4, 6):
-        rep = rep_build(n)
+        rep = MatrixRep(n)
         for _ in range(500):
             a = rand_multivector(rng, n)
-            assert trace(a) == rep_trace(rep, a)
+            assert trace(a) == rep.trace(a)
     _report("6 (blade trace = matrix-representation trace, 500 x n in {2,4,6})", True)
 
 

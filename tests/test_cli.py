@@ -90,6 +90,18 @@ def test_compute_malformed_rational_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "compute", write_config(tmp_path, config))
     assert code == 2
     assert "1/0" in err
+    # only "p" and "p/q" are rationals, whatever the Rational backend
+    for bad in ("0.5", "1e3", "1_000", " 1/2 ", "1/-2", "\u0661"):
+        config = base_config()
+        config["u"] = [bad, "0", "0", "0"]
+        code, _, err = run(capsys, "compute", write_config(tmp_path, config))
+        assert code == 2, bad
+        assert "error: u[0]: bad rational" in err, bad
+    config = base_config()
+    config["T"] = [[True, 2, 3, "1"]]  # a JSON boolean is not an index
+    code, _, err = run(capsys, "compute", write_config(tmp_path, config))
+    assert code == 2
+    assert "indices must be integers" in err
 
 
 def test_compute_bad_json_exits_2_with_line(tmp_path, capsys):
@@ -101,10 +113,12 @@ def test_compute_bad_json_exits_2_with_line(tmp_path, capsys):
 
 
 def test_compute_odd_dimension_exits_3(tmp_path, capsys):
-    config = base_config()
-    config["dimension"] = 5
-    code, _, err = run(capsys, "compute", write_config(tmp_path, config))
-    assert code == 3
+    for n in (5, 2, 18):  # odd, and even on either side of 4..16
+        config = base_config()
+        config["dimension"] = n
+        code, _, err = run(capsys, "compute", write_config(tmp_path, config))
+        assert code == 3
+        assert err == f"error: dimension must be even with 4 <= n <= 16, got {n}\n"
 
 
 def test_compute_wrong_length_exits_3(tmp_path, capsys):
@@ -188,8 +202,10 @@ def test_verify_intermediate_mismatch_reported_not_fatal(capsys):
 
 
 def test_verify_odd_dim_exits_2(capsys):
-    code, _, err = run(capsys, "verify", "3")
-    assert code == 2
+    for n in ("3", "2", "18"):
+        code, _, err = run(capsys, "verify", n)
+        assert code == 2
+        assert err == f"error: dimension must be even with 4 <= n <= 16, got {n}\n"
 
 
 def test_verify_seed_env(tmp_path, capsys, monkeypatch):

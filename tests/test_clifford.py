@@ -6,6 +6,7 @@ import pytest
 
 from spectral_torsion import (
     DimensionMismatch,
+    MatrixRep,
     Multivector,
     OddDimension,
     OneForm,
@@ -16,8 +17,6 @@ from spectral_torsion import (
     metric_pair,
     mv_mul,
     rational,
-    rep_build,
-    rep_trace,
     supertrace,
     sym,
     to_clifford,
@@ -45,8 +44,8 @@ def test_grade_three_square():
     w = mv_mul(mv_mul(gen(6, 1), gen(6, 2)), gen(6, 3))
     assert mv_mul(w, w) == Multivector.identity(6)
     # cross-check on the matrix oracle
-    rep = rep_build(6)
-    assert rep_trace(rep, mv_mul(w, w)) == trace(Multivector.identity(6))
+    rep = MatrixRep(6)
+    assert rep.trace(mv_mul(w, w)) == trace(Multivector.identity(6))
 
 
 def test_grading_n2():
@@ -81,8 +80,8 @@ def test_trace_identity():
 
 def test_trace_top_blade_vanishes():
     assert trace(Multivector.blade(4, 0b1111)).is_zero()
-    rep = rep_build(4)
-    assert rep_trace(rep, Multivector.blade(4, 0b1111)).is_zero()
+    rep = MatrixRep(4)
+    assert rep.trace(Multivector.blade(4, 0b1111)).is_zero()
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -158,14 +157,14 @@ def test_trace_cyclicity(n, rng):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_oracle_trace_equivalence(n, rng):
-    rep = rep_build(n)
+    rep = MatrixRep(n)
     for _ in range(100):
         a = rand_multivector(rng, n)
-        assert trace(a) == rep_trace(rep, a)
+        assert trace(a) == rep.trace(a)
 
 
 def test_rep_generators_anticommute():
-    rep = rep_build(4)
+    rep = MatrixRep(4)
     gens = rep.generators
     for i in range(4):
         for j in range(i + 1, 4):
@@ -174,10 +173,10 @@ def test_rep_generators_anticommute():
 
 
 def test_rep_trace_examples():
-    rep = rep_build(4)
-    assert rep_trace(rep, Multivector.blade(4, 0b11)).is_zero()
+    rep = MatrixRep(4)
+    assert rep.trace(Multivector.blade(4, 0b11)).is_zero()
     g_top = mv_mul(grading(4), Multivector.blade(4, 0b1111))
-    assert rep_trace(rep, g_top) == sym(-4)
+    assert rep.trace(g_top) == sym(-4)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -222,6 +221,14 @@ def test_anticommutator_relation(rng):
         i, j = rng.randint(1, n), rng.randint(1, n)
         anti = anticommutator(gen(n, i), gen(n, j))
         assert anti == Multivector.identity(n).scale(-2 * (i == j))
+    # {c(e_j), c(X)} = -2 X_j, and the grading anticommutes with every generator
+    x = rand_oneform(rng, n)
+    for j in range(1, n + 1):
+        assert anticommutator(gen(n, j), to_clifford(x)) == \
+            Multivector.identity(n).scale(-2 * x[j])
+    for m in (4, 6):
+        for j in range(1, m + 1):
+            assert anticommutator(gen(m, j), grading(m)).is_zero()
 
 
 def test_multivector_parse_roundtrip():
@@ -229,6 +236,17 @@ def test_multivector_parse_roundtrip():
           + Multivector.identity(4).scale(-3))
     assert Multivector.parse(4, str(mv)) == mv
     assert Multivector.parse(4, "0").is_zero()
+
+
+def test_coefficients_are_gaussian_rationals(rng):
+    product = mv_mul(rand_multivector(rng, 4), rand_multivector(rng, 4))
+    assert all(isinstance(c, GaussianRational) for _, c in product)
+    assert isinstance(product.scalar_part(), GaussianRational)
+    # symbolic atoms never enter the Clifford layer
+    with pytest.raises(TypeError):
+        Multivector(4, {0: sym(1)})
+    with pytest.raises(TypeError):
+        product.scale(sym(2))
 
 
 def test_blade_scale_collapse():
@@ -241,15 +259,15 @@ def test_dimension_caps():
     with pytest.raises(DimensionMismatch):
         Multivector.identity(17)
     with pytest.raises(DimensionMismatch):
-        rep_build(14)  # matrix oracle is capped at n = 12
+        MatrixRep(14)  # matrix oracle is capped at n = 12
     with pytest.raises(OddDimension):
-        rep_build(5)
+        MatrixRep(5)
 
 
 def test_oracle_at_cap_dimension():
     # n = 12: blade supertrace of the top blade equals the literal matrix trace
-    rep = rep_build(12)
+    rep = MatrixRep(12)
     top = Multivector.blade(12, (1 << 12) - 1)
     expected = sym(rational(2 ** 6) * (GaussianRational(1) / i_power(6)))
     assert supertrace(top) == expected
-    assert rep_trace(rep, mv_mul(grading(12), top)) == expected
+    assert rep.trace(mv_mul(grading(12), top)) == expected

@@ -23,16 +23,14 @@ from spectral_torsion import (
     interior_density,
     mv_mul,
     perturbation_multivector,
-    q_minus3_normal,
     rational,
-    recursion_tail,
     sigma_minus2m,
     sym,
     theorem_value,
     ManifoldSpec,
 )
 from spectral_torsion.moments import xi_monomial
-from spectral_torsion.scalars import GR_I, GaussianRational
+from spectral_torsion.scalars import GR_I
 
 from conftest import density_via_matrix_rep, rand_oneform, rand_threeform
 
@@ -67,73 +65,6 @@ def test_perturbation_vector_grading():
 def test_perturbation_dim_checked():
     with pytest.raises(DimensionMismatch):
         perturbation_multivector(VectorGrading(basis(4, 1)), 6)
-
-
-# -- subleading inverse symbol ---------------------------------------------------
-
-
-def test_q_minus3_zero_perturbation():
-    assert q_minus3_normal(Multivector.zero(4), 4).is_zero()
-
-
-def test_q_minus3_grading_vanishes():
-    # the grading anticommutes with every generator
-    assert q_minus3_normal(grading(4), 4).is_zero()
-    assert q_minus3_normal(grading(6), 6).is_zero()
-
-
-def test_q_minus3_vector_coefficients(rng):
-    n = 4
-    x = rand_oneform(rng, n)
-    q = q_minus3_normal(perturbation_multivector(
-        TorsionVector(ThreeForm.zero(n), OneForm.zero(n)), n), n)
-    assert q.is_zero()
-    # c(X): coefficient of xi_j is 2 sqrt(-1) X_j Id (for B = c(X))
-    from spectral_torsion import to_clifford
-    q = q_minus3_normal(to_clifford(x), n)
-    for j in range(1, n + 1):
-        expected = Multivector.identity(n).scale(
-            GaussianRational(0, 2) * x[j])
-        got = q.terms.get(xi_monomial(n, j), Multivector.zero(n))
-        assert got == expected
-
-
-def test_symbol_order_pieces():
-    from spectral_torsion import symbol_order_pieces, to_clifford
-    n = 4
-    case = TorsionVector(ThreeForm(n, {(1, 2, 3): 1}), OneForm.zero(n))
-    pieces = symbol_order_pieces(case, n)
-    # p2 is the scalar |xi|^2 times the identity
-    assert all(mv == Multivector.identity(n) for mv in pieces.p2.terms.values())
-    assert set(pieces.p2.terms) == {xi_monomial(n, j, j) for j in range(1, n + 1)}
-    # p1 = i sum_j xi_j {c(e_j), B}; q_{-3} is its negative at |xi| = 1
-    assert pieces.B == perturbation_multivector(case, n)
-    q = q_minus3_normal(pieces.B, n)
-    for expo, mv in pieces.p1.terms.items():
-        assert q.terms[expo] == mv.scale(-1)
-
-
-# -- recursion tail ------------------------------------------------------------
-
-
-def test_recursion_tail_vanishes_in_normal_coordinates():
-    assert recursion_tail(8).is_zero()
-    assert recursion_tail(8, {}).is_zero()
-    zero_dg = {(1, 1, 1): 0, (2, 3, 4): rational(0)}
-    assert recursion_tail(8, zero_dg).is_zero()
-
-
-def test_recursion_tail_nonzero_off_normal_point():
-    # a fabricated first-order metric derivative must produce a nonzero sum
-    tail = recursion_tail(8, {(1, 2, 3): rational(1)})
-    assert not tail.is_zero()
-    assert all(sum(expo) == 3 for expo in tail.terms)
-
-
-def test_recursion_tail_empty_sum_when_m_is_2():
-    # n=4: the k-sum has a single k=0 term with coefficient power -1
-    tail = recursion_tail(4, {(1, 1, 1): rational(1)})
-    assert not tail.is_zero()
 
 
 # -- symbol assembly -------------------------------------------------------------
