@@ -47,7 +47,27 @@ def _compute_configs() -> dict:
     return configs
 
 
-COMPUTE_CONFIGS = _compute_configs()
+# n=6 jobs: a 3-form and vectors with mixed denominators touch every grade
+_U6 = ["1/2", "-1", "0", "2", "5/7", "-3/11"]
+_V6 = ["0", "3/4", "1", "-1", "2/9", "1/13"]
+_W6 = ["2", "0", "-1/3", "1", "-4/5", "7/6"]
+_T6 = [[1, 2, 3, "1"], [1, 2, 6, "-2/3"], [1, 4, 5, "5/8"], [2, 3, 4, "3"],
+       [2, 5, 6, "-7/10"], [3, 4, 6, "1/9"], [4, 5, 6, "-11/4"]]
+
+
+def _compute_configs_6() -> dict:
+    """name -> n=6 job: torsion_vector with boundary, torsion_grading without."""
+    base = {"dimension": 6, "u": _U6, "v": _V6, "w": _W6, "numeric_eval": False}
+    return {
+        "compute_torsion_vector_boundary_6": {
+            **base, "case": "torsion_vector", "T": _T6,
+            "Y": ["1", "0", "-1", "1/2", "-5/3", "2/7"], "with_boundary": True},
+        "compute_torsion_grading_6": {
+            **base, "case": "torsion_grading", "T": _T6, "with_boundary": False},
+    }
+
+
+COMPUTE_CONFIGS = {**_compute_configs(), **_compute_configs_6()}
 
 # name -> argv after the compute cases, whose config path is filled in per run
 OTHER_ARGV = {
@@ -56,6 +76,7 @@ OTHER_ARGV = {
     "trace_4_e1_gamma": ["trace", "--dim", "4", "e1", "gamma"],
     "trace_2_e1_e2_gamma": ["trace", "--dim", "2", "e1", "e2", "gamma"],
     "moments_4_2200": ["moments", "--dim", "4", "--alpha", "2,2,0,0"],
+    "verify_6_json": ["verify", "6", "--json"],
 }
 
 CASES = tuple(COMPUTE_CONFIGS) + tuple(OTHER_ARGV)
