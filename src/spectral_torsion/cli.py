@@ -14,6 +14,7 @@ SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -128,8 +129,20 @@ def default_numeric_env(n: int) -> dict:
     return env
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift CPython's int-to-str digit limit, which still guards every input."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _scalar_block(s: SymScalar) -> dict:
-    return {"canonical": str(s), "terms": s.to_terms()}
+    with _unlimited_int_str():  # an exact result may have any number of digits
+        return {"canonical": str(s), "terms": s.to_terms()}
 
 
 def run_compute(config: dict, seed: int) -> dict:
@@ -150,7 +163,13 @@ def run_compute(config: dict, seed: int) -> dict:
 
     numeric = None
     if config.get("numeric_eval", False):
-        value = report.total.evaluate(default_numeric_env(n))
+        try:
+            value = report.total.evaluate(default_numeric_env(n))
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise OverflowError
+        except OverflowError as exc:
+            raise ConsistencyError(
+                "numeric_eval: the exact total does not fit a float") from exc
         numeric = {"re": value.real, "im": value.imag}
 
     return {

@@ -11,14 +11,18 @@ scalar; the supertrace composes with the grading operator.
 from __future__ import annotations
 
 import re as _re
+from math import lcm
 from typing import Iterator
 
 from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    Rational,
     SymScalar,
+    _ZERO,
     _as_gaussian,
+    _gr,
     i_power,
     sym,
 )
@@ -41,21 +45,25 @@ def _check_even_dim(n: int, cap: int = MAX_DIM) -> None:
         raise DimensionMismatch(f"dimension must be in [2, {cap}], got {n}")
 
 
-def blade_product(a: int, b: int) -> tuple[int, int]:
-    """Product of two blade masks: (result mask, sign in {+1, -1}).
+def _sign_mask(a: int) -> int:
+    """F(a), the mask with sign(a*b) = (-1)^|b & F(a)| for every blade b.
 
-    Reordering contributes (-1) per transposition, each repeated index
-    contracts to c(e_i)^2 = -1.
+    Moving c(e_j) of b past the generators of `a` above it costs one sign
+    each, and a repeated index contracts to c(e_j)^2 = -1.  Both counts are
+    linear over GF(2) in b, so bit j of F(a) is the parity of the bits of
+    `a` above j, plus bit j of `a` itself.
     """
-    inversions = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        # bits of `a` strictly above this index
-        inversions += (a & ~(low | (low - 1))).bit_count()
-        bb ^= low
-    sign = -1 if (inversions + (a & b).bit_count()) & 1 else 1
-    return a ^ b, sign
+    above = a >> 1
+    shift = 1
+    while above >> shift:  # suffix XOR: bit j becomes the parity of a's bits above j
+        above ^= above >> shift
+        shift <<= 1
+    return above ^ a
+
+
+def blade_product(a: int, b: int) -> tuple[int, int]:
+    """Product of two blade masks: (result mask, sign in {+1, -1})."""
+    return a ^ b, -1 if (b & _sign_mask(a)).bit_count() & 1 else 1
 
 
 def blade_mask(indices) -> int:
@@ -211,9 +219,16 @@ class Multivector:
         for m in _MV_TERM_RE.finditer(text):
             matched.append(m.group(0))
             raw = m.group(1).strip()
+            # sym() prints an imaginary or complex coefficient in parentheses,
+            # negated outside them when it is purely imaginary: "-(1 i)"
+            negate = raw.startswith("-(")
+            if negate:
+                raw = raw[1:]
             if raw.startswith("(") and raw.endswith(")"):
                 raw = raw[1:-1]
             coeff = GaussianRational.parse(raw)
+            if negate:
+                coeff = -coeff
             indices = [int(t) for t in m.group(2).split()]
             mask = blade_mask(indices)
             coeffs[mask] = coeffs.get(mask, GR_ZERO) + coeff
@@ -232,19 +247,76 @@ def _raw(dim: int, coeffs: dict[int, GaussianRational]) -> Multivector:
     return mv
 
 
+# Past about this many bits a common denominator costs more in big-integer
+# products than sharing it saves, so the operand is split into runs.
+_RUN_DEN_BITS = 2048
+
+
+def _integer_runs(a: Multivector) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """a's terms as runs [(D, [(mask, D*re, D*im), ...]), ...].
+
+    D is the lcm of the run's coefficient denominators.  One run holds every
+    term unless that lcm grows past _RUN_DEN_BITS, as it does when the
+    coefficients carry many large coprime denominators.
+    """
+    coeffs = a.coeffs.items()
+    runs = [(lcm(*{d for _, c in coeffs for d in (c.re.denominator, c.im.denominator)}),
+             coeffs)]
+    if runs[0][0].bit_length() > _RUN_DEN_BITS:
+        runs = []
+        den, items = 1, []
+        for mask, c in coeffs:
+            grown = lcm(den, c.re.denominator, c.im.denominator)
+            if items and grown.bit_length() > _RUN_DEN_BITS:
+                runs.append((den, items))
+                grown, items = lcm(c.re.denominator, c.im.denominator), []
+            den = grown
+            items.append((mask, c))
+        runs.append((den, items))
+    return [(den, [(mask, c.re.numerator * (den // c.re.denominator),
+                    c.im.numerator * (den // c.im.denominator))
+                   for mask, c in items])
+            for den, items in runs]
+
+
+def _part(numerator: int, den: int):
+    return Rational(numerator, den) if numerator else _ZERO
+
+
 def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear extension of the blade product."""
+    """Bilinear extension of the blade product.
+
+    Multiplies integer numerators over common denominators of the operands'
+    coefficients and reduces each output coefficient once per pair of runs.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-    out: dict[int, GaussianRational] = {}
-    b_items = list(b.coeffs.items())
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b_items:
-            mask, sign = blade_product(ma, mb)
-            term = ca * cb if sign > 0 else -(ca * cb)
-            cur = out.get(mask)
-            out[mask] = term if cur is None else cur + term
-    return _raw(a.dim, {m: c for m, c in out.items() if not c.is_zero()})
+    product = None
+    b_runs = _integer_runs(b)
+    for den_a, a_terms in _integer_runs(a):
+        for den_b, b_terms in b_runs:
+            acc_re: dict[int, int] = {}
+            acc_im: dict[int, int] = {}
+            for ma, ar, ai in a_terms:
+                flip = _sign_mask(ma)
+                for mb, br, bi in b_terms:
+                    mask = ma ^ mb
+                    re = ar * br - ai * bi
+                    im = ar * bi + ai * br
+                    if (mb & flip).bit_count() & 1:
+                        re = -re
+                        im = -im
+                    if mask in acc_re:
+                        acc_re[mask] += re
+                        acc_im[mask] += im
+                    else:
+                        acc_re[mask] = re
+                        acc_im[mask] = im
+            den = den_a * den_b
+            part = _raw(a.dim, {mask: _gr(_part(re, den), _part(acc_im[mask], den))
+                                for mask, re in acc_re.items() if re or acc_im[mask]})
+            product = part if product is None else product + part
+    return product
 
 
 def grading(n: int) -> Multivector:

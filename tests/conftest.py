@@ -22,6 +22,7 @@ from spectral_torsion import (
     mv_mul,
     rational,
 )
+from spectral_torsion.clifford import blade_product
 from spectral_torsion.matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
 from spectral_torsion.moments import moment, xi_monomial
 from spectral_torsion.scalars import GaussianRational
@@ -40,6 +41,19 @@ def rand_multivector(rng: random.Random, n: int, max_blades: int = 6) -> Multive
         mask = rng.randint(0, (1 << n) - 1)
         coeffs[mask] = GaussianRational(rand_rational(rng), rand_rational(rng))
     return Multivector(n, coeffs)
+
+
+def mv_mul_reference(a: Multivector, b: Multivector) -> Multivector:
+    """Reference product: blade by blade, one Gaussian-rational term at a time."""
+    out = {}
+    b_items = list(b.coeffs.items())
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b_items:
+            mask, sign = blade_product(ma, mb)
+            term = ca * cb if sign > 0 else -(ca * cb)
+            cur = out.get(mask)
+            out[mask] = term if cur is None else cur + term
+    return Multivector(a.dim, {m: c for m, c in out.items() if not c.is_zero()})
 
 
 # ---------------------------------------------------------------------------

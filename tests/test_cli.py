@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -82,6 +83,40 @@ def test_compute_with_boundary(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["boundary"]["canonical"] != "0"
     assert payload["matches"] is True
+
+
+def test_compute_huge_exact_result(tmp_path, capsys):
+    """A product of 3000-digit inputs is printed exactly; only the float view fails."""
+    big = "7" * 3000
+    config = base_config()
+    config["with_boundary"] = True
+    config["u"] = [big, "0", "0", "0"]
+    config["v"] = ["0", big, "0", "0"]
+    config["w"] = ["0", "0", big, "0"]
+    config["T"] = [[1, 2, 3, big]]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "compute", write_config(tmp_path, config))
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    payload = json.loads(out)
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"-{8 * int(big) ** 4}*vol(S^3)*tr_F(Phi)"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload["interior"]["canonical"] == expected
+    assert payload["matches"] is True
+    config["numeric_eval"] = True
+    code, out, err = run(capsys, "compute", write_config(tmp_path, config))
+    assert code == 3
+    assert out == ""
+    assert "error: numeric_eval: the exact total does not fit a float" in err
+    # the digit limit still guards the inputs
+    config["numeric_eval"] = False
+    config["u"][0] = "7" * (limit + 1)
+    code, _, err = run(capsys, "compute", write_config(tmp_path, config))
+    assert code == 2
+    assert "error: u[0]: bad rational" in err
 
 
 def test_compute_malformed_rational_exits_2(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from spectral_torsion import (
@@ -22,10 +25,11 @@ from spectral_torsion import (
     to_clifford,
     trace,
 )
+from spectral_torsion.clifford import blade_product
 from spectral_torsion.matrix_rep import mat_add, mat_mul
-from spectral_torsion.scalars import GaussianRational, i_power
+from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
-from conftest import rand_multivector, rand_oneform, rand_threeform
+from conftest import mv_mul_reference, rand_multivector, rand_oneform, rand_threeform
 
 
 def gen(n, i):
@@ -236,6 +240,109 @@ def test_multivector_parse_roundtrip():
           + Multivector.identity(4).scale(-3))
     assert Multivector.parse(4, str(mv)) == mv
     assert Multivector.parse(4, "0").is_zero()
+    # every coefficient form sym() prints: -i, -1/2 i and 3-2 i among them
+    mv = mv + Multivector(4, {0b0011: GaussianRational(0, -1),
+                              0b0110: GaussianRational(0, rational("-1/2")),
+                              0b1100: GaussianRational(3, -2),
+                              0b1001: GaussianRational(rational("-1/2"), 1),
+                              0b1111: GaussianRational(0, rational("5/2"))})
+    assert "(-(1 i))*e{1 2}" in str(mv)
+    assert Multivector.parse(4, str(mv)) == mv
+    assert Multivector.parse(2, "(-(1 i))*e{}") == Multivector.identity(2).scale(i_power(3))
+
+
+def _product_by_sorting(a_word, b_word):
+    """(indices, sign) of a product of two ascending index words, from first principles."""
+    word = list(a_word) + list(b_word)
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):  # bubble sort: one sign per transposition
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                sign = -sign
+    out = []
+    for i in word:  # a repeated index is adjacent once sorted: c(e_i)^2 = -1
+        if out and out[-1] == i:
+            out.pop()
+            sign = -sign
+        else:
+            out.append(i)
+    return out, sign
+
+
+def test_blade_product_matches_sorting_count():
+    """Every pair of blades of Cl(8), which contains every pair for n <= 8."""
+    words = [[i + 1 for i in range(8) if mask >> i & 1] for mask in range(256)]
+    for a, a_word in enumerate(words):
+        for b, b_word in enumerate(words):
+            indices, sign = _product_by_sorting(a_word, b_word)
+            assert blade_product(a, b) == (sum(1 << (i - 1) for i in indices), sign)
+
+
+def _small(rng):
+    return Rational(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _coprime_draw(rng):
+    """Rationals whose 12-digit denominators are pairwise coprime across all draws."""
+    used = 1
+
+    def draw():
+        nonlocal used
+        while True:
+            den = rng.randrange(10 ** 11, 10 ** 12)
+            if math.gcd(den, used) == 1:
+                used *= den
+                return Rational(rng.randrange(-10 ** 12, 10 ** 12), den)
+    return draw
+
+
+def _dense_pair(rng, n, kind):
+    """Two multivectors with a coefficient drawn for every blade of Cl(n)."""
+    if kind == "small":
+        draw = lambda: GaussianRational(_small(rng), _small(rng))  # noqa: E731
+    elif kind == "coprime":
+        part = _coprime_draw(rng)
+        draw = lambda: GaussianRational(part(), part())  # noqa: E731
+    else:  # purely imaginary
+        draw = lambda: GaussianRational(0, _small(rng))  # noqa: E731
+    return tuple(Multivector(n, {mask: draw() for mask in range(1 << n)})
+                 for _ in range(2))
+
+
+def _assert_canonical(mv: Multivector):
+    for _, c in mv:
+        assert isinstance(c, GaussianRational) and not c.is_zero()
+        for part in (c.re, c.im):
+            assert part.denominator > 0
+            assert math.gcd(part.numerator, part.denominator) == 1
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
+def test_mv_mul_matches_reference(n, kind):
+    a, b = _dense_pair(random.Random(f"{kind}-{n}"), n, kind)
+    product = mv_mul(a, b)
+    assert product == mv_mul_reference(a, b)
+    _assert_canonical(product)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_mv_mul_cancellation_and_zero(n):
+    rng = random.Random(n)
+    # a has no blade containing e1, so a(1 + e1)(1 - e1) = 2a cancels every such blade
+    a = Multivector(n, {mask: GaussianRational(_small(rng), _small(rng))
+                        for mask in range(0, 1 << n, 2)})
+    one = Multivector.identity(n)
+    e1 = Multivector.generator(n, 1)
+    left = mv_mul_reference(a, one + e1)
+    product = mv_mul(left, one - e1)
+    assert product == mv_mul_reference(left, one - e1) == a.scale(2)
+    assert not any(mask & 1 for mask in product.coeffs)
+    _assert_canonical(product)
+    zero = Multivector.zero(n)
+    assert mv_mul(zero, left).is_zero() and mv_mul(left, zero).is_zero()
+    assert mv_mul(zero, zero).is_zero()
 
 
 def test_coefficients_are_gaussian_rationals(rng):
