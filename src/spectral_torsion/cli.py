@@ -213,6 +213,9 @@ def _cmd_compute(args) -> int:
         print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}",
               file=sys.stderr)
         return EXIT_PARSE
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         payload = run_compute(config, seed=_seed_from_env())
     except ConfigError as exc:

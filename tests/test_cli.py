@@ -117,6 +117,12 @@ def test_compute_huge_exact_result(tmp_path, capsys):
     code, _, err = run(capsys, "compute", write_config(tmp_path, config))
     assert code == 2
     assert "error: u[0]: bad rational" in err
+    path = tmp_path / "long_index.json"
+    path.write_text('{"dimension": 4, "T": [[1, 2, ' + "3" * (limit + 1) + ', "1"]]}',
+                    encoding="utf-8")
+    code, _, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert "Exceeds the limit" in err
 
 
 def test_compute_malformed_rational_exits_2(tmp_path, capsys):
