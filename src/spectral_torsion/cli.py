@@ -132,6 +132,9 @@ def default_numeric_env(n: int) -> dict:
 @contextlib.contextmanager
 def _unlimited_int_str():
     """Lift CPython's int-to-str digit limit, which still guards every input."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

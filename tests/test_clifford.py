@@ -297,17 +297,14 @@ def _coprime_draw(rng):
     return draw
 
 
-def _dense_pair(rng, n, kind):
-    """Two multivectors with a coefficient drawn for every blade of Cl(n)."""
-    if kind == "small":
-        draw = lambda: GaussianRational(_small(rng), _small(rng))  # noqa: E731
-    elif kind == "coprime":
+def _coefficient_draw(rng, kind):
+    """A function that draws one Gaussian-rational coefficient of the given kind."""
+    if kind == "coprime":
         part = _coprime_draw(rng)
-        draw = lambda: GaussianRational(part(), part())  # noqa: E731
-    else:  # purely imaginary
-        draw = lambda: GaussianRational(0, _small(rng))  # noqa: E731
-    return tuple(Multivector(n, {mask: draw() for mask in range(1 << n)})
-                 for _ in range(2))
+        return lambda: GaussianRational(part(), part())
+    if kind == "imaginary":
+        return lambda: GaussianRational(0, _small(rng))
+    return lambda: GaussianRational(_small(rng), _small(rng))
 
 
 def _assert_canonical(mv: Multivector):
@@ -321,7 +318,8 @@ def _assert_canonical(mv: Multivector):
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
 def test_mv_mul_matches_reference(n, kind):
-    a, b = _dense_pair(random.Random(f"{kind}-{n}"), n, kind)
+    draw = _coefficient_draw(random.Random(f"{kind}-{n}"), kind)
+    a, b = (Multivector(n, {mask: draw() for mask in range(1 << n)}) for _ in range(2))
     product = mv_mul(a, b)
     assert product == mv_mul_reference(a, b)
     _assert_canonical(product)
