@@ -23,11 +23,12 @@ from .clifford import (
     DimensionMismatch,
     Multivector,
     OddDimension,
-    anticommutator,
     conjugate_sum,
     grading,
     mv_mul,
+    scalar_product,
     supertrace,
+    times_generator,
     trace,
 )
 from .matrix_rep import MatrixRep

@@ -24,6 +24,7 @@ from .scalars import (
     _as_gaussian,
     _gr,
     i_power,
+    rational,
     sym,
 )
 
@@ -341,17 +342,34 @@ def supertrace(a: Multivector) -> SymScalar:
     return trace(mv_mul(grading(a.dim), a))
 
 
+def times_generator(a: Multivector, i: int) -> Multivector:
+    """a * c(e_i): each blade moves to mask ^ bit, its coefficient keeps or
+    flips its sign, and no coefficient is multiplied."""
+    if not 1 <= i <= a.dim:
+        raise DimensionMismatch(f"generator index {i} outside 1..{a.dim}")
+    bit = 1 << (i - 1)
+    # bit i-1 of _sign_mask(mask) is the parity of mask's bits from i-1 up
+    return _raw(a.dim, {mask ^ bit: -c if (mask >> (i - 1)).bit_count() & 1 else c
+                        for mask, c in a.coeffs.items()})
+
+
+def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
+    """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A)."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    total = GR_ZERO
+    for mask in a.coeffs.keys() & b.coeffs.keys():
+        term = a.coeffs[mask] * b.coeffs[mask]
+        total = total - term if (mask & _sign_mask(mask)).bit_count() & 1 \
+            else total + term
+    return total
+
+
 def conjugate_sum(b: Multivector) -> Multivector:
     """Sum_i c(e_i) * b * c(e_i).
 
     On a grade-k blade this is (-1)^k (2k - n) times the blade.
     """
-    out = Multivector.zero(b.dim)
-    for i in range(1, b.dim + 1):
-        g = Multivector.generator(b.dim, i)
-        out = out + mv_mul(mv_mul(g, b), g)
-    return out
-
-
-def anticommutator(a: Multivector, b: Multivector) -> Multivector:
-    return mv_mul(a, b) + mv_mul(b, a)
+    factors = [rational((-1) ** k * (2 * k - b.dim)) for k in range(b.dim + 1)]
+    return Multivector(b.dim, {mask: c * factors[mask.bit_count()]
+                               for mask, c in b.coeffs.items()})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .clifford import DimensionMismatch, Multivector, mv_mul, trace
+from .clifford import DimensionMismatch, Multivector, mv_mul, times_generator, trace
 from .forms import OneForm, to_clifford
 from .moments import moment, xi_monomial
 from .scalars import (
@@ -431,13 +431,11 @@ def boundary_symbol(u: OneForm, v: OneForm, w: OneForm, n: int) -> dict:
     tangential_half, normal_half = half_inverse_symbol_components(n)
     dsym = dxn_symbol(m)
     out: dict[tuple, tuple[XiRational, Multivector]] = {
-        xi_monomial(n - 1): (normal_half * dsym,
-                             mv_mul(cuvw, Multivector.generator(n, n))),
+        xi_monomial(n - 1): (normal_half * dsym, times_generator(cuvw, n)),
     }
     f_tan = tangential_half * dsym
     for i in range(1, n):
-        out[xi_monomial(n - 1, i)] = (f_tan,
-                                      mv_mul(cuvw, Multivector.generator(n, i)))
+        out[xi_monomial(n - 1, i)] = (f_tan, times_generator(cuvw, i))
     return out
 
 

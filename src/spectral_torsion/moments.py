@@ -86,27 +86,6 @@ class XiPolynomialMV:
     def __setattr__(self, name, value):
         raise AttributeError("XiPolynomialMV is immutable")
 
-    @classmethod
-    def zero(cls, nvars: int, mv_dim: int) -> "XiPolynomialMV":
-        return cls(nvars, mv_dim)
-
-    def __add__(self, other: "XiPolynomialMV") -> "XiPolynomialMV":
-        if self.nvars != other.nvars or self.mv_dim != other.mv_dim:
-            raise DimensionMismatch("mismatched xi-polynomials")
-        out = dict(self.terms)
-        for expo, mv in other.terms.items():
-            cur = out.get(expo)
-            s = mv if cur is None else cur + mv
-            if s.is_zero():
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return XiPolynomialMV(self.nvars, self.mv_dim, out)
-
-    def scale(self, s) -> "XiPolynomialMV":
-        return XiPolynomialMV(self.nvars, self.mv_dim,
-                              {e: mv.scale(s) for e, mv in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -20,9 +20,9 @@ from .clifford import (
     DimensionMismatch,
     Multivector,
     OddDimension,
-    anticommutator,
     grading,
     mv_mul,
+    times_generator,
     trace,
 )
 from .forms import OneForm, ThreeForm, to_clifford
@@ -118,16 +118,18 @@ def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
     if not constant.is_zero():
         terms[xi_monomial(n)] = constant
 
-    m_scale = rational(m)
+    # m {c(e_i), B} = 2m B_i c(e_i), B_i the blades of B that commute with
+    # c(e_i): those with an even number of generators other than e_i
+    b_2m = b.scale(rational(2 * m))
     for i in range(1, n + 1):
-        bracket = anticommutator(Multivector.generator(n, i), b)
-        if bracket.is_zero():
+        others = ~(1 << (i - 1))
+        commuting = Multivector(n, {mask: c for mask, c in b_2m.coeffs.items()
+                                    if not (mask & others).bit_count() & 1})
+        if commuting.is_zero():
             continue
-        left = mv_mul(cuvw, bracket).scale(m_scale)
+        left = mv_mul(cuvw, times_generator(commuting, i))
         for l in range(1, n + 1):
-            term = mv_mul(left, Multivector.generator(n, l))
-            if term.is_zero():
-                continue
+            term = times_generator(left, l)
             expo = xi_monomial(n, i, l)
             cur = terms.get(expo)
             s = term if cur is None else cur + term

@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .clifford import Multivector, grading, mv_mul, supertrace, trace
+from .clifford import Multivector, conjugate_sum, grading, mv_mul, scalar_product, \
+    supertrace, trace
 from .forms import OneForm, ThreeForm, metric_pair, eval_threeform, top_pairing, \
     to_clifford, wedge_all
 from .halfline import (
@@ -31,7 +32,7 @@ from .halfline import (
     pi_plus,
     residue_derivative,
 )
-from .moments import XiPolynomialMV, integrate_sphere, moment, xi_monomial
+from .moments import moment, xi_monomial
 from .scalars import (
     GR_I,
     GR_ONE,
@@ -96,27 +97,14 @@ def _sphere_trace_integral(n: int, left: Multivector, middle: Multivector,
     """Integral over |xi|=1 of Tr(left * c(e_i) * middle * xi_i c(xi)) summed
     over i (generator_first) or Tr(left * middle * c(e_i) * xi_i c(xi)).
 
-    The sphere integral is exact in units of vol(S^(n-1)); the atom is
-    attached to its trace."""
-    terms: dict[tuple, Multivector] = {}
-    for i in range(1, n + 1):
-        gi = Multivector.generator(n, i)
-        core = mv_mul(mv_mul(left, gi), middle) if generator_first \
-            else mv_mul(mv_mul(left, middle), gi)
-        if core.is_zero():
-            continue
-        for l in range(1, n + 1):
-            term = mv_mul(core, Multivector.generator(n, l))
-            if term.is_zero():
-                continue
-            expo = xi_monomial(n, i, l)
-            cur = terms.get(expo)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                terms.pop(expo, None)
-            else:
-                terms[expo] = s
-    return trace(integrate_sphere(n, XiPolynomialMV(n, n, terms))) * _vol(n)
+    Only the xi_i^2 moments, vol(S^(n-1))/n each, survive, so the integral is
+    (2^m/n) <left * sum_i c(e_i) middle c(e_i)>_0 vol(S^(n-1)) with the
+    generator first, and -2^m <left * middle>_0 vol(S^(n-1)) otherwise."""
+    if generator_first:
+        weight = scalar_product(left, conjugate_sum(middle)) / rational(n)
+    else:
+        weight = -scalar_product(left, middle)
+    return sym(weight * _tr_id(n)) * _vol(n)
 
 
 def _vol(n: int) -> SymScalar:

@@ -21,11 +21,12 @@ from spectral_torsion import (
     TR_F_PHI,
     mv_mul,
     rational,
+    trace,
 )
 from spectral_torsion.clifford import blade_product
 from spectral_torsion.matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
-from spectral_torsion.moments import moment, xi_monomial
-from spectral_torsion.scalars import GaussianRational
+from spectral_torsion.moments import XiPolynomialMV, integrate_sphere, moment, xi_monomial
+from spectral_torsion.scalars import GaussianRational, vol_sphere
 from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
@@ -54,6 +55,65 @@ def mv_mul_reference(a: Multivector, b: Multivector) -> Multivector:
             cur = out.get(mask)
             out[mask] = term if cur is None else cur + term
     return Multivector(a.dim, {m: c for m, c in out.items() if not c.is_zero()})
+
+
+# ---------------------------------------------------------------------------
+# generator products by full blade multiplication
+# ---------------------------------------------------------------------------
+
+
+def _add_xi_term(terms: dict, expo: tuple, term: Multivector) -> None:
+    cur = terms.get(expo)
+    s = term if cur is None else cur + term
+    if s.is_zero():
+        terms.pop(expo, None)
+    else:
+        terms[expo] = s
+
+
+def sigma_minus2m_reference(u, v, w, case, n) -> XiPolynomialMV:
+    """Order -2m symbol with every generator product done by mv_mul.
+
+    C {c(e_i), B} c(e_l) m, with the anticommutator multiplied out, summed
+    against xi_i xi_l, plus the constant term C B.
+    """
+    m = n // 2
+    cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
+    b = perturbation_multivector(case, n)
+    terms = {}
+    constant = mv_mul(cuvw, b)
+    if not constant.is_zero():
+        terms[xi_monomial(n)] = constant
+    for i in range(1, n + 1):
+        gi = Multivector.generator(n, i)
+        bracket = mv_mul(gi, b) + mv_mul(b, gi)
+        if bracket.is_zero():
+            continue
+        left = mv_mul(cuvw, bracket).scale(rational(m))
+        for l in range(1, n + 1):
+            term = mv_mul(left, Multivector.generator(n, l))
+            if not term.is_zero():
+                _add_xi_term(terms, xi_monomial(n, i, l), term)
+    return XiPolynomialMV(n, n, terms)
+
+
+def sphere_trace_integral_reference(n, left, middle, generator_first) -> SymScalar:
+    """Sum over i of the sphere integral of Tr(left c(e_i) middle xi_i c(xi))
+    (generator_first) or Tr(left middle c(e_i) xi_i c(xi)), from the full
+    xi-polynomial integrated term by term."""
+    terms = {}
+    for i in range(1, n + 1):
+        gi = Multivector.generator(n, i)
+        core = mv_mul(mv_mul(left, gi), middle) if generator_first \
+            else mv_mul(mv_mul(left, middle), gi)
+        if core.is_zero():
+            continue
+        for l in range(1, n + 1):
+            term = mv_mul(core, Multivector.generator(n, l))
+            if not term.is_zero():
+                _add_xi_term(terms, xi_monomial(n, i, l), term)
+    integrated = integrate_sphere(n, XiPolynomialMV(n, n, terms))
+    return trace(integrated) * SymScalar.from_atom(vol_sphere(n - 1))
 
 
 # ---------------------------------------------------------------------------

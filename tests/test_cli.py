@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
-from spectral_torsion.cli import main, render_output
+from spectral_torsion.cli import MAX_MOMENT_DEGREE, _unlimited_int_str, main, render_output
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -290,6 +292,19 @@ def test_trace_bad_token_exits_2(capsys):
     assert code == 2
 
 
+def test_trace_dimension_out_of_range_exits_2(capsys):
+    for n, message in (("18", "dimension must be in [2, 16], got 18"),
+                       ("0", "dimension must be in [2, 16], got 0"),
+                       ("3", "dimension must be even, got 3"),
+                       ("17", "dimension must be even, got 17")):
+        code, out, err = run(capsys, "trace", "--dim", n, "e1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --dim: {message}\n"
+    code, out, _ = run(capsys, "trace", "--dim", "16", "e16", "e16")
+    assert code == 0
+    assert "trace = -256" in out
+
+
 def test_trace_out_of_range_generator_exits_2(capsys):
     code, _, _ = run(capsys, "trace", "--dim", "4", "e7")
     assert code == 2
@@ -310,3 +325,23 @@ def test_moments_odd_is_zero(capsys):
 def test_moments_bad_alpha_exits_2(capsys):
     code, _, _ = run(capsys, "moments", "--dim", "4", "--alpha", "1,2")
     assert code == 2
+    # a total degree past the cap
+    for alpha in (f"{MAX_MOMENT_DEGREE + 1},0", f"{MAX_MOMENT_DEGREE},1", "400000,0"):
+        code, out, err = run(capsys, "moments", "--dim", "2", "--alpha", alpha)
+        total = sum(int(a) for a in alpha.split(","))
+        assert (code, out) == (2, "")
+        assert err == f"error: total degree {total} exceeds {MAX_MOMENT_DEGREE}\n"
+
+
+def test_moments_at_degree_cap_prints_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "moments", "--dim", "2", "--alpha", f"{MAX_MOMENT_DEGREE},0")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    # xi_1^(2k) over S^1 is (2k-1)!!/(2k)!! = C(2k, k)/4^k in units of vol(S^1)
+    k = MAX_MOMENT_DEGREE // 2
+    with _unlimited_int_str():
+        expected = f"{Fraction(math.comb(2 * k, k), 4 ** k)}*vol(S^1)\n"
+    assert len(expected) > 4300
+    assert out == expected
+

@@ -13,15 +13,16 @@ from spectral_torsion import (
     Multivector,
     OddDimension,
     OneForm,
-    anticommutator,
     conjugate_sum,
     eval_threeform,
     grading,
     metric_pair,
     mv_mul,
     rational,
+    scalar_product,
     supertrace,
     sym,
+    times_generator,
     to_clifford,
     trace,
 )
@@ -121,15 +122,23 @@ def test_supertrace_kills_all_subtop_blades(n):
             assert value.is_zero()
 
 
+def _conjugate_sum_by_products(b):
+    """Sum_i c(e_i) b c(e_i), multiplied out blade by blade."""
+    out = Multivector.zero(b.dim)
+    for i in range(1, b.dim + 1):
+        out = out + mv_mul(mv_mul(gen(b.dim, i), b), gen(b.dim, i))
+    return out
+
+
 def test_conjugate_sum_examples():
     # grade 1 -> (n-2), grade 3 -> (n-6), identity -> -n
     for n in (4, 6, 8):
         x = Multivector.blade(n, 0b1)
-        assert conjugate_sum(x) == x.scale(n - 2)
+        assert conjugate_sum(x) == _conjugate_sum_by_products(x) == x.scale(n - 2)
         t = Multivector.blade(n, 0b111)
-        assert conjugate_sum(t) == t.scale(n - 6)
-        assert conjugate_sum(Multivector.identity(n)) == \
-            Multivector.identity(n).scale(-n)
+        assert conjugate_sum(t) == _conjugate_sum_by_products(t) == t.scale(n - 6)
+        one = Multivector.identity(n)
+        assert conjugate_sum(one) == _conjugate_sum_by_products(one) == one.scale(-n)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -139,7 +148,12 @@ def test_conjugate_sum_grade_formula(n, rng):
         mask = rng.randint(0, (1 << n) - 1)
         k = bin(mask).count("1")
         blade = Multivector.blade(n, mask)
-        assert conjugate_sum(blade) == blade.scale((-1) ** k * (2 * k - n))
+        assert conjugate_sum(blade) == _conjugate_sum_by_products(blade) \
+            == blade.scale((-1) ** k * (2 * k - n))
+    # and on a multivector of mixed grades with complex coefficients
+    for _ in range(5):
+        b = rand_multivector(rng, n, 12)
+        assert conjugate_sum(b) == _conjugate_sum_by_products(b)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -223,16 +237,18 @@ def test_anticommutator_relation(rng):
     n = 6
     for _ in range(30):
         i, j = rng.randint(1, n), rng.randint(1, n)
-        anti = anticommutator(gen(n, i), gen(n, j))
+        anti = mv_mul(gen(n, i), gen(n, j)) + mv_mul(gen(n, j), gen(n, i))
         assert anti == Multivector.identity(n).scale(-2 * (i == j))
     # {c(e_j), c(X)} = -2 X_j, and the grading anticommutes with every generator
     x = rand_oneform(rng, n)
     for j in range(1, n + 1):
-        assert anticommutator(gen(n, j), to_clifford(x)) == \
+        cx = to_clifford(x)
+        assert mv_mul(gen(n, j), cx) + mv_mul(cx, gen(n, j)) == \
             Multivector.identity(n).scale(-2 * x[j])
     for m in (4, 6):
         for j in range(1, m + 1):
-            assert anticommutator(gen(m, j), grading(m)).is_zero()
+            assert (mv_mul(gen(m, j), grading(m))
+                    + mv_mul(grading(m), gen(m, j))).is_zero()
 
 
 def test_multivector_parse_roundtrip():
@@ -341,6 +357,39 @@ def test_mv_mul_cancellation_and_zero(n):
     zero = Multivector.zero(n)
     assert mv_mul(zero, left).is_zero() and mv_mul(left, zero).is_zero()
     assert mv_mul(zero, zero).is_zero()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
+def test_times_generator_matches_mv_mul(n, kind):
+    draw = _coefficient_draw(random.Random(f"generator-{kind}-{n}"), kind)
+    a = Multivector(n, {mask: draw() for mask in range(1 << n)})
+    for i in range(1, n + 1):
+        product = times_generator(a, i)
+        assert product == mv_mul(a, gen(n, i)) == mv_mul_reference(a, gen(n, i))
+        _assert_canonical(product)
+    assert times_generator(Multivector.zero(n), 1).is_zero()
+    for i in (0, n + 1):
+        with pytest.raises(DimensionMismatch):
+            times_generator(a, i)
+
+
+# a dense coprime product at n=8 takes seconds in mv_mul; n=6 covers that kind
+@pytest.mark.parametrize("kind, n", [("small", 4), ("small", 6), ("small", 8),
+                                     ("imaginary", 4), ("imaginary", 6), ("imaginary", 8),
+                                     ("coprime", 4), ("coprime", 6)])
+def test_scalar_product_matches_mv_mul(kind, n):
+    rng = random.Random(f"scalar-{kind}-{n}")
+    draw = _coefficient_draw(rng, kind)
+    a, b = (Multivector(n, {mask: draw() for mask in range(1 << n)}) for _ in range(2))
+    assert scalar_product(a, b) == mv_mul(a, b).scalar_part()
+    # sparse operands share only some blades, or none
+    for _ in range(20):
+        c, d = rand_multivector(rng, n, 8), rand_multivector(rng, n, 8)
+        assert scalar_product(c, d) == mv_mul(c, d).scalar_part()
+    assert scalar_product(a, Multivector.zero(n)) == GaussianRational(0)
+    with pytest.raises(DimensionMismatch):
+        scalar_product(a, Multivector.identity(2))
 
 
 def test_coefficients_are_gaussian_rationals(rng):

@@ -32,7 +32,8 @@ from spectral_torsion import (
 from spectral_torsion.moments import xi_monomial
 from spectral_torsion.scalars import GR_I
 
-from conftest import density_via_matrix_rep, rand_oneform, rand_threeform
+from conftest import density_via_matrix_rep, rand_oneform, rand_threeform, \
+    sigma_minus2m_reference
 
 
 def basis(n, i):
@@ -107,6 +108,19 @@ def test_sigma_degree_structure(rng):
     case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
     sigma = sigma_minus2m(u, v, w, case, n)
     assert {sum(e) for e in sigma.terms} <= {0, 2}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sigma_matches_generator_products(n, rng):
+    """The relabelled generator products give the multiplied-out symbol, term
+    for term and in the same monomial order."""
+    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+    t = rand_threeform(rng, n)
+    for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+        got = sigma_minus2m(u, v, w, case, n)
+        expected = sigma_minus2m_reference(u, v, w, case, n)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
 
 
 def test_sigma_rejects_small_or_odd_dimension():
