@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 a final-theorem row failed in verify; 2 parse or
 validation error; 3 dimension/case inconsistency in a compute job.
-SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.
+SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.  Every
+integer argument, and the seed, reads the ASCII grammar [+-]?[0-9]+.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 from .clifford import DimensionMismatch, Multivector, OddDimension, _check_even_dim, grading, \
@@ -47,14 +49,25 @@ class ConsistencyError(Exception):
     """Dimension/case inconsistency (exit 3)."""
 
 
-def _seed_from_env() -> int:
-    raw = os.environ.get("SPECTRAL_TORSION_SEED")
-    if raw is None:
-        return DEFAULT_SEED
+_ASCII_INT_RE = re.compile(r"([+-]?)[0-9]+")
+
+
+def _ascii_int(raw: str, what: str, signed: bool = True) -> int:
+    """int(raw) for the grammar [+-]?[0-9]+ ([0-9]+ unless signed); other
+    digits, underscores and spaces, which int() accepts, are a ConfigError."""
+    match = _ASCII_INT_RE.fullmatch(raw)
+    if not match or (match.group(1) and not signed):
+        grammar = "[+-]?[0-9]+" if signed else "[0-9]+"
+        raise ConfigError(f"{what} must be an integer ({grammar}), got {raw!r}")
     try:
         return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SPECTRAL_TORSION_SEED must be an integer: {raw!r}") from exc
+    except ValueError as exc:  # past the int-to-str digit limit
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _seed_from_env() -> int:
+    raw = os.environ.get("SPECTRAL_TORSION_SEED")
+    return DEFAULT_SEED if raw is None else _ascii_int(raw, "SPECTRAL_TORSION_SEED")
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +282,12 @@ def run_verify(dims: list[int], seed: int) -> dict:
 
 def _cmd_verify(args) -> int:
     dims = []
-    for raw in args.dims:
-        try:
-            n = int(raw)
-        except ValueError:
-            print(f"error: bad dimension {raw!r}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            ManifoldSpec(n)
-        except UnsupportedDimension as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        dims.append(n)
     try:
+        for raw in args.dims:
+            dims.append(_ascii_int(raw, "dimension"))
+            ManifoldSpec(dims[-1])
         payload = run_verify(dims, seed=_seed_from_env())
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedDimension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.json:
@@ -309,9 +313,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    n = args.dim
     try:
+        n = _ascii_int(args.dim, "--dim")
         _check_even_dim(n)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (OddDimension, DimensionMismatch) as exc:
         print(f"error: --dim: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -321,9 +328,9 @@ def _cmd_trace(args) -> int:
             factor = grading(n)
         elif token.startswith("e"):
             try:
-                index = int(token[1:])
-            except ValueError:
-                print(f"error: bad generator {token!r}", file=sys.stderr)
+                index = _ascii_int(token[1:], "generator index", signed=False)
+            except ConfigError as exc:
+                print(f"error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             if not 1 <= index <= n:
                 print(f"error: generator {token!r} outside 1..{n}", file=sys.stderr)
@@ -341,15 +348,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    n = args.dim
+    try:
+        n = _ascii_int(args.dim, "--dim")
+        alpha = tuple(_ascii_int(p, "--alpha exponent") for p in args.alpha.split(","))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if n < 2:
         print(f"error: --dim must be >= 2, got {n}", file=sys.stderr)
-        return EXIT_PARSE
-    parts = args.alpha.split(",")
-    try:
-        alpha = tuple(int(p) for p in parts)
-    except ValueError:
-        print(f"error: bad exponent list {args.alpha!r}", file=sys.stderr)
         return EXIT_PARSE
     if len(alpha) != n or any(a < 0 for a in alpha):
         print(f"error: need {n} non-negative exponents, got {args.alpha!r}",
@@ -386,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_trace = sub.add_parser("trace", help="trace/supertrace of a generator word")
-    p_trace.add_argument("--dim", type=int, required=True)
+    p_trace.add_argument("--dim", required=True, help="even dimension, [+-]?[0-9]+")
     p_trace.add_argument("word", nargs="*",
                          help="generator tokens e1..en and gamma; empty = identity")
     p_trace.set_defaults(func=_cmd_trace)
 
     p_moments = sub.add_parser("moments", help="exact sphere moment of a monomial")
-    p_moments.add_argument("--dim", type=int, required=True)
+    p_moments.add_argument("--dim", required=True, help="dimension >= 2, [+-]?[0-9]+")
     p_moments.add_argument("--alpha", required=True,
                            help="comma-separated exponents, one per variable")
     p_moments.set_defaults(func=_cmd_moments)

@@ -284,20 +284,16 @@ def _part(numerator: int, den: int):
     return Rational(numerator, den) if numerator else _ZERO
 
 
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear extension of the blade product.
+def _int_product(a_runs, b_runs) -> list[tuple[int, dict[int, list[int]]]]:
+    """The product of two operands given as _integer_runs, on integers.
 
-    Multiplies integer numerators over common denominators of the operands'
-    coefficients and reduces each output coefficient once per pair of runs.
+    One (den, {mask: [re, im]}) part per pair of runs; the part is the
+    product's share over den, with numerators that may cancel to 0.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-    product = None
-    b_runs = _integer_runs(b)
-    for den_a, a_terms in _integer_runs(a):
+    parts = []
+    for den_a, a_terms in a_runs:
         for den_b, b_terms in b_runs:
-            acc_re: dict[int, int] = {}
-            acc_im: dict[int, int] = {}
+            acc: dict[int, list[int]] = {}
             for ma, ar, ai in a_terms:
                 flip = _sign_mask(ma)
                 for mb, br, bi in b_terms:
@@ -307,17 +303,39 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
                     if (mb & flip).bit_count() & 1:
                         re = -re
                         im = -im
-                    if mask in acc_re:
-                        acc_re[mask] += re
-                        acc_im[mask] += im
+                    cur = acc.get(mask)
+                    if cur is None:
+                        acc[mask] = [re, im]
                     else:
-                        acc_re[mask] = re
-                        acc_im[mask] = im
-            den = den_a * den_b
-            part = _raw(a.dim, {mask: _gr(_part(re, den), _part(acc_im[mask], den))
-                                for mask, re in acc_re.items() if re or acc_im[mask]})
-            product = part if product is None else product + part
-    return product
+                        cur[0] += re
+                        cur[1] += im
+            parts.append((den_a * den_b, acc))
+    return parts
+
+
+def _from_int_parts(dim: int, parts) -> Multivector:
+    """The sum of (den, {mask: (re, im)}) parts as a Multivector.
+
+    Each nonzero numerator becomes one reduced Rational; parts over
+    different denominators are added as multivectors.
+    """
+    total = None
+    for den, acc in parts:
+        part = _raw(dim, {mask: _gr(_part(re, den), _part(im, den))
+                          for mask, (re, im) in acc.items() if re or im})
+        total = part if total is None else total + part
+    return Multivector(dim) if total is None else total
+
+
+def mv_mul(a: Multivector, b: Multivector) -> Multivector:
+    """Bilinear extension of the blade product.
+
+    Multiplies integer numerators over common denominators of the operands'
+    coefficients and reduces each output coefficient once per pair of runs.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    return _from_int_parts(a.dim, _int_product(_integer_runs(a), _integer_runs(b)))
 
 
 def grading(n: int) -> Multivector:
@@ -351,6 +369,13 @@ def times_generator(a: Multivector, i: int) -> Multivector:
     # bit i-1 of _sign_mask(mask) is the parity of mask's bits from i-1 up
     return _raw(a.dim, {mask ^ bit: -c if (mask >> (i - 1)).bit_count() & 1 else c
                         for mask, c in a.coeffs.items()})
+
+
+def _relabel(acc: dict, i: int) -> dict:
+    """Integer parts {mask: (re, im)} times c(e_i), by times_generator's rule."""
+    bit, shift = 1 << (i - 1), i - 1
+    return {mask ^ bit: (-re, -im) if (mask >> shift).bit_count() & 1 else (re, im)
+            for mask, (re, im) in acc.items()}
 
 
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:

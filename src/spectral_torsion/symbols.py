@@ -20,14 +20,17 @@ from .clifford import (
     DimensionMismatch,
     Multivector,
     OddDimension,
+    _from_int_parts,
+    _int_product,
+    _integer_runs,
+    _relabel,
     grading,
     mv_mul,
-    times_generator,
     trace,
 )
 from .forms import OneForm, ThreeForm, to_clifford
 from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
-from .scalars import GR_I, SymScalar, TR_F_PHI, rational, vol_sphere
+from .scalars import GR_I, SymScalar, TR_F_PHI, vol_sphere
 
 
 @dataclass(frozen=True)
@@ -119,24 +122,40 @@ def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
         terms[xi_monomial(n)] = constant
 
     # m {c(e_i), B} = 2m B_i c(e_i), B_i the blades of B that commute with
-    # c(e_i): those with an even number of generators other than e_i
-    b_2m = b.scale(rational(2 * m))
+    # c(e_i): those with an even number of generators other than e_i.
+    # left[i] = C * 2m B_i c(e_i) as integer parts over the run denominators
+    # of C and B, which every i shares, or None where it vanishes.
+    c_runs, b_runs = _integer_runs(cuvw), _integer_runs(b)
+    left: list = [None] * (n + 1)
     for i in range(1, n + 1):
         others = ~(1 << (i - 1))
-        commuting = Multivector(n, {mask: c for mask, c in b_2m.coeffs.items()
-                                    if not (mask & others).bit_count() & 1})
-        if commuting.is_zero():
+        bi_runs = [(den, [(mask, 2 * m * re, 2 * m * im) for mask, re, im in run
+                          if not (mask & others).bit_count() & 1])
+                   for den, run in b_runs]
+        parts = [(den, _relabel(acc, i)) for den, acc in _int_product(c_runs, bi_runs)]
+        # parts over several run pairs cannot cancel each other out: C, a
+        # product of vectors, is zero or invertible
+        if any(re or im for _, acc in parts for re, im in acc.values()):
+            left[i] = parts
+
+    # the xi_i xi_l coefficient is left[i] c(e_l) + left[l] c(e_i) (one term
+    # when i = l), entered where the running sum over i, then l, first
+    # became nonzero: at (i, l) when left[i] is nonzero, else at (l, i)
+    for i in range(1, n + 1):
+        if left[i] is None:
             continue
-        left = mv_mul(cuvw, times_generator(commuting, i))
         for l in range(1, n + 1):
-            term = times_generator(left, l)
-            expo = xi_monomial(n, i, l)
-            cur = terms.get(expo)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                terms.pop(expo, None)
-            else:
-                terms[expo] = s
+            if l < i and left[l] is not None:
+                continue
+            parts = [(den, _relabel(acc, l)) for den, acc in left[i]]
+            if l != i and left[l] is not None:
+                for (_, acc), (_, other) in zip(parts, left[l]):
+                    for mask, (re, im) in _relabel(other, i).items():
+                        cur = acc.get(mask)
+                        acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            term = _from_int_parts(n, parts)
+            if not term.is_zero():
+                terms[xi_monomial(n, i, l)] = term
     return XiPolynomialMV(n, n, terms)
 
 

@@ -9,6 +9,7 @@ matrices instead of blades.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import pytest
@@ -25,8 +26,8 @@ from spectral_torsion import (
 )
 from spectral_torsion.clifford import blade_product
 from spectral_torsion.matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
-from spectral_torsion.moments import XiPolynomialMV, integrate_sphere, moment, xi_monomial
-from spectral_torsion.scalars import GaussianRational, vol_sphere
+from spectral_torsion.moments import XiPolynomialMV, _moment_weight, moment, xi_monomial
+from spectral_torsion.scalars import GaussianRational, Rational, vol_sphere
 from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
@@ -42,6 +43,21 @@ def rand_multivector(rng: random.Random, n: int, max_blades: int = 6) -> Multive
         mask = rng.randint(0, (1 << n) - 1)
         coeffs[mask] = GaussianRational(rand_rational(rng), rand_rational(rng))
     return Multivector(n, coeffs)
+
+
+def coprime_draw(rng: random.Random, digits: int = 12):
+    """A function drawing rationals whose denominators have the given number
+    of digits and are pairwise coprime across all its draws."""
+    used = 1
+
+    def draw():
+        nonlocal used
+        while True:
+            den = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            if math.gcd(den, used) == 1:
+                used *= den
+                return Rational(rng.randrange(-10 ** digits, 10 ** digits), den)
+    return draw
 
 
 def mv_mul_reference(a: Multivector, b: Multivector) -> Multivector:
@@ -97,6 +113,17 @@ def sigma_minus2m_reference(u, v, w, case, n) -> XiPolynomialMV:
     return XiPolynomialMV(n, n, terms)
 
 
+def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
+    """Termwise sphere integration in units of vol(S^(n-1)): each surviving
+    coefficient scaled by its moment weight and added as a multivector."""
+    total = Multivector.zero(p.mv_dim)
+    for expo, mv in p.terms.items():
+        weight = _moment_weight(n, expo)
+        if weight:
+            total = total + mv.scale(weight)
+    return total
+
+
 def sphere_trace_integral_reference(n, left, middle, generator_first) -> SymScalar:
     """Sum over i of the sphere integral of Tr(left c(e_i) middle xi_i c(xi))
     (generator_first) or Tr(left middle c(e_i) xi_i c(xi)), from the full
@@ -112,7 +139,7 @@ def sphere_trace_integral_reference(n, left, middle, generator_first) -> SymScal
             term = mv_mul(core, Multivector.generator(n, l))
             if not term.is_zero():
                 _add_xi_term(terms, xi_monomial(n, i, l), term)
-    integrated = integrate_sphere(n, XiPolynomialMV(n, n, terms))
+    integrated = integrate_sphere_reference(n, XiPolynomialMV(n, n, terms))
     return trace(integrated) * SymScalar.from_atom(vol_sphere(n - 1))
 
 

@@ -261,6 +261,44 @@ def test_verify_seed_env(tmp_path, capsys, monkeypatch):
     assert code3 == 2
 
 
+# int() also reads other Unicode digits, underscores and surrounding spaces
+_NOT_ASCII_INTEGERS = ("\u0664", "0_4", " 4", "4 ", "4.0", "", "+")
+
+
+@pytest.mark.parametrize("bad", _NOT_ASCII_INTEGERS)
+def test_integer_arguments_are_ascii(capsys, monkeypatch, bad):
+    for argv in (("verify", bad, "--json"), ("verify", "4", bad),
+                 ("trace", "--dim", bad, "e1"), ("trace", "--dim", "4", f"e{bad}"),
+                 ("moments", "--dim", bad, "--alpha", "2,0"),
+                 ("moments", "--dim", "2", "--alpha", f"2,{bad}")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "must be an integer" in err, argv
+    monkeypatch.setenv("SPECTRAL_TORSION_SEED", bad)
+    code, out, err = run(capsys, "verify", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: SPECTRAL_TORSION_SEED must be an integer ([+-]?[0-9]+), got {bad!r}\n"
+
+
+def test_integer_arguments_accept_a_sign_where_it_makes_sense(capsys, monkeypatch):
+    code, out, _ = run(capsys, "moments", "--dim", "+2", "--alpha", "+2,0")
+    assert (code, out) == (0, "1/2*vol(S^1)\n")
+    code, out, err = run(capsys, "verify", "-4")
+    assert (code, out) == (2, "")
+    assert err == "error: dimension must be even with 4 <= n <= 16, got -4\n"
+    for token in ("e+1", "e-1"):  # a generator index takes no sign
+        code, out, err = run(capsys, "trace", "--dim", "4", token)
+        assert (code, out) == (2, "")
+        assert err == f"error: generator index must be an integer ([0-9]+), got {token[1:]!r}\n"
+    # past the int-to-str digit limit: exit 2 with a message, no traceback
+    code, out, err = run(capsys, "moments", "--dim", "2", "--alpha", "1" * 5000 + ",0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --alpha exponent: Exceeds the limit")
+    monkeypatch.setenv("SPECTRAL_TORSION_SEED", "-7")
+    code, _, _ = run(capsys, "verify", "4")
+    assert code == 1  # the seed is read; T4.11n4 is the known final-row mismatch at n=4
+
+
 def test_trace_word(capsys):
     code, out, _ = run(capsys, "trace", "--dim", "4", "e1", "e2", "e3", "e4")
     assert code == 0

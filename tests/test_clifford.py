@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spectral_torsion import (
     DimensionMismatch,
@@ -30,7 +31,8 @@ from spectral_torsion.clifford import blade_product
 from spectral_torsion.matrix_rep import mat_add, mat_mul
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
-from conftest import mv_mul_reference, rand_multivector, rand_oneform, rand_threeform
+from conftest import coprime_draw, mv_mul_reference, rand_multivector, rand_oneform, \
+    rand_threeform
 
 
 def gen(n, i):
@@ -267,6 +269,25 @@ def test_multivector_parse_roundtrip():
     assert Multivector.parse(2, "(-(1 i))*e{}") == Multivector.identity(2).scale(i_power(3))
 
 
+_parts = st.builds(Rational, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+_nonzero_parts = _parts.filter(bool)
+# real, imaginary, negated imaginary (printed "-(p/q i)") and mixed coefficients
+_coefficients = st.one_of(
+    st.builds(GaussianRational, _parts),
+    st.builds(lambda p: GaussianRational(0, abs(p)), _nonzero_parts),
+    st.builds(lambda p: GaussianRational(0, -abs(p)), _nonzero_parts),
+    st.builds(GaussianRational, _nonzero_parts, _nonzero_parts),
+)
+_multivectors = st.integers(1, 8).flatmap(lambda n: st.builds(
+    Multivector, st.just(n),
+    st.dictionaries(st.integers(0, (1 << n) - 1), _coefficients, max_size=10)))
+
+
+@given(_multivectors)
+def test_multivector_parse_roundtrip_property(x):
+    assert Multivector.parse(x.dim, str(x)) == x
+
+
 def _product_by_sorting(a_word, b_word):
     """(indices, sign) of a product of two ascending index words, from first principles."""
     word = list(a_word) + list(b_word)
@@ -299,24 +320,10 @@ def _small(rng):
     return Rational(rng.randint(-9, 9), rng.randint(1, 6))
 
 
-def _coprime_draw(rng):
-    """Rationals whose 12-digit denominators are pairwise coprime across all draws."""
-    used = 1
-
-    def draw():
-        nonlocal used
-        while True:
-            den = rng.randrange(10 ** 11, 10 ** 12)
-            if math.gcd(den, used) == 1:
-                used *= den
-                return Rational(rng.randrange(-10 ** 12, 10 ** 12), den)
-    return draw
-
-
 def _coefficient_draw(rng, kind):
     """A function that draws one Gaussian-rational coefficient of the given kind."""
     if kind == "coprime":
-        part = _coprime_draw(rng)
+        part = coprime_draw(rng)
         return lambda: GaussianRational(part(), part())
     if kind == "imaginary":
         return lambda: GaussianRational(0, _small(rng))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from spectral_torsion import (
     vol_numeric,
     vol_sphere,
 )
+from spectral_torsion.clifford import _RUN_DEN_BITS
 from spectral_torsion.moments import xi_monomial
-from spectral_torsion.scalars import SymScalar
+from spectral_torsion.scalars import GaussianRational, Rational, SymScalar
+
+from conftest import coprime_draw, integrate_sphere_reference
 
 
 def gamma_moment_full(n: int, alpha) -> float:
@@ -114,3 +118,46 @@ def test_integrate_sphere_mixed_term_dies():
     }
     out = integrate_sphere(n, XiPolynomialMV(n, n, terms))
     assert out == Multivector.identity(n).scale(rational("1/4"))  # units of vol(S^3)
+
+
+def _termwise_polynomial(rng, n):
+    """Degree-0, 2 and 4 monomials, odd and mixed ones among them, whose
+    coefficients are imaginary, negative, or have pairwise-coprime 12-digit
+    denominators."""
+    coprime = coprime_draw(rng)
+    small = lambda: Rational(rng.randint(1, 9), rng.randint(1, 6))  # noqa: E731
+    draws = (lambda: GaussianRational(0, small()),
+             lambda: GaussianRational(0, -small()),
+             lambda: GaussianRational(-small(), 0),
+             lambda: GaussianRational(coprime(), coprime()))
+    monomials = [xi_monomial(n)]
+    for i in range(1, n + 1):
+        monomials += [xi_monomial(n, i, i), xi_monomial(n, i, i, i, i),
+                      xi_monomial(n, i, i % n + 1), xi_monomial(n, i, i, i % n + 1, i % n + 1),
+                      xi_monomial(n, i, i, i, i % n + 1)]
+    terms = {}
+    for k, expo in enumerate(monomials):
+        draw = draws[k % len(draws)]
+        blades = rng.sample(range(1 << n), min(1 << n, 12))
+        terms[expo] = Multivector(n, {mask: draw() for mask in blades})
+    return XiPolynomialMV(n, n, terms)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_integrate_sphere_matches_termwise(n):
+    rng = random.Random(f"termwise-{n}")
+    p = _termwise_polynomial(rng, n)
+    dens = [c.re.denominator * c.im.denominator for expo, mv in p.terms.items()
+            if not any(a % 2 for a in expo) for _, c in mv]
+    # the coprime coefficients push the common denominator of the surviving
+    # terms past the run limit, so the per-denominator sums are exercised; the
+    # single terms below take the common denominator
+    assert math.lcm(*dens).bit_length() > _RUN_DEN_BITS
+    got = integrate_sphere(n, p)
+    assert got == integrate_sphere_reference(n, p)
+    assert not got.is_zero()
+    # only the even monomials of degree 0, 2 and 4 survive: a single one of each
+    for expo in (xi_monomial(n), xi_monomial(n, 1, 1), xi_monomial(n, 1, 1, 2, 2)):
+        single = XiPolynomialMV(n, n, {expo: p.terms[expo]})
+        assert integrate_sphere(n, single) == integrate_sphere_reference(n, single)
+    assert integrate_sphere(n, XiPolynomialMV(n, n)).is_zero()

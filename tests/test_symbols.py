@@ -8,6 +8,10 @@ nonzero closed form is not).
 
 from __future__ import annotations
 
+import itertools
+import random
+import time
+
 import pytest
 
 from spectral_torsion import (
@@ -27,12 +31,14 @@ from spectral_torsion import (
     sigma_minus2m,
     sym,
     theorem_value,
+    to_clifford,
     ManifoldSpec,
 )
+from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.moments import xi_monomial
-from spectral_torsion.scalars import GR_I
+from spectral_torsion.scalars import GR_I, Rational
 
-from conftest import density_via_matrix_rep, rand_oneform, rand_threeform, \
+from conftest import coprime_draw, density_via_matrix_rep, rand_oneform, rand_threeform, \
     sigma_minus2m_reference
 
 
@@ -87,7 +93,6 @@ def test_sigma_torsion_vector_constant_term(rng):
     t, y = rand_threeform(rng, n), rand_oneform(rng, n)
     case = TorsionVector(t, y)
     sigma = sigma_minus2m(u, v, w, case, n)
-    from spectral_torsion import to_clifford
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
     expected = mv_mul(cuvw, perturbation_multivector(case, n))
     got = sigma.terms.get(xi_monomial(n), Multivector.zero(n))
@@ -110,17 +115,66 @@ def test_sigma_degree_structure(rng):
     assert {sum(e) for e in sigma.terms} <= {0, 2}
 
 
+def _sigma_jobs(kind, n, rng):
+    """(u, v, w, case) inputs of one kind, over all four cases."""
+    if kind == "sparse":
+        # basis and zero one-forms: C B_i vanishes for some i (for c(e_1) Gamma
+        # at i = 1, for a single 3-form blade outside it), or C or B is zero
+        e, z = (lambda i: OneForm.basis(n, i)), OneForm.zero(n)
+        t = ThreeForm(n, {(1, 2, 4): rational(2)})
+        dense = [rand_oneform(rng, n) for _ in range(3)]
+        cases = (TorsionVector(t, e(n)), TorsionVector(t, z), VectorGrading(e(1)),
+                 TorsionGrading(t), TorsionVector(ThreeForm.zero(n), z), VectorGrading(z))
+        return [(*uvw, case) for uvw in ((e(1), e(2), e(3)), dense, (z, e(2), e(3)))
+                for case in cases + (Grading(),)]
+    if kind == "coprime":
+        # pairwise-coprime denominators long enough to split C and B into runs
+        draw = coprime_draw(rng, digits=100 if n == 4 else 50)
+        u, v, w, x, y = (OneForm(tuple(draw() for _ in range(n))) for _ in range(5))
+        t = ThreeForm(n, {abc: draw() for abc in itertools.combinations(range(1, n + 1), 3)})
+    else:
+        u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+        t = rand_threeform(rng, n)
+    return [(u, v, w, case)
+            for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t))]
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_sigma_matches_generator_products(n, rng):
-    """The relabelled generator products give the multiplied-out symbol, term
-    for term and in the same monomial order."""
-    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
-    t = rand_threeform(rng, n)
-    for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+    """The integer relabels give the multiplied-out symbol, term for term and
+    in the same monomial order, on dense, sparse and (n <= 6; slow at n=8)
+    multi-run inputs."""
+    jobs = _sigma_jobs("dense", n, rng) + _sigma_jobs("sparse", n, rng)
+    if n <= 6:
+        coprime = _sigma_jobs("coprime", n, rng)
+        u, v, w, case = coprime[0]
+        cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
+        assert len(_integer_runs(cuvw)) > 1
+        assert len(_integer_runs(perturbation_multivector(case, n))) > 1
+        jobs += coprime
+    for u, v, w, case in jobs:
         got = sigma_minus2m(u, v, w, case, n)
         expected = sigma_minus2m_reference(u, v, w, case, n)
         assert got == expected
         assert list(got.terms) == list(expected.terms)
+
+
+def test_interior_density_n10_time_bound():
+    """All four cases on dense n=10 inputs, in process.
+
+    On the fractions backend (2-vCPU VM) this takes 0.29-0.41 s; the bound
+    is 2.5x the slowest of those runs.
+    """
+    n = 10
+    rng = random.Random("density-n10")
+    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+    t = rand_threeform(rng, n)
+    start = time.monotonic()
+    for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+        interior_density(u, v, w, case, n)
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.0, \
+        f"four n=10 densities took {elapsed:.2f}s on {Rational.__module__}.{Rational.__name__}"
 
 
 def test_sigma_rejects_small_or_odd_dimension():
