@@ -1,9 +1,11 @@
 """Exact spectral-torsion densities for perturbed Dirac-type operators.
 
-Public surface: the exact scalar kernel, the Clifford algebra with its
-matrix-representation oracle, multilinear forms, sphere moments, the interior
-symbol engine, the half-line boundary calculus, and the top-level evaluation
-plus identity-verification API.
+Public surface: the exact scalar kernel, the Clifford algebra, multilinear
+forms, sphere moments, the interior symbol engine, the half-line boundary
+calculus, and the top-level evaluation plus identity-verification API.  Every
+value below the report layer is exact: traces are Gaussian rationals, sphere
+moments rationals in units of vol(S^(n-1)) and line integrals Gaussian
+rationals in units of pi; the densities attach their symbolic atoms once.
 """
 
 from .scalars import (
@@ -31,7 +33,6 @@ from .clifford import (
     times_generator,
     trace,
 )
-from .matrix_rep import MatrixRep
 from .forms import (
     AntisymTensor,
     GradeOverflow,
@@ -39,6 +40,7 @@ from .forms import (
     OneForm,
     ThreeForm,
     eval_threeform,
+    frame_product,
     metric_pair,
     to_clifford,
     top_pairing,
@@ -73,7 +75,6 @@ from .halfline import (
     boundary_symbol,
     dxn_symbol,
     line_integral,
-    pi_minus,
     pi_plus,
     residue_derivative,
 )

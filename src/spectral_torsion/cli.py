@@ -26,7 +26,7 @@ from .clifford import DimensionMismatch, Multivector, OddDimension, _check_even_
     mv_mul, supertrace, trace
 from .forms import OneForm, ThreeForm
 from .moments import moment, vol_numeric
-from .scalars import DIM_F, PI, SymScalar, TR_F_PHI, rational, vol_sphere
+from .scalars import DIM_F, PI, SymScalar, TR_F_PHI, rational, sym, vol_sphere
 from .symbols import CASE_NAMES, Grading, TorsionGrading, TorsionVector, VectorGrading
 from .torsion import ManifoldSpec, UnsupportedDimension, spectral_torsion
 from .verify import DEFAULT_SEED, FINAL_IDS, verify_suite
@@ -342,8 +342,8 @@ def _cmd_trace(args) -> int:
             return EXIT_PARSE
         word = mv_mul(word, factor)
     print(f"word = {word}")
-    print(f"trace = {trace(word)}")
-    print(f"supertrace = {supertrace(word)}")
+    print(f"trace = {sym(trace(word))}")
+    print(f"supertrace = {sym(supertrace(word))}")
     return EXIT_OK
 
 
@@ -366,7 +366,7 @@ def _cmd_moments(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     with _unlimited_int_str():  # the exact moment may have any number of digits
-        print(str(moment(n, alpha)))
+        print(str(SymScalar.from_atom(vol_sphere(n - 1), moment(n, alpha))))
     return EXIT_OK
 
 

@@ -4,8 +4,8 @@ Generators satisfy c(e_i)c(e_j) + c(e_j)c(e_i) = -2 delta_ij, so each
 generator squares to -1.  A blade is an ascending product of distinct
 generators, encoded as a bitmask over {1..n}; multivectors map blades to
 Gaussian-rational coefficients.  The spinor-representation trace of a
-multivector is 2^m times its scalar part (n = 2m), returned as a symbolic
-scalar; the supertrace composes with the grading operator.
+multivector is 2^m times its scalar part (n = 2m), returned as a Gaussian
+rational; the supertrace composes with the grading operator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .scalars import (
     GR_ZERO,
     GaussianRational,
     Rational,
-    SymScalar,
     _ZERO,
     _as_gaussian,
     _gr,
@@ -39,11 +38,11 @@ class OddDimension(ValueError):
     pass
 
 
-def _check_even_dim(n: int, cap: int = MAX_DIM) -> None:
+def _check_even_dim(n: int) -> None:
     if n % 2 != 0:
         raise OddDimension(f"dimension must be even, got {n}")
-    if not 2 <= n <= cap:
-        raise DimensionMismatch(f"dimension must be in [2, {cap}], got {n}")
+    if not 2 <= n <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be in [2, {MAX_DIM}], got {n}")
 
 
 def _sign_mask(a: int) -> int:
@@ -175,10 +174,6 @@ class Multivector:
 
     def scalar_part(self) -> GaussianRational:
         return self.coeffs.get(0, GR_ZERO)
-
-    def grade_part(self, k: int) -> "Multivector":
-        return _raw(self.dim, {m: c for m, c in self.coeffs.items()
-                               if m.bit_count() == k})
 
     def grades(self) -> set[int]:
         return {m.bit_count() for m in self.coeffs}
@@ -345,17 +340,17 @@ def grading(n: int) -> Multivector:
     return Multivector.blade(n, (1 << n) - 1, i_power(m))
 
 
-def trace(a: Multivector) -> SymScalar:
+def trace(a: Multivector) -> GaussianRational:
     """Spinor-representation trace: 2^m times the scalar part (n = 2m).
 
     Every blade of positive grade is traceless in the irreducible
-    representation; the matrix oracle cross-checks this definition.
+    representation; the tests cross-check this on literal matrices.
     """
     _check_even_dim(a.dim)
-    return sym(a.scalar_part() * 2 ** (a.dim // 2))
+    return a.scalar_part() * 2 ** (a.dim // 2)
 
 
-def supertrace(a: Multivector) -> SymScalar:
+def supertrace(a: Multivector) -> GaussianRational:
     """trace(grading * a); kills every blade except the top-grade one."""
     return trace(mv_mul(grading(a.dim), a))
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .clifford import DimensionMismatch, Multivector, blade_mask
+from .clifford import DimensionMismatch, Multivector, blade_mask, mv_mul
 from .scalars import GR_ZERO, GaussianRational, Rational, rational
 
 
@@ -286,3 +286,11 @@ def to_clifford(x) -> Multivector:
         return Multivector(x.dim, {blade_mask(k): GaussianRational(v)
                                    for k, v in x.components.items()})
     raise TypeError(f"cannot embed {type(x).__name__} into the Clifford algebra")
+
+
+def frame_product(u: OneForm, v: OneForm, w: OneForm, n: int) -> Multivector:
+    """c(u) c(v) c(w), the frame factor, for one-forms of dimension n."""
+    for x in (u, v, w):
+        if x.dim != n:
+            raise DimensionMismatch(f"one-form dim {x.dim} != {n}")
+    return mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))

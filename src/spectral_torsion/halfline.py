@@ -3,16 +3,16 @@
 A boundary symbol ingredient is a rational function of xi_n with Gaussian
 rational coefficients and an explicitly factored denominator.  The half-line
 projection pi+ keeps the partial-fraction terms whose poles lie in the upper
-half plane; real-line integrals are evaluated exactly by residues and carry
-the formal atom pi.
+half plane; real-line integrals are evaluated exactly by residues, in units of
+pi.
 """
 
 from __future__ import annotations
 
 import math
 
-from .clifford import DimensionMismatch, Multivector, mv_mul, times_generator, trace
-from .forms import OneForm, to_clifford
+from .clifford import DimensionMismatch, Multivector, times_generator, trace
+from .forms import OneForm, frame_product
 from .moments import moment, xi_monomial
 from .scalars import (
     DIM_F,
@@ -23,6 +23,7 @@ from .scalars import (
     PI,
     SymScalar,
     rational,
+    vol_sphere,
 )
 
 
@@ -92,12 +93,6 @@ class Poly:
         acc = GR_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_complex(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
         return acc
 
     def divide_linear(self, p: GaussianRational) -> tuple["Poly", GaussianRational]:
@@ -290,12 +285,6 @@ class XiRational:
             value = value / d ** mult
         return value
 
-    def eval_complex(self, x: complex) -> complex:
-        value = self.numer.eval_complex(x)
-        for p, mult in self.poles.items():
-            value /= (x - complex(p)) ** mult
-        return value
-
     # -- residues / partial fractions -------------------------------------------
 
     def _deflated_series(self, p: GaussianRational, order: int) -> list:
@@ -338,14 +327,6 @@ def _shift_poly(poly: Poly, p: GaussianRational) -> Poly:
 
 def pi_plus(f: XiRational) -> XiRational:
     """Half-line projection: keep partial-fraction terms with poles above the axis."""
-    return _half_projection(f, keep_upper=True)
-
-
-def pi_minus(f: XiRational) -> XiRational:
-    return _half_projection(f, keep_upper=False)
-
-
-def _half_projection(f: XiRational, keep_upper: bool) -> XiRational:
     if f.is_zero():
         return XiRational.zero()
     if f.numer.degree >= f.denominator_degree:
@@ -355,7 +336,7 @@ def _half_projection(f: XiRational, keep_upper: bool) -> XiRational:
             raise RealPole(f"real pole at {p}")
     out = XiRational.zero()
     for p, coeffs in f.partial_fractions().items():
-        if (p.im > 0) != keep_upper:
+        if p.im < 0:
             continue
         for k, a in enumerate(coeffs, start=1):
             if not a.is_zero():
@@ -384,10 +365,10 @@ def residue_derivative(m: int) -> GaussianRational:
     return f.eval_exact(GR_I)
 
 
-def line_integral(f: XiRational) -> SymScalar:
-    """Exact real-line integral: 2 pi i times the sum of upper residues."""
+def line_integral(f: XiRational) -> GaussianRational:
+    """Exact real-line integral in units of pi: 2 i times the sum of upper residues."""
     if f.is_zero():
-        return SymScalar.zero()
+        return GR_ZERO
     for p in f.poles:
         if p.im == 0:
             raise RealPole(f"real pole at {p}")
@@ -397,7 +378,7 @@ def line_integral(f: XiRational) -> SymScalar:
     for p in f.poles:
         if p.im > 0:
             total = total + f.residue(p)
-    return SymScalar.from_atom(PI, GaussianRational(0, 2) * total)
+    return GaussianRational(0, 2) * total
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +408,7 @@ def boundary_symbol(u: OneForm, v: OneForm, w: OneForm, n: int) -> dict:
     if n % 2 != 0 or n < 4:
         raise DimensionMismatch(f"boundary setting needs even n >= 4, got {n}")
     m = n // 2
-    cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
+    cuvw = frame_product(u, v, w, n)
     tangential_half, normal_half = half_inverse_symbol_components(n)
     dsym = dxn_symbol(m)
     out: dict[tuple, tuple[XiRational, Multivector]] = {
@@ -446,22 +427,20 @@ def boundary_pieces(u: OneForm, v: OneForm, w: OneForm,
     The tangential piece multiplies xi'-odd sphere moments and must vanish;
     it is computed and returned rather than silently dropped.  The normal
     piece carries dim_F (the perturbation never enters the boundary symbols)
-    and vol(S^(n-2)).
+    and vol(S^(n-2)).  Both are summed exactly, then the atoms pi * dim_F *
+    vol(S^(n-2)) are attached once.
     """
-    for x in (u, v, w):
-        if x.dim != n:
-            raise DimensionMismatch(f"one-form dim {x.dim} != {n}")
-    dim_factor = SymScalar.from_atom(DIM_F)
-    tangential = SymScalar.zero()
-    normal = SymScalar.zero()
+    tangential = normal = GR_ZERO
     for expo, (f, mv) in boundary_symbol(u, v, w, n).items():
         weight = moment(n - 1, expo)  # xi'-odd entries integrate to zero
-        contribution = trace(mv) * weight * line_integral(f) * dim_factor
+        contribution = trace(mv) * weight * line_integral(f)
         if sum(expo):
             tangential = tangential + contribution
         else:
             normal = normal + contribution
-    return tangential, normal
+    atoms = (PI, DIM_F, vol_sphere(n - 2))
+    return (SymScalar.from_monomial(atoms, tangential),
+            SymScalar.from_monomial(atoms, normal))
 
 
 def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:

@@ -6,6 +6,9 @@ volume atom via double factorials:
 
     integral of xi^alpha = vol(S^(n-1)) * prod_i (alpha_i - 1)!!
                            / prod_{j=0}^{k-1} (n + 2j),    2k = |alpha|.
+
+Moments and sphere integrals are exact values in units of vol(S^(n-1)); the
+caller attaches the atom.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 from .clifford import _RUN_DEN_BITS, DimensionMismatch, Multivector, _from_int_parts, \
     _integer_runs
-from .scalars import Rational, SymScalar, rational, vol_sphere
+from .scalars import Rational, rational
 
 
 # an exponent vector over the cosphere variables, one entry per variable
@@ -29,8 +32,9 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def _moment_weight(n: int, alpha) -> Rational:
-    """Integral of prod xi_i^alpha_i over S^(n-1) in units of vol(S^(n-1))."""
+def moment(n: int, alpha) -> Rational:
+    """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2, in units of
+    vol(S^(n-1))."""
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
     alpha = tuple(alpha)
@@ -48,12 +52,6 @@ def _moment_weight(n: int, alpha) -> Rational:
     for j in range(total // 2):
         den *= n + 2 * j
     return rational(num) / rational(den)
-
-
-def moment(n: int, alpha) -> SymScalar:
-    """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2."""
-    weight = _moment_weight(n, alpha)
-    return SymScalar.from_atom(vol_sphere(n - 1), weight)
 
 
 def vol_numeric(k: int) -> float:
@@ -110,17 +108,17 @@ def xi_monomial(nvars: int, *indices: int) -> tuple:
 def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)).
 
-    The result is sum_alpha (moment(n, alpha) / vol(S^(n-1))) * coefficient;
-    the caller attaches the volume atom.  Each surviving coefficient's
-    integer numerators are scaled by its moment weight and summed over one
-    common denominator (one per distinct denominator when that lcm grows
-    past _RUN_DEN_BITS), and each output coefficient is reduced once.
+    The result is sum_alpha moment(n, alpha) * coefficient; the caller
+    attaches the volume atom.  Each surviving coefficient's integer
+    numerators are scaled by its moment and summed over one common
+    denominator (one per distinct denominator when that lcm grows past
+    _RUN_DEN_BITS), and each output coefficient is reduced once.
     """
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
     runs = []  # (denominator, numerator factor, [(mask, re, im), ...])
     for expo, mv in p.terms.items():
-        weight = _moment_weight(n, expo)
+        weight = moment(n, expo)
         if weight:
             runs += [(den * weight.denominator, weight.numerator, terms)
                      for den, terms in _integer_runs(mv)]

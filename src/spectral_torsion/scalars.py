@@ -362,12 +362,6 @@ class SymScalar:
 
     # -- views ----------------------------------------------------------
 
-    def constant_part(self) -> GaussianRational:
-        return self.terms.get((), GR_ZERO)
-
-    def coefficient_of(self, atoms: Iterable[Atom]) -> GaussianRational:
-        return self.terms.get(tuple(sorted(atoms)), GR_ZERO)
-
     def evaluate(self, env: Mapping[Atom, complex]) -> complex:
         """Substitute numeric atom values and evaluate in double precision."""
         total = 0j

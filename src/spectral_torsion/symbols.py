@@ -28,7 +28,7 @@ from .clifford import (
     mv_mul,
     trace,
 )
-from .forms import OneForm, ThreeForm, to_clifford
+from .forms import OneForm, ThreeForm, frame_product, to_clifford
 from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
 from .scalars import GR_I, SymScalar, TR_F_PHI, vol_sphere
 
@@ -70,13 +70,6 @@ CASE_NAMES = {
 }
 
 
-def case_name(case: PerturbationCase) -> str:
-    for name, cls in CASE_NAMES.items():
-        if isinstance(case, cls):
-            return name
-    raise TypeError(f"unknown perturbation case {case!r}")
-
-
 def _check_case_dims(case: PerturbationCase, n: int) -> None:
     for field in ("T", "Y", "X"):
         tensor = getattr(case, field, None)
@@ -108,12 +101,8 @@ def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
         raise OddDimension(f"dimension must be even, got {n}")
     if n < 4:
         raise DimensionMismatch(f"symbol assembly needs n >= 4, got {n}")
-    for x in (u, v, w):
-        if x.dim != n:
-            raise DimensionMismatch(f"one-form dim {x.dim} != {n}")
-    _check_case_dims(case, n)
     m = n // 2
-    cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
+    cuvw = frame_product(u, v, w, n)
     b = perturbation_multivector(case, n)
 
     terms: dict[tuple, Multivector] = {}
@@ -168,5 +157,4 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     to the exact trace of the integrated symbol.
     """
     integrated = integrate_sphere(n, sigma_minus2m(u, v, w, case, n))
-    atoms = SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI))
-    return trace(integrated) * atoms
+    return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), trace(integrated))

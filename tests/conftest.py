@@ -25,13 +25,14 @@ from spectral_torsion import (
     trace,
 )
 from spectral_torsion.clifford import blade_product
-from spectral_torsion.matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
-from spectral_torsion.moments import XiPolynomialMV, _moment_weight, moment, xi_monomial
+from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
 from spectral_torsion.scalars import GaussianRational, Rational, vol_sphere
 from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 from spectral_torsion.verify import rand_threeform as _rand_threeform
+
+from matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
 
 # the tests draw denser 3-forms than the verify catalog
 rand_threeform = functools.partial(_rand_threeform, sparsity=0.6)
@@ -118,16 +119,16 @@ def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
     coefficient scaled by its moment weight and added as a multivector."""
     total = Multivector.zero(p.mv_dim)
     for expo, mv in p.terms.items():
-        weight = _moment_weight(n, expo)
+        weight = moment(n, expo)
         if weight:
             total = total + mv.scale(weight)
     return total
 
 
-def sphere_trace_integral_reference(n, left, middle, generator_first) -> SymScalar:
+def sphere_trace_integral_reference(n, left, middle, generator_first) -> GaussianRational:
     """Sum over i of the sphere integral of Tr(left c(e_i) middle xi_i c(xi))
     (generator_first) or Tr(left middle c(e_i) xi_i c(xi)), from the full
-    xi-polynomial integrated term by term."""
+    xi-polynomial integrated term by term, in units of vol(S^(n-1))."""
     terms = {}
     for i in range(1, n + 1):
         gi = Multivector.generator(n, i)
@@ -140,7 +141,7 @@ def sphere_trace_integral_reference(n, left, middle, generator_first) -> SymScal
             if not term.is_zero():
                 _add_xi_term(terms, xi_monomial(n, i, l), term)
     integrated = integrate_sphere_reference(n, XiPolynomialMV(n, n, terms))
-    return trace(integrated) * SymScalar.from_atom(vol_sphere(n - 1))
+    return trace(integrated)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,8 @@ def density_via_matrix_rep(u, v, w, case, n) -> SymScalar:
     """Interior density recomputed on literal representation matrices.
 
     Shares only the exact moment table with the blade pipeline; all Clifford
-    products and traces happen entry-by-entry on matrices.
+    products and traces happen entry-by-entry on matrices.  The atoms
+    vol(S^(n-1)) * tr_F(Phi) are attached to the exact sum at the end.
     """
     rep = MatrixRep(n)
     m = n // 2
@@ -248,19 +250,26 @@ def density_via_matrix_rep(u, v, w, case, n) -> SymScalar:
     bmat = rep.of(perturbation_multivector(case, n))
     gens = [rep.of(Multivector.generator(n, i)) for i in range(1, n + 1)]
 
-    total = SymScalar.zero()
-    total = total + SymScalar.from_coeff(mat_trace(mat_mul(cw, bmat))) \
-        * moment(n, xi_monomial(n))
+    total = mat_trace(mat_mul(cw, bmat)) * moment(n, xi_monomial(n))
     for i in range(n):
         anti = mat_add(mat_mul(gens[i], bmat), mat_mul(bmat, gens[i]))
         left = mat_scale(mat_mul(cw, anti), GaussianRational(m))
         for l in range(n):
             weight = moment(n, xi_monomial(n, i + 1, l + 1))
-            if weight.is_zero():
+            if weight == 0:
                 continue
-            total = total + SymScalar.from_coeff(
-                mat_trace(mat_mul(left, gens[l]))) * weight
-    return total * SymScalar.from_atom(TR_F_PHI)
+            total = total + mat_trace(mat_mul(left, gens[l])) * weight
+    return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), total)
+
+
+def eval_complex(f, x: complex) -> complex:
+    """A rational symbol (XiRational) at a complex point, in double precision."""
+    value = 0j
+    for c in reversed(f.numer.coeffs):
+        value = value * x + complex(c)
+    for p, mult in f.poles.items():
+        value /= (x - complex(p)) ** mult
+    return value
 
 
 def quad_oracle(f, bound: float = 1e4) -> complex:
@@ -268,9 +277,9 @@ def quad_oracle(f, bound: float = 1e4) -> complex:
     from scipy.integrate import quad
 
     hints = [-10.0, -1.0, 0.0, 1.0, 10.0]
-    re = quad(lambda x: f.eval_complex(x).real, -bound, bound,
+    re = quad(lambda x: eval_complex(f, x).real, -bound, bound,
               limit=800, epsabs=1e-13, epsrel=1e-13, points=hints)[0]
-    im = quad(lambda x: f.eval_complex(x).imag, -bound, bound,
+    im = quad(lambda x: eval_complex(f, x).imag, -bound, bound,
               limit=800, epsabs=1e-13, epsrel=1e-13, points=hints)[0]
     return complex(re, im)
 

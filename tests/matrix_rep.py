@@ -1,14 +1,15 @@
-"""Independent matrix-representation oracle for Cl(n).
+"""Independent matrix-representation oracle for Cl(n), used by the tests.
 
 Generators are built by the standard iterated tensor-product (Jordan-Wigner)
 construction over exact Gaussian rationals, so every trace identity proved
-algebraically in `clifford` can be cross-checked against literal matrices.
+algebraically in `spectral_torsion.clifford` can be cross-checked against
+literal matrices.
 """
 
 from __future__ import annotations
 
-from .clifford import DimensionMismatch, Multivector, _check_even_dim
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, SymScalar, sym
+from spectral_torsion.clifford import DimensionMismatch, Multivector, _check_even_dim
+from spectral_torsion.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 MAX_REP_DIM = 12
 
@@ -75,7 +76,9 @@ class MatrixRep:
     """Irreducible representation of Cl(2m) on 2^m-dimensional spinors."""
 
     def __init__(self, n: int):
-        _check_even_dim(n, cap=MAX_REP_DIM)
+        _check_even_dim(n)
+        if n > MAX_REP_DIM:
+            raise DimensionMismatch(f"dimension must be in [2, {MAX_REP_DIM}], got {n}")
         self.dim = n
         m = n // 2
         self.size = 2 ** m
@@ -118,6 +121,6 @@ class MatrixRep:
                         acc[i][j] = acc[i][j] + coeff * row[j]
         return tuple(tuple(row) for row in acc)
 
-    def trace(self, a: Multivector) -> SymScalar:
+    def trace(self, a: Multivector) -> GaussianRational:
         """Literal matrix trace of the represented multivector."""
-        return sym(mat_trace(self.of(a)))
+        return mat_trace(self.of(a))

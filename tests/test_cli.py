@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spectral_torsion.cli import MAX_MOMENT_DEGREE, _unlimited_int_str, main, render_output
+from spectral_torsion.cli import MAX_MOMENT_DEGREE, ConfigError, ConsistencyError, \
+    _unlimited_int_str, main, render_output, run_compute
+from spectral_torsion.torsion import UnsupportedDimension
+
+from test_golden import COMPUTE_CONFIGS
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -383,3 +389,54 @@ def test_moments_at_degree_cap_prints_in_full(capsys):
     assert len(expected) > 4300
     assert out == expected
 
+
+# Any JSON value: scalars (near-valid strings and small integers among them),
+# and arrays and objects of them.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+    | st.sampled_from(["0", "1/2", "-3", "1/0", "1.5", "٤", " 1", "T", "grading"]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _mutate(config: dict, data) -> None:
+    """One mutation: a field replaced, added or deleted, or one item of a
+    list field (a component or a whole 3-form record) or of a 3-form record
+    replaced, appended or dropped."""
+    key = data.draw(st.sampled_from(sorted(config) + ["extra"]))
+    target = config.get(key)
+    if isinstance(target, list) and target and data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(target) - 1))
+        if isinstance(target[index], list) and target[index] and data.draw(st.booleans()):
+            target = target[index]  # a 3-form record
+            index = data.draw(st.integers(0, len(target) - 1))
+        action = data.draw(st.sampled_from(["replace", "append", "drop"]))
+        if action == "replace":
+            target[index] = data.draw(_json_values)
+        elif action == "append":
+            target.append(data.draw(_json_values))
+        else:
+            del target[index]
+    elif data.draw(st.booleans()):
+        config[key] = data.draw(_json_values)
+    else:
+        config.pop(key, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_run_compute_mutated_golden_configs_raise_only_known_errors(data):
+    """A mutated golden compute config either runs or raises one of the
+    three errors the CLI maps to exit 2 or 3, never anything else."""
+    name = data.draw(st.sampled_from(sorted(COMPUTE_CONFIGS)))
+    config = copy.deepcopy(COMPUTE_CONFIGS[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(config, data)
+    try:
+        payload = run_compute(config, seed=1)
+    except (ConfigError, ConsistencyError, UnsupportedDimension):
+        return
+    assert payload["dimension"] == config["dimension"]
+    render_output(payload)

@@ -18,7 +18,6 @@ from spectral_torsion import (
     dxn_symbol,
     line_integral,
     normal_trace_combination,
-    pi_minus,
     pi_plus,
     rational,
     residue_derivative,
@@ -47,8 +46,21 @@ def x_lorentzian():
     return XiRational(POLY_X, {GR_I: 1, -GR_I: 1})
 
 
-def eval_pi(s: SymScalar) -> complex:
-    return s.evaluate({PI: math.pi})
+def eval_pi(z: GaussianRational) -> complex:
+    """A value in units of pi, in double precision."""
+    return complex(z) * math.pi
+
+
+def pi_minus(f: XiRational) -> XiRational:
+    """The complementary projection: the partial-fraction terms with poles
+    below the axis."""
+    out = XiRational.zero()
+    for p, coeffs in f.partial_fractions().items():
+        if p.im < 0:
+            for k, a in enumerate(coeffs, start=1):
+                if not a.is_zero():
+                    out = out + XiRational(Poly((a,)), {p: k})
+    return out
 
 
 # -- projection -----------------------------------------------------------------
@@ -135,13 +147,13 @@ def test_residue_derivative_closed_form(m):
 
 
 def test_line_integral_lorentzian():
-    assert line_integral(lorentzian()) == SymScalar.from_atom(PI)
+    assert line_integral(lorentzian()) == GaussianRational(1)  # units of pi
 
 
 def test_line_integral_boundary_kernel():
     # x / (2 (x-i)(1+x^2)^2)
     f = XiRational(Poly((0, rational("1/2"))), {GR_I: 3, -GR_I: 2})
-    assert line_integral(f) == SymScalar.from_atom(PI, rational("1/16"))
+    assert line_integral(f) == GaussianRational(rational("1/16"))  # units of pi
     assert eval_pi(line_integral(f)) == pytest.approx(quad_oracle(f).real, abs=1e-9)
 
 
