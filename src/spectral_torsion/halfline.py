@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .clifford import DimensionMismatch, Multivector, times_generator, trace
+from .clifford import mv_mul  # noqa: F401  (perfbench's binding test patches halfline.mv_mul)
 from .forms import OneForm, frame_product
 from .moments import moment, xi_monomial
 from .scalars import (

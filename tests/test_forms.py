@@ -128,7 +128,7 @@ def test_threeform_trace_bridge(n, rng):
         lhs = eval_threeform(t, u, v, w) * 2 ** (n // 2)
         rhs = trace(mv_mul(mv_mul(to_clifford(u), to_clifford(v)),
                            mv_mul(to_clifford(w), to_clifford(t))))
-        assert rhs == lhs
+        assert lhs == rhs
 
 
 def test_json_roundtrip():
