@@ -72,7 +72,6 @@ from .halfline import (
     XiRational,
     boundary_density,
     boundary_pieces,
-    boundary_symbol,
     dxn_symbol,
     line_integral,
     pi_plus,

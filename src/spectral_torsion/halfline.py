@@ -9,9 +9,10 @@ pi.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .clifford import DimensionMismatch, Multivector, times_generator, trace
+from .clifford import MAX_DIM, DimensionMismatch, Multivector, scalar_product
 from .clifford import mv_mul  # noqa: F401  (perfbench's binding test patches halfline.mv_mul)
 from .forms import OneForm, frame_product
 from .moments import moment, xi_monomial
@@ -399,46 +400,40 @@ def half_inverse_symbol_components(n: int) -> tuple[XiRational, XiRational]:
     return tangential, normal
 
 
-def boundary_symbol(u: OneForm, v: OneForm, w: OneForm, n: int) -> dict:
-    """The boundary integrand as a map xi'-monomial -> (XiRational, Multivector).
-
-    Each entry pairs the xi_n-rational weight (the projected inverse symbol
-    times the normal derivative of the inverse-power symbol) with the Clifford
-    factor whose trace it multiplies.
-    """
-    if n % 2 != 0 or n < 4:
-        raise DimensionMismatch(f"boundary setting needs even n >= 4, got {n}")
-    m = n // 2
-    cuvw = frame_product(u, v, w, n)
-    tangential_half, normal_half = half_inverse_symbol_components(n)
+@functools.cache
+def _boundary_integrals(m: int) -> tuple[GaussianRational, GaussianRational]:
+    """Line integrals (units of pi) of each half_inverse_symbol_components
+    weight times dxn_symbol(m); boundary_pieces bounds m to 2..8."""
     dsym = dxn_symbol(m)
-    out: dict[tuple, tuple[XiRational, Multivector]] = {
-        xi_monomial(n - 1): (normal_half * dsym, times_generator(cuvw, n)),
-    }
-    f_tan = tangential_half * dsym
-    for i in range(1, n):
-        out[xi_monomial(n - 1, i)] = (f_tan, times_generator(cuvw, i))
-    return out
+    return tuple(line_integral(half * dsym)
+                 for half in half_inverse_symbol_components(2 * m))
 
 
 def boundary_pieces(u: OneForm, v: OneForm, w: OneForm,
                     n: int) -> tuple[SymScalar, SymScalar]:
     """(tangential, normal) boundary contributions before summation.
 
-    The tangential piece multiplies xi'-odd sphere moments and must vanish;
-    it is computed and returned rather than silently dropped.  The normal
-    piece carries dim_F (the perturbation never enters the boundary symbols)
-    and vol(S^(n-2)).  Both are summed exactly, then the atoms pi * dim_F *
-    vol(S^(n-2)) are attached once.
+    Entry i is tr(c(u)c(v)c(w)c(e_i)) = 2^m <c(u)c(v)c(w)c(e_i)>_0 times the
+    sphere moment of xi_i (i < n; 1 for the normal factor, i = n) times its
+    xi_n integral.  The tangential piece multiplies xi'-odd sphere moments
+    and must vanish; it is computed and returned rather than silently
+    dropped.  The normal piece carries dim_F (the perturbation never enters
+    the boundary symbols) and vol(S^(n-2)).  Both are summed exactly, then
+    the atoms pi * dim_F * vol(S^(n-2)) are attached once.
     """
-    tangential = normal = GR_ZERO
-    for expo, (f, mv) in boundary_symbol(u, v, w, n).items():
-        weight = moment(n - 1, expo)  # xi'-odd entries integrate to zero
-        contribution = trace(mv) * weight * line_integral(f)
-        if sum(expo):
-            tangential = tangential + contribution
-        else:
-            normal = normal + contribution
+    if n % 2 != 0 or not 4 <= n <= MAX_DIM:
+        raise DimensionMismatch(
+            f"boundary setting needs even n with 4 <= n <= {MAX_DIM}, got {n}")
+    m = n // 2
+    cuvw = frame_product(u, v, w, n)
+    tangential_integral, normal_integral = _boundary_integrals(m)
+    tangential = GR_ZERO
+    for i in range(1, n):
+        factor = scalar_product(cuvw, Multivector.generator(n, i)) * 2 ** m
+        weight = moment(n - 1, xi_monomial(n - 1, i))  # xi'-odd: zero
+        tangential = tangential + factor * weight * tangential_integral
+    factor = scalar_product(cuvw, Multivector.generator(n, n)) * 2 ** m
+    normal = factor * moment(n - 1, xi_monomial(n - 1)) * normal_integral
     atoms = (PI, DIM_F, vol_sphere(n - 2))
     return (SymScalar.from_monomial(atoms, tangential),
             SymScalar.from_monomial(atoms, normal))

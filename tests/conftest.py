@@ -24,11 +24,14 @@ from spectral_torsion import (
     rational,
     trace,
 )
-from spectral_torsion.clifford import blade_product
+from spectral_torsion.clifford import DimensionMismatch, blade_product, times_generator
+from spectral_torsion.halfline import dxn_symbol, half_inverse_symbol_components, \
+    line_integral
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
-from spectral_torsion.scalars import GaussianRational, Rational, vol_sphere
+from spectral_torsion.scalars import DIM_F, GR_ZERO, PI, GaussianRational, Rational, \
+    vol_sphere
 from spectral_torsion.symbols import perturbation_multivector
-from spectral_torsion.forms import to_clifford
+from spectral_torsion.forms import frame_product, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 from spectral_torsion.verify import rand_threeform as _rand_threeform
 
@@ -142,6 +145,46 @@ def sphere_trace_integral_reference(n, left, middle, generator_first) -> Gaussia
                 _add_xi_term(terms, xi_monomial(n, i, l), term)
     integrated = integrate_sphere_reference(n, XiPolynomialMV(n, n, terms))
     return trace(integrated)
+
+
+# ---------------------------------------------------------------------------
+# boundary pieces entry by entry
+# ---------------------------------------------------------------------------
+
+
+def boundary_symbol(u, v, w, n) -> dict:
+    """The boundary integrand as a map xi'-monomial -> (XiRational, Multivector).
+
+    Each entry pairs the xi_n-rational weight (the projected inverse symbol
+    times the normal derivative of the inverse-power symbol) with the
+    Clifford factor c(u)c(v)c(w)c(e_i) whose trace it multiplies.
+    """
+    if n % 2 != 0 or n < 4:
+        raise DimensionMismatch(f"boundary setting needs even n >= 4, got {n}")
+    cuvw = frame_product(u, v, w, n)
+    tangential_half, normal_half = half_inverse_symbol_components(n)
+    dsym = dxn_symbol(n // 2)
+    out = {xi_monomial(n - 1): (normal_half * dsym, times_generator(cuvw, n))}
+    f_tan = tangential_half * dsym
+    for i in range(1, n):
+        out[xi_monomial(n - 1, i)] = (f_tan, times_generator(cuvw, i))
+    return out
+
+
+def boundary_pieces_reference(u, v, w, n) -> tuple[SymScalar, SymScalar]:
+    """(tangential, normal) boundary pieces from the full boundary symbol:
+    per entry, the trace of its Clifford factor times its sphere moment
+    times the line integral of its xi_n weight."""
+    tangential = normal = GR_ZERO
+    for expo, (f, mv) in boundary_symbol(u, v, w, n).items():
+        contribution = trace(mv) * moment(n - 1, expo) * line_integral(f)
+        if sum(expo):
+            tangential = tangential + contribution
+        else:
+            normal = normal + contribution
+    atoms = (PI, DIM_F, vol_sphere(n - 2))
+    return (SymScalar.from_monomial(atoms, tangential),
+            SymScalar.from_monomial(atoms, normal))
 
 
 # ---------------------------------------------------------------------------

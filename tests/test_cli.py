@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
 import sys
@@ -440,3 +442,53 @@ def test_run_compute_mutated_golden_configs_raise_only_known_errors(data):
         return
     assert payload["dimension"] == config["dimension"]
     render_output(payload)
+
+
+_CONFIG_KEYS = ("dimension", "case", "u", "v", "w", "T", "Y", "X", "with_boundary",
+                "numeric_eval")
+_component = st.integers(-3, 3) | st.sampled_from(["0", "1/2", "-3", "1/0", "1.5", "٤"])
+
+
+def _mostly(strategy):
+    """`strategy` four times in five, otherwise any JSON value."""
+    return st.integers(0, 4).flatmap(lambda k: strategy if k else _json_values)
+
+
+# Whole documents: any JSON value, with objects keyed mostly by config fields,
+# and config-shaped objects whose fields are mostly near-valid.  Lists stay
+# short, so only n=4 documents can be valid and run the catalog.
+_json_documents = st.recursive(
+    _json_values,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=3), inner,
+                      max_size=6),
+    max_leaves=16) | st.fixed_dictionaries({
+        "dimension": _mostly(st.sampled_from([4, 4, 4, 3, 6, 18])),
+        "case": _mostly(st.sampled_from(["torsion_vector", "grading", "vector_grading",
+                                         "torsion_grading"])),
+    }, optional={
+        **{key: _mostly(st.lists(_component, min_size=3, max_size=5)) for key in "uvwXY"},
+        "T": _mostly(st.lists(st.lists(_component, min_size=3, max_size=5), max_size=3)),
+        "with_boundary": _mostly(st.booleans()),
+        "numeric_eval": _mostly(st.booleans()),
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_documents)
+def test_main_compute_random_documents_exit_with_a_code(tmp_path_factory, document):
+    """Any JSON document given to `compute` exits 0, 2 or 3, with a message
+    on 2 or 3, and never raises.  The streams encode like a UTF-8 terminal's."""
+    path = tmp_path_factory.getbasetemp() / "random_document.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", str(path)])
+    out.flush()
+    err.flush()
+    if code == 0:
+        assert json.loads(out.buffer.getvalue())["dimension"] == document["dimension"]
+    else:
+        assert code in (2, 3)
+        assert err.buffer.getvalue().startswith(b"error: ")

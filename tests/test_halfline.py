@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import pytest
 
@@ -25,10 +27,13 @@ from spectral_torsion import (
     theorem_boundary_value,
     vol_sphere,
 )
-from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, half_inverse_symbol_components
+from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _boundary_integrals, \
+    half_inverse_symbol_components
 from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational
 
 from conftest import (
+    boundary_pieces_reference,
+    boundary_symbol,
     cayley_rotation,
     quad_oracle,
     rand_oneform,
@@ -210,7 +215,6 @@ def test_boundary_pieces_tangential_term_is_zero(rng):
 
 
 def test_boundary_symbol_structure(rng):
-    from spectral_torsion import boundary_symbol
     from spectral_torsion.moments import xi_monomial
     n = 6
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
@@ -221,6 +225,36 @@ def test_boundary_symbol_structure(rng):
     f_norm, mv_norm = table[xi_monomial(n - 1)]
     assert f_norm.denominator_degree == 2 * (n // 2) + 1
     assert mv_norm.dim == n
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_boundary_pieces_match_per_entry_route(n):
+    """One-blade factors and cached integrals against the full boundary
+    symbol, entry by entry: dense random, basis and zero one-forms."""
+    m = n // 2
+    assert _boundary_integrals(m) == tuple(
+        line_integral(half * dxn_symbol(m))
+        for half in half_inverse_symbol_components(n))
+    rng = random.Random(f"boundary-{n}")
+    inputs = [tuple(rand_oneform(rng, n) for _ in range(3)) for _ in range(3)]
+    inputs.append((basis(n, n), basis(n, 1), basis(n, 1)))
+    inputs.append((OneForm.zero(n),) * 3)
+    for u, v, w in inputs:
+        assert boundary_pieces(u, v, w, n) == boundary_pieces_reference(u, v, w, n)
+
+
+def test_boundary_density_n16_time_bound():
+    """20 dense n=16 boundary densities, checked against the catalogued
+    coefficient outside the timed loop."""
+    n = 16
+    rng = random.Random(f"boundary-time-{n}")
+    inputs = [tuple(rand_oneform(rng, n) for _ in range(3)) for _ in range(20)]
+    start = time.monotonic()
+    values = [boundary_density(u, v, w, n) for u, v, w in inputs]
+    elapsed = time.monotonic() - start
+    for (u, v, w), value in zip(inputs, values):
+        assert value == theorem_boundary_value(u, v, w, n)
+    assert elapsed < 0.3, f"20 boundary densities at n=16 took {elapsed:.2f}s"
 
 
 def test_boundary_density_example_n4():

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
 import pytest
 
-from spectral_torsion import ManifoldSpec, Multivector, grading, mv_mul, to_clifford, verify_suite
+from spectral_torsion import ManifoldSpec, Multivector, SymScalar, grading, mv_mul, \
+    to_clifford, verify_suite
+from spectral_torsion import verify
 from spectral_torsion.scalars import GaussianRational, rational
-from spectral_torsion.verify import _sphere_trace_integral
+from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
 
 from conftest import rand_multivector, rand_oneform, rand_threeform, \
     sphere_trace_integral_reference
@@ -50,3 +53,71 @@ def test_verify_suite_n8_time_bound():
     elapsed = time.monotonic() - start
     assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
     assert elapsed < 3.5, f"verify_suite at n=8 took {elapsed:.1f}s"
+
+
+# the rows whose trials draw no random input: the half-line residue calculus
+DRAWLESS_ROWS = {"E4.55", "E4.56", "E4.60", "E4.61", "E4.62"}
+
+
+class _Drew(Exception):
+    pass
+
+
+class _Tripwire:
+    """Stands in for the trial rng: any draw advances the real rng by one
+    step and aborts the row, so no row computes past drawing its inputs."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            self.rng.random()
+            raise _Drew
+        return draw
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_rows_without_random_input_run_one_trial(n, monkeypatch):
+    """Exactly the rows that draw nothing stop after one trial; every other
+    row runs all five.  Canonical runs are skipped and drawing rows abort, so
+    even the n=16 catalog takes milliseconds."""
+    trials = {}
+
+    def counted(ident):
+        def run(n, rng):
+            if rng is not None:
+                trials[ident.id] = trials.get(ident.id, 0) + 1
+                try:
+                    return ident.run(n, _Tripwire(rng))
+                except _Drew:
+                    pass
+            return SymScalar.zero(), SymScalar.zero(), True
+        return dataclasses.replace(ident, run=run)
+
+    monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
+    verify_suite(ManifoldSpec(n))
+    assert {row for row, count in trials.items() if count == 1} == DRAWLESS_ROWS
+    assert set(trials.values()) == {1, 5}
+
+
+def _suite_every_trial(n, seed, trials=5):
+    """verify_suite without the early stop: every row runs every trial."""
+    rng = random.Random(seed)
+    rows = []
+    for ident in CATALOG:
+        if not ident.applies(n):
+            continue
+        computed, reference, ok = ident.run(n, None)
+        for _ in range(trials):
+            ok = ident.run(n, rng)[2] and ok
+        rows.append((ident.id, str(computed), str(reference), ok))
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("seed", [None, 7])
+def test_verify_suite_matches_every_trial_loop(n, seed):
+    rows = verify_suite(ManifoldSpec(n), seed=seed)
+    assert [(row.id, str(row.computed), str(row.reference), row.matches)
+            for row in rows] == _suite_every_trial(n, DEFAULT_SEED if seed is None else seed)
