@@ -30,7 +30,6 @@ from .clifford import (
     mv_mul,
     scalar_product,
     supertrace,
-    times_generator,
     trace,
 )
 from .forms import (
@@ -71,7 +70,6 @@ from .halfline import (
     RealPole,
     XiRational,
     boundary_density,
-    boundary_pieces,
     dxn_symbol,
     line_integral,
     pi_plus,

@@ -38,6 +38,12 @@ class OddDimension(ValueError):
     pass
 
 
+def _same_dim(a, b) -> None:
+    """The one same-dimension rule for two operands with a `dim`."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+
+
 def _check_even_dim(n: int) -> None:
     if n % 2 != 0:
         raise OddDimension(f"dimension must be even, got {n}")
@@ -133,12 +139,8 @@ class Multivector:
 
     # -- linear structure ----------------------------------------------
 
-    def _require_same_dim(self, other: "Multivector") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-
     def __add__(self, other: "Multivector") -> "Multivector":
-        self._require_same_dim(other)
+        _same_dim(self, other)
         out = dict(self.coeffs)
         for mask, c in other.coeffs.items():
             cur = out.get(mask)
@@ -174,9 +176,6 @@ class Multivector:
 
     def scalar_part(self) -> GaussianRational:
         return self.coeffs.get(0, GR_ZERO)
-
-    def grades(self) -> set[int]:
-        return {m.bit_count() for m in self.coeffs}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -328,8 +327,7 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     Multiplies integer numerators over common denominators of the operands'
     coefficients and reduces each output coefficient once per pair of runs.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    _same_dim(a, b)
     return _from_int_parts(a.dim, _int_product(_integer_runs(a), _integer_runs(b)))
 
 
@@ -355,28 +353,18 @@ def supertrace(a: Multivector) -> GaussianRational:
     return trace(mv_mul(grading(a.dim), a))
 
 
-def times_generator(a: Multivector, i: int) -> Multivector:
-    """a * c(e_i): each blade moves to mask ^ bit, its coefficient keeps or
-    flips its sign, and no coefficient is multiplied."""
-    if not 1 <= i <= a.dim:
-        raise DimensionMismatch(f"generator index {i} outside 1..{a.dim}")
-    bit = 1 << (i - 1)
-    # bit i-1 of _sign_mask(mask) is the parity of mask's bits from i-1 up
-    return _raw(a.dim, {mask ^ bit: -c if (mask >> (i - 1)).bit_count() & 1 else c
-                        for mask, c in a.coeffs.items()})
-
-
 def _relabel(acc: dict, i: int) -> dict:
-    """Integer parts {mask: (re, im)} times c(e_i), by times_generator's rule."""
+    """Integer parts {mask: (re, im)} times c(e_i): each blade moves to
+    mask ^ bit and keeps or flips its sign; no coefficient is multiplied."""
     bit, shift = 1 << (i - 1), i - 1
+    # bit i-1 of _sign_mask(mask) is the parity of mask's bits from i-1 up
     return {mask ^ bit: (-re, -im) if (mask >> shift).bit_count() & 1 else (re, im)
             for mask, (re, im) in acc.items()}
 
 
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    _same_dim(a, b)
     total = GR_ZERO
     for mask in a.coeffs.keys() & b.coeffs.keys():
         term = a.coeffs[mask] * b.coeffs[mask]

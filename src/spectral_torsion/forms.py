@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .clifford import DimensionMismatch, Multivector, blade_mask, mv_mul
+from .clifford import DimensionMismatch, Multivector, _same_dim, blade_mask, mv_mul
 from .scalars import GR_ZERO, GaussianRational, Rational, rational
 
 
@@ -65,13 +65,6 @@ class OneForm:
     def __repr__(self):
         return f"OneForm({[str(c) for c in self.components]})"
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.components]
-
-    @classmethod
-    def from_json(cls, items) -> "OneForm":
-        return cls(tuple(rational(str(s)) for s in items))
-
 
 class ThreeForm:
     """Antisymmetric 3-form stored on strictly increasing index triples."""
@@ -111,17 +104,6 @@ class ThreeForm:
     def __repr__(self):
         items = {k: str(v) for k, v in sorted(self.components.items())}
         return f"ThreeForm(dim={self.dim}, {items})"
-
-    def to_json(self) -> list:
-        return [[a, b, c, str(v)] for (a, b, c), v in sorted(self.components.items())]
-
-    @classmethod
-    def from_json(cls, dim: int, items) -> "ThreeForm":
-        comps = {}
-        for a, b, c, v in items:
-            key = (int(a), int(b), int(c))
-            comps[key] = comps.get(key, rational(0)) + rational(str(v))
-        return cls(dim, comps)
 
 
 class AntisymTensor:
@@ -191,11 +173,6 @@ class AntisymTensor:
     def __repr__(self):
         items = {k: str(v) for k, v in sorted(self.components.items())}
         return f"AntisymTensor(dim={self.dim}, grade={self.grade}, {items})"
-
-
-def _same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
 
 
 def metric_pair(u: OneForm, v: OneForm) -> Rational:

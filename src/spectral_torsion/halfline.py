@@ -15,7 +15,6 @@ import math
 from .clifford import MAX_DIM, DimensionMismatch, Multivector, scalar_product
 from .clifford import mv_mul  # noqa: F401  (perfbench's binding test patches halfline.mv_mul)
 from .forms import OneForm, frame_product
-from .moments import moment, xi_monomial
 from .scalars import (
     DIM_F,
     GR_I,
@@ -165,6 +164,7 @@ class XiRational:
                 if mult < 0:
                     raise ValueError("negative pole multiplicity")
                 if mult:
+                    p = p if isinstance(p, GaussianRational) else GaussianRational(p)
                     pole_map[p] = pole_map.get(p, 0) + mult
         if numer.is_zero():
             pole_map = {}
@@ -190,10 +190,6 @@ class XiRational:
     def zero(cls) -> "XiRational":
         return cls(POLY_ZERO)
 
-    @classmethod
-    def from_coeff(cls, c) -> "XiRational":
-        return cls(Poly((c,)))
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -203,19 +199,11 @@ class XiRational:
     def denominator_degree(self) -> int:
         return sum(self.poles.values())
 
-    def denominator_poly(self) -> Poly:
-        out = POLY_ONE
-        for p, mult in self.poles.items():
-            factor = Poly((-p, GR_ONE))
-            for _ in range(mult):
-                out = out * factor
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, XiRational):
             return NotImplemented
-        return (self.numer * other.denominator_poly()
-                == other.numer * self.denominator_poly())
+        # both sides are in the canonical form the constructor guarantees
+        return self.numer == other.numer and self.poles == other.poles
 
     def __hash__(self):
         return hash((self.numer, frozenset(self.poles.items())))
@@ -388,7 +376,7 @@ def line_integral(f: XiRational) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
-def half_inverse_symbol_components(n: int) -> tuple[XiRational, XiRational]:
+def half_inverse_symbol_components() -> tuple[XiRational, XiRational]:
     """pi+ of the order -1 inverse symbol i c(xi)/(1+xi_n^2), componentwise.
 
     Returns (tangential weight of c(xi'), normal weight of c(dx_n)):
@@ -401,51 +389,29 @@ def half_inverse_symbol_components(n: int) -> tuple[XiRational, XiRational]:
 
 
 @functools.cache
-def _boundary_integrals(m: int) -> tuple[GaussianRational, GaussianRational]:
-    """Line integrals (units of pi) of each half_inverse_symbol_components
-    weight times dxn_symbol(m); boundary_pieces bounds m to 2..8."""
-    dsym = dxn_symbol(m)
-    return tuple(line_integral(half * dsym)
-                 for half in half_inverse_symbol_components(2 * m))
-
-
-def boundary_pieces(u: OneForm, v: OneForm, w: OneForm,
-                    n: int) -> tuple[SymScalar, SymScalar]:
-    """(tangential, normal) boundary contributions before summation.
-
-    Entry i is tr(c(u)c(v)c(w)c(e_i)) = 2^m <c(u)c(v)c(w)c(e_i)>_0 times the
-    sphere moment of xi_i (i < n; 1 for the normal factor, i = n) times its
-    xi_n integral.  The tangential piece multiplies xi'-odd sphere moments
-    and must vanish; it is computed and returned rather than silently
-    dropped.  The normal piece carries dim_F (the perturbation never enters
-    the boundary symbols) and vol(S^(n-2)).  Both are summed exactly, then
-    the atoms pi * dim_F * vol(S^(n-2)) are attached once.
-    """
-    if n % 2 != 0 or not 4 <= n <= MAX_DIM:
-        raise DimensionMismatch(
-            f"boundary setting needs even n with 4 <= n <= {MAX_DIM}, got {n}")
-    m = n // 2
-    cuvw = frame_product(u, v, w, n)
-    tangential_integral, normal_integral = _boundary_integrals(m)
-    tangential = GR_ZERO
-    for i in range(1, n):
-        factor = scalar_product(cuvw, Multivector.generator(n, i)) * 2 ** m
-        weight = moment(n - 1, xi_monomial(n - 1, i))  # xi'-odd: zero
-        tangential = tangential + factor * weight * tangential_integral
-    factor = scalar_product(cuvw, Multivector.generator(n, n)) * 2 ** m
-    normal = factor * moment(n - 1, xi_monomial(n - 1)) * normal_integral
-    atoms = (PI, DIM_F, vol_sphere(n - 2))
-    return (SymScalar.from_monomial(atoms, tangential),
-            SymScalar.from_monomial(atoms, normal))
+def _normal_integral(m: int) -> GaussianRational:
+    """Line integral (units of pi) of the normal half_inverse_symbol_components
+    weight times dxn_symbol(m); boundary_density bounds m to 2..8."""
+    return line_integral(half_inverse_symbol_components()[1] * dxn_symbol(m))
 
 
 def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     """The boundary addend of the torsion functional.
 
-    Exactly a Gaussian-rational multiple of
+    Entry i of the boundary integrand is tr(c(u)c(v)c(w)c(e_i)) times the
+    S^(n-2) moment of xi_i and its xi_n integral.  For i < n that moment is
+    xi'-odd, hence zero, so only the normal entry survives: 2^m
+    <c(u)c(v)c(w)c(e_n)>_0 times _normal_integral(m).  It carries dim_F (the
+    perturbation never enters the boundary symbols); the atoms
+    pi * dim_F * vol(S^(n-2)) are attached once.  The value is exactly a
+    Gaussian-rational multiple of
     pi * (u_n g(v,w) - v_n g(u,w) + w_n g(u,v)) * 2^m * dim_F * vol(S^(n-2)).
     """
-    tangential, normal = boundary_pieces(u, v, w, n)
-    if not tangential.is_zero():  # xi'-odd moments integrate to zero
-        raise AssertionError("tangential boundary term failed to vanish")
-    return normal
+    if n % 2 != 0 or not 4 <= n <= MAX_DIM:
+        raise DimensionMismatch(
+            f"boundary setting needs even n with 4 <= n <= {MAX_DIM}, got {n}")
+    m = n // 2
+    factor = scalar_product(frame_product(u, v, w, n),
+                            Multivector.generator(n, n)) * 2 ** m
+    return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
+                                   factor * _normal_integral(m))

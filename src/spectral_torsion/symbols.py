@@ -97,13 +97,11 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
 def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
                   case: PerturbationCase, n: int) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere."""
-    if n % 2 != 0:
-        raise OddDimension(f"dimension must be even, got {n}")
+    b = perturbation_multivector(case, n)  # raises OddDimension first
     if n < 4:
         raise DimensionMismatch(f"symbol assembly needs n >= 4, got {n}")
     m = n // 2
     cuvw = frame_product(u, v, w, n)
-    b = perturbation_multivector(case, n)
 
     terms: dict[tuple, Multivector] = {}
     constant = mv_mul(cuvw, b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .clifford import MAX_DIM
 from .forms import OneForm, metric_pair, eval_threeform, top_pairing, wedge_all
 from .halfline import boundary_density
 from .scalars import (
@@ -46,9 +47,9 @@ class ManifoldSpec:
     with_boundary: bool = False
 
     def __post_init__(self):
-        if self.dim % 2 != 0 or not 4 <= self.dim <= 16:
+        if self.dim % 2 != 0 or not 4 <= self.dim <= MAX_DIM:
             raise UnsupportedDimension(
-                f"dimension must be even with 4 <= n <= 16, got {self.dim}")
+                f"dimension must be even with 4 <= n <= {MAX_DIM}, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,6 @@ def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
                   spec: ManifoldSpec) -> SymScalar:
     """The catalogued closed form for the torsion density, verbatim."""
     n = spec.dim
-    if n < 4:
-        raise UnsupportedDimension("closed forms are stated for n >= 4")
     m = n // 2
     vol = vol_sphere(n - 1)
     if isinstance(case, TorsionVector):

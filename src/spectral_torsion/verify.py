@@ -320,7 +320,7 @@ def _run_e449(n, rng):
 
 
 def _run_e455(n, rng):
-    tangential, normal = half_inverse_symbol_components(n)
+    tangential, normal = half_inverse_symbol_components()
     ref_tan = XiRational(Poly((rational(1) / rational(2),)), {GR_I: 1})
     ref_nor = XiRational(Poly((GR_I * (rational(1) / rational(2)),)), {GR_I: 1})
     exact = (tangential == ref_tan and normal == ref_nor

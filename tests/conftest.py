@@ -24,7 +24,7 @@ from spectral_torsion import (
     rational,
     trace,
 )
-from spectral_torsion.clifford import DimensionMismatch, blade_product, times_generator
+from spectral_torsion.clifford import DimensionMismatch, blade_product
 from spectral_torsion.halfline import dxn_symbol, half_inverse_symbol_components, \
     line_integral
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
@@ -162,19 +162,22 @@ def boundary_symbol(u, v, w, n) -> dict:
     if n % 2 != 0 or n < 4:
         raise DimensionMismatch(f"boundary setting needs even n >= 4, got {n}")
     cuvw = frame_product(u, v, w, n)
-    tangential_half, normal_half = half_inverse_symbol_components(n)
+    tangential_half, normal_half = half_inverse_symbol_components()
     dsym = dxn_symbol(n // 2)
-    out = {xi_monomial(n - 1): (normal_half * dsym, times_generator(cuvw, n))}
+    out = {xi_monomial(n - 1): (normal_half * dsym,
+                                mv_mul(cuvw, Multivector.generator(n, n)))}
     f_tan = tangential_half * dsym
     for i in range(1, n):
-        out[xi_monomial(n - 1, i)] = (f_tan, times_generator(cuvw, i))
+        out[xi_monomial(n - 1, i)] = (f_tan, mv_mul(cuvw, Multivector.generator(n, i)))
     return out
 
 
 def boundary_pieces_reference(u, v, w, n) -> tuple[SymScalar, SymScalar]:
     """(tangential, normal) boundary pieces from the full boundary symbol:
     per entry, the trace of its Clifford factor times its sphere moment
-    times the line integral of its xi_n weight."""
+    times the line integral of its xi_n weight.  The tangential piece is a
+    sum over xi'-odd moments, so it must vanish, and the normal piece is
+    halfline.boundary_density."""
     tangential = normal = GR_ZERO
     for expo, (f, mv) in boundary_symbol(u, v, w, n).items():
         contribution = trace(mv) * moment(n - 1, expo) * line_integral(f)

@@ -27,7 +27,7 @@ from spectral_torsion import (
     TorsionVector,
     TR_F_PHI,
     VectorGrading,
-    boundary_pieces,
+    boundary_density,
     dxn_symbol,
     eval_threeform,
     interior_density,
@@ -52,6 +52,7 @@ from spectral_torsion.moments import xi_monomial
 from spectral_torsion.scalars import DIM_F, GaussianRational, i_power
 
 from conftest import (
+    boundary_pieces_reference,
     det_exact,
     quad_oracle,
     rand_multivector,
@@ -229,9 +230,7 @@ def test_criterion_7_residue_machinery():
                     / rational(math.factorial(m - 1) * 2 ** (2 * m)))
         assert residue_derivative(m) == expected
     for m in (2, 3, 4):
-        n = 2 * m
-        tangential_half, normal_half = half_inverse_symbol_components(n)
-        for half in (tangential_half, normal_half):
+        for half in half_inverse_symbol_components():
             f = half * dxn_symbol(m)
             exact = complex(line_integral(f)) * math.pi  # units of pi
             numeric = quad_oracle(f)
@@ -252,14 +251,15 @@ def test_criterion_8_boundary_structure():
                      / rational(2 ** (2 * m - 1)))
         for _ in range(15):
             u, v, w = (rand_oneform(rng, n) for _ in range(3))
-            tangential, normal = boundary_pieces(u, v, w, n)
+            tangential, normal = boundary_pieces_reference(u, v, w, n)
             assert tangential.is_zero()
+            assert boundary_density(u, v, w, n) == normal
             comb = normal_trace_combination(u, v, w)
             assert normal == SymScalar.from_monomial(
                 (PI, DIM_F, vol_sphere(n - 2)),
                 stated_mu * rational(2 ** m) * comb)
         # pipeline value vs quadrature
-        _, normal_half = half_inverse_symbol_components(n)
+        _, normal_half = half_inverse_symbol_components()
         f = normal_half * dxn_symbol(m)
         exact = complex(line_integral(f)) * math.pi  # units of pi
         numeric = quad_oracle(f)

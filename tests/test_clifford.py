@@ -22,7 +22,6 @@ from spectral_torsion import (
     scalar_product,
     supertrace,
     sym,
-    times_generator,
     to_clifford,
     trace,
 )
@@ -363,21 +362,6 @@ def test_mv_mul_cancellation_and_zero(n):
     zero = Multivector.zero(n)
     assert mv_mul(zero, left).is_zero() and mv_mul(left, zero).is_zero()
     assert mv_mul(zero, zero).is_zero()
-
-
-@pytest.mark.parametrize("n", [4, 6, 8])
-@pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
-def test_times_generator_matches_mv_mul(n, kind):
-    draw = _coefficient_draw(random.Random(f"generator-{kind}-{n}"), kind)
-    a = Multivector(n, {mask: draw() for mask in range(1 << n)})
-    for i in range(1, n + 1):
-        product = times_generator(a, i)
-        assert product == mv_mul(a, gen(n, i)) == mv_mul_reference(a, gen(n, i))
-        _assert_canonical(product)
-    assert times_generator(Multivector.zero(n), 1).is_zero()
-    for i in (0, n + 1):
-        with pytest.raises(DimensionMismatch):
-            times_generator(a, i)
 
 
 # a dense coprime product at n=8 takes seconds in mv_mul; n=6 covers that kind

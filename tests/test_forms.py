@@ -131,13 +131,6 @@ def test_threeform_trace_bridge(n, rng):
         assert lhs == rhs
 
 
-def test_json_roundtrip():
-    u = OneForm((rational("1/2"), rational("-3"), 0, 1))
-    assert OneForm.from_json(u.to_json()) == u
-    t = ThreeForm(4, {(1, 2, 4): rational("2/7"), (2, 3, 4): -1})
-    assert ThreeForm.from_json(4, t.to_json()) == t
-
-
 def test_threeform_validation():
     with pytest.raises(ValueError):
         ThreeForm(4, {(2, 1, 3): 1})

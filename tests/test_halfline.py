@@ -16,7 +16,6 @@ from spectral_torsion import (
     SymScalar,
     XiRational,
     boundary_density,
-    boundary_pieces,
     dxn_symbol,
     line_integral,
     normal_trace_combination,
@@ -27,7 +26,7 @@ from spectral_torsion import (
     theorem_boundary_value,
     vol_sphere,
 )
-from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _boundary_integrals, \
+from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, \
     half_inverse_symbol_components
 from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational
 
@@ -106,6 +105,57 @@ def test_pi_plus_rejects_nondecaying():
         pi_plus(XiRational(Poly((1, 0, 1)), {GR_I: 1, -GR_I: 1}))
 
 
+# -- equality ---------------------------------------------------------------------
+
+
+def cross_multiplied_eq(a: XiRational, b: XiRational) -> bool:
+    """The former XiRational equality: N_a * D_b == N_b * D_a on the
+    expanded denominators."""
+    def denominator(f):
+        out = POLY_ONE
+        for p, mult in f.poles.items():
+            for _ in range(mult):
+                out = out * Poly((-p, 1))
+        return out
+    return a.numer * denominator(b) == b.numer * denominator(a)
+
+
+def test_xirational_equality_matches_cross_multiplication():
+    """Comparing the canonical (numer, poles) form agrees with
+    cross-multiplying, on random pairs, equal values built along different
+    routes, and values rebuilt with an extra, cancelled linear factor."""
+    rng = random.Random("xirational-eq")
+    pool = [GR_I, -GR_I, GaussianRational(1, 1), GaussianRational(0, 2),
+            GaussianRational(rational("1/2"), -1), GaussianRational(-1, 0)]
+    small = (0, 1, -1, 2, rational("1/2"), rational("-3/2"))
+
+    def draw():
+        numer = Poly(tuple(GaussianRational(rng.choice(small), rng.choice(small))
+                           for _ in range(rng.randint(0, 3))))
+        return XiRational(numer, {p: rng.randint(0, 2) for p in rng.sample(pool, 3)})
+
+    def with_cancelled_factor(f):
+        p = rng.choice(pool)
+        poles = dict(f.poles)
+        poles[p] = poles.get(p, 0) + 1
+        return XiRational(f.numer * Poly((-p, 1)), poles)
+
+    equal = compared = 0
+    for _ in range(400):
+        a, b = draw(), draw()
+        pairs = [(a, b), (a, with_cancelled_factor(a)),
+                 (with_cancelled_factor(a), with_cancelled_factor(a)),
+                 ((a + b) - b, a), (a * b, b * a), (a, with_cancelled_factor(b))]
+        for x, y in pairs:
+            assert (x == y) == cross_multiplied_eq(x, y), (x, y)
+            equal += x == y
+            compared += 1
+    assert 0 < equal < compared  # both outcomes are exercised
+    # a pole given as a plain number is stored as the Gaussian rational
+    plain, gaussian = XiRational(POLY_ONE, {1: 1}), XiRational(POLY_ONE, {GaussianRational(1): 1})
+    assert plain == gaussian and cross_multiplied_eq(plain, gaussian)
+
+
 # -- the normal-derivative symbol -------------------------------------------------
 
 
@@ -180,9 +230,7 @@ def test_line_integral_rejects_slow_decay():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_boundary_pipeline_integrands_match_quadrature(m):
     """Every xi_n integral the boundary pipeline produces, against quad."""
-    n = 2 * m
-    tangential_half, normal_half = half_inverse_symbol_components(n)
-    for half in (tangential_half, normal_half):
+    for half in half_inverse_symbol_components():
         f = half * dxn_symbol(m)
         exact = eval_pi(line_integral(f))
         numeric = quad_oracle(f)
@@ -209,9 +257,10 @@ def test_boundary_density_tangential_inputs_vanish(rng):
 def test_boundary_pieces_tangential_term_is_zero(rng):
     n = 4
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
-    tangential, normal = boundary_pieces(u, v, w, n)
+    tangential, normal = boundary_pieces_reference(u, v, w, n)
     assert tangential.is_zero()
     assert not normal.is_zero()
+    assert boundary_density(u, v, w, n) == normal
 
 
 def test_boundary_symbol_structure(rng):
@@ -229,18 +278,20 @@ def test_boundary_symbol_structure(rng):
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
 def test_boundary_pieces_match_per_entry_route(n):
-    """One-blade factors and cached integrals against the full boundary
-    symbol, entry by entry: dense random, basis and zero one-forms."""
+    """The normal entry and its cached integral against the full boundary
+    symbol, entry by entry, whose tangential piece vanishes: dense random,
+    basis and zero one-forms."""
     m = n // 2
-    assert _boundary_integrals(m) == tuple(
-        line_integral(half * dxn_symbol(m))
-        for half in half_inverse_symbol_components(n))
+    _, normal_half = half_inverse_symbol_components()
+    assert _normal_integral(m) == line_integral(normal_half * dxn_symbol(m))
     rng = random.Random(f"boundary-{n}")
     inputs = [tuple(rand_oneform(rng, n) for _ in range(3)) for _ in range(3)]
     inputs.append((basis(n, n), basis(n, 1), basis(n, 1)))
     inputs.append((OneForm.zero(n),) * 3)
     for u, v, w in inputs:
-        assert boundary_pieces(u, v, w, n) == boundary_pieces_reference(u, v, w, n)
+        tangential, normal = boundary_pieces_reference(u, v, w, n)
+        assert tangential.is_zero()
+        assert boundary_density(u, v, w, n) == normal
 
 
 def test_boundary_density_n16_time_bound():
@@ -304,7 +355,7 @@ def test_boundary_density_numeric_crosscheck():
     from spectral_torsion.moments import vol_numeric
     env = {PI: math.pi, DIM_F: 1.0, vol_sphere(n - 2): vol_numeric(n - 2)}
     exact = value.evaluate(env)
-    _, normal_half = half_inverse_symbol_components(n)
+    _, normal_half = half_inverse_symbol_components()
     f = normal_half * dxn_symbol(m)
     comb = float(normal_trace_combination(u, v, w))
     numeric = quad_oracle(f) * comb * (2 ** m) * vol_numeric(n - 2)

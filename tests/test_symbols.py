@@ -18,6 +18,7 @@ from spectral_torsion import (
     DimensionMismatch,
     Grading,
     Multivector,
+    OddDimension,
     OneForm,
     ThreeForm,
     TorsionGrading,
@@ -179,8 +180,13 @@ def test_interior_density_n10_time_bound():
 
 def test_sigma_rejects_small_or_odd_dimension():
     z = OneForm.zero(4)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="symbol assembly needs n >= 4, got 2"):
         sigma_minus2m(z, z, z, Grading(), 2)
+    # perturbation_multivector's even-dimension rule answers odd n, before
+    # the small-n and one-form checks
+    for n in (3, 5):
+        with pytest.raises(OddDimension, match=f"dimension must be even, got {n}"):
+            sigma_minus2m(z, z, z, TorsionVector(ThreeForm(4), z), n)
 
 
 # -- densities: closed forms and the literal-matrix oracle ----------------------
