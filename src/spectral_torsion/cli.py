@@ -9,7 +9,9 @@ Subcommands:
 Exit codes: 0 success; 1 a final-theorem row failed in verify; 2 parse or
 validation error; 3 dimension/case inconsistency in a compute job.
 SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.  Every
-integer argument, and the seed, reads the ASCII grammar [+-]?[0-9]+.
+integer argument, and the seed, reads the ASCII grammar [+-]?[0-9]+.  No
+input integer, and no numerator or denominator of an input rational, may
+have more than MAX_INPUT_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ EXIT_INCONSISTENT = 3
 # about 12,000 digits and takes a tenth of a second
 MAX_MOMENT_DEGREE = 20000
 
+# the most digits one input integer may have, sign not counted: CPython's
+# default int-to-str limit, which interpreters before 3.10.7 do not enforce
+MAX_INPUT_DIGITS = 4300
+
 
 class ConfigError(Exception):
     """Malformed configuration (exit 2)."""
@@ -50,6 +56,15 @@ class ConsistencyError(Exception):
 
 
 _ASCII_INT_RE = re.compile(r"([+-]?)[0-9]+")
+_DIGIT_RUN_RE = re.compile(r"[0-9]+")
+
+
+def _check_digits(raw: str, what: str) -> None:
+    """A ConfigError when a run of digits in raw exceeds MAX_INPUT_DIGITS."""
+    longest = max(map(len, _DIGIT_RUN_RE.findall(raw)), default=0)
+    if longest > MAX_INPUT_DIGITS:
+        raise ConfigError(
+            f"{what}: an integer has {longest} digits, the cap is {MAX_INPUT_DIGITS}")
 
 
 def _ascii_int(raw: str, what: str, signed: bool = True) -> int:
@@ -59,10 +74,14 @@ def _ascii_int(raw: str, what: str, signed: bool = True) -> int:
     if not match or (match.group(1) and not signed):
         grammar = "[+-]?[0-9]+" if signed else "[0-9]+"
         raise ConfigError(f"{what} must be an integer ({grammar}), got {raw!r}")
-    try:
-        return int(raw)
-    except ValueError as exc:  # past the int-to-str digit limit
-        raise ConfigError(f"{what}: {exc}") from exc
+    _check_digits(raw, what)
+    return int(raw)
+
+
+def _json_int(raw: str) -> int:
+    """An integer literal of a JSON configuration, under the same digit cap."""
+    _check_digits(raw, "integer literal")
+    return int(raw)
 
 
 def _seed_from_env() -> int:
@@ -78,8 +97,10 @@ def _seed_from_env() -> int:
 def _parse_rational_field(value, where: str):
     if not isinstance(value, str):
         raise ConfigError(f"{where}: rationals must be strings, got {value!r}")
+    _check_digits(value, where)
     try:
-        return rational(value)
+        with _unlimited_int_str():  # run_compute is also called outside main
+            return rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ConfigError(f"{where}: bad rational {value!r} ({exc})") from exc
 
@@ -149,7 +170,7 @@ def default_numeric_env(n: int) -> dict:
 
 @contextlib.contextmanager
 def _unlimited_int_str():
-    """Lift CPython's int-to-str digit limit, which still guards every input."""
+    """Lift CPython's int-to-str digit limit; MAX_INPUT_DIGITS guards every input."""
     if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7: no limit
         yield
         return
@@ -229,12 +250,12 @@ def _cmd_compute(args) -> int:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        config = json.loads(raw)
+        config = json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}",
               file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+    except ConfigError as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -365,8 +386,7 @@ def _cmd_moments(args) -> int:
         print(f"error: total degree {sum(alpha)} exceeds {MAX_MOMENT_DEGREE}",
               file=sys.stderr)
         return EXIT_PARSE
-    with _unlimited_int_str():  # the exact moment may have any number of digits
-        print(str(SymScalar.from_atom(vol_sphere(n - 1), moment(n, alpha))))
+    print(str(SymScalar.from_atom(vol_sphere(n - 1), moment(n, alpha))))
     return EXIT_OK
 
 
@@ -412,7 +432,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the parse-error code
         return int(exc.code or 0)
-    return args.func(args)
+    # MAX_INPUT_DIGITS bounds every input, so exact results and the numbers
+    # that messages echo print in full whatever the interpreter's limit
+    with _unlimited_int_str():
+        return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,9 +39,10 @@ class OddDimension(ValueError):
 
 
 def _same_dim(a, b) -> None:
-    """The one same-dimension rule for two operands with a `dim`."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    """The one same-dimension rule: `a` has a `dim`, and `b` has one or is one."""
+    dim = b if isinstance(b, int) else b.dim
+    if a.dim != dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {dim}")
 
 
 def _check_even_dim(n: int) -> None:
@@ -94,9 +95,13 @@ def blade_indices(mask: int) -> tuple[int, ...]:
 
 
 class Multivector:
-    """Element of Cl(n): finite map from blade masks to GaussianRational coefficients."""
+    """Element of Cl(n): finite map from blade masks to GaussianRational coefficients.
 
-    __slots__ = ("dim", "coeffs")
+    A product from the integer kernel keeps the integer parts it was built
+    from, and builds its coefficients on their first read.
+    """
+
+    __slots__ = ("dim", "_coeffs", "_parts")
 
     def __init__(self, dim: int, coeffs=None):
         if not 1 <= dim <= MAX_DIM:
@@ -111,10 +116,29 @@ class Multivector:
                 if not c.is_zero():
                     clean[mask] = c
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
+
+    @property
+    def coeffs(self) -> dict[int, GaussianRational]:
+        """The nonzero coefficients by blade mask, each part reduced.
+
+        Built from the integer parts on first read and cached; two threads
+        that both build it build equal dicts, so either may stay.
+        """
+        coeffs = self._coeffs
+        if coeffs is None:
+            total = None
+            for den, acc in self._parts:
+                part = _raw(self.dim, {mask: _gr(_part(re, den), _part(im, den))
+                                       for mask, (re, im) in acc.items() if re or im})
+                total = part if total is None else total + part
+            coeffs = {} if total is None else total.coeffs
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     # -- constructors --------------------------------------------------
 
@@ -175,10 +199,19 @@ class Multivector:
     # -- structure queries ----------------------------------------------
 
     def scalar_part(self) -> GaussianRational:
-        return self.coeffs.get(0, GR_ZERO)
+        if self._coeffs is not None:
+            return self._coeffs.get(0, GR_ZERO)
+        total = GR_ZERO
+        for den, acc in self._parts:
+            re, im = acc.get(0, (0, 0))
+            if re or im:
+                total = total + _gr(_part(re, den), _part(im, den))
+        return total
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        if self._coeffs is None and len(self._parts) == 1:
+            return not any(re or im for re, im in self._parts[0][1].values())
+        return not self.coeffs  # several parts can cancel each other
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -235,10 +268,12 @@ class Multivector:
 _MV_TERM_RE = _re.compile(r"\((.*?)\)\*e\{([\d\s]*)\}")
 
 
-def _raw(dim: int, coeffs: dict[int, GaussianRational]) -> Multivector:
+def _raw(dim: int, coeffs: dict[int, GaussianRational] | None,
+         parts: list | None = None) -> Multivector:
     mv = Multivector.__new__(Multivector)
     object.__setattr__(mv, "dim", dim)
-    object.__setattr__(mv, "coeffs", coeffs)
+    object.__setattr__(mv, "_coeffs", coeffs)
+    object.__setattr__(mv, "_parts", parts)
     return mv
 
 
@@ -250,10 +285,16 @@ _RUN_DEN_BITS = 2048
 def _integer_runs(a: Multivector) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """a's terms as runs [(D, [(mask, D*re, D*im), ...]), ...].
 
-    D is the lcm of the run's coefficient denominators.  One run holds every
-    term unless that lcm grows past _RUN_DEN_BITS, as it does when the
-    coefficients carry many large coprime denominators.
+    A product's stored parts are its runs when every part's denominator fits
+    _RUN_DEN_BITS.  Otherwise D is the lcm of the run's coefficient
+    denominators.  One run holds every term unless that lcm grows past
+    _RUN_DEN_BITS, as it does when the coefficients carry many large coprime
+    denominators.
     """
+    if a._parts is not None and all(den.bit_length() <= _RUN_DEN_BITS
+                                    for den, _ in a._parts):
+        return [(den, [(mask, re, im) for mask, (re, im) in acc.items() if re or im])
+                for den, acc in a._parts]
     coeffs = a.coeffs.items()
     runs = [(lcm(*{d for _, c in coeffs for d in (c.re.denominator, c.im.denominator)}),
              coeffs)]
@@ -310,15 +351,12 @@ def _int_product(a_runs, b_runs) -> list[tuple[int, dict[int, list[int]]]]:
 def _from_int_parts(dim: int, parts) -> Multivector:
     """The sum of (den, {mask: (re, im)}) parts as a Multivector.
 
-    Each nonzero numerator becomes one reduced Rational; parts over
-    different denominators are added as multivectors.
+    The Multivector keeps the parts.  Its coefficients are built on first
+    read: each nonzero numerator becomes one reduced Rational, and parts over
+    different denominators are added.  The parts are handed over, so the
+    caller must not mutate them afterwards.
     """
-    total = None
-    for den, acc in parts:
-        part = _raw(dim, {mask: _gr(_part(re, den), _part(im, den))
-                          for mask, (re, im) in acc.items() if re or im})
-        total = part if total is None else total + part
-    return Multivector(dim) if total is None else total
+    return _raw(dim, None, list(parts))
 
 
 def mv_mul(a: Multivector, b: Multivector) -> Multivector:

@@ -144,8 +144,9 @@ class AntisymTensor:
         return cls(t.dim, 3, {k: GaussianRational(v) for k, v in t.components.items()})
 
     def __add__(self, other: "AntisymTensor") -> "AntisymTensor":
-        if self.dim != other.dim or self.grade != other.grade:
-            raise DimensionMismatch("mismatched antisymmetric tensors")
+        _same_dim(self, other)
+        if self.grade != other.grade:
+            raise DimensionMismatch(f"grade {self.grade} vs {other.grade}")
         out = dict(self.components)
         for k, v in other.components.items():
             s = out.get(k, GR_ZERO) + v
@@ -188,8 +189,7 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
     Each stored triple contributes its 3x3 minor det over the rows u, v, w.
     """
     for x in (u, v, w):
-        if x.dim != t.dim:
-            raise DimensionMismatch(f"dim {x.dim} vs {t.dim}")
+        _same_dim(x, t)
     total = rational(0)
     for (a, b, c), coeff in t.components.items():
         det = (u[a] * (v[b] * w[c] - v[c] * w[b])
@@ -268,6 +268,5 @@ def to_clifford(x) -> Multivector:
 def frame_product(u: OneForm, v: OneForm, w: OneForm, n: int) -> Multivector:
     """c(u) c(v) c(w), the frame factor, for one-forms of dimension n."""
     for x in (u, v, w):
-        if x.dim != n:
-            raise DimensionMismatch(f"one-form dim {x.dim} != {n}")
+        _same_dim(x, n)
     return mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_torsion.cli import MAX_MOMENT_DEGREE, ConfigError, ConsistencyError, \
-    _unlimited_int_str, main, render_output, run_compute
+from spectral_torsion.cli import MAX_INPUT_DIGITS, MAX_MOMENT_DEGREE, ConfigError, \
+    ConsistencyError, _unlimited_int_str, main, render_output, run_compute
 from spectral_torsion.torsion import UnsupportedDimension
 
 from test_golden import COMPUTE_CONFIGS
@@ -121,18 +121,20 @@ def test_compute_huge_exact_result(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "error: numeric_eval: the exact total does not fit a float" in err
-    # the digit limit still guards the inputs
+    # the digit cap still guards the inputs
     config["numeric_eval"] = False
-    config["u"][0] = "7" * (limit + 1)
+    config["u"][0] = "7" * (MAX_INPUT_DIGITS + 1)
     code, _, err = run(capsys, "compute", write_config(tmp_path, config))
     assert code == 2
-    assert "error: u[0]: bad rational" in err
+    assert err == f"error: u[0]: an integer has {MAX_INPUT_DIGITS + 1} digits, " \
+        f"the cap is {MAX_INPUT_DIGITS}\n"
     path = tmp_path / "long_index.json"
-    path.write_text('{"dimension": 4, "T": [[1, 2, ' + "3" * (limit + 1) + ', "1"]]}',
-                    encoding="utf-8")
+    path.write_text('{"dimension": 4, "T": [[1, 2, ' + "3" * (MAX_INPUT_DIGITS + 1)
+                    + ', "1"]]}', encoding="utf-8")
     code, _, err = run(capsys, "compute", str(path))
     assert code == 2
-    assert "Exceeds the limit" in err
+    assert err == f"error: {path}: integer literal: an integer has " \
+        f"{MAX_INPUT_DIGITS + 1} digits, the cap is {MAX_INPUT_DIGITS}\n"
 
 
 def test_compute_malformed_rational_exits_2(tmp_path, capsys):
@@ -298,13 +300,122 @@ def test_integer_arguments_accept_a_sign_where_it_makes_sense(capsys, monkeypatc
         code, out, err = run(capsys, "trace", "--dim", "4", token)
         assert (code, out) == (2, "")
         assert err == f"error: generator index must be an integer ([0-9]+), got {token[1:]!r}\n"
-    # past the int-to-str digit limit: exit 2 with a message, no traceback
+    # past the digit cap: exit 2 with a message, no traceback
     code, out, err = run(capsys, "moments", "--dim", "2", "--alpha", "1" * 5000 + ",0")
     assert (code, out) == (2, "")
-    assert err.startswith("error: --alpha exponent: Exceeds the limit")
+    assert err == f"error: --alpha exponent: an integer has 5000 digits, " \
+        f"the cap is {MAX_INPUT_DIGITS}\n"
     monkeypatch.setenv("SPECTRAL_TORSION_SEED", "-7")
     code, _, _ = run(capsys, "verify", "4")
     assert code == 1  # the seed is read; T4.11n4 is the known final-row mismatch at n=4
+
+
+def _cap_config(field: str, digits: str) -> dict:
+    """base_config with a `digits`-long numerator in one field."""
+    config = base_config()
+    if field == "u":
+        config["u"] = [digits, "0", "0", "0"]
+    else:
+        config["T"] = [[1, 2, 3, f"-{digits}/7"]]
+    return config
+
+
+@pytest.mark.parametrize("field", ["u", "T"])
+def test_input_digit_cap_on_components(tmp_path, capsys, field):
+    """MAX_INPUT_DIGITS digits are read whatever the interpreter's int-to-str
+    limit; one more exits 2 with the library's message."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit CPython allows
+    try:
+        code, out, err = run(capsys, "compute", write_config(
+            tmp_path, _cap_config(field, "3" * MAX_INPUT_DIGITS)))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert json.loads(out)["matches"] is True
+    where = "u[0]" if field == "u" else "T(1, 2, 3)"
+    code, out, err = run(capsys, "compute", write_config(
+        tmp_path, _cap_config(field, "3" * (MAX_INPUT_DIGITS + 1))))
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}: an integer has {MAX_INPUT_DIGITS + 1} digits, " \
+        f"the cap is {MAX_INPUT_DIGITS}\n"
+
+
+def test_input_digit_cap_on_the_seed(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRAL_TORSION_SEED", "-" + "9" * MAX_INPUT_DIGITS)
+    code, out, err = run(capsys, "verify", "4")
+    assert code == 1 and "T4.11n4" in out  # the known final-row mismatch at n=4
+    monkeypatch.setenv("SPECTRAL_TORSION_SEED", "-" + "9" * (MAX_INPUT_DIGITS + 1))
+    code, out, err = run(capsys, "verify", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: SPECTRAL_TORSION_SEED: an integer has {MAX_INPUT_DIGITS + 1} " \
+        f"digits, the cap is {MAX_INPUT_DIGITS}\n"
+
+
+def test_long_dimensions_are_echoed_whatever_the_int_limit(capsys):
+    dim = "2" * 700
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, message in (
+                (("trace", "--dim", dim), f"--dim: dimension must be in [2, 16], got {dim}"),
+                (("verify", dim), f"dimension must be even with 4 <= n <= 16, got {dim}"),
+                (("moments", "--dim", dim, "--alpha", "2"),
+                 f"need {dim} non-negative exponents, got '2'")):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv[0]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_capped_exponents_summing_past_the_int_limit_exit_2(capsys):
+    big = "9" * MAX_INPUT_DIGITS
+    code, out, err = run(capsys, "moments", "--dim", "2", "--alpha", f"{big},{big}")
+    assert (code, out) == (2, "")
+    with _unlimited_int_str():
+        assert err == f"error: total degree {2 * int(big)} exceeds {MAX_MOMENT_DEGREE}\n"
+
+
+# every dimension error a user can reach through compute, trace, moments and
+# verify, with its exit code and exact message
+_COMPUTE_DIMENSION_ERRORS = [
+    ({"dimension": 5}, 3, "error: dimension must be even with 4 <= n <= 16, got 5\n"),
+    ({"dimension": 2}, 3, "error: dimension must be even with 4 <= n <= 16, got 2\n"),
+    ({"dimension": 18}, 3, "error: dimension must be even with 4 <= n <= 16, got 18\n"),
+    ({"dimension": "4"}, 2, "error: dimension must be an integer, got '4'\n"),
+    ({"u": ["1", "0", "0"]}, 3, "error: u has 3 components, dimension is 4\n"),
+    ({"Y": ["0"] * 5}, 3, "error: Y has 5 components, dimension is 4\n"),
+    ({"case": "vector_grading", "X": ["1"]}, 3,
+     "error: X has 1 components, dimension is 4\n"),
+    ({"T": [[1, 2, 5, "1"]]}, 3,
+     "error: T: triple (1, 2, 5) not strictly increasing within 1..4\n"),
+    ({"case": "torsion_grading", "T": [[0, 1, 2, "1"]]}, 3,
+     "error: T: triple (0, 1, 2) not strictly increasing within 1..4\n"),
+]
+_COMMAND_DIMENSION_ERRORS = [
+    (("trace", "--dim", "5"), "error: --dim: dimension must be even, got 5\n"),
+    (("trace", "--dim", "18"), "error: --dim: dimension must be in [2, 16], got 18\n"),
+    (("trace", "--dim", "0"), "error: --dim: dimension must be in [2, 16], got 0\n"),
+    (("trace", "--dim", "4", "e5"), "error: generator 'e5' outside 1..4\n"),
+    (("trace", "--dim", "4", "e0"), "error: generator 'e0' outside 1..4\n"),
+    (("moments", "--dim", "1", "--alpha", "2"), "error: --dim must be >= 2, got 1\n"),
+    (("moments", "--dim", "3", "--alpha", "2,0"),
+     "error: need 3 non-negative exponents, got '2,0'\n"),
+    (("verify", "5"), "error: dimension must be even with 4 <= n <= 16, got 5\n"),
+    (("verify", "4", "18"), "error: dimension must be even with 4 <= n <= 16, got 18\n"),
+]
+
+
+@pytest.mark.parametrize("change, code, message", _COMPUTE_DIMENSION_ERRORS)
+def test_compute_dimension_error_messages(tmp_path, capsys, change, code, message):
+    config = {**base_config(), **change}
+    assert run(capsys, "compute", write_config(tmp_path, config)) == (code, "", message)
+
+
+@pytest.mark.parametrize("argv, message", _COMMAND_DIMENSION_ERRORS)
+def test_command_dimension_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
 
 
 def test_trace_word(capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +27,8 @@ from spectral_torsion import (
     to_clifford,
     trace,
 )
-from spectral_torsion.clifford import blade_product
+from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _integer_runs, \
+    blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
 from conftest import coprime_draw, mv_mul_reference, rand_multivector, rand_oneform, \
@@ -380,6 +383,112 @@ def test_scalar_product_matches_mv_mul(kind, n):
     assert scalar_product(a, Multivector.zero(n)) == GaussianRational(0)
     with pytest.raises(DimensionMismatch):
         scalar_product(a, Multivector.identity(2))
+
+
+# each read, done first on a product whose coefficients are not built yet
+_READS = {
+    "scalar_part": lambda mv: mv.scalar_part(),
+    "is_zero": lambda mv: mv.is_zero(),
+    "str": str,
+    "hash": hash,
+    "coeffs": lambda mv: mv.coeffs,
+    "eq": lambda mv: mv,
+}
+
+
+def _operands(kind, n):
+    rng = random.Random(f"deferred-{kind}-{n}")
+    if kind == "sparse":
+        return rand_multivector(rng, n, 8), rand_multivector(rng, n, 8)
+    draw = _coefficient_draw(rng, "small" if kind == "dense" else kind)
+    return tuple(Multivector(n, {mask: draw() for mask in range(1 << n)})
+                 for _ in range(2))
+
+
+# a dense coprime product at n=6 takes seconds; n=4 covers that kind
+@pytest.mark.parametrize("kind, n", [("dense", 4), ("dense", 6), ("sparse", 4),
+                                     ("sparse", 6), ("imaginary", 4), ("imaginary", 6),
+                                     ("coprime", 4)])
+def test_deferred_product_reads_like_the_reference(kind, n):
+    a, b = _operands(kind, n)
+    reference = mv_mul_reference(a, b)
+    for name, read in _READS.items():
+        product = mv_mul(a, b)
+        assert product._coeffs is None, name
+        assert read(product) == read(reference), name
+    # a product of a product reads its operand's parts unbuilt, unless a
+    # part's denominator is past _RUN_DEN_BITS, as the coprime ones are
+    product = mv_mul(a, b)
+    assert mv_mul(product, a) == mv_mul_reference(reference, a)
+    assert (product._coeffs is None) == (kind != "coprime")
+
+
+def test_concurrent_first_reads_build_equal_coefficients():
+    """Threads that read a product's coefficients at once all see the
+    reference; whichever build is cached, later reads agree."""
+    a, b = _operands("dense", 4)
+    reference = mv_mul_reference(a, b)
+    products = [mv_mul(a, b) for _ in range(200)]
+    seen, errors = [], []
+
+    def read():
+        try:
+            seen.extend(str(p) == str(reference) and p.coeffs == reference.coeffs
+                        for p in products)
+        except Exception as exc:  # reported through `errors`
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(seen) == 4 * len(products) and all(seen)
+    assert all(p == reference for p in products)
+
+
+def test_deferred_parts_that_cancel_to_zero():
+    # 1/3 - 2/6 on e1 and (1 + 2i)/3 - (2 + 4i)/6 on the scalar blade
+    zero = _from_int_parts(4, [(3, {1: (1, 0), 0: (1, 2)}), (6, {1: (-2, 0), 0: (-2, -4)})])
+    assert zero.scalar_part() == GaussianRational(0)
+    assert zero._coeffs is None
+    assert zero.is_zero()
+    for name, read in _READS.items():
+        rebuilt = _from_int_parts(4, [(3, {1: (1, 0)}), (6, {1: (-2, 0)})])
+        assert read(rebuilt) == read(Multivector.zero(4)), name
+    # a single part is zero exactly when its numerators are
+    assert _from_int_parts(4, [(5, {1: (0, 0)})]).is_zero()
+    assert not _from_int_parts(4, [(5, {1: (0, 1)})]).is_zero()
+    assert _from_int_parts(4, []).is_zero()
+
+
+def test_part_past_run_bits_takes_the_split_run_path():
+    """A stored denominator past _RUN_DEN_BITS is not used as a run: the
+    runs come from the built coefficients, split where their lcm is long."""
+    draw = coprime_draw(random.Random("long-part"), digits=200)
+    values = [draw() for _ in range(8)]  # about 660 bits per denominator
+    den = math.prod(v.denominator for v in values)
+    assert den.bit_length() > _RUN_DEN_BITS
+    masks = (1, 2, 4, 8, 3, 5, 6, 9)
+    mv = _from_int_parts(4, [(den, {mask: (v.numerator * (den // v.denominator), 0)
+                                    for mask, v in zip(masks, values)})])
+    runs = _integer_runs(mv)
+    assert len(runs) > 1
+    assert all(run_den.bit_length() <= _RUN_DEN_BITS for run_den, _ in runs)
+    reference = Multivector(4, {mask: GaussianRational(v) for mask, v in zip(masks, values)})
+    assert mv == reference
+    other = Multivector(4, {mask: GaussianRational(_small(random.Random(mask)))
+                            for mask in range(16)})
+    assert mv_mul(mv, other) == mv_mul_reference(reference, other)
+    # a long stored denominator whose coefficients reduce is read as one short run
+    short = _from_int_parts(4, [(den, {3: (den // 2, den)})])
+    assert _integer_runs(short) == [(2, [(3, 1, 2)])]
 
 
 def test_coefficients_are_gaussian_rationals(rng):

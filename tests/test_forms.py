@@ -6,12 +6,14 @@ import pytest
 
 from spectral_torsion import (
     AntisymTensor,
+    DimensionMismatch,
     GradeOverflow,
     Multivector,
     NotTopGrade,
     OneForm,
     ThreeForm,
     eval_threeform,
+    frame_product,
     metric_pair,
     mv_mul,
     rational,
@@ -136,3 +138,22 @@ def test_threeform_validation():
         ThreeForm(4, {(2, 1, 3): 1})
     with pytest.raises(ValueError):
         ThreeForm(4, {(1, 2, 5): 1})
+
+
+def test_dimension_errors_share_one_message():
+    """Every same-dimension check of the forms reads "dim a vs b"."""
+    u4, u6 = basis(4, 1), basis(6, 1)
+    t4 = ThreeForm(4, {(1, 2, 3): 1})
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        eval_threeform(t4, basis(4, 2), u6, basis(4, 3))
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        frame_product(u4, u6, u4, 4)
+    with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
+        frame_product(u4, u4, u4, 6)
+    with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
+        one(u4) + one(u6)
+    # same dimension, different grades: the grade comparison stays
+    with pytest.raises(DimensionMismatch, match=r"^grade 1 vs 3$"):
+        one(u4) + AntisymTensor.from_three_form(t4)
+    with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
+        metric_pair(u4, u6)

@@ -36,7 +36,7 @@ from spectral_torsion import (
     ManifoldSpec,
 )
 from spectral_torsion.clifford import _integer_runs
-from spectral_torsion.moments import xi_monomial
+from spectral_torsion.moments import integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, Rational
 
 from conftest import coprime_draw, density_via_matrix_rep, rand_oneform, rand_threeform, \
@@ -274,3 +274,19 @@ def test_grading_torsion_n8_zero(rng):
     n = 8
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     assert interior_density(u, v, w, TorsionGrading(rand_threeform(rng, n)), n).is_zero()
+
+
+@pytest.mark.parametrize("case_name", ["torsion_vector", "torsion_grading"])
+def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
+    """The sphere integral reads the symbol's integer parts; the n(n-1)
+    off-diagonal xi_i xi_l coefficients, whose moment is 0, are never built."""
+    n = 8
+    rng = random.Random(f"unbuilt-{case_name}")
+    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    t = rand_threeform(rng, n)
+    case = TorsionVector(t, y) if case_name == "torsion_vector" else TorsionGrading(t)
+    sigma = sigma_minus2m(u, v, w, case, n)
+    integrate_sphere(n, sigma)
+    off_diagonal = [mv for expo, mv in sigma.terms.items() if sorted(expo)[-2:] == [1, 1]]
+    assert len(off_diagonal) > n
+    assert all(mv._coeffs is None for mv in off_diagonal)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from spectral_torsion import ManifoldSpec, Multivector, SymScalar, grading, mv_mul, \
-    to_clifford, verify_suite
+    to_clifford, trace, verify_suite
 from spectral_torsion import verify
 from spectral_torsion.scalars import GaussianRational, rational
 from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
@@ -53,6 +53,42 @@ def test_verify_suite_n8_time_bound():
     elapsed = time.monotonic() - start
     assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
     assert elapsed < 3.5, f"verify_suite at n=8 took {elapsed:.1f}s"
+
+
+def test_verify_suite_n12_time_bound():
+    """The whole n=12 catalog, canonical inputs plus 5 trials per row."""
+    start = time.monotonic()
+    rows = verify_suite(ManifoldSpec(12))
+    elapsed = time.monotonic() - start
+    assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
+    assert elapsed < 5.0, f"verify_suite at n=12 took {elapsed:.1f}s"
+
+
+# the rows that read tr(ab) as 2^m <ab>_0 through scalar_product
+TRACE_PRODUCT_ROWS = {"L4.3a", "L4.3b", "E4.34", "E4.36", "E4.37", "E4.39", "E4.41",
+                      "E4.42", "E4.49", "E4.57"}
+
+
+def _scalar_part_of_product(a, b):
+    """<ab>_0 by the product route: trace(a b) = 2^m <ab>_0."""
+    return trace(mv_mul(a, b)) / rational(2 ** (a.dim // 2))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_trace_rows_match_the_product_route(n, monkeypatch):
+    """Each row that reads a trace through scalar_product gives the same
+    values and flag as through trace(mv_mul(...)), on the basis inputs and
+    on random ones."""
+    assert TRACE_PRODUCT_ROWS <= {ident.id for ident in CATALOG}
+    rows = [ident for ident in CATALOG if ident.id in TRACE_PRODUCT_ROWS and ident.applies(n)]
+
+    def outcomes():
+        return [ident.run(n, rng) for ident in rows
+                for rng in (None, *(random.Random(f"{ident.id}-{k}") for k in range(4)))]
+
+    by_scalar_product = outcomes()
+    monkeypatch.setattr(verify, "scalar_product", _scalar_part_of_product)
+    assert outcomes() == by_scalar_product
 
 
 # the rows whose trials draw no random input: the half-line residue calculus
