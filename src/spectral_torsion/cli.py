@@ -7,7 +7,9 @@ Subcommands:
   moments --dim n --alpha ...  exact sphere moment of a monomial
 
 Exit codes: 0 success; 1 a final-theorem row failed in verify; 2 parse or
-validation error; 3 dimension/case inconsistency in a compute job.
+validation error; 3 dimension/case inconsistency in a compute job.  The
+commands raise ConfigError (2) or ConsistencyError (3); main alone prints the
+one line `error: <message>` on stderr and returns the code.
 SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.  Every
 integer argument, and the seed, reads the ASCII grammar [+-]?[0-9]+.  No
 input integer, and no numerator or denominator of an input rational, may
@@ -99,8 +101,7 @@ def _parse_rational_field(value, where: str):
         raise ConfigError(f"{where}: rationals must be strings, got {value!r}")
     _check_digits(value, where)
     try:
-        with _unlimited_int_str():  # run_compute is also called outside main
-            return rational(value)
+        return rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ConfigError(f"{where}: bad rational {value!r} ({exc})") from exc
 
@@ -183,10 +184,10 @@ def _unlimited_int_str():
 
 
 def _scalar_block(s: SymScalar) -> dict:
-    with _unlimited_int_str():  # an exact result may have any number of digits
-        return {"canonical": str(s), "terms": s.to_terms()}
+    return {"canonical": str(s), "terms": s.to_terms()}
 
 
+@_unlimited_int_str()  # an exact result may have any number of digits
 def run_compute(config: dict, seed: int) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -246,26 +247,15 @@ def _cmd_compute(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as handle:
             raw = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     try:
         config = json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
-        print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        payload = run_compute(config, seed=_seed_from_env())
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConsistencyError, UnsupportedDimension) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        raise ConfigError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ConfigError, RecursionError) as exc:  # a digit cap; nesting too deep
+        raise ConfigError(f"{args.config}: {exc}") from exc
+    payload = run_compute(config, seed=_seed_from_env())
     sys.stdout.write(render_output(payload))
     return EXIT_OK
 
@@ -303,14 +293,13 @@ def run_verify(dims: list[int], seed: int) -> dict:
 
 def _cmd_verify(args) -> int:
     dims = []
-    try:
-        for raw in args.dims:
-            dims.append(_ascii_int(raw, "dimension"))
+    for raw in args.dims:
+        dims.append(_ascii_int(raw, "dimension"))
+        try:
             ManifoldSpec(dims[-1])
-        payload = run_verify(dims, seed=_seed_from_env())
-    except (ConfigError, UnsupportedDimension) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        except UnsupportedDimension as exc:  # a bad argument, not a bad job
+            raise ConfigError(str(exc)) from exc
+    payload = run_verify(dims, seed=_seed_from_env())
     if args.json:
         sys.stdout.write(render_output(payload))
     else:
@@ -334,33 +323,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    n = _ascii_int(args.dim, "--dim")
     try:
-        n = _ascii_int(args.dim, "--dim")
         _check_even_dim(n)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (OddDimension, DimensionMismatch) as exc:
-        print(f"error: --dim: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError(f"--dim: {exc}") from exc
     word = Multivector.identity(n)
     for token in args.word:
         if token == "gamma":
             factor = grading(n)
         elif token.startswith("e"):
-            try:
-                index = _ascii_int(token[1:], "generator index", signed=False)
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
+            index = _ascii_int(token[1:], "generator index", signed=False)
             if not 1 <= index <= n:
-                print(f"error: generator {token!r} outside 1..{n}", file=sys.stderr)
-                return EXIT_PARSE
+                raise ConfigError(f"generator {token!r} outside 1..{n}")
             factor = Multivector.generator(n, index)
         else:
-            print(f"error: bad token {token!r} (expected e<k> or gamma)",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise ConfigError(f"bad token {token!r} (expected e<k> or gamma)")
         word = mv_mul(word, factor)
     print(f"word = {word}")
     print(f"trace = {sym(trace(word))}")
@@ -369,23 +347,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    try:
-        n = _ascii_int(args.dim, "--dim")
-        alpha = tuple(_ascii_int(p, "--alpha exponent") for p in args.alpha.split(","))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    n = _ascii_int(args.dim, "--dim")
+    alpha = tuple(_ascii_int(p, "--alpha exponent") for p in args.alpha.split(","))
     if n < 2:
-        print(f"error: --dim must be >= 2, got {n}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError(f"--dim must be >= 2, got {n}")
     if len(alpha) != n or any(a < 0 for a in alpha):
-        print(f"error: need {n} non-negative exponents, got {args.alpha!r}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError(f"need {n} non-negative exponents, got {args.alpha!r}")
     if sum(alpha) > MAX_MOMENT_DEGREE:
-        print(f"error: total degree {sum(alpha)} exceeds {MAX_MOMENT_DEGREE}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError(f"total degree {sum(alpha)} exceeds {MAX_MOMENT_DEGREE}")
     print(str(SymScalar.from_atom(vol_sphere(n - 1), moment(n, alpha))))
     return EXIT_OK
 
@@ -434,8 +403,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # MAX_INPUT_DIGITS bounds every input, so exact results and the numbers
     # that messages echo print in full whatever the interpreter's limit
-    with _unlimited_int_str():
-        return args.func(args)
+    try:
+        with _unlimited_int_str():
+            return args.func(args)
+    except (ConfigError, ConsistencyError, UnsupportedDimension) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, ConfigError) else EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,6 +24,7 @@ from .clifford import (
     _int_product,
     _integer_runs,
     _relabel,
+    _same_dim,
     grading,
     mv_mul,
     trace,
@@ -73,9 +74,8 @@ CASE_NAMES = {
 def _check_case_dims(case: PerturbationCase, n: int) -> None:
     for field in ("T", "Y", "X"):
         tensor = getattr(case, field, None)
-        if tensor is not None and tensor.dim != n:
-            raise DimensionMismatch(
-                f"{field} has dim {tensor.dim}, ambient dim is {n}")
+        if tensor is not None:
+            _same_dim(tensor, n)
 
 
 def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:

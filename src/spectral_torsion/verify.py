@@ -75,6 +75,14 @@ def rand_oneform(rng: random.Random, n: int) -> OneForm:
     return OneForm(tuple(rand_rational(rng) for _ in range(n)))
 
 
+def _oneforms(n: int, rng: random.Random | None, *canonical: int) -> tuple[OneForm, ...]:
+    """The basis one-forms e_i for the listed i when rng is None; otherwise as
+    many random one-forms, drawn in order."""
+    if rng is None:
+        return tuple(OneForm.basis(n, i) for i in canonical)
+    return tuple(rand_oneform(rng, n) for _ in canonical)
+
+
 def rand_threeform(rng: random.Random, n: int, sparsity: float = 0.5) -> ThreeForm:
     comps = {}
     for a in range(1, n - 1):
@@ -134,11 +142,7 @@ def _exact(computed, reference, atoms: tuple = ()):
 
 
 def _run_l43a(n, rng):
-    if rng is None:
-        u = v = OneForm.basis(n, 1)
-        w = y = OneForm.basis(n, 2)
-    else:
-        u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    u, v, w, y = _oneforms(n, rng, 1, 1, 2, 2)
     computed = scalar_product(frame_product(u, v, w, n), to_clifford(y)) * _tr_id(n)
     comb = (metric_pair(v, w) * metric_pair(u, y)
             - metric_pair(u, w) * metric_pair(v, y)
@@ -146,13 +150,13 @@ def _run_l43a(n, rng):
     return _exact(computed, comb * _tr_id(n))
 
 
+def _torsion_inputs(n, rng):
+    u, v, w = _oneforms(n, rng, 1, 2, 3)
+    return u, v, w, ThreeForm(n, {(1, 2, 3): 1}) if rng is None else rand_threeform(rng, n)
+
+
 def _run_l43b(n, rng):
-    if rng is None:
-        u, v, w = OneForm.basis(n, 1), OneForm.basis(n, 2), OneForm.basis(n, 3)
-        t = ThreeForm(n, {(1, 2, 3): 1})
-    else:
-        u, v, w = (rand_oneform(rng, n) for _ in range(3))
-        t = rand_threeform(rng, n)
+    u, v, w, t = _torsion_inputs(n, rng)
     computed = scalar_product(frame_product(u, v, w, n), to_clifford(t)) * _tr_id(n)
     return _exact(computed, eval_threeform(t, u, v, w) * _tr_id(n))
 
@@ -168,11 +172,7 @@ def _run_e417(n, rng):
 
 
 def _run_e418(n, rng):
-    if rng is None:
-        u = v = OneForm.basis(n, 1)
-        w = y = OneForm.basis(n, 2)
-    else:
-        u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    u, v, w, y = _oneforms(n, rng, 1, 1, 2, 2)
     cuvw, cy = frame_product(u, v, w, n), to_clifford(y)
     computed = (_sphere_trace_integral(n, cuvw, cy, generator_first=False)
                 + _sphere_trace_integral(n, cuvw, cy, generator_first=True))
@@ -181,14 +181,6 @@ def _run_e418(n, rng):
             + metric_pair(u, v) * metric_pair(w, y))
     reference = -comb * _tr_id(n) / rational(n // 2)
     return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _torsion_inputs(n, rng):
-    if rng is None:
-        return (OneForm.basis(n, 1), OneForm.basis(n, 2), OneForm.basis(n, 3),
-                ThreeForm(n, {(1, 2, 3): 1}))
-    return (rand_oneform(rng, n), rand_oneform(rng, n), rand_oneform(rng, n),
-            rand_threeform(rng, n))
 
 
 def _run_e419(n, rng):
@@ -221,10 +213,7 @@ def _run_l49(n, rng):
 
 
 def _run_e431(n, rng):
-    if rng is None:
-        u, v, w = OneForm.basis(n, 1), OneForm.basis(n, 2), OneForm.basis(n, 3)
-    else:
-        u, v, w = (rand_oneform(rng, n) for _ in range(3))
+    u, v, w = _oneforms(n, rng, 1, 2, 3)
     sigma = sigma_minus2m(u, v, w, Grading(), n)
     computed_mv = sigma.terms.get(xi_monomial(n), Multivector.zero(n))
     reference_mv = -mv_mul(frame_product(u, v, w, n), grading(n))
@@ -236,9 +225,7 @@ def _run_e431(n, rng):
 
 
 def _vector_inputs(n, rng):
-    if rng is None:
-        return tuple(OneForm.basis(n, i) for i in (1, 2, 3, n))
-    return tuple(rand_oneform(rng, n) for _ in range(4))
+    return _oneforms(n, rng, 1, 2, 3, n)
 
 
 def _run_e434(n, rng):
@@ -268,14 +255,12 @@ def _run_e437(n, rng):
 
 
 def _grading_torsion_inputs(n, rng):
-    if rng is None:
-        if n == 4:
-            return (OneForm.basis(n, 1), OneForm.basis(n, 1), OneForm.basis(n, 4),
-                    ThreeForm(n, {(1, 2, 3): 1}))
-        return (OneForm.basis(n, 1), OneForm.basis(n, 2), OneForm.basis(n, 3),
-                ThreeForm(n, {(4, 5, 6): 1}) if n >= 6 else ThreeForm.zero(n))
-    return (rand_oneform(rng, n), rand_oneform(rng, n), rand_oneform(rng, n),
-            rand_threeform(rng, n))
+    if rng is not None:
+        return _torsion_inputs(n, rng)
+    if n == 4:
+        return (*_oneforms(n, rng, 1, 1, 4), ThreeForm(n, {(1, 2, 3): 1}))
+    return (*_oneforms(n, rng, 1, 2, 3),
+            ThreeForm(n, {(4, 5, 6): 1}) if n >= 6 else ThreeForm.zero(n))
 
 
 def _run_e439(n, rng):
@@ -337,11 +322,12 @@ def _run_e456(n, rng):
     return _probe(computed), _probe(reference), computed == reference
 
 
+def _boundary_inputs(n, rng):
+    return _oneforms(n, rng, n, 1, 1)
+
+
 def _run_e457(n, rng):
-    if rng is None:
-        u, v, w = OneForm.basis(n, n), OneForm.basis(n, 1), OneForm.basis(n, 1)
-    else:
-        u, v, w = (rand_oneform(rng, n) for _ in range(3))
+    u, v, w = _boundary_inputs(n, rng)
     computed = scalar_product(frame_product(u, v, w, n),
                               Multivector.generator(n, n)) * _tr_id(n)
     reference = normal_trace_combination(u, v, w) * _tr_id(n)
@@ -383,12 +369,6 @@ def _run_e462(n, rng):
     return _exact(computed, reference)
 
 
-def _boundary_inputs(n, rng):
-    if rng is None:
-        return OneForm.basis(n, n), OneForm.basis(n, 1), OneForm.basis(n, 1)
-    return tuple(rand_oneform(rng, n) for _ in range(3))
-
-
 def _run_e463(n, rng):
     u, v, w = _boundary_inputs(n, rng)
     computed = boundary_density(u, v, w, n)
@@ -406,21 +386,14 @@ def _run_t45(n, rng):
 
 
 def _run_r47(n, rng):
-    if rng is None:
-        u, v, w = OneForm.basis(n, 1), OneForm.basis(n, 2), OneForm.basis(n, 3)
-        y = OneForm.basis(n, 1)
-    else:
-        u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    u, v, w, y = _oneforms(n, rng, 1, 2, 3, 1)
     case = TorsionVector(ThreeForm.zero(n), y)
     computed = interior_density(u, v, w, case, n)
     return _simple(computed, SymScalar.zero())
 
 
 def _run_t48g(n, rng):
-    if rng is None:
-        u, v, w = OneForm.basis(n, 1), OneForm.basis(n, 2), OneForm.basis(n, 3)
-    else:
-        u, v, w = (rand_oneform(rng, n) for _ in range(3))
+    u, v, w = _oneforms(n, rng, 1, 2, 3)
     computed = interior_density(u, v, w, Grading(), n)
     return _simple(computed, SymScalar.zero())
 

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectral_torsion.cli import MAX_INPUT_DIGITS, MAX_MOMENT_DEGREE, ConfigError, \
     ConsistencyError, _unlimited_int_str, main, render_output, run_compute
@@ -418,6 +418,120 @@ def test_command_dimension_error_messages(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
 
+def _config(drop=(), **change) -> dict:
+    """base_config with fields changed and dropped."""
+    config = {**base_config(), **change}
+    for key in drop:
+        del config[key]
+    return config
+
+
+_COMPUTE = ("compute", "{path}")
+_BIG = "7" * 400  # its fourth power is past a float's range
+_CASES = "['grading', 'torsion_grading', 'torsion_vector', 'vector_grading']"
+_GRAMMAR = "must be an integer ([+-]?[0-9]+)"
+
+# every other error message of the four commands: the argv, the config file
+# ({path} in argv; a dict is written as JSON, a str as it is, None writes no
+# file; {dir} is its directory), the exit code and the exact stderr
+_PINNED_ERRORS = [
+    pytest.param(("trace", "--dim", "4", "f2"), None, 2,
+                 "error: bad token 'f2' (expected e<k> or gamma)\n", id="trace-token"),
+    pytest.param(("trace", "--dim", "4", "e١"), None, 2,
+                 "error: generator index must be an integer ([0-9]+), got '١'\n",
+                 id="trace-unicode-index"),
+    pytest.param(("trace", "--dim", "4", "e-1"), None, 2,
+                 "error: generator index must be an integer ([0-9]+), got '-1'\n",
+                 id="trace-signed-index"),
+    pytest.param(("trace", "--dim", "x"), None, 2,
+                 f"error: --dim {_GRAMMAR}, got 'x'\n", id="trace-dim"),
+    pytest.param(("moments", "--dim", "2", "--alpha", "2,x"), None, 2,
+                 f"error: --alpha exponent {_GRAMMAR}, got 'x'\n", id="moments-alpha"),
+    pytest.param(("moments", "--dim", "x", "--alpha", "2"), None, 2,
+                 f"error: --dim {_GRAMMAR}, got 'x'\n", id="moments-dim"),
+    pytest.param(("moments", "--dim", "2", "--alpha", "2,-1"), None, 2,
+                 "error: need 2 non-negative exponents, got '2,-1'\n",
+                 id="moments-negative"),
+    pytest.param(("moments", "--dim", "2", "--alpha", f"{MAX_MOMENT_DEGREE + 1},0"), None, 2,
+                 f"error: total degree {MAX_MOMENT_DEGREE + 1} exceeds {MAX_MOMENT_DEGREE}\n",
+                 id="moments-degree"),
+    pytest.param(("compute", "{dir}/missing.json"), None, 2,
+                 "error: cannot read {dir}/missing.json: [Errno 2] No such file or "
+                 "directory: '{dir}/missing.json'\n", id="compute-missing-file"),
+    pytest.param(("compute", "{dir}"), None, 2,
+                 "error: cannot read {dir}: [Errno 21] Is a directory: '{dir}'\n",
+                 id="compute-directory"),
+    pytest.param(_COMPUTE, '{\n  "dimension": 4,\n  oops\n}', 2,
+                 "error: {path}:3:3: Expecting property name enclosed in double quotes\n",
+                 id="compute-json-syntax"),
+    pytest.param(_COMPUTE, "[" + "1" * (MAX_INPUT_DIGITS + 1) + "]", 2,
+                 f"error: {{path}}: integer literal: an integer has {MAX_INPUT_DIGITS + 1} "
+                 f"digits, the cap is {MAX_INPUT_DIGITS}\n", id="compute-literal-cap"),
+    pytest.param(_COMPUTE, _config(T=[[1, 2, 3, "1/" + "3" * (MAX_INPUT_DIGITS + 1)]]), 2,
+                 f"error: T(1, 2, 3): an integer has {MAX_INPUT_DIGITS + 1} digits, "
+                 f"the cap is {MAX_INPUT_DIGITS}\n", id="compute-rational-cap"),
+    pytest.param(_COMPUTE, _config(u=["0.5", "0", "0", "0"]), 2,
+                 "error: u[0]: bad rational '0.5' (not a rational: '0.5')\n",
+                 id="compute-bad-rational"),
+    pytest.param(_COMPUTE, _config(u=[1, "0", "0", "0"]), 2,
+                 "error: u[0]: rationals must be strings, got 1\n", id="compute-not-string"),
+    pytest.param(_COMPUTE, _config(T=[[1, 2, 3, 1]]), 2,
+                 "error: T(1, 2, 3): rationals must be strings, got 1\n",
+                 id="compute-threeform-not-string"),
+    pytest.param(_COMPUTE, _config(u="1"), 2,
+                 "error: u: expected an array of rational strings\n", id="compute-oneform-shape"),
+    pytest.param(_COMPUTE, _config(T="1"), 2,
+                 "error: T: expected an array of [a, b, c, rational] records\n",
+                 id="compute-threeform-shape"),
+    pytest.param(_COMPUTE, _config(T=[[1, 2, 3]]), 2,
+                 "error: T: bad record [1, 2, 3]\n", id="compute-record"),
+    pytest.param(_COMPUTE, _config(T=[[True, 2, 3, "1"]]), 2,
+                 "error: T: indices must be integers in [True, 2, 3, '1']\n",
+                 id="compute-index"),
+    pytest.param(_COMPUTE, _config(drop=("w",)), 2,
+                 "error: missing required field 'w'\n", id="compute-missing-field"),
+    pytest.param(_COMPUTE, _config(case="vector_grading"), 3,
+                 "error: case requires field 'X'\n", id="compute-case-field-X"),
+    pytest.param(_COMPUTE, _config(drop=("T",)), 3,
+                 "error: case requires field 'T'\n", id="compute-case-field-T"),
+    pytest.param(_COMPUTE, _config(case="nope"), 2,
+                 f"error: case must be one of {_CASES}, got 'nope'\n", id="compute-case"),
+    pytest.param(_COMPUTE, _config(with_boundary="yes"), 2,
+                 "error: with_boundary must be a boolean\n", id="compute-with-boundary"),
+    pytest.param(_COMPUTE, _config(numeric_eval=1), 2,
+                 "error: numeric_eval must be a boolean\n", id="compute-numeric-eval-type"),
+    pytest.param(_COMPUTE, "[1]", 2,
+                 "error: configuration must be a JSON object\n", id="compute-not-object"),
+    pytest.param(_COMPUTE, _config(u=[_BIG, "0", "0", "0"], v=["0", _BIG, "0", "0"],
+                                   w=["0", "0", _BIG, "0"], T=[[1, 2, 3, _BIG]],
+                                   numeric_eval=True), 3,
+                 "error: numeric_eval: the exact total does not fit a float\n",
+                 id="compute-numeric-overflow"),
+    # the first bad argument is reported, dimension by dimension
+    pytest.param(("verify", "5", "x"), None, 2,
+                 "error: dimension must be even with 4 <= n <= 16, got 5\n",
+                 id="order-verify-range-first"),
+    pytest.param(("verify", "x", "5"), None, 2,
+                 f"error: dimension {_GRAMMAR}, got 'x'\n", id="order-verify-parse-first"),
+    pytest.param(("moments", "--dim", "1", "--alpha", "x"), None, 2,
+                 f"error: --alpha exponent {_GRAMMAR}, got 'x'\n",
+                 id="order-moments-parse-before-range"),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, message", _PINNED_ERRORS)
+def test_error_messages(tmp_path, capsys, argv, config, code, message):
+    path = tmp_path / "job.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config),
+                        encoding="utf-8")
+
+    def fill(text):
+        return text.replace("{path}", str(path)).replace("{dir}", str(tmp_path))
+
+    assert run(capsys, *map(fill, argv)) == (code, "", fill(message))
+
+
 def test_trace_word(capsys):
     code, out, _ = run(capsys, "trace", "--dim", "4", "e1", "e2", "e3", "e4")
     assert code == 0
@@ -585,21 +699,39 @@ _json_documents = st.recursive(
     })
 
 
-@settings(max_examples=150, deadline=None)
-@given(_json_documents)
-def test_main_compute_random_documents_exit_with_a_code(tmp_path_factory, document):
-    """Any JSON document given to `compute` exits 0, 2 or 3, with a message
-    on 2 or 3, and never raises.  The streams encode like a UTF-8 terminal's."""
-    path = tmp_path_factory.getbasetemp() / "random_document.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
+def _main_compute(path, data: bytes):
+    """main(["compute", path]) on a file holding `data`: the exit code and the
+    stdout and stderr bytes, the streams encoding like a UTF-8 terminal's.
+    Any code but 0 must be 2 or 3 with an error line."""
+    path.write_bytes(data)
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["compute", str(path)])
     out.flush()
     err.flush()
-    if code == 0:
-        assert json.loads(out.buffer.getvalue())["dimension"] == document["dimension"]
-    else:
+    if code != 0:
         assert code in (2, 3)
         assert err.buffer.getvalue().startswith(b"error: ")
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_documents)
+def test_main_compute_random_documents_exit_with_a_code(tmp_path_factory, document):
+    """Any JSON document given to `compute` exits 0, 2 or 3, with a message
+    on 2 or 3, and never raises."""
+    path = tmp_path_factory.getbasetemp() / "random_document.json"
+    code, out, _ = _main_compute(path, json.dumps(document).encode("utf-8"))
+    if code == 0:
+        assert json.loads(out)["dimension"] == document["dimension"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary())
+@example(b"\xff\xfe")  # not UTF-8
+@example(b"[" * 100_000)  # nested past the decoder's recursion limit
+def test_main_compute_raw_bytes_exit_with_a_code(tmp_path_factory, data):
+    """Any bytes given to `compute`, UTF-8 or not, exit 0, 2 or 3, with a
+    message on 2 or 3, and never raise."""
+    _main_compute(tmp_path_factory.getbasetemp() / "random_bytes.json", data)

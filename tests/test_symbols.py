@@ -71,8 +71,11 @@ def test_perturbation_vector_grading():
 
 
 def test_perturbation_dim_checked():
-    with pytest.raises(DimensionMismatch):
-        perturbation_multivector(VectorGrading(basis(4, 1)), 6)
+    """X, T and Y are checked with the forms' one same-dimension message."""
+    for case in (VectorGrading(basis(4, 1)), TorsionGrading(ThreeForm.zero(4)),
+                 TorsionVector(ThreeForm.zero(6), basis(4, 1))):
+        with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
+            perturbation_multivector(case, 6)
 
 
 # -- symbol assembly -------------------------------------------------------------
