@@ -396,8 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads "-1,0" as an option; --alpha=-1,0 reaches the exponent check
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] == "--alpha" and re.match(r"-\d", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the parse-error code
         return int(exc.code or 0)

@@ -78,10 +78,13 @@ def _check_case_dims(case: PerturbationCase, n: int) -> None:
             _same_dim(tensor, n)
 
 
-def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
-    """The zero-order perturbation as an element of Cl(n)."""
+def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Multivector:
+    """The zero-order perturbation as an element of Cl(n), or B as given."""
     if n % 2 != 0:
         raise OddDimension(f"dimension must be even, got {n}")
+    if isinstance(case, Multivector):
+        _same_dim(case, n)
+        return case
     _check_case_dims(case, n)
     if isinstance(case, TorsionVector):
         return to_clifford(case.T) + to_clifford(case.Y).scale(GR_I)
@@ -95,7 +98,7 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
 
 
 def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
-                  case: PerturbationCase, n: int) -> XiPolynomialMV:
+                  case: PerturbationCase | Multivector, n: int) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere."""
     b = perturbation_multivector(case, n)  # raises OddDimension first
     if n < 4:
@@ -152,7 +155,12 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
 
     Carries one factor tr_F(Phi) (every surviving term is perturbation
     linear) and the atom vol(S^(n-1)) from the sphere moments, attached here
-    to the exact trace of the integrated symbol.
+    to the exact trace of the integrated symbol.  The symbol sees only B's
+    grade-1 and grade-3 blades, the grades of c(u)c(v)c(w): the surviving
+    xi_i^2 terms keep each blade's grade and the trace pairs only equal
+    blades, so every other grade adds 0.
     """
-    integrated = integrate_sphere(n, sigma_minus2m(u, v, w, case, n))
+    b = perturbation_multivector(case, n)
+    b = Multivector(n, {mask: c for mask, c in b.coeffs.items() if mask.bit_count() in (1, 3)})
+    integrated = integrate_sphere(n, sigma_minus2m(u, v, w, b, n))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), trace(integrated))

@@ -474,9 +474,9 @@ def verify_suite(spec: ManifoldSpec, seed: int | None = None,
                  trials: int = 5) -> list[IdentityComparison]:
     """Run every applicable catalog row at the given dimension.
 
-    Never aborts on mismatch; each row carries its own flag.  A trial that
-    leaves the rng state unchanged drew no input, so every later trial would
-    repeat it: it ends that row's trials.
+    Never aborts on mismatch; each row carries its own flag, which its first
+    mismatch decides.  That ends the row's trials, as does a trial that leaves
+    the rng state unchanged: it drew no input, so every later one repeats it.
     """
     n = spec.dim
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
@@ -485,11 +485,10 @@ def verify_suite(spec: ManifoldSpec, seed: int | None = None,
         if not ident.applies(n):
             continue
         computed, reference, ok = ident.run(n, None)
-        for _ in range(trials):
+        for _ in range(trials if ok else 0):
             state = rng.getstate()
-            _, _, trial_ok = ident.run(n, rng)
-            ok = ok and trial_ok
-            if rng.getstate() == state:
+            ok = ident.run(n, rng)[2]
+            if not ok or rng.getstate() == state:
                 break
         rows.append(IdentityComparison(ident.id, ident.description,
                                        computed, reference, ok))

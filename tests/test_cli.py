@@ -452,6 +452,12 @@ _PINNED_ERRORS = [
     pytest.param(("moments", "--dim", "2", "--alpha", "2,-1"), None, 2,
                  "error: need 2 non-negative exponents, got '2,-1'\n",
                  id="moments-negative"),
+    pytest.param(("moments", "--dim", "2", "--alpha", "-1,0"), None, 2,
+                 "error: need 2 non-negative exponents, got '-1,0'\n",
+                 id="moments-negative-first"),
+    pytest.param(("moments", "--dim", "2", "--alpha=-1,0"), None, 2,
+                 "error: need 2 non-negative exponents, got '-1,0'\n",
+                 id="moments-negative-first-joined"),
     pytest.param(("moments", "--dim", "2", "--alpha", f"{MAX_MOMENT_DEGREE + 1},0"), None, 2,
                  f"error: total degree {MAX_MOMENT_DEGREE + 1} exceeds {MAX_MOMENT_DEGREE}\n",
                  id="moments-degree"),

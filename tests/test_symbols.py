@@ -33,11 +33,13 @@ from spectral_torsion import (
     sym,
     theorem_value,
     to_clifford,
+    trace,
+    vol_sphere,
     ManifoldSpec,
 )
 from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.moments import integrate_sphere, xi_monomial
-from spectral_torsion.scalars import GR_I, Rational
+from spectral_torsion.scalars import GR_I, Rational, SymScalar, TR_F_PHI
 
 from conftest import coprime_draw, density_via_matrix_rep, rand_oneform, rand_threeform, \
     sigma_minus2m_reference
@@ -68,6 +70,17 @@ def test_perturbation_vector_grading():
     case = VectorGrading(basis(4, 1))
     expected = mv_mul(Multivector.generator(4, 1), grading(4))
     assert perturbation_multivector(case, 4) == expected
+
+
+def test_perturbation_accepts_a_built_multivector():
+    """An already-built perturbation passes through, under the one
+    same-dimension rule."""
+    b = perturbation_multivector(VectorGrading(basis(6, 2)), 6)
+    assert perturbation_multivector(b, 6) is b
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        perturbation_multivector(b, 4)
+    with pytest.raises(OddDimension, match="dimension must be even, got 5"):
+        perturbation_multivector(b, 5)
 
 
 def test_perturbation_dim_checked():
@@ -166,8 +179,9 @@ def test_sigma_matches_generator_products(n, rng):
 def test_interior_density_n10_time_bound():
     """All four cases on dense n=10 inputs, in process.
 
-    On the fractions backend (2-vCPU VM) this takes 0.29-0.41 s; the bound
-    is 2.5x the slowest of those runs.
+    On the fractions backend (2-vCPU VM) this takes 0.04-0.06 s, with the
+    symbol built from B's grade-1 and grade-3 blades only (0.10-0.14 s from
+    all of B); the bound, 2.5x the slowest run of an older kernel, stays.
     """
     n = 10
     rng = random.Random("density-n10")
@@ -179,6 +193,62 @@ def test_interior_density_n10_time_bound():
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, \
         f"four n=10 densities took {elapsed:.2f}s on {Rational.__module__}.{Rational.__name__}"
+
+
+def _full_route(u, v, w, b, n):
+    """The trace of the sphere-integrated symbol built from all of B."""
+    return trace(integrate_sphere(n, sigma_minus2m(u, v, w, b, n)))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_symbol_trace_sees_only_grades_1_and_3(n):
+    """Every single blade of a grade other than 1 or 3 adds 0 through the
+    full route on every basis triple.  The value is linear in B and
+    multilinear in u, v, w, so at this n the projection in interior_density
+    drops exactly 0."""
+    e = [basis(n, i) for i in range(1, n + 1)]
+    blades = [mask for mask in range(1 << n) if mask.bit_count() not in (1, 3)]
+    assert len(blades) == {4: 8, 6: 38}[n]
+    for mask in blades:
+        b = Multivector.blade(n, mask)
+        for u, v, w in itertools.product(e, repeat=3):
+            assert _full_route(u, v, w, b, n).is_zero(), (mask, u, v, w)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_interior_density_matches_the_unprojected_route(n):
+    """Dense random inputs, all four cases: the density from B's grade-1 and
+    grade-3 blades equals the one from all of B."""
+    rng = random.Random(f"unprojected-{n}")
+    for _ in range(2):
+        u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+        t = rand_threeform(rng, n)
+        for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+            full = _full_route(u, v, w, perturbation_multivector(case, n), n)
+            assert interior_density(u, v, w, case, n) == SymScalar.from_monomial(
+                (vol_sphere(n - 1), TR_F_PHI), full)
+
+
+def test_graded_densities_n16_time_bound():
+    """The grading, vector-grading and torsion-grading densities on dense
+    n=16 inputs, each timed on its own.
+
+    B has no grade-1 or grade-3 blade in any of them at n=16, so the symbol
+    is built from a zero perturbation.  On the fractions backend (2-vCPU VM)
+    the first run took 9, 9 and 15 ms; the bound is 6x the slowest.  Built
+    from all of B, the last two took 0.42 and 3.5 s.
+    """
+    n = 16
+    rng = random.Random("density-n16")
+    u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
+    t = rand_threeform(rng, n)
+    for case in (Grading(), VectorGrading(x), TorsionGrading(t)):
+        start = time.monotonic()
+        value = interior_density(u, v, w, case, n)
+        elapsed = time.monotonic() - start
+        assert value == theorem_value(case, u, v, w, ManifoldSpec(n))
+        assert elapsed < 0.1, f"{type(case).__name__} at n=16 took {elapsed:.3f}s on " \
+            f"{Rational.__module__}.{Rational.__name__}"
 
 
 def test_sigma_rejects_small_or_odd_dimension():

@@ -137,8 +137,44 @@ def test_rows_without_random_input_run_one_trial(n, monkeypatch):
     assert set(trials.values()) == {1, 5}
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_row_stops_at_its_first_mismatch(n, monkeypatch):
+    """A mismatch decides the row's flag, so no trial runs after it: the rows
+    that mismatch on the canonical input run none."""
+    trials = {}
+
+    def counted(ident):
+        def run(n, rng):
+            if rng is not None:
+                trials[ident.id] = trials.get(ident.id, 0) + 1
+            return ident.run(n, rng)
+        return dataclasses.replace(ident, run=run)
+
+    monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
+    rows = verify_suite(ManifoldSpec(n))
+    mismatched = {row.id for row in rows if not row.matches}
+    assert mismatched == {4: {"E4.20", "E4.31", "E4.41", "E4.61", "T4.11n4"},
+                          6: {"E4.20", "E4.31", "E4.61"}}[n]
+    assert {row.id for row in rows} - set(trials) == mismatched
+
+
+def test_a_trial_mismatch_ends_the_row(monkeypatch):
+    """A row that first mismatches on its second trial runs no third."""
+    trials = []
+
+    def run(n, rng):
+        if rng is None:
+            return SymScalar.zero(), SymScalar.zero(), True
+        trials.append(rng.random())
+        return SymScalar.zero(), SymScalar.zero(), len(trials) != 2
+
+    monkeypatch.setattr(verify, "CATALOG", (verify.Identity("X", "", lambda n: True, run),))
+    assert [row.matches for row in verify_suite(ManifoldSpec(4))] == [False]
+    assert len(trials) == 2
+
+
 def _suite_every_trial(n, seed, trials=5):
-    """verify_suite without the early stop: every row runs every trial."""
+    """verify_suite without its early stops: every row runs every trial."""
     rng = random.Random(seed)
     rows = []
     for ident in CATALOG:
