@@ -45,11 +45,12 @@ def _same_dim(a, b) -> None:
         raise DimensionMismatch(f"dim {a.dim} vs {dim}")
 
 
-def _check_even_dim(n: int) -> None:
+def _check_even_dim(n: int, low: int = 2) -> None:
+    """The one even-dimension rule: n even, with low <= n <= MAX_DIM."""
     if n % 2 != 0:
         raise OddDimension(f"dimension must be even, got {n}")
-    if not 2 <= n <= MAX_DIM:
-        raise DimensionMismatch(f"dimension must be in [2, {MAX_DIM}], got {n}")
+    if not low <= n <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be in [{low}, {MAX_DIM}], got {n}")
 
 
 def _sign_mask(a: int) -> int:
@@ -329,6 +330,9 @@ def _int_product(a_runs, b_runs) -> list[tuple[int, dict[int, list[int]]]]:
     for den_a, a_terms in a_runs:
         for den_b, b_terms in b_runs:
             acc: dict[int, list[int]] = {}
+            parts.append((den_a * den_b, acc))
+            if not b_terms:  # e.g. a projected-out B: no _sign_mask per left blade
+                continue
             for ma, ar, ai in a_terms:
                 flip = _sign_mask(ma)
                 for mb, br, bi in b_terms:
@@ -344,7 +348,6 @@ def _int_product(a_runs, b_runs) -> list[tuple[int, dict[int, list[int]]]]:
                     else:
                         cur[0] += re
                         cur[1] += im
-            parts.append((den_a * den_b, acc))
     return parts
 
 

@@ -4,7 +4,7 @@ A boundary symbol ingredient is a rational function of xi_n with Gaussian
 rational coefficients and an explicitly factored denominator.  The half-line
 projection pi+ keeps the partial-fraction terms whose poles lie in the upper
 half plane; real-line integrals are evaluated exactly by residues, in units of
-pi.
+pi.  Both read their coefficients off exact derivatives at each pole.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .clifford import MAX_DIM, DimensionMismatch, Multivector, scalar_product
+from .clifford import Multivector, _check_even_dim, scalar_product
 from .clifford import mv_mul  # noqa: F401  (perfbench's binding test patches halfline.mv_mul)
 from .forms import OneForm, frame_product
 from .scalars import (
@@ -123,31 +123,6 @@ POLY_ONE = Poly((GR_ONE,))
 POLY_X = Poly((GR_ZERO, GR_ONE))
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [GR_ZERO] * (order + 1)
-    for i, x in enumerate(a):
-        if i > order or x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _inverse_power_series(base: GaussianRational, mult: int, order: int) -> list:
-    """Taylor coefficients of (base + t)^(-mult) up to t^order; base != 0."""
-    inv_base = GR_ONE / base
-    out = []
-    power = inv_base ** mult
-    for k in range(order + 1):
-        c = rational(math.comb(mult + k - 1, k))
-        sign = -c if k & 1 else c
-        out.append(power * sign)
-        power = power * inv_base
-    return out
-
-
 class XiRational:
     """N(x) / prod_j (x - p_j)^(m_j) with Gaussian-rational poles.
 
@@ -231,17 +206,14 @@ class XiRational:
         union = dict(self.poles)
         for p, mult in other.poles.items():
             union[p] = max(union.get(p, 0), mult)
-        na = self.numer
-        for p, mult in union.items():
-            extra = mult - self.poles.get(p, 0)
-            for _ in range(extra):
-                na = na * Poly((-p, GR_ONE))
-        nb = other.numer
-        for p, mult in union.items():
-            extra = mult - other.poles.get(p, 0)
-            for _ in range(extra):
-                nb = nb * Poly((-p, GR_ONE))
-        return XiRational(na + nb, union)
+        total = POLY_ZERO
+        for f in (self, other):
+            numer = f.numer  # lifted to the union's denominator
+            for p, mult in union.items():
+                for _ in range(mult - f.poles.get(p, 0)):
+                    numer = numer * Poly((-p, GR_ONE))
+            total = total + numer
+        return XiRational(total, union)
 
     def __sub__(self, other: "XiRational") -> "XiRational":
         return self + (-other)
@@ -277,19 +249,19 @@ class XiRational:
 
     # -- residues / partial fractions -------------------------------------------
 
+    def derivatives_at(self, x: GaussianRational, order: int) -> list:
+        """[f(x), f'(x), ..., f^(order)(x)], by exact differentiation."""
+        f, out = self, [self.eval_exact(x)]
+        for _ in range(order):
+            f = f.derivative()
+            out.append(f.eval_exact(x))
+        return out
+
     def _deflated_series(self, p: GaussianRational, order: int) -> list:
         """Taylor coefficients (in t = x - p) of N(x) / prod_{q != p}(x - q)^(m_q)."""
-        series = [GR_ZERO] * (order + 1)
-        shifted = _shift_poly(self.numer, p)
-        for k, c in enumerate(shifted.coeffs):
-            if k <= order:
-                series[k] = c
-        for q, mult in self.poles.items():
-            if q == p:
-                continue
-            series = _series_mul(series,
-                                 _inverse_power_series(p - q, mult, order), order)
-        return series
+        rest = XiRational(self.numer, {q: mult for q, mult in self.poles.items() if q != p})
+        return [d / rational(math.factorial(k))
+                for k, d in enumerate(rest.derivatives_at(p, order))]
 
     def residue(self, p: GaussianRational) -> GaussianRational:
         mult = self.poles.get(p, 0)
@@ -304,15 +276,6 @@ class XiRational:
             series = self._deflated_series(p, mult - 1)
             out[p] = [series[mult - k] for k in range(1, mult + 1)]
         return out
-
-
-def _shift_poly(poly: Poly, p: GaussianRational) -> Poly:
-    """Coefficients of poly(p + t) as a polynomial in t."""
-    acc = POLY_ZERO
-    shift = Poly((p, GR_ONE))
-    for c in reversed(poly.coeffs):
-        acc = acc * shift + Poly((c,))
-    return acc
 
 
 def pi_plus(f: XiRational) -> XiRational:
@@ -349,10 +312,7 @@ def residue_derivative(m: int) -> GaussianRational:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    f = XiRational(POLY_X, {-GR_I: m})
-    for _ in range(m):
-        f = f.derivative()
-    return f.eval_exact(GR_I)
+    return XiRational(POLY_X, {-GR_I: m}).derivatives_at(GR_I, m)[m]
 
 
 def line_integral(f: XiRational) -> GaussianRational:
@@ -407,9 +367,7 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     Gaussian-rational multiple of
     pi * (u_n g(v,w) - v_n g(u,w) + w_n g(u,v)) * 2^m * dim_F * vol(S^(n-2)).
     """
-    if n % 2 != 0 or not 4 <= n <= MAX_DIM:
-        raise DimensionMismatch(
-            f"boundary setting needs even n with 4 <= n <= {MAX_DIM}, got {n}")
+    _check_even_dim(n, 4)
     m = n // 2
     factor = scalar_product(frame_product(u, v, w, n),
                             Multivector.generator(n, n)) * 2 ** m

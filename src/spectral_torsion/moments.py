@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .clifford import _RUN_DEN_BITS, DimensionMismatch, Multivector, _from_int_parts, \
-    _integer_runs
+from .clifford import DimensionMismatch, Multivector, _from_int_parts, _integer_runs
 from .scalars import Rational, rational
 
 
@@ -109,30 +108,18 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)).
 
     The result is sum_alpha moment(n, alpha) * coefficient; the caller
-    attaches the volume atom.  Each surviving coefficient's integer
-    numerators are scaled by its moment and summed over one common
-    denominator (one per distinct denominator when that lcm grows past
-    _RUN_DEN_BITS), and each output coefficient is reduced once.
+    attaches the volume atom.  Each surviving coefficient's integer parts are
+    scaled by its moment and kept as parts of the result, which are summed
+    when read.
     """
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
-    runs = []  # (denominator, numerator factor, [(mask, re, im), ...])
+    parts = []
     for expo, mv in p.terms.items():
         weight = moment(n, expo)
         if weight:
-            runs += [(den * weight.denominator, weight.numerator, terms)
-                     for den, terms in _integer_runs(mv)]
-    common = math.lcm(*(den for den, _, _ in runs))
-    sums: dict[int, dict[int, list[int]]] = {}
-    for den, factor, terms in runs:
-        if common.bit_length() <= _RUN_DEN_BITS:
-            den, factor = common, factor * (common // den)
-        acc = sums.setdefault(den, {})
-        for mask, re, im in terms:
-            cur = acc.get(mask)
-            if cur is None:
-                acc[mask] = [re * factor, im * factor]
-            else:
-                cur[0] += re * factor
-                cur[1] += im * factor
-    return _from_int_parts(p.mv_dim, sums.items())
+            num = weight.numerator
+            parts += [(den * weight.denominator,
+                       {mask: (re * num, im * num) for mask, re, im in terms})
+                      for den, terms in _integer_runs(mv)]
+    return _from_int_parts(p.mv_dim, parts)

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clifford import (
-    DimensionMismatch,
     Multivector,
-    OddDimension,
+    _check_even_dim,
     _from_int_parts,
     _int_product,
     _integer_runs,
@@ -80,8 +79,7 @@ def _check_case_dims(case: PerturbationCase, n: int) -> None:
 
 def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Multivector:
     """The zero-order perturbation as an element of Cl(n), or B as given."""
-    if n % 2 != 0:
-        raise OddDimension(f"dimension must be even, got {n}")
+    _check_even_dim(n)
     if isinstance(case, Multivector):
         _same_dim(case, n)
         return case
@@ -100,9 +98,8 @@ def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Mu
 def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
                   case: PerturbationCase | Multivector, n: int) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere."""
-    b = perturbation_multivector(case, n)  # raises OddDimension first
-    if n < 4:
-        raise DimensionMismatch(f"symbol assembly needs n >= 4, got {n}")
+    _check_even_dim(n, 4)
+    b = perturbation_multivector(case, n)
     m = n // 2
     cuvw = frame_product(u, v, w, n)
 

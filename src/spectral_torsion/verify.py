@@ -334,16 +334,9 @@ def _run_e457(n, rng):
     return _exact(computed, reference)
 
 
-def _nth_derivative_at(f: XiRational, order: int,
-                       point: GaussianRational) -> GaussianRational:
-    for _ in range(order):
-        f = f.derivative()
-    return f.eval_exact(point)
-
-
 def _run_e460(n, rng):
     m = n // 2
-    computed = _nth_derivative_at(XiRational(POLY_ONE, {-GR_I: m - 1}), m, GR_I)
+    computed = XiRational(POLY_ONE, {-GR_I: m - 1}).derivatives_at(GR_I, m)[m]
     sign = 1 if m % 2 == 0 else -1
     factor = sign * (math.factorial(2 * m - 2) // math.factorial(m - 2))
     reference = GaussianRational(0, 2) ** (1 - 2 * m) * factor
@@ -352,8 +345,7 @@ def _run_e460(n, rng):
 
 def _run_e461(n, rng):
     m = n // 2
-    computed = _nth_derivative_at(
-        XiRational(Poly((GR_I,)), {-GR_I: m}), m, GR_I)
+    computed = XiRational(Poly((GR_I,)), {-GR_I: m}).derivatives_at(GR_I, m)[m]
     sign = 1 if m % 2 == 0 else -1
     factor = sign * (math.factorial(2 * m - 1) // math.factorial(m - 1))
     reference = GaussianRational(0, 2) ** (-2 * m) * factor

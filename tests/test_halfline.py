@@ -9,7 +9,9 @@ import time
 import pytest
 
 from spectral_torsion import (
+    DimensionMismatch,
     NonIntegrable,
+    OddDimension,
     OneForm,
     PI,
     RealPole,
@@ -88,10 +90,26 @@ def test_pi_plus_idempotent(rng):
         assert pi_plus(pi_plus(f)) == pi_plus(f)
 
 
+def rand_proper_xirational(rng) -> XiRational:
+    """1-3 distinct non-real poles of multiplicity 1-4 over a numerator of
+    lower degree than the denominator."""
+    count, poles = rng.randint(1, 3), {}
+    while len(poles) < count:
+        im = rand_rational(rng)
+        if im:
+            poles[GaussianRational(rand_rational(rng), im)] = rng.randint(1, 4)
+    degree = rng.randrange(sum(poles.values()))
+    numer = Poly([GaussianRational(rand_rational(rng), rand_rational(rng))
+                  for _ in range(degree + 1)])
+    return XiRational(numer, poles)
+
+
 def test_pi_plus_pi_minus_partition(rng):
-    for f in (lorentzian(), x_lorentzian(), dxn_symbol(2),
-              XiRational(Poly((1, 2)), {GR_I: 2, -GR_I: 1,
-                                        GaussianRational(1, 1): 1})):
+    fixed = [lorentzian(), x_lorentzian(), dxn_symbol(2),
+             XiRational(Poly((1, 2)), {GR_I: 2, -GR_I: 1, GaussianRational(1, 1): 1})]
+    drawn = [rand_proper_xirational(rng) for _ in range(40)]
+    assert max(mult for f in drawn for mult in f.poles.values()) == 4
+    for f in fixed + drawn:
         assert pi_plus(f) + pi_minus(f) == f
 
 
@@ -306,6 +324,16 @@ def test_boundary_density_n16_time_bound():
     for (u, v, w), value in zip(inputs, values):
         assert value == theorem_boundary_value(u, v, w, n)
     assert elapsed < 0.3, f"20 boundary densities at n=16 took {elapsed:.2f}s"
+
+
+def test_boundary_density_rejects_small_odd_or_large_dimension():
+    """The one even-dimension rule, with the boundary's lower bound 4."""
+    for n, error, message in ((2, DimensionMismatch, r"dimension must be in \[4, 16\], got 2"),
+                              (18, DimensionMismatch, r"dimension must be in \[4, 16\], got 18"),
+                              (5, OddDimension, "dimension must be even, got 5")):
+        z = OneForm.zero(min(n, 16))
+        with pytest.raises(error, match=message):
+            boundary_density(z, z, z, n)
 
 
 def test_boundary_density_example_n4():

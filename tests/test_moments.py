@@ -148,9 +148,10 @@ def test_integrate_sphere_matches_termwise(n):
     p = _termwise_polynomial(rng, n)
     dens = [c.re.denominator * c.im.denominator for expo, mv in p.terms.items()
             if not any(a % 2 for a in expo) for _, c in mv]
-    # the coprime coefficients push the common denominator of the surviving
-    # terms past the run limit, so the per-denominator sums are exercised; the
-    # single terms below take the common denominator
+    # the surviving terms share no small common denominator (their lcm is past
+    # the run limit), so the result's parts, one per coefficient run, are
+    # summed over large coprime denominators when read; each single term
+    # below gives a result with its own parts only
     assert math.lcm(*dens).bit_length() > _RUN_DEN_BITS
     got = integrate_sphere(n, p)
     assert got == integrate_sphere_reference(n, p)

@@ -9,6 +9,7 @@ nonzero closed form is not).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -24,11 +25,13 @@ from spectral_torsion import (
     TorsionGrading,
     TorsionVector,
     VectorGrading,
+    frame_product,
     grading,
     interior_density,
     mv_mul,
     perturbation_multivector,
     rational,
+    scalar_product,
     sigma_minus2m,
     sym,
     theorem_value,
@@ -200,19 +203,28 @@ def _full_route(u, v, w, b, n):
     return trace(integrate_sphere(n, sigma_minus2m(u, v, w, b, n)))
 
 
+def _grade_weight(k, n):
+    """w_k, the factor the symbol trace puts on a grade-k blade of B."""
+    return 1 - k if k % 2 else k + 1 - n
+
+
 @pytest.mark.parametrize("n", [4, 6])
-def test_symbol_trace_sees_only_grades_1_and_3(n):
-    """Every single blade of a grade other than 1 or 3 adds 0 through the
-    full route on every basis triple.  The value is linear in B and
-    multilinear in u, v, w, so at this n the projection in interior_density
-    drops exactly 0."""
+def test_symbol_trace_weights_each_blade_by_its_grade(n):
+    """On every single blade B of every grade and every basis triple, the
+    full route is 2^m w_k <c(u)c(v)c(w) B>_0 with w_1 = 0 and w_3 = -2.
+    The value is linear in B and multilinear in u, v, w, so at this n the
+    projection in interior_density onto grades 1 and 3 drops exactly 0."""
     e = [basis(n, i) for i in range(1, n + 1)]
-    blades = [mask for mask in range(1 << n) if mask.bit_count() not in (1, 3)]
-    assert len(blades) == {4: 8, 6: 38}[n]
-    for mask in blades:
+    nonzero = 0
+    for mask in range(1 << n):
         b = Multivector.blade(n, mask)
+        weight = 2 ** (n // 2) * _grade_weight(mask.bit_count(), n)
         for u, v, w in itertools.product(e, repeat=3):
-            assert _full_route(u, v, w, b, n).is_zero(), (mask, u, v, w)
+            expected = scalar_product(frame_product(u, v, w, n), b) * weight
+            assert _full_route(u, v, w, b, n) == expected, (mask, u, v, w)
+            nonzero += not expected.is_zero()
+    # only grade 3 survives, on the 3! orderings of each grade-3 blade's indices
+    assert nonzero == 6 * math.comb(n, 3)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -253,10 +265,9 @@ def test_graded_densities_n16_time_bound():
 
 def test_sigma_rejects_small_or_odd_dimension():
     z = OneForm.zero(4)
-    with pytest.raises(DimensionMismatch, match="symbol assembly needs n >= 4, got 2"):
+    with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
         sigma_minus2m(z, z, z, Grading(), 2)
-    # perturbation_multivector's even-dimension rule answers odd n, before
-    # the small-n and one-form checks
+    # the one even-dimension rule answers odd n, before the one-form checks
     for n in (3, 5):
         with pytest.raises(OddDimension, match=f"dimension must be even, got {n}"):
             sigma_minus2m(z, z, z, TorsionVector(ThreeForm(4), z), n)
