@@ -23,7 +23,6 @@ from .scalars import (
     _as_gaussian,
     _gr,
     i_power,
-    rational,
     sym,
 )
 
@@ -183,10 +182,14 @@ class Multivector:
         return _raw(self.dim, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, s) -> "Multivector":
+        """s times self, on the integer numerators: (sr + i si)/d times each term."""
         s = _as_gaussian(s)
         if s.is_zero():
             return Multivector(self.dim)
-        return _raw(self.dim, {mask: c * s for mask, c in self.coeffs.items()})
+        [(d, [(_, sr, si)])] = _rational_runs([(0, s.re, s.im)])
+        return _from_int_parts(self.dim, [
+            (den * d, {mask: (re * sr - im * si, re * si + im * sr) for mask, re, im in run})
+            for den, run in _integer_runs(self)])
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -283,37 +286,64 @@ def _raw(dim: int, coeffs: dict[int, GaussianRational] | None,
 _RUN_DEN_BITS = 2048
 
 
+def _fits_run(dens) -> bool:
+    """Whether the lcm of the distinct denominators `dens` surely fits one
+    run: it divides their product."""
+    return sum(d.bit_length() for d in dens) <= _RUN_DEN_BITS
+
+
+def _rational_runs(items) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """(key, re, im) items with rational parts as runs [(D, [(key, D*re, D*im), ...]), ...].
+
+    D is the lcm of the run's denominators.  One run holds every item unless
+    that lcm grows past _RUN_DEN_BITS, as it does when the items carry many
+    large coprime denominators; then a run closes before the item that
+    would take its lcm past the bound.
+    """
+    items = list(items)
+    dens = {d for _, re, im in items for d in (re.denominator, im.denominator)}
+    if _fits_run(dens):
+        runs = [(lcm(*dens), items)]
+    else:
+        runs = []
+        den, run = 1, []
+        for item in items:
+            _, re, im = item
+            grown = lcm(den, re.denominator, im.denominator)
+            if run and grown.bit_length() > _RUN_DEN_BITS:
+                runs.append((den, run))
+                grown, run = lcm(re.denominator, im.denominator), []
+            den = grown
+            run.append(item)
+        runs.append((den, run))
+    return [(den, [(key, re.numerator * (den // re.denominator),
+                    im.numerator * (den // im.denominator))
+                   for key, re, im in run])
+            for den, run in runs]
+
+
+def _from_rationals(dim: int, items) -> Multivector:
+    """The Multivector with coefficient re + i*im on the blade of each
+    (mask, re, im) item, kept as the integer parts of _rational_runs.
+
+    Masks must be distinct and fit `dim`; no coefficient is built.
+    """
+    return _from_int_parts(dim, [(den, {mask: (re, im) for mask, re, im in run if re or im})
+                                 for den, run in _rational_runs(items)])
+
+
 def _integer_runs(a: Multivector) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """a's terms as runs [(D, [(mask, D*re, D*im), ...]), ...].
 
-    A product's stored parts are its runs when every part's denominator fits
-    _RUN_DEN_BITS.  Otherwise D is the lcm of the run's coefficient
-    denominators.  One run holds every term unless that lcm grows past
-    _RUN_DEN_BITS, as it does when the coefficients carry many large coprime
-    denominators.
+    A Multivector's stored parts are its runs when every part's denominator
+    fits _RUN_DEN_BITS.  Otherwise the runs are _rational_runs of its
+    coefficients.
     """
     if a._parts is not None and all(den.bit_length() <= _RUN_DEN_BITS
                                     for den, _ in a._parts):
         return [(den, [(mask, re, im) for mask, (re, im) in acc.items() if re or im])
                 for den, acc in a._parts]
-    coeffs = a.coeffs.items()
-    runs = [(lcm(*{d for _, c in coeffs for d in (c.re.denominator, c.im.denominator)}),
-             coeffs)]
-    if runs[0][0].bit_length() > _RUN_DEN_BITS:
-        runs = []
-        den, items = 1, []
-        for mask, c in coeffs:
-            grown = lcm(den, c.re.denominator, c.im.denominator)
-            if items and grown.bit_length() > _RUN_DEN_BITS:
-                runs.append((den, items))
-                grown, items = lcm(c.re.denominator, c.im.denominator), []
-            den = grown
-            items.append((mask, c))
-        runs.append((den, items))
-    return [(den, [(mask, c.re.numerator * (den // c.re.denominator),
-                    c.im.numerator * (den // c.im.denominator))
-                   for mask, c in items])
-            for den, items in runs]
+    return _rational_runs((mask, c.re, c.im) for mask, c in a.coeffs.items())
 
 
 def _part(numerator: int, den: int):
@@ -404,21 +434,43 @@ def _relabel(acc: dict, i: int) -> dict:
 
 
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
-    """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A)."""
+    """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A).
+
+    Summed on both operands' integer parts, one Rational per pair of runs;
+    neither operand's coefficients are built.
+    """
     _same_dim(a, b)
     total = GR_ZERO
-    for mask in a.coeffs.keys() & b.coeffs.keys():
-        term = a.coeffs[mask] * b.coeffs[mask]
-        total = total - term if (mask & _sign_mask(mask)).bit_count() & 1 \
-            else total + term
+    a_runs = _integer_runs(a)
+    for den_b, b_terms in _integer_runs(b):
+        b_parts = {mask: (re, im) for mask, re, im in b_terms}
+        for den_a, a_terms in a_runs:
+            re_sum = im_sum = 0
+            for mask, ar, ai in a_terms:
+                shared = b_parts.get(mask)
+                if shared is None:
+                    continue
+                br, bi = shared
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                # s(A) = (-1)^(k(k+1)/2) on grade k: -1 for k = 1, 2 mod 4
+                if (mask.bit_count() + 1) & 2:
+                    re, im = -re, -im
+                re_sum += re
+                im_sum += im
+            if re_sum or im_sum:
+                den = den_a * den_b
+                total = total + _gr(_part(re_sum, den), _part(im_sum, den))
     return total
 
 
 def conjugate_sum(b: Multivector) -> Multivector:
     """Sum_i c(e_i) * b * c(e_i).
 
-    On a grade-k blade this is (-1)^k (2k - n) times the blade.
+    On a grade-k blade this is (-1)^k (2k - n) times the blade; the factor
+    scales b's integer numerators.
     """
-    factors = [rational((-1) ** k * (2 * k - b.dim)) for k in range(b.dim + 1)]
-    return Multivector(b.dim, {mask: c * factors[mask.bit_count()]
-                               for mask, c in b.coeffs.items()})
+    factors = [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)]
+    return _from_int_parts(b.dim, [
+        (den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])
+               for mask, re, im in run})
+        for den, run in _integer_runs(b)])

@@ -6,9 +6,11 @@ so vectors and covectors share one representation.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable
 
-from .clifford import DimensionMismatch, Multivector, _same_dim, blade_mask, mv_mul
+from .clifford import DimensionMismatch, Multivector, _fits_run, _from_rationals, _part, \
+    _rational_runs, _same_dim, blade_mask, mv_mul
 from .scalars import GR_ZERO, GaussianRational, Rational, rational
 
 
@@ -176,26 +178,48 @@ class AntisymTensor:
         return f"AntisymTensor(dim={self.dim}, grade={self.grade}, {items})"
 
 
+def _integer_row(x: OneForm) -> tuple[int, list[int]]:
+    """x's components as integer numerators over their common denominator."""
+    den = lcm(*(c.denominator for c in x.components))
+    return den, [c.numerator * (den // c.denominator) for c in x.components]
+
+
 def metric_pair(u: OneForm, v: OneForm) -> Rational:
-    """g(u, v) in the orthonormal frame: the exact dot product."""
+    """g(u, v) in the orthonormal frame: the exact dot product.
+
+    When the two rows' denominators fit one run, the products of their
+    integer numerators are summed and reduced once.  Past that they are long
+    and mostly unrelated, and a sum of Rational products keeps every
+    reduction small.
+    """
     _same_dim(u, v)
-    return sum((a * b for a, b in zip(u.components, v.components)),
-               rational(0))
+    if _fits_run({c.denominator for x in (u, v) for c in x.components}):
+        (du, un), (dv, vn) = _integer_row(u), _integer_row(v)
+        return Rational(sum(a * b for a, b in zip(un, vn)), du * dv)
+    return sum((a * b for a, b in zip(u.components, v.components)), rational(0))
 
 
 def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational:
     """T(u, v, w): full antisymmetrization of the stored components.
 
     Each stored triple contributes its 3x3 minor det over the rows u, v, w.
+    The sum runs on integer numerators over the rows' common denominators
+    and T's run denominators, with one Rational per run of T.  The rows are
+    not split into runs: each term of a minor reads one entry of every row,
+    so split rows would multiply the work by the number of run triples.
     """
     for x in (u, v, w):
         _same_dim(x, t)
+    (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     total = rational(0)
-    for (a, b, c), coeff in t.components.items():
-        det = (u[a] * (v[b] * w[c] - v[c] * w[b])
-               - u[b] * (v[a] * w[c] - v[c] * w[a])
-               + u[c] * (v[a] * w[b] - v[b] * w[a]))
-        total += coeff * det
+    for den, run in _rational_runs((abc, coeff, 0) for abc, coeff in t.components.items()):
+        acc = 0
+        for (a, b, c), coeff, _ in run:
+            a, b, c = a - 1, b - 1, c - 1
+            acc += coeff * (u[a] * (v[b] * w[c] - v[c] * w[b])
+                            - u[b] * (v[a] * w[c] - v[c] * w[a])
+                            + u[c] * (v[a] * w[b] - v[b] * w[a]))
+        total += _part(acc, den * du * dv * dw)
     return total
 
 
@@ -254,15 +278,20 @@ def top_pairing(a: AntisymTensor) -> GaussianRational:
     return a.components.get(tuple(range(1, a.dim + 1)), GR_ZERO)
 
 
-def to_clifford(x) -> Multivector:
-    """Embed a one-form or 3-form as its Clifford multiplication element."""
+def _clifford_items(x) -> list[tuple[int, Rational]]:
+    """(blade mask, component) for each nonzero component of a one-form or 3-form."""
     if isinstance(x, OneForm):
-        return Multivector(x.dim, {1 << (i - 1): GaussianRational(x[i])
-                                   for i in range(1, x.dim + 1)})
+        return [(1 << i, c) for i, c in enumerate(x.components) if c]
     if isinstance(x, ThreeForm):
-        return Multivector(x.dim, {blade_mask(k): GaussianRational(v)
-                                   for k, v in x.components.items()})
+        return [(blade_mask(k), c) for k, c in x.components.items()]
     raise TypeError(f"cannot embed {type(x).__name__} into the Clifford algebra")
+
+
+def to_clifford(x) -> Multivector:
+    """Embed a one-form or 3-form as its Clifford multiplication element,
+    built as integer parts."""
+    items = [(mask, c, 0) for mask, c in _clifford_items(x)]
+    return _from_rationals(x.dim, items)
 
 
 def frame_product(u: OneForm, v: OneForm, w: OneForm, n: int) -> Multivector:

@@ -20,6 +20,7 @@ from .clifford import (
     Multivector,
     _check_even_dim,
     _from_int_parts,
+    _from_rationals,
     _int_product,
     _integer_runs,
     _relabel,
@@ -28,7 +29,7 @@ from .clifford import (
     mv_mul,
     trace,
 )
-from .forms import OneForm, ThreeForm, frame_product, to_clifford
+from .forms import OneForm, ThreeForm, _clifford_items, frame_product, to_clifford
 from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
 from .scalars import GR_I, SymScalar, TR_F_PHI, vol_sphere
 
@@ -84,14 +85,15 @@ def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Mu
         _same_dim(case, n)
         return case
     _check_case_dims(case, n)
-    if isinstance(case, TorsionVector):
-        return to_clifford(case.T) + to_clifford(case.Y).scale(GR_I)
+    if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of parts
+        return _from_rationals(n, [(mask, c, 0) for mask, c in _clifford_items(case.T)]
+                               + [(mask, 0, c) for mask, c in _clifford_items(case.Y)])
     if isinstance(case, Grading):
         return grading(n)
     if isinstance(case, VectorGrading):
         return mv_mul(to_clifford(case.X), grading(n))
-    if isinstance(case, TorsionGrading):
-        return mv_mul(to_clifford(case.T), grading(n)).scale(GR_I)
+    if isinstance(case, TorsionGrading):  # c(T) (i gamma): i rides on the one-blade factor
+        return mv_mul(to_clifford(case.T), grading(n).scale(GR_I))
     raise TypeError(f"unknown perturbation case {case!r}")
 
 
@@ -157,7 +159,8 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     xi_i^2 terms keep each blade's grade and the trace pairs only equal
     blades, so every other grade adds 0.
     """
-    b = perturbation_multivector(case, n)
-    b = Multivector(n, {mask: c for mask, c in b.coeffs.items() if mask.bit_count() in (1, 3)})
+    b = _from_int_parts(n, [(den, {mask: (re, im) for mask, re, im in run
+                                   if mask.bit_count() in (1, 3)})
+                            for den, run in _integer_runs(perturbation_multivector(case, n))])
     integrated = integrate_sphere(n, sigma_minus2m(u, v, w, b, n))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), trace(integrated))

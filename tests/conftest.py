@@ -15,20 +15,24 @@ import random
 import pytest
 
 from spectral_torsion import (
+    Grading,
     Multivector,
     OneForm,
     SymScalar,
     ThreeForm,
+    TorsionVector,
     TR_F_PHI,
+    VectorGrading,
+    grading,
     mv_mul,
     rational,
     trace,
 )
-from spectral_torsion.clifford import DimensionMismatch, blade_product
+from spectral_torsion.clifford import DimensionMismatch, _sign_mask, blade_mask, blade_product
 from spectral_torsion.halfline import dxn_symbol, half_inverse_symbol_components, \
     line_integral
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
-from spectral_torsion.scalars import DIM_F, GR_ZERO, PI, GaussianRational, Rational, \
+from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational, Rational, \
     vol_sphere
 from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import frame_product, to_clifford
@@ -75,6 +79,63 @@ def mv_mul_reference(a: Multivector, b: Multivector) -> Multivector:
             cur = out.get(mask)
             out[mask] = term if cur is None else cur + term
     return Multivector(a.dim, {m: c for m, c in out.items() if not c.is_zero()})
+
+
+# ---------------------------------------------------------------------------
+# coefficient-by-coefficient oracles for the integer-numerator paths
+# ---------------------------------------------------------------------------
+
+
+def to_clifford_reference(x) -> Multivector:
+    """The Clifford embedding of a one-form or 3-form, one GaussianRational
+    coefficient per component."""
+    if isinstance(x, OneForm):
+        return Multivector(x.dim, {1 << (i - 1): GaussianRational(x[i])
+                                   for i in range(1, x.dim + 1)})
+    return Multivector(x.dim, {blade_mask(k): GaussianRational(v)
+                               for k, v in x.components.items()})
+
+
+def scale_reference(mv: Multivector, s) -> Multivector:
+    """s times each coefficient."""
+    return Multivector(mv.dim, {mask: c * s for mask, c in mv.coeffs.items()})
+
+
+def perturbation_multivector_reference(case, n) -> Multivector:
+    """B from the embeddings' coefficients, i multiplied into each one."""
+    if isinstance(case, TorsionVector):
+        return (to_clifford_reference(case.T)
+                + scale_reference(to_clifford_reference(case.Y), GR_I))
+    if isinstance(case, Grading):
+        return grading(n)
+    if isinstance(case, VectorGrading):
+        return mv_mul(to_clifford_reference(case.X), grading(n))
+    return scale_reference(mv_mul(to_clifford_reference(case.T), grading(n)), GR_I)
+
+
+def scalar_product_reference(a: Multivector, b: Multivector) -> GaussianRational:
+    """<a b>_0 from the built coefficients of the shared blades."""
+    total = GR_ZERO
+    for mask in a.coeffs.keys() & b.coeffs.keys():
+        term = a.coeffs[mask] * b.coeffs[mask]
+        total = total - term if (mask & _sign_mask(mask)).bit_count() & 1 else total + term
+    return total
+
+
+def metric_pair_reference(u: OneForm, v: OneForm):
+    """g(u, v) as a sum of Rational products."""
+    return sum((a * b for a, b in zip(u.components, v.components)), rational(0))
+
+
+def eval_threeform_reference(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm):
+    """T(u, v, w): each stored triple times its 3x3 minor, in Rationals."""
+    total = rational(0)
+    for (a, b, c), coeff in t.components.items():
+        det = (u[a] * (v[b] * w[c] - v[c] * w[b])
+               - u[b] * (v[a] * w[c] - v[c] * w[a])
+               + u[c] * (v[a] * w[b] - v[b] * w[a]))
+        total += coeff * det
+    return total
 
 
 # ---------------------------------------------------------------------------

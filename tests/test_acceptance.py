@@ -159,9 +159,9 @@ def test_criterion_4_grading_torsion():
     _report(
         "4 (grading-torsion closed forms incl. the catalogued n=4 line)",
         not failures,
-        f"n=4 clause: computed {failures[0][0]} != catalogued {failures[0][1]} "
-        f"on {len(failures)}/25 random inputs; exact value is 0 "
-        "(matrix oracle concurs; see decisions ledger)" if failures else "",
+        f"n=4 clause: computed {failures[0][0]} != catalogued {failures[0][1]}; "
+        "at n=4, i·c(T)γ is grade 1, whose trace weight w₁ = 0, so the density is "
+        "identically 0 (matrix oracle concurs; see decisions ledger)" if failures else "",
     )
 
 

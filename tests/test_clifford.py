@@ -32,7 +32,7 @@ from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _integer_r
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
 from conftest import coprime_draw, mv_mul_reference, rand_multivector, rand_oneform, \
-    rand_threeform
+    rand_threeform, scalar_product_reference, scale_reference
 from matrix_rep import MatrixRep, mat_add, mat_mul
 
 
@@ -367,15 +367,24 @@ def test_mv_mul_cancellation_and_zero(n):
     assert mv_mul(zero, zero).is_zero()
 
 
-# a dense coprime product at n=8 takes seconds in mv_mul; n=6 covers that kind
+# a dense coprime product at n=8 takes seconds in mv_mul; n=6 covers that kind.
+# "parts" operands are products, read through their integer parts unbuilt.
 @pytest.mark.parametrize("kind, n", [("small", 4), ("small", 6), ("small", 8),
                                      ("imaginary", 4), ("imaginary", 6), ("imaginary", 8),
-                                     ("coprime", 4), ("coprime", 6)])
+                                     ("coprime", 4), ("coprime", 6),
+                                     ("parts", 4), ("parts", 6), ("parts", 8)])
 def test_scalar_product_matches_mv_mul(kind, n):
     rng = random.Random(f"scalar-{kind}-{n}")
-    draw = _coefficient_draw(rng, kind)
+    draw = _coefficient_draw(rng, "small" if kind == "parts" else kind)
     a, b = (Multivector(n, {mask: draw() for mask in range(1 << n)}) for _ in range(2))
-    assert scalar_product(a, b) == mv_mul(a, b).scalar_part()
+    if kind == "parts":
+        a, b = mv_mul(a, rand_multivector(rng, n)), mv_mul(rand_multivector(rng, n), b)
+    got = scalar_product(a, b)
+    if kind == "parts":
+        assert a._coeffs is None and b._coeffs is None
+    expected = scalar_product_reference(a, b)
+    assert got == expected and str(got) == str(expected)
+    assert got == mv_mul(a, b).scalar_part()
     # sparse operands share only some blades, or none
     for _ in range(20):
         c, d = rand_multivector(rng, n, 8), rand_multivector(rng, n, 8)
@@ -421,6 +430,25 @@ def test_deferred_product_reads_like_the_reference(kind, n):
     product = mv_mul(a, b)
     assert mv_mul(product, a) == mv_mul_reference(reference, a)
     assert (product._coeffs is None) == (kind != "coprime")
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
+def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
+    """Both scale integer numerators; the result is unbuilt and reads like the
+    coefficient-by-coefficient scaling, for plain and product operands."""
+    rng = random.Random(f"scale-{kind}-{n}")
+    draw = _coefficient_draw(rng, kind)
+    plain = Multivector(n, {mask: draw() for mask in range(1 << n)})
+    for b in (plain, mv_mul(rand_multivector(rng, n), rand_multivector(rng, n))):
+        for s in (draw(), GaussianRational(0, 1), rational("-3/7"), 2):
+            got, expected = b.scale(s), scale_reference(b, s)
+            assert got._coeffs is None
+            assert got == expected and str(got) == str(expected)
+        got, expected = conjugate_sum(b), _conjugate_sum_by_products(b)
+        assert got._coeffs is None
+        assert got == expected and str(got) == str(expected)
+    assert plain.scale(0) == Multivector.zero(n)
 
 
 def test_concurrent_first_reads_build_equal_coefficients():

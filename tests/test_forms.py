@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+import sys
+
 import pytest
 
 from spectral_torsion import (
@@ -23,9 +27,11 @@ from spectral_torsion import (
     wedge,
     wedge_all,
 )
+from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.scalars import GaussianRational
 
-from conftest import det_exact, rand_oneform, rand_rational, rand_threeform
+from conftest import coprime_draw, det_exact, eval_threeform_reference, \
+    metric_pair_reference, rand_oneform, rand_rational, rand_threeform, to_clifford_reference
 
 
 def basis(n, i):
@@ -110,8 +116,40 @@ def test_complementary_threeform_pairing():
 
 def test_to_clifford_basics():
     assert to_clifford(basis(4, 1)) == Multivector.blade(4, 0b1)
+    assert to_clifford(OneForm.zero(4)).is_zero()
+    assert to_clifford(ThreeForm.zero(6)) == Multivector.zero(6)
+    with pytest.raises(TypeError, match="cannot embed int"):
+        to_clifford(3)
     t = ThreeForm(4, {(1, 2, 3): rational("1/2")})
     assert to_clifford(t) == Multivector.blade(4, 0b111, rational("1/2"))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["small", "coprime"])
+def test_integer_paths_match_the_fraction_oracles(kind, n):
+    """to_clifford, metric_pair and eval_threeform on integer numerators equal
+    their Rational bodies, by value and printed form.  The coprime
+    denominators are long enough to split T and every row into runs."""
+    rng = random.Random(f"forms-{kind}-{n}")
+    draw = coprime_draw(rng, digits=200) if kind == "coprime" else lambda: rand_rational(rng)
+    u, v, w = (OneForm(tuple(draw() for _ in range(n))) for _ in range(3))
+    t = ThreeForm(n, {abc: draw() for abc in itertools.combinations(range(1, n + 1), 3)})
+    for x in (u, v, w, t):
+        got = to_clifford(x)
+        if kind == "coprime":
+            assert len(_integer_runs(got)) > 1
+        expected = to_clifford_reference(x)
+        assert got == expected and str(got) == str(expected)
+    # a coprime T(u, v, w) prints more digits than str(int) allows by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for got, expected in ((metric_pair(u, v), metric_pair_reference(u, v)),
+                              (metric_pair(w, w), metric_pair_reference(w, w)),
+                              (eval_threeform(t, u, v, w), eval_threeform_reference(t, u, v, w))):
+            assert got == expected and str(got) == str(expected)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_to_clifford_linear(rng):

@@ -25,6 +25,7 @@ from spectral_torsion import (
     TorsionGrading,
     TorsionVector,
     VectorGrading,
+    boundary_density,
     frame_product,
     grading,
     interior_density,
@@ -40,12 +41,13 @@ from spectral_torsion import (
     vol_sphere,
     ManifoldSpec,
 )
+from spectral_torsion import halfline, symbols
 from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.moments import integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, Rational, SymScalar, TR_F_PHI
 
-from conftest import coprime_draw, density_via_matrix_rep, rand_oneform, rand_threeform, \
-    sigma_minus2m_reference
+from conftest import coprime_draw, density_via_matrix_rep, perturbation_multivector_reference, \
+    rand_oneform, rand_rational, rand_threeform, sigma_minus2m_reference
 
 
 def basis(n, i):
@@ -92,6 +94,24 @@ def test_perturbation_dim_checked():
                  TorsionVector(ThreeForm.zero(6), basis(4, 1))):
         with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
             perturbation_multivector(case, 6)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["small", "coprime"])
+def test_perturbation_multivector_matches_the_fraction_oracle(kind, n):
+    """B built as integer parts equals B built coefficient by coefficient, by
+    value and printed form, on all four cases.  The coprime denominators
+    split c(T) + i c(Y) into several runs."""
+    rng = random.Random(f"perturbation-{kind}-{n}")
+    draw = coprime_draw(rng, digits=100) if kind == "coprime" else lambda: rand_rational(rng)
+    x, y = (OneForm(tuple(draw() for _ in range(n))) for _ in range(2))
+    t = ThreeForm(n, {abc: draw() for abc in itertools.combinations(range(1, n + 1), 3)})
+    for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+        got = perturbation_multivector(case, n)
+        if kind == "coprime" and isinstance(case, TorsionVector):
+            assert len(_integer_runs(got)) > 1
+        expected = perturbation_multivector_reference(case, n)
+        assert got == expected and str(got) == str(expected)
 
 
 # -- symbol assembly -------------------------------------------------------------
@@ -374,3 +394,98 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
     off_diagonal = [mv for expo, mv in sigma.terms.items() if sorted(expo)[-2:] == [1, 1]]
     assert len(off_diagonal) > n
     assert all(mv._coeffs is None for mv in off_diagonal)
+
+
+def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
+    """boundary_density and interior_density read C = c(u)c(v)c(w) and B
+    through their integer parts on dense n=8 inputs: neither C, nor B, nor
+    B's grade-1 and grade-3 part builds its coefficients."""
+    n = 8
+    rng = random.Random("unbuilt-c-and-b")
+    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+    t = ThreeForm(n, {abc: rand_rational(rng) or 1
+                      for abc in itertools.combinations(range(1, n + 1), 3)})
+    seen = []
+
+    def capture(fn):
+        def wrapped(*args):
+            seen.append(fn(*args))
+            return seen[-1]
+        return wrapped
+
+    for module in (symbols, halfline):
+        monkeypatch.setattr(module, "frame_product", capture(module.frame_product))
+    monkeypatch.setattr(symbols, "perturbation_multivector",
+                        capture(symbols.perturbation_multivector))
+    boundary_density(u, v, w, n)
+    # Grading() is left out: its B is the chirality blade, given by its coefficient
+    for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
+        interior_density(u, v, w, case, n)
+    # the boundary's C, then per case B, its grade-1/3 part (through
+    # sigma_minus2m) and C
+    assert len(seen) == 1 + 3 * 3
+    assert [mv._coeffs is None for mv in seen] == [True] * len(seen)
+
+
+# -- proofs on basis inputs at n=4 -----------------------------------------------
+
+
+def _basis_threeforms(n):
+    return [ThreeForm(n, {abc: 1}) for abc in itertools.combinations(range(1, n + 1), 3)]
+
+
+def test_n4_densities_proved_on_every_basis_input():
+    """Each interior density is multilinear in u, v, w and linear in the
+    perturbation, so agreement on basis inputs is a proof.  At n=4:
+    torsion_vector on 4^3 (C(4,3) + 4) = 512 inputs and vector_grading on
+    4^4 = 256 against theorem_value, torsion_grading on 4^3 C(4,3) = 256
+    against 0.  Every 16th input is cross-checked on literal matrices."""
+    n = 4
+    spec = ManifoldSpec(n)
+    e = [basis(n, i) for i in range(1, n + 1)]
+    z, threes = OneForm.zero(n), _basis_threeforms(n)
+    cases = {
+        "torsion_vector": [TorsionVector(t, z) for t in threes]
+                          + [TorsionVector(ThreeForm.zero(n), y) for y in e],
+        "vector_grading": [VectorGrading(x) for x in e],
+        "torsion_grading": [TorsionGrading(t) for t in threes],
+    }
+    counts = dict.fromkeys(cases, 0)
+    for name, perturbations in cases.items():
+        for u, v, w in itertools.product(e, repeat=3):
+            for case in perturbations:
+                got = interior_density(u, v, w, case, n)
+                expected = SymScalar.zero() if name == "torsion_grading" \
+                    else theorem_value(case, u, v, w, spec)
+                assert got == expected, (name, u, v, w, case)
+                if counts[name] % 16 == 0:
+                    assert got == density_via_matrix_rep(u, v, w, case, n)
+                counts[name] += 1
+    assert counts == {"torsion_vector": 512, "vector_grading": 256, "torsion_grading": 256}
+
+
+def test_grading_torsion_n4_catalogued_form_is_nonzero_only_where_the_density_is_zero():
+    """The basis inputs (e_a, e_b, e_c, e_ijk) on which the catalogued n=4
+    form 16i (-<w^T> g(u,v) + <v^T> g(u,w) - <u^T> g(v,w)) is nonzero: two
+    of u, v, w are equal and the third is e_d, d the index the triple ijk
+    misses.  The density is 0 on every one of them (row T4.11n4)."""
+    n = 4
+    spec = ManifoldSpec(n)
+    found = []
+    for (a, b, c), ijk in itertools.product(
+            itertools.product(range(1, n + 1), repeat=3),
+            itertools.combinations(range(1, n + 1), 3)):
+        u, v, w = basis(n, a), basis(n, b), basis(n, c)
+        case = TorsionGrading(ThreeForm(n, {ijk: 1}))
+        if not theorem_value(case, u, v, w, spec).is_zero():
+            found.append((a, b, c, ijk))
+            assert interior_density(u, v, w, case, n).is_zero()
+    listed = []
+    for ijk in itertools.combinations(range(1, n + 1), 3):
+        d = ({1, 2, 3, 4} - set(ijk)).pop()
+        for a, b, c in itertools.product(range(1, n + 1), repeat=3):
+            pairs = ((a, b, c), (a, c, b), (b, c, a))  # (equal, equal, third)
+            if any(p == q and r == d for p, q, r in pairs):
+                listed.append((a, b, c, ijk))
+    assert sorted(found) == sorted(listed)
+    assert len(found) == 4 * 10  # per triple: 3 positions x 4 values, all-equal once

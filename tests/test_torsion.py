@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+import time
+
 import pytest
 
 from spectral_torsion import (
@@ -23,11 +27,13 @@ from spectral_torsion import (
     verify_suite,
     vol_sphere,
 )
-from spectral_torsion.scalars import GaussianRational
+from spectral_torsion.forms import eval_threeform
+from spectral_torsion.scalars import GaussianRational, Rational
 
 from conftest import (
     cayley_rotation,
     rand_oneform,
+    rand_rational,
     rand_threeform,
     rotate_oneform,
     rotate_threeform,
@@ -220,3 +226,29 @@ def test_high_dimension_spot_check(rng):
     assert interior_density(u, v, w, case, n) == \
         theorem_value(case, u, v, w, ManifoldSpec(n))
     assert interior_density(u, v, w, TorsionGrading(t), n).is_zero()
+
+
+def test_theorem_value_n16_time_bound():
+    """theorem_value alone on a dense torsion_vector input at n=16: all 560
+    triples of T set, the fastest of three calls.
+
+    On the fractions backend (2-vCPU VM) the first runs took 0.9-1.4 ms with
+    eval_threeform on integer numerators; the bound is about 6x the slowest.
+    Summed in Rationals, eval_threeform took 21-23 ms here.
+    """
+    n = 16
+    rng = random.Random("theorem-n16")
+    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    t = ThreeForm(n, {abc: rand_rational(rng) or 1
+                      for abc in itertools.combinations(range(1, n + 1), 3)})
+    assert len(t.components) == 560
+    case, spec = TorsionVector(t, y), ManifoldSpec(n)
+    elapsed = []
+    for _ in range(3):
+        start = time.monotonic()
+        value = theorem_value(case, u, v, w, spec)
+        elapsed.append(time.monotonic() - start)
+    assert value == SymScalar.from_monomial((TR_F_PHI, vol_sphere(n - 1)),
+                                            -2 ** 9 * eval_threeform(t, u, v, w))
+    assert min(elapsed) < 0.008, f"theorem_value at n=16 took {min(elapsed) * 1e3:.1f} ms " \
+        f"on {Rational.__module__}.{Rational.__name__}"
