@@ -44,6 +44,12 @@ def _same_dim(a, b) -> None:
         raise DimensionMismatch(f"dim {a.dim} vs {dim}")
 
 
+def _check_dim(dim: int) -> None:
+    """The one Multivector dimension rule: 1 <= dim <= MAX_DIM."""
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+
+
 def _check_even_dim(n: int, low: int = 2) -> None:
     """The one even-dimension rule: n even, with low <= n <= MAX_DIM."""
     if n % 2 != 0:
@@ -104,8 +110,7 @@ class Multivector:
     __slots__ = ("dim", "_coeffs", "_parts")
 
     def __init__(self, dim: int, coeffs=None):
-        if not 1 <= dim <= MAX_DIM:
-            raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+        _check_dim(dim)
         clean: dict[int, GaussianRational] = {}
         if coeffs:
             top = 1 << dim
@@ -286,12 +291,6 @@ def _raw(dim: int, coeffs: dict[int, GaussianRational] | None,
 _RUN_DEN_BITS = 2048
 
 
-def _fits_run(dens) -> bool:
-    """Whether the lcm of the distinct denominators `dens` surely fits one
-    run: it divides their product."""
-    return sum(d.bit_length() for d in dens) <= _RUN_DEN_BITS
-
-
 def _rational_runs(items) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """(key, re, im) items with rational parts as runs [(D, [(key, D*re, D*im), ...]), ...].
 
@@ -302,7 +301,7 @@ def _rational_runs(items) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """
     items = list(items)
     dens = {d for _, re, im in items for d in (re.denominator, im.denominator)}
-    if _fits_run(dens):
+    if sum(d.bit_length() for d in dens) <= _RUN_DEN_BITS:  # their lcm divides the product
         runs = [(lcm(*dens), items)]
     else:
         runs = []
@@ -328,6 +327,7 @@ def _from_rationals(dim: int, items) -> Multivector:
 
     Masks must be distinct and fit `dim`; no coefficient is built.
     """
+    _check_dim(dim)
     return _from_int_parts(dim, [(den, {mask: (re, im) for mask, re, im in run if re or im})
                                  for den, run in _rational_runs(items)])
 

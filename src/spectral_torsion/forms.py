@@ -9,8 +9,8 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from .clifford import DimensionMismatch, Multivector, _fits_run, _from_rationals, _part, \
-    _rational_runs, _same_dim, blade_mask, mv_mul
+from .clifford import DimensionMismatch, Multivector, _from_rationals, _part, _rational_runs, \
+    _same_dim, blade_mask, mv_mul
 from .scalars import GR_ZERO, GaussianRational, Rational, rational
 
 
@@ -185,18 +185,10 @@ def _integer_row(x: OneForm) -> tuple[int, list[int]]:
 
 
 def metric_pair(u: OneForm, v: OneForm) -> Rational:
-    """g(u, v) in the orthonormal frame: the exact dot product.
-
-    When the two rows' denominators fit one run, the products of their
-    integer numerators are summed and reduced once.  Past that they are long
-    and mostly unrelated, and a sum of Rational products keeps every
-    reduction small.
-    """
+    """g(u, v) in the orthonormal frame: the exact dot product."""
     _same_dim(u, v)
-    if _fits_run({c.denominator for x in (u, v) for c in x.components}):
-        (du, un), (dv, vn) = _integer_row(u), _integer_row(v)
-        return Rational(sum(a * b for a, b in zip(un, vn)), du * dv)
-    return sum((a * b for a, b in zip(u.components, v.components)), rational(0))
+    return sum((a * b for a, b in zip(u.components, v.components)),
+               rational(0))
 
 
 def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational:

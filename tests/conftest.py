@@ -122,11 +122,6 @@ def scalar_product_reference(a: Multivector, b: Multivector) -> GaussianRational
     return total
 
 
-def metric_pair_reference(u: OneForm, v: OneForm):
-    """g(u, v) as a sum of Rational products."""
-    return sum((a * b for a, b in zip(u.components, v.components)), rational(0))
-
-
 def eval_threeform_reference(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm):
     """T(u, v, w): each stored triple times its 3x3 minor, in Rationals."""
     total = rational(0)
