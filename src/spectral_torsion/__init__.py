@@ -33,18 +33,12 @@ from .clifford import (
     trace,
 )
 from .forms import (
-    AntisymTensor,
-    GradeOverflow,
-    NotTopGrade,
     OneForm,
     ThreeForm,
     eval_threeform,
     frame_product,
     metric_pair,
     to_clifford,
-    top_pairing,
-    wedge,
-    wedge_all,
 )
 from .moments import (
     XiMonomial,

@@ -1,4 +1,4 @@
-"""One-forms, antisymmetric 3-forms, wedge products and Clifford embeddings.
+"""One-forms, antisymmetric 3-forms, complement duals and Clifford embeddings.
 
 Everything lives in an orthonormal frame where the metric is the identity,
 so vectors and covectors share one representation.
@@ -9,17 +9,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from .clifford import DimensionMismatch, Multivector, _from_rationals, _part, _rational_runs, \
-    _same_dim, blade_mask, mv_mul
-from .scalars import GR_ZERO, GaussianRational, Rational, rational
-
-
-class GradeOverflow(ValueError):
-    pass
-
-
-class NotTopGrade(ValueError):
-    pass
+from .clifford import Multivector, _from_rationals, _part, _rational_runs, _same_dim, \
+    blade_mask, mv_mul
+from .scalars import Rational, rational
 
 
 class OneForm:
@@ -108,76 +100,6 @@ class ThreeForm:
         return f"ThreeForm(dim={self.dim}, {items})"
 
 
-class AntisymTensor:
-    """Fully antisymmetric grade-k tensor on strictly increasing k-tuples.
-
-    Coefficients are Gaussian rationals so wedge-combinations with complex
-    weights stay exact.
-    """
-
-    __slots__ = ("dim", "grade", "components")
-
-    def __init__(self, dim: int, grade: int, components=None):
-        if not 0 <= grade <= dim:
-            raise GradeOverflow(f"grade {grade} outside 0..{dim}")
-        clean = {}
-        if components:
-            for key, value in components.items():
-                key = tuple(key)
-                if len(key) != grade or any(not 1 <= i <= dim for i in key) \
-                        or any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                    raise ValueError(f"key {key} is not a strictly increasing {grade}-tuple")
-                v = value if isinstance(value, GaussianRational) else GaussianRational(value)
-                if not v.is_zero():
-                    clean[key] = v
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AntisymTensor is immutable")
-
-    @classmethod
-    def from_one_form(cls, u: OneForm) -> "AntisymTensor":
-        return cls(u.dim, 1, {(i,): GaussianRational(u[i]) for i in range(1, u.dim + 1)})
-
-    @classmethod
-    def from_three_form(cls, t: ThreeForm) -> "AntisymTensor":
-        return cls(t.dim, 3, {k: GaussianRational(v) for k, v in t.components.items()})
-
-    def __add__(self, other: "AntisymTensor") -> "AntisymTensor":
-        _same_dim(self, other)
-        if self.grade != other.grade:
-            raise DimensionMismatch(f"grade {self.grade} vs {other.grade}")
-        out = dict(self.components)
-        for k, v in other.components.items():
-            s = out.get(k, GR_ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return AntisymTensor(self.dim, self.grade, out)
-
-    def scale(self, s) -> "AntisymTensor":
-        s = s if isinstance(s, GaussianRational) else GaussianRational(s)
-        return AntisymTensor(self.dim, self.grade,
-                             {k: v * s for k, v in self.components.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, AntisymTensor) and self.dim == other.dim
-                and self.grade == other.grade and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.dim, self.grade, frozenset(self.components.items())))
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __repr__(self):
-        items = {k: str(v) for k, v in sorted(self.components.items())}
-        return f"AntisymTensor(dim={self.dim}, grade={self.grade}, {items})"
-
-
 def _integer_row(x: OneForm) -> tuple[int, list[int]]:
     """x's components as integer numerators over their common denominator."""
     den = lcm(*(c.denominator for c in x.components))
@@ -227,47 +149,26 @@ def _merge_sign(s: tuple, t: tuple) -> int:
     return -1 if inversions & 1 else 1
 
 
-def wedge(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
-    """Alternating wedge product with shuffle signs."""
-    _same_dim(a, b)
-    if a.grade + b.grade > a.dim:
-        raise GradeOverflow(f"grade {a.grade}+{b.grade} exceeds dim {a.dim}")
-    out: dict[tuple, GaussianRational] = {}
-    for ka, va in a.components.items():
-        for kb, vb in b.components.items():
-            sign = _merge_sign(ka, kb)
-            if sign == 0:
-                continue
-            key = tuple(sorted(ka + kb))
-            term = va * vb
-            if sign < 0:
-                term = -term
-            cur = out.get(key, GR_ZERO) + term
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
-    return AntisymTensor(a.dim, a.grade + b.grade, out)
+def _complement(x, n: int):
+    """The complement dual of a one-form or 3-form x of dimension n.
 
-
-def wedge_all(factors) -> AntisymTensor:
-    out = None
-    for f in factors:
-        if isinstance(f, OneForm):
-            f = AntisymTensor.from_one_form(f)
-        elif isinstance(f, ThreeForm):
-            f = AntisymTensor.from_three_form(f)
-        out = f if out is None else wedge(out, f)
-    if out is None:
-        raise ValueError("empty wedge product")
-    return out
-
-
-def top_pairing(a: AntisymTensor) -> GaussianRational:
-    """<a, e_1* ^ ... ^ e_n*>: the coefficient of the full index tuple."""
-    if a.grade != a.dim:
-        raise NotTopGrade(f"grade {a.grade} != dim {a.dim}")
-    return a.components.get(tuple(range(1, a.dim + 1)), GR_ZERO)
+    Each stored component moves to the complementary index tuple, signed so
+    that the top pairing of a ^ x is the pairing of a with the dual: a k-form
+    becomes an (n-k)-form, a OneForm or a ThreeForm.
+    """
+    _same_dim(x, n)
+    if isinstance(x, OneForm):
+        items = [((i,), c) for i, c in enumerate(x.components, 1) if c]
+        k = 1
+    else:
+        items, k = x.components.items(), 3
+    dual = {}
+    for key, c in items:
+        rest = tuple(i for i in range(1, n + 1) if i not in key)
+        dual[rest] = _merge_sign(rest, key) * c
+    if n - k == 1:
+        return OneForm(tuple(dual.get((i,), 0) for i in range(1, n + 1)))
+    return ThreeForm(n, dual)
 
 
 def _clifford_items(x) -> list[tuple[int, Rational]]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .clifford import MAX_DIM
-from .forms import OneForm, metric_pair, eval_threeform, top_pairing, wedge_all
+from .forms import OneForm, _complement, eval_threeform, metric_pair
 from .halfline import boundary_density
 from .scalars import (
     DIM_F,
@@ -114,20 +114,21 @@ def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
         value = SymScalar.zero()
     elif isinstance(case, VectorGrading):
         if n == 4:
-            pairing = top_pairing(wedge_all((u, v, w, case.X)))
+            pairing = eval_threeform(_complement(case.X, n), u, v, w)
             value = SymScalar.from_monomial((TR_F_PHI, vol),
                                             pairing * rational(8))
         else:
             value = SymScalar.zero()
     elif isinstance(case, TorsionGrading):
         if n == 4:
-            combo = (-top_pairing(wedge_all((w, case.T))) * metric_pair(u, v)
-                     + top_pairing(wedge_all((v, case.T))) * metric_pair(u, w)
-                     - top_pairing(wedge_all((u, case.T))) * metric_pair(v, w))
+            dual = _complement(case.T, n)
+            combo = (-metric_pair(w, dual) * metric_pair(u, v)
+                     + metric_pair(v, dual) * metric_pair(u, w)
+                     - metric_pair(u, dual) * metric_pair(v, w))
             value = SymScalar.from_monomial((TR_F_PHI, vol),
                                             combo * rational(16) * GR_I)
         elif n == 6:
-            pairing = top_pairing(wedge_all((u, v, w, case.T)))
+            pairing = eval_threeform(_complement(case.T, n), u, v, w)
             value = SymScalar.from_monomial((TR_F_PHI, vol),
                                             pairing * rational(16))
         else:

@@ -20,8 +20,8 @@ from typing import Callable
 
 from .clifford import Multivector, conjugate_sum, grading, mv_mul, scalar_product, \
     supertrace
-from .forms import OneForm, ThreeForm, frame_product, metric_pair, eval_threeform, \
-    top_pairing, to_clifford, wedge_all
+from .forms import OneForm, ThreeForm, _complement, frame_product, metric_pair, \
+    eval_threeform, to_clifford
 from .halfline import (
     POLY_ONE,
     Poly,
@@ -232,7 +232,7 @@ def _run_e434(n, rng):
     u, v, w, x = _vector_inputs(n, rng)
     computed = scalar_product(frame_product(u, v, w, n),
                               mv_mul(to_clifford(x), grading(n))) * _tr_id(n)
-    pairing = top_pairing(wedge_all((u, v, w, x)))
+    pairing = eval_threeform(_complement(x, n), u, v, w)
     return _exact(computed, rational(-4) * pairing)
 
 
@@ -267,8 +267,7 @@ def _run_e439(n, rng):
     u, v, w, t = _grading_torsion_inputs(n, rng)
     computed = scalar_product(frame_product(u, v, w, n),
                               mv_mul(to_clifford(t), grading(n))) * _tr_id(n)
-    pairing = top_pairing(wedge_all((u, v, w, t))) if not t.is_zero() \
-        else GaussianRational(0)
+    pairing = eval_threeform(_complement(t, n), u, v, w)
     reference = rational(8) * (GR_ONE / i_power(3)) * pairing
     return _exact(computed, reference)
 
@@ -295,12 +294,10 @@ def _run_e449(n, rng):
     u, v, w, t = _grading_torsion_inputs(n, rng)
     computed = scalar_product(frame_product(u, v, w, n),
                               mv_mul(to_clifford(t), grading(n))) * _tr_id(n)
-    if t.is_zero():
-        combo = GaussianRational(0)
-    else:
-        combo = (-top_pairing(wedge_all((w, t))) * metric_pair(u, v)
-                 + top_pairing(wedge_all((v, t))) * metric_pair(u, w)
-                 - top_pairing(wedge_all((u, t))) * metric_pair(v, w))
+    dual = _complement(t, n)
+    combo = (-metric_pair(w, dual) * metric_pair(u, v)
+             + metric_pair(v, dual) * metric_pair(u, w)
+             - metric_pair(u, dual) * metric_pair(v, w))
     return _exact(computed, rational(-4) * combo)
 
 

@@ -1,14 +1,15 @@
 """Shared exact oracles for the test suite.
 
 These deliberately avoid the library's blade algebra where independence
-matters: determinants by Gaussian elimination, rotations via the Cayley
-transform, and a density evaluator that works on literal representation
-matrices instead of blades.
+matters: determinants by Gaussian elimination, top pairings by the
+Levi-Civita sum, rotations via the Cayley transform, and a density evaluator
+that works on literal representation matrices instead of blades.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 
@@ -270,6 +271,26 @@ def det_exact(rows):
                 for c in range(col, size):
                     mat[r][c] = mat[r][c] - factor * mat[col][c]
     return det
+
+
+def top_pairing_oracle(*factors):
+    """<f_1 ^ ... ^ f_k, e_1* ^ ... ^ e_n*> for one-forms and 3-forms whose
+    grades add up to n: over one stored component of each factor, the sum of
+    their product times the Levi-Civita sign of the concatenated indices."""
+    def items(f):
+        if isinstance(f, OneForm):
+            return [((i,), c) for i, c in enumerate(f.components, 1)]
+        return list(f.components.items())
+    total = rational(0)
+    for picks in itertools.product(*map(items, factors)):
+        idx = sum((key for key, _ in picks), ())
+        assert len(idx) == factors[0].dim, "not a top-grade product"
+        if len(set(idx)) < len(idx):
+            continue
+        inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+        term = math.prod(c for _, c in picks)
+        total += -term if inversions & 1 else term
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Forms, wedge products, top pairings and Clifford embeddings."""
+"""Forms, complement duals, top pairings and Clifford embeddings."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ import sys
 import pytest
 
 from spectral_torsion import (
-    AntisymTensor,
     DimensionMismatch,
-    GradeOverflow,
     Multivector,
-    NotTopGrade,
     OneForm,
     ThreeForm,
     eval_threeform,
@@ -22,13 +19,10 @@ from spectral_torsion import (
     mv_mul,
     rational,
     to_clifford,
-    top_pairing,
     trace,
-    wedge,
-    wedge_all,
 )
 from spectral_torsion.clifford import MAX_DIM, _integer_runs
-from spectral_torsion.scalars import GaussianRational
+from spectral_torsion.forms import _complement
 
 from conftest import coprime_draw, det_exact, eval_threeform_reference, \
     rand_oneform, rand_rational, rand_threeform, to_clifford_reference
@@ -38,8 +32,9 @@ def basis(n, i):
     return OneForm.basis(n, i)
 
 
-def one(u):
-    return AntisymTensor.from_one_form(u)
+def top_pairing(u, v, w, x):
+    """<u ^ v ^ w ^ x, e_1* ^ ... ^ e_n*> by the complement dual of x."""
+    return eval_threeform(_complement(x, x.dim), u, v, w)
 
 
 def test_metric_pair_basis():
@@ -55,63 +50,33 @@ def test_eval_threeform_basic():
     assert eval_threeform(t, u, u, w) == 0
 
 
-def test_wedge_basics():
-    e1, e2 = one(basis(4, 1)), one(basis(4, 2))
-    assert wedge(e1, e2).components == {(1, 2): GaussianRational(1)}
-    assert wedge(e2, e1).components == {(1, 2): GaussianRational(-1)}
-    s = one(basis(4, 1)) + one(basis(4, 2))
-    assert wedge(s, s).is_zero()
-
-
-def test_wedge_grade_overflow():
-    t = AntisymTensor.from_three_form(ThreeForm(4, {(1, 2, 3): 1}))
-    with pytest.raises(GradeOverflow):
-        wedge(t, t)
-
-
-def test_wedge_associative_and_graded_commutative(rng):
-    n = 6
-    for _ in range(30):
-        a = one(rand_oneform(rng, n))
-        b = one(rand_oneform(rng, n))
-        t = AntisymTensor.from_three_form(rand_threeform(rng, n))
-        assert wedge(wedge(a, b), t) == wedge(a, wedge(b, t))
-        # graded anticommutativity: 1x1 anticommute, 1x3 anticommute... sign (-1)^{pq}
-        assert wedge(a, b) == wedge(b, a).scale(-1)
-        assert wedge(a, t) == wedge(t, a).scale(-1)
-
-
 def test_top_pairing_basis():
-    full = wedge_all((basis(4, 1), basis(4, 2), basis(4, 3), basis(4, 4)))
-    assert top_pairing(full) == GaussianRational(1)
-
-
-def test_top_pairing_requires_top_grade():
-    with pytest.raises(NotTopGrade):
-        top_pairing(one(basis(4, 1)))
+    assert top_pairing(basis(4, 1), basis(4, 2), basis(4, 3), basis(4, 4)) == 1
+    assert top_pairing(basis(4, 2), basis(4, 1), basis(4, 3), basis(4, 4)) == -1
+    assert _complement(basis(4, 4), 4) == ThreeForm(4, {(1, 2, 3): 1})
+    assert _complement(ThreeForm(4, {(1, 3, 4): 1}), 4) == basis(4, 2).scale(-1)
 
 
 def test_top_pairing_is_determinant(rng):
     n = 4
     for _ in range(30):
         rows = [[rand_rational(rng) for _ in range(n)] for _ in range(n)]
-        forms = [OneForm(r) for r in rows]
-        pairing = top_pairing(wedge_all(forms))
-        assert pairing == GaussianRational(det_exact(rows))
+        assert top_pairing(*(OneForm(r) for r in rows)) == det_exact(rows)
 
 
 def test_top_pairing_alternating(rng):
     n = 4
     u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
-    p = top_pairing(wedge_all((u, v, w, x)))
-    assert top_pairing(wedge_all((v, u, w, x))) == -p
-    assert top_pairing(wedge_all((u, u, w, x))).is_zero()
+    p = top_pairing(u, v, w, x)
+    assert top_pairing(v, u, w, x) == -p
+    assert top_pairing(u, u, w, x) == 0
 
 
 def test_complementary_threeform_pairing():
     t = ThreeForm(6, {(4, 5, 6): 1})
-    full = wedge_all((basis(6, 1), basis(6, 2), basis(6, 3), t))
-    assert top_pairing(full) == GaussianRational(1)
+    assert _complement(t, 6) == ThreeForm(6, {(1, 2, 3): 1})
+    assert top_pairing(basis(6, 1), basis(6, 2), basis(6, 3), t) == 1
+    assert _complement(ThreeForm.zero(6), 6) == ThreeForm.zero(6)
 
 
 def test_to_clifford_basics():
@@ -193,9 +158,6 @@ def test_dimension_errors_share_one_message():
     with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
         frame_product(u4, u4, u4, 6)
     with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
-        one(u4) + one(u6)
-    # same dimension, different grades: the grade comparison stays
-    with pytest.raises(DimensionMismatch, match=r"^grade 1 vs 3$"):
-        one(u4) + AntisymTensor.from_three_form(t4)
+        _complement(t4, 6)
     with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
         metric_pair(u4, u6)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from spectral_torsion import (
+    DimensionMismatch,
     FINAL_IDS,
     Grading,
     ManifoldSpec,
@@ -37,6 +38,7 @@ from conftest import (
     rand_threeform,
     rotate_oneform,
     rotate_threeform,
+    top_pairing_oracle,
 )
 
 
@@ -72,6 +74,44 @@ def test_theorem_torsion_grading_n8_zero(rng):
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     case = TorsionGrading(rand_threeform(rng, n))
     assert theorem_value(case, u, v, w, ManifoldSpec(n)).is_zero()
+
+
+@pytest.mark.parametrize("case_name, n, inputs", [
+    ("vector_grading", 4, 256), ("torsion_grading", 4, 256), ("torsion_grading", 6, 4320)])
+def test_graded_closed_forms_on_basis_inputs(case_name, n, inputs):
+    """theorem_value equals the catalogued constant times the Levi-Civita
+    oracle on every input of basis one-forms u, v, w and a basis X or T.
+    Each closed form is multilinear in (u, v, w, X or T), so agreement on
+    the basis proves it on every input."""
+    es = [basis(n, i) for i in range(1, n + 1)]
+    if case_name == "vector_grading":
+        last = es
+    else:
+        last = [ThreeForm(n, {abc: 1}) for abc in itertools.combinations(range(1, n + 1), 3)]
+    spec, checked, nonzero = ManifoldSpec(n), 0, 0
+    for u, v, w, f in itertools.product(es, es, es, last):
+        if case_name == "vector_grading":
+            case, coeff = VectorGrading(f), 8 * top_pairing_oracle(u, v, w, f)
+        elif n == 4:
+            # g(e_i, e_j) is 1 on equal basis one-forms, else 0
+            combo = (-top_pairing_oracle(w, f) * (u == v)
+                     + top_pairing_oracle(v, f) * (u == w)
+                     - top_pairing_oracle(u, f) * (v == w))
+            case, coeff = TorsionGrading(f), combo * 16 * GaussianRational(0, 1)
+        else:
+            case, coeff = TorsionGrading(f), 16 * top_pairing_oracle(u, v, w, f)
+        expected = SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), coeff)
+        assert theorem_value(case, u, v, w, spec) == expected, (u, v, w, f)
+        checked += 1
+        nonzero += not expected.is_zero()
+    assert checked == inputs and nonzero > 0
+
+
+def test_theorem_value_rejects_a_form_of_another_dimension():
+    u, v, w = (basis(4, i) for i in (1, 2, 3))
+    for case in (VectorGrading(basis(6, 4)), TorsionGrading(ThreeForm(6, {(4, 5, 6): 1}))):
+        with pytest.raises(DimensionMismatch):
+            theorem_value(case, u, v, w, ManifoldSpec(4))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
