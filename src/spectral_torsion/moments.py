@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .clifford import DimensionMismatch, Multivector, _from_int_parts, _integer_runs
+from .clifford import DimensionMismatch, Multivector, _from_int_parts, _integer_runs, \
+    _same_dim, mv_mul
 from .scalars import Rational, rational
 
 
@@ -61,12 +62,22 @@ def vol_numeric(k: int) -> float:
 
 
 class XiPolynomialMV:
-    """Polynomial in the cosphere variables with multivector coefficients."""
+    """Polynomial in the cosphere variables with multivector coefficients:
+    left * sum_alpha xi^alpha terms[alpha].
 
-    __slots__ = ("nvars", "mv_dim", "terms")
+    `left` is a multivector factored out of every coefficient, None for the
+    identity.  It must be zero or invertible, so that a coefficient is zero
+    exactly when its term is; a zero `left` keeps no terms.
+    """
 
-    def __init__(self, nvars: int, mv_dim: int, terms=None):
+    __slots__ = ("nvars", "mv_dim", "terms", "left")
+
+    def __init__(self, nvars: int, mv_dim: int, terms=None, left: Multivector | None = None):
         clean: dict[tuple, Multivector] = {}
+        if left is not None:
+            _same_dim(left, mv_dim)
+            if left.is_zero():
+                terms = None
         if terms:
             for expo, mv in terms.items():
                 expo = tuple(expo)
@@ -80,6 +91,7 @@ class XiPolynomialMV:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "mv_dim", mv_dim)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "left", left)
 
     def __setattr__(self, name, value):
         raise AttributeError("XiPolynomialMV is immutable")
@@ -90,7 +102,7 @@ class XiPolynomialMV:
     def __eq__(self, other):
         return (isinstance(other, XiPolynomialMV)
                 and self.nvars == other.nvars and self.mv_dim == other.mv_dim
-                and self.terms == other.terms)
+                and self.left == other.left and self.terms == other.terms)
 
     def __repr__(self):
         return f"XiPolynomialMV(nvars={self.nvars}, terms={len(self.terms)})"
@@ -107,19 +119,25 @@ def xi_monomial(nvars: int, *indices: int) -> tuple:
 def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)).
 
-    The result is sum_alpha moment(n, alpha) * coefficient; the caller
-    attaches the volume atom.  Each surviving coefficient's integer parts are
-    scaled by its moment and kept as parts of the result, which are summed
-    when read.
+    The result is left * sum_alpha moment(n, alpha) * terms[alpha]; the
+    caller attaches the volume atom.  The surviving terms' integer
+    numerators, scaled by their moments over the lcm L of the moment
+    denominators, are summed into one part per run denominator D, kept over
+    D * L, and multiplied by the left factor once.
     """
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
-    parts = []
-    for expo, mv in p.terms.items():
-        weight = moment(n, expo)
-        if weight:
-            num = weight.numerator
-            parts += [(den * weight.denominator,
-                       {mask: (re * num, im * num) for mask, re, im in terms})
-                      for den, terms in _integer_runs(mv)]
-    return _from_int_parts(p.mv_dim, parts)
+    weights = {expo: weight for expo in p.terms if (weight := moment(n, expo))}
+    scale = math.lcm(*(weight.denominator for weight in weights.values()))
+    sums: dict[int, dict[int, tuple[int, int]]] = {}
+    for expo, weight in weights.items():
+        factor = weight.numerator * (scale // weight.denominator)
+        for den, run in _integer_runs(p.terms[expo]):
+            acc = sums.setdefault(den, {})
+            for mask, re, im in run:
+                cur = acc.get(mask)
+                re, im = re * factor, im * factor
+                acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    left = Multivector.identity(p.mv_dim) if p.left is None else p.left
+    return mv_mul(left, _from_int_parts(p.mv_dim, [(den * scale, acc)
+                                                   for den, acc in sums.items()]))

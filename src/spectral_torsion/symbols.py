@@ -21,7 +21,6 @@ from .clifford import (
     _check_even_dim,
     _from_int_parts,
     _from_rationals,
-    _int_product,
     _integer_runs,
     _relabel,
     _same_dim,
@@ -99,53 +98,54 @@ def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Mu
 
 def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
                   case: PerturbationCase | Multivector, n: int) -> XiPolynomialMV:
-    """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere."""
+    """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere.
+
+    The frame factor C = c(u)c(v)c(w) is the polynomial's left factor, and
+    its terms are the right factors built from B; C, a product of vectors, is
+    zero or invertible.
+    """
     _check_even_dim(n, 4)
     b = perturbation_multivector(case, n)
     m = n // 2
     cuvw = frame_product(u, v, w, n)
 
     terms: dict[tuple, Multivector] = {}
-    constant = mv_mul(cuvw, b)
-    if not constant.is_zero():
-        terms[xi_monomial(n)] = constant
+    if not b.is_zero():
+        terms[xi_monomial(n)] = b
 
     # m {c(e_i), B} = 2m B_i c(e_i), B_i the blades of B that commute with
     # c(e_i): those with an even number of generators other than e_i.
-    # left[i] = C * 2m B_i c(e_i) as integer parts over the run denominators
-    # of C and B, which every i shares, or None where it vanishes.
-    c_runs, b_runs = _integer_runs(cuvw), _integer_runs(b)
-    left: list = [None] * (n + 1)
+    # right[i] = 2m B_i c(e_i) as integer parts over B's run denominators,
+    # or None where it vanishes.
+    b_runs = _integer_runs(b)
+    right: list = [None] * (n + 1)
     for i in range(1, n + 1):
         others = ~(1 << (i - 1))
-        bi_runs = [(den, [(mask, 2 * m * re, 2 * m * im) for mask, re, im in run
-                          if not (mask & others).bit_count() & 1])
-                   for den, run in b_runs]
-        parts = [(den, _relabel(acc, i)) for den, acc in _int_product(c_runs, bi_runs)]
-        # parts over several run pairs cannot cancel each other out: C, a
-        # product of vectors, is zero or invertible
+        parts = [(den, _relabel({mask: (2 * m * re, 2 * m * im) for mask, re, im in run
+                                 if not (mask & others).bit_count() & 1}, i))
+                 for den, run in b_runs]
         if any(re or im for _, acc in parts for re, im in acc.values()):
-            left[i] = parts
+            right[i] = parts
 
-    # the xi_i xi_l coefficient is left[i] c(e_l) + left[l] c(e_i) (one term
-    # when i = l), entered where the running sum over i, then l, first
-    # became nonzero: at (i, l) when left[i] is nonzero, else at (l, i)
+    # the xi_i xi_l term is right[i] c(e_l) + right[l] c(e_i) (one term when
+    # i = l), entered where the running sum over i, then l, first became
+    # nonzero: at (i, l) when right[i] is nonzero, else at (l, i)
     for i in range(1, n + 1):
-        if left[i] is None:
+        if right[i] is None:
             continue
         for l in range(1, n + 1):
-            if l < i and left[l] is not None:
+            if l < i and right[l] is not None:
                 continue
-            parts = [(den, _relabel(acc, l)) for den, acc in left[i]]
-            if l != i and left[l] is not None:
-                for (_, acc), (_, other) in zip(parts, left[l]):
+            parts = [(den, _relabel(acc, l)) for den, acc in right[i]]
+            if l != i and right[l] is not None:
+                for (_, acc), (_, other) in zip(parts, right[l]):
                     for mask, (re, im) in _relabel(other, i).items():
                         cur = acc.get(mask)
                         acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
             term = _from_int_parts(n, parts)
             if not term.is_zero():
                 terms[xi_monomial(n, i, l)] = term
-    return XiPolynomialMV(n, n, terms)
+    return XiPolynomialMV(n, n, terms, left=cuvw)
 
 
 def interior_density(u: OneForm, v: OneForm, w: OneForm,

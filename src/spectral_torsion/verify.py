@@ -215,7 +215,7 @@ def _run_l49(n, rng):
 def _run_e431(n, rng):
     u, v, w = _oneforms(n, rng, 1, 2, 3)
     sigma = sigma_minus2m(u, v, w, Grading(), n)
-    computed_mv = sigma.terms.get(xi_monomial(n), Multivector.zero(n))
+    computed_mv = mv_mul(sigma.left, sigma.terms.get(xi_monomial(n), Multivector.zero(n)))
     reference_mv = -mv_mul(frame_product(u, v, w, n), grading(n))
     # probe one blade coefficient for display; match over full multivectors
     probe_mask = next(iter(sorted(reference_mv.coeffs)), 0)

@@ -174,11 +174,20 @@ def sigma_minus2m_reference(u, v, w, case, n) -> XiPolynomialMV:
     return XiPolynomialMV(n, n, terms)
 
 
+def expand_left(p: XiPolynomialMV) -> dict:
+    """The coefficients {alpha: left * terms[alpha]} of a polynomial, its left
+    factor multiplied into each term (the terms themselves when it has none)."""
+    if p.left is None:
+        return dict(p.terms)
+    return {expo: mv_mul(p.left, mv) for expo, mv in p.terms.items()}
+
+
 def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)): each surviving
-    coefficient scaled by its moment weight and added as a multivector."""
+    coefficient, left factor multiplied in, scaled by its moment weight and
+    added as a multivector."""
     total = Multivector.zero(p.mv_dim)
-    for expo, mv in p.terms.items():
+    for expo, mv in expand_left(p).items():
         weight = moment(n, expo)
         if weight:
             total = total + mv.scale(weight)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from spectral_torsion import (
+    DimensionMismatch,
     Multivector,
+    OneForm,
     XiPolynomialMV,
+    frame_product,
     integrate_sphere,
     moment,
     rational,
@@ -20,7 +23,7 @@ from spectral_torsion.clifford import _RUN_DEN_BITS
 from spectral_torsion.moments import xi_monomial
 from spectral_torsion.scalars import GaussianRational, Rational
 
-from conftest import coprime_draw, integrate_sphere_reference
+from conftest import coprime_draw, integrate_sphere_reference, rand_oneform
 
 
 def gamma_moment_full(n: int, alpha) -> float:
@@ -142,22 +145,57 @@ def _termwise_polynomial(rng, n):
     return XiPolynomialMV(n, n, terms)
 
 
+def _left_factor(kind, rng, n):
+    """None, or a left factor C = c(u)c(v)c(w), which is zero or invertible:
+    dense, a single blade, or over pairwise-coprime 12-digit denominators."""
+    if kind is None:
+        return None
+    if kind == "sparse":
+        u, v, w = (OneForm.basis(n, i) for i in (1, 2, 3))
+    elif kind == "coprime":
+        draw = coprime_draw(rng)
+        u, v, w = (OneForm(tuple(draw() for _ in range(n))) for _ in range(3))
+    else:
+        u, v, w = (rand_oneform(rng, n) for _ in range(3))
+    return frame_product(u, v, w, n)
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_integrate_sphere_matches_termwise(n):
+    """Against the reference, which integrates each coefficient with the left
+    factor multiplied in (conftest.expand_left); integrate_sphere multiplies
+    it in once, after.  The polynomial goes in without a left factor and
+    with a dense, a sparse and a coprime one."""
     rng = random.Random(f"termwise-{n}")
-    p = _termwise_polynomial(rng, n)
-    dens = [c.re.denominator * c.im.denominator for expo, mv in p.terms.items()
+    terms = _termwise_polynomial(rng, n).terms
+    dens = [c.re.denominator * c.im.denominator for expo, mv in terms.items()
             if not any(a % 2 for a in expo) for _, c in mv]
     # the surviving terms share no small common denominator (their lcm is past
     # the run limit), so the result's parts, one per coefficient run, are
     # summed over large coprime denominators when read; each single term
     # below gives a result with its own parts only
     assert math.lcm(*dens).bit_length() > _RUN_DEN_BITS
-    got = integrate_sphere(n, p)
-    assert got == integrate_sphere_reference(n, p)
-    assert not got.is_zero()
-    # only the even monomials of degree 0, 2 and 4 survive: a single one of each
-    for expo in (xi_monomial(n), xi_monomial(n, 1, 1), xi_monomial(n, 1, 1, 2, 2)):
-        single = XiPolynomialMV(n, n, {expo: p.terms[expo]})
-        assert integrate_sphere(n, single) == integrate_sphere_reference(n, single)
-    assert integrate_sphere(n, XiPolynomialMV(n, n)).is_zero()
+    for kind in (None, "dense", "sparse", "coprime"):
+        c = _left_factor(kind, rng, n)
+        p = XiPolynomialMV(n, n, terms, left=c)
+        got = integrate_sphere(n, p)
+        assert got == integrate_sphere_reference(n, p), kind
+        assert not got.is_zero()
+        # only the even monomials of degree 0, 2 and 4 survive: a single one of each
+        for expo in (xi_monomial(n), xi_monomial(n, 1, 1), xi_monomial(n, 1, 1, 2, 2)):
+            single = XiPolynomialMV(n, n, {expo: terms[expo]}, left=c)
+            assert integrate_sphere(n, single) == integrate_sphere_reference(n, single), kind
+        assert integrate_sphere(n, XiPolynomialMV(n, n, left=c)).is_zero()
+
+
+def test_left_factor_is_checked_and_compared():
+    """The left factor has the polynomial's dimension, a zero one keeps no
+    terms, and equality compares the stored form."""
+    n = 4
+    terms = {xi_monomial(n): Multivector.generator(n, 1)}
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        XiPolynomialMV(n, n, terms, left=Multivector.identity(6))
+    assert XiPolynomialMV(n, n, terms, left=Multivector.zero(n)).terms == {}
+    c = Multivector.generator(n, 2)
+    assert XiPolynomialMV(n, n, terms, left=c) == XiPolynomialMV(n, n, terms, left=c)
+    assert XiPolynomialMV(n, n, terms, left=c) != XiPolynomialMV(n, n, terms)

@@ -41,13 +41,14 @@ from spectral_torsion import (
     vol_sphere,
     ManifoldSpec,
 )
-from spectral_torsion import halfline, symbols
+from spectral_torsion import halfline, symbols, verify
 from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.moments import integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, Rational, SymScalar, TR_F_PHI
 
-from conftest import coprime_draw, density_via_matrix_rep, perturbation_multivector_reference, \
-    rand_oneform, rand_rational, rand_threeform, sigma_minus2m_reference
+from conftest import coprime_draw, density_via_matrix_rep, expand_left, \
+    perturbation_multivector_reference, rand_oneform, rand_rational, rand_threeform, \
+    sigma_minus2m_reference
 
 
 def basis(n, i):
@@ -124,7 +125,7 @@ def test_sigma_grading_reduces_to_constant_term():
     cuvw_gamma = mv_mul(mv_mul(mv_mul(
         Multivector.generator(n, 1), Multivector.generator(n, 2)),
         Multivector.generator(n, 3)), grading(n))
-    assert sigma.terms == {xi_monomial(n): cuvw_gamma}
+    assert expand_left(sigma) == {xi_monomial(n): cuvw_gamma}
 
 
 def test_sigma_torsion_vector_constant_term(rng):
@@ -135,15 +136,24 @@ def test_sigma_torsion_vector_constant_term(rng):
     sigma = sigma_minus2m(u, v, w, case, n)
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
     expected = mv_mul(cuvw, perturbation_multivector(case, n))
-    got = sigma.terms.get(xi_monomial(n), Multivector.zero(n))
+    got = expand_left(sigma).get(xi_monomial(n), Multivector.zero(n))
     assert got == expected
 
 
-def test_sigma_zero_inputs():
+def test_sigma_zero_inputs(monkeypatch):
+    """A zero one-form makes C zero: the symbol keeps C as its left factor
+    and no terms, and catalog row E4.31, which reads the constant term
+    through that factor, still runs (both sides are 0)."""
     n = 4
     z = OneForm.zero(n)
-    case = TorsionVector(rand_threeform(__import__("random").Random(3), n), z)
-    assert sigma_minus2m(z, z, z, case, n).is_zero()
+    rng = random.Random(3)
+    case = TorsionVector(rand_threeform(rng, n), z)
+    for u, v, w in ((z, z, z), (rand_oneform(rng, n), z, rand_oneform(rng, n))):
+        sigma = sigma_minus2m(u, v, w, case, n)
+        assert sigma.is_zero()
+        assert sigma.left == Multivector.zero(n) and sigma.terms == {}
+    monkeypatch.setattr(verify, "_oneforms", lambda n, rng, *canonical: (z,) * len(canonical))
+    assert verify._run_e431(n, rng) == (sym(0), sym(0), True)
 
 
 def test_sigma_degree_structure(rng):
@@ -152,7 +162,7 @@ def test_sigma_degree_structure(rng):
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
     sigma = sigma_minus2m(u, v, w, case, n)
-    assert {sum(e) for e in sigma.terms} <= {0, 2}
+    assert {sum(e) for e in expand_left(sigma)} <= {0, 2}
 
 
 def _sigma_jobs(kind, n, rng):
@@ -181,9 +191,9 @@ def _sigma_jobs(kind, n, rng):
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_sigma_matches_generator_products(n, rng):
-    """The integer relabels give the multiplied-out symbol, term for term and
-    in the same monomial order, on dense, sparse and (n <= 6; slow at n=8)
-    multi-run inputs."""
+    """The left factor C times the integer relabels gives the multiplied-out
+    symbol, term for term and in the same monomial order, on dense, sparse and
+    (n <= 6; slow at n=8) multi-run inputs."""
     jobs = _sigma_jobs("dense", n, rng) + _sigma_jobs("sparse", n, rng)
     if n <= 6:
         coprime = _sigma_jobs("coprime", n, rng)
@@ -195,7 +205,7 @@ def test_sigma_matches_generator_products(n, rng):
     for u, v, w, case in jobs:
         got = sigma_minus2m(u, v, w, case, n)
         expected = sigma_minus2m_reference(u, v, w, case, n)
-        assert got == expected
+        assert expand_left(got) == expected.terms
         assert list(got.terms) == list(expected.terms)
 
 
@@ -281,6 +291,55 @@ def test_graded_densities_n16_time_bound():
         assert value == theorem_value(case, u, v, w, ManifoldSpec(n))
         assert elapsed < 0.1, f"{type(case).__name__} at n=16 took {elapsed:.3f}s on " \
             f"{Rational.__module__}.{Rational.__name__}"
+
+
+def _dense_torsion_vector(n, draw):
+    """u, v, w and a torsion_vector case with all C(n, 3) triples of T set."""
+    u, v, w, y = (OneForm(tuple(draw() for _ in range(n))) for _ in range(4))
+    t = ThreeForm(n, {abc: draw() or 1 for abc in itertools.combinations(range(1, n + 1), 3)})
+    return u, v, w, TorsionVector(t, y)
+
+
+def _timed_density(u, v, w, case, n):
+    """The torsion_vector density, checked against theorem_value, and its
+    wall time."""
+    start = time.monotonic()
+    value = interior_density(u, v, w, case, n)
+    elapsed = time.monotonic() - start
+    assert value == theorem_value(case, u, v, w, ManifoldSpec(n))
+    return elapsed
+
+
+def test_torsion_vector_density_n16_time_bound():
+    """The torsion_vector density on a dense n=16 input.
+
+    On the fractions backend (2-vCPU VM) the first in-suite runs took
+    0.16-0.25 s, with C = c(u)c(v)c(w) multiplied into the sphere-integrated
+    symbol once; the bound is 4x the slowest.  With C multiplied into each
+    of the n + 1 symbol terms first, it took 1.6-1.9 s.
+    """
+    n = 16
+    rng = random.Random("torsion-vector-n16")
+    elapsed = _timed_density(*_dense_torsion_vector(n, lambda: rand_rational(rng)), n)
+    assert elapsed < 1.0, f"torsion_vector at n=16 took {elapsed:.2f}s on " \
+        f"{Rational.__module__}.{Rational.__name__}"
+
+
+def test_torsion_vector_density_long_inputs_time_bound():
+    """The torsion_vector density at n=8 on inputs whose 88 components have
+    pairwise-coprime 50-digit denominators, so C and B split into runs.
+
+    On the fractions backend (2-vCPU VM) the first in-suite runs took
+    0.06-0.07 s; the bound is about 7x the slowest.  With C multiplied into
+    each symbol term before the sphere integral, it took 8-12 s.
+    """
+    n = 8
+    draw = coprime_draw(random.Random("torsion-vector-long-n8"), digits=50)
+    u, v, w, case = _dense_torsion_vector(n, draw)
+    assert len(_integer_runs(perturbation_multivector(case, n))) > 1
+    elapsed = _timed_density(u, v, w, case, n)
+    assert elapsed < 0.5, f"torsion_vector at n=8 on 50-digit inputs took {elapsed:.2f}s " \
+        f"on {Rational.__module__}.{Rational.__name__}"
 
 
 def test_sigma_rejects_small_or_odd_dimension():
@@ -462,6 +521,25 @@ def test_n4_densities_proved_on_every_basis_input():
                     assert got == density_via_matrix_rep(u, v, w, case, n)
                 counts[name] += 1
     assert counts == {"torsion_vector": 512, "vector_grading": 256, "torsion_grading": 256}
+
+
+def test_torsion_vector_n6_proved_on_every_basis_input():
+    """The torsion_vector density at n=6 on all 6^3 (C(6,3) + 6) = 5,616
+    basis inputs (e_a, e_b, e_c; e_ijk or e_y) against theorem_value: a proof
+    by multilinearity."""
+    n = 6
+    spec = ManifoldSpec(n)
+    e = [basis(n, i) for i in range(1, n + 1)]
+    z = OneForm.zero(n)
+    perturbations = ([TorsionVector(t, z) for t in _basis_threeforms(n)]
+                     + [TorsionVector(ThreeForm.zero(n), y) for y in e])
+    count = 0
+    for u, v, w in itertools.product(e, repeat=3):
+        for case in perturbations:
+            assert interior_density(u, v, w, case, n) == theorem_value(case, u, v, w, spec), \
+                (u, v, w, case)
+            count += 1
+    assert count == 5616
 
 
 def test_grading_torsion_n4_catalogued_form_is_nonzero_only_where_the_density_is_zero():

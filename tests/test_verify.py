@@ -65,6 +65,22 @@ def test_verify_suite_n12_time_bound():
     assert elapsed < 5.0, f"verify_suite at n=12 took {elapsed:.1f}s"
 
 
+def test_verify_suite_n16_time_bound():
+    """The whole n=16 catalog, canonical inputs plus 5 trials per row.
+
+    On the fractions backend (2-vCPU VM) the first in-suite runs took
+    1.4-1.5 s, most of it in the rows T4.5, T4.13 and R4.7, which call
+    interior_density on torsion_vector; the bound is about 2.6x the
+    slowest.  With C = c(u)c(v)c(w) multiplied into each symbol term before
+    the sphere integral, it took 11-14 s.
+    """
+    start = time.monotonic()
+    rows = verify_suite(ManifoldSpec(16))
+    elapsed = time.monotonic() - start
+    assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
+    assert elapsed < 4.0, f"verify_suite at n=16 took {elapsed:.1f}s"
+
+
 # the rows that read tr(ab) as 2^m <ab>_0 through scalar_product
 TRACE_PRODUCT_ROWS = {"L4.3a", "L4.3b", "E4.34", "E4.36", "E4.37", "E4.39", "E4.41",
                       "E4.42", "E4.49", "E4.57"}
