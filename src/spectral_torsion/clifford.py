@@ -103,8 +103,10 @@ def blade_indices(mask: int) -> tuple[int, ...]:
 class Multivector:
     """Element of Cl(n): finite map from blade masks to GaussianRational coefficients.
 
-    A product from the integer kernel keeps the integer parts it was built
-    from, and builds its coefficients on their first read.
+    Stored as integer parts [(D, {mask: (re, im)}), ...]: the coefficient on
+    a blade is the sum over parts of (re + i*im)/D.  Reduced coefficients are
+    a cache: kept when given to the constructor, otherwise built on first
+    read.
     """
 
     __slots__ = ("dim", "_coeffs", "_parts")
@@ -122,7 +124,8 @@ class Multivector:
                     clean[mask] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_parts", None)
+        object.__setattr__(self, "_parts",
+                           _rational_runs((mask, c.re, c.im) for mask, c in clean.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -136,12 +139,14 @@ class Multivector:
         """
         coeffs = self._coeffs
         if coeffs is None:
-            total = None
+            sums: dict[int, GaussianRational] = {}
             for den, acc in self._parts:
-                part = _raw(self.dim, {mask: _gr(_part(re, den), _part(im, den))
-                                       for mask, (re, im) in acc.items() if re or im})
-                total = part if total is None else total + part
-            coeffs = {} if total is None else total.coeffs
+                for mask, (re, im) in acc.items():
+                    if re or im:
+                        c = _gr(_part(re, den), _part(im, den))
+                        cur = sums.get(mask)
+                        sums[mask] = c if cur is None else cur + c
+            coeffs = {mask: c for mask, c in sums.items() if not c.is_zero()}
             object.__setattr__(self, "_coeffs", coeffs)
         return coeffs
 
@@ -173,28 +178,26 @@ class Multivector:
         out = dict(self.coeffs)
         for mask, c in other.coeffs.items():
             cur = out.get(mask)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(mask, None)
-            else:
-                out[mask] = s
-        return _raw(self.dim, out)
+            out[mask] = c if cur is None else cur + c
+        return Multivector(self.dim, out)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return _raw(self.dim, {m: -c for m, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def scale(self, s) -> "Multivector":
         """s times self, on the integer numerators: (sr + i si)/d times each term."""
         s = _as_gaussian(s)
         if s.is_zero():
             return Multivector(self.dim)
-        [(d, [(_, sr, si)])] = _rational_runs([(0, s.re, s.im)])
+        [(d, one)] = _rational_runs([(0, s.re, s.im)])
+        sr, si = one[0]
         return _from_int_parts(self.dim, [
-            (den * d, {mask: (re * sr - im * si, re * si + im * sr) for mask, re, im in run})
-            for den, run in _integer_runs(self)])
+            (den * d, {mask: (re * sr - im * si, re * si + im * sr)
+                       for mask, (re, im) in acc.items()})
+            for den, acc in _integer_runs(self)])
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -208,8 +211,6 @@ class Multivector:
     # -- structure queries ----------------------------------------------
 
     def scalar_part(self) -> GaussianRational:
-        if self._coeffs is not None:
-            return self._coeffs.get(0, GR_ZERO)
         total = GR_ZERO
         for den, acc in self._parts:
             re, im = acc.get(0, (0, 0))
@@ -218,9 +219,9 @@ class Multivector:
         return total
 
     def is_zero(self) -> bool:
-        if self._coeffs is None and len(self._parts) == 1:
-            return not any(re or im for re, im in self._parts[0][1].values())
-        return not self.coeffs  # several parts can cancel each other
+        if len(self._parts) > 1:
+            return not self.coeffs  # several parts can cancel each other
+        return not any(re or im for _, acc in self._parts for re, im in acc.values())
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -277,27 +278,19 @@ class Multivector:
 _MV_TERM_RE = _re.compile(r"\((.*?)\)\*e\{([\d\s]*)\}")
 
 
-def _raw(dim: int, coeffs: dict[int, GaussianRational] | None,
-         parts: list | None = None) -> Multivector:
-    mv = Multivector.__new__(Multivector)
-    object.__setattr__(mv, "dim", dim)
-    object.__setattr__(mv, "_coeffs", coeffs)
-    object.__setattr__(mv, "_parts", parts)
-    return mv
-
-
 # Past about this many bits a common denominator costs more in big-integer
 # products than sharing it saves, so the operand is split into runs.
 _RUN_DEN_BITS = 2048
 
 
-def _rational_runs(items) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """(key, re, im) items with rational parts as runs [(D, [(key, D*re, D*im), ...]), ...].
+def _rational_runs(items) -> list[tuple[int, dict]]:
+    """(key, re, im) items with rational re and im, as integer parts
+    [(D, {key: (D*re, D*im), ...}), ...], one part per run of the items.
 
     D is the lcm of the run's denominators.  One run holds every item unless
     that lcm grows past _RUN_DEN_BITS, as it does when the items carry many
     large coprime denominators; then a run closes before the item that
-    would take its lcm past the bound.
+    would take its lcm past the bound.  Keys must be distinct.
     """
     items = list(items)
     dens = {d for _, re, im in items for d in (re.denominator, im.denominator)}
@@ -315,9 +308,9 @@ def _rational_runs(items) -> list[tuple[int, list[tuple[int, int, int]]]]:
             den = grown
             run.append(item)
         runs.append((den, run))
-    return [(den, [(key, re.numerator * (den // re.denominator),
-                    im.numerator * (den // im.denominator))
-                   for key, re, im in run])
+    return [(den, {key: (re.numerator * (den // re.denominator),
+                         im.numerator * (den // im.denominator))
+                   for key, re, im in run})
             for den, run in runs]
 
 
@@ -328,21 +321,17 @@ def _from_rationals(dim: int, items) -> Multivector:
     Masks must be distinct and fit `dim`; no coefficient is built.
     """
     _check_dim(dim)
-    return _from_int_parts(dim, [(den, {mask: (re, im) for mask, re, im in run if re or im})
-                                 for den, run in _rational_runs(items)])
+    return _from_int_parts(dim, _rational_runs(items))
 
 
-def _integer_runs(a: Multivector) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """a's terms as runs [(D, [(mask, D*re, D*im), ...]), ...].
+def _integer_runs(a: Multivector) -> list[tuple[int, dict]]:
+    """a's integer parts, each denominator within _RUN_DEN_BITS.
 
-    A Multivector's stored parts are its runs when every part's denominator
-    fits _RUN_DEN_BITS.  Otherwise the runs are _rational_runs of its
-    coefficients.
+    These are a's stored parts when every denominator fits, and otherwise
+    _rational_runs of its coefficients.
     """
-    if a._parts is not None and all(den.bit_length() <= _RUN_DEN_BITS
-                                    for den, _ in a._parts):
-        return [(den, [(mask, re, im) for mask, (re, im) in acc.items() if re or im])
-                for den, acc in a._parts]
+    if all(den.bit_length() <= _RUN_DEN_BITS for den, _ in a._parts):
+        return a._parts
     return _rational_runs((mask, c.re, c.im) for mask, c in a.coeffs.items())
 
 
@@ -350,22 +339,27 @@ def _part(numerator: int, den: int):
     return Rational(numerator, den) if numerator else _ZERO
 
 
-def _int_product(a_runs, b_runs) -> list[tuple[int, dict[int, list[int]]]]:
+def _int_product(a_parts, b_parts) -> list[tuple[int, dict[int, list[int]]]]:
     """The product of two operands given as _integer_runs, on integers.
 
-    One (den, {mask: [re, im]}) part per pair of runs; the part is the
-    product's share over den, with numerators that may cancel to 0.
+    One (den, {mask: [re, im]}) part per pair of parts; the part is the
+    product's share over den, with numerators that may cancel to 0.  The
+    right operand's nonzero terms are flattened once: the inner loop reads
+    them for every left blade, and a sum such as integrate_sphere's can hold
+    a zero on every blade of one grade.
     """
     parts = []
-    for den_a, a_terms in a_runs:
-        for den_b, b_terms in b_runs:
+    b_flat = [(den_b, [(mb, br, bi) for mb, (br, bi) in b_acc.items() if br or bi])
+              for den_b, b_acc in b_parts]
+    for den_a, a_acc in a_parts:
+        for den_b, b_items in b_flat:
             acc: dict[int, list[int]] = {}
             parts.append((den_a * den_b, acc))
-            if not b_terms:  # e.g. a projected-out B: no _sign_mask per left blade
+            if not b_items:  # e.g. a projected-out B: no _sign_mask per left blade
                 continue
-            for ma, ar, ai in a_terms:
+            for ma, (ar, ai) in a_acc.items():
                 flip = _sign_mask(ma)
-                for mb, br, bi in b_terms:
+                for mb, br, bi in b_items:
                     mask = ma ^ mb
                     re = ar * br - ai * bi
                     im = ar * bi + ai * br
@@ -382,21 +376,25 @@ def _int_product(a_runs, b_runs) -> list[tuple[int, dict[int, list[int]]]]:
 
 
 def _from_int_parts(dim: int, parts) -> Multivector:
-    """The sum of (den, {mask: (re, im)}) parts as a Multivector.
+    """The sum of (den, {mask: (re, im)}) integer parts as a Multivector.
 
     The Multivector keeps the parts.  Its coefficients are built on first
     read: each nonzero numerator becomes one reduced Rational, and parts over
     different denominators are added.  The parts are handed over, so the
-    caller must not mutate them afterwards.
+    caller must not mutate them afterwards.  Nothing is validated.
     """
-    return _raw(dim, None, list(parts))
+    mv = Multivector.__new__(Multivector)
+    object.__setattr__(mv, "dim", dim)
+    object.__setattr__(mv, "_coeffs", None)
+    object.__setattr__(mv, "_parts", list(parts))
+    return mv
 
 
 def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product.
 
     Multiplies integer numerators over common denominators of the operands'
-    coefficients and reduces each output coefficient once per pair of runs.
+    coefficients and reduces each output coefficient once per pair of parts.
     """
     _same_dim(a, b)
     return _from_int_parts(a.dim, _int_product(_integer_runs(a), _integer_runs(b)))
@@ -436,18 +434,17 @@ def _relabel(acc: dict, i: int) -> dict:
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A).
 
-    Summed on both operands' integer parts, one Rational per pair of runs;
+    Summed on both operands' integer parts, one Rational per pair of parts;
     neither operand's coefficients are built.
     """
     _same_dim(a, b)
     total = GR_ZERO
-    a_runs = _integer_runs(a)
-    for den_b, b_terms in _integer_runs(b):
-        b_parts = {mask: (re, im) for mask, re, im in b_terms}
-        for den_a, a_terms in a_runs:
+    a_parts = _integer_runs(a)
+    for den_b, b_acc in _integer_runs(b):
+        for den_a, a_acc in a_parts:
             re_sum = im_sum = 0
-            for mask, ar, ai in a_terms:
-                shared = b_parts.get(mask)
+            for mask, (ar, ai) in a_acc.items():
+                shared = b_acc.get(mask)
                 if shared is None:
                     continue
                 br, bi = shared
@@ -472,5 +469,5 @@ def conjugate_sum(b: Multivector) -> Multivector:
     factors = [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)]
     return _from_int_parts(b.dim, [
         (den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])
-               for mask, re, im in run})
-        for den, run in _integer_runs(b)])
+               for mask, (re, im) in acc.items()})
+        for den, acc in _integer_runs(b)])

@@ -118,17 +118,17 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
 
     Each stored triple contributes its 3x3 minor det over the rows u, v, w.
     The sum runs on integer numerators over the rows' common denominators
-    and T's run denominators, with one Rational per run of T.  The rows are
+    and T's part denominators, with one Rational per part of T.  The rows are
     not split into runs: each term of a minor reads one entry of every row,
-    so split rows would multiply the work by the number of run triples.
+    so split rows would multiply the work by the number of part triples.
     """
     for x in (u, v, w):
         _same_dim(x, t)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     total = rational(0)
-    for den, run in _rational_runs((abc, coeff, 0) for abc, coeff in t.components.items()):
+    for den, part in _rational_runs((abc, coeff, 0) for abc, coeff in t.components.items()):
         acc = 0
-        for (a, b, c), coeff, _ in run:
+        for (a, b, c), (coeff, _) in part.items():
             a, b, c = a - 1, b - 1, c - 1
             acc += coeff * (u[a] * (v[b] * w[c] - v[c] * w[b])
                             - u[b] * (v[a] * w[c] - v[c] * w[a])

@@ -122,7 +122,7 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     The result is left * sum_alpha moment(n, alpha) * terms[alpha]; the
     caller attaches the volume atom.  The surviving terms' integer
     numerators, scaled by their moments over the lcm L of the moment
-    denominators, are summed into one part per run denominator D, kept over
+    denominators, are summed into one part per denominator D, kept over
     D * L, and multiplied by the left factor once.
     """
     if p.nvars != n:
@@ -132,9 +132,9 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     sums: dict[int, dict[int, tuple[int, int]]] = {}
     for expo, weight in weights.items():
         factor = weight.numerator * (scale // weight.denominator)
-        for den, run in _integer_runs(p.terms[expo]):
+        for den, part in _integer_runs(p.terms[expo]):
             acc = sums.setdefault(den, {})
-            for mask, re, im in run:
+            for mask, (re, im) in part.items():
                 cur = acc.get(mask)
                 re, im = re * factor, im * factor
                 acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)

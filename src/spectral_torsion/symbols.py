@@ -115,15 +115,16 @@ def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
 
     # m {c(e_i), B} = 2m B_i c(e_i), B_i the blades of B that commute with
     # c(e_i): those with an even number of generators other than e_i.
-    # right[i] = 2m B_i c(e_i) as integer parts over B's run denominators,
+    # right[i] = 2m B_i c(e_i) as integer parts over B's part denominators,
     # or None where it vanishes.
-    b_runs = _integer_runs(b)
+    b_parts = _integer_runs(b)
     right: list = [None] * (n + 1)
     for i in range(1, n + 1):
         others = ~(1 << (i - 1))
-        parts = [(den, _relabel({mask: (2 * m * re, 2 * m * im) for mask, re, im in run
+        parts = [(den, _relabel({mask: (2 * m * re, 2 * m * im)
+                                 for mask, (re, im) in acc.items()
                                  if not (mask & others).bit_count() & 1}, i))
-                 for den, run in b_runs]
+                 for den, acc in b_parts]
         if any(re or im for _, acc in parts for re, im in acc.values()):
             right[i] = parts
 
@@ -159,8 +160,8 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     xi_i^2 terms keep each blade's grade and the trace pairs only equal
     blades, so every other grade adds 0.
     """
-    b = _from_int_parts(n, [(den, {mask: (re, im) for mask, re, im in run
+    b = _from_int_parts(n, [(den, {mask: c for mask, c in acc.items()
                                    if mask.bit_count() in (1, 3)})
-                            for den, run in _integer_runs(perturbation_multivector(case, n))])
+                            for den, acc in _integer_runs(perturbation_multivector(case, n))])
     integrated = integrate_sphere(n, sigma_minus2m(u, v, w, b, n))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), trace(integrated))

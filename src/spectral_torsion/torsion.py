@@ -100,41 +100,35 @@ def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymSca
         coeff * rational(2 ** m) * comb)
 
 
+def _frame_pairing(u: OneForm, v: OneForm, w: OneForm, y: OneForm) -> Rational:
+    """<c(u)c(v)c(w)c(y)>_0 = g(v,w)g(u,y) - g(u,w)g(v,y) + g(u,v)g(w,y)."""
+    return (metric_pair(v, w) * metric_pair(u, y)
+            - metric_pair(u, w) * metric_pair(v, y)
+            + metric_pair(u, v) * metric_pair(w, y))
+
+
 def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
                   spec: ManifoldSpec) -> SymScalar:
     """The catalogued closed form for the torsion density, verbatim."""
     n = spec.dim
     m = n // 2
-    vol = vol_sphere(n - 1)
     if isinstance(case, TorsionVector):
-        value = SymScalar.from_monomial(
-            (TR_F_PHI, vol),
-            rational(-(2 ** (m + 1))) * eval_threeform(case.T, u, v, w))
+        coeff = rational(-(2 ** (m + 1))) * eval_threeform(case.T, u, v, w)
     elif isinstance(case, Grading):
-        value = SymScalar.zero()
+        coeff = 0
     elif isinstance(case, VectorGrading):
-        if n == 4:
-            pairing = eval_threeform(_complement(case.X, n), u, v, w)
-            value = SymScalar.from_monomial((TR_F_PHI, vol),
-                                            pairing * rational(8))
-        else:
-            value = SymScalar.zero()
+        coeff = (rational(8) * eval_threeform(_complement(case.X, n), u, v, w)
+                 if n == 4 else 0)
     elif isinstance(case, TorsionGrading):
         if n == 4:
-            dual = _complement(case.T, n)
-            combo = (-metric_pair(w, dual) * metric_pair(u, v)
-                     + metric_pair(v, dual) * metric_pair(u, w)
-                     - metric_pair(u, dual) * metric_pair(v, w))
-            value = SymScalar.from_monomial((TR_F_PHI, vol),
-                                            combo * rational(16) * GR_I)
+            coeff = rational(-16) * GR_I * _frame_pairing(u, v, w, _complement(case.T, n))
         elif n == 6:
-            pairing = eval_threeform(_complement(case.T, n), u, v, w)
-            value = SymScalar.from_monomial((TR_F_PHI, vol),
-                                            pairing * rational(16))
+            coeff = rational(16) * eval_threeform(_complement(case.T, n), u, v, w)
         else:
-            value = SymScalar.zero()
+            coeff = 0
     else:
         raise TypeError(f"unknown perturbation case {case!r}")
+    value = SymScalar.from_monomial((TR_F_PHI, vol_sphere(n - 1)), coeff)
     if spec.with_boundary:
         value = value + theorem_boundary_value(u, v, w, n)
     return value

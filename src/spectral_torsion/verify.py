@@ -20,8 +20,8 @@ from typing import Callable
 
 from .clifford import Multivector, conjugate_sum, grading, mv_mul, scalar_product, \
     supertrace
-from .forms import OneForm, ThreeForm, _complement, frame_product, metric_pair, \
-    eval_threeform, to_clifford
+from .forms import OneForm, ThreeForm, _complement, eval_threeform, frame_product, \
+    to_clifford
 from .halfline import (
     POLY_ONE,
     Poly,
@@ -50,6 +50,7 @@ from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, \
 from .torsion import (
     IdentityComparison,
     ManifoldSpec,
+    _frame_pairing,
     normal_trace_combination,
     theorem_boundary_value,
     theorem_value,
@@ -144,10 +145,7 @@ def _exact(computed, reference, atoms: tuple = ()):
 def _run_l43a(n, rng):
     u, v, w, y = _oneforms(n, rng, 1, 1, 2, 2)
     computed = scalar_product(frame_product(u, v, w, n), to_clifford(y)) * _tr_id(n)
-    comb = (metric_pair(v, w) * metric_pair(u, y)
-            - metric_pair(u, w) * metric_pair(v, y)
-            + metric_pair(u, v) * metric_pair(w, y))
-    return _exact(computed, comb * _tr_id(n))
+    return _exact(computed, _frame_pairing(u, v, w, y) * _tr_id(n))
 
 
 def _torsion_inputs(n, rng):
@@ -176,10 +174,7 @@ def _run_e418(n, rng):
     cuvw, cy = frame_product(u, v, w, n), to_clifford(y)
     computed = (_sphere_trace_integral(n, cuvw, cy, generator_first=False)
                 + _sphere_trace_integral(n, cuvw, cy, generator_first=True))
-    comb = (metric_pair(v, w) * metric_pair(u, y)
-            - metric_pair(u, w) * metric_pair(v, y)
-            + metric_pair(u, v) * metric_pair(w, y))
-    reference = -comb * _tr_id(n) / rational(n // 2)
+    reference = -_frame_pairing(u, v, w, y) * _tr_id(n) / rational(n // 2)
     return _exact(computed, reference, (vol_sphere(n - 1),))
 
 
@@ -294,11 +289,7 @@ def _run_e449(n, rng):
     u, v, w, t = _grading_torsion_inputs(n, rng)
     computed = scalar_product(frame_product(u, v, w, n),
                               mv_mul(to_clifford(t), grading(n))) * _tr_id(n)
-    dual = _complement(t, n)
-    combo = (-metric_pair(w, dual) * metric_pair(u, v)
-             + metric_pair(v, dual) * metric_pair(u, w)
-             - metric_pair(u, dual) * metric_pair(v, w))
-    return _exact(computed, rational(-4) * combo)
+    return _exact(computed, rational(4) * _frame_pairing(u, v, w, _complement(t, n)))
 
 
 def _run_e455(n, rng):

@@ -102,6 +102,13 @@ def scale_reference(mv: Multivector, s) -> Multivector:
     return Multivector(mv.dim, {mask: c * s for mask, c in mv.coeffs.items()})
 
 
+def add_reference(a: Multivector, b: Multivector) -> Multivector:
+    """a + b, one coefficient sum per blade of either."""
+    dim, a, b = a.dim, a.coeffs, b.coeffs
+    return Multivector(dim, {mask: a.get(mask, GR_ZERO) + b.get(mask, GR_ZERO)
+                             for mask in a.keys() | b.keys()})
+
+
 def perturbation_multivector_reference(case, n) -> Multivector:
     """B from the embeddings' coefficients, i multiplied into each one."""
     if isinstance(case, TorsionVector):

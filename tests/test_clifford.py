@@ -28,11 +28,11 @@ from spectral_torsion import (
     trace,
 )
 from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _integer_runs, \
-    blade_product
+    _rational_runs, blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
-from conftest import coprime_draw, mv_mul_reference, rand_multivector, rand_oneform, \
-    rand_threeform, scalar_product_reference, scale_reference
+from conftest import add_reference, coprime_draw, mv_mul_reference, rand_multivector, \
+    rand_oneform, rand_threeform, scalar_product_reference, scale_reference
 from matrix_rep import MatrixRep, mat_add, mat_mul
 
 
@@ -64,6 +64,9 @@ def test_grading_n2():
 def test_grading_squares_to_identity(n):
     g = grading(n)
     assert mv_mul(g, g) == Multivector.identity(n)
+    # built from a coefficient, it hands the parts it stores to every read
+    first, second = _integer_runs(g), _integer_runs(g)
+    assert first is second is g._parts
 
 
 def test_grading_anticommutes_with_generators():
@@ -427,6 +430,7 @@ def test_deferred_product_reads_like_the_reference(kind, n):
     # a product of a product reads its operand's parts unbuilt, unless a
     # part's denominator is past _RUN_DEN_BITS, as the coprime ones are
     product = mv_mul(a, b)
+    assert (_integer_runs(product) is product._parts) == (kind != "coprime")
     assert mv_mul(product, a) == mv_mul_reference(reference, a)
     assert (product._coeffs is None) == (kind != "coprime")
 
@@ -435,7 +439,8 @@ def test_deferred_product_reads_like_the_reference(kind, n):
 @pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
 def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
     """Both scale integer numerators; the result is unbuilt and reads like the
-    coefficient-by-coefficient scaling, for plain and product operands."""
+    coefficient-by-coefficient scaling, for plain and product operands.  So
+    does negation, and a sum keeps its coefficients and their parts."""
     rng = random.Random(f"scale-{kind}-{n}")
     draw = _coefficient_draw(rng, kind)
     plain = Multivector(n, {mask: draw() for mask in range(1 << n)})
@@ -448,6 +453,21 @@ def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
         assert got._coeffs is None
         assert got == expected and str(got) == str(expected)
     assert plain.scale(0) == Multivector.zero(n)
+    # the constructor stores the parts of the coefficients it keeps
+    assert plain._parts == _rational_runs((mask, c.re, c.im)
+                                          for mask, c in plain.coeffs.items())
+    assert _integer_runs(plain) is plain._parts
+    other = Multivector(n, {mask: draw() for mask in range(0, 1 << n, 3)})
+    for b in (plain, mv_mul(plain, rand_multivector(rng, n, 2))):
+        got, expected = -b, scale_reference(b, -1)
+        assert got._coeffs is None
+        assert got == expected and str(got) == str(expected)
+        for c in (other, mv_mul(rand_multivector(rng, n, 2), other)):
+            got, expected = b + c, add_reference(b, c)
+            assert got == expected and str(got) == str(expected)
+            assert got._parts == _rational_runs((mask, x.re, x.im)
+                                                for mask, x in got.coeffs.items())
+            assert b - c == add_reference(b, scale_reference(c, -1))
 
 
 def test_concurrent_first_reads_build_equal_coefficients():
@@ -515,7 +535,7 @@ def test_part_past_run_bits_takes_the_split_run_path():
     assert mv_mul(mv, other) == mv_mul_reference(reference, other)
     # a long stored denominator whose coefficients reduce is read as one short run
     short = _from_int_parts(4, [(den, {3: (den // 2, den)})])
-    assert _integer_runs(short) == [(2, [(3, 1, 2)])]
+    assert _integer_runs(short) == [(2, {3: (1, 2)})]
 
 
 def test_coefficients_are_gaussian_rationals(rng):
