@@ -70,7 +70,6 @@ from .halfline import (
     residue_derivative,
 )
 from .torsion import (
-    IdentityComparison,
     ManifoldSpec,
     TorsionReport,
     UnsupportedDimension,
@@ -79,4 +78,4 @@ from .torsion import (
     theorem_boundary_value,
     theorem_value,
 )
-from .verify import FINAL_IDS, IDENTITY_IDS, verify_suite
+from .verify import FINAL_IDS, IDENTITY_IDS, IdentityComparison, verify_suite

@@ -33,7 +33,7 @@ from .moments import moment, vol_numeric
 from .scalars import DIM_F, PI, SymScalar, TR_F_PHI, rational, sym, vol_sphere
 from .symbols import CASE_NAMES, Grading, TorsionGrading, TorsionVector, VectorGrading
 from .torsion import ManifoldSpec, UnsupportedDimension, spectral_torsion
-from .verify import DEFAULT_SEED, FINAL_IDS, verify_suite
+from .verify import DEFAULT_SEED, FINAL_IDS, IdentityComparison, verify_suite
 
 EXIT_OK = 0
 EXIT_FINAL_MISMATCH = 1
@@ -224,18 +224,14 @@ def run_compute(config: dict, seed: int) -> dict:
         "total": _scalar_block(report.total),
         "theorem": _scalar_block(report.theorem_value),
         "matches": report.matches_theorem,
-        "identities": [
-            {
-                "id": row.id,
-                "description": row.description,
-                "computed": str(row.computed),
-                "reference": str(row.reference),
-                "matches": row.matches,
-            }
-            for row in report.identity_comparisons
-        ],
+        "identities": [_ledger_row(row) for row in report.identity_comparisons],
         "numeric": numeric,
     }
+
+
+def _ledger_row(row: IdentityComparison) -> dict:
+    return {"id": row.id, "description": row.description, "computed": str(row.computed),
+            "reference": str(row.reference), "matches": row.matches}
 
 
 def render_output(payload: dict) -> str:
@@ -271,17 +267,7 @@ def run_verify(dims: list[int], seed: int) -> dict:
         rows = verify_suite(ManifoldSpec(n), seed=seed)
         results.append({
             "dimension": n,
-            "rows": [
-                {
-                    "id": row.id,
-                    "description": row.description,
-                    "computed": str(row.computed),
-                    "reference": str(row.reference),
-                    "matches": row.matches,
-                    "final": row.id in FINAL_IDS,
-                }
-                for row in rows
-            ],
+            "rows": [{**_ledger_row(row), "final": row.id in FINAL_IDS} for row in rows],
         })
     all_final_match = all(
         row["matches"]

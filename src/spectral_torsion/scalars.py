@@ -157,8 +157,8 @@ class GaussianRational:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value equals, so hashes as, its real part
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -357,7 +357,9 @@ class SymScalar:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
+    def __hash__(self):  # a constant equals, so hashes as, its coefficient
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     # -- views ----------------------------------------------------------

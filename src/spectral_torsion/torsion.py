@@ -53,17 +53,6 @@ class ManifoldSpec:
 
 
 @dataclass(frozen=True)
-class IdentityComparison:
-    """One row of the verification ledger: computed vs catalogued value."""
-
-    id: str
-    description: str
-    computed: SymScalar
-    reference: SymScalar
-    matches: bool
-
-
-@dataclass(frozen=True)
 class TorsionReport:
     interior_density: SymScalar
     boundary_density: SymScalar

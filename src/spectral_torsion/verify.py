@@ -48,7 +48,6 @@ from .scalars import (
 from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, \
     interior_density, sigma_minus2m
 from .torsion import (
-    IdentityComparison,
     ManifoldSpec,
     _frame_pairing,
     normal_trace_combination,
@@ -132,6 +131,17 @@ class Identity:
     run: Callable[[int, random.Random | None], tuple[SymScalar, SymScalar, bool]]
 
 
+@dataclass(frozen=True)
+class IdentityComparison:
+    """One row of the verification ledger: computed vs catalogued value."""
+
+    id: str
+    description: str
+    computed: SymScalar
+    reference: SymScalar
+    matches: bool
+
+
 def _simple(computed: SymScalar, reference: SymScalar):
     return computed, reference, computed == reference
 
@@ -142,10 +152,54 @@ def _exact(computed, reference, atoms: tuple = ()):
                    SymScalar.from_monomial(atoms, reference))
 
 
-def _run_l43a(n, rng):
-    u, v, w, y = _oneforms(n, rng, 1, 1, 2, 2)
-    computed = scalar_product(frame_product(u, v, w, n), to_clifford(y)) * _tr_id(n)
-    return _exact(computed, _frame_pairing(u, v, w, y) * _tr_id(n))
+def _trace_row(inputs, middle, reference):
+    """A row comparing tr(c(u)c(v)c(w) M) = 2^m <c(u)c(v)c(w) M>_0, with
+    M = middle(x) for the inputs (u, v, w, x), against reference(n, u, v, w, x)."""
+    def run(n, rng):
+        u, v, w, x = inputs(n, rng)
+        computed = scalar_product(frame_product(u, v, w, n), middle(x)) * _tr_id(n)
+        return _exact(computed, reference(n, u, v, w, x))
+    return run
+
+
+def _sphere_row(inputs, middle, generator_first, weight, base):
+    """A row comparing `_sphere_trace_integral` of C = c(u)c(v)c(w) and M = middle(x)
+    with weight(n) * base(u, v, w, x, C, M) * 2^m, in units of vol(S^(n-1))."""
+    def run(n, rng):
+        u, v, w, x = inputs(n, rng)
+        cuvw, right = frame_product(u, v, w, n), middle(x)
+        computed = _sphere_trace_integral(n, cuvw, right, generator_first)
+        reference = base(u, v, w, x, cuvw, right) * _tr_id(n) * weight(n)
+        return _exact(computed, reference, (vol_sphere(n - 1),))
+    return run
+
+
+def _density_row(inputs, case):
+    """A row comparing interior_density on the perturbation case(x, rng) with
+    the catalogued theorem value; the case draws after the inputs."""
+    def run(n, rng):
+        u, v, w, x = inputs(n, rng)
+        perturbation = case(x, rng)
+        return _simple(interior_density(u, v, w, perturbation, n),
+                       theorem_value(perturbation, u, v, w, ManifoldSpec(n)))
+    return run
+
+
+def _graded(x) -> Multivector:
+    """c(x) times the grading, for a one-form or 3-form x."""
+    return mv_mul(to_clifford(x), grading(x.dim))
+
+
+def _threeform_at(u, v, w, t, cuvw, middle):  # T(u, v, w): <c(u)c(v)c(w) c(T)>_0 by L4.3b
+    return eval_threeform(t, u, v, w)
+
+
+def _witness(u, v, w, x, cuvw, middle):  # <c(u)c(v)c(w) M>_0 of the integrand's own factors
+    return scalar_product(cuvw, middle)
+
+
+def _pairing_inputs(n, rng):
+    return _oneforms(n, rng, 1, 1, 2, 2)
 
 
 def _torsion_inputs(n, rng):
@@ -153,10 +207,27 @@ def _torsion_inputs(n, rng):
     return u, v, w, ThreeForm(n, {(1, 2, 3): 1}) if rng is None else rand_threeform(rng, n)
 
 
-def _run_l43b(n, rng):
-    u, v, w, t = _torsion_inputs(n, rng)
-    computed = scalar_product(frame_product(u, v, w, n), to_clifford(t)) * _tr_id(n)
-    return _exact(computed, eval_threeform(t, u, v, w) * _tr_id(n))
+def _vector_inputs(n, rng):
+    return _oneforms(n, rng, 1, 2, 3, n)
+
+
+def _grading_torsion_inputs(n, rng):
+    if rng is not None:
+        return _torsion_inputs(n, rng)
+    if n == 4:
+        return (*_oneforms(n, rng, 1, 1, 4), ThreeForm(n, {(1, 2, 3): 1}))
+    return (*_oneforms(n, rng, 1, 2, 3),
+            ThreeForm(n, {(4, 5, 6): 1}) if n >= 6 else ThreeForm.zero(n))
+
+
+def _boundary_inputs(n, rng):
+    """(u, v, w) and the normal covector e_n."""
+    return (*_oneforms(n, rng, n, 1, 1), OneForm.basis(n, n))
+
+
+def _torsion_vector(t, rng):
+    """(T, Y) with Y drawn after T, or Y = 0 on the canonical input."""
+    return TorsionVector(t, OneForm.zero(t.dim) if rng is None else rand_oneform(rng, t.dim))
 
 
 def _run_e417(n, rng):
@@ -170,27 +241,11 @@ def _run_e417(n, rng):
 
 
 def _run_e418(n, rng):
-    u, v, w, y = _oneforms(n, rng, 1, 1, 2, 2)
+    u, v, w, y = _pairing_inputs(n, rng)
     cuvw, cy = frame_product(u, v, w, n), to_clifford(y)
     computed = (_sphere_trace_integral(n, cuvw, cy, generator_first=False)
                 + _sphere_trace_integral(n, cuvw, cy, generator_first=True))
     reference = -_frame_pairing(u, v, w, y) * _tr_id(n) / rational(n // 2)
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _run_e419(n, rng):
-    u, v, w, t = _torsion_inputs(n, rng)
-    computed = _sphere_trace_integral(n, frame_product(u, v, w, n), to_clifford(t),
-                                      generator_first=False)
-    reference = -eval_threeform(t, u, v, w) * _tr_id(n)
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _run_e420(n, rng):
-    u, v, w, t = _torsion_inputs(n, rng)
-    computed = _sphere_trace_integral(n, frame_product(u, v, w, n), to_clifford(t),
-                                      generator_first=True)
-    reference = rational(-5) * eval_threeform(t, u, v, w) * _tr_id(n)
     return _exact(computed, reference, (vol_sphere(n - 1),))
 
 
@@ -219,79 +274,6 @@ def _run_e431(n, rng):
             computed_mv == reference_mv)
 
 
-def _vector_inputs(n, rng):
-    return _oneforms(n, rng, 1, 2, 3, n)
-
-
-def _run_e434(n, rng):
-    u, v, w, x = _vector_inputs(n, rng)
-    computed = scalar_product(frame_product(u, v, w, n),
-                              mv_mul(to_clifford(x), grading(n))) * _tr_id(n)
-    pairing = eval_threeform(_complement(x, n), u, v, w)
-    return _exact(computed, rational(-4) * pairing)
-
-
-def _run_e436(n, rng):
-    u, v, w, x = _vector_inputs(n, rng)
-    cuvw = frame_product(u, v, w, n)
-    cxg = mv_mul(to_clifford(x), grading(n))
-    computed = _sphere_trace_integral(n, cuvw, cxg, generator_first=False)
-    reference = -scalar_product(cuvw, cxg) * _tr_id(n)
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _run_e437(n, rng):
-    u, v, w, x = _vector_inputs(n, rng)
-    cuvw = frame_product(u, v, w, n)
-    cxg = mv_mul(to_clifford(x), grading(n))
-    computed = _sphere_trace_integral(n, cuvw, cxg, generator_first=True)
-    reference = scalar_product(cuvw, cxg) * _tr_id(n) * (rational(2 - n) / rational(n))
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _grading_torsion_inputs(n, rng):
-    if rng is not None:
-        return _torsion_inputs(n, rng)
-    if n == 4:
-        return (*_oneforms(n, rng, 1, 1, 4), ThreeForm(n, {(1, 2, 3): 1}))
-    return (*_oneforms(n, rng, 1, 2, 3),
-            ThreeForm(n, {(4, 5, 6): 1}) if n >= 6 else ThreeForm.zero(n))
-
-
-def _run_e439(n, rng):
-    u, v, w, t = _grading_torsion_inputs(n, rng)
-    computed = scalar_product(frame_product(u, v, w, n),
-                              mv_mul(to_clifford(t), grading(n))) * _tr_id(n)
-    pairing = eval_threeform(_complement(t, n), u, v, w)
-    reference = rational(8) * (GR_ONE / i_power(3)) * pairing
-    return _exact(computed, reference)
-
-
-def _run_e441(n, rng):
-    u, v, w, t = _grading_torsion_inputs(n, rng)
-    cuvw = frame_product(u, v, w, n)
-    ctg = mv_mul(to_clifford(t), grading(n))
-    computed = _sphere_trace_integral(n, cuvw, ctg, generator_first=True)
-    reference = scalar_product(cuvw, ctg) * _tr_id(n) * (rational(n - 6) / rational(n))
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _run_e442(n, rng):
-    u, v, w, t = _grading_torsion_inputs(n, rng)
-    cuvw = frame_product(u, v, w, n)
-    ctg = mv_mul(to_clifford(t), grading(n))
-    computed = _sphere_trace_integral(n, cuvw, ctg, generator_first=False)
-    reference = -scalar_product(cuvw, ctg) * _tr_id(n)
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
-def _run_e449(n, rng):
-    u, v, w, t = _grading_torsion_inputs(n, rng)
-    computed = scalar_product(frame_product(u, v, w, n),
-                              mv_mul(to_clifford(t), grading(n))) * _tr_id(n)
-    return _exact(computed, rational(4) * _frame_pairing(u, v, w, _complement(t, n)))
-
-
 def _run_e455(n, rng):
     tangential, normal = half_inverse_symbol_components()
     ref_tan = XiRational(Poly((rational(1) / rational(2),)), {GR_I: 1})
@@ -308,18 +290,6 @@ def _run_e456(n, rng):
     computed = inverse_power.derivative()
     reference = dxn_symbol(m)
     return _probe(computed), _probe(reference), computed == reference
-
-
-def _boundary_inputs(n, rng):
-    return _oneforms(n, rng, n, 1, 1)
-
-
-def _run_e457(n, rng):
-    u, v, w = _boundary_inputs(n, rng)
-    computed = scalar_product(frame_product(u, v, w, n),
-                              Multivector.generator(n, n)) * _tr_id(n)
-    reference = normal_trace_combination(u, v, w) * _tr_id(n)
-    return _exact(computed, reference)
 
 
 def _run_e460(n, rng):
@@ -350,48 +320,19 @@ def _run_e462(n, rng):
 
 
 def _run_e463(n, rng):
-    u, v, w = _boundary_inputs(n, rng)
-    computed = boundary_density(u, v, w, n)
-    reference = theorem_boundary_value(u, v, w, n)
-    return _simple(computed, reference)
-
-
-def _run_t45(n, rng):
-    u, v, w, t = _torsion_inputs(n, rng)
-    y = OneForm.zero(n) if rng is None else rand_oneform(rng, n)
-    case = TorsionVector(t, y)
-    computed = interior_density(u, v, w, case, n)
-    reference = theorem_value(case, u, v, w, ManifoldSpec(n))
-    return _simple(computed, reference)
+    u, v, w, _ = _boundary_inputs(n, rng)
+    return _simple(boundary_density(u, v, w, n), theorem_boundary_value(u, v, w, n))
 
 
 def _run_r47(n, rng):
     u, v, w, y = _oneforms(n, rng, 1, 2, 3, 1)
     case = TorsionVector(ThreeForm.zero(n), y)
-    computed = interior_density(u, v, w, case, n)
-    return _simple(computed, SymScalar.zero())
+    return _simple(interior_density(u, v, w, case, n), SymScalar.zero())
 
 
 def _run_t48g(n, rng):
     u, v, w = _oneforms(n, rng, 1, 2, 3)
-    computed = interior_density(u, v, w, Grading(), n)
-    return _simple(computed, SymScalar.zero())
-
-
-def _run_t410(n, rng):
-    u, v, w, x = _vector_inputs(n, rng)
-    case = VectorGrading(x)
-    computed = interior_density(u, v, w, case, n)
-    reference = theorem_value(case, u, v, w, ManifoldSpec(n))
-    return _simple(computed, reference)
-
-
-def _run_t411(n, rng):
-    u, v, w, t = _grading_torsion_inputs(n, rng)
-    case = TorsionGrading(t)
-    computed = interior_density(u, v, w, case, n)
-    reference = theorem_value(case, u, v, w, ManifoldSpec(n))
-    return _simple(computed, reference)
+    return _simple(interior_density(u, v, w, Grading(), n), SymScalar.zero())
 
 
 def _run_t413(n, rng):
@@ -415,34 +356,58 @@ def _any(n: int) -> bool:
 
 
 CATALOG: tuple[Identity, ...] = (
-    Identity("L4.3a", "four-factor trace against metric pairings", _any, _run_l43a),
-    Identity("L4.3b", "trace of three one-forms against a 3-form", _any, _run_l43b),
+    Identity("L4.3a", "four-factor trace against metric pairings", _any,
+             _trace_row(_pairing_inputs, to_clifford, lambda n, u, v, w, y:
+                        _frame_pairing(u, v, w, y) * _tr_id(n))),
+    Identity("L4.3b", "trace of three one-forms against a 3-form", _any,
+             _trace_row(_torsion_inputs, to_clifford, lambda n, u, v, w, t:
+                        eval_threeform(t, u, v, w) * _tr_id(n))),
     Identity("E4.17", "second sphere moment of the covariables", _any, _run_e417),
     Identity("E4.18", "sphere integral of the vector anticommutator trace", _any, _run_e418),
-    Identity("E4.19", "sphere integral, 3-form right of the frame factor", _any, _run_e419),
-    Identity("E4.20", "sphere integral, 3-form left of the frame factor", _any, _run_e420),
+    Identity("E4.19", "sphere integral, 3-form right of the frame factor", _any,
+             _sphere_row(_torsion_inputs, to_clifford, False, lambda n: -1, _threeform_at)),
+    Identity("E4.20", "sphere integral, 3-form left of the frame factor", _any,
+             _sphere_row(_torsion_inputs, to_clifford, True, lambda n: -5, _threeform_at)),
     Identity("L4.9", "supertrace: sub-top blades vanish, top blade value", _any, _run_l49),
     Identity("E4.31", "constant symbol term for the grading perturbation", _any, _run_e431),
-    Identity("E4.34", "grading trace as a top wedge pairing (n=4)", lambda n: n == 4, _run_e434),
-    Identity("E4.36", "sphere integral, vector-grading right of the frame factor", _any, _run_e436),
-    Identity("E4.37", "sphere integral, vector-grading left of the frame factor", _any, _run_e437),
-    Identity("E4.39", "grading-torsion trace as a top wedge pairing (n=6)", lambda n: n == 6, _run_e439),
-    Identity("E4.41", "sphere integral, grading-torsion left of the frame factor", _any, _run_e441),
-    Identity("E4.42", "sphere integral, grading-torsion right of the frame factor", _any, _run_e442),
-    Identity("E4.49", "grading-torsion trace via metric pairings (n=4)", lambda n: n == 4, _run_e449),
+    Identity("E4.34", "grading trace as a top wedge pairing (n=4)", lambda n: n == 4,
+             _trace_row(_vector_inputs, _graded, lambda n, u, v, w, x:
+                        rational(-4) * eval_threeform(_complement(x, n), u, v, w))),
+    Identity("E4.36", "sphere integral, vector-grading right of the frame factor", _any,
+             _sphere_row(_vector_inputs, _graded, False, lambda n: -1, _witness)),
+    Identity("E4.37", "sphere integral, vector-grading left of the frame factor", _any,
+             _sphere_row(_vector_inputs, _graded, True, lambda n: Rational(2 - n, n), _witness)),
+    Identity("E4.39", "grading-torsion trace as a top wedge pairing (n=6)", lambda n: n == 6,
+             _trace_row(_grading_torsion_inputs, _graded, lambda n, u, v, w, t:
+                        rational(8) * (GR_ONE / i_power(3))
+                        * eval_threeform(_complement(t, n), u, v, w))),
+    Identity("E4.41", "sphere integral, grading-torsion left of the frame factor", _any,
+             _sphere_row(_grading_torsion_inputs, _graded, True, lambda n: Rational(n - 6, n),
+                         _witness)),
+    Identity("E4.42", "sphere integral, grading-torsion right of the frame factor", _any,
+             _sphere_row(_grading_torsion_inputs, _graded, False, lambda n: -1, _witness)),
+    Identity("E4.49", "grading-torsion trace via metric pairings (n=4)", lambda n: n == 4,
+             _trace_row(_grading_torsion_inputs, _graded, lambda n, u, v, w, t:
+                        rational(4) * _frame_pairing(u, v, w, _complement(t, n)))),
     Identity("E4.55", "half-line projection of the inverse symbol", _any, _run_e455),
     Identity("E4.56", "normal derivative of the inverse-power symbol", _any, _run_e456),
-    Identity("E4.57", "boundary trace combination of the normal factor", _any, _run_e457),
+    Identity("E4.57", "boundary trace combination of the normal factor", _any,
+             _trace_row(_boundary_inputs, to_clifford, lambda n, u, v, w, e:
+                        normal_trace_combination(u, v, w) * _tr_id(n))),
     Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _any, _run_e460),
     Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _any, _run_e461),
     Identity("E4.62", "residue derivative closed form", _any, _run_e462),
     Identity("E4.63", "boundary density against the catalogued coefficient", _any, _run_e463),
-    Identity("T4.5", "interior density, torsion-vector case", _any, _run_t45),
+    Identity("T4.5", "interior density, torsion-vector case", _any,
+             _density_row(_torsion_inputs, _torsion_vector)),
     Identity("R4.7", "interior density vanishes for pure vector perturbation", _any, _run_r47),
     Identity("T4.8γ", "interior density vanishes for the grading perturbation", _any, _run_t48g),
-    Identity("T4.10", "interior density, vector-grading case", _any, _run_t410),
-    Identity("T4.11n4", "interior density, grading-torsion case at n=4", lambda n: n == 4, _run_t411),
-    Identity("T4.11n6", "interior density, grading-torsion case at n=6", lambda n: n == 6, _run_t411),
+    Identity("T4.10", "interior density, vector-grading case", _any,
+             _density_row(_vector_inputs, lambda x, rng: VectorGrading(x))),
+    Identity("T4.11n4", "interior density, grading-torsion case at n=4", lambda n: n == 4,
+             _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t))),
+    Identity("T4.11n6", "interior density, grading-torsion case at n=6", lambda n: n == 6,
+             _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t))),
     Identity("T4.13", "interior plus boundary against the catalogued total", _any, _run_t413),
 )
 

@@ -151,6 +151,25 @@ def test_str_zero():
     assert str(SymScalar.zero()) == "0"
 
 
+def test_equal_scalars_hash_alike():
+    """Values that compare equal are one set member and one dict key."""
+    half = rational("1/2")
+    equal_groups = [
+        (3, rational(3), GaussianRational(3), sym(3), sym(GaussianRational(3))),
+        (half, GaussianRational(half), sym(half)),
+        (0, rational(0), GaussianRational(0), sym(0), SymScalar.zero()),
+        (GaussianRational(1, -2), sym(GaussianRational(1, -2))),
+    ]
+    for group in equal_groups:
+        assert all(a == b for a in group for b in group)
+        assert len(set(group)) == 1
+        table = {group[0]: "value"}
+        assert all(table.get(x) == "value" for x in group)
+    distinct = {GaussianRational(3), GaussianRational(0, 3), GaussianRational(3, 3),
+                sym(3), SymScalar.from_atom(PI, 3)}
+    assert len(distinct) == 4  # GaussianRational(3) and sym(3) are one member
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_rationals, small_rationals)
 def test_rational_stays_reduced(a, b):

@@ -231,3 +231,33 @@ def test_verify_rows_are_pinned(n, seed):
     text = "\n".join(f"{row.id}\t{row.computed}\t{row.reference}\t{row.matches}"
                      for row in verify_suite(ManifoldSpec(n), seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == ROW_HASHES[n]
+
+
+# SHA-256 of every run "id<TAB>canonical<TAB>computed<TAB>reference<TAB>flag",
+# canonical and trial, one a line, at the default seed
+RUN_HASHES = {
+    4: "719c1bfd0db3ef8d21b882df9114541c92795355eaf5f8ee46190165ce0b9f87",
+    6: "3c42641692fcafa36a6767032ac51014a2dc9a908426f47351eb4cbddb34b1da",
+    8: "eed911dd86452b40269f6e770c2d7d3d2b1e28e29f3d4e5dc5196e2cf2bfc059",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RUN_HASHES))
+def test_every_trial_is_pinned(n, monkeypatch):
+    """Each trial keeps what it draws and computes, not only its flag.
+
+    The pinned rows and the goldens read only the canonical run, whose
+    values no seed changes; this reads every run the suite makes."""
+    runs = []
+
+    def recorded(ident):
+        def run(n, rng):
+            computed, reference, ok = ident.run(n, rng)
+            runs.append(f"{ident.id}\t{rng is None}\t{computed}\t{reference}\t{ok}")
+            return computed, reference, ok
+        return dataclasses.replace(ident, run=run)
+
+    monkeypatch.setattr(verify, "CATALOG", tuple(recorded(ident) for ident in CATALOG))
+    verify_suite(ManifoldSpec(n))
+    text = "\n".join(runs)
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_HASHES[n]
