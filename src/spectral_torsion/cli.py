@@ -123,11 +123,9 @@ def _parse_oneform(config: dict, key: str, n: int, required: bool,
     return OneForm(comps)
 
 
-def _parse_threeform(config: dict, key: str, n: int, required: bool) -> ThreeForm | None:
+def _parse_threeform(config: dict, key: str, n: int) -> ThreeForm:
     if key not in config or config[key] is None:
-        if required:
-            raise ConsistencyError(f"case requires field {key!r}")
-        return None
+        raise ConsistencyError(f"case requires field {key!r}")
     items = config[key]
     if not isinstance(items, list):
         raise ConfigError(f"{key}: expected an array of [a, b, c, rational] records")
@@ -151,14 +149,14 @@ def _build_case(config: dict, n: int):
     if not isinstance(name, str) or name not in CASE_NAMES:
         raise ConfigError(f"case must be one of {sorted(CASE_NAMES)}, got {name!r}")
     if name == "torsion_vector":
-        t = _parse_threeform(config, "T", n, required=True)
+        t = _parse_threeform(config, "T", n)
         y = _parse_oneform(config, "Y", n, required=False) or OneForm.zero(n)
         return TorsionVector(t, y)
     if name == "grading":
         return Grading()
     if name == "vector_grading":
         return VectorGrading(_parse_oneform(config, "X", n, required=True))
-    return TorsionGrading(_parse_threeform(config, "T", n, required=True))
+    return TorsionGrading(_parse_threeform(config, "T", n))
 
 
 def default_numeric_env(n: int) -> dict:

@@ -10,7 +10,6 @@ rational; the supertrace composes with the grading operator.
 
 from __future__ import annotations
 
-import re as _re
 from math import lcm
 from typing import Iterator
 
@@ -45,14 +44,15 @@ def _same_dim(a, b) -> None:
 
 
 def _check_dim(dim: int) -> None:
-    """The one Multivector dimension rule: 1 <= dim <= MAX_DIM."""
-    if not 1 <= dim <= MAX_DIM:
+    """The one Multivector dimension rule: an int (not a bool) in [1, MAX_DIM]."""
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {dim}")
 
 
 def _check_even_dim(n: int, low: int = 2) -> None:
-    """The one even-dimension rule: n even, with low <= n <= MAX_DIM."""
-    if n % 2 != 0:
+    """The one even-dimension rule: an even int (not a bool), with
+    low <= n <= MAX_DIM."""
+    if type(n) is not int or n % 2 != 0:
         raise OddDimension(f"dimension must be even, got {n}")
     if not low <= n <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be in [{low}, {MAX_DIM}], got {n}")
@@ -245,37 +245,6 @@ class Multivector:
 
     def __repr__(self):
         return f"Multivector<dim={self.dim}: {self}>"
-
-    @classmethod
-    def parse(cls, dim: int, text: str) -> "Multivector":
-        """Parse the printed form: "(coeff)*e{i j ...}" terms joined by " + "."""
-        text = text.strip()
-        if text == "0":
-            return cls(dim)
-        coeffs: dict[int, GaussianRational] = {}
-        matched = []
-        for m in _MV_TERM_RE.finditer(text):
-            matched.append(m.group(0))
-            raw = m.group(1).strip()
-            # sym() prints an imaginary or complex coefficient in parentheses,
-            # negated outside them when it is purely imaginary: "-(1 i)"
-            negate = raw.startswith("-(")
-            if negate:
-                raw = raw[1:]
-            if raw.startswith("(") and raw.endswith(")"):
-                raw = raw[1:-1]
-            coeff = GaussianRational.parse(raw)
-            if negate:
-                coeff = -coeff
-            indices = [int(t) for t in m.group(2).split()]
-            mask = blade_mask(indices)
-            coeffs[mask] = coeffs.get(mask, GR_ZERO) + coeff
-        if " + ".join(matched) != text:
-            raise ValueError(f"bad multivector literal {text!r}")
-        return cls(dim, coeffs)
-
-
-_MV_TERM_RE = _re.compile(r"\((.*?)\)\*e\{([\d\s]*)\}")
 
 
 # Past about this many bits a common denominator costs more in big-integer

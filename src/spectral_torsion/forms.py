@@ -9,8 +9,8 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from .clifford import Multivector, _from_rationals, _part, _rational_runs, _same_dim, \
-    blade_mask, mv_mul
+from .clifford import DimensionMismatch, Multivector, _from_rationals, _part, _rational_runs, \
+    _same_dim, blade_mask, mv_mul
 from .scalars import Rational, rational
 
 
@@ -31,6 +31,9 @@ class OneForm:
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "OneForm":
+        """e_i*, 1-based index."""
+        if not 1 <= i <= dim:
+            raise DimensionMismatch(f"basis index {i} outside 1..{dim}")
         return cls(tuple(1 if j == i else 0 for j in range(1, dim + 1)))
 
     @classmethod

@@ -43,7 +43,6 @@ def rational(value) -> Rational:
 
 
 _ZERO = Rational(0)
-_ONE = Rational(1)
 
 
 class GaussianRational:
@@ -57,33 +56,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         self.re = rational(re)
         self.im = rational(im)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussianRational":
-        """Parse "p/q", "r/s i", "p/q+r/s i" or "p/q-r/s i" (also bare "i")."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty Gaussian rational")
-        if not s.endswith("i"):
-            return cls(rational(s.replace(" ", "")), _ZERO)
-        body = s[:-1].strip()
-        # locate a +/- separating real and imaginary parts (not a leading sign)
-        split = max(body.rfind("+"), body.rfind("-"))
-        if split > 0:
-            re_part = rational(body[:split].replace(" ", ""))
-            im_text = body[split:].strip()
-        else:
-            re_part = _ZERO
-            im_text = body
-        if im_text in ("", "+"):
-            im_part = _ONE
-        elif im_text == "-":
-            im_part = -_ONE
-        else:
-            im_part = rational(im_text.replace(" ", ""))
-        return cls(re_part, im_part)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -237,19 +209,6 @@ def atom_name(a: Atom) -> str:
     raise ValueError(f"unknown atom {a!r}")
 
 
-_ATOM_BY_NAME = {"pi": PI, "tr_F(Phi)": TR_F_PHI, "dim_F": DIM_F}
-_VOL_RE = _re.compile(r"vol\(S\^(\d+)\)")
-
-
-def atom_from_name(name: str) -> Atom:
-    if name in _ATOM_BY_NAME:
-        return _ATOM_BY_NAME[name]
-    m = _VOL_RE.fullmatch(name)
-    if m:
-        return vol_sphere(int(m.group(1)))
-    raise ValueError(f"unknown atom name {name!r}")
-
-
 Monomial = tuple  # sorted tuple of atoms
 
 
@@ -383,14 +342,6 @@ class SymScalar:
             out.append({"atoms": [atom_name(a) for a in mono],
                         "coeff": str(self.terms[mono])})
         return out
-
-    @classmethod
-    def from_terms(cls, items) -> "SymScalar":
-        terms = {}
-        for item in items:
-            mono = tuple(sorted(atom_from_name(s) for s in item["atoms"]))
-            terms[mono] = terms.get(mono, GR_ZERO) + GaussianRational.parse(item["coeff"])
-        return cls(terms)
 
     def __str__(self):
         if not self.terms:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .clifford import MAX_DIM
+from .clifford import DimensionMismatch, MAX_DIM, OddDimension, _check_even_dim
 from .forms import OneForm, _complement, eval_threeform, metric_pair
 from .halfline import boundary_density
 from .scalars import (
@@ -47,9 +47,11 @@ class ManifoldSpec:
     with_boundary: bool = False
 
     def __post_init__(self):
-        if self.dim % 2 != 0 or not 4 <= self.dim <= MAX_DIM:
+        try:
+            _check_even_dim(self.dim, 4)
+        except (OddDimension, DimensionMismatch):
             raise UnsupportedDimension(
-                f"dimension must be even with 4 <= n <= {MAX_DIM}, got {self.dim}")
+                f"dimension must be even with 4 <= n <= {MAX_DIM}, got {self.dim}") from None
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,14 @@ def test_to_clifford_basics():
         frame_product(big, big, big, MAX_DIM + 1)
 
 
+def test_basis_index_outside_the_dimension():
+    assert OneForm.basis(4, 1).components == (1, 0, 0, 0)
+    assert OneForm.basis(4, 4).components == (0, 0, 0, 1)
+    for i in (0, 5):
+        with pytest.raises(DimensionMismatch, match=rf"^basis index {i} outside 1\.\.4$"):
+            OneForm.basis(4, i)
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["small", "coprime"])
 def test_integer_paths_match_the_fraction_oracles(kind, n):

@@ -1,10 +1,12 @@
-"""The README's library layout names only what the modules define, and its
-list of known reference discrepancies is the one the verify ledger reports."""
+"""The README's library layout names only what the modules define, the names
+it lists as removed are gone, and its list of known reference discrepancies
+is the one the verify ledger reports."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -52,6 +54,42 @@ def test_undefined_names_flags_a_removed_helper():
     assert undefined_names("halfline", "`boundary_pieces`, `pi`, `XiRational`") == \
         ["boundary_pieces"]
     assert undefined_names("scalars", "`SymScalar` (`evaluate`)") == []
+
+
+def removed_names() -> list[str]:
+    """Backticked names of the README's "Removed public names" list."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Removed public names", 1)[1].split("\n\n", 2)[1]
+    return re.findall(r"`([^`]+)`", section)
+
+
+def resolves(name: str) -> bool:
+    """Whether the package or one of its modules has `name`, a dotted name
+    followed attribute by attribute (`Multivector.generator`)."""
+    package = importlib.import_module("spectral_torsion")
+    modules = [package] + [importlib.import_module(f"spectral_torsion.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    for module in modules:
+        value = module
+        try:
+            for part in name.split("."):
+                value = getattr(value, part)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_removed_names_are_gone():
+    names = removed_names()
+    assert "Multivector.parse" in names and "wedge" in names
+    assert [name for name in names if resolves(name)] == []
+
+
+def test_resolves_follows_dotted_names():
+    assert resolves("Multivector.generator") and resolves("mv_mul")
+    assert resolves("SymScalar.to_terms") and resolves("clifford._check_dim")
+    assert not resolves("Multivector.wedge") and not resolves("wedge")
 
 
 def test_known_discrepancies_are_the_flagged_rows():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_torsion import (
+    DIM_F,
     GaussianRational,
     MissingAtom,
     PI,
@@ -103,20 +104,13 @@ def test_eval_multiplicative(a, b):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(gaussians)
-def test_gaussian_parse_roundtrip(z):
-    assert GaussianRational.parse(str(z)) == z
-
-
-def test_gaussian_parse_forms():
-    assert GaussianRational.parse("5") == GaussianRational(5)
-    assert GaussianRational.parse("-3/4") == GaussianRational(rational("-3/4"))
-    assert GaussianRational.parse("3/4 i") == GaussianRational(0, rational("3/4"))
-    assert GaussianRational.parse("1/2+3/4 i") == GaussianRational(rational("1/2"), rational("3/4"))
-    assert GaussianRational.parse("1/2-3/4 i") == GaussianRational(rational("1/2"), rational("-3/4"))
-    assert GaussianRational.parse("i") == GaussianRational(0, 1)
-    assert GaussianRational.parse("-i") == GaussianRational(0, -1)
+def test_gaussian_printed_form():
+    """Real, imaginary and complex values, as the goldens print them."""
+    cases = [((rational("-3/4"), 0), "-3/4"), ((0, 1), "1 i"), ((0, -1), "-1 i"),
+             ((0, rational("-1/2")), "-1/2 i"), ((0, rational("5/2")), "5/2 i"),
+             ((3, -2), "3-2 i"), ((rational("-1/2"), 1), "-1/2+1 i"), ((0, 0), "0")]
+    assert [str(GaussianRational(re, im)) for (re, im), _ in cases] == \
+        [text for _, text in cases]
 
 
 def test_conjugation_involution():
@@ -144,7 +138,21 @@ def test_printing_order_and_terms_roundtrip():
          + SymScalar.from_atom(PI, GaussianRational(0, rational("1/2"))))
     # atoms inside a monomial are ordered pi < vol < tr_F < dim_F
     assert str(s) == "(1/2 i)*pi - 8*vol(S^3)*tr_F(Phi)"
-    assert SymScalar.from_terms(s.to_terms()) == s
+    # the compute JSON's term blocks: real, imaginary and complex coefficients
+    s = (s + sym(rational("2/3")) + SymScalar.from_atom(PI, GaussianRational(0, -1))
+         + SymScalar.from_monomial((PI, DIM_F), GaussianRational(0, -1))
+         + SymScalar.from_atom(DIM_F, GaussianRational(rational("-1/2"), 1)))
+    assert str(s) == ("2/3 - (1/2 i)*pi - (1 i)*pi*dim_F - 8*vol(S^3)*tr_F(Phi)"
+                      " + (-1/2+1 i)*dim_F")
+    assert s.to_terms() == [
+        {"atoms": [], "coeff": "2/3"},
+        {"atoms": ["pi"], "coeff": "-1/2 i"},
+        {"atoms": ["pi", "dim_F"], "coeff": "-1 i"},
+        {"atoms": ["vol(S^3)", "tr_F(Phi)"], "coeff": "-8"},
+        {"atoms": ["dim_F"], "coeff": "-1/2+1 i"},
+    ]
+    assert str(sym(GaussianRational(0, 1))) == "(1 i)"
+    assert str(sym(GaussianRational(3, -2))) == "(3-2 i)"
 
 
 def test_str_zero():

@@ -53,6 +53,10 @@ def test_manifold_spec_validation():
         ManifoldSpec(5)
     with pytest.raises(UnsupportedDimension):
         ManifoldSpec(18)
+    # 4.0 % 2 == 0 and True is an int, yet neither is a dimension
+    for dim in (4.0, True, "4"):
+        with pytest.raises(UnsupportedDimension, match=rf"^dimension must be even with .*, got {dim}$"):
+            ManifoldSpec(dim)
 
 
 def test_theorem_torsion_vector_n6():
