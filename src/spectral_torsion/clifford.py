@@ -220,7 +220,14 @@ class Multivector:
 
     def is_zero(self) -> bool:
         if len(self._parts) > 1:
-            return not self.coeffs  # several parts can cancel each other
+            # several parts cancel only on blades they share: a nonzero blade
+            # held by one part alone is nonzero, otherwise build and look
+            holders: dict[int, int] = {}
+            for _, acc in self._parts:
+                for mask, (re, im) in acc.items():
+                    if re or im:
+                        holders[mask] = holders.get(mask, 0) + 1
+            return 1 not in holders.values() and not self.coeffs
         return not any(re or im for _, acc in self._parts for re, im in acc.values())
 
     def __eq__(self, other):
@@ -376,19 +383,22 @@ def grading(n: int) -> Multivector:
     return Multivector.blade(n, (1 << n) - 1, i_power(m))
 
 
-def trace(a: Multivector) -> GaussianRational:
-    """Spinor-representation trace: 2^m times the scalar part (n = 2m).
+def trace(a: Multivector, b: Multivector | None = None) -> GaussianRational:
+    """Spinor-representation trace of a, or of the product a b: 2^m times
+    the scalar part (n = 2m).
 
     Every blade of positive grade is traceless in the irreducible
-    representation; the tests cross-check this on literal matrices.
+    representation; the tests cross-check this on literal matrices.  With
+    two factors the value is 2^m scalar_product(a, b), and a b is never built.
     """
     _check_even_dim(a.dim)
-    return a.scalar_part() * 2 ** (a.dim // 2)
+    scalar = a.scalar_part() if b is None else scalar_product(a, b)
+    return scalar * 2 ** (a.dim // 2)
 
 
 def supertrace(a: Multivector) -> GaussianRational:
     """trace(grading * a); kills every blade except the top-grade one."""
-    return trace(mv_mul(grading(a.dim), a))
+    return trace(grading(a.dim), a)
 
 
 def _relabel(acc: dict, i: int) -> dict:

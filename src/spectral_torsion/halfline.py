@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .clifford import Multivector, _check_even_dim, scalar_product
+from .clifford import Multivector, _check_even_dim, trace
 from .clifford import mv_mul  # noqa: F401  (perfbench's binding test patches halfline.mv_mul)
 from .forms import OneForm, frame_product
 from .scalars import (
@@ -369,7 +369,6 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     """
     _check_even_dim(n, 4)
     m = n // 2
-    factor = scalar_product(frame_product(u, v, w, n),
-                            Multivector.generator(n, n)) * 2 ** m
+    factor = trace(frame_product(u, v, w, n), Multivector.generator(n, n))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
                                    factor * _normal_integral(m))

@@ -112,6 +112,8 @@ def xi_monomial(nvars: int, *indices: int) -> tuple:
     """Exponent vector for a product of variables given by 1-based indices."""
     expo = [0] * nvars
     for i in indices:
+        if not 1 <= i <= nvars:
+            raise DimensionMismatch(f"variable index {i} outside 1..{nvars}")
         expo[i - 1] += 1
     return tuple(expo)
 
@@ -123,7 +125,7 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     caller attaches the volume atom.  The surviving terms' integer
     numerators, scaled by their moments over the lcm L of the moment
     denominators, are summed into one part per denominator D, kept over
-    D * L, and multiplied by the left factor once.
+    D * L, and multiplied by the left factor once, if there is one.
     """
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
@@ -138,6 +140,5 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
                 cur = acc.get(mask)
                 re, im = re * factor, im * factor
                 acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    left = Multivector.identity(p.mv_dim) if p.left is None else p.left
-    return mv_mul(left, _from_int_parts(p.mv_dim, [(den * scale, acc)
-                                                   for den, acc in sums.items()]))
+    integrated = _from_int_parts(p.mv_dim, [(den * scale, acc) for den, acc in sums.items()])
+    return integrated if p.left is None else mv_mul(p.left, integrated)

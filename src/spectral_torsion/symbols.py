@@ -158,10 +158,14 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     to the exact trace of the integrated symbol.  The symbol sees only B's
     grade-1 and grade-3 blades, the grades of c(u)c(v)c(w): the surviving
     xi_i^2 terms keep each blade's grade and the trace pairs only equal
-    blades, so every other grade adds 0.
+    blades, so every other grade adds 0.  Only the symbol's right terms are
+    integrated, and C = c(u)c(v)c(w) is traced against them, so the
+    product of C with the integral is never built.
     """
     b = _from_int_parts(n, [(den, {mask: c for mask, c in acc.items()
                                    if mask.bit_count() in (1, 3)})
                             for den, acc in _integer_runs(perturbation_multivector(case, n))])
-    integrated = integrate_sphere(n, sigma_minus2m(u, v, w, b, n))
-    return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), trace(integrated))
+    sigma = sigma_minus2m(u, v, w, b, n)
+    integrated = integrate_sphere(n, XiPolynomialMV(n, n, sigma.terms))
+    return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
+                                   trace(sigma.left, integrated))

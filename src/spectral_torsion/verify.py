@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clifford import Multivector, conjugate_sum, grading, mv_mul, scalar_product, \
-    supertrace
+    supertrace, trace
 from .forms import OneForm, ThreeForm, _complement, eval_threeform, frame_product, \
     to_clifford
 from .halfline import (
@@ -103,10 +103,8 @@ def _sphere_trace_integral(n: int, left: Multivector, middle: Multivector,
     (2^m/n) <left * sum_i c(e_i) middle c(e_i)>_0 with the generator first,
     and -2^m <left * middle>_0 otherwise."""
     if generator_first:
-        weight = scalar_product(left, conjugate_sum(middle)) / rational(n)
-    else:
-        weight = -scalar_product(left, middle)
-    return weight * _tr_id(n)
+        return trace(left, conjugate_sum(middle)) / rational(n)
+    return -trace(left, middle)
 
 
 def _tr_id(n: int):
@@ -157,7 +155,7 @@ def _trace_row(inputs, middle, reference):
     M = middle(x) for the inputs (u, v, w, x), against reference(n, u, v, w, x)."""
     def run(n, rng):
         u, v, w, x = inputs(n, rng)
-        computed = scalar_product(frame_product(u, v, w, n), middle(x)) * _tr_id(n)
+        computed = trace(frame_product(u, v, w, n), middle(x))
         return _exact(computed, reference(n, u, v, w, x))
     return run
 

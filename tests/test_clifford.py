@@ -423,6 +423,48 @@ def test_deferred_product_reads_like_the_reference(kind, n):
     assert (product._coeffs is None) == (kind != "coprime")
 
 
+def _trace_operands(kind, n):
+    """_operands of the dense or sparse kind, a dense one and zero, or two of
+    24 blades over pairwise-coprime 50-digit denominators, so that each
+    splits into several integer parts."""
+    if kind == "zero":
+        return _operands("dense", n)[0], Multivector.zero(n)
+    if kind != "coprime":
+        return _operands(kind, n)
+    rng = random.Random(f"trace-coprime-{n}")
+    part = coprime_draw(rng, digits=50)
+    a, b = (Multivector(n, {mask: GaussianRational(part(), part())
+                            for mask in rng.sample(range(1 << n), min(1 << n, 24))})
+            for _ in range(2))
+    assert len(_integer_runs(a)) > 1 and len(_integer_runs(b)) > 1
+    return a, b
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "coprime"])
+def test_two_factor_trace_matches_the_product(kind, n):
+    """trace(a, b) is the trace of a b, for operands either way round and
+    for product operands read through their integer parts."""
+    a, b = _trace_operands(kind, n)
+    for x, y in ((a, b), (b, a)):
+        got, expected = trace(x, y), trace(mv_mul(x, y))
+        assert got == expected and str(got) == str(expected)
+    left, right = mv_mul(a, gen(n, 1)), mv_mul(gen(n, 2), b)
+    assert trace(left, right) == trace(mv_mul(left, right))
+    assert left._coeffs is None and right._coeffs is None
+
+
+def test_two_factor_trace_checks_dimensions():
+    with pytest.raises(DimensionMismatch):
+        trace(gen(4, 1), gen(6, 1))
+    with pytest.raises(DimensionMismatch):
+        trace(gen(6, 1), gen(4, 1))
+    with pytest.raises(OddDimension):
+        trace(gen(5, 1), gen(5, 1))
+    with pytest.raises(OddDimension):
+        trace(gen(3, 1), gen(4, 1))
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
 def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
@@ -497,6 +539,15 @@ def test_deferred_parts_that_cancel_to_zero():
     for name, read in _READS.items():
         rebuilt = _from_int_parts(4, [(3, {1: (1, 0)}), (6, {1: (-2, 0)})])
         assert read(rebuilt) == read(Multivector.zero(4)), name
+    # a blade held by one part alone is nonzero; no coefficient is built
+    held = _from_int_parts(4, [(3, {1: (1, 0), 2: (1, 0)}), (6, {1: (-2, 0), 4: (0, 0)})])
+    assert not held.is_zero()
+    assert held._coeffs is None
+    assert held == Multivector.blade(4, 2, rational("1/3"))
+    # every nonzero blade shared, one of them not cancelling
+    shared = _from_int_parts(4, [(3, {1: (1, 0), 2: (1, 0)}), (6, {1: (-2, 0), 2: (1, 0)})])
+    assert not shared.is_zero()
+    assert shared == Multivector.blade(4, 2, rational("1/2"))
     # a single part is zero exactly when its numerators are
     assert _from_int_parts(4, [(5, {1: (0, 0)})]).is_zero()
     assert not _from_int_parts(4, [(5, {1: (0, 1)})]).is_zero()

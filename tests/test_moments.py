@@ -99,6 +99,17 @@ def test_monte_carlo_agreement():
     assert abs(odd) < 1e-3
 
 
+def test_xi_monomial_rejects_index_0():
+    # Python would read index -1, the last variable
+    with pytest.raises(DimensionMismatch, match=r"^variable index 0 outside 1\.\.4$"):
+        xi_monomial(4, 0)
+
+
+def test_xi_monomial_rejects_index_past_nvars():
+    with pytest.raises(DimensionMismatch, match=r"^variable index 5 outside 1\.\.4$"):
+        xi_monomial(4, 5)
+
+
 def test_integrate_sphere_odd_term_dies():
     n = 4
     p = XiPolynomialMV(n, n, {xi_monomial(n, 1): Multivector.generator(n, 1)})

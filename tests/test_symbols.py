@@ -41,7 +41,7 @@ from spectral_torsion import (
     vol_sphere,
     ManifoldSpec,
 )
-from spectral_torsion import halfline, symbols, verify
+from spectral_torsion import forms, halfline, moments, symbols, verify
 from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.moments import integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, Rational, SymScalar, TR_F_PHI
@@ -257,14 +257,23 @@ def test_symbol_trace_weights_each_blade_by_its_grade(n):
     assert nonzero == 6 * math.comb(n, 3)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_interior_density_matches_the_unprojected_route(n):
-    """Dense random inputs, all four cases: the density from B's grade-1 and
-    grade-3 blades equals the one from all of B."""
+    """Dense random inputs, all four cases, then one input over
+    pairwise-coprime 25-digit denominators: the density, which traces C
+    against the integral of the symbol of B's grade-1 and grade-3 blades,
+    equals the trace of the product of C with the integral of the symbol of
+    all of B.  From n = 6 on, the long torsion_vector B and its integral
+    split into several integer parts, so the trace sums a scalar product
+    over pairs of parts."""
     rng = random.Random(f"unprojected-{n}")
-    for _ in range(2):
-        u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
-        t = rand_threeform(rng, n)
+    inputs = [(*(rand_oneform(rng, n) for _ in range(5)), rand_threeform(rng, n))
+              for _ in range(2)]
+    draw = coprime_draw(rng, digits=25)
+    u, v, w, long_case = _dense_torsion_vector(n, draw)
+    assert n < 6 or len(_integer_runs(perturbation_multivector(long_case, n))) > 1
+    inputs.append((u, v, w, OneForm(tuple(draw() for _ in range(n))), long_case.Y, long_case.T))
+    for u, v, w, x, y, t in inputs:
         for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
             full = _full_route(u, v, w, perturbation_multivector(case, n), n)
             assert interior_density(u, v, w, case, n) == SymScalar.from_monomial(
@@ -339,6 +348,41 @@ def test_torsion_vector_density_long_inputs_time_bound():
     assert len(_integer_runs(perturbation_multivector(case, n))) > 1
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 0.5, f"torsion_vector at n=8 on 50-digit inputs took {elapsed:.2f}s " \
+        f"on {Rational.__module__}.{Rational.__name__}"
+
+
+def test_torsion_vector_density_n16_tight_time_bound():
+    """The torsion_vector density on a dense n=16 input, as in
+    test_torsion_vector_density_n16_time_bound, under a tighter bound.
+
+    On the fractions backend (2-vCPU VM) the first in-suite run took
+    0.03 s, with C = c(u)c(v)c(w) traced against the sphere-integrated
+    symbol; the bound is 5x that.  With C multiplied into the integral
+    first, the density took 0.22-0.27 s.
+    """
+    n = 16
+    rng = random.Random("torsion-vector-n16-tight")
+    elapsed = _timed_density(*_dense_torsion_vector(n, lambda: rand_rational(rng)), n)
+    assert elapsed < 0.15, f"torsion_vector at n=16 took {elapsed:.3f}s on " \
+        f"{Rational.__module__}.{Rational.__name__}"
+
+
+def test_torsion_vector_density_n16_long_inputs_time_bound():
+    """The torsion_vector density at n=16 on inputs whose 624 components
+    have pairwise-coprime 25-digit denominators, so C and B split into many
+    integer parts.
+
+    On the fractions backend (2-vCPU VM) the first in-suite run took
+    0.51 s for the whole test and 0.23-0.28 s for the density alone; the
+    bound is about 5x the density.  With C multiplied into the integral
+    first, the density took 3.2-3.8 s.
+    """
+    n = 16
+    draw = coprime_draw(random.Random("torsion-vector-long-n16"), digits=25)
+    u, v, w, case = _dense_torsion_vector(n, draw)
+    assert len(_integer_runs(frame_product(u, v, w, n))) > 1
+    elapsed = _timed_density(u, v, w, case, n)
+    assert elapsed < 1.5, f"torsion_vector at n=16 on 25-digit inputs took {elapsed:.2f}s " \
         f"on {Rational.__module__}.{Rational.__name__}"
 
 
@@ -484,6 +528,33 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
     # sigma_minus2m) and C
     assert len(seen) == 1 + 3 * 3
     assert [mv._coeffs is None for mv in seen] == [True] * len(seen)
+
+
+def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
+    """The only Clifford products of interior_density are C's own
+    construction in frame_product (two) and, for the graded cases, the one
+    in perturbation_multivector; C is traced against the integrated symbol."""
+    n = 8
+    rng = random.Random("no-product-with-c")
+    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+    t = rand_threeform(rng, n)
+    calls = []
+
+    def counted(module):
+        def wrapped(a, b):
+            calls.append(module)
+            return mv_mul(a, b)
+        return wrapped
+
+    for module in (forms, symbols, moments):
+        monkeypatch.setattr(module, "mv_mul", counted(module.__name__.rsplit(".", 1)[1]))
+    expected = {TorsionVector(t, y): ["forms"] * 2, Grading(): ["forms"] * 2,
+                VectorGrading(x): ["symbols"] + ["forms"] * 2,
+                TorsionGrading(t): ["symbols"] + ["forms"] * 2}
+    for case, names in expected.items():
+        calls.clear()
+        interior_density(u, v, w, case, n)
+        assert calls == names, type(case).__name__
 
 
 # -- proofs on basis inputs at n=4 -----------------------------------------------
