@@ -220,14 +220,7 @@ class Multivector:
 
     def is_zero(self) -> bool:
         if len(self._parts) > 1:
-            # several parts cancel only on blades they share: a nonzero blade
-            # held by one part alone is nonzero, otherwise build and look
-            holders: dict[int, int] = {}
-            for _, acc in self._parts:
-                for mask, (re, im) in acc.items():
-                    if re or im:
-                        holders[mask] = holders.get(mask, 0) + 1
-            return 1 not in holders.values() and not self.coeffs
+            return not self.coeffs  # several parts can cancel each other
         return not any(re or im for _, acc in self._parts for re, im in acc.values())
 
     def __eq__(self, other):

@@ -35,7 +35,7 @@ from spectral_torsion.halfline import dxn_symbol, half_inverse_symbol_components
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational, Rational, \
     vol_sphere
-from spectral_torsion.symbols import perturbation_multivector
+from spectral_torsion.symbols import perturbation_multivector, sigma_minus2m
 from spectral_torsion.forms import frame_product, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 from spectral_torsion.verify import rand_threeform as _rand_threeform
@@ -199,6 +199,15 @@ def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
         if weight:
             total = total + mv.scale(weight)
     return total
+
+
+def symbol_trace_reference(u, v, w, b, n) -> GaussianRational:
+    """The trace of the sphere-integrated symbol built from all of B: its
+    terms integrated termwise, C = c(u)c(v)c(w) multiplied into the integral
+    and the whole product traced."""
+    sigma = sigma_minus2m(u, v, w, b, n)
+    integrated = integrate_sphere_reference(n, XiPolynomialMV(n, n, sigma.terms))
+    return trace(mv_mul(sigma.left, integrated))
 
 
 def sphere_trace_integral_reference(n, left, middle, generator_first) -> GaussianRational:

@@ -84,10 +84,11 @@ def test_verify_suite_n16_time_bound():
 def test_verify_suite_n16_tight_time_bound():
     """The whole n=16 catalog, as in the test above, under a tighter bound.
 
-    On the fractions backend (2-vCPU VM) the first in-suite run took
-    0.34 s, with C = c(u)c(v)c(w) traced against the sphere-integrated
-    symbol in the density rows; the bound is about 3.5x that.  With C
-    multiplied into the integral first, the catalog took 1.0-1.3 s.
+    On the fractions backend (2-vCPU VM) it took 0.41-0.48 s in six
+    full-suite runs, with C = c(u)c(v)c(w) traced against the
+    sphere-integrated symbol in the density rows; the bound is about 2.5x
+    the slowest.  With C multiplied into the integral first, the catalog
+    took 1.0-1.3 s.  The gmpy2 backend is unverified.
     """
     start = time.monotonic()
     rows = verify_suite(ManifoldSpec(16))
