@@ -43,10 +43,17 @@ def _same_dim(a, b) -> None:
         raise DimensionMismatch(f"dim {a.dim} vs {dim}")
 
 
-def _check_dim(dim: int) -> None:
-    """The one Multivector dimension rule: an int (not a bool) in [1, MAX_DIM]."""
-    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+def _check_dim(dim: int, bounded: bool = True) -> None:
+    """The one dimension rule: an int (not a bool), in [1, MAX_DIM] when
+    bounded.  Forms take any int dimension; to_clifford bounds them."""
+    if type(dim) is not int or bounded and not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+
+
+def _check_index(i: int, dim: int, what: str) -> None:
+    """The one 1-based index rule: an int (not a bool) in 1..dim."""
+    if type(i) is not int or not 1 <= i <= dim:
+        raise DimensionMismatch(f"{what} index {i} outside 1..{dim}")
 
 
 def _check_even_dim(n: int, low: int = 2) -> None:
@@ -117,8 +124,8 @@ class Multivector:
         if coeffs:
             top = 1 << dim
             for mask, c in coeffs.items():
-                if mask >= top or mask < 0:
-                    raise DimensionMismatch(f"blade {mask:b} does not fit dim {dim}")
+                if type(mask) is not int or not 0 <= mask < top:
+                    raise DimensionMismatch(f"blade mask {mask!r} does not fit dim {dim}")
                 c = _as_gaussian(c)
                 if not c.is_zero():
                     clean[mask] = c
@@ -163,8 +170,8 @@ class Multivector:
     @classmethod
     def generator(cls, dim: int, i: int) -> "Multivector":
         """c(e_i), 1-based index."""
-        if not 1 <= i <= dim:
-            raise DimensionMismatch(f"generator index {i} outside 1..{dim}")
+        _check_dim(dim)
+        _check_index(i, dim, "generator")
         return cls(dim, {1 << (i - 1): GR_ONE})
 
     @classmethod

@@ -9,8 +9,8 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from .clifford import DimensionMismatch, Multivector, _from_rationals, _part, _rational_runs, \
-    _same_dim, blade_mask, mv_mul
+from .clifford import Multivector, _check_dim, _check_index, _from_rationals, _part, \
+    _rational_runs, _same_dim, blade_mask, mv_mul
 from .scalars import Rational, rational
 
 
@@ -32,12 +32,13 @@ class OneForm:
     @classmethod
     def basis(cls, dim: int, i: int) -> "OneForm":
         """e_i*, 1-based index."""
-        if not 1 <= i <= dim:
-            raise DimensionMismatch(f"basis index {i} outside 1..{dim}")
+        _check_dim(dim, bounded=False)
+        _check_index(i, dim, "basis")
         return cls(tuple(1 if j == i else 0 for j in range(1, dim + 1)))
 
     @classmethod
     def zero(cls, dim: int) -> "OneForm":
+        _check_dim(dim, bounded=False)
         return cls((0,) * dim)
 
     def __getitem__(self, i: int) -> Rational:
@@ -69,6 +70,7 @@ class ThreeForm:
     __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components=None):
+        _check_dim(dim, bounded=False)
         clean = {}
         if components:
             for key, value in components.items():

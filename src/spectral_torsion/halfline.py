@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .clifford import Multivector, _check_even_dim, trace
-from .clifford import mv_mul  # noqa: F401  (perfbench's binding test patches halfline.mv_mul)
-from .forms import OneForm, frame_product
+from .clifford import Multivector, _check_even_dim, _same_dim, mv_mul, trace
+from .forms import OneForm, to_clifford
 from .scalars import (
     DIM_F,
     GR_I,
@@ -361,14 +360,18 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     Entry i of the boundary integrand is tr(c(u)c(v)c(w)c(e_i)) times the
     S^(n-2) moment of xi_i and its xi_n integral.  For i < n that moment is
     xi'-odd, hence zero, so only the normal entry survives: 2^m
-    <c(u)c(v)c(w)c(e_n)>_0 times _normal_integral(m).  It carries dim_F (the
+    <c(u)c(v)c(w)c(e_n)>_0 times _normal_integral(m).  That trace is read as
+    trace(c(u)c(v), c(w)c(e_n)): two small Clifford products and one scalar
+    product, with c(u)c(v)c(w) never built.  It carries dim_F (the
     perturbation never enters the boundary symbols); the atoms
     pi * dim_F * vol(S^(n-2)) are attached once.  The value is exactly a
     Gaussian-rational multiple of
     pi * (u_n g(v,w) - v_n g(u,w) + w_n g(u,v)) * 2^m * dim_F * vol(S^(n-2)).
     """
     _check_even_dim(n, 4)
-    m = n // 2
-    factor = trace(frame_product(u, v, w, n), Multivector.generator(n, n))
+    for x in (u, v, w):
+        _same_dim(x, n)
+    factor = trace(mv_mul(to_clifford(u), to_clifford(v)),
+                   mv_mul(to_clifford(w), Multivector.generator(n, n)))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
-                                   factor * _normal_integral(m))
+                                   factor * _normal_integral(n // 2))

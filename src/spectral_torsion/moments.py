@@ -13,10 +13,11 @@ caller attaches the atom.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .clifford import DimensionMismatch, Multivector, _from_int_parts, _integer_runs, \
-    _same_dim, mv_mul
+from .clifford import DimensionMismatch, Multivector, _check_index, _from_int_parts, \
+    _integer_runs, _same_dim, mv_mul
 from .scalars import Rational, rational
 
 
@@ -34,22 +35,30 @@ def double_factorial(k: int) -> int:
 
 def moment(n: int, alpha) -> Rational:
     """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2, in units of
-    vol(S^(n-1))."""
-    if n < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {n}")
+    vol(S^(n-1)).
+
+    The arguments are checked before the cache is read: 2.0 and True hash
+    and compare like the ints 2 and 1, so a cached key would answer them.
+    """
+    if type(n) is not int or n < 2:
+        raise ValueError(f"ambient dimension must be an int >= 2, got {n!r}")
     alpha = tuple(alpha)
     if len(alpha) != n:
         raise DimensionMismatch(f"exponent vector length {len(alpha)} != {n}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be non-negative")
+    if any(type(a) is not int or a < 0 for a in alpha):
+        raise ValueError(f"exponents must be non-negative ints, got {alpha!r}")
+    return _moment(n, alpha)
+
+
+@functools.lru_cache(maxsize=4096)
+def _moment(n: int, alpha: tuple) -> Rational:
     if any(a % 2 for a in alpha):
         return rational(0)
-    total = sum(alpha)
     num = 1
     for a in alpha:
         num *= double_factorial(a - 1)
     den = 1
-    for j in range(total // 2):
+    for j in range(sum(alpha) // 2):
         den *= n + 2 * j
     return rational(num) / rational(den)
 
@@ -112,8 +121,7 @@ def xi_monomial(nvars: int, *indices: int) -> tuple:
     """Exponent vector for a product of variables given by 1-based indices."""
     expo = [0] * nvars
     for i in indices:
-        if not 1 <= i <= nvars:
-            raise DimensionMismatch(f"variable index {i} outside 1..{nvars}")
+        _check_index(i, nvars, "variable")
         expo[i - 1] += 1
     return tuple(expo)
 

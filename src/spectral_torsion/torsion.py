@@ -8,11 +8,13 @@ never silently repaired.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
-from .clifford import DimensionMismatch, MAX_DIM, OddDimension, _check_even_dim
-from .forms import OneForm, _complement, eval_threeform, metric_pair
+from .clifford import DimensionMismatch, MAX_DIM, OddDimension, _check_even_dim, _same_dim
+from .forms import OneForm, _complement, _integer_row, eval_threeform, metric_pair
 from .halfline import boundary_density
 from .scalars import (
     DIM_F,
@@ -68,11 +70,27 @@ class TorsionReport:
 
 
 def normal_trace_combination(u: OneForm, v: OneForm, w: OneForm) -> Rational:
-    """u_n g(v,w) - v_n g(u,w) + w_n g(u,v) in the boundary-adapted frame."""
-    n = u.dim
-    return (u[n] * metric_pair(v, w)
-            - v[n] * metric_pair(u, w)
-            + w[n] * metric_pair(u, v))
+    """u_n g(v,w) - v_n g(u,w) + w_n g(u,v) in the boundary-adapted frame.
+
+    Summed on integer numerators over the rows' common denominators, with
+    one Rational at the end.
+    """
+    for x in (v, w):
+        _same_dim(x, u)
+    (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
+    numerator = (u[-1] * sum(map(operator.mul, v, w))
+                 - v[-1] * sum(map(operator.mul, u, w))
+                 + w[-1] * sum(map(operator.mul, u, v)))
+    return Rational(numerator, du * dv * dw)
+
+
+@functools.cache
+def _boundary_coefficient(m: int) -> GaussianRational:
+    """(2m-2)! (1-m) i 2^(1-2m) 2^m / (m!(m-1)!), the catalogued boundary
+    addend's coefficient of pi * combination * dim_F * vol(S^(n-2))."""
+    return GaussianRational(0, Rational(math.factorial(2 * m - 2) * (1 - m) * 2 ** m,
+                                        math.factorial(m) * math.factorial(m - 1)
+                                        * 2 ** (2 * m - 1)))
 
 
 def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
@@ -80,15 +98,10 @@ def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymSca
 
     (2m-2)! (1-m) i 2^(1-2m) pi / (m!(m-1)!) * combination * 2^m dim_F vol(S^(n-2)).
     """
-    m = n // 2
-    coeff = (GaussianRational(0, 1 - m)
-             * rational(math.factorial(2 * m - 2))
-             / rational(math.factorial(m) * math.factorial(m - 1))
-             / rational(2 ** (2 * m - 1)))
-    comb = normal_trace_combination(u, v, w)
+    _check_even_dim(n, 4)  # before the cache: 4.0 // 2 would hit m = 2
     return SymScalar.from_monomial(
         (PI, DIM_F, vol_sphere(n - 2)),
-        coeff * rational(2 ** m) * comb)
+        _boundary_coefficient(n // 2) * normal_trace_combination(u, v, w))
 
 
 def _frame_pairing(u: OneForm, v: OneForm, w: OneForm, y: OneForm) -> Rational:

@@ -30,13 +30,13 @@ from spectral_torsion import (
     trace,
 )
 from spectral_torsion.clifford import DimensionMismatch, _sign_mask, blade_mask, blade_product
-from spectral_torsion.halfline import dxn_symbol, half_inverse_symbol_components, \
-    line_integral
+from spectral_torsion.halfline import _normal_integral, dxn_symbol, \
+    half_inverse_symbol_components, line_integral
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational, Rational, \
     vol_sphere
 from spectral_torsion.symbols import perturbation_multivector, sigma_minus2m
-from spectral_torsion.forms import frame_product, to_clifford
+from spectral_torsion.forms import frame_product, metric_pair, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 from spectral_torsion.verify import rand_threeform as _rand_threeform
 
@@ -270,6 +270,22 @@ def boundary_pieces_reference(u, v, w, n) -> tuple[SymScalar, SymScalar]:
     atoms = (PI, DIM_F, vol_sphere(n - 2))
     return (SymScalar.from_monomial(atoms, tangential),
             SymScalar.from_monomial(atoms, normal))
+
+
+def boundary_density_reference(u, v, w, n) -> SymScalar:
+    """The boundary addend with the frame factor built: 2^m <C c(e_n)>_0
+    for C = c(u)c(v)c(w), times the normal entry's xi_n integral."""
+    factor = trace(frame_product(u, v, w, n), Multivector.generator(n, n))
+    return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
+                                   factor * _normal_integral(n // 2))
+
+
+def normal_trace_combination_reference(u, v, w):
+    """u_n g(v,w) - v_n g(u,w) + w_n g(u,v), summed in Rationals."""
+    n = u.dim
+    return (u[n] * metric_pair(v, w)
+            - v[n] * metric_pair(u, w)
+            + w[n] * metric_pair(u, v))
 
 
 # ---------------------------------------------------------------------------

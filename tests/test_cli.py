@@ -5,9 +5,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
+import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spectral_torsion.cli import MAX_INPUT_DIGITS, MAX_MOMENT_DEGREE, ConfigError, \
     ConsistencyError, _unlimited_int_str, main, render_output, run_compute
+from spectral_torsion.scalars import Rational
 from spectral_torsion.torsion import UnsupportedDimension
 
 from test_golden import COMPUTE_CONFIGS
@@ -741,3 +745,42 @@ def test_main_compute_raw_bytes_exit_with_a_code(tmp_path_factory, data):
     """Any bytes given to `compute`, UTF-8 or not, exit 0, 2 or 3, with a
     message on 2 or 3, and never raise."""
     _main_compute(tmp_path_factory.getbasetemp() / "random_bytes.json", data)
+
+
+def _dense_config(case: str, n: int, rng: random.Random) -> dict:
+    """A compute config with boundary whose every component is a 2-digit
+    fraction, T on all C(n, 3) triples where the case has one."""
+    def draw():
+        return f"{rng.choice((-1, 1)) * rng.randint(10, 99)}/{rng.randint(10, 99)}"
+
+    def row():
+        return [draw() for _ in range(n)]
+    config = {"dimension": n, "case": case, "u": row(), "v": row(), "w": row(),
+              "with_boundary": True, "numeric_eval": False}
+    if case in ("torsion_vector", "torsion_grading"):
+        config["T"] = [[*abc, draw()] for abc in itertools.combinations(range(1, n + 1), 3)]
+    if case == "torsion_vector":
+        config["Y"] = row()
+    if case == "vector_grading":
+        config["X"] = row()
+    return config
+
+
+def test_run_compute_n16_all_cases_with_boundary_time_bound():
+    """run_compute at n=16 with boundary on dense 2-digit inputs, one job per
+    case, timed together: each job runs the density, the boundary addend and
+    the whole identity catalog.
+
+    On the fractions backend (2-vCPU VM) the four took 1.63-1.76 s in
+    three full-suite runs; the bound is about 2.6x the slowest.  The gmpy2
+    backend is unverified.
+    """
+    rng = random.Random("compute-n16-boundary")
+    configs = [_dense_config(case, 16, rng) for case in
+               ("torsion_vector", "grading", "vector_grading", "torsion_grading")]
+    start = time.monotonic()
+    payloads = [run_compute(config, seed=1) for config in configs]
+    elapsed = time.monotonic() - start
+    assert all(payload["matches"] is True for payload in payloads)
+    assert elapsed < 4.5, f"four n=16 compute jobs with boundary took {elapsed:.2f}s on " \
+        f"{Rational.__module__}.{Rational.__name__}"

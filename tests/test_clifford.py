@@ -86,6 +86,16 @@ def test_multivector_rejects_a_non_int_dimension():
             Multivector(dim)
 
 
+def test_generator_and_blade_refuse_a_float_or_bool_index():
+    for i in (True, 1.0):
+        with pytest.raises(DimensionMismatch, match=rf"^generator index {i} outside 1\.\.4$"):
+            Multivector.generator(4, i)
+        with pytest.raises(DimensionMismatch, match=rf"^blade mask {i} does not fit dim 4$"):
+            Multivector.blade(4, i)
+    with pytest.raises(DimensionMismatch, match=r"^dimension must be in \[1, 16\], got 4\.0$"):
+        Multivector.generator(4.0, 1)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         mv_mul(gen(4, 1), gen(6, 1))

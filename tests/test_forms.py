@@ -98,9 +98,19 @@ def test_to_clifford_basics():
 def test_basis_index_outside_the_dimension():
     assert OneForm.basis(4, 1).components == (1, 0, 0, 0)
     assert OneForm.basis(4, 4).components == (0, 0, 0, 1)
-    for i in (0, 5):
+    for i in (0, 5, 1.0, True):
         with pytest.raises(DimensionMismatch, match=rf"^basis index {i} outside 1\.\.4$"):
             OneForm.basis(4, i)
+
+
+def test_forms_refuse_a_float_or_bool_dimension():
+    """True and 4.0 compare like the ints 1 and 4, yet neither is a dimension."""
+    for dim in (4.0, True):
+        for build in (lambda: ThreeForm(dim, {}), lambda: OneForm.zero(dim),
+                      lambda: OneForm.basis(dim, 1)):
+            with pytest.raises(DimensionMismatch,
+                               match=rf"^dimension must be in \[1, 16\], got {dim}$"):
+                build()
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -30,12 +30,17 @@ from spectral_torsion import (
 )
 from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, \
     half_inverse_symbol_components
-from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational
+from spectral_torsion.clifford import _integer_runs
+from spectral_torsion.forms import frame_product
+from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational, Rational
 
 from conftest import (
+    boundary_density_reference,
     boundary_pieces_reference,
     boundary_symbol,
     cayley_rotation,
+    coprime_draw,
+    normal_trace_combination_reference,
     quad_oracle,
     rand_oneform,
     rand_rational,
@@ -326,6 +331,59 @@ def test_boundary_density_n16_time_bound():
     assert elapsed < 0.3, f"20 boundary densities at n=16 took {elapsed:.2f}s"
 
 
+def _boundary_rows(kind: str, n: int):
+    """Three one-forms of dimension n: dense, with 2-digit numerators and
+    denominators, or with pairwise-coprime 25-digit denominators."""
+    rng = random.Random(f"boundary-rows-{kind}-{n}")
+    if kind == "coprime":
+        draw = coprime_draw(rng, digits=25)
+    else:
+        def draw():
+            return Rational(rng.choice((-1, 1)) * rng.randint(10, 99), rng.randint(10, 99))
+    return tuple(OneForm(tuple(draw() for _ in range(n))) for _ in range(3))
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+@pytest.mark.parametrize("kind", ["dense", "coprime"])
+def test_boundary_density_matches_the_frame_product_route(kind, n):
+    """trace(c(u)c(v), c(w)c(e_n)) equals 2^m <C c(e_n)>_0 with C built, at
+    every even n; from n=14 on the 25-digit C splits into several parts."""
+    u, v, w = _boundary_rows(kind, n)
+    if kind == "coprime" and n >= 14:
+        assert len(_integer_runs(frame_product(u, v, w, n))) > 1
+    assert boundary_density(u, v, w, n) == boundary_density_reference(u, v, w, n)
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+@pytest.mark.parametrize("kind", ["dense", "coprime"])
+def test_normal_trace_combination_matches_the_metric_pairs(kind, n):
+    u, v, w = _boundary_rows(kind, n)
+    assert normal_trace_combination(u, v, w) == normal_trace_combination_reference(u, v, w)
+    with pytest.raises(DimensionMismatch):
+        normal_trace_combination(u, v, OneForm.zero(n + 1))
+
+
+def test_boundary_density_n16_long_inputs_time_bound():
+    """One n=16 boundary density on inputs whose 48 components have
+    pairwise-coprime 200-digit denominators, checked against the catalogued
+    coefficient outside the timed call.
+
+    On the fractions backend (2-vCPU VM), with the factor read as
+    trace(c(u)c(v), c(w)c(e_n)), it took 0.038-0.046 s in three full-suite
+    runs; the bound is about 4.3x the slowest.  With c(u)c(v)c(w) built
+    first, it took 0.68-0.75 s.  The gmpy2 backend is unverified.
+    """
+    n = 16
+    draw = coprime_draw(random.Random("boundary-long-n16"), digits=200)
+    u, v, w = (OneForm(tuple(draw() for _ in range(n))) for _ in range(3))
+    start = time.monotonic()
+    value = boundary_density(u, v, w, n)
+    elapsed = time.monotonic() - start
+    assert value == theorem_boundary_value(u, v, w, n)
+    assert elapsed < 0.2, f"boundary_density at n=16 on 200-digit inputs took " \
+        f"{elapsed:.3f}s on {Rational.__module__}.{Rational.__name__}"
+
+
 def test_boundary_density_rejects_small_odd_or_large_dimension():
     """The one even-dimension rule, with the boundary's lower bound 4."""
     for n, error, message in ((2, DimensionMismatch, r"dimension must be in \[4, 16\], got 2"),
@@ -334,6 +392,15 @@ def test_boundary_density_rejects_small_odd_or_large_dimension():
         z = OneForm.zero(min(n, 16))
         with pytest.raises(error, match=message):
             boundary_density(z, z, z, n)
+
+
+def test_theorem_boundary_value_checks_the_dimension_before_its_cache():
+    z = OneForm.zero(4)
+    assert theorem_boundary_value(z, z, z, 4).is_zero()  # caches m = 2
+    with pytest.raises(OddDimension, match=r"^dimension must be even, got 4\.0$"):
+        theorem_boundary_value(z, z, z, 4.0)
+    with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
+        theorem_boundary_value(OneForm.zero(2), OneForm.zero(2), OneForm.zero(2), 2)
 
 
 def test_boundary_density_example_n4():

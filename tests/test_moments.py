@@ -110,6 +110,28 @@ def test_xi_monomial_rejects_index_past_nvars():
         xi_monomial(4, 5)
 
 
+def test_xi_monomial_rejects_a_float_or_bool_index():
+    for i in (True, 1.0):
+        with pytest.raises(DimensionMismatch, match=rf"^variable index {i} outside 1\.\.4$"):
+            xi_monomial(4, i)
+
+
+def test_moment_refuses_bad_arguments_after_the_equal_key_is_cached():
+    """2.0 and True hash and compare like the ints 2 and 1, so a cached
+    moment(4, (2, 0, 0, 0)) or moment(4, (1, 1, 0, 0)) must not answer them."""
+    assert moment(4, (2, 0, 0, 0)) == rational("1/4")
+    assert moment(4, (1, 1, 0, 0)) == 0
+    assert moment(4, [2, 0, 0, 0]) is moment(4, (2, 0, 0, 0))
+    for n in (4.0, True, "4", 1):
+        with pytest.raises(ValueError, match=r"^ambient dimension must be an int >= 2, got "):
+            moment(n, (2, 0, 0, 0))
+    for alpha in ((2.0, 0, 0, 0), (1.0, 1, 0, 0), (True, True, 0, 0), (-2, 0, 0, 0)):
+        with pytest.raises(ValueError, match=r"^exponents must be non-negative ints, got "):
+            moment(4, alpha)
+    with pytest.raises(DimensionMismatch, match=r"^exponent vector length 3 != 4$"):
+        moment(4, (2, 0, 0))
+
+
 def test_integrate_sphere_odd_term_dies():
     n = 4
     p = XiPolynomialMV(n, n, {xi_monomial(n, 1): Multivector.generator(n, 1)})

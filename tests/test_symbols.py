@@ -499,9 +499,10 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
 
 
 def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
-    """boundary_density and interior_density read C = c(u)c(v)c(w) and B
-    through their integer parts on dense n=8 inputs: neither C, nor B, nor
-    B's grade-1 and grade-3 part builds its coefficients."""
+    """boundary_density and interior_density read their Clifford factors
+    through their integer parts on dense n=8 inputs: neither the boundary's
+    c(u)c(v) and c(w)c(e_n), nor C = c(u)c(v)c(w), nor B, nor B's grade-1
+    and grade-3 part builds its coefficients."""
     n = 8
     rng = random.Random("unbuilt-c-and-b")
     u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
@@ -515,17 +516,17 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
             return seen[-1]
         return wrapped
 
-    for module in (symbols, halfline):
-        monkeypatch.setattr(module, "frame_product", capture(module.frame_product))
+    monkeypatch.setattr(halfline, "mv_mul", capture(halfline.mv_mul))
+    monkeypatch.setattr(symbols, "frame_product", capture(symbols.frame_product))
     monkeypatch.setattr(symbols, "perturbation_multivector",
                         capture(symbols.perturbation_multivector))
     boundary_density(u, v, w, n)
     # Grading() is left out: its B is the chirality blade, given by its coefficient
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
         interior_density(u, v, w, case, n)
-    # the boundary's C, then per case B, its grade-1/3 part (through
-    # sigma_minus2m) and C
-    assert len(seen) == 1 + 3 * 3
+    # the boundary's two factors, then per case B, its grade-1/3 part
+    # (through sigma_minus2m) and C
+    assert len(seen) == 2 + 3 * 3
     assert [mv._coeffs is None for mv in seen] == [True] * len(seen)
 
 
