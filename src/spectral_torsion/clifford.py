@@ -413,14 +413,14 @@ def _relabel(acc: dict, i: int) -> dict:
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A).
 
-    Summed on both operands' integer parts, one Rational per pair of parts;
-    neither operand's coefficients are built.
+    Summed on both operands' stored integer parts, one Rational per pair of
+    parts, whatever their denominators' size; neither operand's coefficients
+    are built.
     """
     _same_dim(a, b)
     total = GR_ZERO
-    a_parts = _integer_runs(a)
-    for den_b, b_acc in _integer_runs(b):
-        for den_a, a_acc in a_parts:
+    for den_b, b_acc in b._parts:
+        for den_a, a_acc in a._parts:
             re_sum = im_sum = 0
             for mask, (ar, ai) in a_acc.items():
                 shared = b_acc.get(mask)

@@ -17,7 +17,7 @@ import functools
 import math
 
 from .clifford import DimensionMismatch, Multivector, _check_index, _from_int_parts, \
-    _integer_runs, _same_dim, mv_mul
+    _integer_runs
 from .scalars import Rational, rational
 
 
@@ -72,21 +72,12 @@ def vol_numeric(k: int) -> float:
 
 class XiPolynomialMV:
     """Polynomial in the cosphere variables with multivector coefficients:
-    left * sum_alpha xi^alpha terms[alpha].
+    sum_alpha xi^alpha terms[alpha]."""
 
-    `left` is a multivector factored out of every coefficient, None for the
-    identity.  It must be zero or invertible, so that a coefficient is zero
-    exactly when its term is; a zero `left` keeps no terms.
-    """
+    __slots__ = ("nvars", "mv_dim", "terms")
 
-    __slots__ = ("nvars", "mv_dim", "terms", "left")
-
-    def __init__(self, nvars: int, mv_dim: int, terms=None, left: Multivector | None = None):
+    def __init__(self, nvars: int, mv_dim: int, terms=None):
         clean: dict[tuple, Multivector] = {}
-        if left is not None:
-            _same_dim(left, mv_dim)
-            if left.is_zero():
-                terms = None
         if terms:
             for expo, mv in terms.items():
                 expo = tuple(expo)
@@ -100,7 +91,6 @@ class XiPolynomialMV:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "mv_dim", mv_dim)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "left", left)
 
     def __setattr__(self, name, value):
         raise AttributeError("XiPolynomialMV is immutable")
@@ -111,7 +101,7 @@ class XiPolynomialMV:
     def __eq__(self, other):
         return (isinstance(other, XiPolynomialMV)
                 and self.nvars == other.nvars and self.mv_dim == other.mv_dim
-                and self.left == other.left and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __repr__(self):
         return f"XiPolynomialMV(nvars={self.nvars}, terms={len(self.terms)})"
@@ -129,11 +119,10 @@ def xi_monomial(nvars: int, *indices: int) -> tuple:
 def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)).
 
-    The result is left * sum_alpha moment(n, alpha) * terms[alpha]; the
-    caller attaches the volume atom.  The surviving terms' integer
-    numerators, scaled by their moments over the lcm L of the moment
-    denominators, are summed into one part per denominator D, kept over
-    D * L, and multiplied by the left factor once, if there is one.
+    The result is sum_alpha moment(n, alpha) * terms[alpha]; the caller
+    attaches the volume atom.  The surviving terms' integer numerators,
+    scaled by their moments over the lcm L of the moment denominators, are
+    summed into one part per denominator D, kept over D * L.
     """
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
@@ -148,5 +137,4 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
                 cur = acc.get(mask)
                 re, im = re * factor, im * factor
                 acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    integrated = _from_int_parts(p.mv_dim, [(den * scale, acc) for den, acc in sums.items()])
-    return integrated if p.left is None else mv_mul(p.left, integrated)
+    return _from_int_parts(p.mv_dim, [(den * scale, acc) for den, acc in sums.items()])

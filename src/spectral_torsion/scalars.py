@@ -191,8 +191,8 @@ DIM_F: Atom = (3, 0)
 
 def vol_sphere(k: int) -> Atom:
     """The formal atom vol(S^k), the total surface measure of the unit k-sphere."""
-    if k < 1:
-        raise ValueError("sphere dimension must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"sphere dimension must be an int >= 1, got {k!r}")
     return (1, k)
 
 

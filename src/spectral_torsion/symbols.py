@@ -77,12 +77,9 @@ def _check_case_dims(case: PerturbationCase, n: int) -> None:
             _same_dim(tensor, n)
 
 
-def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Multivector:
-    """The zero-order perturbation as an element of Cl(n), or B as given."""
+def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
+    """The zero-order perturbation as an element of Cl(n)."""
     _check_even_dim(n)
-    if isinstance(case, Multivector):
-        _same_dim(case, n)
-        return case
     _check_case_dims(case, n)
     if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of parts
         return _from_rationals(n, [(mask, c, 0) for mask, c in _clifford_items(case.T)]
@@ -96,22 +93,14 @@ def perturbation_multivector(case: PerturbationCase | Multivector, n: int) -> Mu
     raise TypeError(f"unknown perturbation case {case!r}")
 
 
-def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
-                  case: PerturbationCase | Multivector, n: int) -> XiPolynomialMV:
-    """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere.
-
-    The frame factor C = c(u)c(v)c(w) is the polynomial's left factor, and
-    its terms are the right factors built from B; C, a product of vectors, is
-    zero or invertible.
-    """
+def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
+    """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere, up to
+    the frame factor: the xi-polynomial of the perturbation B alone
+    (n = b.dim) that C = c(u)c(v)c(w) multiplies on the left."""
+    n = b.dim
     _check_even_dim(n, 4)
-    b = perturbation_multivector(case, n)
     m = n // 2
-    cuvw = frame_product(u, v, w, n)
-
-    terms: dict[tuple, Multivector] = {}
-    if not b.is_zero():
-        terms[xi_monomial(n)] = b
+    terms: dict[tuple, Multivector] = {xi_monomial(n): b}
 
     # m {c(e_i), B} = 2m B_i c(e_i), B_i the blades of B that commute with
     # c(e_i): those with an even number of generators other than e_i.
@@ -143,10 +132,8 @@ def sigma_minus2m(u: OneForm, v: OneForm, w: OneForm,
                     for mask, (re, im) in _relabel(other, i).items():
                         cur = acc.get(mask)
                         acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-            term = _from_int_parts(n, parts)
-            if not term.is_zero():
-                terms[xi_monomial(n, i, l)] = term
-    return XiPolynomialMV(n, n, terms, left=cuvw)
+            terms[xi_monomial(n, i, l)] = _from_int_parts(n, parts)
+    return XiPolynomialMV(n, n, terms)
 
 
 def interior_density(u: OneForm, v: OneForm, w: OneForm,
@@ -158,14 +145,13 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     to the exact trace of the integrated symbol.  The symbol sees only B's
     grade-1 and grade-3 blades, the grades of c(u)c(v)c(w): the surviving
     xi_i^2 terms keep each blade's grade and the trace pairs only equal
-    blades, so every other grade adds 0.  Only the symbol's right terms are
-    integrated, and C = c(u)c(v)c(w) is traced against them, so the
-    product of C with the integral is never built.
+    blades, so every other grade adds 0.  The symbol is built from B alone
+    and integrated, and C = c(u)c(v)c(w) is traced against the integral, so
+    the product of C with the integral is never built.
     """
     b = _from_int_parts(n, [(den, {mask: c for mask, c in acc.items()
                                    if mask.bit_count() in (1, 3)})
                             for den, acc in _integer_runs(perturbation_multivector(case, n))])
-    sigma = sigma_minus2m(u, v, w, b, n)
-    integrated = integrate_sphere(n, XiPolynomialMV(n, n, sigma.terms))
+    integrated = integrate_sphere(n, sigma_minus2m(b))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
-                                   trace(sigma.left, integrated))
+                                   trace(frame_product(u, v, w, n), integrated))

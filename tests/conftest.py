@@ -155,46 +155,35 @@ def _add_xi_term(terms: dict, expo: tuple, term: Multivector) -> None:
         terms[expo] = s
 
 
-def sigma_minus2m_reference(u, v, w, case, n) -> XiPolynomialMV:
-    """Order -2m symbol with every generator product done by mv_mul.
+def sigma_minus2m_reference(b: Multivector) -> XiPolynomialMV:
+    """Order -2m symbol of B, the frame factor left off, with every
+    generator product done by mv_mul.
 
-    C {c(e_i), B} c(e_l) m, with the anticommutator multiplied out, summed
-    against xi_i xi_l, plus the constant term C B.
+    m {c(e_i), B} c(e_l), with the anticommutator multiplied out, summed
+    against xi_i xi_l, plus the constant term B.
     """
+    n = b.dim
     m = n // 2
-    cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
-    b = perturbation_multivector(case, n)
     terms = {}
-    constant = mv_mul(cuvw, b)
-    if not constant.is_zero():
-        terms[xi_monomial(n)] = constant
+    if not b.is_zero():
+        terms[xi_monomial(n)] = b
     for i in range(1, n + 1):
         gi = Multivector.generator(n, i)
-        bracket = mv_mul(gi, b) + mv_mul(b, gi)
+        bracket = (mv_mul(gi, b) + mv_mul(b, gi)).scale(rational(m))
         if bracket.is_zero():
             continue
-        left = mv_mul(cuvw, bracket).scale(rational(m))
         for l in range(1, n + 1):
-            term = mv_mul(left, Multivector.generator(n, l))
+            term = mv_mul(bracket, Multivector.generator(n, l))
             if not term.is_zero():
                 _add_xi_term(terms, xi_monomial(n, i, l), term)
     return XiPolynomialMV(n, n, terms)
 
 
-def expand_left(p: XiPolynomialMV) -> dict:
-    """The coefficients {alpha: left * terms[alpha]} of a polynomial, its left
-    factor multiplied into each term (the terms themselves when it has none)."""
-    if p.left is None:
-        return dict(p.terms)
-    return {expo: mv_mul(p.left, mv) for expo, mv in p.terms.items()}
-
-
 def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)): each surviving
-    coefficient, left factor multiplied in, scaled by its moment weight and
-    added as a multivector."""
+    coefficient scaled by its moment weight and added as a multivector."""
     total = Multivector.zero(p.mv_dim)
-    for expo, mv in expand_left(p).items():
+    for expo, mv in p.terms.items():
         weight = moment(n, expo)
         if weight:
             total = total + mv.scale(weight)
@@ -203,11 +192,10 @@ def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
 
 def symbol_trace_reference(u, v, w, b, n) -> GaussianRational:
     """The trace of the sphere-integrated symbol built from all of B: its
-    terms integrated termwise, C = c(u)c(v)c(w) multiplied into the integral
-    and the whole product traced."""
-    sigma = sigma_minus2m(u, v, w, b, n)
-    integrated = integrate_sphere_reference(n, XiPolynomialMV(n, n, sigma.terms))
-    return trace(mv_mul(sigma.left, integrated))
+    terms integrated termwise, C = c(u)c(v)c(w) built by mv_mul and
+    multiplied into the integral, and the whole product traced."""
+    cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
+    return trace(mv_mul(cuvw, integrate_sphere_reference(n, sigma_minus2m(b))))
 
 
 def sphere_trace_integral_reference(n, left, middle, generator_first) -> GaussianRational:

@@ -450,11 +450,23 @@ def _trace_operands(kind, n):
     return a, b
 
 
+def _long_part_operand(n):
+    """One stored integer part over a denominator past _RUN_DEN_BITS: eight
+    blades whose coefficients have pairwise-coprime 200-digit denominators."""
+    draw = coprime_draw(random.Random(f"long-operand-{n}"), digits=200)
+    values = [draw() for _ in range(8)]
+    den = math.prod(v.denominator for v in values)
+    masks = (0, 1, 2, 3, 6, 7, 11, 13)
+    return _from_int_parts(n, [(den, {mask: (v.numerator * (den // v.denominator), -k)
+                                      for k, (mask, v) in enumerate(zip(masks, values))})])
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero", "coprime"])
 def test_two_factor_trace_matches_the_product(kind, n):
-    """trace(a, b) is the trace of a b, for operands either way round and
-    for product operands read through their integer parts."""
+    """trace(a, b) is the trace of a b, for operands either way round, for
+    product operands read through their integer parts, and for an operand
+    whose stored part is past _RUN_DEN_BITS, read as stored."""
     a, b = _trace_operands(kind, n)
     for x, y in ((a, b), (b, a)):
         got, expected = trace(x, y), trace(mv_mul(x, y))
@@ -462,6 +474,13 @@ def test_two_factor_trace_matches_the_product(kind, n):
     left, right = mv_mul(a, gen(n, 1)), mv_mul(gen(n, 2), b)
     assert trace(left, right) == trace(mv_mul(left, right))
     assert left._coeffs is None and right._coeffs is None
+    long = _long_part_operand(n)
+    assert [den.bit_length() > _RUN_DEN_BITS for den, _ in long._parts] == [True]
+    got = [trace(a, long), trace(long, a)]
+    assert long._coeffs is None  # not re-split from its coefficients
+    for value, (x, y) in zip(got, ((a, long), (long, a))):
+        expected = trace(mv_mul(x, y))
+        assert value == expected and str(value) == str(expected)
 
 
 def test_two_factor_trace_checks_dimensions():

@@ -221,6 +221,16 @@ def test_residue_derivative_closed_form(m):
     assert residue_derivative(m) == expected
 
 
+@pytest.mark.parametrize("m", [3.0, 2.5, True, 1])
+def test_residue_derivative_and_dxn_symbol_refuse_non_int_orders(m):
+    """Both refuse an order that is not an int >= 2, a float or a bool
+    included, with one message, before any differentiation or Rational
+    conversion."""
+    for fn in (residue_derivative, dxn_symbol):
+        with pytest.raises(ValueError, match=rf"^need an int m >= 2, got {m!r}$"):
+            fn(m)
+
+
 # -- line integrals ------------------------------------------------------------------
 
 

@@ -53,6 +53,14 @@ def test_eval_vol_s3_gamma_oracle():
     assert s.evaluate({vol_sphere(3): vol_numeric(3)}) == pytest.approx(19.7392088021787, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [2.5, True, 3.0, 0])
+def test_vol_sphere_refuses_non_int_dimensions(k):
+    """A sphere dimension is an int >= 1, not a float or a bool: no atom is
+    made for vol_sphere(2.5) or vol_sphere(True)."""
+    with pytest.raises(ValueError, match=rf"^sphere dimension must be an int >= 1, got {k!r}$"):
+        vol_sphere(k)
+
+
 def test_eval_scaled_vol():
     s = SymScalar.from_atom(vol_sphere(3), -8)
     value = s.evaluate({vol_sphere(3): vol_numeric(3)})

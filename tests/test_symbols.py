@@ -46,7 +46,7 @@ from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.moments import integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, Rational, SymScalar, TR_F_PHI
 
-from conftest import coprime_draw, density_via_matrix_rep, expand_left, \
+from conftest import coprime_draw, density_via_matrix_rep, integrate_sphere_reference, \
     perturbation_multivector_reference, rand_oneform, rand_rational, rand_threeform, \
     sigma_minus2m_reference, symbol_trace_reference
 
@@ -76,17 +76,6 @@ def test_perturbation_vector_grading():
     case = VectorGrading(basis(4, 1))
     expected = mv_mul(Multivector.generator(4, 1), grading(4))
     assert perturbation_multivector(case, 4) == expected
-
-
-def test_perturbation_accepts_a_built_multivector():
-    """An already-built perturbation passes through, under the one
-    same-dimension rule."""
-    b = perturbation_multivector(VectorGrading(basis(6, 2)), 6)
-    assert perturbation_multivector(b, 6) is b
-    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
-        perturbation_multivector(b, 4)
-    with pytest.raises(OddDimension, match="dimension must be even, got 5"):
-        perturbation_multivector(b, 5)
 
 
 def test_perturbation_dim_checked():
@@ -120,12 +109,11 @@ def test_perturbation_multivector_matches_the_fraction_oracle(kind, n):
 
 def test_sigma_grading_reduces_to_constant_term():
     n = 4
-    u, v, w = uvw(n)
-    sigma = sigma_minus2m(u, v, w, Grading(), n)
-    cuvw_gamma = mv_mul(mv_mul(mv_mul(
-        Multivector.generator(n, 1), Multivector.generator(n, 2)),
-        Multivector.generator(n, 3)), grading(n))
-    assert expand_left(sigma) == {xi_monomial(n): cuvw_gamma}
+    sigma = sigma_minus2m(perturbation_multivector(Grading(), n))
+    cuvw = mv_mul(mv_mul(Multivector.generator(n, 1), Multivector.generator(n, 2)),
+                  Multivector.generator(n, 3))
+    assert {expo: mv_mul(cuvw, mv) for expo, mv in sigma.terms.items()} == \
+        {xi_monomial(n): mv_mul(cuvw, grading(n))}
 
 
 def test_sigma_torsion_vector_constant_term(rng):
@@ -133,25 +121,22 @@ def test_sigma_torsion_vector_constant_term(rng):
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     t, y = rand_threeform(rng, n), rand_oneform(rng, n)
     case = TorsionVector(t, y)
-    sigma = sigma_minus2m(u, v, w, case, n)
+    sigma = sigma_minus2m(perturbation_multivector(case, n))
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
     expected = mv_mul(cuvw, perturbation_multivector(case, n))
-    got = expand_left(sigma).get(xi_monomial(n), Multivector.zero(n))
+    got = mv_mul(cuvw, sigma.terms.get(xi_monomial(n), Multivector.zero(n)))
     assert got == expected
 
 
 def test_sigma_zero_inputs(monkeypatch):
-    """A zero one-form makes C zero: the symbol keeps C as its left factor
-    and no terms, and catalog row E4.31, which reads the constant term
-    through that factor, still runs (both sides are 0)."""
+    """A zero perturbation gives a symbol with no terms, and catalog row
+    E4.31, which multiplies the constant term by C, still runs when a zero
+    one-form makes C zero (both sides are 0)."""
     n = 4
     z = OneForm.zero(n)
     rng = random.Random(3)
-    case = TorsionVector(rand_threeform(rng, n), z)
-    for u, v, w in ((z, z, z), (rand_oneform(rng, n), z, rand_oneform(rng, n))):
-        sigma = sigma_minus2m(u, v, w, case, n)
-        assert sigma.is_zero()
-        assert sigma.left == Multivector.zero(n) and sigma.terms == {}
+    sigma = sigma_minus2m(perturbation_multivector(TorsionVector(ThreeForm.zero(n), z), n))
+    assert sigma.is_zero() and sigma.terms == {}
     monkeypatch.setattr(verify, "_oneforms", lambda n, rng, *canonical: (z,) * len(canonical))
     assert verify._run_e431(n, rng) == (sym(0), sym(0), True)
 
@@ -159,53 +144,44 @@ def test_sigma_zero_inputs(monkeypatch):
 def test_sigma_degree_structure(rng):
     # only xi-degree 0 and 2 monomials occur; odd-degree terms never survive
     n = 6
-    u, v, w = (rand_oneform(rng, n) for _ in range(3))
     case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
-    sigma = sigma_minus2m(u, v, w, case, n)
-    assert {sum(e) for e in expand_left(sigma)} <= {0, 2}
+    sigma = sigma_minus2m(perturbation_multivector(case, n))
+    assert {sum(e) for e in sigma.terms} <= {0, 2}
 
 
-def _sigma_jobs(kind, n, rng):
-    """(u, v, w, case) inputs of one kind, over all four cases."""
+def _sigma_cases(kind, n, rng):
+    """Perturbation cases of one kind, over all four cases."""
     if kind == "sparse":
-        # basis and zero one-forms: C B_i vanishes for some i (for c(e_1) Gamma
-        # at i = 1, for a single 3-form blade outside it), or C or B is zero
+        # basis and zero one-forms: B_i vanishes for some i (for c(e_1) Gamma
+        # at i = 1, for a single 3-form blade outside it), or B is zero
         e, z = (lambda i: OneForm.basis(n, i)), OneForm.zero(n)
         t = ThreeForm(n, {(1, 2, 4): rational(2)})
-        dense = [rand_oneform(rng, n) for _ in range(3)]
-        cases = (TorsionVector(t, e(n)), TorsionVector(t, z), VectorGrading(e(1)),
-                 TorsionGrading(t), TorsionVector(ThreeForm.zero(n), z), VectorGrading(z))
-        return [(*uvw, case) for uvw in ((e(1), e(2), e(3)), dense, (z, e(2), e(3)))
-                for case in cases + (Grading(),)]
+        return [TorsionVector(t, e(n)), TorsionVector(t, z), VectorGrading(e(1)),
+                TorsionGrading(t), TorsionVector(ThreeForm.zero(n), z), VectorGrading(z),
+                Grading()]
     if kind == "coprime":
-        # pairwise-coprime denominators long enough to split C and B into runs
+        # pairwise-coprime denominators long enough to split B into runs
         draw = coprime_draw(rng, digits=100 if n == 4 else 50)
-        u, v, w, x, y = (OneForm(tuple(draw() for _ in range(n))) for _ in range(5))
+        x, y = (OneForm(tuple(draw() for _ in range(n))) for _ in range(2))
         t = ThreeForm(n, {abc: draw() for abc in itertools.combinations(range(1, n + 1), 3)})
     else:
-        u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+        x, y = (rand_oneform(rng, n) for _ in range(2))
         t = rand_threeform(rng, n)
-    return [(u, v, w, case)
-            for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t))]
+    return [TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_sigma_matches_generator_products(n, rng):
-    """The left factor C times the integer relabels gives the multiplied-out
-    symbol, term for term and in the same monomial order, on dense, sparse and
-    (n <= 6; slow at n=8) multi-run inputs."""
-    jobs = _sigma_jobs("dense", n, rng) + _sigma_jobs("sparse", n, rng)
-    if n <= 6:
-        coprime = _sigma_jobs("coprime", n, rng)
-        u, v, w, case = coprime[0]
-        cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
-        assert len(_integer_runs(cuvw)) > 1
-        assert len(_integer_runs(perturbation_multivector(case, n))) > 1
-        jobs += coprime
-    for u, v, w, case in jobs:
-        got = sigma_minus2m(u, v, w, case, n)
-        expected = sigma_minus2m_reference(u, v, w, case, n)
-        assert expand_left(got) == expected.terms
+    """The integer relabels give the symbol multiplied out by generator
+    products, term for term and in the same monomial order, on dense, sparse
+    and multi-run perturbations."""
+    coprime = _sigma_cases("coprime", n, rng)
+    assert len(_integer_runs(perturbation_multivector(coprime[0], n))) > 1
+    for case in _sigma_cases("dense", n, rng) + _sigma_cases("sparse", n, rng) + coprime:
+        b = perturbation_multivector(case, n)
+        got = sigma_minus2m(b)
+        expected = sigma_minus2m_reference(b)
+        assert got.terms == expected.terms
         assert list(got.terms) == list(expected.terms)
 
 
@@ -244,9 +220,12 @@ def test_symbol_trace_weights_each_blade_by_its_grade(n):
     for mask in range(1 << n):
         b = Multivector.blade(n, mask)
         weight = 2 ** (n // 2) * _grade_weight(mask.bit_count(), n)
+        # the symbol of B does not depend on u, v, w: integrate it once per blade
+        integrated = integrate_sphere_reference(n, sigma_minus2m(b))
         for u, v, w in itertools.product(e, repeat=3):
             expected = scalar_product(frame_product(u, v, w, n), b) * weight
-            assert symbol_trace_reference(u, v, w, b, n) == expected, (mask, u, v, w)
+            cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
+            assert trace(mv_mul(cuvw, integrated)) == expected, (mask, u, v, w)
             nonzero += not expected.is_zero()
     # only grade 3 survives, on the 3! orderings of each grade-3 blade's indices
     assert nonzero == 6 * math.comb(n, 3)
@@ -386,13 +365,13 @@ def test_torsion_vector_density_n16_long_inputs_time_bound():
 
 
 def test_sigma_rejects_small_or_odd_dimension():
-    z = OneForm.zero(4)
+    """B's dimension goes through the one even-dimension rule, bounded below
+    by 4."""
     with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
-        sigma_minus2m(z, z, z, Grading(), 2)
-    # the one even-dimension rule answers odd n, before the one-form checks
+        sigma_minus2m(grading(2))
     for n in (3, 5):
         with pytest.raises(OddDimension, match=f"dimension must be even, got {n}"):
-            sigma_minus2m(z, z, z, TorsionVector(ThreeForm(4), z), n)
+            sigma_minus2m(Multivector.generator(n, 1))
 
 
 # -- densities: closed forms and the literal-matrix oracle ----------------------
@@ -488,10 +467,9 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
     off-diagonal xi_i xi_l coefficients, whose moment is 0, are never built."""
     n = 8
     rng = random.Random(f"unbuilt-{case_name}")
-    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
-    t = rand_threeform(rng, n)
+    y, t = rand_oneform(rng, n), rand_threeform(rng, n)
     case = TorsionVector(t, y) if case_name == "torsion_vector" else TorsionGrading(t)
-    sigma = sigma_minus2m(u, v, w, case, n)
+    sigma = sigma_minus2m(perturbation_multivector(case, n))
     integrate_sphere(n, sigma)
     off_diagonal = [mv for expo, mv in sigma.terms.items() if sorted(expo)[-2:] == [1, 1]]
     assert len(off_diagonal) > n
@@ -516,16 +494,23 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
             return seen[-1]
         return wrapped
 
+    def capture_argument(fn):
+        def wrapped(b):
+            seen.append(b)
+            return fn(b)
+        return wrapped
+
     monkeypatch.setattr(halfline, "mv_mul", capture(halfline.mv_mul))
     monkeypatch.setattr(symbols, "frame_product", capture(symbols.frame_product))
     monkeypatch.setattr(symbols, "perturbation_multivector",
                         capture(symbols.perturbation_multivector))
+    monkeypatch.setattr(symbols, "sigma_minus2m", capture_argument(symbols.sigma_minus2m))
     boundary_density(u, v, w, n)
     # Grading() is left out: its B is the chirality blade, given by its coefficient
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
         interior_density(u, v, w, case, n)
-    # the boundary's two factors, then per case B, its grade-1/3 part
-    # (through sigma_minus2m) and C
+    # the boundary's two factors, then per case B, its grade-1/3 part (the
+    # symbol's argument) and C
     assert len(seen) == 2 + 3 * 3
     assert [mv._coeffs is None for mv in seen] == [True] * len(seen)
 
@@ -546,7 +531,8 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
             return mv_mul(a, b)
         return wrapped
 
-    for module in (forms, symbols, moments):
+    assert not hasattr(moments, "mv_mul")  # the sphere integral has no product to form
+    for module in (forms, symbols):
         monkeypatch.setattr(module, "mv_mul", counted(module.__name__.rsplit(".", 1)[1]))
     expected = {TorsionVector(t, y): ["forms"] * 2, Grading(): ["forms"] * 2,
                 VectorGrading(x): ["symbols"] + ["forms"] * 2,
@@ -555,6 +541,26 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
         calls.clear()
         interior_density(u, v, w, case, n)
         assert calls == names, type(case).__name__
+
+
+def test_interior_density_builds_one_symbol(monkeypatch):
+    """One interior_density constructs exactly one XiPolynomialMV: the
+    symbol of B, integrated as it is."""
+    n = 6
+    rng = random.Random("one-symbol")
+    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    built = []
+    init = moments.XiPolynomialMV.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(moments.XiPolynomialMV, "__init__", counted)
+    for case in (TorsionVector(rand_threeform(rng, n), y), Grading()):
+        built.clear()
+        interior_density(u, v, w, case, n)
+        assert len(built) == 1, type(case).__name__
 
 
 # -- proofs on basis inputs at n=4 -----------------------------------------------
