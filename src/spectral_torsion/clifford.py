@@ -401,15 +401,6 @@ def supertrace(a: Multivector) -> GaussianRational:
     return trace(grading(a.dim), a)
 
 
-def _relabel(acc: dict, i: int) -> dict:
-    """Integer parts {mask: (re, im)} times c(e_i): each blade moves to
-    mask ^ bit and keeps or flips its sign; no coefficient is multiplied."""
-    bit, shift = 1 << (i - 1), i - 1
-    # bit i-1 of _sign_mask(mask) is the parity of mask's bits from i-1 up
-    return {mask ^ bit: (-re, -im) if (mask >> shift).bit_count() & 1 else (re, im)
-            for mask, (re, im) in acc.items()}
-
-
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A).
 

@@ -22,8 +22,8 @@ from .clifford import (
     _from_int_parts,
     _from_rationals,
     _integer_runs,
-    _relabel,
     _same_dim,
+    _sign_mask,
     grading,
     mv_mul,
     trace,
@@ -99,40 +99,50 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     (n = b.dim) that C = c(u)c(v)c(w) multiplies on the left."""
     n = b.dim
     _check_even_dim(n, 4)
-    m = n // 2
     terms: dict[tuple, Multivector] = {xi_monomial(n): b}
 
-    # m {c(e_i), B} = 2m B_i c(e_i), B_i the blades of B that commute with
-    # c(e_i): those with an even number of generators other than e_i.
-    # right[i] = 2m B_i c(e_i) as integer parts over B's part denominators,
-    # or None where it vanishes.
-    b_parts = _integer_runs(b)
-    right: list = [None] * (n + 1)
-    for i in range(1, n + 1):
-        others = ~(1 << (i - 1))
-        parts = [(den, _relabel({mask: (2 * m * re, 2 * m * im)
-                                 for mask, (re, im) in acc.items()
-                                 if not (mask & others).bit_count() & 1}, i))
-                 for den, acc in b_parts]
-        if any(re or im for _, acc in parts for re, im in acc.values()):
-            right[i] = parts
+    # m {c(e_a), B} = n B_a c(e_a), B_a the blades of B that commute with
+    # c(e_a): odd ones that hold e_a, even ones that do not.  So the xi_a^2
+    # term is -n B_a, and for a < c the xi_a xi_c term n (B_a - B_c) c(e_a)c(e_c)
+    # holds the blades with one of e_a, e_c, not both.  Per part, `blades` lists
+    # each nonzero blade A as (A, grade parity, -n (re, im)); holding[a] (a from 0)
+    # lists each A with e_a as (A, s, v, -v), v = n (re, im) negated on even grades,
+    # s = _sign_mask(A), complemented if its bit a is set: bit c of s signs A e_a e_c.
+    parts = []
+    for den, acc in _integer_runs(b):
+        holding, blades = [[] for _ in range(n)], []
+        for mask, (re, im) in acc.items():
+            if re or im:
+                odd, flips = mask.bit_count() & 1, _sign_mask(mask)
+                v = (n * re, n * im), (-n * re, -n * im)
+                blades.append((mask, odd, v[1]))
+                pos, neg = v if odd else v[::-1]
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    holding[low.bit_length() - 1].append(
+                        (mask, ~flips if flips & low else flips, pos, neg))
+                    rest ^= low
+        parts.append((den, holding, blades))
+    squares = [[(den, {mask: sq for mask, odd, sq in blades if odd == mask >> a & 1})
+                for den, _, blades in parts] for a in range(n)]
+    live = [any(acc for _, acc in sq) for sq in squares]
 
-    # the xi_i xi_l term is right[i] c(e_l) + right[l] c(e_i) (one term when
-    # i = l), entered where the running sum over i, then l, first became
-    # nonzero: at (i, l) when right[i] is nonzero, else at (l, i)
-    for i in range(1, n + 1):
-        if right[i] is None:
-            continue
-        for l in range(1, n + 1):
-            if l < i and right[l] is not None:
-                continue
-            parts = [(den, _relabel(acc, l)) for den, acc in right[i]]
-            if l != i and right[l] is not None:
-                for (_, acc), (_, other) in zip(parts, right[l]):
-                    for mask, (re, im) in _relabel(other, i).items():
-                        cur = acc.get(mask)
-                        acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-            terms[xi_monomial(n, i, l)] = _from_int_parts(n, parts)
+    def cross(a: int, c: int) -> list:  # a < c; the two sides' keys are disjoint
+        bit_a, bit_c, flip = 1 << a, 1 << c, 1 << a | 1 << c
+        return [(den, {mask ^ flip: neg if sign & bit_c else pos
+                       for mask, sign, pos, neg in holding[a] if not mask & bit_c}
+                 | {mask ^ flip: pos if sign & bit_a else neg
+                    for mask, sign, pos, neg in holding[c] if not mask & bit_a})
+                for den, holding, _ in parts]
+
+    # the xi_a xi_c term is entered where the running sum over a, then c,
+    # first became nonzero: at (a, c) when B_a is nonzero, else at (c, a)
+    for a in range(n):
+        for c in range(n):
+            if live[a] and (c >= a or not live[c]):
+                terms[xi_monomial(n, a + 1, c + 1)] = _from_int_parts(
+                    n, squares[a] if c == a else cross(min(a, c), max(a, c)))
     return XiPolynomialMV(n, n, terms)
 
 

@@ -261,10 +261,9 @@ def _run_l49(n, rng):
 
 
 def _run_e431(n, rng):
-    u, v, w = _oneforms(n, rng, 1, 2, 3)
+    cuvw = frame_product(*_oneforms(n, rng, 1, 2, 3), n)
     constant = sigma_minus2m(grading(n)).terms.get(xi_monomial(n), Multivector.zero(n))
-    computed_mv = mv_mul(frame_product(u, v, w, n), constant)
-    reference_mv = -mv_mul(frame_product(u, v, w, n), grading(n))
+    computed_mv, reference_mv = mv_mul(cuvw, constant), -mv_mul(cuvw, grading(n))
     # probe one blade coefficient for display; match over full multivectors
     probe_mask = next(iter(sorted(reference_mv.coeffs)), 0)
     return (sym(computed_mv.coeffs.get(probe_mask, GR_ZERO)),
