@@ -181,12 +181,10 @@ class Multivector:
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        """Both operands' integer parts, shared, not copied: no stored part is
+        ever mutated (_from_int_parts' contract).  No coefficient is built."""
         _same_dim(self, other)
-        out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            cur = out.get(mask)
-            out[mask] = c if cur is None else cur + c
-        return Multivector(self.dim, out)
+        return _from_int_parts(self.dim, self._parts + other._parts)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
@@ -197,14 +195,12 @@ class Multivector:
     def scale(self, s) -> "Multivector":
         """s times self, on the integer numerators: (sr + i si)/d times each term."""
         s = _as_gaussian(s)
-        if s.is_zero():
-            return Multivector(self.dim)
         [(d, one)] = _rational_runs([(0, s.re, s.im)])
         sr, si = one[0]
         return _from_int_parts(self.dim, [
             (den * d, {mask: (re * sr - im * si, re * si + im * sr)
                        for mask, (re, im) in acc.items()})
-            for den, acc in _integer_runs(self)])
+            for den, acc in self._parts])
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -255,7 +251,7 @@ class Multivector:
 
 
 # Past about this many bits a common denominator costs more in big-integer
-# products than sharing it saves, so the operand is split into runs.
+# products than sharing it saves, so entering rationals are split into runs.
 _RUN_DEN_BITS = 2048
 
 
@@ -300,23 +296,12 @@ def _from_rationals(dim: int, items) -> Multivector:
     return _from_int_parts(dim, _rational_runs(items))
 
 
-def _integer_runs(a: Multivector) -> list[tuple[int, dict]]:
-    """a's integer parts, each denominator within _RUN_DEN_BITS.
-
-    These are a's stored parts when every denominator fits, and otherwise
-    _rational_runs of its coefficients.
-    """
-    if all(den.bit_length() <= _RUN_DEN_BITS for den, _ in a._parts):
-        return a._parts
-    return _rational_runs((mask, c.re, c.im) for mask, c in a.coeffs.items())
-
-
 def _part(numerator: int, den: int):
     return Rational(numerator, den) if numerator else _ZERO
 
 
 def _int_product(a_parts, b_parts) -> list[tuple[int, dict[int, list[int]]]]:
-    """The product of two operands given as _integer_runs, on integers.
+    """The product of two operands given as stored integer parts, on integers.
 
     One (den, {mask: [re, im]}) part per pair of parts; the part is the
     product's share over den, with numerators that may cancel to 0.  The
@@ -369,11 +354,11 @@ def _from_int_parts(dim: int, parts) -> Multivector:
 def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product.
 
-    Multiplies integer numerators over common denominators of the operands'
-    coefficients and reduces each output coefficient once per pair of parts.
+    Multiplies the operands' stored integer parts pairwise, on integers; the
+    product's coefficients are built on its first read.
     """
     _same_dim(a, b)
-    return _from_int_parts(a.dim, _int_product(_integer_runs(a), _integer_runs(b)))
+    return _from_int_parts(a.dim, _int_product(a._parts, b._parts))
 
 
 def grading(n: int) -> Multivector:
@@ -405,8 +390,7 @@ def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A).
 
     Summed on both operands' stored integer parts, one Rational per pair of
-    parts, whatever their denominators' size; neither operand's coefficients
-    are built.
+    parts; neither operand's coefficients are built.
     """
     _same_dim(a, b)
     total = GR_ZERO
@@ -440,4 +424,4 @@ def conjugate_sum(b: Multivector) -> Multivector:
     return _from_int_parts(b.dim, [
         (den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])
                for mask, (re, im) in acc.items()})
-        for den, acc in _integer_runs(b)])
+        for den, acc in b._parts])

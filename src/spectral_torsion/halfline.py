@@ -296,10 +296,15 @@ def pi_plus(f: XiRational) -> XiRational:
     return out
 
 
-def dxn_symbol(m: int) -> XiRational:
-    """d/dxi_n of (1 + xi_n^2)^(1-m) on |xi'| = 1: 2(1-m) xi_n (1+xi_n^2)^(-m)."""
+def _check_order(m: int) -> None:
+    """The one order rule of the xi_n symbols: an int (not a bool) m >= 2."""
     if type(m) is not int or m < 2:
         raise ValueError(f"need an int m >= 2, got {m!r}")
+
+
+def dxn_symbol(m: int) -> XiRational:
+    """d/dxi_n of (1 + xi_n^2)^(1-m) on |xi'| = 1: 2(1-m) xi_n (1+xi_n^2)^(-m)."""
+    _check_order(m)
     return XiRational(Poly((GR_ZERO, GaussianRational(2 * (1 - m)))),
                       {GR_I: m, -GR_I: m})
 
@@ -309,8 +314,7 @@ def residue_derivative(m: int) -> GaussianRational:
 
     Closed form: (2m-2)! (-i) 2^(-2m) / (m-1)!.
     """
-    if type(m) is not int or m < 2:
-        raise ValueError(f"need an int m >= 2, got {m!r}")
+    _check_order(m)
     return XiRational(POLY_X, {-GR_I: m}).derivatives_at(GR_I, m)[m]
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .clifford import DimensionMismatch, Multivector, _check_index, _from_int_parts, \
-    _integer_runs
-from .scalars import Rational, rational
+from .clifford import DimensionMismatch, Multivector, _check_dim, _check_index, _from_int_parts
+from .scalars import Rational, rational, vol_sphere
 
 
 # an exponent vector over the cosphere variables, one entry per variable
@@ -26,11 +25,7 @@ XiMonomial = tuple
 
 
 def double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(k, 1, -2))
 
 
 def moment(n: int, alpha) -> Rational:
@@ -54,19 +49,14 @@ def moment(n: int, alpha) -> Rational:
 def _moment(n: int, alpha: tuple) -> Rational:
     if any(a % 2 for a in alpha):
         return rational(0)
-    num = 1
-    for a in alpha:
-        num *= double_factorial(a - 1)
-    den = 1
-    for j in range(sum(alpha) // 2):
-        den *= n + 2 * j
+    num = math.prod(double_factorial(a - 1) for a in alpha)
+    den = math.prod(range(n, n + sum(alpha), 2))  # n (n + 2) ... (n + |alpha| - 2)
     return rational(num) / rational(den)
 
 
 def vol_numeric(k: int) -> float:
-    """vol(S^k) = 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
-    if k < 1:
-        raise ValueError("sphere dimension must be >= 1")
+    """vol(S^k) = 2 pi^((k+1)/2) / Gamma((k+1)/2); k obeys vol_sphere's rule."""
+    vol_sphere(k)
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
@@ -77,6 +67,7 @@ class XiPolynomialMV:
     __slots__ = ("nvars", "mv_dim", "terms")
 
     def __init__(self, nvars: int, mv_dim: int, terms=None):
+        _check_dim(nvars, bounded=False)
         clean: dict[tuple, Multivector] = {}
         if terms:
             for expo, mv in terms.items():
@@ -109,6 +100,7 @@ class XiPolynomialMV:
 
 def xi_monomial(nvars: int, *indices: int) -> tuple:
     """Exponent vector for a product of variables given by 1-based indices."""
+    _check_dim(nvars, bounded=False)
     expo = [0] * nvars
     for i in indices:
         _check_index(i, nvars, "variable")
@@ -131,7 +123,7 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     sums: dict[int, dict[int, tuple[int, int]]] = {}
     for expo, weight in weights.items():
         factor = weight.numerator * (scale // weight.denominator)
-        for den, part in _integer_runs(p.terms[expo]):
+        for den, part in p.terms[expo]._parts:
             acc = sums.setdefault(den, {})
             for mask, (re, im) in part.items():
                 cur = acc.get(mask)

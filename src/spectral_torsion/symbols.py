@@ -21,7 +21,6 @@ from .clifford import (
     _check_even_dim,
     _from_int_parts,
     _from_rationals,
-    _integer_runs,
     _same_dim,
     _sign_mask,
     grading,
@@ -109,7 +108,7 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     # lists each A with e_a as (A, s, v, -v), v = n (re, im) negated on even grades,
     # s = _sign_mask(A), complemented if its bit a is set: bit c of s signs A e_a e_c.
     parts = []
-    for den, acc in _integer_runs(b):
+    for den, acc in b._parts:
         holding, blades = [[] for _ in range(n)], []
         for mask, (re, im) in acc.items():
             if re or im:
@@ -161,7 +160,7 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     """
     b = _from_int_parts(n, [(den, {mask: c for mask, c in acc.items()
                                    if mask.bit_count() in (1, 3)})
-                            for den, acc in _integer_runs(perturbation_multivector(case, n))])
+                            for den, acc in perturbation_multivector(case, n)._parts])
     integrated = integrate_sphere(n, sigma_minus2m(b))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
                                    trace(frame_product(u, v, w, n), integrated))

@@ -29,7 +29,8 @@ from spectral_torsion import (
     rational,
     trace,
 )
-from spectral_torsion.clifford import DimensionMismatch, _sign_mask, blade_mask, blade_product
+from spectral_torsion.clifford import _RUN_DEN_BITS, DimensionMismatch, _sign_mask, blade_mask, \
+    blade_product
 from spectral_torsion.halfline import _normal_integral, dxn_symbol, \
     half_inverse_symbol_components, line_integral
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
@@ -67,6 +68,18 @@ def coprime_draw(rng: random.Random, digits: int = 12):
                 used *= den
                 return Rational(rng.randrange(-10 ** digits, 10 ** digits), den)
     return draw
+
+
+def long_input(mv: Multivector) -> set[str]:
+    """The one long-input precondition, read off mv's stored integer parts:
+    "parts" when there are several, "bits" when one of them is over a
+    denominator past _RUN_DEN_BITS.  Empty for a short input."""
+    kinds = set()
+    if len(mv._parts) > 1:
+        kinds.add("parts")
+    if any(den.bit_length() > _RUN_DEN_BITS for den, _ in mv._parts):
+        kinds.add("bits")
+    return kinds
 
 
 def mv_mul_reference(a: Multivector, b: Multivector) -> Multivector:

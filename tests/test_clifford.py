@@ -8,6 +8,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_torsion import (
     DimensionMismatch,
@@ -26,12 +27,12 @@ from spectral_torsion import (
     to_clifford,
     trace,
 )
-from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _integer_runs, \
-    _rational_runs, blade_product
+from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_runs, \
+    blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
-from conftest import add_reference, coprime_draw, mv_mul_reference, rand_multivector, \
-    rand_oneform, rand_threeform, scalar_product_reference, scale_reference
+from conftest import add_reference, coprime_draw, long_input, mv_mul_reference, \
+    rand_multivector, rand_oneform, rand_threeform, scalar_product_reference, scale_reference
 from matrix_rep import MatrixRep, mat_add, mat_mul
 
 
@@ -63,9 +64,8 @@ def test_grading_n2():
 def test_grading_squares_to_identity(n):
     g = grading(n)
     assert mv_mul(g, g) == Multivector.identity(n)
-    # built from a coefficient, it hands the parts it stores to every read
-    first, second = _integer_runs(g), _integer_runs(g)
-    assert first is second is g._parts
+    # built from a coefficient, it stores one short part
+    assert not long_input(g)
 
 
 def test_grading_anticommutes_with_generators():
@@ -425,12 +425,12 @@ def test_deferred_product_reads_like_the_reference(kind, n):
         product = mv_mul(a, b)
         assert product._coeffs is None, name
         assert read(product) == read(reference), name
-    # a product of a product reads its operand's parts unbuilt, unless a
+    # a product of a product reads its operand's parts unbuilt, also when a
     # part's denominator is past _RUN_DEN_BITS, as the coprime ones are
     product = mv_mul(a, b)
-    assert (_integer_runs(product) is product._parts) == (kind != "coprime")
+    assert ("bits" in long_input(product)) == (kind == "coprime")
     assert mv_mul(product, a) == mv_mul_reference(reference, a)
-    assert (product._coeffs is None) == (kind != "coprime")
+    assert product._coeffs is None
 
 
 def _trace_operands(kind, n):
@@ -446,7 +446,7 @@ def _trace_operands(kind, n):
     a, b = (Multivector(n, {mask: GaussianRational(part(), part())
                             for mask in rng.sample(range(1 << n), min(1 << n, 24))})
             for _ in range(2))
-    assert len(_integer_runs(a)) > 1 and len(_integer_runs(b)) > 1
+    assert "parts" in long_input(a) and "parts" in long_input(b)
     return a, b
 
 
@@ -499,7 +499,7 @@ def test_two_factor_trace_checks_dimensions():
 def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
     """Both scale integer numerators; the result is unbuilt and reads like the
     coefficient-by-coefficient scaling, for plain and product operands.  So
-    does negation, and a sum keeps its coefficients and their parts."""
+    does negation, and a sum holds its operands' parts."""
     rng = random.Random(f"scale-{kind}-{n}")
     draw = _coefficient_draw(rng, kind)
     plain = Multivector(n, {mask: draw() for mask in range(1 << n)})
@@ -511,11 +511,12 @@ def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
         got, expected = conjugate_sum(b), _conjugate_sum_by_products(b)
         assert got._coeffs is None
         assert got == expected and str(got) == str(expected)
-    assert plain.scale(0) == Multivector.zero(n)
+    zero = plain.scale(0)
+    assert zero._coeffs is None
+    assert zero.is_zero() and zero == Multivector.zero(n) and str(zero) == "0"
     # the constructor stores the parts of the coefficients it keeps
     assert plain._parts == _rational_runs((mask, c.re, c.im)
                                           for mask, c in plain.coeffs.items())
-    assert _integer_runs(plain) is plain._parts
     other = Multivector(n, {mask: draw() for mask in range(0, 1 << n, 3)})
     for b in (plain, mv_mul(plain, rand_multivector(rng, n, 2))):
         got, expected = -b, scale_reference(b, -1)
@@ -523,9 +524,8 @@ def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
         assert got == expected and str(got) == str(expected)
         for c in (other, mv_mul(rand_multivector(rng, n, 2), other)):
             got, expected = b + c, add_reference(b, c)
+            assert got._coeffs is None and got._parts == b._parts + c._parts
             assert got == expected and str(got) == str(expected)
-            assert got._parts == _rational_runs((mask, x.re, x.im)
-                                                for mask, x in got.coeffs.items())
             assert b - c == add_reference(b, scale_reference(c, -1))
 
 
@@ -574,9 +574,11 @@ def test_deferred_parts_that_cancel_to_zero():
     assert _from_int_parts(4, []).is_zero()
 
 
-def test_part_past_run_bits_takes_the_split_run_path():
-    """A stored denominator past _RUN_DEN_BITS is not used as a run: the
-    runs come from the built coefficients, split where their lcm is long."""
+def test_long_stored_part_is_multiplied_as_stored():
+    """An operand whose one stored part is over a denominator past
+    _RUN_DEN_BITS is multiplied, scaled and added as stored, and its
+    coefficients are never built; the results read like the coefficient
+    oracles."""
     draw = coprime_draw(random.Random("long-part"), digits=200)
     values = [draw() for _ in range(8)]  # about 660 bits per denominator
     den = math.prod(v.denominator for v in values)
@@ -584,17 +586,78 @@ def test_part_past_run_bits_takes_the_split_run_path():
     masks = (1, 2, 4, 8, 3, 5, 6, 9)
     mv = _from_int_parts(4, [(den, {mask: (v.numerator * (den // v.denominator), 0)
                                     for mask, v in zip(masks, values)})])
-    runs = _integer_runs(mv)
-    assert len(runs) > 1
-    assert all(run_den.bit_length() <= _RUN_DEN_BITS for run_den, _ in runs)
     reference = Multivector(4, {mask: GaussianRational(v) for mask, v in zip(masks, values)})
-    assert mv == reference
     other = Multivector(4, {mask: GaussianRational(_small(random.Random(mask)))
                             for mask in range(16)})
-    assert mv_mul(mv, other) == mv_mul_reference(reference, other)
-    # a long stored denominator whose coefficients reduce is read as one short run
+    products = mv_mul(mv, other), mv_mul(other, mv), mv_mul(mv, mv)
+    assert mv._coeffs is None and long_input(mv) == {"bits"}
+    assert all(p._parts[0][0] % den == 0 for p in products)
+    assert products == (mv_mul_reference(reference, other), mv_mul_reference(other, reference),
+                        mv_mul_reference(reference, reference))
+    assert mv.scale(GaussianRational(0, 3)) == scale_reference(reference, GaussianRational(0, 3))
+    assert mv + other == add_reference(reference, other)
+    assert mv._coeffs is None
+    assert mv == reference
+    # a long stored denominator whose coefficient reduces reads as that coefficient
     short = _from_int_parts(4, [(den, {3: (den // 2, den)})])
-    assert _integer_runs(short) == [(2, {3: (1, 2)})]
+    half_i = GaussianRational(Rational(1, 2), 1)
+    assert mv_mul(short, other) == mv_mul_reference(Multivector.blade(4, 3, half_i), other)
+    assert short._coeffs is None
+    assert short.coeffs == {3: half_i}
+
+
+def test_sum_holds_the_operands_parts_unbuilt():
+    """a + b is a's parts then b's, the same dicts, with no coefficient
+    built: for constructed operands, products, parts past _RUN_DEN_BITS and
+    parts that cancel to zero, it reads like add_reference."""
+    rng = random.Random("sum-parts")
+    draw = _coefficient_draw(rng, "coprime")
+    plain = Multivector(4, {mask: draw() for mask in range(16)})
+    product = mv_mul(plain, rand_multivector(rng, 4))
+    halves = _from_int_parts(4, [(3, {1: (1, 0), 0: (1, 2)})])
+    cancel = _from_int_parts(4, [(6, {1: (-2, 0), 0: (-2, -4)})])
+    for a, b in ((plain, product), (product, plain), (halves, cancel), (product, product),
+                 (plain, Multivector.zero(4))):
+        expected = add_reference(a, b)
+        got = a + b
+        assert got._coeffs is None
+        assert [id(part) for part in got._parts] == [id(part) for part in a._parts + b._parts]
+        for name, read in _READS.items():
+            assert read(a + b) == read(expected), name
+    zero = halves + cancel
+    assert zero.is_zero() and str(zero) == "0" and zero == Multivector.zero(4)
+    assert (product - product).is_zero()
+    with pytest.raises(DimensionMismatch):
+        plain + Multivector.zero(6)
+
+
+def _stored_parts(n):
+    """One operand's integer parts: short parts mixed with parts over a
+    denominator past _RUN_DEN_BITS, a blade possibly in several parts and
+    numerators possibly 0."""
+    den = st.one_of(st.integers(1, 10 ** 6),
+                    st.integers(1 << _RUN_DEN_BITS, 1 << (_RUN_DEN_BITS + 64)))
+    numerator = st.one_of(st.integers(-9, 9), st.integers(-(1 << 2100), 1 << 2100))
+    blades = st.dictionaries(st.integers(0, (1 << n) - 1), st.tuples(numerator, numerator),
+                             max_size=6)
+    return st.lists(st.tuples(den, blades), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_reads_stored_parts_like_the_coefficient_oracles(data):
+    """mv_mul, scale, conjugate_sum, +, - and scalar_product read operands'
+    stored parts as they are, long or short, and agree with the oracles on
+    the built coefficients."""
+    n = data.draw(st.sampled_from([2, 4, 6]), "n")
+    a, b = (_from_int_parts(n, data.draw(_stored_parts(n), name)) for name in "ab")
+    rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 6))
+    s = data.draw(st.builds(GaussianRational, rationals, rationals), "s")
+    got = (mv_mul(a, b), a.scale(s), conjugate_sum(a), a + b, a - b, scalar_product(a, b))
+    assert a._coeffs is None and b._coeffs is None
+    assert got == (mv_mul_reference(a, b), scale_reference(a, s),
+                   _conjugate_sum_by_products(Multivector(n, a.coeffs)), add_reference(a, b),
+                   add_reference(a, scale_reference(b, -1)), scalar_product_reference(a, b))
 
 
 def test_coefficients_are_gaussian_rationals(rng):

@@ -30,7 +30,6 @@ from spectral_torsion import (
 )
 from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, \
     half_inverse_symbol_components
-from spectral_torsion.clifford import _integer_runs
 from spectral_torsion.forms import frame_product
 from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational, Rational
 
@@ -40,6 +39,7 @@ from conftest import (
     boundary_symbol,
     cayley_rotation,
     coprime_draw,
+    long_input,
     normal_trace_combination_reference,
     quad_oracle,
     rand_oneform,
@@ -357,10 +357,11 @@ def _boundary_rows(kind: str, n: int):
 @pytest.mark.parametrize("kind", ["dense", "coprime"])
 def test_boundary_density_matches_the_frame_product_route(kind, n):
     """trace(c(u)c(v), c(w)c(e_n)) equals 2^m <C c(e_n)>_0 with C built, at
-    every even n; from n=14 on the 25-digit C splits into several parts."""
+    every even n; from n=14 on the 25-digit C holds a stored part past
+    _RUN_DEN_BITS."""
     u, v, w = _boundary_rows(kind, n)
     if kind == "coprime" and n >= 14:
-        assert len(_integer_runs(frame_product(u, v, w, n))) > 1
+        assert "bits" in long_input(frame_product(u, v, w, n))
     assert boundary_density(u, v, w, n) == boundary_density_reference(u, v, w, n)
 
 

@@ -42,13 +42,13 @@ from spectral_torsion import (
     ManifoldSpec,
 )
 from spectral_torsion import forms, halfline, moments, symbols, verify
-from spectral_torsion.clifford import _from_int_parts, _integer_runs
+from spectral_torsion.clifford import _from_int_parts
 from spectral_torsion.moments import integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, GaussianRational, Rational, SymScalar, TR_F_PHI
 
 from conftest import coprime_draw, density_via_matrix_rep, integrate_sphere_reference, \
-    perturbation_multivector_reference, rand_multivector, rand_oneform, rand_rational, \
-    rand_threeform, sigma_minus2m_reference, symbol_trace_reference
+    long_input, perturbation_multivector_reference, rand_multivector, rand_oneform, \
+    rand_rational, rand_threeform, sigma_minus2m_reference, symbol_trace_reference
 
 
 def basis(n, i):
@@ -99,7 +99,7 @@ def test_perturbation_multivector_matches_the_fraction_oracle(kind, n):
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
         got = perturbation_multivector(case, n)
         if kind == "coprime" and isinstance(case, TorsionVector):
-            assert len(_integer_runs(got)) > 1
+            assert "parts" in long_input(got)
         expected = perturbation_multivector_reference(case, n)
         assert got == expected and str(got) == str(expected)
 
@@ -179,7 +179,7 @@ def test_sigma_matches_generator_products(n, rng):
     takes the symbol of grading(n), and the xi_a^2 term of an even blade
     keeps it when the blade lacks e_a."""
     coprime = _sigma_cases("coprime", n, rng)
-    assert len(_integer_runs(perturbation_multivector(coprime[0], n))) > 1
+    assert "parts" in long_input(perturbation_multivector(coprime[0], n))
     bs = [perturbation_multivector(case, n) for case in
           _sigma_cases("dense", n, rng) + _sigma_cases("sparse", n, rng) + coprime]
     if n <= 6:
@@ -280,7 +280,7 @@ def test_interior_density_matches_the_unprojected_route(n):
               for _ in range(2)]
     draw = coprime_draw(rng, digits=25)
     u, v, w, long_case = _dense_torsion_vector(n, draw)
-    assert n < 6 or len(_integer_runs(perturbation_multivector(long_case, n))) > 1
+    assert n < 6 or "parts" in long_input(perturbation_multivector(long_case, n))
     inputs.append((u, v, w, OneForm(tuple(draw() for _ in range(n))), long_case.Y, long_case.T))
     for u, v, w, x, y, t in inputs:
         for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
@@ -345,7 +345,8 @@ def test_torsion_vector_density_n16_time_bound():
 
 def test_torsion_vector_density_long_inputs_time_bound():
     """The torsion_vector density at n=8 on inputs whose 88 components have
-    pairwise-coprime 50-digit denominators, so C and B split into runs.
+    pairwise-coprime 50-digit denominators, so B splits into runs and C
+    holds a stored part past _RUN_DEN_BITS.
 
     On the fractions backend (2-vCPU VM) the first in-suite runs took
     0.06-0.07 s; the bound is about 7x the slowest.  With C multiplied into
@@ -354,7 +355,7 @@ def test_torsion_vector_density_long_inputs_time_bound():
     n = 8
     draw = coprime_draw(random.Random("torsion-vector-long-n8"), digits=50)
     u, v, w, case = _dense_torsion_vector(n, draw)
-    assert len(_integer_runs(perturbation_multivector(case, n))) > 1
+    assert "parts" in long_input(perturbation_multivector(case, n))
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 0.5, f"torsion_vector at n=8 on 50-digit inputs took {elapsed:.2f}s " \
         f"on {Rational.__module__}.{Rational.__name__}"
@@ -405,8 +406,8 @@ def test_sigma_dense_n16_time_bound():
 
 def test_torsion_vector_density_n16_long_inputs_time_bound():
     """The torsion_vector density at n=16 on inputs whose 624 components
-    have pairwise-coprime 25-digit denominators, so C and B split into many
-    integer parts.
+    have pairwise-coprime 25-digit denominators, so C holds a stored part
+    past _RUN_DEN_BITS and B splits into many integer parts.
 
     On the fractions backend (2-vCPU VM) the density took 0.47-0.55 s in
     six full-suite runs; the bound is about 2.7x the slowest.  With C
@@ -416,7 +417,8 @@ def test_torsion_vector_density_n16_long_inputs_time_bound():
     n = 16
     draw = coprime_draw(random.Random("torsion-vector-long-n16"), digits=25)
     u, v, w, case = _dense_torsion_vector(n, draw)
-    assert len(_integer_runs(frame_product(u, v, w, n))) > 1
+    assert "bits" in long_input(frame_product(u, v, w, n))
+    assert "parts" in long_input(perturbation_multivector(case, n))
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 1.5, f"torsion_vector at n=16 on 25-digit inputs took {elapsed:.2f}s " \
         f"on {Rational.__module__}.{Rational.__name__}"
