@@ -11,7 +11,6 @@ rational; the supertrace composes with the grading operator.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterator
 
 from .scalars import (
     GR_ONE,
@@ -160,10 +159,6 @@ class Multivector:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "Multivector":
-        return cls(dim)
-
-    @classmethod
     def identity(cls, dim: int) -> "Multivector":
         return cls(dim, {0: GR_ONE})
 
@@ -174,10 +169,6 @@ class Multivector:
         _check_index(i, dim, "generator")
         return cls(dim, {1 << (i - 1): GR_ONE})
 
-    @classmethod
-    def blade(cls, dim: int, mask: int, coeff=1) -> "Multivector":
-        return cls(dim, {mask: coeff})
-
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
@@ -185,9 +176,6 @@ class Multivector:
         ever mutated (_from_int_parts' contract).  No coefficient is built."""
         _same_dim(self, other)
         return _from_int_parts(self.dim, self._parts + other._parts)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
 
     def __neg__(self) -> "Multivector":
         return self.scale(-1)
@@ -201,15 +189,6 @@ class Multivector:
             (den * d, {mask: (re * sr - im * si, re * si + im * sr)
                        for mask, (re, im) in acc.items()})
             for den, acc in self._parts])
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return mv_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return self.scale(other)
 
     # -- structure queries ----------------------------------------------
 
@@ -233,9 +212,6 @@ class Multivector:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.coeffs.items())))
-
-    def __iter__(self) -> Iterator[tuple[int, GaussianRational]]:
-        return iter(sorted(self.coeffs.items()))
 
     def __str__(self):
         if not self.coeffs:
@@ -365,7 +341,7 @@ def grading(n: int) -> Multivector:
     """Chirality element (sqrt(-1))^m c(e_1)...c(e_2m); squares to +1."""
     _check_even_dim(n)
     m = n // 2
-    return Multivector.blade(n, (1 << n) - 1, i_power(m))
+    return Multivector(n, {(1 << n) - 1: i_power(m)})
 
 
 def trace(a: Multivector, b: Multivector | None = None) -> GaussianRational:

@@ -41,18 +41,6 @@ class OneForm:
         _check_dim(dim, bounded=False)
         return cls((0,) * dim)
 
-    def __getitem__(self, i: int) -> Rational:
-        """1-based component access."""
-        return self.components[i - 1]
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        _same_dim(self, other)
-        return OneForm(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def scale(self, s) -> "OneForm":
-        s = rational(s)
-        return OneForm(tuple(s * c for c in self.components))
-
     def __eq__(self, other):
         return (isinstance(other, OneForm) and self.dim == other.dim
                 and self.components == other.components)
@@ -74,24 +62,16 @@ class ThreeForm:
         clean = {}
         if components:
             for key, value in components.items():
-                a, b, c = key
-                if not (1 <= a < b < c <= dim):
+                if len(key) != 3 or not 1 <= key[0] < key[1] < key[2] <= dim:
                     raise ValueError(f"triple {key} not strictly increasing in 1..{dim}")
                 v = rational(value)
                 if v != 0:
-                    clean[(a, b, c)] = v
+                    clean[tuple(key)] = v
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThreeForm is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> "ThreeForm":
-        return cls(dim)
-
-    def is_zero(self) -> bool:
-        return not self.components
 
     def __eq__(self, other):
         return (isinstance(other, ThreeForm) and self.dim == other.dim

@@ -158,12 +158,6 @@ class XiRational:
     def __setattr__(self, name, value):
         raise AttributeError("XiRational is immutable")
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "XiRational":
-        return cls(POLY_ZERO)
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -194,13 +188,6 @@ class XiRational:
             merged[p] = merged.get(p, 0) + mult
         return XiRational(self.numer * other.numer, merged)
 
-    def scale(self, s) -> "XiRational":
-        s = s if isinstance(s, GaussianRational) else GaussianRational(s)
-        return XiRational(self.numer.scale(s), dict(self.poles))
-
-    def __neg__(self) -> "XiRational":
-        return self.scale(GaussianRational(-1))
-
     def __add__(self, other: "XiRational") -> "XiRational":
         union = dict(self.poles)
         for p, mult in other.poles.items():
@@ -214,13 +201,10 @@ class XiRational:
             total = total + numer
         return XiRational(total, union)
 
-    def __sub__(self, other: "XiRational") -> "XiRational":
-        return self + (-other)
-
     def derivative(self) -> "XiRational":
         """Exact derivative; pole multiplicities increase by one."""
         if self.is_zero():
-            return XiRational.zero()
+            return XiRational(POLY_ZERO)
         bumped = {p: mult + 1 for p, mult in self.poles.items()}
         # d/dx N/prod (x-p)^m = [N' prod(x-p) - N sum_j m_j prod_{k!=j}(x-p_k)] / prod (x-p)^(m+1)
         prod_all = POLY_ONE
@@ -280,13 +264,13 @@ class XiRational:
 def pi_plus(f: XiRational) -> XiRational:
     """Half-line projection: keep partial-fraction terms with poles above the axis."""
     if f.is_zero():
-        return XiRational.zero()
+        return XiRational(POLY_ZERO)
     if f.numer.degree >= f.denominator_degree:
         raise NonIntegrable("symbol does not vanish at infinity")
     for p in f.poles:
         if p.im == 0:
             raise RealPole(f"real pole at {p}")
-    out = XiRational.zero()
+    out = XiRational(POLY_ZERO)
     for p, coeffs in f.partial_fractions().items():
         if p.im < 0:
             continue

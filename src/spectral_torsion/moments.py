@@ -24,10 +24,6 @@ from .scalars import Rational, rational, vol_sphere
 XiMonomial = tuple
 
 
-def double_factorial(k: int) -> int:
-    return math.prod(range(k, 1, -2))
-
-
 def moment(n: int, alpha) -> Rational:
     """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2, in units of
     vol(S^(n-1)).
@@ -49,7 +45,7 @@ def moment(n: int, alpha) -> Rational:
 def _moment(n: int, alpha: tuple) -> Rational:
     if any(a % 2 for a in alpha):
         return rational(0)
-    num = math.prod(double_factorial(a - 1) for a in alpha)
+    num = math.prod(math.prod(range(a - 1, 1, -2)) for a in alpha)  # (a-1)!! each
     den = math.prod(range(n, n + sum(alpha), 2))  # n (n + 2) ... (n + |alpha| - 2)
     return rational(num) / rational(den)
 

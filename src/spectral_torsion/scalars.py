@@ -69,9 +69,6 @@ class GaussianRational:
         other = _as_gaussian(other)
         return _gr(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return _as_gaussian(other).__sub__(self)
-
     def __mul__(self, other):
         other = _as_gaussian(other)
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -93,9 +90,6 @@ class GaussianRational:
         a, b, c, d = self.re, self.im, other.re, other.im
         return _gr((a * c + b * d) / n, (b * c - a * d) / n)
 
-    def __rtruediv__(self, other):
-        return _as_gaussian(other).__truediv__(self)
-
     def __neg__(self):
         return _gr(-self.re, -self.im)
 
@@ -110,9 +104,6 @@ class GaussianRational:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     # -- predicates / views -------------------------------------------
 
@@ -238,10 +229,6 @@ class SymScalar:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "SymScalar":
-        return cls()
 
     @classmethod
     def from_coeff(cls, c) -> "SymScalar":

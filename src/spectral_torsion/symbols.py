@@ -69,17 +69,32 @@ CASE_NAMES = {
 }
 
 
-def _check_case_dims(case: PerturbationCase, n: int) -> None:
-    for field in ("T", "Y", "X"):
-        tensor = getattr(case, field, None)
-        if tensor is not None:
-            _same_dim(tensor, n)
+# (field, form type) of each perturbation case
+_CASE_FIELDS = {
+    TorsionVector: (("T", ThreeForm), ("Y", OneForm)),
+    Grading: (),
+    VectorGrading: (("X", OneForm),),
+    TorsionGrading: (("T", ThreeForm),),
+}
+
+
+def _check_case(case: PerturbationCase, n: int) -> None:
+    """The one case rule: a known case whose fields are forms of dimension n."""
+    fields = _CASE_FIELDS.get(type(case))
+    if fields is None:
+        raise TypeError(f"unknown perturbation case {case!r}")
+    for field, form in fields:
+        tensor = getattr(case, field)
+        if not isinstance(tensor, form):
+            raise TypeError(f"{type(case).__name__}.{field} must be a {form.__name__}, "
+                            f"got {type(tensor).__name__}")
+        _same_dim(tensor, n)
 
 
 def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
     """The zero-order perturbation as an element of Cl(n)."""
     _check_even_dim(n)
-    _check_case_dims(case, n)
+    _check_case(case, n)
     if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of parts
         return _from_rationals(n, [(mask, c, 0) for mask, c in _clifford_items(case.T)]
                                + [(mask, 0, c) for mask, c in _clifford_items(case.Y)])
@@ -87,9 +102,8 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
         return grading(n)
     if isinstance(case, VectorGrading):
         return mv_mul(to_clifford(case.X), grading(n))
-    if isinstance(case, TorsionGrading):  # c(T) (i gamma): i rides on the one-blade factor
-        return mv_mul(to_clifford(case.T), grading(n).scale(GR_I))
-    raise TypeError(f"unknown perturbation case {case!r}")
+    # TorsionGrading: c(T) (i gamma), i rides on the one-blade factor
+    return mv_mul(to_clifford(case.T), grading(n).scale(GR_I))
 
 
 def sigma_minus2m(b: Multivector) -> XiPolynomialMV:

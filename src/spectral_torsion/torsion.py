@@ -30,9 +30,9 @@ from .scalars import (
 from .symbols import (
     Grading,
     PerturbationCase,
-    TorsionGrading,
     TorsionVector,
     VectorGrading,
+    _check_case,
     interior_density,
 )
 
@@ -54,6 +54,8 @@ class ManifoldSpec:
         except (OddDimension, DimensionMismatch):
             raise UnsupportedDimension(
                 f"dimension must be even with 4 <= n <= {MAX_DIM}, got {self.dim}") from None
+        if type(self.with_boundary) is not bool:
+            raise TypeError(f"with_boundary must be a bool, got {self.with_boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,7 @@ def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
     """The catalogued closed form for the torsion density, verbatim."""
     n = spec.dim
     m = n // 2
+    _check_case(case, n)
     if isinstance(case, TorsionVector):
         coeff = rational(-(2 ** (m + 1))) * eval_threeform(case.T, u, v, w)
     elif isinstance(case, Grading):
@@ -123,15 +126,12 @@ def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
     elif isinstance(case, VectorGrading):
         coeff = (rational(8) * eval_threeform(_complement(case.X, n), u, v, w)
                  if n == 4 else 0)
-    elif isinstance(case, TorsionGrading):
-        if n == 4:
-            coeff = rational(-16) * GR_I * _frame_pairing(u, v, w, _complement(case.T, n))
-        elif n == 6:
-            coeff = rational(16) * eval_threeform(_complement(case.T, n), u, v, w)
-        else:
-            coeff = 0
+    elif n == 4:  # TorsionGrading, the one case left
+        coeff = rational(-16) * GR_I * _frame_pairing(u, v, w, _complement(case.T, n))
+    elif n == 6:
+        coeff = rational(16) * eval_threeform(_complement(case.T, n), u, v, w)
     else:
-        raise TypeError(f"unknown perturbation case {case!r}")
+        coeff = 0
     value = SymScalar.from_monomial((TR_F_PHI, vol_sphere(n - 1)), coeff)
     if spec.with_boundary:
         value = value + theorem_boundary_value(u, v, w, n)
@@ -145,7 +145,7 @@ def spectral_torsion(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
     """Full pipeline evaluation plus closed-form comparison."""
     interior = interior_density(u, v, w, case, spec.dim)
     boundary = boundary_density(u, v, w, spec.dim) if spec.with_boundary \
-        else SymScalar.zero()
+        else SymScalar()
     reference = theorem_value(case, u, v, w, spec)
     comparisons: tuple = ()
     if with_identities:

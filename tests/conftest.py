@@ -104,8 +104,8 @@ def to_clifford_reference(x) -> Multivector:
     """The Clifford embedding of a one-form or 3-form, one GaussianRational
     coefficient per component."""
     if isinstance(x, OneForm):
-        return Multivector(x.dim, {1 << (i - 1): GaussianRational(x[i])
-                                   for i in range(1, x.dim + 1)})
+        return Multivector(x.dim, {1 << i: GaussianRational(c)
+                                   for i, c in enumerate(x.components)})
     return Multivector(x.dim, {blade_mask(k): GaussianRational(v)
                                for k, v in x.components.items()})
 
@@ -146,7 +146,9 @@ def scalar_product_reference(a: Multivector, b: Multivector) -> GaussianRational
 def eval_threeform_reference(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm):
     """T(u, v, w): each stored triple times its 3x3 minor, in Rationals."""
     total = rational(0)
+    u, v, w = (x.components for x in (u, v, w))
     for (a, b, c), coeff in t.components.items():
+        a, b, c = a - 1, b - 1, c - 1
         det = (u[a] * (v[b] * w[c] - v[c] * w[b])
                - u[b] * (v[a] * w[c] - v[c] * w[a])
                + u[c] * (v[a] * w[b] - v[b] * w[a]))
@@ -161,7 +163,7 @@ def eval_threeform_reference(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm):
 
 def _add_xi_term(terms: dict, expo: tuple, term: Multivector) -> None:
     cur = terms.get(expo)
-    s = term if cur is None else cur + term
+    s = term if cur is None else add_reference(cur, term)
     if s.is_zero():
         terms.pop(expo, None)
     else:
@@ -194,12 +196,13 @@ def sigma_minus2m_reference(b: Multivector) -> XiPolynomialMV:
 
 def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)): each surviving
-    coefficient scaled by its moment weight and added as a multivector."""
-    total = Multivector.zero(p.mv_dim)
+    coefficient scaled by its moment weight and added coefficient by
+    coefficient."""
+    total = Multivector(p.mv_dim)
     for expo, mv in p.terms.items():
         weight = moment(n, expo)
         if weight:
-            total = total + mv.scale(weight)
+            total = add_reference(total, scale_reference(mv, weight))
     return total
 
 
@@ -283,10 +286,9 @@ def boundary_density_reference(u, v, w, n) -> SymScalar:
 
 def normal_trace_combination_reference(u, v, w):
     """u_n g(v,w) - v_n g(u,w) + w_n g(u,v), summed in Rationals."""
-    n = u.dim
-    return (u[n] * metric_pair(v, w)
-            - v[n] * metric_pair(u, w)
-            + w[n] * metric_pair(u, v))
+    return (u.components[-1] * metric_pair(v, w)
+            - v.components[-1] * metric_pair(u, w)
+            + w.components[-1] * metric_pair(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,7 @@ def cayley_rotation(rng: random.Random, n: int):
 def rotate_oneform(q, u: OneForm) -> OneForm:
     n = u.dim
     return OneForm(tuple(
-        sum((q[i][a] * u[i + 1] for i in range(n)), rational(0))
+        sum((q[i][a] * u.components[i] for i in range(n)), rational(0))
         for a in range(n)))
 
 

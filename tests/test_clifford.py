@@ -45,7 +45,7 @@ def test_generator_squares():
 
 
 def test_generator_product_is_blade():
-    assert mv_mul(gen(4, 1), gen(4, 2)) == Multivector.blade(4, 0b11)
+    assert mv_mul(gen(4, 1), gen(4, 2)) == Multivector(4, {0b11: 1})
 
 
 def test_grade_three_square():
@@ -57,7 +57,7 @@ def test_grade_three_square():
 
 
 def test_grading_n2():
-    assert grading(2) == Multivector.blade(2, 0b11, GaussianRational(0, 1))
+    assert grading(2) == Multivector(2, {0b11: GaussianRational(0, 1)})
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
@@ -91,7 +91,7 @@ def test_generator_and_blade_refuse_a_float_or_bool_index():
         with pytest.raises(DimensionMismatch, match=rf"^generator index {i} outside 1\.\.4$"):
             Multivector.generator(4, i)
         with pytest.raises(DimensionMismatch, match=rf"^blade mask {i} does not fit dim 4$"):
-            Multivector.blade(4, i)
+            Multivector(4, {i: 1})
     with pytest.raises(DimensionMismatch, match=r"^dimension must be in \[1, 16\], got 4\.0$"):
         Multivector.generator(4.0, 1)
 
@@ -107,9 +107,9 @@ def test_trace_identity():
 
 
 def test_trace_top_blade_vanishes():
-    assert trace(Multivector.blade(4, 0b1111)).is_zero()
+    assert trace(Multivector(4, {0b1111: 1})).is_zero()
     rep = MatrixRep(4)
-    assert rep.trace(Multivector.blade(4, 0b1111)).is_zero()
+    assert rep.trace(Multivector(4, {0b1111: 1})).is_zero()
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -138,7 +138,7 @@ def test_supertrace_kills_all_subtop_blades(n):
     # every blade of grade < n has supertrace zero; top blade is 2^m / i^m
     m = n // 2
     for mask in range(1 << n):
-        value = supertrace(Multivector.blade(n, mask))
+        value = supertrace(Multivector(n, {mask: 1}))
         if mask == (1 << n) - 1:
             assert value == rational(2 ** m) * (GaussianRational(1) / i_power(m))
         else:
@@ -147,7 +147,7 @@ def test_supertrace_kills_all_subtop_blades(n):
 
 def _conjugate_sum_by_products(b):
     """Sum_i c(e_i) b c(e_i), multiplied out blade by blade."""
-    out = Multivector.zero(b.dim)
+    out = Multivector(b.dim)
     for i in range(1, b.dim + 1):
         out = out + mv_mul(mv_mul(gen(b.dim, i), b), gen(b.dim, i))
     return out
@@ -156,9 +156,9 @@ def _conjugate_sum_by_products(b):
 def test_conjugate_sum_examples():
     # grade 1 -> (n-2), grade 3 -> (n-6), identity -> -n
     for n in (4, 6, 8):
-        x = Multivector.blade(n, 0b1)
+        x = Multivector(n, {0b1: 1})
         assert conjugate_sum(x) == _conjugate_sum_by_products(x) == x.scale(n - 2)
-        t = Multivector.blade(n, 0b111)
+        t = Multivector(n, {0b111: 1})
         assert conjugate_sum(t) == _conjugate_sum_by_products(t) == t.scale(n - 6)
         one = Multivector.identity(n)
         assert conjugate_sum(one) == _conjugate_sum_by_products(one) == one.scale(-n)
@@ -169,7 +169,7 @@ def test_conjugate_sum_grade_formula(n, rng):
     # on every grade-k blade: (-1)^k (2k - n); by linearity a proof at this n
     for mask in range(1 << n):
         k = bin(mask).count("1")
-        blade = Multivector.blade(n, mask)
+        blade = Multivector(n, {mask: 1})
         assert conjugate_sum(blade) == _conjugate_sum_by_products(blade) \
             == blade.scale((-1) ** k * (2 * k - n))
     # and on a multivector of mixed grades with complex coefficients
@@ -214,8 +214,8 @@ def test_rep_generators_anticommute():
 
 def test_rep_trace_examples():
     rep = MatrixRep(4)
-    assert rep.trace(Multivector.blade(4, 0b11)).is_zero()
-    g_top = mv_mul(grading(4), Multivector.blade(4, 0b1111))
+    assert rep.trace(Multivector(4, {0b11: 1})).is_zero()
+    g_top = mv_mul(grading(4), Multivector(4, {0b1111: 1}))
     assert rep.trace(g_top) == -4
 
 
@@ -250,8 +250,8 @@ def test_trace_normal_factor_combination(n, rng):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         lhs = trace(mv_mul(mv_mul(to_clifford(u), to_clifford(v)),
                            mv_mul(to_clifford(w), gen(n, n))))
-        rhs = (u[n] * metric_pair(v, w) - v[n] * metric_pair(u, w)
-               + w[n] * metric_pair(u, v)) * 2 ** (n // 2)
+        rhs = (u.components[-1] * metric_pair(v, w) - v.components[-1] * metric_pair(u, w)
+               + w.components[-1] * metric_pair(u, v)) * 2 ** (n // 2)
         assert lhs == rhs
 
 
@@ -266,7 +266,7 @@ def test_anticommutator_relation(rng):
     for j in range(1, n + 1):
         cx = to_clifford(x)
         assert mv_mul(gen(n, j), cx) + mv_mul(cx, gen(n, j)) == \
-            Multivector.identity(n).scale(-2 * x[j])
+            Multivector.identity(n).scale(-2 * x.components[j - 1])
     for m in (4, 6):
         for j in range(1, m + 1):
             assert (mv_mul(gen(m, j), grading(m))
@@ -275,7 +275,7 @@ def test_anticommutator_relation(rng):
 
 def test_multivector_printed_form():
     """The goldens embed this grammar: every coefficient shape sym() prints."""
-    mv = (Multivector.blade(4, 0b101, GaussianRational(rational("1/2"), 1))
+    mv = (Multivector(4, {0b101: GaussianRational(rational("1/2"), 1)})
           + Multivector.identity(4).scale(-3)
           + Multivector(4, {0b0011: GaussianRational(0, -1),
                             0b0110: GaussianRational(0, rational("-1/2")),
@@ -332,7 +332,7 @@ def _coefficient_draw(rng, kind):
 
 
 def _assert_canonical(mv: Multivector):
-    for _, c in mv:
+    for c in mv.coeffs.values():
         assert isinstance(c, GaussianRational) and not c.is_zero()
         for part in (c.re, c.im):
             assert part.denominator > 0
@@ -358,11 +358,11 @@ def test_mv_mul_cancellation_and_zero(n):
     one = Multivector.identity(n)
     e1 = Multivector.generator(n, 1)
     left = mv_mul_reference(a, one + e1)
-    product = mv_mul(left, one - e1)
-    assert product == mv_mul_reference(left, one - e1) == a.scale(2)
+    product = mv_mul(left, one + -e1)
+    assert product == mv_mul_reference(left, one + -e1) == a.scale(2)
     assert not any(mask & 1 for mask in product.coeffs)
     _assert_canonical(product)
-    zero = Multivector.zero(n)
+    zero = Multivector(n)
     assert mv_mul(zero, left).is_zero() and mv_mul(left, zero).is_zero()
     assert mv_mul(zero, zero).is_zero()
 
@@ -389,7 +389,7 @@ def test_scalar_product_matches_mv_mul(kind, n):
     for _ in range(20):
         c, d = rand_multivector(rng, n, 8), rand_multivector(rng, n, 8)
         assert scalar_product(c, d) == mv_mul(c, d).scalar_part()
-    assert scalar_product(a, Multivector.zero(n)) == GaussianRational(0)
+    assert scalar_product(a, Multivector(n)) == GaussianRational(0)
     with pytest.raises(DimensionMismatch):
         scalar_product(a, Multivector.identity(2))
 
@@ -438,7 +438,7 @@ def _trace_operands(kind, n):
     24 blades over pairwise-coprime 50-digit denominators, so that each
     splits into several integer parts."""
     if kind == "zero":
-        return _operands("dense", n)[0], Multivector.zero(n)
+        return _operands("dense", n)[0], Multivector(n)
     if kind != "coprime":
         return _operands(kind, n)
     rng = random.Random(f"trace-coprime-{n}")
@@ -513,7 +513,7 @@ def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
         assert got == expected and str(got) == str(expected)
     zero = plain.scale(0)
     assert zero._coeffs is None
-    assert zero.is_zero() and zero == Multivector.zero(n) and str(zero) == "0"
+    assert zero.is_zero() and zero == Multivector(n) and str(zero) == "0"
     # the constructor stores the parts of the coefficients it keeps
     assert plain._parts == _rational_runs((mask, c.re, c.im)
                                           for mask, c in plain.coeffs.items())
@@ -526,7 +526,6 @@ def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
             got, expected = b + c, add_reference(b, c)
             assert got._coeffs is None and got._parts == b._parts + c._parts
             assert got == expected and str(got) == str(expected)
-            assert b - c == add_reference(b, scale_reference(c, -1))
 
 
 def test_concurrent_first_reads_build_equal_coefficients():
@@ -567,7 +566,7 @@ def test_deferred_parts_that_cancel_to_zero():
     assert zero.is_zero()
     for name, read in _READS.items():
         rebuilt = _from_int_parts(4, [(3, {1: (1, 0)}), (6, {1: (-2, 0)})])
-        assert read(rebuilt) == read(Multivector.zero(4)), name
+        assert read(rebuilt) == read(Multivector(4)), name
     # a single part is zero exactly when its numerators are
     assert _from_int_parts(4, [(5, {1: (0, 0)})]).is_zero()
     assert not _from_int_parts(4, [(5, {1: (0, 1)})]).is_zero()
@@ -601,7 +600,7 @@ def test_long_stored_part_is_multiplied_as_stored():
     # a long stored denominator whose coefficient reduces reads as that coefficient
     short = _from_int_parts(4, [(den, {3: (den // 2, den)})])
     half_i = GaussianRational(Rational(1, 2), 1)
-    assert mv_mul(short, other) == mv_mul_reference(Multivector.blade(4, 3, half_i), other)
+    assert mv_mul(short, other) == mv_mul_reference(Multivector(4, {3: half_i}), other)
     assert short._coeffs is None
     assert short.coeffs == {3: half_i}
 
@@ -617,7 +616,7 @@ def test_sum_holds_the_operands_parts_unbuilt():
     halves = _from_int_parts(4, [(3, {1: (1, 0), 0: (1, 2)})])
     cancel = _from_int_parts(4, [(6, {1: (-2, 0), 0: (-2, -4)})])
     for a, b in ((plain, product), (product, plain), (halves, cancel), (product, product),
-                 (plain, Multivector.zero(4))):
+                 (plain, Multivector(4))):
         expected = add_reference(a, b)
         got = a + b
         assert got._coeffs is None
@@ -625,10 +624,10 @@ def test_sum_holds_the_operands_parts_unbuilt():
         for name, read in _READS.items():
             assert read(a + b) == read(expected), name
     zero = halves + cancel
-    assert zero.is_zero() and str(zero) == "0" and zero == Multivector.zero(4)
-    assert (product - product).is_zero()
+    assert zero.is_zero() and str(zero) == "0" and zero == Multivector(4)
+    assert (product + -product).is_zero()
     with pytest.raises(DimensionMismatch):
-        plain + Multivector.zero(6)
+        plain + Multivector(6)
 
 
 def _stored_parts(n):
@@ -646,23 +645,23 @@ def _stored_parts(n):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_reads_stored_parts_like_the_coefficient_oracles(data):
-    """mv_mul, scale, conjugate_sum, +, - and scalar_product read operands'
+    """mv_mul, scale, conjugate_sum, +, negation and scalar_product read operands'
     stored parts as they are, long or short, and agree with the oracles on
     the built coefficients."""
     n = data.draw(st.sampled_from([2, 4, 6]), "n")
     a, b = (_from_int_parts(n, data.draw(_stored_parts(n), name)) for name in "ab")
     rationals = st.builds(Rational, st.integers(-9, 9), st.integers(1, 6))
     s = data.draw(st.builds(GaussianRational, rationals, rationals), "s")
-    got = (mv_mul(a, b), a.scale(s), conjugate_sum(a), a + b, a - b, scalar_product(a, b))
+    got = (mv_mul(a, b), a.scale(s), conjugate_sum(a), a + b, -b, scalar_product(a, b))
     assert a._coeffs is None and b._coeffs is None
     assert got == (mv_mul_reference(a, b), scale_reference(a, s),
                    _conjugate_sum_by_products(Multivector(n, a.coeffs)), add_reference(a, b),
-                   add_reference(a, scale_reference(b, -1)), scalar_product_reference(a, b))
+                   scale_reference(b, -1), scalar_product_reference(a, b))
 
 
 def test_coefficients_are_gaussian_rationals(rng):
     product = mv_mul(rand_multivector(rng, 4), rand_multivector(rng, 4))
-    assert all(isinstance(c, GaussianRational) for _, c in product)
+    assert all(isinstance(c, GaussianRational) for c in product.coeffs.values())
     assert isinstance(product.scalar_part(), GaussianRational)
     # symbolic atoms never enter the Clifford layer
     with pytest.raises(TypeError):
@@ -689,7 +688,7 @@ def test_dimension_caps():
 def test_oracle_at_cap_dimension():
     # n = 12: blade supertrace of the top blade equals the literal matrix trace
     rep = MatrixRep(12)
-    top = Multivector.blade(12, (1 << 12) - 1)
+    top = Multivector(12, {(1 << 12) - 1: 1})
     expected = rational(2 ** 6) * (GaussianRational(1) / i_power(6))
     assert supertrace(top) == expected
     assert rep.trace(mv_mul(grading(12), top)) == expected

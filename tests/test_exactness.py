@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from spectral_torsion import Multivector, XiRational, line_integral, moment, supertrace, trace
-from spectral_torsion.halfline import POLY_ONE
+from spectral_torsion.halfline import POLY_ONE, POLY_ZERO
 from spectral_torsion.scalars import GR_I, GaussianRational, Rational
 
 from matrix_rep import MatrixRep
@@ -58,4 +58,4 @@ def test_exact_return_types():
     assert isinstance(moment(4, (1, 0, 0, 0)), Rational)
     lorentzian = XiRational(POLY_ONE, {GR_I: 1, -GR_I: 1})
     assert type(line_integral(lorentzian)) is GaussianRational  # in units of pi
-    assert type(line_integral(XiRational.zero())) is GaussianRational
+    assert type(line_integral(XiRational(POLY_ZERO))) is GaussianRational

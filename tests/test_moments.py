@@ -167,7 +167,7 @@ def test_integrate_sphere_sums_to_volume():
 def test_integrate_sphere_mixed_term_dies():
     n = 4
     terms = {
-        xi_monomial(n, 1, 2): Multivector.blade(n, 0b11),
+        xi_monomial(n, 1, 2): Multivector(n, {0b11: 1}),
         xi_monomial(n, 1, 1): Multivector.identity(n),
     }
     out = integrate_sphere(n, XiPolynomialMV(n, n, terms))
@@ -204,7 +204,7 @@ def test_integrate_sphere_matches_termwise(n):
     rng = random.Random(f"termwise-{n}")
     p = _termwise_polynomial(rng, n)
     dens = [c.re.denominator * c.im.denominator for expo, mv in p.terms.items()
-            if not any(a % 2 for a in expo) for _, c in mv]
+            if not any(a % 2 for a in expo) for c in mv.coeffs.values()]
     # the surviving terms share no small common denominator (their lcm is past
     # the run limit), so the result's parts, one per coefficient run, are
     # summed over large coprime denominators when read; each single term

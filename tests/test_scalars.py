@@ -23,7 +23,7 @@ from spectral_torsion.moments import vol_numeric
 
 def test_gaussian_norm_product():
     z = GaussianRational(rational("1/2"), 1)
-    assert z * z.conjugate() == GaussianRational(rational("5/4"))
+    assert z * GaussianRational(z.re, -z.im) == GaussianRational(rational("5/4"))
 
 
 def test_monomial_merge():
@@ -36,7 +36,7 @@ def test_monomial_merge():
 
 def test_zero_annihilates():
     x = SymScalar.from_atom(PI, GaussianRational(3, -2))
-    assert (x * SymScalar.zero()).is_zero()
+    assert (x * SymScalar()).is_zero()
     assert (x * sym(0)).is_zero()
 
 
@@ -89,7 +89,7 @@ monomial_scalars = st.builds(
 )
 
 sym_scalars = st.lists(monomial_scalars, min_size=0, max_size=3).map(
-    lambda parts: sum(parts, SymScalar.zero()))
+    lambda parts: sum(parts, SymScalar()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,8 +122,11 @@ def test_gaussian_printed_form():
 
 
 def test_conjugation_involution():
-    z = GaussianRational(rational("2/3"), rational("-5/7"))
-    assert z.conjugate().conjugate() == z
+    def conj(x):
+        return GaussianRational(x.re, -x.im)
+
+    z, w = GaussianRational(rational("2/3"), rational("-5/7")), GaussianRational(3, 1)
+    assert conj(conj(z)) == z and conj(z * w) == conj(z) * conj(w)
     assert GaussianRational(0, 1) * GaussianRational(0, 1) == GaussianRational(-1)
 
 
@@ -164,7 +167,7 @@ def test_printing_order_and_terms_roundtrip():
 
 
 def test_str_zero():
-    assert str(SymScalar.zero()) == "0"
+    assert str(SymScalar()) == "0"
 
 
 def test_equal_scalars_hash_alike():
@@ -173,7 +176,7 @@ def test_equal_scalars_hash_alike():
     equal_groups = [
         (3, rational(3), GaussianRational(3), sym(3), sym(GaussianRational(3))),
         (half, GaussianRational(half), sym(half)),
-        (0, rational(0), GaussianRational(0), sym(0), SymScalar.zero()),
+        (0, rational(0), GaussianRational(0), sym(0), SymScalar()),
         (GaussianRational(1, -2), sym(GaussianRational(1, -2))),
     ]
     for group in equal_groups:

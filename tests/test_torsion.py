@@ -57,6 +57,36 @@ def test_manifold_spec_validation():
     for dim in (4.0, True, "4"):
         with pytest.raises(UnsupportedDimension, match=rf"^dimension must be even with .*, got {dim}$"):
             ManifoldSpec(dim)
+    for flag in ("yes", 1, None):
+        with pytest.raises(TypeError, match=rf"^with_boundary must be a bool, got {flag!r}$"):
+            ManifoldSpec(4, with_boundary=flag)
+
+
+def test_verify_suite_needs_a_manifold_spec():
+    with pytest.raises(TypeError, match=r"^verify_suite needs a ManifoldSpec, got int$"):
+        verify_suite(4)
+
+
+_U4, _T4 = OneForm.basis(4, 1), ThreeForm(4, {(1, 2, 3): 1})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: interior_density(_U4, _U4, _U4, VectorGrading(_T4), 4),
+     "VectorGrading.X must be a OneForm, got ThreeForm"),
+    (lambda: spectral_torsion(TorsionVector(_U4, _U4), _U4, _U4, _U4, ManifoldSpec(4)),
+     "TorsionVector.T must be a ThreeForm, got OneForm"),
+    (lambda: interior_density(_U4, _U4, _U4, TorsionVector(_T4, None), 4),
+     "TorsionVector.Y must be a OneForm, got NoneType"),
+    (lambda: theorem_value(TorsionGrading(_U4), _U4, _U4, _U4, ManifoldSpec(4)),
+     "TorsionGrading.T must be a ThreeForm, got OneForm"),
+    (lambda: theorem_value(_T4, _U4, _U4, _U4, ManifoldSpec(4)),
+     "unknown perturbation case ThreeForm"),
+], ids=["interior-X", "spectral-T", "interior-Y", "theorem-T", "theorem-case"])
+def test_case_fields_are_type_checked(call, message):
+    """A case field of the wrong form type is one TypeError naming the case
+    and the field, not an AttributeError or a wrapped answer."""
+    with pytest.raises(TypeError, match="^" + message):
+        call()
 
 
 def test_theorem_torsion_vector_n6():

@@ -21,12 +21,12 @@ from conftest import rand_multivector, rand_oneform, rand_threeform, \
 
 def _operands(rng, n):
     """Random left/middle pairs: generic multivectors, and the catalog's shapes."""
-    negative_imaginary = Multivector.blade(n, rng.randint(0, (1 << n) - 1),
-                                           GaussianRational(0, rational("-3/2")))
+    negative_imaginary = Multivector(n, {rng.randint(0, (1 << n) - 1):
+                                         GaussianRational(0, rational("-3/2"))})
     pairs = []
     for _ in range(3):
         left = rand_multivector(rng, n, 16) + negative_imaginary
-        middle = rand_multivector(rng, n, 16) - negative_imaginary.scale(2)
+        middle = rand_multivector(rng, n, 16) + negative_imaginary.scale(-2)
         pairs.append((left, middle))
     u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
@@ -167,7 +167,7 @@ def test_rows_without_random_input_run_one_trial(n, monkeypatch):
                     return ident.run(n, _Tripwire(rng))
                 except _Drew:
                     pass
-            return SymScalar.zero(), SymScalar.zero(), True
+            return SymScalar(), SymScalar(), True
         return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
@@ -203,9 +203,9 @@ def test_a_trial_mismatch_ends_the_row(monkeypatch):
 
     def run(n, rng):
         if rng is None:
-            return SymScalar.zero(), SymScalar.zero(), True
+            return SymScalar(), SymScalar(), True
         trials.append(rng.random())
-        return SymScalar.zero(), SymScalar.zero(), len(trials) != 2
+        return SymScalar(), SymScalar(), len(trials) != 2
 
     monkeypatch.setattr(verify, "CATALOG", (verify.Identity("X", "", lambda n: True, run),))
     assert [row.matches for row in verify_suite(ManifoldSpec(4))] == [False]
