@@ -61,7 +61,6 @@ from .symbols import (
 from .halfline import (
     NonIntegrable,
     Poly,
-    RealPole,
     XiRational,
     boundary_density,
     dxn_symbol,

@@ -1,10 +1,11 @@
 """Boundary-term machinery: rational functions of the normal covariable.
 
 A boundary symbol ingredient is a rational function of xi_n with Gaussian
-rational coefficients and an explicitly factored denominator.  The half-line
-projection pi+ keeps the partial-fraction terms whose poles lie in the upper
-half plane; real-line integrals are evaluated exactly by residues, in units of
-pi.  Both read their coefficients off exact derivatives at each pole.
+rational coefficients whose only poles are the roots +-i of 1 + xi_n^2 (on
+|xi'| = 1).  The half-line projection pi+ keeps its principal part at i, the
+pole in the upper half plane; real-line integrals are evaluated exactly by the
+residue at i, in units of pi.  Both read their coefficients off exact
+derivatives at i.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .scalars import (
     rational,
     vol_sphere,
 )
-
-
-class RealPole(ValueError):
-    pass
 
 
 class NonIntegrable(ValueError):
@@ -120,40 +117,39 @@ class Poly:
 POLY_ZERO = Poly()
 POLY_ONE = Poly((GR_ONE,))
 POLY_X = Poly((GR_ZERO, GR_ONE))
+_X_MINUS_I = Poly((-GR_I, GR_ONE))
+_X_PLUS_I = Poly((GR_I, GR_ONE))
+
+
+def _cancel(numer: Poly, pole: GaussianRational, mult: int) -> tuple[Poly, int]:
+    """Divide (x - pole) out of numer while it is a root, at most mult times."""
+    while mult:
+        quotient, remainder = numer.divide_linear(pole)
+        if not remainder.is_zero():
+            break
+        numer, mult = quotient, mult - 1
+    return numer, mult
 
 
 class XiRational:
-    """N(x) / prod_j (x - p_j)^(m_j) with Gaussian-rational poles.
+    """N(x) / ((x - i)^up (x + i)^down): a symbol in xi_n whose only poles
+    are the roots +-i of 1 + xi_n^2.
 
-    Construction cancels numerator roots at the poles, so the pole set is
+    Construction cancels numerator roots at +-i, so (numer, up, down) is
     canonical for the value.
     """
 
-    __slots__ = ("numer", "poles")
+    __slots__ = ("numer", "up", "down")
 
-    def __init__(self, numer: Poly, poles=None):
-        pole_map: dict[GaussianRational, int] = {}
-        if poles:
-            for p, mult in (poles.items() if isinstance(poles, dict) else poles):
-                if mult < 0:
-                    raise ValueError("negative pole multiplicity")
-                if mult:
-                    p = p if isinstance(p, GaussianRational) else GaussianRational(p)
-                    pole_map[p] = pole_map.get(p, 0) + mult
-        if numer.is_zero():
-            pole_map = {}
-        else:
-            for p in list(pole_map):
-                while pole_map[p] > 0:
-                    quotient, remainder = numer.divide_linear(p)
-                    if not remainder.is_zero():
-                        break
-                    numer = quotient
-                    pole_map[p] -= 1
-                if pole_map[p] == 0:
-                    del pole_map[p]
+    def __init__(self, numer: Poly, up: int = 0, down: int = 0):
+        for mult in (up, down):
+            if type(mult) is not int or mult < 0:
+                raise ValueError(f"pole multiplicity must be an int >= 0, got {mult!r}")
+        numer, up = _cancel(numer, GR_I, up)
+        numer, down = _cancel(numer, -GR_I, down)
         object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "poles", pole_map)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
     def __setattr__(self, name, value):
         raise AttributeError("XiRational is immutable")
@@ -165,72 +161,42 @@ class XiRational:
 
     @property
     def denominator_degree(self) -> int:
-        return sum(self.poles.values())
+        return self.up + self.down
 
     def __eq__(self, other):
         if not isinstance(other, XiRational):
             return NotImplemented
         # both sides are in the canonical form the constructor guarantees
-        return self.numer == other.numer and self.poles == other.poles
+        return (self.numer, self.up, self.down) == (other.numer, other.up, other.down)
 
     def __hash__(self):
-        return hash((self.numer, frozenset(self.poles.items())))
+        return hash((self.numer, self.up, self.down))
 
     def __repr__(self):
-        poles = {str(p): m for p, m in self.poles.items()}
-        return f"XiRational({self.numer!r}, poles={poles})"
+        return f"XiRational({self.numer!r}, up={self.up}, down={self.down})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "XiRational") -> "XiRational":
-        merged = dict(self.poles)
-        for p, mult in other.poles.items():
-            merged[p] = merged.get(p, 0) + mult
-        return XiRational(self.numer * other.numer, merged)
-
-    def __add__(self, other: "XiRational") -> "XiRational":
-        union = dict(self.poles)
-        for p, mult in other.poles.items():
-            union[p] = max(union.get(p, 0), mult)
-        total = POLY_ZERO
-        for f in (self, other):
-            numer = f.numer  # lifted to the union's denominator
-            for p, mult in union.items():
-                for _ in range(mult - f.poles.get(p, 0)):
-                    numer = numer * Poly((-p, GR_ONE))
-            total = total + numer
-        return XiRational(total, union)
+        return XiRational(self.numer * other.numer,
+                          self.up + other.up, self.down + other.down)
 
     def derivative(self) -> "XiRational":
-        """Exact derivative; pole multiplicities increase by one."""
-        if self.is_zero():
-            return XiRational(POLY_ZERO)
-        bumped = {p: mult + 1 for p, mult in self.poles.items()}
-        # d/dx N/prod (x-p)^m = [N' prod(x-p) - N sum_j m_j prod_{k!=j}(x-p_k)] / prod (x-p)^(m+1)
-        prod_all = POLY_ONE
-        for p in self.poles:
-            prod_all = prod_all * Poly((-p, GR_ONE))
-        total = self.numer.derivative() * prod_all
-        for p, mult in self.poles.items():
-            partial = POLY_ONE
-            for q in self.poles:
-                if q != p:
-                    partial = partial * Poly((-q, GR_ONE))
-            total = total - self.numer.scale(rational(mult)) * partial
-        return XiRational(total, bumped)
+        """Exact derivative; the multiplicity of each present pole increases by one."""
+        # d/dx N/(a^u b^d) = [N' a b - N (u b + d a)] / (a^(u+1) b^(d+1)) with
+        # a = x - i and b = x + i, where an absent pole's factor is 1
+        up, down = self.up, self.down
+        a = _X_MINUS_I if up else POLY_ONE
+        b = _X_PLUS_I if down else POLY_ONE
+        total = (self.numer.derivative() * a * b
+                 - self.numer * (b.scale(rational(up)) + a.scale(rational(down))))
+        return XiRational(total, up + 1 if up else 0, down + 1 if down else 0)
 
     # -- evaluation -----------------------------------------------------------
 
     def eval_exact(self, x: GaussianRational) -> GaussianRational:
-        value = self.numer.eval(x)
-        for p, mult in self.poles.items():
-            d = x - p
-            if d.is_zero():
-                raise ZeroDivisionError(f"evaluation at pole {p}")
-            value = value / d ** mult
-        return value
-
-    # -- residues / partial fractions -------------------------------------------
+        """f(x); ZeroDivisionError at a pole."""
+        return self.numer.eval(x) / ((x - GR_I) ** self.up * (x + GR_I) ** self.down)
 
     def derivatives_at(self, x: GaussianRational, order: int) -> list:
         """[f(x), f'(x), ..., f^(order)(x)], by exact differentiation."""
@@ -240,44 +206,29 @@ class XiRational:
             out.append(f.eval_exact(x))
         return out
 
-    def _deflated_series(self, p: GaussianRational, order: int) -> list:
-        """Taylor coefficients (in t = x - p) of N(x) / prod_{q != p}(x - q)^(m_q)."""
-        rest = XiRational(self.numer, {q: mult for q, mult in self.poles.items() if q != p})
-        return [d / rational(math.factorial(k))
-                for k, d in enumerate(rest.derivatives_at(p, order))]
 
-    def residue(self, p: GaussianRational) -> GaussianRational:
-        mult = self.poles.get(p, 0)
-        if mult == 0:
-            return GR_ZERO
-        return self._deflated_series(p, mult - 1)[mult - 1]
-
-    def partial_fractions(self) -> dict:
-        """Map pole -> [A_1, ..., A_m] with f = sum A_k / (x - p)^k (+ polynomial)."""
-        out = {}
-        for p, mult in self.poles.items():
-            series = self._deflated_series(p, mult - 1)
-            out[p] = [series[mult - k] for k in range(1, mult + 1)]
-        return out
+def _series(f: XiRational, pole: GaussianRational) -> list:
+    """[c_0, ..., c_(m-1)]: the Taylor coefficients in t = x - pole of
+    (x - pole)^m f, for the pole i or -i of multiplicity m.  The principal
+    part of f there is sum_j c_j t^(j - m)."""
+    if pole == GR_I:
+        mult, rest = f.up, XiRational(f.numer, 0, f.down)
+    else:
+        mult, rest = f.down, XiRational(f.numer, f.up, 0)
+    if not mult:
+        return []
+    return [d / rational(math.factorial(k))
+            for k, d in enumerate(rest.derivatives_at(pole, mult - 1))]
 
 
 def pi_plus(f: XiRational) -> XiRational:
-    """Half-line projection: keep partial-fraction terms with poles above the axis."""
-    if f.is_zero():
-        return XiRational(POLY_ZERO)
+    """Half-line projection: the principal part of f at i, the pole above the axis."""
     if f.numer.degree >= f.denominator_degree:
         raise NonIntegrable("symbol does not vanish at infinity")
-    for p in f.poles:
-        if p.im == 0:
-            raise RealPole(f"real pole at {p}")
-    out = XiRational(POLY_ZERO)
-    for p, coeffs in f.partial_fractions().items():
-        if p.im < 0:
-            continue
-        for k, a in enumerate(coeffs, start=1):
-            if not a.is_zero():
-                out = out + XiRational(Poly((a,)), {p: k})
-    return out
+    numer = POLY_ZERO  # sum_j c_j (x - i)^j, by Horner's rule
+    for c in reversed(_series(f, GR_I)):
+        numer = numer * _X_MINUS_I + Poly((c,))
+    return XiRational(numer, f.up)
 
 
 def _check_order(m: int) -> None:
@@ -289,8 +240,7 @@ def _check_order(m: int) -> None:
 def dxn_symbol(m: int) -> XiRational:
     """d/dxi_n of (1 + xi_n^2)^(1-m) on |xi'| = 1: 2(1-m) xi_n (1+xi_n^2)^(-m)."""
     _check_order(m)
-    return XiRational(Poly((GR_ZERO, GaussianRational(2 * (1 - m)))),
-                      {GR_I: m, -GR_I: m})
+    return XiRational(Poly((GR_ZERO, GaussianRational(2 * (1 - m)))), m, m)
 
 
 def residue_derivative(m: int) -> GaussianRational:
@@ -299,23 +249,17 @@ def residue_derivative(m: int) -> GaussianRational:
     Closed form: (2m-2)! (-i) 2^(-2m) / (m-1)!.
     """
     _check_order(m)
-    return XiRational(POLY_X, {-GR_I: m}).derivatives_at(GR_I, m)[m]
+    return XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m]
 
 
 def line_integral(f: XiRational) -> GaussianRational:
-    """Exact real-line integral in units of pi: 2 i times the sum of upper residues."""
+    """Exact real-line integral in units of pi: 2 i times the residue at i."""
     if f.is_zero():
         return GR_ZERO
-    for p in f.poles:
-        if p.im == 0:
-            raise RealPole(f"real pole at {p}")
     if f.numer.degree > f.denominator_degree - 2:
         raise NonIntegrable("integrand does not decay quadratically")
-    total = GR_ZERO
-    for p in f.poles:
-        if p.im > 0:
-            total = total + f.residue(p)
-    return GaussianRational(0, 2) * total
+    series = _series(f, GR_I)
+    return GaussianRational(0, 2) * series[-1] if series else GR_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +273,9 @@ def half_inverse_symbol_components() -> tuple[XiRational, XiRational]:
     Returns (tangential weight of c(xi'), normal weight of c(dx_n)):
     1/(2(xi_n - i)) and i/(2(xi_n - i)).
     """
-    base = {GR_I: 1, -GR_I: 1}  # (1 + xi_n^2) = (xi_n - i)(xi_n + i)
-    tangential = pi_plus(XiRational(Poly((GR_I,)), dict(base)))
-    normal = pi_plus(XiRational(Poly((GR_ZERO, GR_I)), dict(base)))
+    # (1 + xi_n^2) = (xi_n - i)(xi_n + i)
+    tangential = pi_plus(XiRational(Poly((GR_I,)), 1, 1))
+    normal = pi_plus(XiRational(Poly((GR_ZERO, GR_I)), 1, 1))
     return tangential, normal
 
 

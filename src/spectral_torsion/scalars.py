@@ -224,6 +224,7 @@ class SymScalar:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
+                coeff = _as_gaussian(coeff)
                 if not coeff.is_zero():
                     clean[mono] = coeff
         self.terms = clean
@@ -232,15 +233,15 @@ class SymScalar:
 
     @classmethod
     def from_coeff(cls, c) -> "SymScalar":
-        return cls({(): _as_gaussian(c)})
+        return cls({(): c})
 
     @classmethod
     def from_atom(cls, a: Atom, coeff=1) -> "SymScalar":
-        return cls({(a,): _as_gaussian(coeff)})
+        return cls({(a,): coeff})
 
     @classmethod
     def from_monomial(cls, atoms: Iterable[Atom], coeff=1) -> "SymScalar":
-        return cls({tuple(sorted(atoms)): _as_gaussian(coeff)})
+        return cls({tuple(sorted(atoms)): coeff})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -377,5 +378,5 @@ def sym(x) -> SymScalar:
     if isinstance(x, SymScalar):
         return x
     if isinstance(x, (int, Rational, GaussianRational)):
-        return SymScalar.from_coeff(_as_gaussian(x))
+        return SymScalar.from_coeff(x)
     raise TypeError(f"cannot interpret {x!r} as a symbolic scalar")

@@ -273,8 +273,8 @@ def _run_e431(n, rng):
 
 def _run_e455(n, rng):
     tangential, normal = half_inverse_symbol_components()
-    ref_tan = XiRational(Poly((rational(1) / rational(2),)), {GR_I: 1})
-    ref_nor = XiRational(Poly((GR_I * (rational(1) / rational(2)),)), {GR_I: 1})
+    ref_tan = XiRational(Poly((rational(1) / rational(2),)), up=1)
+    ref_nor = XiRational(Poly((GR_I * (rational(1) / rational(2)),)), up=1)
     exact = (tangential == ref_tan and normal == ref_nor
              and pi_plus(tangential) == tangential)
     return (_probe(tangential) + _probe(normal),
@@ -283,7 +283,7 @@ def _run_e455(n, rng):
 
 def _run_e456(n, rng):
     m = n // 2
-    inverse_power = XiRational(POLY_ONE, {GR_I: m - 1, -GR_I: m - 1})
+    inverse_power = XiRational(POLY_ONE, m - 1, m - 1)
     computed = inverse_power.derivative()
     reference = dxn_symbol(m)
     return _probe(computed), _probe(reference), computed == reference
@@ -291,7 +291,7 @@ def _run_e456(n, rng):
 
 def _run_e460(n, rng):
     m = n // 2
-    computed = XiRational(POLY_ONE, {-GR_I: m - 1}).derivatives_at(GR_I, m)[m]
+    computed = XiRational(POLY_ONE, down=m - 1).derivatives_at(GR_I, m)[m]
     sign = 1 if m % 2 == 0 else -1
     factor = sign * (math.factorial(2 * m - 2) // math.factorial(m - 2))
     reference = GaussianRational(0, 2) ** (1 - 2 * m) * factor
@@ -300,7 +300,7 @@ def _run_e460(n, rng):
 
 def _run_e461(n, rng):
     m = n // 2
-    computed = XiRational(Poly((GR_I,)), {-GR_I: m}).derivatives_at(GR_I, m)[m]
+    computed = XiRational(Poly((GR_I,)), down=m).derivatives_at(GR_I, m)[m]
     sign = 1 if m % 2 == 0 else -1
     factor = sign * (math.factorial(2 * m - 1) // math.factorial(m - 1))
     reference = GaussianRational(0, 2) ** (-2 * m) * factor
@@ -422,6 +422,8 @@ def verify_suite(spec: ManifoldSpec, seed: int | None = None,
     """
     if not isinstance(spec, ManifoldSpec):
         raise TypeError(f"verify_suite needs a ManifoldSpec, got {type(spec).__name__}")
+    if seed is not None and type(seed) is not int:
+        raise TypeError(f"seed must be None or an int, got {seed!r}")
     n = spec.dim
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     rows = []

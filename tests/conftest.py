@@ -434,8 +434,7 @@ def eval_complex(f, x: complex) -> complex:
     value = 0j
     for c in reversed(f.numer.coeffs):
         value = value * x + complex(c)
-    for p, mult in f.poles.items():
-        value /= (x - complex(p)) ** mult
+    value /= (x - 1j) ** f.up * (x + 1j) ** f.down
     return value
 
 

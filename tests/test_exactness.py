@@ -16,7 +16,7 @@ import pytest
 
 from spectral_torsion import Multivector, XiRational, line_integral, moment, supertrace, trace
 from spectral_torsion.halfline import POLY_ONE, POLY_ZERO
-from spectral_torsion.scalars import GR_I, GaussianRational, Rational
+from spectral_torsion.scalars import GaussianRational, Rational
 
 from matrix_rep import MatrixRep
 
@@ -56,6 +56,6 @@ def test_exact_return_types():
     assert trace(a) == MatrixRep(4).trace(a) == 12
     assert isinstance(moment(4, (2, 0, 0, 0)), Rational)  # in units of vol(S^3)
     assert isinstance(moment(4, (1, 0, 0, 0)), Rational)
-    lorentzian = XiRational(POLY_ONE, {GR_I: 1, -GR_I: 1})
+    lorentzian = XiRational(POLY_ONE, 1, 1)
     assert type(line_integral(lorentzian)) is GaussianRational  # in units of pi
     assert type(line_integral(XiRational(POLY_ZERO))) is GaussianRational

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,16 @@ def test_vol_sphere_refuses_non_int_dimensions(k):
     made for vol_sphere(2.5) or vol_sphere(True)."""
     with pytest.raises(ValueError, match=rf"^sphere dimension must be an int >= 1, got {k!r}$"):
         vol_sphere(k)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1j, "1", None])
+def test_symscalar_refuses_non_exact_coefficients(coeff):
+    """A coefficient is coerced as a Gaussian rational: an int is accepted,
+    a float, complex, string or None is a TypeError, not an AttributeError."""
+    assert SymScalar({(PI,): 2, (): 0}) == SymScalar.from_atom(PI, 2)
+    with pytest.raises(TypeError, match=rf"^cannot interpret {re.escape(repr(coeff))} as a "
+                                        rf"Gaussian rational$"):
+        SymScalar({(): coeff})
 
 
 def test_eval_scaled_vol():

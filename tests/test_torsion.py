@@ -89,6 +89,18 @@ def test_case_fields_are_type_checked(call, message):
         call()
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_verify_suite_seed_is_none_or_an_int(seed):
+    """One seed rule, for verify_suite and for spectral_torsion's catalog:
+    None or an int, not a bool."""
+    message = rf"^seed must be None or an int, got {seed!r}$"
+    with pytest.raises(TypeError, match=message):
+        verify_suite(ManifoldSpec(4), seed=seed)
+    with pytest.raises(TypeError, match=message):
+        spectral_torsion(TorsionVector(_T4, _U4), _U4, _U4, _U4, ManifoldSpec(4),
+                         with_identities=True, seed=seed)
+
+
 def test_theorem_torsion_vector_n6():
     n = 6
     t = ThreeForm(n, {(1, 2, 3): 1})
