@@ -36,8 +36,11 @@ class OddDimension(ValueError):
 
 
 def _same_dim(a, b) -> None:
-    """The one same-dimension rule: `a` has a `dim`, and `b` has one or is one."""
-    dim = b if isinstance(b, int) else b.dim
+    """The one same-dimension rule: `a` has an int `dim`, `b` has one or is one."""
+    dim = b if isinstance(b, int) else getattr(b, "dim", None)
+    for x, d in ((a, getattr(a, "dim", None)), (b, dim)):
+        if type(d) is not int:
+            raise TypeError(f"expected a form or a multivector, got {type(x).__name__}")
     if a.dim != dim:
         raise DimensionMismatch(f"dim {a.dim} vs {dim}")
 

@@ -142,6 +142,8 @@ class XiRational:
     __slots__ = ("numer", "up", "down")
 
     def __init__(self, numer: Poly, up: int = 0, down: int = 0):
+        if not isinstance(numer, Poly):
+            raise TypeError(f"XiRational numerator must be a Poly, got {type(numer).__name__}")
         for mult in (up, down):
             if type(mult) is not int or mult < 0:
                 raise ValueError(f"pole multiplicity must be an int >= 0, got {mult!r}")

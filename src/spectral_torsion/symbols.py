@@ -168,13 +168,19 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     to the exact trace of the integrated symbol.  The symbol sees only B's
     grade-1 and grade-3 blades, the grades of c(u)c(v)c(w): the surviving
     xi_i^2 terms keep each blade's grade and the trace pairs only equal
-    blades, so every other grade adds 0.  The symbol is built from B alone
-    and integrated, and C = c(u)c(v)c(w) is traced against the integral, so
-    the product of C with the integral is never built.
+    blades, so every other grade adds 0.  With no nonzero numerator on them
+    (the grading at every n, c(X) grading from n = 6, sqrt(-1) c(T) grading
+    from n = 8) the density is 0, returned once the arguments are checked,
+    with no symbol and no C = c(u)c(v)c(w) built.  Otherwise the symbol of B
+    alone is integrated and C is traced against it; their product is never built.
     """
-    b = _from_int_parts(n, [(den, {mask: c for mask, c in acc.items()
-                                   if mask.bit_count() in (1, 3)})
-                            for den, acc in perturbation_multivector(case, n)._parts])
-    integrated = integrate_sphere(n, sigma_minus2m(b))
+    parts = [(den, {mask: c for mask, c in acc.items() if mask.bit_count() in (1, 3)})
+             for den, acc in perturbation_multivector(case, n)._parts]
+    _check_even_dim(n, 4)
+    for x in (u, v, w):
+        _same_dim(x, n)
+    if not any(re or im for _, acc in parts for re, im in acc.values()):
+        return SymScalar()
+    integrated = integrate_sphere(n, sigma_minus2m(_from_int_parts(n, parts)))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
                                    trace(frame_product(u, v, w, n), integrated))

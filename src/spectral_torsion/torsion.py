@@ -143,6 +143,10 @@ def spectral_torsion(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
                      with_identities: bool = False,
                      seed: int | None = None) -> TorsionReport:
     """Full pipeline evaluation plus closed-form comparison."""
+    if seed is not None and type(seed) is not int:
+        raise TypeError(f"seed must be None or an int, got {seed!r}")
+    if type(with_identities) is not bool:
+        raise TypeError(f"with_identities must be a bool, got {with_identities!r}")
     interior = interior_density(u, v, w, case, spec.dim)
     boundary = boundary_density(u, v, w, spec.dim) if spec.with_boundary \
         else SymScalar()

@@ -180,6 +180,15 @@ def test_xirational_refuses_non_int_multiplicities(mult):
             XiRational(POLY_ONE, up, down)
 
 
+@pytest.mark.parametrize("args", [([1],), ([1], 1), ((), 0, 2), (1, 1, 1)],
+                         ids=["list", "list-up", "tuple-down", "int"])
+def test_xirational_refuses_a_numerator_that_is_not_a_poly(args):
+    """The numerator is a Poly, with or without a pole to cancel against it."""
+    with pytest.raises(TypeError, match=rf"^XiRational numerator must be a Poly, "
+                                        rf"got {type(args[0]).__name__}$"):
+        XiRational(*args)
+
+
 # -- the normal-derivative symbol -------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from spectral_torsion import (
     rational,
     scalar_product,
     sigma_minus2m,
+    spectral_torsion,
     sym,
     theorem_value,
     to_clifford,
@@ -293,10 +294,13 @@ def test_graded_densities_n16_time_bound():
     """The grading, vector-grading and torsion-grading densities on dense
     n=16 inputs, each timed on its own.
 
-    B has no grade-1 or grade-3 blade in any of them at n=16, so the symbol
-    is built from a zero perturbation.  On the fractions backend (2-vCPU VM)
-    the first run took 9, 9 and 15 ms; the bound is 6x the slowest.  Built
-    from all of B, the last two took 0.42 and 3.5 s.
+    B has no grade-1 or grade-3 blade in any of them at n=16, so each
+    density is 0, returned with no symbol and no C = c(u)c(v)c(w) built:
+    what is left is building B.  On the fractions backend (2-vCPU VM) the
+    first run took 9, 9 and 15 ms when the symbol was still built from a
+    zero perturbation; the bound is 6x the slowest.  With nothing built,
+    the best of five runs takes 0.03, 0.1 and 1.2 ms.  Built from all of B,
+    the last two took 0.42 and 3.5 s.
     """
     n = 16
     rng = random.Random("density-n16")
@@ -540,8 +544,10 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
 def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
     """boundary_density and interior_density read their Clifford factors
     through their integer parts on dense n=8 inputs: neither the boundary's
-    c(u)c(v) and c(w)c(e_n), nor C = c(u)c(v)c(w), nor B, nor B's grade-1
-    and grade-3 part builds its coefficients."""
+    c(u)c(v) and c(w)c(e_n), nor B, nor B's grade-1 and grade-3 part, nor
+    C = c(u)c(v)c(w) builds its coefficients.  At n=8 only the torsion_vector
+    B has such a part; the vector-grading and torsion-grading B (grades 7
+    and 5) build no symbol and no C."""
     n = 8
     rng = random.Random("unbuilt-c-and-b")
     u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
@@ -549,41 +555,45 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
                       for abc in itertools.combinations(range(1, n + 1), 3)})
     seen = []
 
-    def capture(fn):
+    def capture(name, fn):
         def wrapped(*args):
-            seen.append(fn(*args))
-            return seen[-1]
+            seen.append((name, fn(*args)))
+            return seen[-1][1]
         return wrapped
 
     def capture_argument(fn):
         def wrapped(b):
-            seen.append(b)
+            seen.append(("sigma", b))
             return fn(b)
         return wrapped
 
-    monkeypatch.setattr(halfline, "mv_mul", capture(halfline.mv_mul))
-    monkeypatch.setattr(symbols, "frame_product", capture(symbols.frame_product))
+    monkeypatch.setattr(halfline, "mv_mul", capture("mv_mul", halfline.mv_mul))
+    monkeypatch.setattr(symbols, "frame_product", capture("C", symbols.frame_product))
     monkeypatch.setattr(symbols, "perturbation_multivector",
-                        capture(symbols.perturbation_multivector))
+                        capture("B", symbols.perturbation_multivector))
     monkeypatch.setattr(symbols, "sigma_minus2m", capture_argument(symbols.sigma_minus2m))
     boundary_density(u, v, w, n)
     # Grading() is left out: its B is the chirality blade, given by its coefficient
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
         interior_density(u, v, w, case, n)
-    # the boundary's two factors, then per case B, its grade-1/3 part (the
-    # symbol's argument) and C
-    assert len(seen) == 2 + 3 * 3
-    assert [mv._coeffs is None for mv in seen] == [True] * len(seen)
+    # the boundary's two factors; B, the symbol's argument and C for
+    # torsion_vector; B alone for each graded case
+    assert [name for name, _ in seen] == ["mv_mul"] * 2 + ["B", "sigma", "C", "B", "B"]
+    assert [mv._coeffs is None for _, mv in seen] == [True] * len(seen)
+
+
+# B has a grade-1 or grade-3 blade: always for torsion_vector, never for the
+# grading, for c(X) grading only at n=4 and for sqrt(-1) c(T) grading at n=4, 6
+_HAS_GRADE_1_OR_3 = {TorsionVector: lambda n: True, Grading: lambda n: False,
+                     VectorGrading: lambda n: n == 4, TorsionGrading: lambda n: n <= 6}
 
 
 def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
     """The only Clifford products of interior_density are C's own
-    construction in frame_product (two) and, for the graded cases, the one
-    in perturbation_multivector; C is traced against the integrated symbol."""
-    n = 8
-    rng = random.Random("no-product-with-c")
-    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
-    t = rand_threeform(rng, n)
+    construction in frame_product (two), made only when B has a grade-1 or
+    grade-3 blade, and, for the graded cases, the one in
+    perturbation_multivector; C is traced against the integrated symbol.
+    Checked at n = 4, 6 and 8, where each graded case loses its blades."""
     calls = []
 
     def counted(module):
@@ -595,21 +605,28 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
     assert not hasattr(moments, "mv_mul")  # the sphere integral has no product to form
     for module in (forms, symbols):
         monkeypatch.setattr(module, "mv_mul", counted(module.__name__.rsplit(".", 1)[1]))
-    expected = {TorsionVector(t, y): ["forms"] * 2, Grading(): ["forms"] * 2,
-                VectorGrading(x): ["symbols"] + ["forms"] * 2,
-                TorsionGrading(t): ["symbols"] + ["forms"] * 2}
-    for case, names in expected.items():
-        calls.clear()
-        interior_density(u, v, w, case, n)
-        assert calls == names, type(case).__name__
+    for n in (4, 6, 8):
+        rng = random.Random(f"no-product-with-c-{n}")
+        u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+        t = rand_threeform(rng, n)
+        for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+            calls.clear()
+            interior_density(u, v, w, case, n)
+            names = [] if isinstance(case, (TorsionVector, Grading)) else ["symbols"]
+            if _HAS_GRADE_1_OR_3[type(case)](n):
+                names += ["forms"] * 2
+            assert calls == names, (n, type(case).__name__)
 
 
 def test_interior_density_builds_one_symbol(monkeypatch):
-    """One interior_density constructs exactly one XiPolynomialMV: the
-    symbol of B, integrated as it is."""
+    """One interior_density constructs one XiPolynomialMV, the symbol of B
+    integrated as it is, when B has a grade-1 or grade-3 blade, and none
+    otherwise: at n=6 one for torsion_vector and torsion_grading, none for
+    the grading and vector_grading."""
     n = 6
     rng = random.Random("one-symbol")
-    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+    t = rand_threeform(rng, n)
     built = []
     init = moments.XiPolynomialMV.__init__
 
@@ -618,10 +635,70 @@ def test_interior_density_builds_one_symbol(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(moments.XiPolynomialMV, "__init__", counted)
-    for case in (TorsionVector(rand_threeform(rng, n), y), Grading()):
+    for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
         built.clear()
         interior_density(u, v, w, case, n)
-        assert len(built) == 1, type(case).__name__
+        assert len(built) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
+
+
+def _refuse(name):
+    def refused(*args):
+        raise AssertionError(f"{name} called for a B with no grade-1 or grade-3 blade")
+    return refused
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
+    """Where B has no grade-1 or grade-3 blade, the density is SymScalar()
+    and so is the trace of the integrated symbol built from all of B
+    (conftest.symbol_trace_reference), and interior_density builds no
+    symbol, no sphere integral, no C and no trace."""
+    rng = random.Random(f"empty-projection-{n}")
+    u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
+    t = rand_threeform(rng, n)
+    cases = [case for case in (Grading(), VectorGrading(x), TorsionGrading(t))
+             if not _HAS_GRADE_1_OR_3[type(case)](n)]
+    assert len(cases) == 1 + (n >= 6) + (n >= 8)
+    references = [symbol_trace_reference(u, v, w, perturbation_multivector(case, n), n)
+                  for case in cases]
+    for name in ("sigma_minus2m", "integrate_sphere", "frame_product", "trace"):
+        monkeypatch.setattr(symbols, name, _refuse(name))
+    for case, reference in zip(cases, references):
+        assert interior_density(u, v, w, case, n) == SymScalar() == \
+            SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), reference)
+
+
+def test_empty_projection_reads_a_long_b_as_stored(monkeypatch):
+    """The zero path reads B's stored integer parts: a torsion_grading B at
+    n=16 over pairwise-coprime 25-digit denominators has several parts and
+    no grade-1 or grade-3 blade, and its coefficients stay unbuilt."""
+    n = 16
+    u, v, w, long_case = _dense_torsion_vector(n, coprime_draw(random.Random("long-b"), 25))
+    seen = []
+
+    def capture(case, dim):
+        seen.append(perturbation_multivector(case, dim))
+        return seen[-1]
+
+    monkeypatch.setattr(symbols, "perturbation_multivector", capture)
+    assert interior_density(u, v, w, TorsionGrading(long_case.T), n) == SymScalar()
+    [b] = seen
+    assert "parts" in long_input(b)
+    assert b._coeffs is None
+
+
+def test_empty_projection_checks_the_arguments_first():
+    """The zero density is returned only after u, v and w are checked
+    against n and n against the symbol's lower bound 4."""
+    u6, u4, u2 = basis(6, 1), basis(4, 1), basis(2, 1)
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        interior_density(u6, u6, u6, Grading(), 4)
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        interior_density(u4, u4, u6, Grading(), 4)
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        spectral_torsion(Grading(), u6, u6, u6, ManifoldSpec(4))
+    with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
+        interior_density(u2, u2, u2, Grading(), 2)
 
 
 # -- proofs on basis inputs at n=4 -----------------------------------------------

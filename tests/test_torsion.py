@@ -13,6 +13,7 @@ from spectral_torsion import (
     FINAL_IDS,
     Grading,
     ManifoldSpec,
+    Multivector,
     OneForm,
     SymScalar,
     ThreeForm,
@@ -21,13 +22,17 @@ from spectral_torsion import (
     TR_F_PHI,
     UnsupportedDimension,
     VectorGrading,
+    boundary_density,
     interior_density,
+    metric_pair,
+    mv_mul,
     rational,
     spectral_torsion,
     theorem_value,
     verify_suite,
     vol_sphere,
 )
+from spectral_torsion import torsion
 from spectral_torsion.forms import eval_threeform
 from spectral_torsion.scalars import GaussianRational, Rational
 
@@ -89,16 +94,54 @@ def test_case_fields_are_type_checked(call, message):
         call()
 
 
+def _no_density(*args):
+    raise AssertionError("a density was computed before the arguments were checked")
+
+
 @pytest.mark.parametrize("seed", ["x", 1.5, True])
-def test_verify_suite_seed_is_none_or_an_int(seed):
-    """One seed rule, for verify_suite and for spectral_torsion's catalog:
-    None or an int, not a bool."""
+def test_verify_suite_seed_is_none_or_an_int(seed, monkeypatch):
+    """One seed rule, for verify_suite and for spectral_torsion: None or an
+    int, not a bool.  spectral_torsion checks it before any density, with
+    the catalog on or off."""
     message = rf"^seed must be None or an int, got {seed!r}$"
     with pytest.raises(TypeError, match=message):
         verify_suite(ManifoldSpec(4), seed=seed)
-    with pytest.raises(TypeError, match=message):
-        spectral_torsion(TorsionVector(_T4, _U4), _U4, _U4, _U4, ManifoldSpec(4),
-                         with_identities=True, seed=seed)
+    monkeypatch.setattr(torsion, "interior_density", _no_density)
+    for with_identities in (True, False):
+        with pytest.raises(TypeError, match=message):
+            spectral_torsion(TorsionVector(_T4, _U4), _U4, _U4, _U4, ManifoldSpec(4),
+                             with_identities=with_identities, seed=seed)
+
+
+@pytest.mark.parametrize("flag", [1, 0, None, "yes"])
+def test_spectral_torsion_with_identities_is_a_bool(flag, monkeypatch):
+    """with_identities is True or False, checked before any density."""
+    monkeypatch.setattr(torsion, "interior_density", _no_density)
+    with pytest.raises(TypeError, match=rf"^with_identities must be a bool, got {flag!r}$"):
+        spectral_torsion(Grading(), _U4, _U4, _U4, ManifoldSpec(4), with_identities=flag)
+
+
+_LIST4 = [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interior_density(_LIST4, _U4, _U4, TorsionVector(_T4, _U4), 4),
+    lambda: interior_density(_U4, _U4, _LIST4, Grading(), 4),
+    lambda: boundary_density(_U4, _LIST4, _U4, 4),
+    lambda: metric_pair(_U4, _LIST4),
+    lambda: metric_pair(_LIST4, _U4),
+    lambda: eval_threeform(_T4, _U4, _U4, _LIST4),
+    lambda: eval_threeform(_LIST4, _U4, _U4, _U4),
+    lambda: mv_mul(Multivector.generator(4, 1), _LIST4),
+    lambda: mv_mul(_LIST4, Multivector.generator(4, 1)),
+], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
+        "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left"])
+def test_a_list_argument_is_a_type_error(call):
+    """A list where a form or a multivector belongs has no int dim: the one
+    same-dimension rule refuses it with a TypeError naming its type, not an
+    AttributeError, on the zero interior density too."""
+    with pytest.raises(TypeError, match=r"^expected a form or a multivector, got list$"):
+        call()
 
 
 def test_theorem_torsion_vector_n6():
