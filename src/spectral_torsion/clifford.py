@@ -18,6 +18,7 @@ from .scalars import (
     GaussianRational,
     Rational,
     _ZERO,
+    _Value,
     _as_gaussian,
     _gr,
     i_power,
@@ -109,7 +110,7 @@ def blade_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Multivector:
+class Multivector(_Value):
     """Element of Cl(n): finite map from blade masks to GaussianRational coefficients.
 
     Stored as integer parts [(D, {mask: (re, im)}), ...]: the coefficient on
@@ -135,9 +136,6 @@ class Multivector:
         object.__setattr__(self, "_coeffs", clean)
         object.__setattr__(self, "_parts",
                            _rational_runs((mask, c.re, c.im) for mask, c in clean.items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
 
     @property
     def coeffs(self) -> dict[int, GaussianRational]:
@@ -263,16 +261,6 @@ def _rational_runs(items) -> list[tuple[int, dict]]:
                          im.numerator * (den // im.denominator))
                    for key, re, im in run})
             for den, run in runs]
-
-
-def _from_rationals(dim: int, items) -> Multivector:
-    """The Multivector with coefficient re + i*im on the blade of each
-    (mask, re, im) item, kept as the integer parts of _rational_runs.
-
-    Masks must be distinct and fit `dim`; no coefficient is built.
-    """
-    _check_dim(dim)
-    return _from_int_parts(dim, _rational_runs(items))
 
 
 def _part(numerator: int, den: int):

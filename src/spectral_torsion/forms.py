@@ -9,12 +9,12 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable
 
-from .clifford import Multivector, _check_dim, _check_index, _from_rationals, _part, \
+from .clifford import Multivector, _check_dim, _check_index, _from_int_parts, _part, \
     _rational_runs, _same_dim, blade_mask, mv_mul
-from .scalars import Rational, rational
+from .scalars import Rational, _Value, rational
 
 
-class OneForm:
+class OneForm(_Value):
     """u = sum_i u_i e_i* with exact rational components."""
 
     __slots__ = ("dim", "components")
@@ -25,9 +25,6 @@ class OneForm:
             raise ValueError("one-form needs at least one component")
         object.__setattr__(self, "dim", len(comps))
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "OneForm":
@@ -41,18 +38,14 @@ class OneForm:
         _check_dim(dim, bounded=False)
         return cls((0,) * dim)
 
-    def __eq__(self, other):
-        return (isinstance(other, OneForm) and self.dim == other.dim
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash(self.components)
+    def _key(self):
+        return self.components  # its length is the dimension
 
     def __repr__(self):
         return f"OneForm({[str(c) for c in self.components]})"
 
 
-class ThreeForm:
+class ThreeForm(_Value):
     """Antisymmetric 3-form stored on strictly increasing index triples."""
 
     __slots__ = ("dim", "components")
@@ -62,23 +55,18 @@ class ThreeForm:
         clean = {}
         if components:
             for key, value in components.items():
-                if len(key) != 3 or not 1 <= key[0] < key[1] < key[2] <= dim:
+                if not (type(key) is tuple and len(key) == 3
+                        and type(key[0]) is type(key[1]) is type(key[2]) is int
+                        and 1 <= key[0] < key[1] < key[2] <= dim):
                     raise ValueError(f"triple {key} not strictly increasing in 1..{dim}")
                 v = rational(value)
                 if v != 0:
-                    clean[tuple(key)] = v
+                    clean[key] = v
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ThreeForm is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ThreeForm) and self.dim == other.dim
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.components.items())))
+    def _key(self):
+        return self.dim, frozenset(self.components.items())
 
     def __repr__(self):
         items = {k: str(v) for k, v in sorted(self.components.items())}
@@ -169,7 +157,8 @@ def to_clifford(x) -> Multivector:
     """Embed a one-form or 3-form as its Clifford multiplication element,
     built as integer parts."""
     items = [(mask, c, 0) for mask, c in _clifford_items(x)]
-    return _from_rationals(x.dim, items)
+    _check_dim(x.dim)
+    return _from_int_parts(x.dim, _rational_runs(items))
 
 
 def frame_product(u: OneForm, v: OneForm, w: OneForm, n: int) -> Multivector:

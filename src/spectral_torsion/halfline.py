@@ -23,6 +23,7 @@ from .scalars import (
     GaussianRational,
     PI,
     SymScalar,
+    _Value,
     rational,
     vol_sphere,
 )
@@ -32,7 +33,7 @@ class NonIntegrable(ValueError):
     pass
 
 
-class Poly:
+class Poly(_Value):
     """Dense univariate polynomial over Gaussian rationals (low degree first)."""
 
     __slots__ = ("coeffs",)
@@ -43,9 +44,6 @@ class Poly:
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self) -> int:
@@ -104,11 +102,8 @@ class Poly:
         remainder = out[0]
         return Poly(out[1:]), remainder
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self):
+        return self.coeffs
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -131,7 +126,7 @@ def _cancel(numer: Poly, pole: GaussianRational, mult: int) -> tuple[Poly, int]:
     return numer, mult
 
 
-class XiRational:
+class XiRational(_Value):
     """N(x) / ((x - i)^up (x + i)^down): a symbol in xi_n whose only poles
     are the roots +-i of 1 + xi_n^2.
 
@@ -153,9 +148,6 @@ class XiRational:
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XiRational is immutable")
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -165,14 +157,8 @@ class XiRational:
     def denominator_degree(self) -> int:
         return self.up + self.down
 
-    def __eq__(self, other):
-        if not isinstance(other, XiRational):
-            return NotImplemented
-        # both sides are in the canonical form the constructor guarantees
-        return (self.numer, self.up, self.down) == (other.numer, other.up, other.down)
-
-    def __hash__(self):
-        return hash((self.numer, self.up, self.down))
+    def _key(self):  # canonical: the constructor cancels roots at +-i
+        return self.numer, self.up, self.down
 
     def __repr__(self):
         return f"XiRational({self.numer!r}, up={self.up}, down={self.down})"

@@ -17,7 +17,7 @@ import functools
 import math
 
 from .clifford import DimensionMismatch, Multivector, _check_dim, _check_index, _from_int_parts
-from .scalars import Rational, rational, vol_sphere
+from .scalars import Rational, _Value, rational, vol_sphere
 
 
 # an exponent vector over the cosphere variables, one entry per variable
@@ -56,7 +56,7 @@ def vol_numeric(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-class XiPolynomialMV:
+class XiPolynomialMV(_Value):
     """Polynomial in the cosphere variables with multivector coefficients:
     sum_alpha xi^alpha terms[alpha]."""
 
@@ -79,16 +79,13 @@ class XiPolynomialMV:
         object.__setattr__(self, "mv_dim", mv_dim)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XiPolynomialMV is immutable")
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        return (isinstance(other, XiPolynomialMV)
-                and self.nvars == other.nvars and self.mv_dim == other.mv_dim
-                and self.terms == other.terms)
+    def _key(self):
+        return self.nvars, self.mv_dim, self.terms
+
+    __hash__ = None  # its terms are a dict
 
     def __repr__(self):
         return f"XiPolynomialMV(nvars={self.nvars}, terms={len(self.terms)})"

@@ -23,6 +23,31 @@ class MissingAtom(KeyError):
     """An atom occurring in a symbolic scalar has no numeric assignment."""
 
 
+class _Value:
+    """The value-type protocol: immutable, compared and hashed by `_key()`.
+
+    Constructors write their slots with object.__setattr__; afterwards
+    assigning or deleting an attribute raises AttributeError.  Values of
+    different types never compare equal.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 # the only accepted string form of a rational: "p" or "p/q", optionally signed
 _SIGNED_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?", _re.ASCII)
 

@@ -20,7 +20,7 @@ from .clifford import (
     Multivector,
     _check_even_dim,
     _from_int_parts,
-    _from_rationals,
+    _rational_runs,
     _same_dim,
     _sign_mask,
     grading,
@@ -96,8 +96,9 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
     _check_even_dim(n)
     _check_case(case, n)
     if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of parts
-        return _from_rationals(n, [(mask, c, 0) for mask, c in _clifford_items(case.T)]
-                               + [(mask, 0, c) for mask, c in _clifford_items(case.Y)])
+        return _from_int_parts(n, _rational_runs(
+            [(mask, c, 0) for mask, c in _clifford_items(case.T)]
+            + [(mask, 0, c) for mask, c in _clifford_items(case.Y)]))
     if isinstance(case, Grading):
         return grading(n)
     if isinstance(case, VectorGrading):

@@ -58,6 +58,12 @@ class ManifoldSpec:
             raise TypeError(f"with_boundary must be a bool, got {self.with_boundary!r}")
 
 
+def _check_spec(spec: ManifoldSpec, caller: str) -> None:
+    """The one spec rule: `caller` takes a ManifoldSpec, not a bare dimension."""
+    if not isinstance(spec, ManifoldSpec):
+        raise TypeError(f"{caller} needs a ManifoldSpec, got {type(spec).__name__}")
+
+
 @dataclass(frozen=True)
 class TorsionReport:
     interior_density: SymScalar
@@ -116,6 +122,7 @@ def _frame_pairing(u: OneForm, v: OneForm, w: OneForm, y: OneForm) -> Rational:
 def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
                   spec: ManifoldSpec) -> SymScalar:
     """The catalogued closed form for the torsion density, verbatim."""
+    _check_spec(spec, "theorem_value")
     n = spec.dim
     m = n // 2
     _check_case(case, n)
@@ -143,6 +150,7 @@ def spectral_torsion(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
                      with_identities: bool = False,
                      seed: int | None = None) -> TorsionReport:
     """Full pipeline evaluation plus closed-form comparison."""
+    _check_spec(spec, "spectral_torsion")
     if seed is not None and type(seed) is not int:
         raise TypeError(f"seed must be None or an int, got {seed!r}")
     if type(with_identities) is not bool:

@@ -49,6 +49,7 @@ from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, \
     interior_density, sigma_minus2m
 from .torsion import (
     ManifoldSpec,
+    _check_spec,
     _frame_pairing,
     normal_trace_combination,
     theorem_boundary_value,
@@ -420,8 +421,7 @@ def verify_suite(spec: ManifoldSpec, seed: int | None = None,
     mismatch decides.  That ends the row's trials, as does a trial that leaves
     the rng state unchanged: it drew no input, so every later one repeats it.
     """
-    if not isinstance(spec, ManifoldSpec):
-        raise TypeError(f"verify_suite needs a ManifoldSpec, got {type(spec).__name__}")
+    _check_spec(spec, "verify_suite")
     if seed is not None and type(seed) is not int:
         raise TypeError(f"seed must be None or an int, got {seed!r}")
     n = spec.dim

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -168,6 +169,17 @@ def test_threeform_validation():
         message = rf"^triple \({str(key)[1:-1]}\) not strictly increasing in 1\.\.4$"
         with pytest.raises(ValueError, match=message):
             ThreeForm(4, {key: 1})
+
+
+@pytest.mark.parametrize("key", [(1.0, 2, 3), (True, 2, 3), 5, "123"],
+                         ids=["float", "bool", "int", "str"])
+def test_threeform_keys_are_tuples_of_three_ints(key):
+    """A float or bool index, or a key that is no tuple, is the constructor's
+    own ValueError, not a key that to_clifford cannot read or a bool read
+    as 1."""
+    message = rf"^triple {re.escape(str(key))} not strictly increasing in 1\.\.4$"
+    with pytest.raises(ValueError, match=message):
+        ThreeForm(4, {key: 1})
 
 
 def test_dimension_errors_share_one_message():

@@ -19,7 +19,10 @@ from spectral_torsion import (
     sym,
     vol_sphere,
 )
-from spectral_torsion.moments import vol_numeric
+from spectral_torsion.clifford import Multivector
+from spectral_torsion.forms import OneForm, ThreeForm
+from spectral_torsion.halfline import Poly, XiRational
+from spectral_torsion.moments import XiPolynomialMV, vol_numeric
 
 
 def test_gaussian_norm_product():
@@ -198,6 +201,48 @@ def test_equal_scalars_hash_alike():
     distinct = {GaussianRational(3), GaussianRational(0, 3), GaussianRational(3, 3),
                 sym(3), SymScalar.from_atom(PI, 3)}
     assert len(distinct) == 4  # GaussianRational(3) and sym(3) are one member
+
+
+# (a builder of one value, the attribute to probe, what the value has always
+# hashed as: the protocol must not move any set or dict key)
+_VALUE_TYPES = {
+    "Multivector": (lambda: Multivector(4, {1: 1, 6: GaussianRational(0, 2)}), "dim",
+                    (4, frozenset({1: GaussianRational(1), 6: GaussianRational(0, 2)}.items()))),
+    "OneForm": (lambda: OneForm([1, "2/3"]), "dim", (rational(1), rational("2/3"))),
+    "ThreeForm": (lambda: ThreeForm(4, {(1, 2, 3): 1, (2, 3, 4): -2}), "dim",
+                  (4, frozenset({(1, 2, 3): rational(1), (2, 3, 4): rational(-2)}.items()))),
+    "XiPolynomialMV": (lambda: XiPolynomialMV(2, 4, {(1, 1): Multivector.generator(4, 2)}),
+                       "terms", None),
+    "Poly": (lambda: Poly((1, 0, GaussianRational(0, 3))), "coeffs",
+             (GaussianRational(1), GaussianRational(0), GaussianRational(0, 3))),
+    "XiRational": (lambda: XiRational(Poly((2, 1)), 1, 2), "up", (Poly((2, 1)), 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_TYPES))
+def test_value_types_are_immutable_and_compared_by_value(name):
+    """The one value-type protocol: assigning or deleting an attribute is an
+    AttributeError, equal values are equal and hash alike, a value never
+    equals another type's, and XiPolynomialMV is unhashable."""
+    build, attribute, hashed_as = _VALUE_TYPES[name]
+    a, b = build(), build()
+    message = rf"^{name} is immutable$"
+    for target in (attribute, "other"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(a, target, 1)
+        with pytest.raises(AttributeError, match=message):
+            delattr(a, target)
+    assert a is not b and a == b and not a != b
+    for other in (None, 1, OneForm([1]), Poly((1,))):
+        assert a != other and not a == other
+    if name != "Multivector":  # its own __eq__ reads the coefficients, not a key
+        assert a != a._key()
+    if hashed_as is None:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(hashed_as)
+        assert len({a, b}) == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -75,6 +75,15 @@ def test_verify_suite_needs_a_manifold_spec():
 _U4, _T4 = OneForm.basis(4, 1), ThreeForm(4, {(1, 2, 3): 1})
 
 
+@pytest.mark.parametrize("call", [spectral_torsion, theorem_value])
+def test_spectral_torsion_and_theorem_value_need_a_manifold_spec(call, monkeypatch):
+    """A bare dimension is verify_suite's TypeError, raised before any
+    density, not an AttributeError on its missing dim."""
+    monkeypatch.setattr(torsion, "interior_density", _no_density)
+    with pytest.raises(TypeError, match=rf"^{call.__name__} needs a ManifoldSpec, got int$"):
+        call(Grading(), _U4, _U4, _U4, 4)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: interior_density(_U4, _U4, _U4, VectorGrading(_T4), 4),
      "VectorGrading.X must be a OneForm, got ThreeForm"),
