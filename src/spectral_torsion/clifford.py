@@ -10,7 +10,9 @@ rational; the supertrace composes with the grading operator.
 
 from __future__ import annotations
 
+import functools
 from math import lcm
+from types import MappingProxyType
 
 from .scalars import (
     GR_ONE,
@@ -38,12 +40,13 @@ class OddDimension(ValueError):
 
 def _same_dim(a, b) -> None:
     """The one same-dimension rule: `a` has an int `dim`, `b` has one or is one."""
+    a_dim = getattr(a, "dim", None)
     dim = b if isinstance(b, int) else getattr(b, "dim", None)
-    for x, d in ((a, getattr(a, "dim", None)), (b, dim)):
-        if type(d) is not int:
-            raise TypeError(f"expected a form or a multivector, got {type(x).__name__}")
-    if a.dim != dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {dim}")
+    if type(a_dim) is not int or type(dim) is not int:
+        x = b if type(a_dim) is int else a
+        raise TypeError(f"expected a form or a multivector, got {type(x).__name__}")
+    if a_dim != dim:
+        raise DimensionMismatch(f"dim {a_dim} vs {dim}")
 
 
 def _check_dim(dim: int, bounded: bool = True) -> None:
@@ -138,8 +141,10 @@ class Multivector(_Value):
                            _rational_runs((mask, c.re, c.im) for mask, c in clean.items()))
 
     @property
-    def coeffs(self) -> dict[int, GaussianRational]:
-        """The nonzero coefficients by blade mask, each part reduced.
+    def coeffs(self) -> MappingProxyType[int, GaussianRational]:
+        """The nonzero coefficients by blade mask, each part reduced, as a
+        read-only view: a Multivector may be shared, as the per-dimension
+        constants are.
 
         Built from the integer parts on first read and cached; two threads
         that both build it build equal dicts, so either may stay.
@@ -155,7 +160,7 @@ class Multivector(_Value):
                         sums[mask] = c if cur is None else cur + c
             coeffs = {mask: c for mask, c in sums.items() if not c.is_zero()}
             object.__setattr__(self, "_coeffs", coeffs)
-        return coeffs
+        return MappingProxyType(coeffs)
 
     # -- constructors --------------------------------------------------
 
@@ -331,21 +336,35 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
 def grading(n: int) -> Multivector:
     """Chirality element (sqrt(-1))^m c(e_1)...c(e_2m); squares to +1."""
     _check_even_dim(n)
-    m = n // 2
-    return Multivector(n, {(1 << n) - 1: i_power(m)})
+    return _grading(n)
 
 
-def trace(a: Multivector, b: Multivector | None = None) -> GaussianRational:
-    """Spinor-representation trace of a, or of the product a b: 2^m times
-    the scalar part (n = 2m).
+@functools.cache
+def _grading(n: int, turns: int = 0) -> Multivector:
+    """i^turns grading(n), built once per (n, turns); callers check n first."""
+    return Multivector(n, {(1 << n) - 1: i_power(n // 2 + turns)})
+
+
+def trace(a: Multivector, b: Multivector | None = None,
+          c: Multivector | None = None) -> GaussianRational:
+    """Spinor-representation trace of a, a b or a b c: 2^m times the scalar
+    part (n = 2m).
 
     Every blade of positive grade is traceless in the irreducible
     representation; the tests cross-check this on literal matrices.  With
-    two factors the value is 2^m scalar_product(a, b), and a b is never built.
+    two factors the value is 2^m scalar_product(a, b), with three 2^m
+    _triple_scalar(a, b, c); no product of the factors is built.
     """
+    _same_dim(a, a)  # an int dim, whose parity is checked before the other factors
     _check_even_dim(a.dim)
-    scalar = a.scalar_part() if b is None else scalar_product(a, b)
-    return scalar * 2 ** (a.dim // 2)
+    for x in (b, c) if c is not None else (b,) if b is not None else ():
+        _same_dim(x, a)
+    if c is not None:
+        scalar = _triple_scalar(a, b, c)
+    else:
+        scalar = a.scalar_part() if b is None else scalar_product(a, b)
+    scale = 2 ** (a.dim // 2)  # an int: no Gaussian coercion of the factor
+    return _gr(scalar.re * scale, scalar.im * scale)
 
 
 def supertrace(a: Multivector) -> GaussianRational:
@@ -378,6 +397,34 @@ def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
             if re_sum or im_sum:
                 den = den_a * den_b
                 total = total + _gr(_part(re_sum, den), _part(im_sum, den))
+    return total
+
+
+def _triple_scalar(a: Multivector, b: Multivector, c: Multivector) -> GaussianRational:
+    """<a b c>_0 = sum over blades A of a and B of b of sign(A, B) s(A^B) a_A
+    b_B c_(A^B), each A^B looked up in c's integer parts; one Rational per
+    triple of parts, and a b is never built."""
+    total = GR_ZERO
+    for den_a, a_acc in a._parts:
+        a_items = [(ma, ar, ai, _sign_mask(ma)) for ma, (ar, ai) in a_acc.items()]
+        for den_b, b_acc in b._parts:
+            for den_c, c_acc in c._parts:
+                re_sum = im_sum = 0
+                for ma, ar, ai, flip in a_items:
+                    for mb, (br, bi) in b_acc.items():
+                        shared = c_acc.get(ma ^ mb)
+                        if shared is not None:
+                            cr, ci = shared
+                            re, im = ar * br - ai * bi, ar * bi + ai * br
+                            re, im = re * cr - im * ci, re * ci + im * cr
+                            # sign(A, B) from F(A); s(D) = -1 on grades 1, 2 mod 4
+                            if ((mb & flip).bit_count() + ((ma ^ mb).bit_count() + 1 >> 1)) & 1:
+                                re, im = -re, -im
+                            re_sum += re
+                            im_sum += im
+                if re_sum or im_sum:
+                    den = den_a * den_b * den_c
+                    total = total + _gr(_part(re_sum, den), _part(im_sum, den))
     return total
 
 

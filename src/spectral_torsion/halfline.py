@@ -209,8 +209,15 @@ def _series(f: XiRational, pole: GaussianRational) -> list:
             for k, d in enumerate(rest.derivatives_at(pole, mult - 1))]
 
 
+def _check_xi(f) -> None:
+    """The one argument rule of the half-line functions: an XiRational."""
+    if not isinstance(f, XiRational):
+        raise TypeError(f"expected an XiRational, got {type(f).__name__}")
+
+
 def pi_plus(f: XiRational) -> XiRational:
     """Half-line projection: the principal part of f at i, the pole above the axis."""
+    _check_xi(f)
     if f.numer.degree >= f.denominator_degree:
         raise NonIntegrable("symbol does not vanish at infinity")
     numer = POLY_ZERO  # sum_j c_j (x - i)^j, by Horner's rule
@@ -242,6 +249,7 @@ def residue_derivative(m: int) -> GaussianRational:
 
 def line_integral(f: XiRational) -> GaussianRational:
     """Exact real-line integral in units of pi: 2 i times the residue at i."""
+    _check_xi(f)
     if f.is_zero():
         return GR_ZERO
     if f.numer.degree > f.denominator_degree - 2:
@@ -274,6 +282,12 @@ def _normal_integral(m: int) -> GaussianRational:
     return line_integral(half_inverse_symbol_components()[1] * dxn_symbol(m))
 
 
+@functools.cache
+def _normal_generator(n: int) -> Multivector:
+    """c(e_n), built once per dimension; boundary_density checks n first."""
+    return Multivector.generator(n, n)
+
+
 def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     """The boundary addend of the torsion functional.
 
@@ -281,9 +295,9 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     S^(n-2) moment of xi_i and its xi_n integral.  For i < n that moment is
     xi'-odd, hence zero, so only the normal entry survives: 2^m
     <c(u)c(v)c(w)c(e_n)>_0 times _normal_integral(m).  That trace is read as
-    trace(c(u)c(v), c(w)c(e_n)): two small Clifford products and one scalar
-    product, with c(u)c(v)c(w) never built.  It carries dim_F (the
-    perturbation never enters the boundary symbols); the atoms
+    trace(c(u), c(v), c(w)c(e_n)): one product of n blade pairs and n^2
+    lookups, with neither c(u)c(v) nor c(u)c(v)c(w) built.  It carries dim_F
+    (the perturbation never enters the boundary symbols); the atoms
     pi * dim_F * vol(S^(n-2)) are attached once.  The value is exactly a
     Gaussian-rational multiple of
     pi * (u_n g(v,w) - v_n g(u,w) + w_n g(u,v)) * 2^m * dim_F * vol(S^(n-2)).
@@ -291,7 +305,7 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     _check_even_dim(n, 4)
     for x in (u, v, w):
         _same_dim(x, n)
-    factor = trace(mv_mul(to_clifford(u), to_clifford(v)),
-                   mv_mul(to_clifford(w), Multivector.generator(n, n)))
+    factor = trace(to_clifford(u), to_clifford(v),
+                   mv_mul(to_clifford(w), _normal_generator(n)))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
                                    factor * _normal_integral(n // 2))

@@ -28,10 +28,20 @@ class _Value:
 
     Constructors write their slots with object.__setattr__; afterwards
     assigning or deleting an attribute raises AttributeError.  Values of
-    different types never compare equal.
+    different types never compare equal.  A copy is the value itself, since
+    neither it nor its parts are ever mutated; a pickle rebuilds it from its
+    slots.
     """
 
     __slots__ = ()
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -46,6 +56,14 @@ class _Value:
 
     def __hash__(self):
         return hash(self._key())
+
+
+def _rebuild(cls, slots: tuple):
+    """The _Value of type cls with these slot values, written past the guard."""
+    value = cls.__new__(cls)
+    for name, slot in zip(cls.__slots__, slots):
+        object.__setattr__(value, name, slot)
+    return value
 
 
 # the only accepted string form of a rational: "p" or "p/q", optionally signed

@@ -20,16 +20,16 @@ from .clifford import (
     Multivector,
     _check_even_dim,
     _from_int_parts,
+    _grading,
     _rational_runs,
     _same_dim,
     _sign_mask,
-    grading,
     mv_mul,
     trace,
 )
 from .forms import OneForm, ThreeForm, _clifford_items, frame_product, to_clifford
 from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
-from .scalars import GR_I, SymScalar, TR_F_PHI, vol_sphere
+from .scalars import SymScalar, TR_F_PHI, vol_sphere
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,11 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
             [(mask, c, 0) for mask, c in _clifford_items(case.T)]
             + [(mask, 0, c) for mask, c in _clifford_items(case.Y)]))
     if isinstance(case, Grading):
-        return grading(n)
+        return _grading(n)
     if isinstance(case, VectorGrading):
-        return mv_mul(to_clifford(case.X), grading(n))
-    # TorsionGrading: c(T) (i gamma), i rides on the one-blade factor
-    return mv_mul(to_clifford(case.T), grading(n).scale(GR_I))
+        return mv_mul(to_clifford(case.X), _grading(n))
+    # TorsionGrading: c(T) (i gamma), with i gamma = i^(m+1) on the top blade
+    return mv_mul(to_clifford(case.T), _grading(n, 1))
 
 
 def sigma_minus2m(b: Multivector) -> XiPolynomialMV:

@@ -12,12 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from spectral_torsion import (
     DimensionMismatch,
+    Grading,
     Multivector,
     OddDimension,
     OneForm,
+    TorsionGrading,
+    VectorGrading,
+    boundary_density,
     conjugate_sum,
     eval_threeform,
     grading,
+    interior_density,
     metric_pair,
     mv_mul,
     rational,
@@ -27,9 +32,10 @@ from spectral_torsion import (
     to_clifford,
     trace,
 )
+from spectral_torsion import clifford, halfline, symbols
 from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_runs, \
     blade_product
-from spectral_torsion.scalars import GaussianRational, Rational, i_power
+from spectral_torsion.scalars import GR_I, GaussianRational, Rational, i_power
 
 from conftest import add_reference, coprime_draw, long_input, mv_mul_reference, \
     rand_multivector, rand_oneform, rand_threeform, scalar_product_reference, scale_reference
@@ -657,6 +663,106 @@ def test_kernel_reads_stored_parts_like_the_coefficient_oracles(data):
     assert got == (mv_mul_reference(a, b), scale_reference(a, s),
                    _conjugate_sum_by_products(Multivector(n, a.coeffs)), add_reference(a, b),
                    scale_reference(b, -1), scalar_product_reference(a, b))
+
+
+# pairwise-coprime denominators of 540 to 660 bits: any four of them take a
+# run's common denominator past _RUN_DEN_BITS, so an operand splits into parts
+_COPRIME_DENS = tuple(p ** (700 // p.bit_length()) for p in (3, 5, 7, 11, 13, 17))
+# denominators that share the factors 2 and 3, long and short
+_SHARED_DENS = (6, 2 ** 9 * 3 ** 4, 2 ** 700 * 3, 6 ** 300, 12 ** 250)
+
+
+def _three_factor_operand(n, kind):
+    """A multivector strategy: stored parts as _stored_parts draws them, or
+    complex coefficients over the coprime or the shared denominators."""
+    if kind == "stored":
+        return _stored_parts(n).map(lambda parts: _from_int_parts(n, parts))
+    dens = _COPRIME_DENS if kind == "coprime" else _SHARED_DENS
+    part = st.builds(Rational, st.integers(-10 ** 9, 10 ** 9), st.sampled_from(dens))
+    coeffs = st.dictionaries(st.integers(0, (1 << n) - 1),
+                             st.builds(GaussianRational, part, part), max_size=8)
+    return coeffs.map(lambda c: Multivector(n, c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_three_factor_trace_equals_the_trace_of_the_product(data):
+    """trace(a, b, c) reads a b c's scalar part without building a b: it
+    equals trace(mv_mul(a, b), c) exactly, on one-part and several-part
+    operands, long and short."""
+    n = data.draw(st.sampled_from([2, 4, 6, 8]), "n")
+    a, b, c = (data.draw(_three_factor_operand(n, data.draw(
+        st.sampled_from(["stored", "coprime", "shared"]), f"{name} kind")), name)
+        for name in "abc")
+    assert trace(a, b, c) == trace(mv_mul(a, b), c)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_three_factor_trace_on_several_parts(n):
+    """Operands of 16 blades over pairwise-coprime 25-digit denominators hold
+    several integer parts each; the trace pairs every triple of them."""
+    rng = random.Random(f"three-factor-{n}")
+    draw = coprime_draw(rng, digits=25)
+    a, b, c = (Multivector(n, {mask: GaussianRational(draw(), draw())
+                               for mask in rng.sample(range(1 << n), 16)})
+               for _ in range(3))
+    assert all("parts" in long_input(x) for x in (a, b, c))
+    assert trace(a, b, c) == trace(mv_mul(a, b), c) == trace(a, mv_mul(b, c))
+
+
+def test_three_factor_trace_checks_every_factor():
+    a = gen(4, 1)
+    with pytest.raises(DimensionMismatch):
+        trace(a, a, gen(6, 1))
+    with pytest.raises(OddDimension):
+        trace(gen(3, 1), a, a)
+    for b, c in ((None, a), (a, 4), (4, a), (a, "x")):
+        with pytest.raises(TypeError, match=r"^expected a form or a multivector, got "):
+            trace(a, b, c)
+
+
+def _fresh_constants(n):
+    """gamma, i gamma and c(e_n), built anew."""
+    gamma = Multivector(n, {(1 << n) - 1: i_power(n // 2)})
+    return gamma, gamma.scale(GR_I), Multivector(n, {1 << (n - 1): 1})
+
+
+def test_per_dimension_constants_are_built_once_and_never_change(rng):
+    """grading(n), the torsion-grading factor i gamma and the boundary's
+    c(e_n) come from per-dimension caches; after densities, products and
+    traces that read them, they still equal fresh builds part for part, and
+    their coefficients cannot be written."""
+    for n in range(4, 17, 2):
+        assert grading(n) is grading(n)
+        u, v, w = (rand_oneform(rng, n) for _ in range(3))
+        t = rand_threeform(rng, n)
+        boundary_density(u, v, w, n)
+        for case in (Grading(), VectorGrading(u), TorsionGrading(t)):
+            interior_density(u, v, w, case, n)
+            symbols.perturbation_multivector(case, n)
+        gamma = grading(n)
+        mv_mul(gamma, gamma)
+        trace(gamma, gamma, gamma)
+        supertrace(gamma)
+        cached = (gamma, clifford._grading(n, 1), halfline._normal_generator(n))
+        assert cached[1] is clifford._grading(n, 1)
+        assert cached[2] is halfline._normal_generator(n)
+        for kept, fresh in zip(cached, _fresh_constants(n)):
+            assert kept._parts == fresh._parts and kept.coeffs == fresh.coeffs
+            with pytest.raises(TypeError):  # a shared value's coefficients are read-only
+                kept.coeffs[0] = GaussianRational(1)
+
+
+def test_grading_checks_the_dimension_before_its_cache():
+    """A refused dimension never reaches the cache, where True and 4.0 would
+    hash and compare like the ints 1 and 4."""
+    grading(4)
+    before = clifford._grading.cache_info()
+    for n, error in ((3, OddDimension), (True, OddDimension), (4.0, OddDimension),
+                     (18, DimensionMismatch), (0, DimensionMismatch)):
+        with pytest.raises(error):
+            grading(n)
+    assert clifford._grading.cache_info() == before
 
 
 def test_coefficients_are_gaussian_rationals(rng):

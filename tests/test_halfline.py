@@ -28,6 +28,7 @@ from spectral_torsion import (
     theorem_boundary_value,
     vol_sphere,
 )
+from spectral_torsion import halfline
 from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, _series, \
     half_inverse_symbol_components
 from spectral_torsion.forms import frame_product
@@ -361,7 +362,7 @@ def _boundary_rows(kind: str, n: int):
 @pytest.mark.parametrize("n", range(4, 17, 2))
 @pytest.mark.parametrize("kind", ["dense", "coprime"])
 def test_boundary_density_matches_the_frame_product_route(kind, n):
-    """trace(c(u)c(v), c(w)c(e_n)) equals 2^m <C c(e_n)>_0 with C built, at
+    """trace(c(u), c(v), c(w)c(e_n)) equals 2^m <C c(e_n)>_0 with C built, at
     every even n; from n=14 on the 25-digit C holds a stored part past
     _RUN_DEN_BITS."""
     u, v, w = _boundary_rows(kind, n)
@@ -387,7 +388,8 @@ def test_boundary_density_n16_long_inputs_time_bound():
     On the fractions backend (2-vCPU VM), with the factor read as
     trace(c(u)c(v), c(w)c(e_n)), it took 0.038-0.046 s in three full-suite
     runs; the bound is about 4.3x the slowest.  With c(u)c(v)c(w) built
-    first, it took 0.68-0.75 s.  The gmpy2 backend is unverified.
+    first, it took 0.68-0.75 s.  Read as trace(c(u), c(v), c(w)c(e_n)), the
+    timed call alone takes about 0.013 s.  The gmpy2 backend is unverified.
     """
     n = 16
     draw = coprime_draw(random.Random("boundary-long-n16"), digits=200)
@@ -398,6 +400,31 @@ def test_boundary_density_n16_long_inputs_time_bound():
     assert value == theorem_boundary_value(u, v, w, n)
     assert elapsed < 0.2, f"boundary_density at n=16 on 200-digit inputs took " \
         f"{elapsed:.3f}s on {Rational.__module__}.{Rational.__name__}"
+
+
+def test_boundary_density_makes_one_clifford_product(monkeypatch):
+    """The boundary reads 2^m <c(u)c(v)c(w)c(e_n)>_0 as trace(c(u), c(v),
+    c(w)c(e_n)): its one product is c(w)c(e_n), at every even n."""
+    products, mv_mul = [], halfline.mv_mul
+
+    def counted(a, b):
+        products.append((a, b))
+        return mv_mul(a, b)
+
+    monkeypatch.setattr(halfline, "mv_mul", counted)
+    for n in range(4, 17, 2):
+        u, v, w = _boundary_rows("dense", n)
+        products.clear()
+        assert boundary_density(u, v, w, n) == boundary_density_reference(u, v, w, n)
+        assert len(products) == 1
+        assert products[0][1] is halfline._normal_generator(n)
+
+
+@pytest.mark.parametrize("call", [line_integral, pi_plus])
+@pytest.mark.parametrize("arg", [[1], None, POLY_ONE, GaussianRational(1)])
+def test_half_line_functions_take_only_an_xirational(call, arg):
+    with pytest.raises(TypeError, match=rf"^expected an XiRational, got {type(arg).__name__}$"):
+        call(arg)
 
 
 def test_boundary_density_rejects_small_odd_or_large_dimension():

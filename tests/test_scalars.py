@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -19,7 +21,7 @@ from spectral_torsion import (
     sym,
     vol_sphere,
 )
-from spectral_torsion.clifford import Multivector
+from spectral_torsion.clifford import Multivector, mv_mul
 from spectral_torsion.forms import OneForm, ThreeForm
 from spectral_torsion.halfline import Poly, XiRational
 from spectral_torsion.moments import XiPolynomialMV, vol_numeric
@@ -243,6 +245,34 @@ def test_value_types_are_immutable_and_compared_by_value(name):
     else:
         assert hash(a) == hash(b) == hash(hashed_as)
         assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", list(_VALUE_TYPES))
+def test_value_types_copy_and_pickle(name):
+    """A copy is the value itself; a pickle round trip, at every protocol
+    from 2 (the first that pickles a GaussianRational's slots), rebuilds an
+    equal value that hashes alike and stays immutable."""
+    build, attribute, _ = _VALUE_TYPES[name]
+    a = build()
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert copy.deepcopy([a, a])[0] is a
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert type(b) is type(a) and b is not a and b == a
+        if name != "XiPolynomialMV":  # unhashable
+            assert hash(b) == hash(a)
+        with pytest.raises(AttributeError, match=rf"^{name} is immutable$"):
+            setattr(b, attribute, 1)
+
+
+def test_a_pickled_product_keeps_its_unbuilt_parts():
+    """A product's coefficients are not built by pickling it; the copy reads
+    them from the same integer parts."""
+    a = Multivector(4, {1: rational("1/3"), 6: GaussianRational(0, 2)})
+    product = mv_mul(a, a)
+    b = pickle.loads(pickle.dumps(product))
+    assert product._coeffs is None and b._coeffs is None
+    assert b._parts == product._parts and b == product
 
 
 @settings(max_examples=200, deadline=None)

@@ -544,7 +544,7 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
 def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
     """boundary_density and interior_density read their Clifford factors
     through their integer parts on dense n=8 inputs: neither the boundary's
-    c(u)c(v) and c(w)c(e_n), nor B, nor B's grade-1 and grade-3 part, nor
+    one product c(w)c(e_n), nor B, nor B's grade-1 and grade-3 part, nor
     C = c(u)c(v)c(w) builds its coefficients.  At n=8 only the torsion_vector
     B has such a part; the vector-grading and torsion-grading B (grades 7
     and 5) build no symbol and no C."""
@@ -576,9 +576,9 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
     # Grading() is left out: its B is the chirality blade, given by its coefficient
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
         interior_density(u, v, w, case, n)
-    # the boundary's two factors; B, the symbol's argument and C for
+    # the boundary's one product; B, the symbol's argument and C for
     # torsion_vector; B alone for each graded case
-    assert [name for name, _ in seen] == ["mv_mul"] * 2 + ["B", "sigma", "C", "B", "B"]
+    assert [name for name, _ in seen] == ["mv_mul", "B", "sigma", "C", "B", "B"]
     assert [mv._coeffs is None for _, mv in seen] == [True] * len(seen)
 
 

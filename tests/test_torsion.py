@@ -29,6 +29,7 @@ from spectral_torsion import (
     rational,
     spectral_torsion,
     theorem_value,
+    trace,
     verify_suite,
     vol_sphere,
 )
@@ -143,8 +144,12 @@ _LIST4 = [1, 0, 0, 0]
     lambda: eval_threeform(_LIST4, _U4, _U4, _U4),
     lambda: mv_mul(Multivector.generator(4, 1), _LIST4),
     lambda: mv_mul(_LIST4, Multivector.generator(4, 1)),
+    lambda: trace(_LIST4),
+    lambda: trace(Multivector.generator(4, 1), _LIST4),
+    lambda: trace(Multivector.generator(4, 1), Multivector.generator(4, 2), _LIST4),
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
-        "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left"])
+        "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
+        "trace-second", "trace-third"])
 def test_a_list_argument_is_a_type_error(call):
     """A list where a form or a multivector belongs has no int dim: the one
     same-dimension rule refuses it with a TypeError naming its type, not an

@@ -1,0 +1,134 @@
+"""Alternating base/change pairs of one benchmark workload.
+
+Run from the repository root, for example:
+
+    python3 tools/bench_pairs.py HEAD --workload density_api --seeds 401 402 403 --seconds 5
+
+For every seed the script runs ``perfbench/run.py --workload W --seed S
+--seconds X --trace 0`` once in a temporary checkout of the base revision and
+once in the working tree, base first on odd pairs and change first on even
+ones, so that a slow drift of the machine favours neither side.  It prints
+each pair's end-to-end metrics and ``correct``, then, per metric, the median
+of each side and the number of pairs in which the change was better (lower or
+higher as ``BENCHMARK.json`` declares).  The checkout is extracted with
+``git archive`` into a temporary directory, which is removed at the end
+whatever happens; the repository's worktree list never changes.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON object on the last non-empty line of a run's stdout."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def better_directions(benchmark: dict) -> dict[str, str]:
+    """{metric name: "lower" or "higher"} for the end-to-end metrics."""
+    return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+
+
+def _values(result: dict) -> dict[str, float]:
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def pair_lines(index: int, seed: int, base: dict, change: dict,
+               better: dict[str, str]) -> list[str]:
+    """One line per side of a pair: correct, failed jobs and the metrics."""
+    lines = []
+    for side, result in (("base", base), ("change", change)):
+        metrics = " ".join(f"{name}={value:.6g}"
+                           for name, value in _values(result).items() if name in better)
+        lines.append(f"pair {index} seed {seed} {side:6} correct={result['correct']} "
+                     f"failed={result['failed']}/{result['attempted']} {metrics}")
+    return lines
+
+
+def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
+    """Per metric, the median of each side over (base, change) result pairs
+    and the pairs in which the change was better; then the pairs in which
+    both runs were correct."""
+    lines = [f"{'metric':14} {'better':6} {'base median':>12} {'change median':>14} "
+             f"{'change won':>10}"]
+    for name, direction in better.items():
+        sides = [(_values(base).get(name), _values(change).get(name)) for base, change in pairs]
+        sides = [(b, c) for b, c in sides if b is not None and c is not None]
+        if not sides:
+            continue
+        won = sum(c < b if direction == "lower" else c > b for b, c in sides)
+        lines.append(f"{name:14} {direction:6} {statistics.median(b for b, _ in sides):12.6g} "
+                     f"{statistics.median(c for _, c in sides):14.6g} "
+                     f"{f'{won}/{len(sides)}':>10}")
+    correct = sum(base["correct"] and change["correct"] for base, change in pairs)
+    lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
+    return lines
+
+
+def run_command(workload: str, seed: int, seconds: float) -> list[str]:
+    return [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+
+
+def _run(checkout: Path, command: list[str]) -> dict:
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited "
+                           f"{done.returncode}:\n{done.stderr[-2000:]}")
+    return parse_result(done.stdout)
+
+
+def _extract(revision: str, target: Path) -> None:
+    """The tree of `revision` as plain files under target."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:  # pragma: no cover - interpreters without extraction filters
+            tar.extractall(target)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision to compare the working tree against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    better = better_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    pairs = []
+    try:
+        _extract(args.base, base_dir)
+        for index, seed in enumerate(args.seeds, 1):
+            command = run_command(args.workload, seed, args.seconds)
+            order = [("base", base_dir), ("change", ROOT)]
+            results = {side: _run(checkout, command)
+                       for side, checkout in (order if index % 2 else order[::-1])}
+            pairs.append((results["base"], results["change"]))
+            print("\n".join(pair_lines(index, seed, *pairs[-1], better)), flush=True)
+    finally:
+        shutil.rmtree(base_dir, ignore_errors=True)
+    print("\n".join(summary_lines(pairs, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
