@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from math import lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 from .scalars import (
@@ -246,25 +247,26 @@ def _rational_runs(items) -> list[tuple[int, dict]]:
     large coprime denominators; then a run closes before the item that
     would take its lcm past the bound.  Keys must be distinct.
     """
-    items = list(items)
-    dens = {d for _, re, im in items for d in (re.denominator, im.denominator)}
+    # each value's numerator and denominator read once: Fraction's are properties
+    items = [(key, re.numerator, re.denominator, im.numerator, im.denominator)
+             for key, re, im in items]
+    dens = {*map(itemgetter(2), items), *map(itemgetter(4), items)}
     if sum(d.bit_length() for d in dens) <= _RUN_DEN_BITS:  # their lcm divides the product
         runs = [(lcm(*dens), items)]
     else:
         runs = []
         den, run = 1, []
         for item in items:
-            _, re, im = item
-            grown = lcm(den, re.denominator, im.denominator)
+            _, _, re_den, _, im_den = item
+            grown = lcm(den, re_den, im_den)
             if run and grown.bit_length() > _RUN_DEN_BITS:
                 runs.append((den, run))
-                grown, run = lcm(re.denominator, im.denominator), []
+                grown, run = lcm(re_den, im_den), []
             den = grown
             run.append(item)
         runs.append((den, run))
-    return [(den, {key: (re.numerator * (den // re.denominator),
-                         im.numerator * (den // im.denominator))
-                   for key, re, im in run})
+    return [(den, {key: (re * (den // re_den), im * (den // im_den))
+                   for key, re, re_den, im, im_den in run})
             for den, run in runs]
 
 

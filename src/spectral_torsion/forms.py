@@ -10,7 +10,7 @@ from math import lcm
 from typing import Iterable
 
 from .clifford import Multivector, _check_dim, _check_index, _from_int_parts, _part, \
-    _rational_runs, _same_dim, blade_mask, mv_mul
+    _rational_runs, _same_dim, mv_mul
 from .scalars import Rational, _Value, rational
 
 
@@ -148,8 +148,9 @@ def _clifford_items(x) -> list[tuple[int, Rational]]:
     """(blade mask, component) for each nonzero component of a one-form or 3-form."""
     if isinstance(x, OneForm):
         return [(1 << i, c) for i, c in enumerate(x.components) if c]
-    if isinstance(x, ThreeForm):
-        return [(blade_mask(k), c) for k, c in x.components.items()]
+    if isinstance(x, ThreeForm):  # the constructor checked each a < b < c
+        return [(1 << a - 1 | 1 << b - 1 | 1 << c - 1, v)
+                for (a, b, c), v in x.components.items()]
     raise TypeError(f"cannot embed {type(x).__name__} into the Clifford algebra")
 
 

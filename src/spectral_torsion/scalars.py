@@ -182,6 +182,9 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
+    def __reduce__(self):  # slots without __getstate__: protocols 0 and 1 need this
+        return GaussianRational, (self.re, self.im)
+
 
 def _gr(re, im) -> GaussianRational:
     """Fast constructor for already-reduced rational parts."""
@@ -197,9 +200,15 @@ GR_I = GaussianRational(0, 1)
 
 
 def _as_gaussian(x) -> GaussianRational:
+    """x as a GaussianRational; a plain int or a Rational skips the validating
+    constructor, which still refuses a bool and converts other int types."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Rational)):
+    if type(x) is int:
+        return _gr(Rational(x), _ZERO)
+    if isinstance(x, Rational):
+        return _gr(x, _ZERO)
+    if isinstance(x, int):
         return GaussianRational(x)
     raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
 
@@ -407,6 +416,9 @@ class SymScalar:
 
     def __repr__(self):
         return f"SymScalar<{self}>"
+
+    def __reduce__(self):
+        return SymScalar, (self.terms,)
 
 
 def _raw_sym(terms: dict) -> SymScalar:

@@ -27,7 +27,7 @@ from .clifford import (
     mv_mul,
     trace,
 )
-from .forms import OneForm, ThreeForm, _clifford_items, frame_product, to_clifford
+from .forms import OneForm, ThreeForm, _clifford_items, frame_product
 from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
 from .scalars import SymScalar, TR_F_PHI, vol_sphere
 
@@ -91,20 +91,33 @@ def _check_case(case: PerturbationCase, n: int) -> None:
         _same_dim(tensor, n)
 
 
+def _form_factor(case: PerturbationCase, n: int) -> tuple[list, Multivector | None]:
+    """B as a form factor times at most one constant blade: the factor's
+    (mask, re, im) items, unconverted, and the blade that multiplies it on
+    the right (None for c(T) + sqrt(-1) c(Y)).  Callers check n and the
+    case first."""
+    if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of items
+        return ([(mask, c, 0) for mask, c in _clifford_items(case.T)]
+                + [(mask, 0, c) for mask, c in _clifford_items(case.Y)]), None
+    if isinstance(case, Grading):
+        return [(0, 1, 0)], _grading(n)
+    if isinstance(case, VectorGrading):
+        return [(mask, c, 0) for mask, c in _clifford_items(case.X)], _grading(n)
+    # TorsionGrading: c(T) (i gamma), with i gamma = i^(m+1) on the top blade
+    return [(mask, c, 0) for mask, c in _clifford_items(case.T)], _grading(n, 1)
+
+
+def _times_blade(n: int, items: list, blade: Multivector | None) -> Multivector:
+    """The items as integer parts, times the blade when there is one."""
+    factor = _from_int_parts(n, _rational_runs(items))
+    return factor if blade is None else mv_mul(factor, blade)
+
+
 def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
     """The zero-order perturbation as an element of Cl(n)."""
     _check_even_dim(n)
     _check_case(case, n)
-    if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of parts
-        return _from_int_parts(n, _rational_runs(
-            [(mask, c, 0) for mask, c in _clifford_items(case.T)]
-            + [(mask, 0, c) for mask, c in _clifford_items(case.Y)]))
-    if isinstance(case, Grading):
-        return _grading(n)
-    if isinstance(case, VectorGrading):
-        return mv_mul(to_clifford(case.X), _grading(n))
-    # TorsionGrading: c(T) (i gamma), with i gamma = i^(m+1) on the top blade
-    return mv_mul(to_clifford(case.T), _grading(n, 1))
+    return _times_blade(n, *_form_factor(case, n))
 
 
 def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
@@ -169,19 +182,25 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     to the exact trace of the integrated symbol.  The symbol sees only B's
     grade-1 and grade-3 blades, the grades of c(u)c(v)c(w): the surviving
     xi_i^2 terms keep each blade's grade and the trace pairs only equal
-    blades, so every other grade adds 0.  With no nonzero numerator on them
-    (the grading at every n, c(X) grading from n = 6, sqrt(-1) c(T) grading
-    from n = 8) the density is 0, returned once the arguments are checked,
-    with no symbol and no C = c(u)c(v)c(w) built.  Otherwise the symbol of B
-    alone is integrated and C is traced against it; their product is never built.
+    blades, so every other grade adds 0.  B is its form factor times at most
+    one blade, so a factor item on mask M lands on M ^ (the blade's mask);
+    only the items that land on grade 1 or 3 are converted and multiplied.
+    With none (the grading at every n, c(X) grading from n = 6, sqrt(-1) c(T)
+    grading from n = 8) the density is 0, returned once the arguments are
+    checked, with no rational converted and no product, symbol or
+    C = c(u)c(v)c(w) built.  Otherwise the symbol of that part of B alone is
+    integrated and C is traced against it; their product is never built.
     """
-    parts = [(den, {mask: c for mask, c in acc.items() if mask.bit_count() in (1, 3)})
-             for den, acc in perturbation_multivector(case, n)._parts]
+    _check_even_dim(n)
+    _check_case(case, n)
+    items, blade = _form_factor(case, n)
     _check_even_dim(n, 4)
     for x in (u, v, w):
         _same_dim(x, n)
-    if not any(re or im for _, acc in parts for re, im in acc.values()):
+    top = 0 if blade is None else next(mask for _, acc in blade._parts for mask in acc)
+    kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
+    if not kept:
         return SymScalar()
-    integrated = integrate_sphere(n, sigma_minus2m(_from_int_parts(n, parts)))
+    integrated = integrate_sphere(n, sigma_minus2m(_times_blade(n, kept, blade)))
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
                                    trace(frame_product(u, v, w, n), integrated))

@@ -43,11 +43,22 @@ def test_summary_counts_the_pairs_the_change_won_in_each_direction():
              for pair in runs]
     lines = bench_pairs.summary_lines(pairs, BETTER)
     rows = {line.split()[0]: line.split() for line in lines[1:-1]}
-    # jobs_per_s: higher wins in pairs 1 and 3; job_p50_s: lower wins in 1 and 2
-    assert rows["jobs_per_s"][1:] == ["higher", "990", "1010", "2/3"]
-    assert rows["job_p50_s"][1:] == ["lower", "0.00062", "0.00056", "2/3"]
+    # jobs_per_s: higher wins in pairs 1 and 3; job_p50_s: lower wins in 1 and 2.
+    # Spread: base jobs_per_s 980, 990, 1000 has quartiles 985 and 995, so 10/990
+    assert rows["jobs_per_s"][1:] == ["higher", "990", "0.010", "1010", "0.022", "2/3"]
+    assert rows["job_p50_s"][1:] == ["lower", "0.00062", "0.032", "0.00056", "0.054", "2/3"]
     assert "peak_rss_mb" not in rows  # not an end-to-end metric of BETTER
     assert lines[-1] == "pairs with both runs correct: 3/3"
+
+
+def test_spread_is_the_interquartile_range_over_the_median():
+    # inclusive quartiles of 1..5 are 2 and 4, the median 3
+    assert bench_pairs.spread([5, 1, 3, 2, 4]) == pytest.approx(2 / 3)
+    assert bench_pairs.spread([0.2, 0.25]) == pytest.approx(0.025 / 0.225)
+    assert bench_pairs.spread([7.0]) == 0.0
+    # a noisy side reads wider than a steady one with the same median
+    assert bench_pairs.spread([0.19, 0.21, 0.22, 0.25, 0.26]) > \
+        bench_pairs.spread([0.215, 0.218, 0.22, 0.222, 0.224])
 
 
 def test_pair_lines_show_correct_and_failed_jobs():

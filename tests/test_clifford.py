@@ -151,6 +151,27 @@ def test_supertrace_kills_all_subtop_blades(n):
             assert value.is_zero()
 
 
+@pytest.mark.parametrize("n", [10, 12, 14, 16])
+def test_top_blade_supertrace_and_square_signs_at_high_grade(n):
+    """The supertrace of the top blade is 2^m / i^m at n = 10 to 16, past
+    the literal-matrix oracle's n = 12, and at n = 16 the scalar product
+    <e_A e_A>_0 on one blade A of each grade 0..16 is the sign counted by
+    sorting the word A A with one sign per transposition and c(e_i)^2 = -1."""
+    m = n // 2
+    top = (1 << n) - 1
+    assert supertrace(Multivector(n, {top: 1})) == \
+        rational(2 ** m) * (GaussianRational(1) / i_power(m))
+    if n != 16:
+        return
+    rng = random.Random("square-signs-16")
+    for k in range(n + 1):
+        word = sorted(rng.sample(range(1, n + 1), k))
+        indices, sign = _product_by_sorting(word, word)
+        assert indices == []
+        blade = Multivector(n, {sum(1 << (i - 1) for i in word): 1})
+        assert scalar_product(blade, blade) == sign, k
+
+
 def _conjugate_sum_by_products(b):
     """Sum_i c(e_i) b c(e_i), multiplied out blade by blade."""
     out = Multivector(b.dim)

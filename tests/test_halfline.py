@@ -32,7 +32,7 @@ from spectral_torsion import halfline
 from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, _series, \
     half_inverse_symbol_components
 from spectral_torsion.forms import frame_product
-from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational, Rational
+from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, GaussianRational, Rational
 
 from conftest import (
     boundary_density_reference,
@@ -259,6 +259,19 @@ def test_line_integral_boundary_kernel():
 def test_line_integral_odd_vanishes():
     f = XiRational(POLY_X, 2, 2)
     assert line_integral(f).is_zero()
+
+
+def test_line_integral_without_a_pole_at_i_is_zero():
+    """1/(x+i)^2, x/(x+i)^3 and x^2/(x+i)^4 have their only pole at -i
+    (up = 0), so closing the contour above the real line picks up no
+    residue: each integral is exactly 0.  The quadrature agrees up to its
+    truncation at |x| = 10^4, a tail of 2/10^4 for integrands decaying like
+    1/x^2."""
+    for k in (2, 3, 4):
+        f = XiRational(Poly((0,) * (k - 2) + (1,)), 0, k)
+        assert f.up == 0 and f.down == k
+        assert line_integral(f) == GR_ZERO
+        assert abs(quad_oracle(f)) < 3e-4
 
 
 def test_line_integral_rejects_slow_decay():

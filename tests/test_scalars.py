@@ -25,6 +25,7 @@ from spectral_torsion.clifford import Multivector, mv_mul
 from spectral_torsion.forms import OneForm, ThreeForm
 from spectral_torsion.halfline import Poly, XiRational
 from spectral_torsion.moments import XiPolynomialMV, vol_numeric
+from spectral_torsion.scalars import Rational
 
 
 def test_gaussian_norm_product():
@@ -250,19 +251,54 @@ def test_value_types_are_immutable_and_compared_by_value(name):
 @pytest.mark.parametrize("name", list(_VALUE_TYPES))
 def test_value_types_copy_and_pickle(name):
     """A copy is the value itself; a pickle round trip, at every protocol
-    from 2 (the first that pickles a GaussianRational's slots), rebuilds an
-    equal value that hashes alike and stays immutable."""
+    from 0, rebuilds an equal value that hashes alike and stays immutable,
+    GaussianRational coefficients included."""
     build, attribute, _ = _VALUE_TYPES[name]
     a = build()
     assert copy.copy(a) is a and copy.deepcopy(a) is a
     assert copy.deepcopy([a, a])[0] is a
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         b = pickle.loads(pickle.dumps(a, protocol))
         assert type(b) is type(a) and b is not a and b == a
         if name != "XiPolynomialMV":  # unhashable
             assert hash(b) == hash(a)
         with pytest.raises(AttributeError, match=rf"^{name} is immutable$"):
             setattr(b, attribute, 1)
+
+
+@pytest.mark.parametrize("value", [
+    GaussianRational(rational("-2/3"), 5), GaussianRational(0, 1),
+    SymScalar.from_monomial((PI, vol_sphere(3)), GaussianRational(rational("1/2"), -1)),
+    SymScalar()])
+def test_scalars_copy_and_pickle_at_every_protocol(value):
+    """GaussianRational and SymScalar, which are not _Values, copy and
+    round-trip through pickle at every protocol to an equal value of the
+    same type that hashes alike."""
+    for other in [copy.copy(value), copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert type(other) is type(value) and other == value
+        assert hash(other) == hash(value) and str(other) == str(value)
+
+
+def test_int_and_rational_operands_keep_their_values():
+    """An int or Rational operand is coerced without the validating
+    constructor; the values, and the refusal of a bool, stay."""
+    g = GaussianRational(rational("1/2"), -3)
+    third = rational("1/3")
+    for got, expected in ((g * 3, GaussianRational(rational("3/2"), -9)),
+                          (3 * g, GaussianRational(rational("3/2"), -9)),
+                          (g * third, GaussianRational(rational("1/6"), -1)),
+                          (3 + g, GaussianRational(rational("7/2"), -3)),
+                          (g - 3, GaussianRational(rational("-5/2"), -3)),
+                          (g + third, GaussianRational(rational("5/6"), -3))):
+        assert type(got) is GaussianRational and got == expected
+        assert type(got.re) is Rational and type(got.im) is Rational
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            g * bad
+        with pytest.raises(TypeError):
+            g + bad
 
 
 def test_a_pickled_product_keeps_its_unbuilt_parts():

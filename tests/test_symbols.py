@@ -296,11 +296,13 @@ def test_graded_densities_n16_time_bound():
 
     B has no grade-1 or grade-3 blade in any of them at n=16, so each
     density is 0, returned with no symbol and no C = c(u)c(v)c(w) built:
-    what is left is building B.  On the fractions backend (2-vCPU VM) the
-    first run took 9, 9 and 15 ms when the symbol was still built from a
-    zero perturbation; the bound is 6x the slowest.  With nothing built,
-    the best of five runs takes 0.03, 0.1 and 1.2 ms.  Built from all of B,
-    the last two took 0.42 and 3.5 s.
+    what is left is reading the masks of X's and T's components.  On the
+    fractions backend (2-vCPU VM) the first run took 9, 9 and 15 ms when the
+    symbol was still built from a zero perturbation; the bound is 6x the
+    slowest.  With B built and then projected, the best of five runs took
+    0.005, 0.04 and 0.6 ms; with the projection read off the masks first,
+    0.004, 0.008 and 0.10 ms.  Built from all of B, the last two took 0.42
+    and 3.5 s.
     """
     n = 16
     rng = random.Random("density-n16")
@@ -543,16 +545,18 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
 
 def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
     """boundary_density and interior_density read their Clifford factors
-    through their integer parts on dense n=8 inputs: neither the boundary's
-    one product c(w)c(e_n), nor B, nor B's grade-1 and grade-3 part, nor
-    C = c(u)c(v)c(w) builds its coefficients.  At n=8 only the torsion_vector
-    B has such a part; the vector-grading and torsion-grading B (grades 7
-    and 5) build no symbol and no C."""
-    n = 8
+    through their integer parts on dense inputs: neither the boundary's one
+    product c(w)c(e_n), nor the projected B's product with its blade, nor
+    the symbol's argument, nor C = c(u)c(v)c(w) builds its coefficients.  At
+    n=8 only the torsion_vector B has a grade-1 or grade-3 part, so the
+    graded cases build nothing; the n=6 torsion_grading B, c(T) times the
+    blade i gamma, keeps its grade-3 part through one product."""
     rng = random.Random("unbuilt-c-and-b")
-    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
-    t = ThreeForm(n, {abc: rand_rational(rng) or 1
-                      for abc in itertools.combinations(range(1, n + 1), 3)})
+    u, v, w, x, y = (rand_oneform(rng, 8) for _ in range(5))
+    t = ThreeForm(8, {abc: rand_rational(rng) or 1
+                      for abc in itertools.combinations(range(1, 9), 3)})
+    u6, v6, w6 = (rand_oneform(rng, 6) for _ in range(3))
+    t6 = rand_threeform(rng, 6)
     seen = []
 
     def capture(name, fn):
@@ -567,18 +571,20 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
             return fn(b)
         return wrapped
 
-    monkeypatch.setattr(halfline, "mv_mul", capture("mv_mul", halfline.mv_mul))
+    monkeypatch.setattr(halfline, "mv_mul", capture("boundary", halfline.mv_mul))
+    monkeypatch.setattr(symbols, "mv_mul", capture("B", symbols.mv_mul))
     monkeypatch.setattr(symbols, "frame_product", capture("C", symbols.frame_product))
-    monkeypatch.setattr(symbols, "perturbation_multivector",
-                        capture("B", symbols.perturbation_multivector))
     monkeypatch.setattr(symbols, "sigma_minus2m", capture_argument(symbols.sigma_minus2m))
-    boundary_density(u, v, w, n)
-    # Grading() is left out: its B is the chirality blade, given by its coefficient
+    boundary_density(u, v, w, 8)
+    # Grading() is left out: its projection is empty at every n
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
-        interior_density(u, v, w, case, n)
-    # the boundary's one product; B, the symbol's argument and C for
-    # torsion_vector; B alone for each graded case
-    assert [name for name, _ in seen] == ["mv_mul", "B", "sigma", "C", "B", "B"]
+        interior_density(u, v, w, case, 8)
+    interior_density(u6, v6, w6, TorsionGrading(t6), 6)
+    # the boundary's one product; the symbol's argument and C for
+    # torsion_vector; nothing for the n=8 graded cases; the projected B's
+    # product, the symbol's argument (that product) and C at n=6
+    assert [name for name, _ in seen] == ["boundary", "sigma", "C", "B", "sigma", "C"]
+    assert seen[3][1] is seen[4][1]
     assert [mv._coeffs is None for _, mv in seen] == [True] * len(seen)
 
 
@@ -590,9 +596,9 @@ _HAS_GRADE_1_OR_3 = {TorsionVector: lambda n: True, Grading: lambda n: False,
 
 def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
     """The only Clifford products of interior_density are C's own
-    construction in frame_product (two), made only when B has a grade-1 or
-    grade-3 blade, and, for the graded cases, the one in
-    perturbation_multivector; C is traced against the integrated symbol.
+    construction in frame_product (two) and, for the graded cases, the
+    projected B's product with its blade (one), all made only when B has a
+    grade-1 or grade-3 blade; C is traced against the integrated symbol.
     Checked at n = 4, 6 and 8, where each graded case loses its blades."""
     calls = []
 
@@ -612,9 +618,9 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
         for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
             calls.clear()
             interior_density(u, v, w, case, n)
-            names = [] if isinstance(case, (TorsionVector, Grading)) else ["symbols"]
+            names = []
             if _HAS_GRADE_1_OR_3[type(case)](n):
-                names += ["forms"] * 2
+                names = ([] if isinstance(case, TorsionVector) else ["symbols"]) + ["forms"] * 2
             assert calls == names, (n, type(case).__name__)
 
 
@@ -651,8 +657,9 @@ def _refuse(name):
 def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
     """Where B has no grade-1 or grade-3 blade, the density is SymScalar()
     and so is the trace of the integrated symbol built from all of B
-    (conftest.symbol_trace_reference), and interior_density builds no
-    symbol, no sphere integral, no C and no trace."""
+    (conftest.symbol_trace_reference), and interior_density converts no
+    rational and builds no product, no symbol, no sphere integral, no C and
+    no trace."""
     rng = random.Random(f"empty-projection-{n}")
     u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
     t = rand_threeform(rng, n)
@@ -661,7 +668,8 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
     assert len(cases) == 1 + (n >= 6) + (n >= 8)
     references = [symbol_trace_reference(u, v, w, perturbation_multivector(case, n), n)
                   for case in cases]
-    for name in ("sigma_minus2m", "integrate_sphere", "frame_product", "trace"):
+    for name in ("_rational_runs", "mv_mul", "sigma_minus2m", "integrate_sphere",
+                 "frame_product", "trace"):
         monkeypatch.setattr(symbols, name, _refuse(name))
     for case, reference in zip(cases, references):
         assert interior_density(u, v, w, case, n) == SymScalar() == \
@@ -669,22 +677,17 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
 
 
 def test_empty_projection_reads_a_long_b_as_stored(monkeypatch):
-    """The zero path reads B's stored integer parts: a torsion_grading B at
-    n=16 over pairwise-coprime 25-digit denominators has several parts and
-    no grade-1 or grade-3 blade, and its coefficients stay unbuilt."""
+    """The zero path reads only the masks of T's items and of the blade i
+    gamma: on a torsion_grading case at n=16 over pairwise-coprime 25-digit
+    denominators, whose B has several integer parts and no grade-1 or
+    grade-3 blade, no component of T is converted and no product is formed."""
     n = 16
     u, v, w, long_case = _dense_torsion_vector(n, coprime_draw(random.Random("long-b"), 25))
-    seen = []
-
-    def capture(case, dim):
-        seen.append(perturbation_multivector(case, dim))
-        return seen[-1]
-
-    monkeypatch.setattr(symbols, "perturbation_multivector", capture)
-    assert interior_density(u, v, w, TorsionGrading(long_case.T), n) == SymScalar()
-    [b] = seen
-    assert "parts" in long_input(b)
-    assert b._coeffs is None
+    case = TorsionGrading(long_case.T)
+    assert "parts" in long_input(perturbation_multivector(case, n))
+    for name in ("_rational_runs", "_from_int_parts", "mv_mul"):
+        monkeypatch.setattr(symbols, name, _refuse(name))
+    assert interior_density(u, v, w, case, n) == SymScalar()
 
 
 def test_empty_projection_checks_the_arguments_first():
@@ -699,6 +702,43 @@ def test_empty_projection_checks_the_arguments_first():
         spectral_torsion(Grading(), u6, u6, u6, ManifoldSpec(4))
     with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
         interior_density(u2, u2, u2, Grading(), 2)
+
+
+class _Projected(Exception):
+    """Stops interior_density at its symbol, carrying the symbol's argument."""
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+@pytest.mark.parametrize("kind", ["dense", "coprime"])
+def test_projected_perturbation_is_the_grade_1_and_3_part_of_b(kind, n, monkeypatch):
+    """The B that interior_density hands sigma_minus2m, projected before its
+    product with the blade, is the grade-1 and grade-3 part of
+    perturbation_multivector(case, n), coefficient for coefficient, on all
+    four cases; where that part is empty, no symbol is built.  Every
+    component of X, Y and T is set; the coprime inputs, n components of
+    pairwise-coprime 800/n-digit denominators to a one-form, split every
+    form factor into several runs."""
+    rng = random.Random(f"projected-{kind}-{n}")
+    draw = coprime_draw(rng, 800 // n) if kind == "coprime" else lambda: rand_rational(rng)
+    x, y = (OneForm(tuple(draw() or 1 for _ in range(n))) for _ in range(2))
+    t = ThreeForm(n, {abc: draw() or 1 for abc in itertools.combinations(range(1, n + 1), 3)})
+    u, v, w = uvw(n)
+
+    def stop(b):
+        raise _Projected(b)
+
+    monkeypatch.setattr(symbols, "sigma_minus2m", stop)
+    for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+        b = perturbation_multivector(case, n)
+        assert kind == "dense" or isinstance(case, Grading) or "parts" in long_input(b)
+        expected = {mask: c for mask, c in b.coeffs.items() if mask.bit_count() in (1, 3)}
+        try:
+            assert interior_density(u, v, w, case, n) == SymScalar()
+            got = {}
+        except _Projected as stopped:
+            got = dict(stopped.args[0].coeffs)
+        assert got == expected, type(case).__name__
+        assert bool(got) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
 
 
 # -- proofs on basis inputs at n=4 -----------------------------------------------

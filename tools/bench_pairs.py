@@ -9,8 +9,9 @@ For every seed the script runs ``perfbench/run.py --workload W --seed S
 once in the working tree, base first on odd pairs and change first on even
 ones, so that a slow drift of the machine favours neither side.  It prints
 each pair's end-to-end metrics and ``correct``, then, per metric, the median
-of each side and the number of pairs in which the change was better (lower or
-higher as ``BENCHMARK.json`` declares).  The checkout is extracted with
+of each side with its spread (interquartile range over median) and the number
+of pairs in which the change was better (lower or higher as
+``BENCHMARK.json`` declares).  The checkout is extracted with
 ``git archive`` into a temporary directory, which is removed at the end
 whatever happens; the repository's worktree list never changes.
 Standard library only.
@@ -61,21 +62,31 @@ def pair_lines(index: int, seed: int, base: dict, change: dict,
     return lines
 
 
+def spread(values: list[float]) -> float:
+    """(Q3 - Q1) / median of the values, quartiles by the inclusive method;
+    0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / median
+
+
 def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """Per metric, the median of each side over (base, change) result pairs
-    and the pairs in which the change was better; then the pairs in which
-    both runs were correct."""
-    lines = [f"{'metric':14} {'better':6} {'base median':>12} {'change median':>14} "
-             f"{'change won':>10}"]
+    """Per metric, the median and the IQR/median spread of each side over
+    (base, change) result pairs, and the pairs in which the change was
+    better; then the pairs in which both runs were correct."""
+    lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
+             f"{'change median':>14} {'spread':>7} {'change won':>10}"]
     for name, direction in better.items():
         sides = [(_values(base).get(name), _values(change).get(name)) for base, change in pairs]
         sides = [(b, c) for b, c in sides if b is not None and c is not None]
         if not sides:
             continue
         won = sum(c < b if direction == "lower" else c > b for b, c in sides)
-        lines.append(f"{name:14} {direction:6} {statistics.median(b for b, _ in sides):12.6g} "
-                     f"{statistics.median(c for _, c in sides):14.6g} "
-                     f"{f'{won}/{len(sides)}':>10}")
+        bases, changes = [b for b, _ in sides], [c for _, c in sides]
+        lines.append(f"{name:14} {direction:6} {statistics.median(bases):12.6g} "
+                     f"{spread(bases):7.3f} {statistics.median(changes):14.6g} "
+                     f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10}")
     correct = sum(base["correct"] and change["correct"] for base, change in pairs)
     lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
     return lines
