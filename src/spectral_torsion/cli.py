@@ -312,7 +312,7 @@ def _cmd_trace(args) -> int:
         _check_even_dim(n)
     except (OddDimension, DimensionMismatch) as exc:
         raise ConfigError(f"--dim: {exc}") from exc
-    word = Multivector.identity(n)
+    word = Multivector(n, {0: 1})
     for token in args.word:
         if token == "gamma":
             factor = grading(n)

@@ -24,6 +24,7 @@ from .scalars import (
     _Value,
     _as_gaussian,
     _gr,
+    _mapping_items,
     i_power,
     sym,
 )
@@ -93,16 +94,6 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     return a ^ b, -1 if (b & _sign_mask(a)).bit_count() & 1 else 1
 
 
-def blade_mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        bit = 1 << (i - 1)
-        if mask & bit:
-            raise ValueError(f"repeated index {i} in blade")
-        mask |= bit
-    return mask
-
-
 def blade_indices(mask: int) -> tuple[int, ...]:
     out = []
     i = 1
@@ -128,9 +119,9 @@ class Multivector(_Value):
     def __init__(self, dim: int, coeffs=None):
         _check_dim(dim)
         clean: dict[int, GaussianRational] = {}
-        if coeffs:
+        if coeffs is not None:
             top = 1 << dim
-            for mask, c in coeffs.items():
+            for mask, c in _mapping_items(coeffs):
                 if type(mask) is not int or not 0 <= mask < top:
                     raise DimensionMismatch(f"blade mask {mask!r} does not fit dim {dim}")
                 c = _as_gaussian(c)
@@ -166,36 +157,11 @@ class Multivector(_Value):
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def identity(cls, dim: int) -> "Multivector":
-        return cls(dim, {0: GR_ONE})
-
-    @classmethod
     def generator(cls, dim: int, i: int) -> "Multivector":
         """c(e_i), 1-based index."""
         _check_dim(dim)
         _check_index(i, dim, "generator")
         return cls(dim, {1 << (i - 1): GR_ONE})
-
-    # -- linear structure ----------------------------------------------
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        """Both operands' integer parts, shared, not copied: no stored part is
-        ever mutated (_from_int_parts' contract).  No coefficient is built."""
-        _same_dim(self, other)
-        return _from_int_parts(self.dim, self._parts + other._parts)
-
-    def __neg__(self) -> "Multivector":
-        return self.scale(-1)
-
-    def scale(self, s) -> "Multivector":
-        """s times self, on the integer numerators: (sr + i si)/d times each term."""
-        s = _as_gaussian(s)
-        [(d, one)] = _rational_runs([(0, s.re, s.im)])
-        sr, si = one[0]
-        return _from_int_parts(self.dim, [
-            (den * d, {mask: (re * sr - im * si, re * si + im * sr)
-                       for mask, (re, im) in acc.items()})
-            for den, acc in self._parts])
 
     # -- structure queries ----------------------------------------------
 
@@ -208,8 +174,10 @@ class Multivector(_Value):
         return total
 
     def is_zero(self) -> bool:
-        if len(self._parts) > 1:
-            return not self.coeffs  # several parts can cancel each other
+        if len(self._parts) > 1:  # parts can cancel only on a blade that two of them hold
+            masks = [mask for _, acc in self._parts for mask in acc]
+            if len(masks) != len(set(masks)):
+                return not self.coeffs
         return not any(re or im for _, acc in self._parts for re, im in acc.values())
 
     def __eq__(self, other):
@@ -371,6 +339,7 @@ def trace(a: Multivector, b: Multivector | None = None,
 
 def supertrace(a: Multivector) -> GaussianRational:
     """trace(grading * a); kills every blade except the top-grade one."""
+    _same_dim(a, a)
     return trace(grading(a.dim), a)
 
 
@@ -436,6 +405,7 @@ def conjugate_sum(b: Multivector) -> Multivector:
     On a grade-k blade this is (-1)^k (2k - n) times the blade; the factor
     scales b's integer numerators.
     """
+    _same_dim(b, b)
     factors = [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)]
     return _from_int_parts(b.dim, [
         (den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])

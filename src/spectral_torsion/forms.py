@@ -11,7 +11,7 @@ from typing import Iterable
 
 from .clifford import Multivector, _check_dim, _check_index, _from_int_parts, _part, \
     _rational_runs, _same_dim, mv_mul
-from .scalars import Rational, _Value, rational
+from .scalars import Rational, _Value, _mapping_items, rational
 
 
 class OneForm(_Value):
@@ -53,8 +53,8 @@ class ThreeForm(_Value):
     def __init__(self, dim: int, components=None):
         _check_dim(dim, bounded=False)
         clean = {}
-        if components:
-            for key, value in components.items():
+        if components is not None:
+            for key, value in _mapping_items(components):
                 if not (type(key) is tuple and len(key) == 3
                         and type(key[0]) is type(key[1]) is type(key[2]) is int
                         and 1 <= key[0] < key[1] < key[2] <= dim):

@@ -58,6 +58,13 @@ class _Value:
         return hash(self._key())
 
 
+def _mapping_items(x) -> Iterable:
+    """x.items(); a TypeError naming x's type when x is not a mapping."""
+    if type(x) is not dict and not isinstance(x, Mapping):
+        raise TypeError(f"expected a mapping, got {type(x).__name__}")
+    return x.items()
+
+
 def _rebuild(cls, slots: tuple):
     """The _Value of type cls with these slot values, written past the guard."""
     value = cls.__new__(cls)
@@ -274,8 +281,8 @@ class SymScalar:
 
     def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
         clean = {}
-        if terms:
-            for mono, coeff in terms.items():
+        if terms is not None:
+            for mono, coeff in _mapping_items(terms):
                 coeff = _as_gaussian(coeff)
                 if not coeff.is_zero():
                     clean[mono] = coeff
@@ -317,15 +324,6 @@ class SymScalar:
         return _raw_sym(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _raw_sym({m: _gr(-c.re, -c.im) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-sym(other))
-
-    def __rsub__(self, other):
-        return sym(other) + (-self)
 
     def __mul__(self, other):
         """Distributive exact product; monomials merge multiset-wise."""

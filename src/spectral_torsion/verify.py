@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .clifford import Multivector, conjugate_sum, grading, mv_mul, scalar_product, \
-    supertrace, trace
+from .clifford import Multivector, _grading, conjugate_sum, grading, mv_mul, \
+    scalar_product, supertrace, trace
 from .forms import OneForm, ThreeForm, _complement, eval_threeform, frame_product, \
     to_clifford
 from .halfline import (
@@ -264,7 +264,8 @@ def _run_l49(n, rng):
 def _run_e431(n, rng):
     cuvw = frame_product(*_oneforms(n, rng, 1, 2, 3), n)
     constant = sigma_minus2m(grading(n)).terms.get(xi_monomial(n), Multivector(n))
-    computed_mv, reference_mv = mv_mul(cuvw, constant), -mv_mul(cuvw, grading(n))
+    # the reference is C times i^2 grading(n) = -grading(n)
+    computed_mv, reference_mv = mv_mul(cuvw, constant), mv_mul(cuvw, _grading(n, 2))
     # probe one blade coefficient for display; match over full multivectors
     probe_mask = next(iter(sorted(reference_mv.coeffs)), 0)
     return (sym(computed_mv.coeffs.get(probe_mask, GR_ZERO)),

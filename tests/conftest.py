@@ -29,7 +29,7 @@ from spectral_torsion import (
     rational,
     trace,
 )
-from spectral_torsion.clifford import _RUN_DEN_BITS, DimensionMismatch, _sign_mask, blade_mask, \
+from spectral_torsion.clifford import _RUN_DEN_BITS, DimensionMismatch, _sign_mask, \
     blade_product
 from spectral_torsion.halfline import _normal_integral, dxn_symbol, \
     half_inverse_symbol_components, line_integral
@@ -100,6 +100,17 @@ def mv_mul_reference(a: Multivector, b: Multivector) -> Multivector:
 # ---------------------------------------------------------------------------
 
 
+def blade_mask(indices) -> int:
+    """The blade mask of distinct 1-based generator indices."""
+    mask = 0
+    for i in indices:
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"repeated index {i} in blade")
+        mask |= bit
+    return mask
+
+
 def to_clifford_reference(x) -> Multivector:
     """The Clifford embedding of a one-form or 3-form, one GaussianRational
     coefficient per component."""
@@ -125,8 +136,8 @@ def add_reference(a: Multivector, b: Multivector) -> Multivector:
 def perturbation_multivector_reference(case, n) -> Multivector:
     """B from the embeddings' coefficients, i multiplied into each one."""
     if isinstance(case, TorsionVector):
-        return (to_clifford_reference(case.T)
-                + scale_reference(to_clifford_reference(case.Y), GR_I))
+        return add_reference(to_clifford_reference(case.T),
+                             scale_reference(to_clifford_reference(case.Y), GR_I))
     if isinstance(case, Grading):
         return grading(n)
     if isinstance(case, VectorGrading):
@@ -184,7 +195,7 @@ def sigma_minus2m_reference(b: Multivector) -> XiPolynomialMV:
         terms[xi_monomial(n)] = b
     for i in range(1, n + 1):
         gi = Multivector.generator(n, i)
-        bracket = (mv_mul(gi, b) + mv_mul(b, gi)).scale(rational(m))
+        bracket = scale_reference(add_reference(mv_mul(gi, b), mv_mul(b, gi)), m)
         if bracket.is_zero():
             continue
         for l in range(1, n + 1):

@@ -410,6 +410,13 @@ def test_sigma_dense_n16_time_bound():
         f"{Rational.__module__}.{Rational.__name__}"
 
 
+def _long_n16_torsion_vector():
+    """u, v, w and a torsion_vector case at n=16 whose 624 components have
+    pairwise-coprime 25-digit denominators."""
+    return _dense_torsion_vector(
+        16, coprime_draw(random.Random("torsion-vector-long-n16"), digits=25))
+
+
 def test_torsion_vector_density_n16_long_inputs_time_bound():
     """The torsion_vector density at n=16 on inputs whose 624 components
     have pairwise-coprime 25-digit denominators, so C holds a stored part
@@ -421,13 +428,41 @@ def test_torsion_vector_density_n16_long_inputs_time_bound():
     backend is unverified.
     """
     n = 16
-    draw = coprime_draw(random.Random("torsion-vector-long-n16"), digits=25)
-    u, v, w, case = _dense_torsion_vector(n, draw)
+    u, v, w, case = _long_n16_torsion_vector()
     assert "bits" in long_input(frame_product(u, v, w, n))
     assert "parts" in long_input(perturbation_multivector(case, n))
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 1.5, f"torsion_vector at n=16 on 25-digit inputs took {elapsed:.2f}s " \
         f"on {Rational.__module__}.{Rational.__name__}"
+
+
+def test_torsion_vector_density_n16_long_inputs_tight_time_bound():
+    """The input of test_torsion_vector_density_n16_long_inputs_time_bound,
+    under a tighter bound: five densities timed together.
+
+    B splits into 24 integer parts that hold disjoint blades, so the symbol
+    terms' is_zero reads their numerators and builds no coefficient.  On the
+    fractions backend (2-vCPU VM) the five took 0.35 s in the first
+    full-suite run and 0.40-0.44 s in two runs of this file; the bound is
+    about 2.3x the slowest.  When is_zero built every term's coefficients,
+    the five took 1.36 s.  The gmpy2 backend is unverified.
+    """
+    n = 16
+    u, v, w, case = _long_n16_torsion_vector()
+    elapsed = sum(_timed_density(u, v, w, case, n) for _ in range(5))
+    assert elapsed < 1.0, f"five torsion_vector densities at n=16 on 25-digit inputs " \
+        f"took {elapsed:.3f}s on {Rational.__module__}.{Rational.__name__}"
+
+
+def test_sigma_leaves_the_terms_of_a_long_input_unbuilt():
+    """Every symbol term of a B split into integer parts over disjoint
+    blades is kept with its coefficients unbuilt: is_zero reads the parts."""
+    n = 16
+    b = perturbation_multivector(_long_n16_torsion_vector()[3], n)
+    assert "parts" in long_input(b)
+    terms = sigma_minus2m(b).terms
+    assert len(terms) == n * (n + 1) // 2 + 1
+    assert all(term._coeffs is None for term in terms.values())
 
 
 def test_sigma_rejects_small_or_odd_dimension():

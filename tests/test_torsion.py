@@ -23,11 +23,13 @@ from spectral_torsion import (
     UnsupportedDimension,
     VectorGrading,
     boundary_density,
+    conjugate_sum,
     interior_density,
     metric_pair,
     mv_mul,
     rational,
     spectral_torsion,
+    supertrace,
     theorem_value,
     trace,
     verify_suite,
@@ -132,29 +134,38 @@ def test_spectral_torsion_with_identities_is_a_bool(flag, monkeypatch):
 
 
 _LIST4 = [1, 0, 0, 0]
+_FORM = "a form or a multivector"
 
 
-@pytest.mark.parametrize("call", [
-    lambda: interior_density(_LIST4, _U4, _U4, TorsionVector(_T4, _U4), 4),
-    lambda: interior_density(_U4, _U4, _LIST4, Grading(), 4),
-    lambda: boundary_density(_U4, _LIST4, _U4, 4),
-    lambda: metric_pair(_U4, _LIST4),
-    lambda: metric_pair(_LIST4, _U4),
-    lambda: eval_threeform(_T4, _U4, _U4, _LIST4),
-    lambda: eval_threeform(_LIST4, _U4, _U4, _U4),
-    lambda: mv_mul(Multivector.generator(4, 1), _LIST4),
-    lambda: mv_mul(_LIST4, Multivector.generator(4, 1)),
-    lambda: trace(_LIST4),
-    lambda: trace(Multivector.generator(4, 1), _LIST4),
-    lambda: trace(Multivector.generator(4, 1), Multivector.generator(4, 2), _LIST4),
+@pytest.mark.parametrize("call, expected", [
+    (lambda: interior_density(_LIST4, _U4, _U4, TorsionVector(_T4, _U4), 4), _FORM),
+    (lambda: interior_density(_U4, _U4, _LIST4, Grading(), 4), _FORM),
+    (lambda: boundary_density(_U4, _LIST4, _U4, 4), _FORM),
+    (lambda: metric_pair(_U4, _LIST4), _FORM),
+    (lambda: metric_pair(_LIST4, _U4), _FORM),
+    (lambda: eval_threeform(_T4, _U4, _U4, _LIST4), _FORM),
+    (lambda: eval_threeform(_LIST4, _U4, _U4, _U4), _FORM),
+    (lambda: mv_mul(Multivector.generator(4, 1), _LIST4), _FORM),
+    (lambda: mv_mul(_LIST4, Multivector.generator(4, 1)), _FORM),
+    (lambda: trace(_LIST4), _FORM),
+    (lambda: trace(Multivector.generator(4, 1), _LIST4), _FORM),
+    (lambda: trace(Multivector.generator(4, 1), Multivector.generator(4, 2), _LIST4), _FORM),
+    (lambda: supertrace(_LIST4), _FORM),
+    (lambda: conjugate_sum(_LIST4), _FORM),
+    (lambda: Multivector(4, [1, 2]), "a mapping"),
+    (lambda: ThreeForm(4, [1]), "a mapping"),
+    (lambda: SymScalar([1]), "a mapping"),
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
         "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
-        "trace-second", "trace-third"])
-def test_a_list_argument_is_a_type_error(call):
+        "trace-second", "trace-third", "supertrace", "conjugate_sum", "multivector-coeffs",
+        "threeform-components", "symscalar-terms"])
+def test_a_list_argument_is_a_type_error(call, expected):
     """A list where a form or a multivector belongs has no int dim: the one
     same-dimension rule refuses it with a TypeError naming its type, not an
-    AttributeError, on the zero interior density too."""
-    with pytest.raises(TypeError, match=r"^expected a form or a multivector, got list$"):
+    AttributeError, on the zero interior density too.  A list where the
+    constructors of Multivector, ThreeForm and SymScalar take a mapping is
+    refused the same way."""
+    with pytest.raises(TypeError, match=rf"^expected {expected}, got list$"):
         call()
 
 
@@ -275,8 +286,8 @@ def test_torsion_vector_density_antisymmetric(rng):
     case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     base = interior_density(u, v, w, case, n)
-    assert interior_density(v, u, w, case, n) == -base
-    assert interior_density(u, w, v, case, n) == -base
+    assert (interior_density(v, u, w, case, n) + base).is_zero()
+    assert (interior_density(u, w, v, case, n) + base).is_zero()
     assert interior_density(u, u, w, case, n).is_zero()
 
 

@@ -12,21 +12,28 @@ import pytest
 from spectral_torsion import ManifoldSpec, Multivector, SymScalar, grading, mv_mul, \
     to_clifford, trace, verify_suite
 from spectral_torsion import verify
+from spectral_torsion.clifford import _from_int_parts
 from spectral_torsion.scalars import GaussianRational, rational
 from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
 
-from conftest import rand_multivector, rand_oneform, rand_threeform, \
+from conftest import rand_multivector, rand_oneform, rand_threeform, scale_reference, \
     sphere_trace_integral_reference
 
 
+def _two_parts(a, b):
+    """a + b as two stored integer parts, a's then b's."""
+    return _from_int_parts(a.dim, a._parts + b._parts)
+
+
 def _operands(rng, n):
-    """Random left/middle pairs: generic multivectors, and the catalog's shapes."""
+    """Random left/middle pairs: generic multivectors of two parts, and the
+    catalog's shapes."""
     negative_imaginary = Multivector(n, {rng.randint(0, (1 << n) - 1):
                                          GaussianRational(0, rational("-3/2"))})
     pairs = []
     for _ in range(3):
-        left = rand_multivector(rng, n, 16) + negative_imaginary
-        middle = rand_multivector(rng, n, 16) + negative_imaginary.scale(-2)
+        left = _two_parts(rand_multivector(rng, n, 16), negative_imaginary)
+        middle = _two_parts(rand_multivector(rng, n, 16), scale_reference(negative_imaginary, -2))
         pairs.append((left, middle))
     u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
@@ -34,7 +41,8 @@ def _operands(rng, n):
     pairs.append((cuvw, to_clifford(x)))
     pairs.append((cuvw, to_clifford(t)))
     pairs.append((cuvw, mv_mul(to_clifford(x), grading(n))))
-    pairs.append((cuvw, mv_mul(to_clifford(t), grading(n)).scale(GaussianRational(0, -1))))
+    pairs.append((cuvw, scale_reference(mv_mul(to_clifford(t), grading(n)),
+                                        GaussianRational(0, -1))))
     return pairs
 
 
@@ -238,6 +246,9 @@ def test_verify_suite_matches_every_trial_loop(n, seed):
 ROW_HASHES = {
     8: "e9b4a6ce68c647d36bac138ef4757de7bbbca23c3d71a8856c4ffbff8095b5a8",
     10: "71792149d76e0b68ba5292c9c366cff8a10868ac06483d665f71ce41d476c536",
+    12: "aefd7060f18cd8d9f1e045eaa83809282481f47b42dfa4cc885e3a2c776f4910",
+    14: "aea98b9813944336a8c806257155fb9df807e6d2275e77c521373cbd68498181",
+    16: "b0bfc7beb71c37c5baf238117163ce3e2b4ffdec1e3cd8e9924f777022157b77",
 }
 
 
@@ -248,7 +259,7 @@ def test_verify_rows_are_pinned(n, seed):
 
     The displayed values come from the rng=None run, so the seed changes only
     the flags; the hashes at the default seed and seed 7 were equal at
-    n = 4, 6, 8 and 10 when they were recorded.
+    every even n from 4 to 16 when they were recorded.
     """
     text = "\n".join(f"{row.id}\t{row.computed}\t{row.reference}\t{row.matches}"
                      for row in verify_suite(ManifoldSpec(n), seed=seed))
@@ -261,6 +272,8 @@ RUN_HASHES = {
     4: "719c1bfd0db3ef8d21b882df9114541c92795355eaf5f8ee46190165ce0b9f87",
     6: "3c42641692fcafa36a6767032ac51014a2dc9a908426f47351eb4cbddb34b1da",
     8: "eed911dd86452b40269f6e770c2d7d3d2b1e28e29f3d4e5dc5196e2cf2bfc059",
+    10: "1c9eaddbfaf7ff504f41d3745c60efe26307ded84256d5540ba03d2ac202ceae",
+    12: "256fb9279cb9fd4b388f11ac04b7fea0688d823777b74a249ad89b660bc239d1",
 }
 
 
