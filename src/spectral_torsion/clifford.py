@@ -41,7 +41,8 @@ class OddDimension(ValueError):
 
 
 def _same_dim(a, b) -> None:
-    """The one same-dimension rule: `a` has an int `dim`, `b` has one or is one."""
+    """The one same-dimension rule: `a` has an int `dim`, `b` has one or is one,
+    so an operand that may be a bare int is checked first, as _same_dim(b, b)."""
     a_dim = getattr(a, "dim", None)
     dim = b if isinstance(b, int) else getattr(b, "dim", None)
     if type(a_dim) is not int or type(dim) is not int:
@@ -180,13 +181,8 @@ class Multivector(_Value):
                 return not self.coeffs
         return not any(re or im for _, acc in self._parts for re, im in acc.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
+    def _key(self):
+        return self.dim, frozenset(self.coeffs.items())
 
     def __str__(self):
         if not self.coeffs:
@@ -258,8 +254,6 @@ def _int_product(a_parts, b_parts) -> list[tuple[int, dict[int, list[int]]]]:
         for den_b, b_items in b_flat:
             acc: dict[int, list[int]] = {}
             parts.append((den_a * den_b, acc))
-            if not b_items:  # e.g. a projected-out B: no _sign_mask per left blade
-                continue
             for ma, (ar, ai) in a_acc.items():
                 flip = _sign_mask(ma)
                 for mb, br, bi in b_items:
@@ -299,6 +293,7 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     Multiplies the operands' stored integer parts pairwise, on integers; the
     product's coefficients are built on its first read.
     """
+    _same_dim(b, b)
     _same_dim(a, b)
     return _from_int_parts(a.dim, _int_product(a._parts, b._parts))
 
@@ -349,6 +344,7 @@ def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     Summed on both operands' stored integer parts, one Rational per pair of
     parts; neither operand's coefficients are built.
     """
+    _same_dim(b, b)
     _same_dim(a, b)
     total = GR_ZERO
     for den_b, b_acc in b._parts:

@@ -81,6 +81,7 @@ def _integer_row(x: OneForm) -> tuple[int, list[int]]:
 
 def metric_pair(u: OneForm, v: OneForm) -> Rational:
     """g(u, v) in the orthonormal frame: the exact dot product."""
+    _same_dim(v, v)
     _same_dim(u, v)
     return sum((a * b for a, b in zip(u.components, v.components)),
                rational(0))
@@ -95,7 +96,7 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
     not split into runs: each term of a minor reads one entry of every row,
     so split rows would multiply the work by the number of part triples.
     """
-    for x in (u, v, w):
+    for x in (t, u, v, w):
         _same_dim(x, t)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     total = rational(0)

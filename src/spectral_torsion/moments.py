@@ -109,6 +109,8 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     scaled by their moments over the lcm L of the moment denominators, are
     summed into one part per denominator D, kept over D * L.
     """
+    if not isinstance(p, XiPolynomialMV):
+        raise TypeError(f"expected an XiPolynomialMV, got {type(p).__name__}")
     if p.nvars != n:
         raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
     weights = {expo: weight for expo in p.terms if (weight := moment(n, expo))}

@@ -124,6 +124,7 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere, up to
     the frame factor: the xi-polynomial of the perturbation B alone
     (n = b.dim) that C = c(u)c(v)c(w) multiplies on the left."""
+    _same_dim(b, b)
     n = b.dim
     _check_even_dim(n, 4)
     terms: dict[tuple, Multivector] = {xi_monomial(n): b}

@@ -83,7 +83,7 @@ def normal_trace_combination(u: OneForm, v: OneForm, w: OneForm) -> Rational:
     Summed on integer numerators over the rows' common denominators, with
     one Rational at the end.
     """
-    for x in (v, w):
+    for x in (u, v, w):
         _same_dim(x, u)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     numerator = (u[-1] * sum(map(operator.mul, v, w))

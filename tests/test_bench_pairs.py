@@ -15,6 +15,7 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 BETTER = {"jobs_per_s": "higher", "job_p50_s": "lower"}
+BOUNDS = {"jobs_per_s": 0.25, "job_p50_s": 0.25}
 
 
 def _stdout(p50, rate, correct=True, failed=0):
@@ -41,12 +42,13 @@ def test_summary_counts_the_pairs_the_change_won_in_each_direction():
             ((0.00060, 1000), (0.00061, 1010))]
     pairs = [tuple(bench_pairs.parse_result(_stdout(*side)) for side in pair)
              for pair in runs]
-    lines = bench_pairs.summary_lines(pairs, BETTER)
+    lines = bench_pairs.summary_lines(pairs, BETTER, BOUNDS)
     rows = {line.split()[0]: line.split() for line in lines[1:-1]}
     # jobs_per_s: higher wins in pairs 1 and 3; job_p50_s: lower wins in 1 and 2.
     # Spread: base jobs_per_s 980, 990, 1000 has quartiles 985 and 995, so 10/990
-    assert rows["jobs_per_s"][1:] == ["higher", "990", "0.010", "1010", "0.022", "2/3"]
-    assert rows["job_p50_s"][1:] == ["lower", "0.00062", "0.032", "0.00056", "0.054", "2/3"]
+    assert rows["jobs_per_s"][1:] == ["higher", "990", "0.010", "1010", "0.022", "2/3", "same"]
+    assert rows["job_p50_s"][1:] == ["lower", "0.00062", "0.032", "0.00056", "0.054", "2/3",
+                                     "same"]
     assert "peak_rss_mb" not in rows  # not an end-to-end metric of BETTER
     assert lines[-1] == "pairs with both runs correct: 3/3"
 
@@ -69,7 +71,7 @@ def test_pair_lines_show_correct_and_failed_jobs():
         "pair 4 seed 504 base   correct=True failed=0/72 jobs_per_s=1000 job_p50_s=0.0006",
         "pair 4 seed 504 change correct=False failed=2/72 jobs_per_s=1100 job_p50_s=0.0005",
     ]
-    summary = bench_pairs.summary_lines([(base, change)], BETTER)
+    summary = bench_pairs.summary_lines([(base, change)], BETTER, BOUNDS)
     assert summary[-1] == "pairs with both runs correct: 0/1"
 
 
@@ -77,6 +79,57 @@ def test_directions_and_command_follow_the_benchmark_declaration():
     declared = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
     better = bench_pairs.better_directions(declared)
     assert better["job_p50_s"] == "lower" and better["jobs_per_s"] == "higher"
+    bounds = bench_pairs.declared_bounds(declared)
+    assert bounds.keys() == better.keys()
+    assert all(0 < bound < 1 for bound in bounds.values())
     command = bench_pairs.run_command("cli_jobs", 7, 5.0)
     assert command[1:] == ["perfbench/run.py", "--workload", "cli_jobs", "--seed", "7",
                            "--seconds", "5.0", "--trace", "0"]
+
+
+def _sides(bases, changes):
+    return list(zip(bases, changes))
+
+
+_STEADY = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+def test_verdict_worse_past_the_bound_even_when_noisy():
+    # change median 1.30 against 1.00: 30% worse, past a 25% bound
+    assert bench_pairs.verdict(_sides(_STEADY, [x * 1.3 for x in _STEADY]), "lower", 0.25) \
+        == "worse"
+    # jobs_per_s falls from 1000 to 700: worse when higher is better
+    assert bench_pairs.verdict(_sides([1000] * 10, [700] * 10), "higher", 0.25) == "worse"
+    noisy = [0.5, 1.5, 0.6, 1.4, 1.0, 1.0, 0.7, 1.3, 0.8, 1.2]
+    assert bench_pairs.verdict(_sides(noisy, [2.0] * 10), "lower", 0.25) == "worse"
+
+
+def test_verdict_unresolved_when_the_base_spread_exceeds_the_bound():
+    noisy = [0.5, 1.5, 0.6, 1.4, 1.0, 1.0, 0.7, 1.3, 0.8, 1.2]  # spread 0.55
+    assert bench_pairs.spread(noisy) > 0.25
+    # a change 10% better in every pair, but not below every base run
+    assert bench_pairs.verdict(_sides(noisy, [x * 0.9 for x in noisy]), "lower", 0.25) \
+        == "unresolved"
+    # every change run beats every base run: the noise cannot explain it
+    assert bench_pairs.verdict(_sides(noisy, [0.4] * 10), "lower", 0.25) == "better"
+
+
+def test_verdict_better_needs_nine_in_ten_and_a_gap_past_the_base_iqr():
+    faster = [x - 0.05 for x in _STEADY]  # wins all 10; the gap 0.05 exceeds the IQR
+    assert bench_pairs.verdict(_sides(_STEADY, faster), "lower", 0.25) == "better"
+    nine = faster[:9] + [_STEADY[9] + 0.01]
+    assert bench_pairs.verdict(_sides(_STEADY, nine), "lower", 0.25) == "better"
+    eight = faster[:8] + [x + 0.01 for x in _STEADY[8:]]
+    assert bench_pairs.verdict(_sides(_STEADY, eight), "lower", 0.25) == "same"
+    # wins all 10 by 0.001, inside the base IQR of 0.015
+    barely = [x - 0.001 for x in _STEADY]
+    assert bench_pairs.verdict(_sides(_STEADY, barely), "lower", 0.25) == "same"
+    more = [x + 50 for x in [1000] * 10]
+    assert bench_pairs.verdict(_sides([1000] * 10, more), "higher", 0.25) == "better"
+
+
+def test_verdict_same_on_equal_runs_and_small_losses():
+    assert bench_pairs.verdict(_sides(_STEADY, _STEADY), "lower", 0.25) == "same"
+    slower = [x * 1.2 for x in _STEADY]  # 20% worse, inside a 25% bound
+    assert bench_pairs.verdict(_sides(_STEADY, slower), "lower", 0.25) == "same"
+    assert bench_pairs.verdict(_sides(_STEADY, slower), "lower", 0.05) == "worse"

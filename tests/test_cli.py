@@ -147,7 +147,7 @@ def test_compute_malformed_rational_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "compute", write_config(tmp_path, config))
     assert code == 2
     assert "1/0" in err
-    # only "p" and "p/q" are rationals, whatever the Rational backend
+    # only "p" and "p/q" are rationals, though Fraction parses all but "1/-2"
     for bad in ("0.5", "1e3", "1_000", " 1/2 ", "1/-2", "\u0661"):
         config = base_config()
         config["u"] = [bad, "0", "0", "0"]
@@ -772,8 +772,7 @@ def test_run_compute_n16_all_cases_with_boundary_time_bound():
     the whole identity catalog.
 
     On the fractions backend (2-vCPU VM) the four took 1.63-1.76 s in
-    three full-suite runs; the bound is about 2.6x the slowest.  The gmpy2
-    backend is unverified.
+    three full-suite runs; the bound is about 2.6x the slowest.
     """
     rng = random.Random("compute-n16-boundary")
     configs = [_dense_config(case, 16, rng) for case in

@@ -402,7 +402,7 @@ def test_boundary_density_n16_long_inputs_time_bound():
     trace(c(u)c(v), c(w)c(e_n)), it took 0.038-0.046 s in three full-suite
     runs; the bound is about 4.3x the slowest.  With c(u)c(v)c(w) built
     first, it took 0.68-0.75 s.  Read as trace(c(u), c(v), c(w)c(e_n)), the
-    timed call alone takes about 0.013 s.  The gmpy2 backend is unverified.
+    timed call alone takes about 0.013 s.
     """
     n = 16
     draw = coprime_draw(random.Random("boundary-long-n16"), digits=200)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import fractions
 import math
 import pickle
 import re
@@ -299,6 +300,20 @@ def test_int_and_rational_operands_keep_their_values():
             g * bad
         with pytest.raises(TypeError):
             g + bad
+
+
+def test_rational_is_the_stdlib_fraction():
+    """Rational is fractions.Fraction, the one exact rational type, so a
+    stdlib Fraction is accepted wherever a rational is and compares equal
+    to the same value given as a string or an int."""
+    assert Rational is fractions.Fraction
+    half, one = fractions.Fraction(1, 2), fractions.Fraction(1)
+    assert rational(half) is half and rational(half) == rational("+1/2")
+    assert GaussianRational(half, one) == GaussianRational(rational("1/2"), 1)
+    assert GaussianRational(one) == one
+    assert sym(half) == SymScalar({(): half}) == SymScalar({(): rational("1/2")})
+    assert sym(1) == one and SymScalar({(PI,): half}) == SymScalar.from_atom(PI, rational("1/2"))
+    assert Multivector(4, {0: half}) == Multivector(4, {0: GaussianRational("1/2")})
 
 
 def test_a_pickled_product_keeps_its_unbuilt_parts():

@@ -376,8 +376,7 @@ def test_torsion_vector_density_n16_tight_time_bound():
     traced against the sphere-integrated symbol, the five took 0.20-0.21 s
     in three full-suite runs (the first draw 0.09-0.11 s, the others
     0.02-0.03 s); the bound is about 3.3x the slowest.  With C multiplied
-    into the integral first, the same five took 1.06-1.15 s.  The gmpy2
-    backend is unverified.
+    into the integral first, the same five took 1.06-1.15 s.
     """
     n = 16
     rng = random.Random("torsion-vector-n16-tight")
@@ -395,8 +394,7 @@ def test_sigma_dense_n16_time_bound():
     0.047-0.052 s, with each xi_a xi_c term built as 2m (B_a - B_c)
     c(e_a)c(e_c) in one pass over B's blades; the bound is 2.5x the slowest.
     Built from the sum of two relabelled copies of 2m B_a c(e_a), the same
-    five took 0.106-0.111 s, inside the bound.  The gmpy2 backend is
-    unverified.
+    five took 0.106-0.111 s, inside the bound.
     """
     n = 16
     rng = random.Random("sigma-n16")
@@ -424,8 +422,7 @@ def test_torsion_vector_density_n16_long_inputs_time_bound():
 
     On the fractions backend (2-vCPU VM) the density took 0.47-0.55 s in
     six full-suite runs; the bound is about 2.7x the slowest.  With C
-    multiplied into the integral first, it took 3.2-3.8 s.  The gmpy2
-    backend is unverified.
+    multiplied into the integral first, it took 3.2-3.8 s.
     """
     n = 16
     u, v, w, case = _long_n16_torsion_vector()
@@ -445,7 +442,7 @@ def test_torsion_vector_density_n16_long_inputs_tight_time_bound():
     fractions backend (2-vCPU VM) the five took 0.35 s in the first
     full-suite run and 0.40-0.44 s in two runs of this file; the bound is
     about 2.3x the slowest.  When is_zero built every term's coefficients,
-    the five took 1.36 s.  The gmpy2 backend is unverified.
+    the five took 1.36 s.
     """
     n = 16
     u, v, w, case = _long_n16_torsion_vector()

@@ -36,7 +36,11 @@ from spectral_torsion import (
     vol_sphere,
 )
 from spectral_torsion import torsion
+from spectral_torsion.clifford import scalar_product
 from spectral_torsion.forms import eval_threeform
+from spectral_torsion.moments import integrate_sphere
+from spectral_torsion.symbols import sigma_minus2m
+from spectral_torsion.torsion import normal_trace_combination
 from spectral_torsion.scalars import GaussianRational, Rational
 
 from conftest import (
@@ -134,7 +138,10 @@ def test_spectral_torsion_with_identities_is_a_bool(flag, monkeypatch):
 
 
 _LIST4 = [1, 0, 0, 0]
-_FORM = "a form or a multivector"
+_E1 = Multivector.generator(4, 1)
+_FORM = "a form or a multivector, got list"
+_INT = "a form or a multivector, got int"
+_MAPPING = "a mapping, got list"
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -145,27 +152,37 @@ _FORM = "a form or a multivector"
     (lambda: metric_pair(_LIST4, _U4), _FORM),
     (lambda: eval_threeform(_T4, _U4, _U4, _LIST4), _FORM),
     (lambda: eval_threeform(_LIST4, _U4, _U4, _U4), _FORM),
-    (lambda: mv_mul(Multivector.generator(4, 1), _LIST4), _FORM),
-    (lambda: mv_mul(_LIST4, Multivector.generator(4, 1)), _FORM),
+    (lambda: mv_mul(_E1, _LIST4), _FORM),
+    (lambda: mv_mul(_LIST4, _E1), _FORM),
     (lambda: trace(_LIST4), _FORM),
-    (lambda: trace(Multivector.generator(4, 1), _LIST4), _FORM),
-    (lambda: trace(Multivector.generator(4, 1), Multivector.generator(4, 2), _LIST4), _FORM),
+    (lambda: trace(_E1, _LIST4), _FORM),
+    (lambda: trace(_E1, Multivector.generator(4, 2), _LIST4), _FORM),
     (lambda: supertrace(_LIST4), _FORM),
     (lambda: conjugate_sum(_LIST4), _FORM),
-    (lambda: Multivector(4, [1, 2]), "a mapping"),
-    (lambda: ThreeForm(4, [1]), "a mapping"),
-    (lambda: SymScalar([1]), "a mapping"),
+    (lambda: Multivector(4, [1, 2]), _MAPPING),
+    (lambda: ThreeForm(4, [1]), _MAPPING),
+    (lambda: SymScalar([1]), _MAPPING),
+    (lambda: mv_mul(_E1, 4), _INT),
+    (lambda: scalar_product(_E1, 4), _INT),
+    (lambda: metric_pair(_U4, 4), _INT),
+    (lambda: eval_threeform(4, _U4, _U4, _U4), _INT),
+    (lambda: normal_trace_combination(4, _U4, _U4), _INT),
+    (lambda: sigma_minus2m([1]), _FORM),
+    (lambda: integrate_sphere(4, [1]), "an XiPolynomialMV, got list"),
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
         "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
         "trace-second", "trace-third", "supertrace", "conjugate_sum", "multivector-coeffs",
-        "threeform-components", "symscalar-terms"])
+        "threeform-components", "symscalar-terms", "mv_mul-int", "scalar_product-int",
+        "metric-int", "threeform-int", "normal-trace-int", "sigma", "integrate_sphere"])
 def test_a_list_argument_is_a_type_error(call, expected):
     """A list where a form or a multivector belongs has no int dim: the one
     same-dimension rule refuses it with a TypeError naming its type, not an
-    AttributeError, on the zero interior density too.  A list where the
-    constructors of Multivector, ThreeForm and SymScalar take a mapping is
-    refused the same way."""
-    with pytest.raises(TypeError, match=rf"^expected {expected}, got list$"):
+    AttributeError, on the zero interior density too.  A bare int there is
+    refused the same way, though the rule reads an int second argument as a
+    dimension.  A list where the constructors of Multivector, ThreeForm and
+    SymScalar take a mapping, or where integrate_sphere takes a polynomial,
+    is refused the same way."""
+    with pytest.raises(TypeError, match=rf"^expected {expected}$"):
         call()
 
 

@@ -96,7 +96,7 @@ def test_verify_suite_n16_tight_time_bound():
     full-suite runs, with C = c(u)c(v)c(w) traced against the
     sphere-integrated symbol in the density rows; the bound is about 2.5x
     the slowest.  With C multiplied into the integral first, the catalog
-    took 1.0-1.3 s.  The gmpy2 backend is unverified.
+    took 1.0-1.3 s.
     """
     start = time.monotonic()
     rows = verify_suite(ManifoldSpec(16))

@@ -9,9 +9,20 @@ For every seed the script runs ``perfbench/run.py --workload W --seed S
 once in the working tree, base first on odd pairs and change first on even
 ones, so that a slow drift of the machine favours neither side.  It prints
 each pair's end-to-end metrics and ``correct``, then, per metric, the median
-of each side with its spread (interquartile range over median) and the number
+of each side with its spread (interquartile range over median), the number
 of pairs in which the change was better (lower or higher as
-``BENCHMARK.json`` declares).  The checkout is extracted with
+``BENCHMARK.json`` declares) and a verdict, read against the metric's
+declared ``bound``, a fraction of the base median:
+
+* ``worse``: the change median is worse than the base median by more than
+  the bound;
+* ``unresolved``: the base spread exceeds the bound, and not every change
+  run beats every base run;
+* ``better``: the change won at least 9 in 10 pairs, and its median beats
+  the base median by more than the base interquartile range;
+* ``same``: otherwise.
+
+The checkout is extracted with
 ``git archive`` into a temporary directory, which is removed at the end
 whatever happens; the repository's worktree list never changes.
 Standard library only.
@@ -46,6 +57,12 @@ def better_directions(benchmark: dict) -> dict[str, str]:
     return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
 
+def declared_bounds(benchmark: dict) -> dict[str, float]:
+    """{metric name: bound} for the end-to-end metrics, each bound a fraction
+    of the base median."""
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+
+
 def _values(result: dict) -> dict[str, float]:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
@@ -62,31 +79,60 @@ def pair_lines(index: int, seed: int, base: dict, change: dict,
     return lines
 
 
+def _beats(change: float, base: float, direction: str) -> bool:
+    return change < base if direction == "lower" else change > base
+
+
+def _iqr(values: list[float]) -> float:
+    """Q3 - Q1 of the values, quartiles by the inclusive method; 0 for fewer
+    than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def spread(values: list[float]) -> float:
     """(Q3 - Q1) / median of the values, quartiles by the inclusive method;
     0 for fewer than two values."""
-    if len(values) < 2:
-        return 0.0
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return (q3 - q1) / median
+    return _iqr(values) / statistics.median(values) if len(values) > 1 else 0.0
 
 
-def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
+def verdict(sides: list[tuple[float, float]], direction: str, bound: float) -> str:
+    """"worse", "unresolved", "better" or "same" for one metric's (base,
+    change) value pairs, by the rules in the module docstring, tried in
+    that order."""
+    bases, changes = [b for b, _ in sides], [c for _, c in sides]
+    base_median, change_median = statistics.median(bases), statistics.median(changes)
+    gain = base_median - change_median if direction == "lower" else change_median - base_median
+    if -gain > bound * base_median:
+        return "worse"
+    if spread(bases) > bound and not all(_beats(c, b, direction) for c in changes for b in bases):
+        return "unresolved"
+    won = sum(_beats(c, b, direction) for b, c in sides)
+    if 10 * won >= 9 * len(sides) and gain > _iqr(bases):
+        return "better"
+    return "same"
+
+
+def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
+                  bounds: dict[str, float]) -> list[str]:
     """Per metric, the median and the IQR/median spread of each side over
-    (base, change) result pairs, and the pairs in which the change was
-    better; then the pairs in which both runs were correct."""
+    (base, change) result pairs, the pairs in which the change was better
+    and the verdict; then the pairs in which both runs were correct."""
     lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
-             f"{'change median':>14} {'spread':>7} {'change won':>10}"]
+             f"{'change median':>14} {'spread':>7} {'change won':>10} verdict"]
     for name, direction in better.items():
         sides = [(_values(base).get(name), _values(change).get(name)) for base, change in pairs]
         sides = [(b, c) for b, c in sides if b is not None and c is not None]
         if not sides:
             continue
-        won = sum(c < b if direction == "lower" else c > b for b, c in sides)
+        won = sum(_beats(c, b, direction) for b, c in sides)
         bases, changes = [b for b, _ in sides], [c for _, c in sides]
         lines.append(f"{name:14} {direction:6} {statistics.median(bases):12.6g} "
                      f"{spread(bases):7.3f} {statistics.median(changes):14.6g} "
-                     f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10}")
+                     f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10} "
+                     f"{verdict(sides, direction, bounds[name])}")
     correct = sum(base["correct"] and change["correct"] for base, change in pairs)
     lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
     return lines
@@ -123,7 +169,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
-    better = better_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better, bounds = better_directions(benchmark), declared_bounds(benchmark)
     base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
     pairs = []
     try:
@@ -137,7 +184,7 @@ def main(argv=None) -> int:
             print("\n".join(pair_lines(index, seed, *pairs[-1], better)), flush=True)
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
-    print("\n".join(summary_lines(pairs, better)))
+    print("\n".join(summary_lines(pairs, better, bounds)))
     return 0
 
 
