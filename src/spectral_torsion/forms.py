@@ -112,12 +112,10 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
 
 
 def _merge_sign(s: tuple, t: tuple) -> int:
-    """Sign of sorting the concatenation s+t of two increasing tuples; 0 on overlap."""
+    """Sign of sorting the concatenation s+t of two disjoint increasing tuples."""
     inversions = 0
     for x in t:
         for y in s:
-            if y == x:
-                return 0
             if y > x:
                 inversions += 1
     return -1 if inversions & 1 else 1

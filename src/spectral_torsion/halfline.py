@@ -24,6 +24,7 @@ from .scalars import (
     PI,
     SymScalar,
     _Value,
+    _as_gaussian,
     rational,
     vol_sphere,
 )
@@ -39,8 +40,7 @@ class Poly(_Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c)
-              for c in coeffs]
+        cs = [_as_gaussian(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -61,25 +61,12 @@ class Poly(_Value):
             out[i] = out[i] + c
         return Poly(out)
 
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly()
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    def scale(self, s: GaussianRational) -> "Poly":
-        return Poly(tuple(c * s for c in self.coeffs))
 
     def derivative(self) -> "Poly":
         return Poly(tuple(c * rational(k) for k, c in enumerate(self.coeffs) if k))
@@ -153,10 +140,6 @@ class XiRational(_Value):
     def is_zero(self) -> bool:
         return self.numer.is_zero()
 
-    @property
-    def denominator_degree(self) -> int:
-        return self.up + self.down
-
     def _key(self):  # canonical: the constructor cancels roots at +-i
         return self.numer, self.up, self.down
 
@@ -171,13 +154,13 @@ class XiRational(_Value):
 
     def derivative(self) -> "XiRational":
         """Exact derivative; the multiplicity of each present pole increases by one."""
-        # d/dx N/(a^u b^d) = [N' a b - N (u b + d a)] / (a^(u+1) b^(d+1)) with
-        # a = x - i and b = x + i, where an absent pole's factor is 1
+        # d/dx N/(a^u b^d) = [N' a b + N (b (-u) + a (-d))] / (a^(u+1) b^(d+1))
+        # with a = x - i and b = x + i, where an absent pole's factor is 1
         up, down = self.up, self.down
         a = _X_MINUS_I if up else POLY_ONE
         b = _X_PLUS_I if down else POLY_ONE
         total = (self.numer.derivative() * a * b
-                 - self.numer * (b.scale(rational(up)) + a.scale(rational(down))))
+                 + self.numer * (b * Poly((-up,)) + a * Poly((-down,))))
         return XiRational(total, up + 1 if up else 0, down + 1 if down else 0)
 
     # -- evaluation -----------------------------------------------------------
@@ -218,7 +201,7 @@ def _check_xi(f) -> None:
 def pi_plus(f: XiRational) -> XiRational:
     """Half-line projection: the principal part of f at i, the pole above the axis."""
     _check_xi(f)
-    if f.numer.degree >= f.denominator_degree:
+    if f.numer.degree >= f.up + f.down:
         raise NonIntegrable("symbol does not vanish at infinity")
     numer = POLY_ZERO  # sum_j c_j (x - i)^j, by Horner's rule
     for c in reversed(_series(f, GR_I)):
@@ -252,7 +235,7 @@ def line_integral(f: XiRational) -> GaussianRational:
     _check_xi(f)
     if f.is_zero():
         return GR_ZERO
-    if f.numer.degree > f.denominator_degree - 2:
+    if f.numer.degree > f.up + f.down - 2:
         raise NonIntegrable("integrand does not decay quadratically")
     series = _series(f, GR_I)
     return GaussianRational(0, 2) * series[-1] if series else GR_ZERO

@@ -133,3 +133,15 @@ def test_verdict_same_on_equal_runs_and_small_losses():
     slower = [x * 1.2 for x in _STEADY]  # 20% worse, inside a 25% bound
     assert bench_pairs.verdict(_sides(_STEADY, slower), "lower", 0.25) == "same"
     assert bench_pairs.verdict(_sides(_STEADY, slower), "lower", 0.05) == "worse"
+
+
+def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "spectral_torsion"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("a = 1\nb = 2\n")
+    (package / "core.py").write_text("x = 1\n\n\ny = 2")  # 3 newlines, no final one
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "deep.py").write_text("not = 'counted'\n")
+    (tmp_path / "tools.py").write_text("outside = True\n")
+    assert bench_pairs.source_lines(tmp_path) == 5
+    assert bench_pairs.source_lines(tmp_path / "empty") == 0

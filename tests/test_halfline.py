@@ -324,7 +324,7 @@ def test_boundary_symbol_structure(rng):
     assert set(table) == {xi_monomial(n - 1)} | {
         xi_monomial(n - 1, i) for i in range(1, n)}
     f_norm, mv_norm = table[xi_monomial(n - 1)]
-    assert f_norm.denominator_degree == 2 * (n // 2) + 1
+    assert f_norm.up + f_norm.down == 2 * (n // 2) + 1
     assert mv_norm.dim == n
 
 

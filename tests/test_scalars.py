@@ -71,12 +71,18 @@ def test_vol_sphere_refuses_non_int_dimensions(k):
 
 @pytest.mark.parametrize("coeff", [0.5, 1j, "1", None])
 def test_symscalar_refuses_non_exact_coefficients(coeff):
-    """A coefficient is coerced as a Gaussian rational: an int is accepted,
-    a float, complex, string or None is a TypeError, not an AttributeError."""
+    """Each coefficient container (SymScalar, Multivector, Poly) coerces a
+    coefficient as a Gaussian rational: an int is accepted, a float,
+    complex, string or None is a TypeError, not an AttributeError.  Only the
+    scalar and form constructors parse strings."""
     assert SymScalar({(PI,): 2, (): 0}) == SymScalar.from_atom(PI, 2)
-    with pytest.raises(TypeError, match=rf"^cannot interpret {re.escape(repr(coeff))} as a "
-                                        rf"Gaussian rational$"):
-        SymScalar({(): coeff})
+    assert Multivector(4, {1: 2, 3: 0}) == Multivector(4, {1: GaussianRational(2)})
+    assert Poly((2, 0)) == Poly((GaussianRational(2),))
+    message = rf"^cannot interpret {re.escape(repr(coeff))} as a Gaussian rational$"
+    for build in (lambda: SymScalar({(): coeff}), lambda: Multivector(4, {0: coeff}),
+                  lambda: Poly((coeff,))):
+        with pytest.raises(TypeError, match=message):
+            build()
 
 
 def test_eval_scaled_vol():

@@ -267,6 +267,23 @@ def test_symbol_trace_weights_each_blade_by_its_grade(n):
     assert nonzero == 6 * math.comb(n, 3)
 
 
+@pytest.mark.parametrize("n", [8, 10, 12, pytest.param(14, marks=pytest.mark.slow),
+                               pytest.param(16, marks=pytest.mark.slow)])
+def test_sphere_integral_of_the_symbol_weights_grades_1_and_3(n):
+    """On every grade-1 and grade-3 blade B, the sphere integral of the symbol
+    of B is w_k B: w_1 = 0 and w_3 = -2 at every even n, by the kernels and
+    by the conftest routes that build the symbol with mv_mul and integrate
+    it coefficient by coefficient.  interior_density keeps only these grades
+    of B, so the weights are what its value rests on."""
+    masks = [mask for mask in range(1 << n) if mask.bit_count() in (1, 3)]
+    assert len(masks) == n + math.comb(n, 3)
+    for mask in masks:
+        b = Multivector(n, {mask: 1})
+        expected = Multivector(n, {mask: _grade_weight(mask.bit_count(), n)})
+        assert integrate_sphere(n, sigma_minus2m(b)) == expected, mask
+        assert integrate_sphere_reference(n, sigma_minus2m_reference(b)) == expected, mask
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_interior_density_matches_the_unprojected_route(n):
     """Dense random inputs, all four cases, then one input over

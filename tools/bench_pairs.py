@@ -22,6 +22,9 @@ declared ``bound``, a fraction of the base median:
   the base median by more than the base interquartile range;
 * ``same``: otherwise.
 
+A last line gives the line totals of ``src/spectral_torsion/*.py`` in the
+base and in the working tree, as ``wc -l`` counts them, and their difference.
+
 The checkout is extracted with
 ``git archive`` into a temporary directory, which is removed at the end
 whatever happens; the repository's worktree list never changes.
@@ -138,6 +141,13 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
     return lines
 
 
+def source_lines(root: Path) -> int:
+    """The newline count of src/spectral_torsion/*.py under root, the total
+    that `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "spectral_torsion").glob("*.py"))
+
+
 def run_command(workload: str, seed: int, seconds: float) -> list[str]:
     return [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -175,6 +185,7 @@ def main(argv=None) -> int:
     pairs = []
     try:
         _extract(args.base, base_dir)
+        base_lines = source_lines(base_dir)
         for index, seed in enumerate(args.seeds, 1):
             command = run_command(args.workload, seed, args.seconds)
             order = [("base", base_dir), ("change", ROOT)]
@@ -185,6 +196,9 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
     print("\n".join(summary_lines(pairs, better, bounds)))
+    change_lines = source_lines(ROOT)
+    print(f"src/spectral_torsion/*.py lines: base {base_lines}, change {change_lines}, "
+          f"difference {change_lines - base_lines:+d}")
     return 0
 
 
