@@ -14,7 +14,6 @@ from .scalars import (
     MissingAtom,
     PI,
     Rational,
-    SymAtom,
     SymScalar,
     TR_F_PHI,
     rational,

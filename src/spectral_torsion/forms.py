@@ -6,6 +6,7 @@ so vectors and covectors share one representation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from math import lcm
 from typing import Iterable
 
@@ -20,6 +21,11 @@ class OneForm(_Value):
     __slots__ = ("dim", "components")
 
     def __init__(self, components: Iterable):
+        # text would give its characters, bytes their values, a set an
+        # arbitrary order and a mapping its keys
+        if isinstance(components, (str, bytes, bytearray, Set, Mapping)):
+            raise TypeError(f"one-form components must be a sequence or an iterator, got "
+                            f"{type(components).__name__}")
         comps = tuple(rational(c) for c in components)
         if not comps:
             raise ValueError("one-form needs at least one component")

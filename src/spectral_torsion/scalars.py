@@ -153,9 +153,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Rational)):
             return self.im == 0 and self.re == other
@@ -172,12 +169,10 @@ class GaussianRational:
     def __str__(self):
         if self.im == 0:
             return str(self.re)
-        imag = "1 i" if self.im == 1 else ("-1 i" if self.im == -1 else f"{self.im} i")
         if self.re == 0:
-            return imag
+            return f"{self.im} i"
         sign = "+" if self.im > 0 else "-"
-        mag = -self.im if self.im < 0 else self.im
-        return f"{self.re}{sign}{mag} i"
+        return f"{self.re}{sign}{abs(self.im)} i"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -225,7 +220,6 @@ def i_power(k: int) -> GaussianRational:
 # Atoms are small tuples (rank, parameter); ordering PI < VOL_SPHERE(k) <
 # TR_F_PHI < DIM_F is the canonical printing order.
 Atom = tuple
-SymAtom = Atom
 
 PI: Atom = (0, 0)
 TR_F_PHI: Atom = (2, 0)
@@ -256,10 +250,6 @@ Monomial = tuple  # sorted tuple of atoms
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
     return tuple(sorted(a + b))
 
 
@@ -299,10 +289,6 @@ class SymScalar:
 
     def __add__(self, other):
         other = sym(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             cur = out.get(mono)
@@ -341,8 +327,8 @@ class SymScalar:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Rational, GaussianRational)):
-            other = sym(other)
+        if isinstance(other, (int, Rational, GaussianRational)):  # a bool included
+            return self.terms.keys() <= {()} and self.terms.get((), GR_ZERO) == other
         if not isinstance(other, SymScalar):
             return NotImplemented
         return self.terms == other.terms
@@ -380,25 +366,24 @@ class SymScalar:
         pieces = []
         for mono in sorted(self.terms):
             coeff = self.terms[mono]
-            atoms = "*".join(atom_name(a) for a in mono)
-            if coeff.is_real():
+            # a real or imaginary coefficient puts its sign in front of the
+            # term; a complex one prints whole, in parentheses
+            if coeff.im == 0:
                 neg = coeff.re < 0
-                magnitude = -coeff.re if neg else coeff.re
-                mag = str(magnitude)
-                is_one = magnitude == 1
             elif coeff.re == 0:
                 neg = coeff.im < 0
-                magnitude = -coeff.im if neg else coeff.im
-                mag = f"({'1 i' if magnitude == 1 else f'{magnitude} i'})"
-                is_one = False
             else:
                 neg = False
-                mag = f"({coeff})"
-                is_one = False
-            if atoms:
-                body = atoms if is_one else f"{mag}*{atoms}"
-            else:
+            mag = str(-coeff if neg else coeff)
+            if coeff.im != 0:
+                mag = f"({mag})"
+            atoms = "*".join(atom_name(a) for a in mono)
+            if not atoms:
                 body = mag
+            elif mag == "1":
+                body = atoms
+            else:
+                body = f"{mag}*{atoms}"
             if not pieces:
                 pieces.append(("-" if neg else "") + body)
             else:

@@ -111,6 +111,27 @@ def blade_mask(indices) -> int:
     return mask
 
 
+def product_by_sorting(*words):
+    """(indices, sign) of a product of ascending index words, from first
+    principles: one sign per transposition that sorts the concatenated word,
+    and one per adjacent repeated index, as c(e_i)^2 = -1."""
+    word = [i for w in words for i in w]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):  # bubble sort: one sign per transposition
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                sign = -sign
+    out = []
+    for i in word:  # a repeated index is adjacent once sorted
+        if out and out[-1] == i:
+            out.pop()
+            sign = -sign
+        else:
+            out.append(i)
+    return out, sign
+
+
 def to_clifford_reference(x) -> Multivector:
     """The Clifford embedding of a one-form or 3-form, one GaussianRational
     coefficient per component."""

@@ -37,8 +37,9 @@ from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_
     blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 
-from conftest import add_reference, coprime_draw, long_input, mv_mul_reference, \
-    rand_multivector, rand_oneform, rand_threeform, scalar_product_reference, scale_reference
+from conftest import add_reference, blade_mask, coprime_draw, long_input, mv_mul_reference, \
+    product_by_sorting, rand_multivector, rand_oneform, rand_threeform, \
+    scalar_product_reference, scale_reference
 from matrix_rep import MatrixRep, mat_add, mat_mul
 
 
@@ -166,10 +167,36 @@ def test_top_blade_supertrace_and_square_signs_at_high_grade(n):
     rng = random.Random("square-signs-16")
     for k in range(n + 1):
         word = sorted(rng.sample(range(1, n + 1), k))
-        indices, sign = _product_by_sorting(word, word)
+        indices, sign = product_by_sorting(word, word)
         assert indices == []
         blade = Multivector(n, {sum(1 << (i - 1) for i in word): 1})
         assert scalar_product(blade, blade) == sign, k
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 16])
+def test_blade_pair_signs_match_sorting_count_at_high_dimension(n):
+    """Past Cl(8)'s exhaustive check: for each pair of grades (j, k), two
+    random blades A of grade j and B of grade k.  blade_product and
+    mv_mul(e_A, e_B) give the sorted word A B with its sign,
+    scalar_product(e_A, e_B) and scalar_product(e_A, e_A) their scalar
+    parts, and the three-factor trace of e_A, e_B and e_(A xor B) is 2^m
+    times the sign of sorting A B (A xor B)."""
+    rng = random.Random(f"blade-pair-signs-{n}")
+    top = 2 ** (n // 2)
+    for j in range(n + 1):
+        for k in range(n + 1):
+            for _ in range(2):
+                a = sorted(rng.sample(range(1, n + 1), j))
+                b = sorted(rng.sample(range(1, n + 1), k))
+                indices, sign = product_by_sorting(a, b)
+                mask_a, mask_b, mask_ab = blade_mask(a), blade_mask(b), blade_mask(indices)
+                e_a, e_b = Multivector(n, {mask_a: 1}), Multivector(n, {mask_b: 1})
+                e_ab = Multivector(n, {mask_ab: 1})
+                assert blade_product(mask_a, mask_b) == (mask_ab, sign)
+                assert mv_mul(e_a, e_b) == Multivector(n, {mask_ab: sign}), (a, b)
+                assert scalar_product(e_a, e_b) == (0 if indices else sign), (a, b)
+                assert scalar_product(e_a, e_a) == product_by_sorting(a, a)[1], a
+                assert trace(e_a, e_b, e_ab) == top * product_by_sorting(a, b, indices)[1], (a, b)
 
 
 def _conjugate_sum_by_products(b):
@@ -316,31 +343,12 @@ def test_multivector_printed_form():
     assert str(Multivector(4)) == "0"
 
 
-def _product_by_sorting(a_word, b_word):
-    """(indices, sign) of a product of two ascending index words, from first principles."""
-    word = list(a_word) + list(b_word)
-    sign = 1
-    for end in range(len(word) - 1, 0, -1):  # bubble sort: one sign per transposition
-        for k in range(end):
-            if word[k] > word[k + 1]:
-                word[k], word[k + 1] = word[k + 1], word[k]
-                sign = -sign
-    out = []
-    for i in word:  # a repeated index is adjacent once sorted: c(e_i)^2 = -1
-        if out and out[-1] == i:
-            out.pop()
-            sign = -sign
-        else:
-            out.append(i)
-    return out, sign
-
-
 def test_blade_product_matches_sorting_count():
     """Every pair of blades of Cl(8), which contains every pair for n <= 8."""
     words = [[i + 1 for i in range(8) if mask >> i & 1] for mask in range(256)]
     for a, a_word in enumerate(words):
         for b, b_word in enumerate(words):
-            indices, sign = _product_by_sorting(a_word, b_word)
+            indices, sign = product_by_sorting(a_word, b_word)
             assert blade_product(a, b) == (sum(1 << (i - 1) for i in indices), sign)
 
 

@@ -104,6 +104,20 @@ def test_basis_index_outside_the_dimension():
             OneForm.basis(4, i)
 
 
+def test_oneform_components_come_in_order():
+    """A list, tuple, range or iterator gives the components in its order;
+    text, bytes, a set or a mapping, which would give its characters, its
+    byte values, an arbitrary order or its keys, is a TypeError naming it."""
+    want = (rational(0), rational(1), rational("2/3"))
+    for comps in ([0, 1, "2/3"], (0, 1, "2/3"), iter([0, 1, "2/3"]),
+                  (c for c in (0, 1, "2/3"))):
+        assert OneForm(comps).components == want
+    assert OneForm(range(3)).components == (0, 1, 2)
+    for comps in ("12", b"12", bytearray(b"12"), {1, 2}, frozenset({1, 2}), {1: 2, 3: 4}):
+        with pytest.raises(TypeError, match=rf"got {type(comps).__name__}$"):
+            OneForm(comps)
+
+
 def test_forms_refuse_a_float_or_bool_dimension():
     """True and 4.0 compare like the ints 1 and 4, yet neither is a dimension."""
     for dim in (4.0, True):

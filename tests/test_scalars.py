@@ -188,6 +188,13 @@ def test_printing_order_and_terms_roundtrip():
     ]
     assert str(sym(GaussianRational(0, 1))) == "(1 i)"
     assert str(sym(GaussianRational(3, -2))) == "(3-2 i)"
+    # a magnitude of 1 is dropped before atoms, whatever the sign; an
+    # imaginary coefficient puts its sign in front, a complex one prints whole
+    assert str(SymScalar.from_atom(PI, -1) + SymScalar.from_atom(DIM_F, 1)) == "-pi + dim_F"
+    assert str(sym(-1) + SymScalar.from_atom(PI, GaussianRational(0, 1))) == "-1 + (1 i)*pi"
+    assert str(SymScalar.from_atom(PI, GaussianRational(-2, 3))) == "(-2+3 i)*pi"
+    assert str(SymScalar.from_atom(vol_sphere(3), GaussianRational(0, -1))) \
+        == "-(1 i)*vol(S^3)"
 
 
 def test_str_zero():
@@ -202,6 +209,7 @@ def test_equal_scalars_hash_alike():
         (half, GaussianRational(half), sym(half)),
         (0, rational(0), GaussianRational(0), sym(0), SymScalar()),
         (GaussianRational(1, -2), sym(GaussianRational(1, -2))),
+        (True, 1, GaussianRational(1), sym(1)),
     ]
     for group in equal_groups:
         assert all(a == b for a in group for b in group)
@@ -342,7 +350,7 @@ def test_rational_stays_reduced(a, b):
 
 
 def test_catalog_identifiers_exported():
-    from spectral_torsion import FINAL_IDS, IDENTITY_IDS, SymAtom, XiMonomial
+    from spectral_torsion import FINAL_IDS, IDENTITY_IDS, XiMonomial
     assert set(FINAL_IDS) <= set(IDENTITY_IDS)
     assert len(IDENTITY_IDS) == 29
-    assert SymAtom is tuple and XiMonomial is tuple
+    assert XiMonomial is tuple
