@@ -44,6 +44,10 @@ EXIT_INCONSISTENT = 3
 # about 12,000 digits and takes a tenth of a second
 MAX_MOMENT_DEGREE = 20000
 
+# the fields of a compute configuration; any other key is refused
+CONFIG_FIELDS = frozenset({"dimension", "case", "u", "v", "w", "T", "Y", "X",
+                           "with_boundary", "numeric_eval"})
+
 # the most digits one input integer may have, sign not counted: CPython's
 # default int-to-str limit, which interpreters before 3.10.7 do not enforce
 MAX_INPUT_DIGITS = 4300
@@ -189,6 +193,9 @@ def _scalar_block(s: SymScalar) -> dict:
 def run_compute(config: dict, seed: int) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("configuration must be a JSON object")
+    unknown = [key for key in config if key not in CONFIG_FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r}")
     n = config.get("dimension")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"dimension must be an integer, got {n!r}")

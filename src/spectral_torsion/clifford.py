@@ -40,14 +40,17 @@ class OddDimension(ValueError):
     pass
 
 
-def _same_dim(a, b) -> None:
-    """The one same-dimension rule: `a` has an int `dim`, `b` has one or is one,
-    so an operand that may be a bare int is checked first, as _same_dim(b, b)."""
+def _same_dim(a, b, kind: type) -> None:
+    """The one same-dimension rule: `a` is a `kind` with an int `dim`, `b` has
+    one or is one, so an operand that may be a bare int is checked first, as
+    _same_dim(b, b, kind)."""
     a_dim = getattr(a, "dim", None)
     dim = b if isinstance(b, int) else getattr(b, "dim", None)
     if type(a_dim) is not int or type(dim) is not int:
         x = b if type(a_dim) is int else a
         raise TypeError(f"expected a form or a multivector, got {type(x).__name__}")
+    if not isinstance(a, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(a).__name__}")
     if a_dim != dim:
         raise DimensionMismatch(f"dim {a_dim} vs {dim}")
 
@@ -293,8 +296,8 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
     Multiplies the operands' stored integer parts pairwise, on integers; the
     product's coefficients are built on its first read.
     """
-    _same_dim(b, b)
-    _same_dim(a, b)
+    _same_dim(b, b, Multivector)
+    _same_dim(a, b, Multivector)
     return _from_int_parts(a.dim, _int_product(a._parts, b._parts))
 
 
@@ -320,10 +323,10 @@ def trace(a: Multivector, b: Multivector | None = None,
     two factors the value is 2^m scalar_product(a, b), with three 2^m
     _triple_scalar(a, b, c); no product of the factors is built.
     """
-    _same_dim(a, a)  # an int dim, whose parity is checked before the other factors
+    _same_dim(a, a, Multivector)  # an int dim, whose parity is checked before the other factors
     _check_even_dim(a.dim)
     for x in (b, c) if c is not None else (b,) if b is not None else ():
-        _same_dim(x, a)
+        _same_dim(x, a, Multivector)
     if c is not None:
         scalar = _triple_scalar(a, b, c)
     else:
@@ -334,7 +337,7 @@ def trace(a: Multivector, b: Multivector | None = None,
 
 def supertrace(a: Multivector) -> GaussianRational:
     """trace(grading * a); kills every blade except the top-grade one."""
-    _same_dim(a, a)
+    _same_dim(a, a, Multivector)
     return trace(grading(a.dim), a)
 
 
@@ -344,8 +347,8 @@ def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     Summed on both operands' stored integer parts, one Rational per pair of
     parts; neither operand's coefficients are built.
     """
-    _same_dim(b, b)
-    _same_dim(a, b)
+    _same_dim(b, b, Multivector)
+    _same_dim(a, b, Multivector)
     total = GR_ZERO
     for den_b, b_acc in b._parts:
         for den_a, a_acc in a._parts:
@@ -401,7 +404,7 @@ def conjugate_sum(b: Multivector) -> Multivector:
     On a grade-k blade this is (-1)^k (2k - n) times the blade; the factor
     scales b's integer numerators.
     """
-    _same_dim(b, b)
+    _same_dim(b, b, Multivector)
     factors = [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)]
     return _from_int_parts(b.dim, [
         (den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])

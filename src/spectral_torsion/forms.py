@@ -87,8 +87,8 @@ def _integer_row(x: OneForm) -> tuple[int, list[int]]:
 
 def metric_pair(u: OneForm, v: OneForm) -> Rational:
     """g(u, v) in the orthonormal frame: the exact dot product."""
-    _same_dim(v, v)
-    _same_dim(u, v)
+    _same_dim(v, v, OneForm)
+    _same_dim(u, v, OneForm)
     return sum((a * b for a, b in zip(u.components, v.components)),
                rational(0))
 
@@ -102,8 +102,9 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
     not split into runs: each term of a minor reads one entry of every row,
     so split rows would multiply the work by the number of part triples.
     """
-    for x in (t, u, v, w):
-        _same_dim(x, t)
+    _same_dim(t, t, ThreeForm)
+    for x in (u, v, w):
+        _same_dim(x, t, OneForm)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     total = rational(0)
     for den, part in _rational_runs((abc, coeff, 0) for abc, coeff in t.components.items()):
@@ -134,8 +135,9 @@ def _complement(x, n: int):
     that the top pairing of a ^ x is the pairing of a with the dual: a k-form
     becomes an (n-k)-form, a OneForm or a ThreeForm.
     """
-    _same_dim(x, n)
-    if isinstance(x, OneForm):
+    kind = OneForm if isinstance(x, OneForm) else ThreeForm
+    _same_dim(x, n, kind)
+    if kind is OneForm:
         items = [((i,), c) for i, c in enumerate(x.components, 1) if c]
         k = 1
     else:
@@ -170,5 +172,5 @@ def to_clifford(x) -> Multivector:
 def frame_product(u: OneForm, v: OneForm, w: OneForm, n: int) -> Multivector:
     """c(u) c(v) c(w), the frame factor, for one-forms of dimension n."""
     for x in (u, v, w):
-        _same_dim(x, n)
+        _same_dim(x, n, OneForm)
     return mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))

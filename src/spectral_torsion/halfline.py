@@ -178,18 +178,14 @@ class XiRational(_Value):
         return out
 
 
-def _series(f: XiRational, pole: GaussianRational) -> list:
-    """[c_0, ..., c_(m-1)]: the Taylor coefficients in t = x - pole of
-    (x - pole)^m f, for the pole i or -i of multiplicity m.  The principal
-    part of f there is sum_j c_j t^(j - m)."""
-    if pole == GR_I:
-        mult, rest = f.up, XiRational(f.numer, 0, f.down)
-    else:
-        mult, rest = f.down, XiRational(f.numer, f.up, 0)
-    if not mult:
+def _series(f: XiRational) -> list:
+    """[c_0, ..., c_(m-1)]: the Taylor coefficients in t = x - i of
+    (x - i)^m f, for the pole i of multiplicity m.  The principal part of f
+    there is sum_j c_j t^(j - m)."""
+    if not f.up:
         return []
-    return [d / rational(math.factorial(k))
-            for k, d in enumerate(rest.derivatives_at(pole, mult - 1))]
+    return [d / rational(math.factorial(k)) for k, d in
+            enumerate(XiRational(f.numer, 0, f.down).derivatives_at(GR_I, f.up - 1))]
 
 
 def _check_xi(f) -> None:
@@ -204,7 +200,7 @@ def pi_plus(f: XiRational) -> XiRational:
     if f.numer.degree >= f.up + f.down:
         raise NonIntegrable("symbol does not vanish at infinity")
     numer = POLY_ZERO  # sum_j c_j (x - i)^j, by Horner's rule
-    for c in reversed(_series(f, GR_I)):
+    for c in reversed(_series(f)):
         numer = numer * _X_MINUS_I + Poly((c,))
     return XiRational(numer, f.up)
 
@@ -237,7 +233,7 @@ def line_integral(f: XiRational) -> GaussianRational:
         return GR_ZERO
     if f.numer.degree > f.up + f.down - 2:
         raise NonIntegrable("integrand does not decay quadratically")
-    series = _series(f, GR_I)
+    series = _series(f)
     return GaussianRational(0, 2) * series[-1] if series else GR_ZERO
 
 
@@ -287,7 +283,7 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     """
     _check_even_dim(n, 4)
     for x in (u, v, w):
-        _same_dim(x, n)
+        _same_dim(x, n, OneForm)
     factor = trace(to_clifford(u), to_clifford(v),
                    mv_mul(to_clifford(w), _normal_generator(n)))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),

@@ -88,7 +88,7 @@ def _check_case(case: PerturbationCase, n: int) -> None:
         if not isinstance(tensor, form):
             raise TypeError(f"{type(case).__name__}.{field} must be a {form.__name__}, "
                             f"got {type(tensor).__name__}")
-        _same_dim(tensor, n)
+        _same_dim(tensor, n, form)
 
 
 def _form_factor(case: PerturbationCase, n: int) -> tuple[list, Multivector | None]:
@@ -124,7 +124,7 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere, up to
     the frame factor: the xi-polynomial of the perturbation B alone
     (n = b.dim) that C = c(u)c(v)c(w) multiplies on the left."""
-    _same_dim(b, b)
+    _same_dim(b, b, Multivector)
     n = b.dim
     _check_even_dim(n, 4)
     terms: dict[tuple, Multivector] = {xi_monomial(n): b}
@@ -197,7 +197,7 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     items, blade = _form_factor(case, n)
     _check_even_dim(n, 4)
     for x in (u, v, w):
-        _same_dim(x, n)
+        _same_dim(x, n, OneForm)
     top = 0 if blade is None else next(mask for _, acc in blade._parts for mask in acc)
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
     if not kept:

@@ -84,7 +84,7 @@ def normal_trace_combination(u: OneForm, v: OneForm, w: OneForm) -> Rational:
     one Rational at the end.
     """
     for x in (u, v, w):
-        _same_dim(x, u)
+        _same_dim(x, u, OneForm)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     numerator = (u[-1] * sum(map(operator.mul, v, w))
                  - v[-1] * sum(map(operator.mul, u, w))
@@ -126,6 +126,8 @@ def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
     n = spec.dim
     m = n // 2
     _check_case(case, n)
+    for x in (u, v, w):
+        _same_dim(x, n, OneForm)
     if isinstance(case, TorsionVector):
         coeff = rational(-(2 ** (m + 1))) * eval_threeform(case.T, u, v, w)
     elif isinstance(case, Grading):

@@ -425,6 +425,8 @@ def verify_suite(spec: ManifoldSpec, seed: int | None = None,
     _check_spec(spec, "verify_suite")
     if seed is not None and type(seed) is not int:
         raise TypeError(f"seed must be None or an int, got {seed!r}")
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an int >= 0, got {trials!r}")
     n = spec.dim
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     rows = []

@@ -373,6 +373,17 @@ def test_long_dimensions_are_echoed_whatever_the_int_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_compute_runs_on_an_interpreter_without_the_int_limit(tmp_path, capsys, monkeypatch):
+    """Before 3.10.7 sys has no int-to-str limit to lift, and compute prints
+    the same bytes."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_config()), encoding="utf-8")
+    expected = run(capsys, "compute", str(path))
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(capsys, "compute", str(path)) == expected
+
+
 def test_capped_exponents_summing_past_the_int_limit_exit_2(capsys):
     big = "9" * MAX_INPUT_DIGITS
     code, out, err = run(capsys, "moments", "--dim", "2", "--alpha", f"{big},{big}")
@@ -512,6 +523,8 @@ _PINNED_ERRORS = [
                  "error: numeric_eval must be a boolean\n", id="compute-numeric-eval-type"),
     pytest.param(_COMPUTE, "[1]", 2,
                  "error: configuration must be a JSON object\n", id="compute-not-object"),
+    pytest.param(_COMPUTE, _config(case="grading", drop=("T",), with_boundry=True), 2,
+                 "error: unknown field 'with_boundry'\n", id="compute-unknown-field"),
     pytest.param(_COMPUTE, _config(u=[_BIG, "0", "0", "0"], v=["0", _BIG, "0", "0"],
                                    w=["0", "0", _BIG, "0"], T=[[1, 2, 3, _BIG]],
                                    numeric_eval=True), 3,

@@ -29,7 +29,7 @@ from spectral_torsion import (
     vol_sphere,
 )
 from spectral_torsion import halfline
-from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, _series, \
+from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, \
     half_inverse_symbol_components
 from spectral_torsion.forms import frame_product
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, GaussianRational, Rational
@@ -67,8 +67,10 @@ def pi_minus(f: XiRational) -> XiRational:
     """The complementary projection: the principal part of f at -i, the pole
     below the axis."""
     numer = Poly()
-    for c in reversed(_series(f, -GR_I)):
-        numer = numer * Poly((GR_I, 1)) + Poly((c,))
+    if f.down:  # sum_k (x + i)^k (d/dx)^k [(x + i)^down f](-i) / k!, by Horner's rule
+        rest = XiRational(f.numer, f.up, 0)
+        for k, d in reversed(list(enumerate(rest.derivatives_at(-GR_I, f.down - 1)))):
+            numer = numer * Poly((GR_I, 1)) + Poly((d / rational(math.factorial(k)),))
     return XiRational(numer, down=f.down)
 
 

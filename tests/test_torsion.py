@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -35,7 +36,7 @@ from spectral_torsion import (
     verify_suite,
     vol_sphere,
 )
-from spectral_torsion import torsion
+from spectral_torsion import torsion, verify
 from spectral_torsion.clifford import scalar_product
 from spectral_torsion.forms import eval_threeform
 from spectral_torsion.moments import integrate_sphere
@@ -129,6 +130,24 @@ def test_verify_suite_seed_is_none_or_an_int(seed, monkeypatch):
                              with_identities=with_identities, seed=seed)
 
 
+class _NoRow:
+    def applies(self, n):
+        raise AssertionError("a catalog row ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("trials", [-3, True, 2.5, "5", None])
+def test_verify_suite_trials_is_an_int_at_least_0(trials, monkeypatch):
+    """One trials rule: an int >= 0, not a bool, checked before any row runs.
+    0 runs each row on its canonical input only."""
+    monkeypatch.setattr(verify, "CATALOG", (_NoRow(),))
+    message = rf"^trials must be an int >= 0, got {re.escape(repr(trials))}$"
+    with pytest.raises(ValueError, match=message):
+        verify_suite(ManifoldSpec(4), trials=trials)
+    monkeypatch.undo()
+    rows = verify_suite(ManifoldSpec(4), trials=0)
+    assert [row.id for row in rows] == [row.id for row in verify_suite(ManifoldSpec(4))]
+
+
 @pytest.mark.parametrize("flag", [1, 0, None, "yes"])
 def test_spectral_torsion_with_identities_is_a_bool(flag, monkeypatch):
     """with_identities is True or False, checked before any density."""
@@ -142,6 +161,8 @@ _E1 = Multivector.generator(4, 1)
 _FORM = "a form or a multivector, got list"
 _INT = "a form or a multivector, got int"
 _MAPPING = "a mapping, got list"
+_MV_FORM = "a Multivector, got OneForm"
+_ONE_THREE = "a OneForm, got ThreeForm"
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -169,11 +190,31 @@ _MAPPING = "a mapping, got list"
     (lambda: normal_trace_combination(4, _U4, _U4), _INT),
     (lambda: sigma_minus2m([1]), _FORM),
     (lambda: integrate_sphere(4, [1]), "an XiPolynomialMV, got list"),
+    (lambda: mv_mul(_E1, _U4), _MV_FORM),
+    (lambda: trace(_E1, _U4), _MV_FORM),
+    (lambda: scalar_product(_E1, _T4), "a Multivector, got ThreeForm"),
+    (lambda: supertrace(_U4), _MV_FORM),
+    (lambda: conjugate_sum(_U4), _MV_FORM),
+    (lambda: sigma_minus2m(_U4), _MV_FORM),
+    (lambda: boundary_density(_T4, _U4, _U4, 4), _ONE_THREE),
+    (lambda: interior_density(_T4, _U4, _U4, TorsionVector(_T4, _U4), 4), _ONE_THREE),
+    (lambda: theorem_value(TorsionVector(_T4, _U4), _T4, _U4, _U4, ManifoldSpec(4)),
+     _ONE_THREE),
+    (lambda: theorem_value(Grading(), _U4, _T4, _U4, ManifoldSpec(4)), _ONE_THREE),
+    (lambda: spectral_torsion(TorsionVector(_T4, _U4), _T4, _U4, _U4, ManifoldSpec(4)),
+     _ONE_THREE),
+    (lambda: eval_threeform(_T4, _T4, _U4, _U4), _ONE_THREE),
+    (lambda: eval_threeform(_U4, _U4, _U4, _U4), "a ThreeForm, got OneForm"),
+    (lambda: metric_pair(_T4, _U4), _ONE_THREE),
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
         "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
         "trace-second", "trace-third", "supertrace", "conjugate_sum", "multivector-coeffs",
         "threeform-components", "symscalar-terms", "mv_mul-int", "scalar_product-int",
-        "metric-int", "threeform-int", "normal-trace-int", "sigma", "integrate_sphere"])
+        "metric-int", "threeform-int", "normal-trace-int", "sigma", "integrate_sphere",
+        "mv_mul-form", "trace-form", "scalar_product-form", "supertrace-form",
+        "conjugate_sum-form", "sigma-form", "boundary-threeform", "interior-threeform",
+        "theorem-threeform", "theorem-zero-threeform", "spectral_torsion-threeform",
+        "threeform-row-threeform", "threeform-t-oneform", "metric-threeform"])
 def test_a_list_argument_is_a_type_error(call, expected):
     """A list where a form or a multivector belongs has no int dim: the one
     same-dimension rule refuses it with a TypeError naming its type, not an
@@ -181,7 +222,9 @@ def test_a_list_argument_is_a_type_error(call, expected):
     refused the same way, though the rule reads an int second argument as a
     dimension.  A list where the constructors of Multivector, ThreeForm and
     SymScalar take a mapping, or where integrate_sphere takes a polynomial,
-    is refused the same way."""
+    is refused the same way.  A form where a multivector belongs, or a
+    3-form where a one-form belongs, has an int dim: the rule refuses it by
+    the type that the caller reads, on the zero closed form too."""
     with pytest.raises(TypeError, match=rf"^expected {expected}$"):
         call()
 

@@ -64,15 +64,72 @@ def test_record_and_report_on_a_canned_module():
         namespace["cached"](2)
         return value.size
 
-    ran = uncalled.record(drive, {"canned.py": "canned"})
-    assert ran == {("canned", 4), ("canned", 5), ("canned", 10), ("canned", 23)}
+    called, lines = uncalled.record(drive, {"canned.py": "canned"})
+    assert called == {("canned", 4), ("canned", 5), ("canned", 10), ("canned", 23)}
+    assert lines == {("canned", 5), ("canned", 6), ("canned", 7), ("canned", 12),
+                     ("canned", 25)}
     defined = {"canned": uncalled.defined_functions(CANNED)}
     # __eq__ is value-type protocol, so it is left out although it never ran
-    assert uncalled.uncalled(defined, ran) == [
+    assert uncalled.uncalled(defined, called) == [
         "canned.Value.grow", "canned.guarded", "canned.unused"]
 
 
 def test_a_code_object_from_another_file_is_not_recorded():
     namespace: dict = {}
     exec(compile("def f():\n    return 1\n", "other.py", "exec"), namespace)
-    assert uncalled.record(namespace["f"], {"canned.py": "canned"}) == set()
+    assert uncalled.record(namespace["f"], {"canned.py": "canned"}) == (set(), set())
+
+
+BRANCHES = '''\
+def run(x):
+    """A docstring, which runs no line."""
+    total = [
+        x,
+    ]
+    if x > 0:
+        total.append(1)
+    else:
+        total.append(-1)
+    if x > 9:
+        raise ValueError(x)
+    try:
+        total.append(int(x))
+    except TypeError:
+        total.append(0)
+    return total
+
+
+def unused(x):
+    return x
+
+
+class Value:
+    def __repr__(self):
+        if self:
+            return "Value()"
+        return "?"
+'''
+
+
+def test_unreached_reports_each_statement_that_never_ran():
+    namespace: dict = {}
+    exec(compile(BRANCHES, "branches.py", "exec"), namespace)
+
+    def drive():
+        namespace["run"](1)
+        repr(namespace["Value"]())
+
+    called, lines = uncalled.record(drive, {"branches.py": "branches"})
+    called = {first for _, first in called}
+    lines = {line for _, line in lines}
+    # the else branch never ran.  Left out: the docstring, the raise, the
+    # except body, the body of unused, which never ran, and the value-type
+    # protocol method __repr__, whose last statement never ran
+    assert uncalled.unreached(BRANCHES, called, lines) == [(9, "run")]
+
+
+def test_unreached_reads_a_statement_at_its_first_line():
+    source = "def f():\n    @g\n    def h():\n        pass\n    for x in y:\n        pass\n"
+    # only the decorator's line and the loop's header ran; h never ran
+    assert uncalled.unreached(source, {1}, {2, 5}) == [(6, "f")]
+    assert uncalled.unreached(source, {1}, set()) == [(2, "f"), (5, "f"), (6, "f")]
