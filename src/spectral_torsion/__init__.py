@@ -40,7 +40,6 @@ from .forms import (
     to_clifford,
 )
 from .moments import (
-    XiMonomial,
     XiPolynomialMV,
     integrate_sphere,
     moment,

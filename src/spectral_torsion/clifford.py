@@ -55,10 +55,10 @@ def _same_dim(a, b, kind: type) -> None:
         raise DimensionMismatch(f"dim {a_dim} vs {dim}")
 
 
-def _check_dim(dim: int, bounded: bool = True) -> None:
-    """The one dimension rule: an int (not a bool), in [1, MAX_DIM] when
-    bounded.  Forms take any int dimension; to_clifford bounds them."""
-    if type(dim) is not int or bounded and not 1 <= dim <= MAX_DIM:
+def _check_dim(dim: int) -> None:
+    """The one dimension rule for every Cl(n) operand (multivectors, forms,
+    xi-polynomials): an int (not a bool) in [1, MAX_DIM]."""
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {dim}")
 
 

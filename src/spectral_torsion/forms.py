@@ -27,21 +27,20 @@ class OneForm(_Value):
             raise TypeError(f"one-form components must be a sequence or an iterator, got "
                             f"{type(components).__name__}")
         comps = tuple(rational(c) for c in components)
-        if not comps:
-            raise ValueError("one-form needs at least one component")
+        _check_dim(len(comps))
         object.__setattr__(self, "dim", len(comps))
         object.__setattr__(self, "components", comps)
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "OneForm":
         """e_i*, 1-based index."""
-        _check_dim(dim, bounded=False)
+        _check_dim(dim)
         _check_index(i, dim, "basis")
         return cls(tuple(1 if j == i else 0 for j in range(1, dim + 1)))
 
     @classmethod
     def zero(cls, dim: int) -> "OneForm":
-        _check_dim(dim, bounded=False)
+        _check_dim(dim)
         return cls((0,) * dim)
 
     def _key(self):
@@ -57,7 +56,7 @@ class ThreeForm(_Value):
     __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components=None):
-        _check_dim(dim, bounded=False)
+        _check_dim(dim)
         clean = {}
         if components is not None:
             for key, value in _mapping_items(components):
@@ -165,7 +164,6 @@ def to_clifford(x) -> Multivector:
     """Embed a one-form or 3-form as its Clifford multiplication element,
     built as integer parts."""
     items = [(mask, c, 0) for mask, c in _clifford_items(x)]
-    _check_dim(x.dim)
     return _from_int_parts(x.dim, _rational_runs(items))
 
 

@@ -16,12 +16,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .clifford import DimensionMismatch, Multivector, _check_dim, _check_index, _from_int_parts
-from .scalars import Rational, _Value, rational, vol_sphere
-
-
-# an exponent vector over the cosphere variables, one entry per variable
-XiMonomial = tuple
+from .clifford import DimensionMismatch, Multivector, _check_dim, _check_index, _from_int_parts, \
+    _same_dim
+from .scalars import Rational, _Value, _mapping_items, rational, vol_sphere
 
 
 def moment(n: int, alpha) -> Rational:
@@ -63,16 +60,16 @@ class XiPolynomialMV(_Value):
     __slots__ = ("nvars", "mv_dim", "terms")
 
     def __init__(self, nvars: int, mv_dim: int, terms=None):
-        _check_dim(nvars, bounded=False)
+        _check_dim(nvars)
+        _check_dim(mv_dim)
         clean: dict[tuple, Multivector] = {}
-        if terms:
-            for expo, mv in terms.items():
+        if terms is not None:
+            for expo, mv in _mapping_items(terms):
                 expo = tuple(expo)
                 if len(expo) != nvars:
                     raise DimensionMismatch(
                         f"exponent vector length {len(expo)} != {nvars}")
-                if mv.dim != mv_dim:
-                    raise DimensionMismatch(f"mv dim {mv.dim} != {mv_dim}")
+                _same_dim(mv, mv_dim, Multivector)
                 if not mv.is_zero():
                     clean[expo] = mv
         object.__setattr__(self, "nvars", nvars)
@@ -93,7 +90,7 @@ class XiPolynomialMV(_Value):
 
 def xi_monomial(nvars: int, *indices: int) -> tuple:
     """Exponent vector for a product of variables given by 1-based indices."""
-    _check_dim(nvars, bounded=False)
+    _check_dim(nvars)
     expo = [0] * nvars
     for i in indices:
         _check_index(i, nvars, "variable")

@@ -103,6 +103,8 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, SymScalar):
+            return NotImplemented  # SymScalar.__radd__ answers
         other = _as_gaussian(other)
         return _gr(self.re + other.re, self.im + other.im)
 

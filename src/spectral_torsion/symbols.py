@@ -198,7 +198,7 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     _check_even_dim(n, 4)
     for x in (u, v, w):
         _same_dim(x, n, OneForm)
-    top = 0 if blade is None else next(mask for _, acc in blade._parts for mask in acc)
+    top = 0 if blade is None else (1 << n) - 1  # the blade is _grading(n, turns)
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
     if not kept:
         return SymScalar()

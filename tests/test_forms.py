@@ -14,6 +14,7 @@ from spectral_torsion import (
     Multivector,
     OneForm,
     ThreeForm,
+    XiPolynomialMV,
     eval_threeform,
     frame_product,
     metric_pair,
@@ -21,6 +22,7 @@ from spectral_torsion import (
     rational,
     to_clifford,
     trace,
+    xi_monomial,
 )
 from spectral_torsion.clifford import MAX_DIM
 from spectral_torsion.forms import _complement
@@ -88,12 +90,51 @@ def test_to_clifford_basics():
         to_clifford(3)
     t = ThreeForm(4, {(1, 2, 3): rational("1/2")})
     assert to_clifford(t) == Multivector(4, {0b111: rational("1/2")})
-    for x in (OneForm.zero(MAX_DIM + 1), ThreeForm(0), ThreeForm(MAX_DIM + 1)):
+    # a form outside Cl(1)..Cl(16) cannot be built, so none reaches to_clifford
+    for build in (lambda: OneForm.zero(MAX_DIM + 1), lambda: ThreeForm(0),
+                  lambda: ThreeForm(MAX_DIM + 1), lambda: OneForm.basis(MAX_DIM + 1, 1)):
         with pytest.raises(DimensionMismatch, match="dimension must be in"):
-            to_clifford(x)
-    big = OneForm.basis(MAX_DIM + 1, 1)
-    with pytest.raises(DimensionMismatch, match="dimension must be in"):
-        frame_product(big, big, big, MAX_DIM + 1)
+            build()
+
+
+# each constructor that takes a dimension, as a function of that dimension
+_DIM_BUILDERS = {
+    "OneForm": lambda dim: OneForm([0] * dim),  # its dimension is its length
+    "OneForm.basis": lambda dim: OneForm.basis(dim, 1),
+    "OneForm.zero": OneForm.zero,
+    "ThreeForm": ThreeForm,
+    "Multivector": Multivector,
+    "Multivector.generator": lambda dim: Multivector.generator(dim, 1),
+    "xi_monomial": xi_monomial,
+    "XiPolynomialMV.nvars": lambda dim: XiPolynomialMV(dim, 4, {}),
+    "XiPolynomialMV.mv_dim": lambda dim: XiPolynomialMV(4, dim, {}),
+}
+
+
+@pytest.mark.parametrize("name", _DIM_BUILDERS)
+def test_every_constructor_takes_a_dimension_in_1_to_16(name):
+    """ThreeForm(0), xi_monomial(-2) and OneForm([1] * 17) used to be built:
+    forms and xi-polynomials took any int dimension.  A one-form's length is
+    an int >= 0, so a bool, a float or a negative dimension cannot reach it."""
+    build = _DIM_BUILDERS[name]
+    for dim in (1, MAX_DIM):
+        build(dim)
+    bad = (0, MAX_DIM + 1) if name == "OneForm" else (0, -1, MAX_DIM + 1, True, 4.0)
+    for dim in bad:
+        with pytest.raises(DimensionMismatch, match=rf"^dimension must be in \[1, 16\], got {dim}$"):
+            build(dim)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([1, 2], "expected a mapping, got list"),
+    ({(0, 0, 0, 0): 5}, "expected a form or a multivector, got int"),
+    ({(0, 0, 0, 0): OneForm.zero(4)}, "expected a Multivector, got OneForm"),
+], ids=["list", "int-term", "oneform-term"])
+def test_xi_polynomial_terms_map_to_multivectors(terms, message):
+    """A list of terms and an int term used to raise AttributeError, and a
+    one-form term was kept."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        XiPolynomialMV(4, 4, terms)
 
 
 def test_basis_index_outside_the_dimension():

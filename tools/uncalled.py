@@ -50,10 +50,13 @@ The statements that the report still lists, and what reaches each:
   (``test_halfline::test_line_integral_without_a_pole_at_i_is_zero``);
 - ``halfline.py:233`` in ``line_integral``: the zero symbol
   (``test_exactness::test_exact_return_types``);
-- ``scalars.py:206-207`` in ``_as_gaussian``: a bool, which the validating
+- ``scalars.py:107`` in ``GaussianRational.__add__``: a ``SymScalar``
+  operand, whose ``__radd__`` gives the sum
+  (``test_scalars::test_gaussian_plus_symscalar_is_symscalar_plus_gaussian``);
+- ``scalars.py:208-209`` in ``_as_gaussian``: a bool, which the validating
   constructor refuses, or another int subclass
   (``test_scalars::test_int_and_rational_operands_keep_their_values``);
-- ``scalars.py:300`` in ``SymScalar.__add__``: two terms that cancel
+- ``scalars.py:302`` in ``SymScalar.__add__``: two terms that cancel
   (``test_torsion::test_torsion_vector_density_antisymmetric``).
 """
 
