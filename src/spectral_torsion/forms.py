@@ -11,7 +11,7 @@ from math import lcm
 from typing import Iterable
 
 from .clifford import Multivector, _check_dim, _check_index, _from_int_parts, _part, \
-    _rational_runs, _same_dim, mv_mul
+    _rational_runs, _same_dim, _sign_mask, blade_indices, mv_mul
 from .scalars import Rational, _Value, _mapping_items, rational
 
 
@@ -117,35 +117,22 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
     return total
 
 
-def _merge_sign(s: tuple, t: tuple) -> int:
-    """Sign of sorting the concatenation s+t of two disjoint increasing tuples."""
-    inversions = 0
-    for x in t:
-        for y in s:
-            if y > x:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
 def _complement(x, n: int):
     """The complement dual of a one-form or 3-form x of dimension n.
 
     Each stored component moves to the complementary index tuple, signed so
     that the top pairing of a ^ x is the pairing of a with the dual: a k-form
-    becomes an (n-k)-form, a OneForm or a ThreeForm.
+    becomes an (n-k)-form, a OneForm or a ThreeForm.  The sign is that of
+    the blade product c(e_rest) c(e_key), read from _sign_mask.
     """
     kind = OneForm if isinstance(x, OneForm) else ThreeForm
     _same_dim(x, n, kind)
-    if kind is OneForm:
-        items = [((i,), c) for i, c in enumerate(x.components, 1) if c]
-        k = 1
-    else:
-        items, k = x.components.items(), 3
+    top = (1 << n) - 1
     dual = {}
-    for key, c in items:
-        rest = tuple(i for i in range(1, n + 1) if i not in key)
-        dual[rest] = _merge_sign(rest, key) * c
-    if n - k == 1:
+    for key, c in _clifford_items(x):
+        rest = top ^ key
+        dual[blade_indices(rest)] = -c if (_sign_mask(rest) & key).bit_count() & 1 else c
+    if n - (1 if kind is OneForm else 3) == 1:
         return OneForm(tuple(dual.get((i,), 0) for i in range(1, n + 1)))
     return ThreeForm(n, dual)
 

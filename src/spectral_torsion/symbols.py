@@ -23,7 +23,6 @@ from .clifford import (
     _grading,
     _rational_runs,
     _same_dim,
-    _sign_mask,
     mv_mul,
     trace,
 )
@@ -123,7 +122,8 @@ def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
 def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     """Order -2m symbol of c(u)c(v)c(w) D^(1-2m) on the unit cosphere, up to
     the frame factor: the xi-polynomial of the perturbation B alone
-    (n = b.dim) that C = c(u)c(v)c(w) multiplies on the left."""
+    (n = b.dim) that C = c(u)c(v)c(w) multiplies on the left, without its
+    xi_a xi_c terms (a != c), which have odd moments and integrate to 0."""
     _same_dim(b, b, Multivector)
     n = b.dim
     _check_even_dim(n, 4)
@@ -131,46 +131,15 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
 
     # m {c(e_a), B} = n B_a c(e_a), B_a the blades of B that commute with
     # c(e_a): odd ones that hold e_a, even ones that do not.  So the xi_a^2
-    # term is -n B_a, and for a < c the xi_a xi_c term n (B_a - B_c) c(e_a)c(e_c)
-    # holds the blades with one of e_a, e_c, not both.  Per part, `blades` lists
-    # each nonzero blade A as (A, grade parity, -n (re, im)); holding[a] (a from 0)
-    # lists each A with e_a as (A, s, v, -v), v = n (re, im) negated on even grades,
-    # s = _sign_mask(A), complemented if its bit a is set: bit c of s signs A e_a e_c.
-    parts = []
-    for den, acc in b._parts:
-        holding, blades = [[] for _ in range(n)], []
-        for mask, (re, im) in acc.items():
-            if re or im:
-                odd, flips = mask.bit_count() & 1, _sign_mask(mask)
-                v = (n * re, n * im), (-n * re, -n * im)
-                blades.append((mask, odd, v[1]))
-                pos, neg = v if odd else v[::-1]
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    holding[low.bit_length() - 1].append(
-                        (mask, ~flips if flips & low else flips, pos, neg))
-                    rest ^= low
-        parts.append((den, holding, blades))
-    squares = [[(den, {mask: sq for mask, odd, sq in blades if odd == mask >> a & 1})
-                for den, _, blades in parts] for a in range(n)]
-    live = [any(acc for _, acc in sq) for sq in squares]
-
-    def cross(a: int, c: int) -> list:  # a < c; the two sides' keys are disjoint
-        bit_a, bit_c, flip = 1 << a, 1 << c, 1 << a | 1 << c
-        return [(den, {mask ^ flip: neg if sign & bit_c else pos
-                       for mask, sign, pos, neg in holding[a] if not mask & bit_c}
-                 | {mask ^ flip: pos if sign & bit_a else neg
-                    for mask, sign, pos, neg in holding[c] if not mask & bit_a})
-                for den, holding, _ in parts]
-
-    # the xi_a xi_c term is entered where the running sum over a, then c,
-    # first became nonzero: at (a, c) when B_a is nonzero, else at (c, a)
+    # term is -n B_a.  Each nonzero blade's parity and -n (re, im) are read
+    # once per part.
+    parts = [(den, [(mask, mask.bit_count() & 1, (-n * re, -n * im))
+                    for mask, (re, im) in acc.items() if re or im])
+             for den, acc in b._parts]
     for a in range(n):
-        for c in range(n):
-            if live[a] and (c >= a or not live[c]):
-                terms[xi_monomial(n, a + 1, c + 1)] = _from_int_parts(
-                    n, squares[a] if c == a else cross(min(a, c), max(a, c)))
+        terms[xi_monomial(n, a + 1, a + 1)] = _from_int_parts(
+            n, [(den, {mask: v for mask, odd, v in blades if odd == mask >> a & 1})
+                for den, blades in parts])
     return XiPolynomialMV(n, n, terms)
 
 

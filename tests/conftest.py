@@ -36,7 +36,7 @@ from spectral_torsion.halfline import _normal_integral, dxn_symbol, \
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational, Rational, \
     vol_sphere
-from spectral_torsion.symbols import perturbation_multivector, sigma_minus2m
+from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import frame_product, metric_pair, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 from spectral_torsion.verify import rand_threeform as _rand_threeform
@@ -243,7 +243,7 @@ def symbol_trace_reference(u, v, w, b, n) -> GaussianRational:
     terms integrated termwise, C = c(u)c(v)c(w) built by mv_mul and
     multiplied into the integral, and the whole product traced."""
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
-    return trace(mv_mul(cuvw, integrate_sphere_reference(n, sigma_minus2m(b))))
+    return trace(mv_mul(cuvw, integrate_sphere_reference(n, sigma_minus2m_reference(b))))
 
 
 def sphere_trace_integral_reference(n, left, middle, generator_first) -> GaussianRational:

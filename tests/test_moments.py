@@ -104,20 +104,6 @@ def test_vol_numeric_refuses_what_vol_sphere_refuses(k):
         vol_numeric(k)
 
 
-@pytest.mark.parametrize("nvars", [True, 4.0, "4"])
-def test_xi_monomial_and_polynomial_refuse_a_non_int_variable_count(nvars):
-    """xi_monomial(True) used to return (0,), xi_monomial(4.0) raised a bare
-    TypeError and XiPolynomialMV(4.0, 4, {}) was accepted; all three take
-    the one dimension rule."""
-    message = rf"^dimension must be in \[1, 16\], got {nvars}$"
-    with pytest.raises(DimensionMismatch, match=message):
-        xi_monomial(nvars)
-    with pytest.raises(DimensionMismatch, match=message):
-        xi_monomial(nvars, 1)
-    with pytest.raises(DimensionMismatch, match=message):
-        XiPolynomialMV(nvars, 4, {})
-
-
 def test_xi_monomial_rejects_index_0():
     # Python would read index -1, the last variable
     with pytest.raises(DimensionMismatch, match=r"^variable index 0 outside 1\.\.4$"):

@@ -44,7 +44,7 @@ from spectral_torsion import (
 )
 from spectral_torsion import forms, halfline, moments, symbols, verify
 from spectral_torsion.clifford import _from_int_parts
-from spectral_torsion.moments import integrate_sphere, xi_monomial
+from spectral_torsion.moments import XiPolynomialMV, integrate_sphere, xi_monomial
 from spectral_torsion.scalars import GR_I, GaussianRational, Rational, SymScalar, TR_F_PHI
 
 from conftest import coprime_draw, density_via_matrix_rep, integrate_sphere_reference, \
@@ -173,12 +173,13 @@ def _sigma_cases(kind, n, rng):
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_sigma_matches_generator_products(n, rng):
-    """The one-pass build over B's blades gives the symbol multiplied out by
-    generator products, term for term and in the same monomial order, on
-    dense, sparse and multi-run perturbations and, at n = 4 and 6, on every
-    single blade of every grade.  The even grades matter too: row E4.31
-    takes the symbol of grading(n), and the xi_a^2 term of an even blade
-    keeps it when the blade lacks e_a."""
+    """The one-pass build over B's blades gives the even terms of the symbol
+    multiplied out by generator products, term for term and in the same
+    monomial order, on dense, sparse and multi-run perturbations and, at
+    n = 4 and 6, on every single blade of every grade; the terms it leaves
+    off integrate to exactly 0 on each of these inputs.  The even grades
+    matter too: row E4.31 takes the symbol of grading(n), and the xi_a^2
+    term of an even blade keeps it when the blade lacks e_a."""
     coprime = _sigma_cases("coprime", n, rng)
     assert "parts" in long_input(perturbation_multivector(coprime[0], n))
     bs = [perturbation_multivector(case, n) for case in
@@ -188,31 +189,37 @@ def test_sigma_matches_generator_products(n, rng):
         bs += [Multivector(n, {mask: coeff}) for mask in range(1 << n)]
     for b in bs:
         got = sigma_minus2m(b)
-        expected = sigma_minus2m_reference(b)
-        assert got.terms == expected.terms
-        assert list(got.terms) == list(expected.terms)
+        full = sigma_minus2m_reference(b).terms
+        even = {expo: mv for expo, mv in full.items() if not any(e % 2 for e in expo)}
+        assert got.terms == even
+        assert list(got.terms) == list(even)
+        dropped = XiPolynomialMV(n, n, {expo: full[expo] for expo in full.keys() - even.keys()})
+        assert integrate_sphere_reference(n, dropped).is_zero()
 
 
 def test_sigma_skips_stored_zero_numerators():
     """B's stored parts hold an explicit zero on e_1, the only blade that
-    commutes with c(e_1), so B_1 is zero.  Counted as live, it would enter
-    the xi_1 xi_3 term at (1, 3), ahead of the xi_2 terms, instead of at
-    (3, 1)."""
+    commutes with c(e_1), so B_1 is zero and the symbol has no xi_1^2 term:
+    its terms are the constant B, xi_2^2 and xi_3^2.  With e_2 e_3 added,
+    which commutes with c(e_1) too, the xi_1^2 term holds it alone: no term
+    stores the zero."""
     n = 4
     b = _from_int_parts(n, [(1, {0b0001: (0, 0), 0b0010: (1, 0)}), (3, {0b0100: (2, 1)})])
-    got, expected = sigma_minus2m(b), sigma_minus2m_reference(b)
-    assert got.terms == expected.terms
-    assert list(got.terms) == list(expected.terms) == [
-        xi_monomial(n), xi_monomial(n, 1, 2), xi_monomial(n, 2, 2), xi_monomial(n, 2, 3),
-        xi_monomial(n, 2, 4), xi_monomial(n, 1, 3), xi_monomial(n, 3, 3),
-        xi_monomial(n, 3, 4)]
+    got = sigma_minus2m(b)
+    assert list(got.terms) == [xi_monomial(n), xi_monomial(n, 2, 2), xi_monomial(n, 3, 3)]
+    assert got.terms[xi_monomial(n, 2, 2)] == Multivector(n, {0b0010: -n})
+    assert got.terms[xi_monomial(n, 3, 3)] == Multivector(
+        n, {0b0100: GaussianRational(rational("-8/3"), rational("-4/3"))})
+    b = _from_int_parts(n, [(1, {0b0001: (0, 0), 0b0110: (1, 0)})])
+    square = sigma_minus2m(b).terms[xi_monomial(n, 1, 1)]
+    assert square._parts == [(1, {0b0110: (-n, 0)})]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_sigma_stores_no_cancelled_entries(n, rng):
     """On a B with no zero numerator, no term of the symbol stores a zero
-    numerator: the blades of B_a and B_c that cancel in the xi_a xi_c term
-    are never written."""
+    numerator: each xi_a^2 term holds exactly the blades of B that commute
+    with c(e_a), each scaled by -n."""
     bs = [perturbation_multivector(case, n) for case in _sigma_cases("dense", n, rng)]
     bs += [rand_multivector(rng, n, max_blades=40) for _ in range(3)]
     for b in bs:
@@ -257,7 +264,7 @@ def test_symbol_trace_weights_each_blade_by_its_grade(n):
         b = Multivector(n, {mask: 1})
         weight = 2 ** (n // 2) * _grade_weight(mask.bit_count(), n)
         # the symbol of B does not depend on u, v, w: integrate it once per blade
-        integrated = integrate_sphere_reference(n, sigma_minus2m(b))
+        integrated = integrate_sphere_reference(n, sigma_minus2m_reference(b))
         for u, v, w in itertools.product(e, repeat=3):
             expected = scalar_product(frame_product(u, v, w, n), b) * weight
             cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
@@ -408,10 +415,10 @@ def test_sigma_dense_n16_time_bound():
     together, beside the density bounds above.
 
     On the fractions backend (2-vCPU VM) the first runs of this test took
-    0.047-0.052 s, with each xi_a xi_c term built as 2m (B_a - B_c)
-    c(e_a)c(e_c) in one pass over B's blades; the bound is 2.5x the slowest.
-    Built from the sum of two relabelled copies of 2m B_a c(e_a), the same
-    five took 0.106-0.111 s, inside the bound.
+    0.047-0.052 s while the symbol also built each xi_a xi_c term (a != c),
+    as 2m (B_a - B_c) c(e_a)c(e_c); the bound is 2.5x the slowest.  Built
+    with its constant and xi_a^2 terms only, the five take 0.004-0.006 s in
+    a fresh process, about 20x inside the bound.
     """
     n = 16
     rng = random.Random("sigma-n16")
@@ -475,7 +482,7 @@ def test_sigma_leaves_the_terms_of_a_long_input_unbuilt():
     b = perturbation_multivector(_long_n16_torsion_vector()[3], n)
     assert "parts" in long_input(b)
     terms = sigma_minus2m(b).terms
-    assert len(terms) == n * (n + 1) // 2 + 1
+    assert len(terms) == n + 1
     assert all(term._coeffs is None for term in terms.values())
 
 
@@ -579,17 +586,20 @@ def test_grading_torsion_n8_zero(rng):
 
 @pytest.mark.parametrize("case_name", ["torsion_vector", "torsion_grading"])
 def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
-    """The sphere integral reads the symbol's integer parts; the n(n-1)
-    off-diagonal xi_i xi_l coefficients, whose moment is 0, are never built."""
+    """The off-diagonal xi_i xi_l terms, whose moment is 0, are not built at
+    all: no term of the symbol has an odd exponent, and its sphere integral
+    equals the reference integral of the full symbol, off-diagonal terms
+    and all."""
     n = 8
     rng = random.Random(f"unbuilt-{case_name}")
     y, t = rand_oneform(rng, n), rand_threeform(rng, n)
     case = TorsionVector(t, y) if case_name == "torsion_vector" else TorsionGrading(t)
-    sigma = sigma_minus2m(perturbation_multivector(case, n))
-    integrate_sphere(n, sigma)
-    off_diagonal = [mv for expo, mv in sigma.terms.items() if sorted(expo)[-2:] == [1, 1]]
-    assert len(off_diagonal) > n
-    assert all(mv._coeffs is None for mv in off_diagonal)
+    b = perturbation_multivector(case, n)
+    sigma = sigma_minus2m(b)
+    assert not any(e % 2 for expo in sigma.terms for e in expo)
+    full = sigma_minus2m_reference(b)
+    assert sum(sorted(expo)[-2:] == [1, 1] for expo in full.terms) > n
+    assert integrate_sphere(n, sigma) == integrate_sphere_reference(n, full)
 
 
 def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
