@@ -405,8 +405,13 @@ def conjugate_sum(b: Multivector) -> Multivector:
     scales b's integer numerators.
     """
     _same_dim(b, b, Multivector)
-    factors = [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)]
+    return _scale_grades(b, [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)])
+
+
+def _scale_grades(b: Multivector, factors: list[int], den: int = 1) -> Multivector:
+    """b with each grade-k blade times factors[k] / den: its integer
+    numerators scaled by factors[k], each part's denominator by den."""
     return _from_int_parts(b.dim, [
-        (den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])
-               for mask, (re, im) in acc.items()})
-        for den, acc in b._parts])
+        (d * den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])
+                   for mask, (re, im) in acc.items()})
+        for d, acc in b._parts])

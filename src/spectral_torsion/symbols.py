@@ -10,6 +10,13 @@ terms:
 restricted to |xi| = 1, where B is the zero-order perturbation multivector.
 The twist factor Phi rides along every B-linear term, so traces over the
 tensor product factor through the tr_F(Phi) atom.
+
+The interior density is the sphere integral of the trace of C times this
+symbol, C = c(u)c(v)c(w).  The integral scales each blade of B by a factor
+that depends only on the blade's grade, and the trace against C sees grades
+1 and 3 only.  interior_density reads those two factors off the integrated
+symbol of e_1 + e_1 e_2 e_3 on every call, applies them to B and traces C
+against the result; the symbol of B itself is never built.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .clifford import (
     _grading,
     _rational_runs,
     _same_dim,
+    _scale_grades,
     mv_mul,
     trace,
 )
@@ -136,11 +144,31 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     parts = [(den, [(mask, mask.bit_count() & 1, (-n * re, -n * im))
                     for mask, (re, im) in acc.items() if re or im])
              for den, acc in b._parts]
+    # A part with no such blade, or a term with no such part, is not built.
     for a in range(n):
-        terms[xi_monomial(n, a + 1, a + 1)] = _from_int_parts(
-            n, [(den, {mask: v for mask, odd, v in blades if odd == mask >> a & 1})
-                for den, blades in parts])
+        square = [(den, acc) for den, blades in parts
+                  if (acc := {mask: v for mask, odd, v in blades if odd == mask >> a & 1})]
+        if square:
+            terms[xi_monomial(n, a + 1, a + 1)] = _from_int_parts(n, square)
     return XiPolynomialMV(n, n, terms)
+
+
+def _grade_weights(n: int) -> tuple[list[int], int]:
+    """The factors by which the sphere integral of the symbol scales a
+    grade-1 and a grade-3 blade of B, as integers f_k over one denominator
+    D: f_k / D is the factor on grade k, and f_k is 0 on every other grade.
+
+    Read off the integrated symbol of e_1 + e_1 e_2 e_3 on every call.  Each
+    symbol term keeps the blades of its argument, so the two blades'
+    factors do not mix, and they are real.
+    """
+    masks = (0b1, 0b111)
+    unit = _from_int_parts(n, [(1, {mask: (1, 0) for mask in masks})])
+    (den, acc), = integrate_sphere(n, sigma_minus2m(unit))._parts
+    factors = [0] * (n + 1)
+    for mask in masks:
+        factors[mask.bit_count()] = acc.get(mask, (0, 0))[0]
+    return factors, den
 
 
 def interior_density(u: OneForm, v: OneForm, w: OneForm,
@@ -149,17 +177,18 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
 
     Carries one factor tr_F(Phi) (every surviving term is perturbation
     linear) and the atom vol(S^(n-1)) from the sphere moments, attached here
-    to the exact trace of the integrated symbol.  The symbol sees only B's
-    grade-1 and grade-3 blades, the grades of c(u)c(v)c(w): the surviving
-    xi_i^2 terms keep each blade's grade and the trace pairs only equal
-    blades, so every other grade adds 0.  B is its form factor times at most
-    one blade, so a factor item on mask M lands on M ^ (the blade's mask);
-    only the items that land on grade 1 or 3 are converted and multiplied.
-    With none (the grading at every n, c(X) grading from n = 6, sqrt(-1) c(T)
-    grading from n = 8) the density is 0, returned once the arguments are
-    checked, with no rational converted and no product, symbol or
-    C = c(u)c(v)c(w) built.  Otherwise the symbol of that part of B alone is
-    integrated and C is traced against it; their product is never built.
+    to the exact trace.  The sphere integral of the symbol scales each blade
+    of B by a factor of its grade, and the trace pairs C = c(u)c(v)c(w),
+    of grades 1 and 3, only with equal blades, so only B's grade-1 and
+    grade-3 blades count.  B is its form factor times at most one blade, so
+    a factor item on mask M lands on M ^ (the blade's mask); items are kept
+    by that grade before any is converted or multiplied.  With none (the
+    grading at every n, c(X) grading from n = 6, sqrt(-1) c(T) grading from
+    n = 8) the density is 0, returned once the arguments are checked, with
+    no rational converted and no product, symbol or C built.  Otherwise the
+    items whose grade factor (_grade_weights) is 0 are dropped, and B built
+    from the rest is scaled by grade and traced against C; the symbol of B
+    is never built.
     """
     _check_even_dim(n)
     _check_case(case, n)
@@ -171,6 +200,10 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
     if not kept:
         return SymScalar()
-    integrated = integrate_sphere(n, sigma_minus2m(_times_blade(n, kept, blade)))
+    factors, den = _grade_weights(n)
+    kept = [item for item in kept if factors[(item[0] ^ top).bit_count()]]
+    if not kept:
+        return SymScalar()
+    weighted = _scale_grades(_times_blade(n, kept, blade), factors, den)
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
-                                   trace(frame_product(u, v, w, n), integrated))
+                                   trace(frame_product(u, v, w, n), weighted))

@@ -18,14 +18,19 @@ BETTER = {"jobs_per_s": "higher", "job_p50_s": "lower"}
 BOUNDS = {"jobs_per_s": 0.25, "job_p50_s": 0.25}
 
 
-def _stdout(p50, rate, correct=True, failed=0):
-    """A run's stdout as perfbench/run.py prints it: metric lines, then the
-    JSON result on the last line."""
+def _stdout(p50, rate, correct=True, failed=0, speed=1.5):
+    """A run's stdout as perfbench/run.py prints it: metric lines, the
+    wall-clock note (none when speed is None), then the JSON result on the
+    last line."""
     result = {"correct": correct, "attempted": 72, "failed": failed,
               "metrics": {"jobs_per_s": {"value": rate, "unit": "1/s"},
                           "job_p50_s": {"value": p50, "unit": "s"},
                           "peak_rss_mb": {"value": 30.0, "unit": "MB"}}}
+    note = "" if speed is None else (
+        f"density_api wall clock: jobs_per_s {rate * speed:.6g}, job_p50_s "
+        f"{p50 / speed:.6g}, job_tail_s 0.002, CPU speed {speed} of the reference\n")
     return (f"meta {{\"seed\": 1}}\ndensity_api job_p50_s {p50} s\n"
+            f"density_api job_tail_s is p98.6 of 72 jobs\n{note}"
             f"{json.dumps(result)}\n\n")
 
 
@@ -33,6 +38,8 @@ def test_parse_result_reads_the_last_line():
     result = bench_pairs.parse_result(_stdout(0.0006, 1000))
     assert result["correct"] is True
     assert result["metrics"]["job_p50_s"]["value"] == 0.0006
+    assert result["speed"] == 1.5
+    assert bench_pairs.parse_result(_stdout(0.0006, 1000, speed=None))["speed"] is None
     with pytest.raises(ValueError):
         bench_pairs.parse_result("\n \n")
 
@@ -43,14 +50,14 @@ def test_summary_counts_the_pairs_the_change_won_in_each_direction():
     pairs = [tuple(bench_pairs.parse_result(_stdout(*side)) for side in pair)
              for pair in runs]
     lines = bench_pairs.summary_lines(pairs, BETTER, BOUNDS)
-    rows = {line.split()[0]: line.split() for line in lines[1:-1]}
+    rows = {line.split()[0]: line.split() for line in lines[1:-2]}
     # jobs_per_s: higher wins in pairs 1 and 3; job_p50_s: lower wins in 1 and 2.
     # Spread: base jobs_per_s 980, 990, 1000 has quartiles 985 and 995, so 10/990
     assert rows["jobs_per_s"][1:] == ["higher", "990", "0.010", "1010", "0.022", "2/3", "same"]
     assert rows["job_p50_s"][1:] == ["lower", "0.00062", "0.032", "0.00056", "0.054", "2/3",
                                      "same"]
     assert "peak_rss_mb" not in rows  # not an end-to-end metric of BETTER
-    assert lines[-1] == "pairs with both runs correct: 3/3"
+    assert lines[-2] == "pairs with both runs correct: 3/3"
 
 
 def test_spread_is_the_interquartile_range_over_the_median():
@@ -68,11 +75,35 @@ def test_pair_lines_show_correct_and_failed_jobs():
     change = bench_pairs.parse_result(_stdout(0.0005, 1100, correct=False, failed=2))
     lines = bench_pairs.pair_lines(4, 504, base, change, BETTER)
     assert lines == [
-        "pair 4 seed 504 base   correct=True failed=0/72 jobs_per_s=1000 job_p50_s=0.0006",
-        "pair 4 seed 504 change correct=False failed=2/72 jobs_per_s=1100 job_p50_s=0.0005",
+        "pair 4 seed 504 base   correct=True failed=0/72 jobs_per_s=1000 job_p50_s=0.0006 "
+        "speed=1.5",
+        "pair 4 seed 504 change correct=False failed=2/72 jobs_per_s=1100 job_p50_s=0.0005 "
+        "speed=1.5",
     ]
     summary = bench_pairs.summary_lines([(base, change)], BETTER, BOUNDS)
-    assert summary[-1] == "pairs with both runs correct: 0/1"
+    assert summary[-2] == "pairs with both runs correct: 0/1"
+
+
+def test_pair_lines_and_summary_show_each_runs_cpu_speed():
+    """The speed of each run's wall-clock note is printed beside its metrics,
+    and each side's median speed closes the summary; a run without the note
+    prints "?" and is left out of its side's median."""
+    runs = [((0.00064, 980, 1.1), (0.00055, 1030, 2.3)),
+            ((0.00062, 990, 1.2), (0.00056, 985, None)),
+            ((0.00060, 1000, 1.6), (0.00061, 1010, 1.9))]
+    pairs = [tuple(bench_pairs.parse_result(_stdout(p50, rate, speed=speed))
+                   for p50, rate, speed in pair) for pair in runs]
+    lines = bench_pairs.pair_lines(1, 401, *pairs[0], BETTER)
+    assert [line.split()[-1] for line in lines] == ["speed=1.1", "speed=2.3"]
+    assert bench_pairs.pair_lines(2, 402, *pairs[1], BETTER)[1].endswith(" speed=?")
+    summary = bench_pairs.summary_lines(pairs, BETTER, BOUNDS)
+    assert summary[-1] == "median CPU speed of the reference: base 1.2, change 2.1"
+    # the verdict rows are the same as on runs that printed no speed
+    plain = [tuple(bench_pairs.parse_result(_stdout(p50, rate, speed=None))
+                   for p50, rate, _ in pair) for pair in runs]
+    bare = bench_pairs.summary_lines(plain, BETTER, BOUNDS)
+    assert bare[:-1] == summary[:-1]
+    assert bare[-1] == "median CPU speed of the reference: base ?, change ?"
 
 
 def test_directions_and_command_follow_the_benchmark_declaration():

@@ -280,8 +280,10 @@ def test_sphere_integral_of_the_symbol_weights_grades_1_and_3(n):
     """On every grade-1 and grade-3 blade B, the sphere integral of the symbol
     of B is w_k B: w_1 = 0 and w_3 = -2 at every even n, by the kernels and
     by the conftest routes that build the symbol with mv_mul and integrate
-    it coefficient by coefficient.  interior_density keeps only these grades
-    of B, so the weights are what its value rests on."""
+    it coefficient by coefficient.  The integral is linear in B, so this is
+    the proof that interior_density, which reads w_1 and w_3 off the blades
+    e_1 and e_1 e_2 e_3 and applies them to every grade-1 and grade-3 blade
+    of B in place of integrating the symbol of B, is exact."""
     masks = [mask for mask in range(1 << n) if mask.bit_count() in (1, 3)]
     assert len(masks) == n + math.comb(n, 3)
     for mask in masks:
@@ -295,11 +297,10 @@ def test_sphere_integral_of_the_symbol_weights_grades_1_and_3(n):
 def test_interior_density_matches_the_unprojected_route(n):
     """Dense random inputs, all four cases, then one input over
     pairwise-coprime 25-digit denominators: the density, which traces C
-    against the integral of the symbol of B's grade-1 and grade-3 blades,
-    equals the trace of the product of C with the integral of the symbol of
-    all of B.  From n = 6 on, the long torsion_vector B and its integral
-    split into several integer parts, so the trace sums a scalar product
-    over pairs of parts."""
+    against B's grade-1 and grade-3 blades weighted by grade, equals the
+    trace of the product of C with the integral of the symbol of all of B.
+    From n = 6 on, the long torsion_vector B splits into several integer
+    parts, so the trace sums a scalar product over pairs of parts."""
     rng = random.Random(f"unprojected-{n}")
     inputs = [(*(rand_oneform(rng, n) for _ in range(5)), rand_threeform(rng, n))
               for _ in range(2)]
@@ -486,6 +487,26 @@ def test_sigma_leaves_the_terms_of_a_long_input_unbuilt():
     assert all(term._coeffs is None for term in terms.values())
 
 
+def _unit_blades(n):
+    """e_1 + e_1 e_2 e_3, the argument of interior_density's one symbol."""
+    return _from_int_parts(n, [(1, {0b1: (1, 0), 0b111: (1, 0)})])
+
+
+def test_sigma_builds_no_empty_part_or_term():
+    """Every part of every symbol term holds a blade: on the long n=16 input,
+    whose B splits into 24 parts over disjoint blades, and on e_1 + e_1 e_2
+    e_3 at n = 4 and 16, whose xi_a^2 terms for a > 3 hold nothing and are
+    not built."""
+    long_b = perturbation_multivector(_long_n16_torsion_vector()[3], 16)
+    assert len(long_b._parts) == 24
+    for b in (long_b, _unit_blades(4), _unit_blades(16)):
+        terms = sigma_minus2m(b).terms
+        assert all(acc for term in terms.values() for _, acc in term._parts)
+    for n in (4, 16):
+        assert list(sigma_minus2m(_unit_blades(n)).terms) == \
+            [xi_monomial(n)] + [xi_monomial(n, a, a) for a in (1, 2, 3)]
+
+
 def test_sigma_rejects_small_or_odd_dimension():
     """B's dimension goes through the one even-dimension rule, bounded below
     by 4."""
@@ -605,11 +626,13 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
 def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch):
     """boundary_density and interior_density read their Clifford factors
     through their integer parts on dense inputs: neither the boundary's one
-    product c(w)c(e_n), nor the projected B's product with its blade, nor
-    the symbol's argument, nor C = c(u)c(v)c(w) builds its coefficients.  At
-    n=8 only the torsion_vector B has a grade-1 or grade-3 part, so the
-    graded cases build nothing; the n=6 torsion_grading B, c(T) times the
-    blade i gamma, keeps its grade-3 part through one product."""
+    product c(w)c(e_n), nor the symbol's argument, nor the projected B's
+    product with its blade, nor C = c(u)c(v)c(w) builds its coefficients.
+    The symbol's argument is e_1 + e_1 e_2 e_3, the blades whose weights
+    the density reads, never B.  At n=8 only the torsion_vector B has a
+    grade-1 or grade-3 part, so the graded cases build nothing; the n=6
+    torsion_grading B, c(T) times the blade i gamma, keeps its grade-3 part
+    through one product."""
     rng = random.Random("unbuilt-c-and-b")
     u, v, w, x, y = (rand_oneform(rng, 8) for _ in range(5))
     t = ThreeForm(8, {abc: rand_rational(rng) or 1
@@ -639,12 +662,13 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
         interior_density(u, v, w, case, 8)
     interior_density(u6, v6, w6, TorsionGrading(t6), 6)
-    # the boundary's one product; the symbol's argument and C for
-    # torsion_vector; nothing for the n=8 graded cases; the projected B's
-    # product, the symbol's argument (that product) and C at n=6
-    assert [name for name, _ in seen] == ["boundary", "sigma", "C", "B", "sigma", "C"]
-    assert seen[3][1] is seen[4][1]
+    # the boundary's one product; the weights' symbol and C for
+    # torsion_vector; nothing for the n=8 graded cases; the weights' symbol,
+    # the projected B's product and C at n=6
+    assert [name for name, _ in seen] == ["boundary", "sigma", "C", "sigma", "B", "C"]
     assert [mv._coeffs is None for _, mv in seen] == [True] * len(seen)
+    assert [mv for name, mv in seen if name == "sigma"] == \
+        [Multivector(n, {0b1: 1, 0b111: 1}) for n in (8, 6)]
 
 
 # B has a grade-1 or grade-3 blade: always for torsion_vector, never for the
@@ -652,13 +676,18 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
 _HAS_GRADE_1_OR_3 = {TorsionVector: lambda n: True, Grading: lambda n: False,
                      VectorGrading: lambda n: n == 4, TorsionGrading: lambda n: n <= 6}
 
+# B has a grade-3 blade, the one grade whose weight is not 0: the same, but
+# for sqrt(-1) c(T) grading only at n=6 (at n=4 it is grade 1)
+_HAS_GRADE_3 = {**_HAS_GRADE_1_OR_3, TorsionGrading: lambda n: n == 6}
+
 
 def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
     """The only Clifford products of interior_density are C's own
     construction in frame_product (two) and, for the graded cases, the
     projected B's product with its blade (one), all made only when B has a
-    grade-1 or grade-3 blade; C is traced against the integrated symbol.
-    Checked at n = 4, 6 and 8, where each graded case loses its blades."""
+    grade-3 blade; C is traced against the weighted B.  Checked at n = 4, 6
+    and 8, where each graded case loses its blades; the n=4 torsion_grading
+    B is grade 1, so it forms none."""
     calls = []
 
     def counted(module):
@@ -678,16 +707,18 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
             calls.clear()
             interior_density(u, v, w, case, n)
             names = []
-            if _HAS_GRADE_1_OR_3[type(case)](n):
+            if _HAS_GRADE_3[type(case)](n):
                 names = ([] if isinstance(case, TorsionVector) else ["symbols"]) + ["forms"] * 2
             assert calls == names, (n, type(case).__name__)
 
 
 def test_interior_density_builds_one_symbol(monkeypatch):
-    """One interior_density constructs one XiPolynomialMV, the symbol of B
-    integrated as it is, when B has a grade-1 or grade-3 blade, and none
-    otherwise: at n=6 one for torsion_vector and torsion_grading, none for
-    the grading and vector_grading."""
+    """One interior_density constructs one XiPolynomialMV when B has a
+    grade-1 or grade-3 blade, and none otherwise: at n=6 one for
+    torsion_vector and torsion_grading, none for the grading and
+    vector_grading.  The symbol is that of the unit blades e_1 and
+    e_1 e_2 e_3 whose weights the density reads: its terms hold no other
+    blade, so B's own symbol is never built."""
     n = 6
     rng = random.Random("one-symbol")
     u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
@@ -704,6 +735,9 @@ def test_interior_density_builds_one_symbol(monkeypatch):
         built.clear()
         interior_density(u, v, w, case, n)
         assert len(built) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
+        for _, _, terms in built:
+            masks = {mask for term in terms.values() for _, acc in term._parts for mask in acc}
+            assert masks <= {0b1, 0b111}, type(case).__name__
 
 
 def _refuse(name):
@@ -763,17 +797,23 @@ def test_empty_projection_checks_the_arguments_first():
         interior_density(u2, u2, u2, Grading(), 2)
 
 
-class _Projected(Exception):
-    """Stops interior_density at its symbol, carrying the symbol's argument."""
+class _Traced(Exception):
+    """Stops interior_density at its trace, carrying the trace's operands."""
+
+
+def _grade_1_and_3_part(b):
+    return Multivector(b.dim, {mask: c for mask, c in b.coeffs.items()
+                               if mask.bit_count() in (1, 3)})
 
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
 @pytest.mark.parametrize("kind", ["dense", "coprime"])
 def test_projected_perturbation_is_the_grade_1_and_3_part_of_b(kind, n, monkeypatch):
-    """The B that interior_density hands sigma_minus2m, projected before its
-    product with the blade, is the grade-1 and grade-3 part of
-    perturbation_multivector(case, n), coefficient for coefficient, on all
-    four cases; where that part is empty, no symbol is built.  Every
+    """The multivector that interior_density traces C = c(u)c(v)c(w) against
+    is the sphere integral of the symbol of B_13, the grade-1 and grade-3
+    part of perturbation_multivector(case, n), coefficient for coefficient
+    with its zero blades dropped, on all four cases; where B has no grade-3
+    blade, that integral is 0 and the trace is not reached.  Every
     component of X, Y and T is set; the coprime inputs, n components of
     pairwise-coprime 800/n-digit denominators to a one-form, split every
     form factor into several runs."""
@@ -783,21 +823,65 @@ def test_projected_perturbation_is_the_grade_1_and_3_part_of_b(kind, n, monkeypa
     t = ThreeForm(n, {abc: draw() or 1 for abc in itertools.combinations(range(1, n + 1), 3)})
     u, v, w = uvw(n)
 
-    def stop(b):
-        raise _Projected(b)
+    def stop(c, weighted):
+        raise _Traced(c, weighted)
 
-    monkeypatch.setattr(symbols, "sigma_minus2m", stop)
+    monkeypatch.setattr(symbols, "trace", stop)
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
         b = perturbation_multivector(case, n)
         assert kind == "dense" or isinstance(case, Grading) or "parts" in long_input(b)
-        expected = {mask: c for mask, c in b.coeffs.items() if mask.bit_count() in (1, 3)}
+        expected = dict(integrate_sphere(n, sigma_minus2m(_grade_1_and_3_part(b))).coeffs)
+        assert bool(expected) == _HAS_GRADE_3[type(case)](n), type(case).__name__
         try:
             assert interior_density(u, v, w, case, n) == SymScalar()
-            got = {}
-        except _Projected as stopped:
-            got = dict(stopped.args[0].coeffs)
-        assert got == expected, type(case).__name__
-        assert bool(got) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
+        except _Traced as stopped:
+            c, weighted = stopped.args
+            assert expected, f"{type(case).__name__} traced with no grade-3 blade"
+            assert c == frame_product(u, v, w, n)
+            assert dict(weighted.coeffs) == expected, type(case).__name__
+        else:
+            assert not expected, type(case).__name__
+
+
+def _shared_factor_draw(rng, digits):
+    """Rationals whose denominators have about the given number of digits
+    and all share one factor of half of them."""
+    common = rng.randrange(10 ** (digits // 2 - 1), 10 ** (digits // 2))
+
+    def draw():
+        den = common * rng.randrange(10 ** (digits - digits // 2 - 1), 10 ** (digits - digits // 2))
+        return Rational(rng.randrange(-10 ** digits, 10 ** digits), den)
+    return draw
+
+
+def _symbol_route(u, v, w, case, n):
+    """The density by the symbol of B_13 itself: C traced against the sphere
+    integral of the symbol of B's grade-1 and grade-3 part."""
+    b13 = _grade_1_and_3_part(perturbation_multivector(case, n))
+    return SymScalar.from_monomial(
+        (vol_sphere(n - 1), TR_F_PHI),
+        trace(frame_product(u, v, w, n), integrate_sphere(n, sigma_minus2m(b13))))
+
+
+@pytest.mark.parametrize("n,kind", [(n, "dense") for n in range(4, 17, 2)]
+                         + [(n, kind) for n in (10, 16) for kind in ("coprime", "shared")])
+def test_weighted_density_equals_the_symbol_route(n, kind):
+    """interior_density, which weights B's grade-1 and grade-3 blades by the
+    factors read off the symbol of e_1 + e_1 e_2 e_3, equals the route that
+    integrates the symbol of that part of B itself, on all four cases: dense
+    draws at every even n, and at n = 10 and 16 long inputs over 25-digit
+    denominators, pairwise coprime (B in several integer parts) or all
+    sharing one factor."""
+    rng = random.Random(f"weighted-{kind}-{n}")
+    draw = {"dense": lambda: rand_rational(rng), "coprime": coprime_draw(rng, 25),
+            "shared": _shared_factor_draw(rng, 25)}[kind]
+    u, v, w, x = (OneForm(tuple(draw() for _ in range(n))) for _ in range(4))
+    _, _, _, long_case = _dense_torsion_vector(n, draw)
+    t = long_case.T
+    assert kind != "coprime" or "parts" in long_input(perturbation_multivector(long_case, n))
+    for case in (long_case, Grading(), VectorGrading(x), TorsionGrading(t)):
+        assert interior_density(u, v, w, case, n) == _symbol_route(u, v, w, case, n), \
+            type(case).__name__
 
 
 # -- proofs on basis inputs at n=4 -----------------------------------------------

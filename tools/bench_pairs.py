@@ -8,7 +8,8 @@ For every seed the script runs ``perfbench/run.py --workload W --seed S
 --seconds X --trace 0`` once in a temporary checkout of the base revision and
 once in the working tree, base first on odd pairs and change first on even
 ones, so that a slow drift of the machine favours neither side.  It prints
-each pair's end-to-end metrics and ``correct``, then, per metric, the median
+each pair's end-to-end metrics, ``correct`` and the run's CPU speed relative
+to the reference (from the run's wall-clock note), then, per metric, the median
 of each side with its spread (interquartile range over median), the number
 of pairs in which the change was better (lower or higher as
 ``BENCHMARK.json`` declares) and a verdict, read against the metric's
@@ -22,8 +23,10 @@ declared ``bound``, a fraction of the base median:
   the base median by more than the base interquartile range;
 * ``same``: otherwise.
 
-A last line gives the line totals of ``src/spectral_torsion/*.py`` in the
-base and in the working tree, as ``wc -l`` counts them, and their difference.
+The summary ends with each side's median CPU speed, which shows a drift of
+the host that the scaled times did not absorb.  A last line gives the line
+totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
+as ``wc -l`` counts them, and their difference.
 
 The checkout is extracted with
 ``git archive`` into a temporary directory, which is removed at the end
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -46,13 +50,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the end of perfbench/run.py's wall-clock note
+_SPEED = re.compile(r"CPU speed (\S+) of the reference")
+
 
 def parse_result(stdout: str) -> dict:
-    """The JSON object on the last non-empty line of a run's stdout."""
+    """The JSON object on the last non-empty line of a run's stdout, with the
+    CPU speed of the run's wall-clock note under "speed" (None when the run
+    printed no such note)."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("the run printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    speeds = _SPEED.findall(stdout)
+    result["speed"] = float(speeds[-1]) if speeds else None
+    return result
+
+
+def _speed(result: dict) -> str:
+    return "?" if result["speed"] is None else f"{result['speed']:.4g}"
 
 
 def better_directions(benchmark: dict) -> dict[str, str]:
@@ -72,13 +88,15 @@ def _values(result: dict) -> dict[str, float]:
 
 def pair_lines(index: int, seed: int, base: dict, change: dict,
                better: dict[str, str]) -> list[str]:
-    """One line per side of a pair: correct, failed jobs and the metrics."""
+    """One line per side of a pair: correct, failed jobs, the metrics and
+    the CPU speed."""
     lines = []
     for side, result in (("base", base), ("change", change)):
         metrics = " ".join(f"{name}={value:.6g}"
                            for name, value in _values(result).items() if name in better)
         lines.append(f"pair {index} seed {seed} {side:6} correct={result['correct']} "
-                     f"failed={result['failed']}/{result['attempted']} {metrics}")
+                     f"failed={result['failed']}/{result['attempted']} {metrics} "
+                     f"speed={_speed(result)}")
     return lines
 
 
@@ -122,7 +140,8 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
                   bounds: dict[str, float]) -> list[str]:
     """Per metric, the median and the IQR/median spread of each side over
     (base, change) result pairs, the pairs in which the change was better
-    and the verdict; then the pairs in which both runs were correct."""
+    and the verdict; then the pairs in which both runs were correct and
+    each side's median CPU speed over the runs that printed one."""
     lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
              f"{'change median':>14} {'spread':>7} {'change won':>10} verdict"]
     for name, direction in better.items():
@@ -138,6 +157,11 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
                      f"{verdict(sides, direction, bounds[name])}")
     correct = sum(base["correct"] and change["correct"] for base, change in pairs)
     lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
+    medians = []
+    for side, index in (("base", 0), ("change", 1)):
+        speeds = [pair[index]["speed"] for pair in pairs if pair[index]["speed"] is not None]
+        medians.append(f"{side} {statistics.median(speeds):.4g}" if speeds else f"{side} ?")
+    lines.append("median CPU speed of the reference: " + ", ".join(medians))
     return lines
 
 
