@@ -53,7 +53,6 @@ from .symbols import (
     TorsionVector,
     VectorGrading,
     interior_density,
-    perturbation_multivector,
     sigma_minus2m,
 )
 from .halfline import (

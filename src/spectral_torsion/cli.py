@@ -10,6 +10,7 @@ Exit codes: 0 success; 1 a final-theorem row failed in verify; 2 parse or
 validation error; 3 dimension/case inconsistency in a compute job.  The
 commands raise ConfigError (2) or ConsistencyError (3); main alone prints the
 one line `error: <message>` on stderr and returns the code.
+A job's case fields are read from symbols' case table; Y alone defaults to 0.
 SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.  Every
 integer argument, and the seed, reads the ASCII grammar [+-]?[0-9]+.  No
 input integer, and no numerator or denominator of an input rational, may
@@ -31,7 +32,7 @@ from .clifford import DimensionMismatch, Multivector, OddDimension, _check_even_
 from .forms import OneForm, ThreeForm
 from .moments import moment, vol_numeric
 from .scalars import DIM_F, PI, SymScalar, TR_F_PHI, rational, sym, vol_sphere
-from .symbols import CASE_NAMES, Grading, TorsionGrading, TorsionVector, VectorGrading
+from .symbols import CASE_NAMES, _CASE_FIELDS
 from .torsion import ManifoldSpec, UnsupportedDimension, spectral_torsion
 from .verify import DEFAULT_SEED, FINAL_IDS, IdentityComparison, verify_suite
 
@@ -44,9 +45,9 @@ EXIT_INCONSISTENT = 3
 # about 12,000 digits and takes a tenth of a second
 MAX_MOMENT_DEGREE = 20000
 
-# the fields of a compute configuration; any other key is refused
-CONFIG_FIELDS = frozenset({"dimension", "case", "u", "v", "w", "T", "Y", "X",
-                           "with_boundary", "numeric_eval"})
+# a compute configuration's fields, the cases' from their table; any other is refused
+CONFIG_FIELDS = frozenset({"dimension", "case", "u", "v", "w", "with_boundary", "numeric_eval"}
+                          | {field for fields in _CASE_FIELDS.values() for field, _ in fields})
 
 # the most digits one input integer may have, sign not counted: CPython's
 # default int-to-str limit, which interpreters before 3.10.7 do not enforce
@@ -110,15 +111,7 @@ def _parse_rational_field(value, where: str):
         raise ConfigError(f"{where}: bad rational {value!r} ({exc})") from exc
 
 
-def _parse_oneform(config: dict, key: str, n: int, required: bool,
-                   case_field: bool = True) -> OneForm | None:
-    if key not in config or config[key] is None:
-        if required and case_field:
-            raise ConsistencyError(f"case requires field {key!r}")
-        if required:
-            raise ConfigError(f"missing required field {key!r}")
-        return None
-    items = config[key]
+def _parse_oneform(items, key: str, n: int) -> OneForm:
     if not isinstance(items, list):
         raise ConfigError(f"{key}: expected an array of rational strings")
     comps = [_parse_rational_field(s, f"{key}[{i}]") for i, s in enumerate(items)]
@@ -127,10 +120,7 @@ def _parse_oneform(config: dict, key: str, n: int, required: bool,
     return OneForm(comps)
 
 
-def _parse_threeform(config: dict, key: str, n: int) -> ThreeForm:
-    if key not in config or config[key] is None:
-        raise ConsistencyError(f"case requires field {key!r}")
-    items = config[key]
+def _parse_threeform(items, key: str, n: int) -> ThreeForm:
     if not isinstance(items, list):
         raise ConfigError(f"{key}: expected an array of [a, b, c, rational] records")
     comps = {}
@@ -152,15 +142,16 @@ def _build_case(config: dict, n: int):
     name = config.get("case")
     if not isinstance(name, str) or name not in CASE_NAMES:
         raise ConfigError(f"case must be one of {sorted(CASE_NAMES)}, got {name!r}")
-    if name == "torsion_vector":
-        t = _parse_threeform(config, "T", n)
-        y = _parse_oneform(config, "Y", n, required=False) or OneForm.zero(n)
-        return TorsionVector(t, y)
-    if name == "grading":
-        return Grading()
-    if name == "vector_grading":
-        return VectorGrading(_parse_oneform(config, "X", n, required=True))
-    return TorsionGrading(_parse_threeform(config, "T", n))
+    values = []
+    for field, form in _CASE_FIELDS[CASE_NAMES[name]]:
+        if config.get(field) is not None:
+            parse = _parse_oneform if form is OneForm else _parse_threeform
+            values.append(parse(config[field], field, n))
+        elif field == "Y":  # the one optional field
+            values.append(OneForm.zero(n))
+        else:
+            raise ConsistencyError(f"case requires field {field!r}")
+    return CASE_NAMES[name](*values)
 
 
 def default_numeric_env(n: int) -> dict:
@@ -204,10 +195,12 @@ def run_compute(config: dict, seed: int) -> dict:
         if key in config and not isinstance(config[key], bool):
             raise ConfigError(f"{key} must be a boolean")
     case = _build_case(config, n)
-    u = _parse_oneform(config, "u", n, required=True, case_field=False)
-    v = _parse_oneform(config, "v", n, required=True, case_field=False)
-    w = _parse_oneform(config, "w", n, required=True, case_field=False)
-    report = spectral_torsion(case, u, v, w, spec, with_identities=True, seed=seed)
+    frame = []
+    for key in ("u", "v", "w"):
+        if config.get(key) is None:
+            raise ConfigError(f"missing required field {key!r}")
+        frame.append(_parse_oneform(config[key], key, n))
+    report = spectral_torsion(case, *frame, spec, with_identities=True, seed=seed)
 
     numeric = None
     if config.get("numeric_eval", False):

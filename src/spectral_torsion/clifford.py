@@ -410,8 +410,9 @@ def conjugate_sum(b: Multivector) -> Multivector:
 
 def _scale_grades(b: Multivector, factors: list[int], den: int = 1) -> Multivector:
     """b with each grade-k blade times factors[k] / den: its integer
-    numerators scaled by factors[k], each part's denominator by den."""
+    numerators scaled by factors[k], each part's denominator by den, with no
+    entry for a factor of 0 and no part left empty."""
     return _from_int_parts(b.dim, [
-        (d * den, {mask: (re * factors[mask.bit_count()], im * factors[mask.bit_count()])
-                   for mask, (re, im) in acc.items()})
-        for d, acc in b._parts])
+        (d * den, scaled) for d, acc in b._parts
+        if (scaled := {mask: (re * f, im * f) for mask, (re, im) in acc.items()
+                       if (f := factors[mask.bit_count()])})])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import zip_longest
 
 from .clifford import Multivector, _check_even_dim, _same_dim, mv_mul, trace
 from .forms import OneForm, to_clifford
@@ -53,15 +54,13 @@ class Poly(_Value):
         return not self.coeffs
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=GR_ZERO))
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -149,6 +148,8 @@ class XiRational(_Value):
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "XiRational") -> "XiRational":
+        if not isinstance(other, XiRational):
+            return NotImplemented
         return XiRational(self.numer * other.numer,
                           self.up + other.up, self.down + other.down)
 

@@ -17,6 +17,10 @@ that depends only on the blade's grade, and the trace against C sees grades
 1 and 3 only.  interior_density reads those two factors off the integrated
 symbol of e_1 + e_1 e_2 e_3 on every call, applies them to B and traces C
 against the result; the symbol of B itself is never built.
+
+CASE_NAMES and _CASE_FIELDS declare the cases and their fields once (the
+command line parses a configuration from them); interior_density alone
+builds B.
 """
 
 from __future__ import annotations
@@ -99,10 +103,10 @@ def _check_case(case: PerturbationCase, n: int) -> None:
 
 
 def _form_factor(case: PerturbationCase, n: int) -> tuple[list, Multivector | None]:
-    """B as a form factor times at most one constant blade: the factor's
-    (mask, re, im) items, unconverted, and the blade that multiplies it on
-    the right (None for c(T) + sqrt(-1) c(Y)).  Callers check n and the
-    case first."""
+    """The zero-order perturbation B as a form factor times at most one
+    constant blade: the factor's (mask, re, im) items, unconverted, and the
+    blade that multiplies it on the right (None for c(T) + sqrt(-1) c(Y)).
+    The caller checks n and the case first."""
     if isinstance(case, TorsionVector):  # T real and Y imaginary, as one set of items
         return ([(mask, c, 0) for mask, c in _clifford_items(case.T)]
                 + [(mask, 0, c) for mask, c in _clifford_items(case.Y)]), None
@@ -112,19 +116,6 @@ def _form_factor(case: PerturbationCase, n: int) -> tuple[list, Multivector | No
         return [(mask, c, 0) for mask, c in _clifford_items(case.X)], _grading(n)
     # TorsionGrading: c(T) (i gamma), with i gamma = i^(m+1) on the top blade
     return [(mask, c, 0) for mask, c in _clifford_items(case.T)], _grading(n, 1)
-
-
-def _times_blade(n: int, items: list, blade: Multivector | None) -> Multivector:
-    """The items as integer parts, times the blade when there is one."""
-    factor = _from_int_parts(n, _rational_runs(items))
-    return factor if blade is None else mv_mul(factor, blade)
-
-
-def perturbation_multivector(case: PerturbationCase, n: int) -> Multivector:
-    """The zero-order perturbation as an element of Cl(n)."""
-    _check_even_dim(n)
-    _check_case(case, n)
-    return _times_blade(n, *_form_factor(case, n))
 
 
 def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
@@ -198,12 +189,12 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
         _same_dim(x, n, OneForm)
     top = 0 if blade is None else (1 << n) - 1  # the blade is _grading(n, turns)
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
+    if kept:  # the weights' symbol is built only for a non-empty projection
+        factors, den = _grade_weights(n)
+        kept = [item for item in kept if factors[(item[0] ^ top).bit_count()]]
     if not kept:
         return SymScalar()
-    factors, den = _grade_weights(n)
-    kept = [item for item in kept if factors[(item[0] ^ top).bit_count()]]
-    if not kept:
-        return SymScalar()
-    weighted = _scale_grades(_times_blade(n, kept, blade), factors, den)
+    b = _from_int_parts(n, _rational_runs(kept))
+    weighted = _scale_grades(b if blade is None else mv_mul(b, blade), factors, den)
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
                                    trace(frame_product(u, v, w, n), weighted))

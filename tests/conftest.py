@@ -36,7 +36,6 @@ from spectral_torsion.halfline import _normal_integral, dxn_symbol, \
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational, Rational, \
     vol_sphere
-from spectral_torsion.symbols import perturbation_multivector
 from spectral_torsion.forms import frame_product, metric_pair, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 from spectral_torsion.verify import rand_threeform as _rand_threeform
@@ -440,13 +439,15 @@ def density_via_matrix_rep(u, v, w, case, n) -> SymScalar:
     """Interior density recomputed on literal representation matrices.
 
     Shares only the exact moment table with the blade pipeline; all Clifford
-    products and traces happen entry-by-entry on matrices.  The atoms
+    products and traces happen entry-by-entry on matrices, and B comes from
+    perturbation_multivector_reference, coefficient by coefficient, not from
+    the interior density's form factor.  The atoms
     vol(S^(n-1)) * tr_F(Phi) are attached to the exact sum at the end.
     """
     rep = MatrixRep(n)
     m = n // 2
     cw = rep.of(mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w)))
-    bmat = rep.of(perturbation_multivector(case, n))
+    bmat = rep.of(perturbation_multivector_reference(case, n))
     gens = [rep.of(Multivector.generator(n, i)) for i in range(1, n + 1)]
 
     total = mat_trace(mat_mul(cw, bmat)) * moment(n, xi_monomial(n))

@@ -32,7 +32,7 @@ from spectral_torsion import (
     to_clifford,
     trace,
 )
-from spectral_torsion import clifford, halfline, symbols
+from spectral_torsion import clifford, halfline
 from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_runs, \
     blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
@@ -225,6 +225,22 @@ def test_conjugate_sum_grade_formula(n, rng):
     for _ in range(5):
         b = rand_multivector(rng, n, 12)
         assert conjugate_sum(b) == _conjugate_sum_by_products(b)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_conjugate_sum_stores_no_zero_entry(n, rng):
+    """conjugate_sum scales every grade-n/2 blade by 0 and stores none of
+    them, nor a part left with no blade: at n = 4 the sum of e_1 e_2 and
+    2 e_1 keeps only 4 e_1, and e_1 e_2 alone gives no part at all."""
+    if n == 4:
+        assert conjugate_sum(Multivector(4, {0b11: 1, 0b1: 2}))._parts == [(1, {0b1: (4, 0)})]
+        assert conjugate_sum(Multivector(4, {0b11: 1}))._parts == []
+    for _ in range(5):
+        b = rand_multivector(rng, n, 12)
+        got = conjugate_sum(b)
+        assert all(acc for _, acc in got._parts)
+        assert all(mask.bit_count() != n // 2 for _, acc in got._parts for mask in acc)
+        assert got == _conjugate_sum_by_products(b)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -726,9 +742,10 @@ def _fresh_constants(n):
 
 def test_per_dimension_constants_are_built_once_and_never_change(rng):
     """grading(n), the torsion-grading factor i gamma and the boundary's
-    c(e_n) come from per-dimension caches; after densities, products and
-    traces that read them, they still equal fresh builds part for part, and
-    their coefficients cannot be written."""
+    c(e_n) come from per-dimension caches; after densities, products (the
+    graded perturbations' c(X) gamma and c(T) i gamma among them) and traces
+    that read them, they still equal fresh builds part for part, and their
+    coefficients cannot be written."""
     for n in range(4, 17, 2):
         assert grading(n) is grading(n)
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
@@ -736,8 +753,9 @@ def test_per_dimension_constants_are_built_once_and_never_change(rng):
         boundary_density(u, v, w, n)
         for case in (Grading(), VectorGrading(u), TorsionGrading(t)):
             interior_density(u, v, w, case, n)
-            symbols.perturbation_multivector(case, n)
         gamma = grading(n)
+        mv_mul(to_clifford(u), gamma)
+        mv_mul(to_clifford(t), clifford._grading(n, 1))
         mv_mul(gamma, gamma)
         trace(gamma, gamma, gamma)
         supertrace(gamma)

@@ -192,6 +192,21 @@ def test_xirational_refuses_a_numerator_that_is_not_a_poly(args):
         XiRational(*args)
 
 
+@pytest.mark.parametrize("other", [1, GaussianRational(1), 0.5, None, [1], "x"],
+                         ids=["int", "gaussian", "float", "none", "list", "str"])
+def test_poly_and_xirational_arithmetic_refuse_a_foreign_operand(other):
+    """Poly's + and * take a Poly, and XiRational's * an XiRational; any other
+    operand, on either side, is a TypeError, not an AttributeError from
+    reading its coefficients.  A Poly and an XiRational do not multiply."""
+    poly, f = Poly((1, 2)), XiRational(Poly((1,)), 1, 1)
+    for a, b in ((poly, other), (other, poly), (f, other), (other, f), (f, poly), (poly, f)):
+        with pytest.raises(TypeError):
+            a * b
+        if poly in (a, b):
+            with pytest.raises(TypeError):
+                a + b
+
+
 # -- the normal-derivative symbol -------------------------------------------------
 
 

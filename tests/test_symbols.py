@@ -30,7 +30,6 @@ from spectral_torsion import (
     grading,
     interior_density,
     mv_mul,
-    perturbation_multivector,
     rational,
     scalar_product,
     sigma_minus2m,
@@ -60,49 +59,62 @@ def uvw(n):
     return basis(n, 1), basis(n, 2), basis(n, 3)
 
 
-# -- perturbation multivectors -------------------------------------------------
+# -- the perturbation B --------------------------------------------------------
 
 
 def test_perturbation_grading_n4():
-    assert perturbation_multivector(Grading(), 4) == \
+    assert perturbation_multivector_reference(Grading(), 4) == \
         Multivector(4, {0b1111: -1})
 
 
 def test_perturbation_pure_vector():
     case = TorsionVector(ThreeForm(4), basis(4, 1))
-    assert perturbation_multivector(case, 4) == Multivector(4, {0b1: GR_I})
+    assert perturbation_multivector_reference(case, 4) == Multivector(4, {0b1: GR_I})
 
 
 def test_perturbation_vector_grading():
     case = VectorGrading(basis(4, 1))
     expected = mv_mul(Multivector.generator(4, 1), grading(4))
-    assert perturbation_multivector(case, 4) == expected
+    assert perturbation_multivector_reference(case, 4) == expected
 
 
 def test_perturbation_dim_checked():
-    """X, T and Y are checked with the forms' one same-dimension message."""
+    """X, T and Y are checked against n with the forms' one same-dimension
+    message, before u, v and w."""
+    u = basis(6, 1)
     for case in (VectorGrading(basis(4, 1)), TorsionGrading(ThreeForm(4)),
                  TorsionVector(ThreeForm(6), basis(4, 1))):
         with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
-            perturbation_multivector(case, 6)
+            interior_density(u, u, u, case, 6)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["small", "coprime"])
-def test_perturbation_multivector_matches_the_fraction_oracle(kind, n):
-    """B built as integer parts equals B built coefficient by coefficient, by
-    value and printed form, on all four cases.  The coprime denominators
-    split c(T) + i c(Y) into several runs."""
+def test_perturbation_multivector_matches_the_fraction_oracle(kind, n, monkeypatch):
+    """The B that interior_density builds as integer parts, before it weights
+    it, is the grade-3 part of B built coefficient by coefficient
+    (conftest.perturbation_multivector_reference), by value and printed
+    form, on all four cases; grade 1 has weight 0 and is not built, and
+    where B has no grade-3 blade nothing is.  From n = 6 the coprime
+    denominators split c(T) into several runs."""
     rng = random.Random(f"perturbation-{kind}-{n}")
     draw = coprime_draw(rng, digits=100) if kind == "coprime" else lambda: rand_rational(rng)
     x, y = (OneForm(tuple(draw() for _ in range(n))) for _ in range(2))
     t = ThreeForm(n, {abc: draw() for abc in itertools.combinations(range(1, n + 1), 3)})
+    built, scale = [], symbols._scale_grades
+    monkeypatch.setattr(symbols, "_scale_grades",
+                        lambda b, *args: built.append(b) or scale(b, *args))
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
-        got = perturbation_multivector(case, n)
-        if kind == "coprime" and isinstance(case, TorsionVector):
-            assert "parts" in long_input(got)
-        expected = perturbation_multivector_reference(case, n)
-        assert got == expected and str(got) == str(expected)
+        built.clear()
+        interior_density(*uvw(n), case, n)
+        expected = Multivector(n, {mask: c for mask, c in
+                                   perturbation_multivector_reference(case, n).coeffs.items()
+                                   if mask.bit_count() == 3})
+        assert len(built) == (not expected.is_zero()), type(case).__name__
+        for got in built:
+            if kind == "coprime" and n > 4 and isinstance(case, TorsionVector):
+                assert "parts" in long_input(got)
+            assert got == expected and str(got) == str(expected)
 
 
 # -- symbol assembly -------------------------------------------------------------
@@ -110,7 +122,7 @@ def test_perturbation_multivector_matches_the_fraction_oracle(kind, n):
 
 def test_sigma_grading_reduces_to_constant_term():
     n = 4
-    sigma = sigma_minus2m(perturbation_multivector(Grading(), n))
+    sigma = sigma_minus2m(perturbation_multivector_reference(Grading(), n))
     cuvw = mv_mul(mv_mul(Multivector.generator(n, 1), Multivector.generator(n, 2)),
                   Multivector.generator(n, 3))
     assert {expo: mv_mul(cuvw, mv) for expo, mv in sigma.terms.items()} == \
@@ -122,9 +134,9 @@ def test_sigma_torsion_vector_constant_term(rng):
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     t, y = rand_threeform(rng, n), rand_oneform(rng, n)
     case = TorsionVector(t, y)
-    sigma = sigma_minus2m(perturbation_multivector(case, n))
+    sigma = sigma_minus2m(perturbation_multivector_reference(case, n))
     cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
-    expected = mv_mul(cuvw, perturbation_multivector(case, n))
+    expected = mv_mul(cuvw, perturbation_multivector_reference(case, n))
     got = mv_mul(cuvw, sigma.terms.get(xi_monomial(n), Multivector(n)))
     assert got == expected
 
@@ -136,7 +148,7 @@ def test_sigma_zero_inputs(monkeypatch):
     n = 4
     z = OneForm.zero(n)
     rng = random.Random(3)
-    sigma = sigma_minus2m(perturbation_multivector(TorsionVector(ThreeForm(n), z), n))
+    sigma = sigma_minus2m(perturbation_multivector_reference(TorsionVector(ThreeForm(n), z), n))
     assert sigma.is_zero() and sigma.terms == {}
     monkeypatch.setattr(verify, "_oneforms", lambda n, rng, *canonical: (z,) * len(canonical))
     assert verify._run_e431(n, rng) == (sym(0), sym(0), True)
@@ -146,7 +158,7 @@ def test_sigma_degree_structure(rng):
     # only xi-degree 0 and 2 monomials occur; odd-degree terms never survive
     n = 6
     case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
-    sigma = sigma_minus2m(perturbation_multivector(case, n))
+    sigma = sigma_minus2m(perturbation_multivector_reference(case, n))
     assert {sum(e) for e in sigma.terms} <= {0, 2}
 
 
@@ -181,8 +193,8 @@ def test_sigma_matches_generator_products(n, rng):
     matter too: row E4.31 takes the symbol of grading(n), and the xi_a^2
     term of an even blade keeps it when the blade lacks e_a."""
     coprime = _sigma_cases("coprime", n, rng)
-    assert "parts" in long_input(perturbation_multivector(coprime[0], n))
-    bs = [perturbation_multivector(case, n) for case in
+    assert "parts" in long_input(perturbation_multivector_reference(coprime[0], n))
+    bs = [perturbation_multivector_reference(case, n) for case in
           _sigma_cases("dense", n, rng) + _sigma_cases("sparse", n, rng) + coprime]
     if n <= 6:
         coeff = GaussianRational(rational("2/3"), rational("-5"))
@@ -220,7 +232,7 @@ def test_sigma_stores_no_cancelled_entries(n, rng):
     """On a B with no zero numerator, no term of the symbol stores a zero
     numerator: each xi_a^2 term holds exactly the blades of B that commute
     with c(e_a), each scaled by -n."""
-    bs = [perturbation_multivector(case, n) for case in _sigma_cases("dense", n, rng)]
+    bs = [perturbation_multivector_reference(case, n) for case in _sigma_cases("dense", n, rng)]
     bs += [rand_multivector(rng, n, max_blades=40) for _ in range(3)]
     for b in bs:
         assert all(re or im for _, acc in b._parts for re, im in acc.values())
@@ -306,11 +318,11 @@ def test_interior_density_matches_the_unprojected_route(n):
               for _ in range(2)]
     draw = coprime_draw(rng, digits=25)
     u, v, w, long_case = _dense_torsion_vector(n, draw)
-    assert n < 6 or "parts" in long_input(perturbation_multivector(long_case, n))
+    assert n < 6 or "parts" in long_input(perturbation_multivector_reference(long_case, n))
     inputs.append((u, v, w, OneForm(tuple(draw() for _ in range(n))), long_case.Y, long_case.T))
     for u, v, w, x, y, t in inputs:
         for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
-            full = symbol_trace_reference(u, v, w, perturbation_multivector(case, n), n)
+            full = symbol_trace_reference(u, v, w, perturbation_multivector_reference(case, n), n)
             assert interior_density(u, v, w, case, n) == SymScalar.from_monomial(
                 (vol_sphere(n - 1), TR_F_PHI), full)
 
@@ -386,7 +398,7 @@ def test_torsion_vector_density_long_inputs_time_bound():
     n = 8
     draw = coprime_draw(random.Random("torsion-vector-long-n8"), digits=50)
     u, v, w, case = _dense_torsion_vector(n, draw)
-    assert "parts" in long_input(perturbation_multivector(case, n))
+    assert "parts" in long_input(perturbation_multivector_reference(case, n))
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 0.5, f"torsion_vector at n=8 on 50-digit inputs took {elapsed:.2f}s " \
         f"on {Rational.__module__}.{Rational.__name__}"
@@ -423,8 +435,8 @@ def test_sigma_dense_n16_time_bound():
     """
     n = 16
     rng = random.Random("sigma-n16")
-    bs = [perturbation_multivector(_dense_torsion_vector(n, lambda: rand_rational(rng))[3], n)
-          for _ in range(5)]
+    bs = [perturbation_multivector_reference(
+        _dense_torsion_vector(n, lambda: rand_rational(rng))[3], n) for _ in range(5)]
     start = time.monotonic()
     for b in bs:
         sigma_minus2m(b)
@@ -452,7 +464,7 @@ def test_torsion_vector_density_n16_long_inputs_time_bound():
     n = 16
     u, v, w, case = _long_n16_torsion_vector()
     assert "bits" in long_input(frame_product(u, v, w, n))
-    assert "parts" in long_input(perturbation_multivector(case, n))
+    assert "parts" in long_input(perturbation_multivector_reference(case, n))
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 1.5, f"torsion_vector at n=16 on 25-digit inputs took {elapsed:.2f}s " \
         f"on {Rational.__module__}.{Rational.__name__}"
@@ -477,13 +489,15 @@ def test_torsion_vector_density_n16_long_inputs_tight_time_bound():
 
 
 def test_sigma_leaves_the_terms_of_a_long_input_unbuilt():
-    """Every symbol term of a B split into integer parts over disjoint
-    blades is kept with its coefficients unbuilt: is_zero reads the parts."""
+    """Every xi_a^2 term of the symbol of a B split into integer parts over
+    disjoint blades is kept with its coefficients unbuilt: is_zero reads the
+    parts.  The constant term is B itself."""
     n = 16
-    b = perturbation_multivector(_long_n16_torsion_vector()[3], n)
+    b = perturbation_multivector_reference(_long_n16_torsion_vector()[3], n)
     assert "parts" in long_input(b)
-    terms = sigma_minus2m(b).terms
+    terms = dict(sigma_minus2m(b).terms)
     assert len(terms) == n + 1
+    assert terms.pop(xi_monomial(n)) is b
     assert all(term._coeffs is None for term in terms.values())
 
 
@@ -497,7 +511,7 @@ def test_sigma_builds_no_empty_part_or_term():
     whose B splits into 24 parts over disjoint blades, and on e_1 + e_1 e_2
     e_3 at n = 4 and 16, whose xi_a^2 terms for a > 3 hold nothing and are
     not built."""
-    long_b = perturbation_multivector(_long_n16_torsion_vector()[3], 16)
+    long_b = perturbation_multivector_reference(_long_n16_torsion_vector()[3], 16)
     assert len(long_b._parts) == 24
     for b in (long_b, _unit_blades(4), _unit_blades(16)):
         terms = sigma_minus2m(b).terms
@@ -615,7 +629,7 @@ def test_sphere_integral_leaves_off_diagonal_coefficients_unbuilt(case_name):
     rng = random.Random(f"unbuilt-{case_name}")
     y, t = rand_oneform(rng, n), rand_threeform(rng, n)
     case = TorsionVector(t, y) if case_name == "torsion_vector" else TorsionGrading(t)
-    b = perturbation_multivector(case, n)
+    b = perturbation_multivector_reference(case, n)
     sigma = sigma_minus2m(b)
     assert not any(e % 2 for expo in sigma.terms for e in expo)
     full = sigma_minus2m_reference(b)
@@ -759,7 +773,7 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
     cases = [case for case in (Grading(), VectorGrading(x), TorsionGrading(t))
              if not _HAS_GRADE_1_OR_3[type(case)](n)]
     assert len(cases) == 1 + (n >= 6) + (n >= 8)
-    references = [symbol_trace_reference(u, v, w, perturbation_multivector(case, n), n)
+    references = [symbol_trace_reference(u, v, w, perturbation_multivector_reference(case, n), n)
                   for case in cases]
     for name in ("_rational_runs", "mv_mul", "sigma_minus2m", "integrate_sphere",
                  "frame_product", "trace"):
@@ -777,7 +791,7 @@ def test_empty_projection_reads_a_long_b_as_stored(monkeypatch):
     n = 16
     u, v, w, long_case = _dense_torsion_vector(n, coprime_draw(random.Random("long-b"), 25))
     case = TorsionGrading(long_case.T)
-    assert "parts" in long_input(perturbation_multivector(case, n))
+    assert "parts" in long_input(perturbation_multivector_reference(case, n))
     for name in ("_rational_runs", "_from_int_parts", "mv_mul"):
         monkeypatch.setattr(symbols, name, _refuse(name))
     assert interior_density(u, v, w, case, n) == SymScalar()
@@ -811,7 +825,7 @@ def _grade_1_and_3_part(b):
 def test_projected_perturbation_is_the_grade_1_and_3_part_of_b(kind, n, monkeypatch):
     """The multivector that interior_density traces C = c(u)c(v)c(w) against
     is the sphere integral of the symbol of B_13, the grade-1 and grade-3
-    part of perturbation_multivector(case, n), coefficient for coefficient
+    part of perturbation_multivector_reference(case, n), coefficient for coefficient
     with its zero blades dropped, on all four cases; where B has no grade-3
     blade, that integral is 0 and the trace is not reached.  Every
     component of X, Y and T is set; the coprime inputs, n components of
@@ -828,7 +842,7 @@ def test_projected_perturbation_is_the_grade_1_and_3_part_of_b(kind, n, monkeypa
 
     monkeypatch.setattr(symbols, "trace", stop)
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
-        b = perturbation_multivector(case, n)
+        b = perturbation_multivector_reference(case, n)
         assert kind == "dense" or isinstance(case, Grading) or "parts" in long_input(b)
         expected = dict(integrate_sphere(n, sigma_minus2m(_grade_1_and_3_part(b))).coeffs)
         assert bool(expected) == _HAS_GRADE_3[type(case)](n), type(case).__name__
@@ -857,7 +871,7 @@ def _shared_factor_draw(rng, digits):
 def _symbol_route(u, v, w, case, n):
     """The density by the symbol of B_13 itself: C traced against the sphere
     integral of the symbol of B's grade-1 and grade-3 part."""
-    b13 = _grade_1_and_3_part(perturbation_multivector(case, n))
+    b13 = _grade_1_and_3_part(perturbation_multivector_reference(case, n))
     return SymScalar.from_monomial(
         (vol_sphere(n - 1), TR_F_PHI),
         trace(frame_product(u, v, w, n), integrate_sphere(n, sigma_minus2m(b13))))
@@ -878,7 +892,8 @@ def test_weighted_density_equals_the_symbol_route(n, kind):
     u, v, w, x = (OneForm(tuple(draw() for _ in range(n))) for _ in range(4))
     _, _, _, long_case = _dense_torsion_vector(n, draw)
     t = long_case.T
-    assert kind != "coprime" or "parts" in long_input(perturbation_multivector(long_case, n))
+    assert kind != "coprime" or \
+        "parts" in long_input(perturbation_multivector_reference(long_case, n))
     for case in (long_case, Grading(), VectorGrading(x), TorsionGrading(t)):
         assert interior_density(u, v, w, case, n) == _symbol_route(u, v, w, case, n), \
             type(case).__name__

@@ -32,23 +32,27 @@ Standard library only.
 
 The statements that the report still lists, and what reaches each:
 
-- ``cli.py:81`` in ``_ascii_int``: the grammar named in a bad integer's
+- ``cli.py:82`` in ``_ascii_int``: the grammar named in a bad integer's
   message (``test_cli::test_error_messages``, ``trace --dim x``);
-- ``cli.py:178-179`` in ``_unlimited_int_str``: interpreters 3.10.0-3.10.6,
+- ``cli.py:169-170`` in ``_unlimited_int_str``: interpreters 3.10.0-3.10.6,
   which have no int-to-str limit to lift and which ``requires-python``
   admits (``test_cli::test_compute_runs_on_an_interpreter_without_the_int_limit``);
-- ``cli.py:394`` in ``main``: ``--alpha`` followed by a negative exponent
+- ``cli.py:387`` in ``main``: ``--alpha`` followed by a negative exponent
   (``test_cli::test_error_messages``, ``moments-negative-first``);
 - ``clifford.py:50`` in ``_same_dim``: the operand named when one has no
   int ``dim`` (``test_torsion::test_a_list_argument_is_a_type_error``);
-- ``halfline.py:83`` in ``Poly.divide_linear``: the zero polynomial, and
-  ``halfline.py:112`` in ``_cancel``: a numerator root at +-i, both public
+- ``halfline.py:58`` in ``Poly.__add__``, ``halfline.py:63`` in
+  ``Poly.__mul__`` and ``halfline.py:152`` in ``XiRational.__mul__``: an
+  operand of another type, which is a TypeError
+  (``test_halfline::test_poly_and_xirational_arithmetic_refuse_a_foreign_operand``);
+- ``halfline.py:82`` in ``Poly.divide_linear``: the zero polynomial, and
+  ``halfline.py:111`` in ``_cancel``: a numerator root at +-i, both public
   semantics of ``Poly`` and ``XiRational``
   (``test_halfline::test_xirational_equality_matches_cross_multiplication``);
-- ``halfline.py:186`` in ``_series``: no pole at i, so ``pi_plus`` and
+- ``halfline.py:187`` in ``_series``: no pole at i, so ``pi_plus`` and
   ``line_integral`` are 0
   (``test_halfline::test_line_integral_without_a_pole_at_i_is_zero``);
-- ``halfline.py:233`` in ``line_integral``: the zero symbol
+- ``halfline.py:234`` in ``line_integral``: the zero symbol
   (``test_exactness::test_exact_return_types``);
 - ``scalars.py:107`` in ``GaussianRational.__add__``: a ``SymScalar``
   operand, whose ``__radd__`` gives the sum
@@ -82,8 +86,6 @@ PROTOCOL = frozenset({
     "__copy__", "__deepcopy__", "__reduce__", "_rebuild",
     "__setattr__", "__delattr__", "_key",
 })
-
-CASES = ("torsion_vector", "grading", "vector_grading", "torsion_grading")
 
 
 def _functions(tree: ast.Module):
@@ -205,28 +207,32 @@ def _coprime_draw(rng: random.Random, digits: int):
 
 
 def _config(rng: random.Random, n: int, case: str, with_boundary: bool, draw=None) -> dict:
-    """A compute job with dense random inputs, drawn by draw() when given."""
+    """A compute job with dense random inputs, drawn by draw() when given;
+    the case's fields are those of the package's case table."""
+    from spectral_torsion.forms import OneForm
+    from spectral_torsion.symbols import CASE_NAMES, _CASE_FIELDS
+
     draw = draw or (lambda: _rational(rng))
 
     def oneform():
         return [draw() for _ in range(n)]
 
+    def threeform():
+        return [[a, b, c, draw()]
+                for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                for c in range(b + 1, n + 1) if rng.random() < 0.5]
+
     config = {"dimension": n, "case": case, "with_boundary": with_boundary,
               "u": oneform(), "v": oneform(), "w": oneform()}
-    if case in ("torsion_vector", "torsion_grading"):
-        config["T"] = [[a, b, c, draw()]
-                       for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                       for c in range(b + 1, n + 1) if rng.random() < 0.5]
-    if case == "torsion_vector":
-        config["Y"] = oneform()
-    if case == "vector_grading":
-        config["X"] = oneform()
+    for field, form in _CASE_FIELDS[CASE_NAMES[case]]:
+        config[field] = oneform() if form is OneForm else threeform()
     return config
 
 
 def drive_cli() -> None:
     """Every subcommand of the command line, in process, output discarded."""
     from spectral_torsion.cli import main
+    from spectral_torsion.symbols import CASE_NAMES
 
     rng = random.Random(1)
     dims = [str(n) for n in range(4, 17, 2)]
@@ -237,7 +243,7 @@ def drive_cli() -> None:
                 ["moments", "--dim", "4", "--alpha", "0,0,0,0"]]
     configs = []
     for n in range(4, 17, 2):
-        for case in CASES:
+        for case in CASE_NAMES:
             for with_boundary in (False, True):
                 config = _config(rng, n, case, with_boundary)
                 config["numeric_eval"] = case == "torsion_vector" and with_boundary
