@@ -273,6 +273,8 @@ RUN_HASHES = {
     8: "eed911dd86452b40269f6e770c2d7d3d2b1e28e29f3d4e5dc5196e2cf2bfc059",
     10: "1c9eaddbfaf7ff504f41d3745c60efe26307ded84256d5540ba03d2ac202ceae",
     12: "256fb9279cb9fd4b388f11ac04b7fea0688d823777b74a249ad89b660bc239d1",
+    14: "f888965caa0c308b3097d5787892f9e04bf96098d391c8ab5a99ef14b781c6ce",
+    16: "86796c9e628be033b37e6b8f44e62eba4d59a06655c9966f220665be4407940f",
 }
 
 
