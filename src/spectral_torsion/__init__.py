@@ -24,7 +24,6 @@ from .clifford import (
     DimensionMismatch,
     Multivector,
     OddDimension,
-    conjugate_sum,
     grading,
     mv_mul,
     scalar_product,

@@ -11,10 +11,10 @@ validation error; 3 dimension/case inconsistency in a compute job.  The
 commands raise ConfigError (2) or ConsistencyError (3); main alone prints the
 one line `error: <message>` on stderr and returns the code.
 A job's case fields are read from symbols' case table; Y alone defaults to 0.
-SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify.  Every
-integer argument, and the seed, reads the ASCII grammar [+-]?[0-9]+.  No
-input integer, and no numerator or denominator of an input rational, may
-have more than MAX_INPUT_DIGITS digits.
+SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify and for
+compute's identity rows.  Every integer argument, and the seed, reads the
+ASCII grammar [+-]?[0-9]+.  No input integer, and no numerator or
+denominator of an input rational, may have more than MAX_INPUT_DIGITS digits.
 """
 
 from __future__ import annotations

@@ -398,17 +398,8 @@ def _triple_scalar(a: Multivector, b: Multivector, c: Multivector) -> GaussianRa
     return total
 
 
-def conjugate_sum(b: Multivector) -> Multivector:
-    """Sum_i c(e_i) * b * c(e_i).
-
-    On a grade-k blade this is (-1)^k (2k - n) times the blade; the factor
-    scales b's integer numerators.
-    """
-    _same_dim(b, b, Multivector)
-    return _scale_grades(b, [(-1) ** k * (2 * k - b.dim) for k in range(b.dim + 1)])
-
-
-def _scale_grades(b: Multivector, factors: list[int], den: int = 1) -> Multivector:
+def _scale_grades(b: Multivector, factors: tuple[int, ...] | list[int],
+                  den: int = 1) -> Multivector:
     """b with each grade-k blade times factors[k] / den: its integer
     numerators scaled by factors[k], each part's denominator by den, with no
     entry for a factor of 0 and no part left empty."""

@@ -122,3 +122,18 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
                 re, im = re * factor, im * factor
                 acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
     return _from_int_parts(p.mv_dim, [(den * scale, acc) for den, acc in sums.items()])
+
+
+def _grade_factors(n: int, grades, symbol) -> tuple[tuple[int, ...], int]:
+    """The factors by which the sphere integral of symbol(A) scales A's blades
+    of each listed grade k, as integers f_k over one denominator D (f_k = 0
+    on every other grade), read off the integrated symbol of one blade
+    e_1...e_k per grade.  symbol must scale each blade by a real factor of
+    its grade alone, over one denominator."""
+    masks = [(1 << k) - 1 for k in grades]
+    unit = _from_int_parts(n, [(1, {mask: (1, 0) for mask in masks})])
+    (den, acc), = integrate_sphere(n, symbol(unit))._parts
+    factors = [0] * (n + 1)
+    for mask in masks:
+        factors[mask.bit_count()] = acc.get(mask, (0, 0))[0]
+    return tuple(factors), den

@@ -39,7 +39,7 @@ from .clifford import (
     trace,
 )
 from .forms import OneForm, ThreeForm, _clifford_items, frame_product
-from .moments import XiPolynomialMV, integrate_sphere, xi_monomial
+from .moments import XiPolynomialMV, _grade_factors, xi_monomial
 from .scalars import SymScalar, TR_F_PHI, vol_sphere
 
 
@@ -144,24 +144,6 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     return XiPolynomialMV(n, n, terms)
 
 
-def _grade_weights(n: int) -> tuple[list[int], int]:
-    """The factors by which the sphere integral of the symbol scales a
-    grade-1 and a grade-3 blade of B, as integers f_k over one denominator
-    D: f_k / D is the factor on grade k, and f_k is 0 on every other grade.
-
-    Read off the integrated symbol of e_1 + e_1 e_2 e_3 on every call.  Each
-    symbol term keeps the blades of its argument, so the two blades'
-    factors do not mix, and they are real.
-    """
-    masks = (0b1, 0b111)
-    unit = _from_int_parts(n, [(1, {mask: (1, 0) for mask in masks})])
-    (den, acc), = integrate_sphere(n, sigma_minus2m(unit))._parts
-    factors = [0] * (n + 1)
-    for mask in masks:
-        factors[mask.bit_count()] = acc.get(mask, (0, 0))[0]
-    return factors, den
-
-
 def interior_density(u: OneForm, v: OneForm, w: OneForm,
                      case: PerturbationCase, n: int) -> SymScalar:
     """Unit-cosphere integral of the symbol trace: the interior density.
@@ -177,7 +159,7 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     grading at every n, c(X) grading from n = 6, sqrt(-1) c(T) grading from
     n = 8) the density is 0, returned once the arguments are checked, with
     no rational converted and no product, symbol or C built.  Otherwise the
-    items whose grade factor (_grade_weights) is 0 are dropped, and B built
+    items whose grade factor (_grade_factors) is 0 are dropped, and B built
     from the rest is scaled by grade and traced against C; the symbol of B
     is never built.
     """
@@ -190,7 +172,7 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     top = 0 if blade is None else (1 << n) - 1  # the blade is _grading(n, turns)
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
     if kept:  # the weights' symbol is built only for a non-empty projection
-        factors, den = _grade_weights(n)
+        factors, den = _grade_factors(n, (1, 3), sigma_minus2m)
         kept = [item for item in kept if factors[(item[0] ^ top).bit_count()]]
     if not kept:
         return SymScalar()

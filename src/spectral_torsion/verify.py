@@ -13,12 +13,13 @@ fixed canonical input so tables are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .clifford import Multivector, _grading, conjugate_sum, grading, mv_mul, \
+from .clifford import Multivector, _grading, _scale_grades, grading, mv_mul, \
     scalar_product, supertrace, trace
 from .forms import OneForm, ThreeForm, _complement, eval_threeform, frame_product, \
     to_clifford
@@ -32,7 +33,7 @@ from .halfline import (
     pi_plus,
     residue_derivative,
 )
-from .moments import moment, xi_monomial
+from .moments import XiPolynomialMV, _grade_factors, moment, xi_monomial
 from .scalars import (
     GR_I,
     GR_ONE,
@@ -98,14 +99,21 @@ def _sphere_trace_integral(n: int, left: Multivector, middle: Multivector,
                            generator_first: bool) -> GaussianRational:
     """Integral over |xi|=1 of Tr(left * c(e_i) * middle * xi_i c(xi)) summed
     over i (generator_first) or Tr(left * middle * c(e_i) * xi_i c(xi)), in
-    units of vol(S^(n-1)).
+    units of vol(S^(n-1)): middle scaled by grade, traced against left."""
+    return trace(left, _scale_grades(middle, *_sphere_factors(n, generator_first)))
 
-    Only the xi_i^2 moments, 1/n each, survive, so the integral is
-    (2^m/n) <left * sum_i c(e_i) middle c(e_i)>_0 with the generator first,
-    and -2^m <left * middle>_0 otherwise."""
-    if generator_first:
-        return trace(left, conjugate_sum(middle)) / rational(n)
-    return -trace(left, middle)
+
+@functools.cache
+def _sphere_factors(n: int, generator_first: bool) -> tuple[tuple[int, ...], int]:
+    """The grade factors of the symbol whose xi_i^2 terms are c(e_i) A c(e_i),
+    or A c(e_i) c(e_i); its xi_i xi_j terms (i != j) integrate to 0 (E4.17)."""
+    generators = [Multivector.generator(n, i) for i in range(1, n + 1)]
+
+    def symbol(a: Multivector) -> XiPolynomialMV:
+        return XiPolynomialMV(n, n, {
+            xi_monomial(n, i, i): mv_mul(g, mv_mul(a, g)) if generator_first
+            else mv_mul(a, mv_mul(g, g)) for i, g in enumerate(generators, 1)})
+    return _grade_factors(n, range(n + 1), symbol)
 
 
 def _tr_id(n: int):

@@ -19,7 +19,6 @@ from spectral_torsion import (
     TorsionGrading,
     VectorGrading,
     boundary_density,
-    conjugate_sum,
     eval_threeform,
     grading,
     interior_density,
@@ -34,8 +33,9 @@ from spectral_torsion import (
 )
 from spectral_torsion import clifford, halfline
 from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_runs, \
-    blade_product
+    _scale_grades, blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
+from spectral_torsion.verify import _sphere_factors
 
 from conftest import add_reference, blade_mask, coprime_draw, long_input, mv_mul_reference, \
     product_by_sorting, rand_multivector, rand_oneform, rand_threeform, \
@@ -201,43 +201,73 @@ def _conjugate_sum_by_products(b):
     return out
 
 
+def _generator_last_by_products(b):
+    """Sum_i b c(e_i) c(e_i), multiplied out blade by blade."""
+    out = Multivector(b.dim)
+    for i in range(1, b.dim + 1):
+        out = add_reference(out, mv_mul(b, mv_mul(gen(b.dim, i), gen(b.dim, i))))
+    return out
+
+
+def _sphere_scaled(b, generator_first):
+    """b scaled by grade with the identity catalog's sphere factors."""
+    return _scale_grades(b, *_sphere_factors(b.dim, generator_first))
+
+
+def _sphere_by_products(b, generator_first):
+    """What those factors stand for: the sphere integral's 1/n (the xi_i^2
+    moment) times the generator sum, multiplied out."""
+    total = _conjugate_sum_by_products(b) if generator_first else _generator_last_by_products(b)
+    return scale_reference(total, Rational(1, b.dim))
+
+
 def test_conjugate_sum_examples():
-    # grade 1 -> (n-2), grade 3 -> (n-6), identity -> -n
+    # generator first: grade 1 -> (n-2)/n, grade 3 -> (n-6)/n, identity -> -1;
+    # generator last: -1 on every grade
     for n in (4, 6, 8):
-        x = Multivector(n, {0b1: 1})
-        assert conjugate_sum(x) == _conjugate_sum_by_products(x) == scale_reference(x, n - 2)
-        t = Multivector(n, {0b111: 1})
-        assert conjugate_sum(t) == _conjugate_sum_by_products(t) == scale_reference(t, n - 6)
-        one = Multivector(n, {0: 1})
-        assert conjugate_sum(one) == _conjugate_sum_by_products(one) \
-            == scale_reference(one, -n)
+        for mask, first in ((0b1, Rational(n - 2, n)), (0b111, Rational(n - 6, n)), (0, -1)):
+            blade = Multivector(n, {mask: 1})
+            assert _sphere_scaled(blade, True) == _sphere_by_products(blade, True) \
+                == scale_reference(blade, first)
+            assert _sphere_scaled(blade, False) == _sphere_by_products(blade, False) \
+                == scale_reference(blade, -1)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
 def test_conjugate_sum_grade_formula(n, rng):
-    # on every grade-k blade: (-1)^k (2k - n); by linearity a proof at this n
+    """On every grade-k blade the catalog's sphere factors, which it reads off
+    one blade per grade, are (-1)^k (2k - n) / n with the generator first
+    and -1 with it last, as the generator products give; by linearity a
+    proof at this n that reading them off one blade per grade is exact."""
     for mask in range(1 << n):
-        k = bin(mask).count("1")
+        k = mask.bit_count()
         blade = Multivector(n, {mask: 1})
-        assert conjugate_sum(blade) == _conjugate_sum_by_products(blade) \
-            == scale_reference(blade, (-1) ** k * (2 * k - n))
+        assert _sphere_scaled(blade, True) == _sphere_by_products(blade, True) \
+            == scale_reference(blade, Rational((-1) ** k * (2 * k - n), n))
+        assert _sphere_scaled(blade, False) == _sphere_by_products(blade, False) \
+            == scale_reference(blade, -1)
     # and on a multivector of mixed grades with complex coefficients
     for _ in range(5):
         b = rand_multivector(rng, n, 12)
-        assert conjugate_sum(b) == _conjugate_sum_by_products(b)
+        for generator_first in (True, False):
+            assert _sphere_scaled(b, generator_first) == _sphere_by_products(b, generator_first)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_conjugate_sum_stores_no_zero_entry(n, rng):
-    """conjugate_sum scales every grade-n/2 blade by 0 and stores none of
-    them, nor a part left with no blade: at n = 4 the sum of e_1 e_2 and
-    2 e_1 keeps only 4 e_1, and e_1 e_2 alone gives no part at all."""
+    """_scale_grades by the conjugate sum's factors (-1)^k (2k - n), which
+    are 0 on grade n/2, stores no grade-n/2 blade, nor a part left with no
+    blade: at n = 4 the sum of e_1 e_2 and 2 e_1 keeps only 4 e_1, over the
+    given denominator, and e_1 e_2 alone gives no part at all."""
+    factors = [(-1) ** k * (2 * k - n) for k in range(n + 1)]
     if n == 4:
-        assert conjugate_sum(Multivector(4, {0b11: 1, 0b1: 2}))._parts == [(1, {0b1: (4, 0)})]
-        assert conjugate_sum(Multivector(4, {0b11: 1}))._parts == []
+        mixed = Multivector(4, {0b11: 1, 0b1: 2})
+        assert _scale_grades(mixed, factors)._parts == [(1, {0b1: (4, 0)})]
+        assert _scale_grades(mixed, factors, 3)._parts == [(3, {0b1: (4, 0)})]
+        assert _scale_grades(Multivector(4, {0b11: 1}), factors)._parts == []
     for _ in range(5):
         b = rand_multivector(rng, n, 12)
-        got = conjugate_sum(b)
+        got = _scale_grades(b, factors)
         assert all(acc for _, acc in got._parts)
         assert all(mask.bit_count() != n // 2 for _, acc in got._parts for mask in acc)
         assert got == _conjugate_sum_by_products(b)
@@ -541,9 +571,10 @@ def test_two_factor_trace_checks_dimensions():
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["small", "coprime", "imaginary"])
 def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
-    """A product with a scalar multivector s and conjugate_sum both scale
-    integer numerators; the result is unbuilt and reads like the
-    coefficient-by-coefficient scaling, for plain and product operands."""
+    """A product with a scalar multivector s and a scaling by the catalog's
+    sphere factors both scale integer numerators; the result is unbuilt and
+    reads like the coefficient-by-coefficient scaling, for plain and product
+    operands."""
     rng = random.Random(f"scale-{kind}-{n}")
     draw = _coefficient_draw(rng, kind)
     plain = Multivector(n, {mask: draw() for mask in range(1 << n)})
@@ -552,9 +583,11 @@ def test_scale_and_conjugate_sum_match_the_coefficient_oracles(kind, n):
             got, expected = mv_mul(b, Multivector(n, {0: s})), scale_reference(b, s)
             assert got._coeffs is None
             assert got == expected and str(got) == str(expected)
-        got, expected = conjugate_sum(b), _conjugate_sum_by_products(b)
-        assert got._coeffs is None
-        assert got == expected and str(got) == str(expected)
+        for generator_first in (True, False):
+            got, expected = _sphere_scaled(b, generator_first), \
+                _sphere_by_products(b, generator_first)
+            assert got._coeffs is None
+            assert got == expected and str(got) == str(expected)
     zero = mv_mul(plain, Multivector(n, {0: 0}))
     assert zero._coeffs is None
     assert zero.is_zero() and zero == Multivector(n) and str(zero) == "0"
@@ -666,14 +699,14 @@ def _stored_parts(n):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_reads_stored_parts_like_the_coefficient_oracles(data):
-    """mv_mul, conjugate_sum and scalar_product read operands' stored parts
-    as they are, long or short, and agree with the oracles on the built
-    coefficients."""
+    """mv_mul, a scaling by the catalog's sphere factors and scalar_product
+    read operands' stored parts as they are, long or short, and agree with
+    the oracles on the built coefficients."""
     n = data.draw(st.sampled_from([2, 4, 6]), "n")
     a, b = (_from_int_parts(n, data.draw(_stored_parts(n), name)) for name in "ab")
-    got = (mv_mul(a, b), conjugate_sum(a), scalar_product(a, b))
+    got = (mv_mul(a, b), _sphere_scaled(a, True), scalar_product(a, b))
     assert a._coeffs is None and b._coeffs is None
-    assert got == (mv_mul_reference(a, b), _conjugate_sum_by_products(Multivector(n, a.coeffs)),
+    assert got == (mv_mul_reference(a, b), _sphere_by_products(Multivector(n, a.coeffs), True),
                    scalar_product_reference(a, b))
 
 

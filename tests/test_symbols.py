@@ -775,7 +775,7 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
     assert len(cases) == 1 + (n >= 6) + (n >= 8)
     references = [symbol_trace_reference(u, v, w, perturbation_multivector_reference(case, n), n)
                   for case in cases]
-    for name in ("_rational_runs", "mv_mul", "sigma_minus2m", "integrate_sphere",
+    for name in ("_rational_runs", "mv_mul", "sigma_minus2m", "_grade_factors",
                  "frame_product", "trace"):
         monkeypatch.setattr(symbols, name, _refuse(name))
     for case, reference in zip(cases, references):

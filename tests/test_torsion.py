@@ -24,7 +24,6 @@ from spectral_torsion import (
     UnsupportedDimension,
     VectorGrading,
     boundary_density,
-    conjugate_sum,
     interior_density,
     metric_pair,
     mv_mul,
@@ -179,7 +178,6 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: trace(_E1, _LIST4), _FORM),
     (lambda: trace(_E1, Multivector.generator(4, 2), _LIST4), _FORM),
     (lambda: supertrace(_LIST4), _FORM),
-    (lambda: conjugate_sum(_LIST4), _FORM),
     (lambda: Multivector(4, [1, 2]), _MAPPING),
     (lambda: ThreeForm(4, [1]), _MAPPING),
     (lambda: SymScalar([1]), _MAPPING),
@@ -194,7 +192,6 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: trace(_E1, _U4), _MV_FORM),
     (lambda: scalar_product(_E1, _T4), "a Multivector, got ThreeForm"),
     (lambda: supertrace(_U4), _MV_FORM),
-    (lambda: conjugate_sum(_U4), _MV_FORM),
     (lambda: sigma_minus2m(_U4), _MV_FORM),
     (lambda: boundary_density(_T4, _U4, _U4, 4), _ONE_THREE),
     (lambda: interior_density(_T4, _U4, _U4, TorsionVector(_T4, _U4), 4), _ONE_THREE),
@@ -208,11 +205,11 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: metric_pair(_T4, _U4), _ONE_THREE),
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
         "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
-        "trace-second", "trace-third", "supertrace", "conjugate_sum", "multivector-coeffs",
+        "trace-second", "trace-third", "supertrace", "multivector-coeffs",
         "threeform-components", "symscalar-terms", "mv_mul-int", "scalar_product-int",
         "metric-int", "threeform-int", "normal-trace-int", "sigma", "integrate_sphere",
         "mv_mul-form", "trace-form", "scalar_product-form", "supertrace-form",
-        "conjugate_sum-form", "sigma-form", "boundary-threeform", "interior-threeform",
+        "sigma-form", "boundary-threeform", "interior-threeform",
         "theorem-threeform", "theorem-zero-threeform", "spectral_torsion-threeform",
         "threeform-row-threeform", "threeform-t-oneform", "metric-threeform"])
 def test_a_list_argument_is_a_type_error(call, expected):

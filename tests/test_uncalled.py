@@ -3,7 +3,9 @@ command line is not run."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "uncalled.py"
@@ -133,3 +135,23 @@ def test_unreached_reads_a_statement_at_its_first_line():
     # only the decorator's line and the loop's header ran; h never ran
     assert uncalled.unreached(source, {1}, {2, 5}) == [(6, "f")]
     assert uncalled.unreached(source, {1}, set()) == [(2, "f"), (5, "f"), (6, "f")]
+
+
+# "``file.py:N`` in ``qualname``" or "``file.py:N-M`` in ``qualname``"
+_ENTRY = re.compile(r"``(\w+\.py):(\d+)(?:-(\d+))?``\s+in\s+``([\w.<>]+)``")
+
+
+def test_the_docstring_list_names_lines_inside_their_functions():
+    """Each statement that the script's docstring lists lies, all of its
+    line range, inside the function that the entry names."""
+    doc = uncalled.__doc__
+    entries = _ENTRY.findall(doc)
+    assert entries and len(entries) == len(re.findall(r"``\w+\.py:", doc))
+    spans = {}
+    for name, first, last, qualname in entries:
+        if name not in spans:
+            tree = ast.parse((uncalled.PACKAGE / name).read_text(encoding="utf-8"))
+            spans[name] = {q: (start, node.end_lineno)
+                           for start, q, node in uncalled._functions(tree)}
+        start, end = spans[name][qualname]
+        assert start <= int(first) <= int(last or first) <= end, (name, first, qualname)

@@ -54,6 +54,33 @@ def test_sphere_trace_integral_matches_xi_polynomial(n):
                 sphere_trace_integral_reference(n, left, middle, generator_first)
 
 
+def _squares_to_plus_one(a, b):
+    """mv_mul, except that a generator times itself gives +1, not -1."""
+    items = list(a.coeffs.items())
+    if a == b and len(items) == 1 and items[0][0].bit_count() == 1 and items[0][1] == 1:
+        return Multivector(a.dim, {0: 1})
+    return mv_mul(a, b)
+
+
+def test_generator_last_rows_read_their_factor_off_the_clifford_product(monkeypatch):
+    """With the generator last, the sphere rows' factor -1 is c(e_i)c(e_i),
+    read off the catalog's own products: where those give +1, E4.19, E4.36
+    and E4.42 mismatch on the canonical input.  E4.36 is left out at n = 6,
+    where it compares 0 with 0 and so shows nothing."""
+    checked = {4: ("E4.19", "E4.36", "E4.42"), 6: ("E4.19", "E4.42")}
+    rows = {ident.id: ident for ident in CATALOG}
+    assert all(rows[i].run(n, None)[2] for n, ids in checked.items() for i in ids)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "mv_mul", _squares_to_plus_one)
+        verify._sphere_factors.cache_clear()
+        try:
+            for n, ids in checked.items():
+                assert not any(rows[i].run(n, None)[2] for i in ids), n
+        finally:
+            patch.undo()
+            verify._sphere_factors.cache_clear()
+
+
 def test_verify_suite_n8_time_bound():
     """The whole n=8 catalog, canonical inputs plus 5 trials per row."""
     start = time.monotonic()
