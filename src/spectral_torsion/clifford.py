@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import functools
 from math import lcm
-from operator import itemgetter
 from types import MappingProxyType
 
 from .scalars import (
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     Rational,
     _ZERO,
@@ -147,14 +145,11 @@ class Multivector(_Value):
         """
         coeffs = self._coeffs
         if coeffs is None:
-            sums: dict[int, GaussianRational] = {}
+            shares: dict[int, list] = {}
             for den, acc in self._parts:
                 for mask, (re, im) in acc.items():
-                    if re or im:
-                        c = _gr(_part(re, den), _part(im, den))
-                        cur = sums.get(mask)
-                        sums[mask] = c if cur is None else cur + c
-            coeffs = {mask: c for mask, c in sums.items() if not c.is_zero()}
+                    shares.setdefault(mask, []).append((den, re, im))
+            coeffs = {mask: c for mask, s in shares.items() if not (c := _exact(s)).is_zero()}
             object.__setattr__(self, "_coeffs", coeffs)
         return MappingProxyType(coeffs)
 
@@ -170,12 +165,7 @@ class Multivector(_Value):
     # -- structure queries ----------------------------------------------
 
     def scalar_part(self) -> GaussianRational:
-        total = GR_ZERO
-        for den, acc in self._parts:
-            re, im = acc.get(0, (0, 0))
-            if re or im:
-                total = total + _gr(_part(re, den), _part(im, den))
-        return total
+        return _exact((den, *acc[0]) for den, acc in self._parts if 0 in acc)
 
     def is_zero(self) -> bool:
         if len(self._parts) > 1:  # parts can cancel only on a blade that two of them hold
@@ -214,31 +204,31 @@ def _rational_runs(items) -> list[tuple[int, dict]]:
     large coprime denominators; then a run closes before the item that
     would take its lcm past the bound.  Keys must be distinct.
     """
-    # each value's numerator and denominator read once: Fraction's are properties
-    items = [(key, re.numerator, re.denominator, im.numerator, im.denominator)
-             for key, re, im in items]
-    dens = {*map(itemgetter(2), items), *map(itemgetter(4), items)}
-    if sum(d.bit_length() for d in dens) <= _RUN_DEN_BITS:  # their lcm divides the product
-        runs = [(lcm(*dens), items)]
-    else:
-        runs = []
-        den, run = 1, []
-        for item in items:
-            _, _, re_den, _, im_den = item
-            grown = lcm(den, re_den, im_den)
-            if run and grown.bit_length() > _RUN_DEN_BITS:
-                runs.append((den, run))
-                grown, run = lcm(re_den, im_den), []
-            den = grown
-            run.append(item)
-        runs.append((den, run))
+    runs, den, run = [], 1, []
+    for key, re, im in items:
+        re_den, im_den = re.denominator, im.denominator
+        grown = lcm(den, re_den, im_den)
+        if run and grown.bit_length() > _RUN_DEN_BITS:
+            runs.append((den, run))
+            grown, run = lcm(re_den, im_den), []
+        den = grown
+        run.append((key, re.numerator, re_den, im.numerator, im_den))
+    runs.append((den, run))
     return [(den, {key: (re * (den // re_den), im * (den // im_den))
                    for key, re, re_den, im, im_den in run})
             for den, run in runs]
 
 
-def _part(numerator: int, den: int):
-    return Rational(numerator, den) if numerator else _ZERO
+def _exact(shares) -> GaussianRational:
+    """The exact sum of integer shares (den, re, im), each (re + i*im)/den:
+    one reduced Rational per nonzero numerator, added up."""
+    re_sum = im_sum = _ZERO
+    for den, re, im in shares:
+        if re:
+            re_sum += Rational(re, den)
+        if im:
+            im_sum += Rational(im, den)
+    return _gr(re_sum, im_sum)
 
 
 def _int_product(a_parts, b_parts) -> list[tuple[int, dict[int, list[int]]]]:
@@ -279,9 +269,8 @@ def _from_int_parts(dim: int, parts) -> Multivector:
     """The sum of (den, {mask: (re, im)}) integer parts as a Multivector.
 
     The Multivector keeps the parts.  Its coefficients are built on first
-    read: each nonzero numerator becomes one reduced Rational, and parts over
-    different denominators are added.  The parts are handed over, so the
-    caller must not mutate them afterwards.  Nothing is validated.
+    read, each blade's shares summed by _exact.  The parts are handed over,
+    so the caller must not mutate them afterwards.  Nothing is validated.
     """
     mv = Multivector.__new__(Multivector)
     object.__setattr__(mv, "dim", dim)
@@ -344,12 +333,12 @@ def supertrace(a: Multivector) -> GaussianRational:
 def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
     """<a b>_0: sum over shared blades A of s(A) a_A b_A, with e_A e_A = s(A).
 
-    Summed on both operands' stored integer parts, one Rational per pair of
-    parts; neither operand's coefficients are built.
+    Summed on both operands' stored integer parts, one share per pair of
+    parts for _exact; neither operand's coefficients are built.
     """
     _same_dim(b, b, Multivector)
     _same_dim(a, b, Multivector)
-    total = GR_ZERO
+    shares = []
     for den_b, b_acc in b._parts:
         for den_a, a_acc in a._parts:
             re_sum = im_sum = 0
@@ -364,17 +353,15 @@ def scalar_product(a: Multivector, b: Multivector) -> GaussianRational:
                     re, im = -re, -im
                 re_sum += re
                 im_sum += im
-            if re_sum or im_sum:
-                den = den_a * den_b
-                total = total + _gr(_part(re_sum, den), _part(im_sum, den))
-    return total
+            shares.append((den_a * den_b, re_sum, im_sum))
+    return _exact(shares)
 
 
 def _triple_scalar(a: Multivector, b: Multivector, c: Multivector) -> GaussianRational:
     """<a b c>_0 = sum over blades A of a and B of b of sign(A, B) s(A^B) a_A
-    b_B c_(A^B), each A^B looked up in c's integer parts; one Rational per
-    triple of parts, and a b is never built."""
-    total = GR_ZERO
+    b_B c_(A^B), each A^B looked up in c's integer parts; one share per
+    triple of parts for _exact, and a b is never built."""
+    shares = []
     for den_a, a_acc in a._parts:
         a_items = [(ma, ar, ai, _sign_mask(ma)) for ma, (ar, ai) in a_acc.items()]
         for den_b, b_acc in b._parts:
@@ -392,10 +379,8 @@ def _triple_scalar(a: Multivector, b: Multivector, c: Multivector) -> GaussianRa
                                 re, im = -re, -im
                             re_sum += re
                             im_sum += im
-                if re_sum or im_sum:
-                    den = den_a * den_b * den_c
-                    total = total + _gr(_part(re_sum, den), _part(im_sum, den))
-    return total
+                shares.append((den_a * den_b * den_c, re_sum, im_sum))
+    return _exact(shares)
 
 
 def _scale_grades(b: Multivector, factors: tuple[int, ...] | list[int],

@@ -10,7 +10,7 @@ from collections.abc import Mapping, Set
 from math import lcm
 from typing import Iterable
 
-from .clifford import Multivector, _check_dim, _check_index, _from_int_parts, _part, \
+from .clifford import Multivector, _check_dim, _check_index, _exact, _from_int_parts, \
     _rational_runs, _same_dim, _sign_mask, blade_indices, mv_mul
 from .scalars import Rational, _Value, _mapping_items, rational
 
@@ -97,15 +97,15 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
 
     Each stored triple contributes its 3x3 minor det over the rows u, v, w.
     The sum runs on integer numerators over the rows' common denominators
-    and T's part denominators, with one Rational per part of T.  The rows are
-    not split into runs: each term of a minor reads one entry of every row,
-    so split rows would multiply the work by the number of part triples.
+    and T's part denominators, one share per part of T for _exact.  The rows
+    are not split into runs: each term of a minor reads one entry of every
+    row, so split rows would multiply the work by the number of part triples.
     """
     _same_dim(t, t, ThreeForm)
     for x in (u, v, w):
         _same_dim(x, t, OneForm)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
-    total = rational(0)
+    shares = []
     for den, part in _rational_runs((abc, coeff, 0) for abc, coeff in t.components.items()):
         acc = 0
         for (a, b, c), (coeff, _) in part.items():
@@ -113,8 +113,8 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
             acc += coeff * (u[a] * (v[b] * w[c] - v[c] * w[b])
                             - u[b] * (v[a] * w[c] - v[c] * w[a])
                             + u[c] * (v[a] * w[b] - v[b] * w[a]))
-        total += _part(acc, den * du * dv * dw)
-    return total
+        shares.append((den * du * dv * dw, acc, 0))
+    return _exact(shares).re
 
 
 def _complement(x, n: int):

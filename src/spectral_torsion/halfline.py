@@ -172,6 +172,8 @@ class XiRational(_Value):
 
     def derivatives_at(self, x: GaussianRational, order: int) -> list:
         """[f(x), f'(x), ..., f^(order)(x)], by exact differentiation."""
+        if type(order) is not int or order < 0:
+            raise ValueError(f"need an int order >= 0, got {order!r}")
         f, out = self, [self.eval_exact(x)]
         for _ in range(order):
             f = f.derivative()

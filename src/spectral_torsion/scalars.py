@@ -115,7 +115,12 @@ class GaussianRational:
         return _gr(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
+        try:
+            other = _as_gaussian(other)
+        except TypeError:
+            if isinstance(other, SymScalar):
+                return NotImplemented  # SymScalar.__rmul__ answers
+            raise
         a, b, c, d = self.re, self.im, other.re, other.im
         if b == 0:
             if d == 0:

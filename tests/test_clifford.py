@@ -8,7 +8,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectral_torsion import (
     DimensionMismatch,
@@ -696,20 +696,6 @@ def _stored_parts(n):
     return st.lists(st.tuples(den, blades), max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_kernel_reads_stored_parts_like_the_coefficient_oracles(data):
-    """mv_mul, a scaling by the catalog's sphere factors and scalar_product
-    read operands' stored parts as they are, long or short, and agree with
-    the oracles on the built coefficients."""
-    n = data.draw(st.sampled_from([2, 4, 6]), "n")
-    a, b = (_from_int_parts(n, data.draw(_stored_parts(n), name)) for name in "ab")
-    got = (mv_mul(a, b), _sphere_scaled(a, True), scalar_product(a, b))
-    assert a._coeffs is None and b._coeffs is None
-    assert got == (mv_mul_reference(a, b), _sphere_by_products(Multivector(n, a.coeffs), True),
-                   scalar_product_reference(a, b))
-
-
 # pairwise-coprime denominators of 540 to 660 bits: any four of them take a
 # run's common denominator past _RUN_DEN_BITS, so an operand splits into parts
 _COPRIME_DENS = tuple(p ** (700 // p.bit_length()) for p in (3, 5, 7, 11, 13, 17))
@@ -727,6 +713,65 @@ def _three_factor_operand(n, kind):
     coeffs = st.dictionaries(st.integers(0, (1 << n) - 1),
                              st.builds(GaussianRational, part, part), max_size=8)
     return coeffs.map(lambda c: Multivector(n, c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_reads_stored_parts_like_the_coefficient_oracles(data):
+    """mv_mul, a scaling by the catalog's sphere factors and scalar_product
+    read operands' stored parts as they are, long or short, and agree with
+    the oracles on the built coefficients.  A constructor-built operand over
+    the coprime or the shared denominators keeps the coefficients it was
+    given, so there the oracles read no sum of integer parts."""
+    n = data.draw(st.sampled_from([2, 4, 6]), "n")
+    a, b = (data.draw(_three_factor_operand(n, data.draw(
+        st.sampled_from(["stored", "coprime", "shared"]), f"{name} kind")), name)
+        for name in "ab")
+    built = a._coeffs, b._coeffs
+    got = (mv_mul(a, b), _sphere_scaled(a, True), scalar_product(a, b))
+    assert a._coeffs is built[0] and b._coeffs is built[1]
+    assert got == (mv_mul_reference(a, b), _sphere_by_products(Multivector(n, a.coeffs), True),
+                   scalar_product_reference(a, b))
+
+
+# a denominator of exactly _RUN_DEN_BITS bits, which a run may still take
+_EDGE_DEN = 1 << _RUN_DEN_BITS - 1
+
+
+def _run_items(dens):
+    """Up to 30 (key, re, im) items with distinct keys, each part over one of dens."""
+    part = st.builds(Rational, st.integers(-10 ** 9, 10 ** 9), st.sampled_from(dens))
+    return st.lists(st.tuples(part, part), max_size=30).map(
+        lambda values: [(key, re, im) for key, (re, im) in enumerate(values)])
+
+
+@settings(max_examples=150, deadline=None)
+@example([(0, Rational(1, _EDGE_DEN), Rational(0)), (1, Rational(3, _EDGE_DEN), Rational(1, 2))])
+@given(st.sampled_from([_COPRIME_DENS, _SHARED_DENS, _COPRIME_DENS + _SHARED_DENS,
+                        (1, 2, 6, 10 ** 6, _EDGE_DEN)]).flatmap(_run_items))
+def test_rational_runs_make_one_run_whenever_the_lcm_fits(items):
+    """Items whose denominators' lcm fits in _RUN_DEN_BITS make one run over
+    that lcm.  Otherwise each run is over the lcm of its items, fits unless
+    it holds one item, and closes only before an item that would take its
+    lcm past the bound."""
+    def den_of(item):
+        return math.lcm(item[1].denominator, item[2].denominator)
+
+    runs = _rational_runs(items)
+    whole = math.lcm(*map(den_of, items))
+    if whole.bit_length() <= _RUN_DEN_BITS:
+        assert runs == [(whole, {key: (re * whole, im * whole) for key, re, im in items})]
+        return
+    start = 0
+    for den, part in runs:
+        run = items[start:start + len(part)]
+        start += len(part)
+        assert den == math.lcm(*map(den_of, run))
+        assert part == {key: (re * den, im * den) for key, re, im in run}
+        assert len(run) == 1 or den.bit_length() <= _RUN_DEN_BITS
+        if start < len(items):
+            assert math.lcm(den, den_of(items[start])).bit_length() > _RUN_DEN_BITS
+    assert start == len(items)
 
 
 @settings(max_examples=80, deadline=None)

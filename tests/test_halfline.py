@@ -259,6 +259,17 @@ def test_residue_derivative_and_dxn_symbol_refuse_non_int_orders(m):
             fn(m)
 
 
+@pytest.mark.parametrize("order", [-1, -3, True, False, 1.0, "1"])
+def test_derivatives_at_refuses_an_order_that_is_not_an_int_at_least_0(order):
+    """A negative order used to give [f(x)] and a bool was read as 0 or 1;
+    both are refused, with a float and a string, before any evaluation."""
+    f = XiRational(POLY_ONE, 1)
+    message = rf"^need an int order >= 0, got {re.escape(repr(order))}$"
+    with pytest.raises(ValueError, match=message):
+        f.derivatives_at(GaussianRational(2), order)
+    assert f.derivatives_at(GaussianRational(2), 0) == [f.eval_exact(GaussianRational(2))]
+
+
 # -- line integrals ------------------------------------------------------------------
 
 

@@ -210,6 +210,21 @@ def test_gaussian_plus_symscalar_is_symscalar_plus_gaussian():
             g + other
 
 
+def test_gaussian_times_symscalar_is_symscalar_times_gaussian():
+    """GaussianRational * SymScalar used to raise TypeError while the other
+    order answered; it now hands the product to SymScalar.__rmul__."""
+    g = GaussianRational(1, 2)
+    s = SymScalar.from_atom(PI, 3) + sym(3)
+    assert g * s == s * g == SymScalar.from_atom(PI, GaussianRational(3, 6)) \
+        + sym(GaussianRational(3, 6))
+    assert GaussianRational(2) * SymScalar.from_atom(PI) == SymScalar.from_atom(PI, 2)
+    assert g * sym(3) == sym(GaussianRational(3, 6))
+    for other in ("3", 1.5, None):
+        with pytest.raises(TypeError, match=rf"^cannot interpret {re.escape(repr(other))} "
+                                            r"as a Gaussian rational$"):
+            g * other
+
+
 def test_str_zero():
     assert str(SymScalar()) == "0"
 

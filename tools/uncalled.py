@@ -39,7 +39,7 @@ The statements that the report still lists, and what reaches each:
   admits (``test_cli::test_compute_runs_on_an_interpreter_without_the_int_limit``);
 - ``cli.py:387`` in ``main``: ``--alpha`` followed by a negative exponent
   (``test_cli::test_error_messages``, ``moments-negative-first``);
-- ``clifford.py:50`` in ``_same_dim``: the operand named when one has no
+- ``clifford.py:48`` in ``_same_dim``: the operand named when one has no
   int ``dim`` (``test_torsion::test_a_list_argument_is_a_type_error``);
 - ``halfline.py:58`` in ``Poly.__add__``, ``halfline.py:63`` in
   ``Poly.__mul__`` and ``halfline.py:152`` in ``XiRational.__mul__``: an
@@ -49,18 +49,18 @@ The statements that the report still lists, and what reaches each:
   ``halfline.py:111`` in ``_cancel``: a numerator root at +-i, both public
   semantics of ``Poly`` and ``XiRational``
   (``test_halfline::test_xirational_equality_matches_cross_multiplication``);
-- ``halfline.py:187`` in ``_series``: no pole at i, so ``pi_plus`` and
+- ``halfline.py:189`` in ``_series``: no pole at i, so ``pi_plus`` and
   ``line_integral`` are 0
   (``test_halfline::test_line_integral_without_a_pole_at_i_is_zero``);
-- ``halfline.py:234`` in ``line_integral``: the zero symbol
+- ``halfline.py:236`` in ``line_integral``: the zero symbol
   (``test_exactness::test_exact_return_types``);
 - ``scalars.py:107`` in ``GaussianRational.__add__``: a ``SymScalar``
   operand, whose ``__radd__`` gives the sum
   (``test_scalars::test_gaussian_plus_symscalar_is_symscalar_plus_gaussian``);
-- ``scalars.py:208-209`` in ``_as_gaussian``: a bool, which the validating
+- ``scalars.py:213-214`` in ``_as_gaussian``: a bool, which the validating
   constructor refuses, or another int subclass
   (``test_scalars::test_int_and_rational_operands_keep_their_values``);
-- ``scalars.py:302`` in ``SymScalar.__add__``: two terms that cancel
+- ``scalars.py:307`` in ``SymScalar.__add__``: two terms that cancel
   (``test_torsion::test_torsion_vector_density_antisymmetric``).
 """
 
