@@ -54,38 +54,36 @@ def vol_numeric(k: int) -> float:
 
 
 class XiPolynomialMV(_Value):
-    """Polynomial in the cosphere variables with multivector coefficients:
+    """Polynomial in the dim cosphere variables with Cl(dim) coefficients:
     sum_alpha xi^alpha terms[alpha]."""
 
-    __slots__ = ("nvars", "mv_dim", "terms")
+    __slots__ = ("dim", "terms")
 
-    def __init__(self, nvars: int, mv_dim: int, terms=None):
-        _check_dim(nvars)
-        _check_dim(mv_dim)
+    def __init__(self, dim: int, terms=None):
+        _check_dim(dim)
         clean: dict[tuple, Multivector] = {}
         if terms is not None:
             for expo, mv in _mapping_items(terms):
                 expo = tuple(expo)
-                if len(expo) != nvars:
+                if len(expo) != dim:
                     raise DimensionMismatch(
-                        f"exponent vector length {len(expo)} != {nvars}")
-                _same_dim(mv, mv_dim, Multivector)
+                        f"exponent vector length {len(expo)} != {dim}")
+                _same_dim(mv, dim, Multivector)
                 if not mv.is_zero():
                     clean[expo] = mv
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "mv_dim", mv_dim)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def _key(self):
-        return self.nvars, self.mv_dim, self.terms
+        return self.dim, self.terms
 
     __hash__ = None  # its terms are a dict
 
     def __repr__(self):
-        return f"XiPolynomialMV(nvars={self.nvars}, terms={len(self.terms)})"
+        return f"XiPolynomialMV(dim={self.dim}, terms={len(self.terms)})"
 
 
 def xi_monomial(nvars: int, *indices: int) -> tuple:
@@ -108,8 +106,8 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     """
     if not isinstance(p, XiPolynomialMV):
         raise TypeError(f"expected an XiPolynomialMV, got {type(p).__name__}")
-    if p.nvars != n:
-        raise DimensionMismatch(f"polynomial in {p.nvars} vars, sphere needs {n}")
+    if p.dim != n:
+        raise DimensionMismatch(f"polynomial in {p.dim} vars, sphere needs {n}")
     weights = {expo: weight for expo in p.terms if (weight := moment(n, expo))}
     scale = math.lcm(*(weight.denominator for weight in weights.values()))
     sums: dict[int, dict[int, tuple[int, int]]] = {}
@@ -121,7 +119,7 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
                 cur = acc.get(mask)
                 re, im = re * factor, im * factor
                 acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    return _from_int_parts(p.mv_dim, [(den * scale, acc) for den, acc in sums.items()])
+    return _from_int_parts(n, [(den * scale, acc) for den, acc in sums.items()])
 
 
 def _grade_factors(n: int, grades, symbol) -> tuple[tuple[int, ...], int]:

@@ -141,7 +141,7 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
                   if (acc := {mask: v for mask, odd, v in blades if odd == mask >> a & 1})]
         if square:
             terms[xi_monomial(n, a + 1, a + 1)] = _from_int_parts(n, square)
-    return XiPolynomialMV(n, n, terms)
+    return XiPolynomialMV(n, terms)
 
 
 def interior_density(u: OneForm, v: OneForm, w: OneForm,

@@ -46,15 +46,14 @@ from .scalars import (
     sym,
     vol_sphere,
 )
-from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, \
-    interior_density, sigma_minus2m
+from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, sigma_minus2m
 from .torsion import (
     ManifoldSpec,
     _check_spec,
     _frame_pairing,
     normal_trace_combination,
+    spectral_torsion,
     theorem_boundary_value,
-    theorem_value,
 )
 
 DEFAULT_SEED = 20240810
@@ -85,12 +84,13 @@ def _oneforms(n: int, rng: random.Random | None, *canonical: int) -> tuple[OneFo
     return tuple(rand_oneform(rng, n) for _ in canonical)
 
 
-def rand_threeform(rng: random.Random, n: int, sparsity: float = 0.5) -> ThreeForm:
+def rand_threeform(rng: random.Random, n: int) -> ThreeForm:
+    """A 3-form that keeps each component with probability 1/2."""
     comps = {}
     for a in range(1, n - 1):
         for b in range(a + 1, n):
             for c in range(b + 1, n + 1):
-                if rng.random() < sparsity:
+                if rng.random() < 0.5:
                     comps[(a, b, c)] = rand_rational(rng)
     return ThreeForm(n, comps)
 
@@ -110,7 +110,7 @@ def _sphere_factors(n: int, generator_first: bool) -> tuple[tuple[int, ...], int
     generators = [Multivector.generator(n, i) for i in range(1, n + 1)]
 
     def symbol(a: Multivector) -> XiPolynomialMV:
-        return XiPolynomialMV(n, n, {
+        return XiPolynomialMV(n, {
             xi_monomial(n, i, i): mv_mul(g, mv_mul(a, g)) if generator_first
             else mv_mul(a, mv_mul(g, g)) for i, g in enumerate(generators, 1)})
     return _grade_factors(n, range(n + 1), symbol)
@@ -181,14 +181,25 @@ def _sphere_row(inputs, middle, generator_first, weight, base):
     return run
 
 
-def _density_row(inputs, case):
-    """A row comparing interior_density on the perturbation case(x, rng) with
-    the catalogued theorem value; the case draws after the inputs."""
+def _density_row(inputs, case, with_boundary=False):
+    """A row comparing spectral_torsion's total on the perturbation case(x, rng)
+    with its catalogued theorem value; the case draws after the inputs."""
     def run(n, rng):
         u, v, w, x = inputs(n, rng)
-        perturbation = case(x, rng)
-        return _simple(interior_density(u, v, w, perturbation, n),
-                       theorem_value(perturbation, u, v, w, ManifoldSpec(n)))
+        report = spectral_torsion(case(x, rng), u, v, w, ManifoldSpec(n, with_boundary))
+        return report.total, report.theorem_value, report.matches_theorem
+    return run
+
+
+def _pole_row(numer, k):
+    """A row comparing the m-th derivative of numer/(x+i)^(m-k) at x = i with
+    (-1)^m (2m-1-k)!/(m-1-k)! (2i)^(k-2m)."""
+    def run(n, rng):
+        m = n // 2
+        computed = XiRational(numer, down=m - k).derivatives_at(GR_I, m)[m]
+        sign = 1 if m % 2 == 0 else -1
+        factor = sign * (math.factorial(2 * m - 1 - k) // math.factorial(m - 1 - k))
+        return _exact(computed, GaussianRational(0, 2) ** (k - 2 * m) * factor)
     return run
 
 
@@ -235,6 +246,15 @@ def _boundary_inputs(n, rng):
 def _torsion_vector(t, rng):
     """(T, Y) with Y drawn after T, or Y = 0 on the canonical input."""
     return TorsionVector(t, OneForm.zero(t.dim) if rng is None else rand_oneform(rng, t.dim))
+
+
+def _boundary_torsion_vector(normal, rng):
+    """(T, Y) with Y drawn before T, or (e_123, 0) on the canonical input."""
+    n = normal.dim
+    if rng is None:
+        return TorsionVector(ThreeForm(n, {(1, 2, 3): 1}), OneForm.zero(n))
+    y = rand_oneform(rng, n)
+    return TorsionVector(rand_threeform(rng, n), y)
 
 
 def _run_e417(n, rng):
@@ -299,24 +319,6 @@ def _run_e456(n, rng):
     return _probe(computed), _probe(reference), computed == reference
 
 
-def _run_e460(n, rng):
-    m = n // 2
-    computed = XiRational(POLY_ONE, down=m - 1).derivatives_at(GR_I, m)[m]
-    sign = 1 if m % 2 == 0 else -1
-    factor = sign * (math.factorial(2 * m - 2) // math.factorial(m - 2))
-    reference = GaussianRational(0, 2) ** (1 - 2 * m) * factor
-    return _exact(computed, reference)
-
-
-def _run_e461(n, rng):
-    m = n // 2
-    computed = XiRational(Poly((GR_I,)), down=m).derivatives_at(GR_I, m)[m]
-    sign = 1 if m % 2 == 0 else -1
-    factor = sign * (math.factorial(2 * m - 1) // math.factorial(m - 1))
-    reference = GaussianRational(0, 2) ** (-2 * m) * factor
-    return _exact(computed, reference)
-
-
 def _run_e462(n, rng):
     m = n // 2
     computed = residue_derivative(m)
@@ -329,33 +331,6 @@ def _run_e462(n, rng):
 def _run_e463(n, rng):
     u, v, w, _ = _boundary_inputs(n, rng)
     return _simple(boundary_density(u, v, w, n), theorem_boundary_value(u, v, w, n))
-
-
-def _run_r47(n, rng):
-    u, v, w, y = _oneforms(n, rng, 1, 2, 3, 1)
-    case = TorsionVector(ThreeForm(n), y)
-    return _simple(interior_density(u, v, w, case, n), SymScalar())
-
-
-def _run_t48g(n, rng):
-    u, v, w = _oneforms(n, rng, 1, 2, 3)
-    return _simple(interior_density(u, v, w, Grading(), n), SymScalar())
-
-
-def _run_t413(n, rng):
-    if rng is None:
-        u, v, w = OneForm.basis(n, n), OneForm.basis(n, 1), OneForm.basis(n, 1)
-        t = ThreeForm(n, {(1, 2, 3): 1})
-        y = OneForm.zero(n)
-    else:
-        u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
-        t = rand_threeform(rng, n)
-    case = TorsionVector(t, y)
-    spec = ManifoldSpec(n, with_boundary=True)
-    computed = (interior_density(u, v, w, case, n)
-                + boundary_density(u, v, w, n))
-    reference = theorem_value(case, u, v, w, spec)
-    return _simple(computed, reference)
 
 
 def _any(n: int) -> bool:
@@ -401,21 +376,28 @@ CATALOG: tuple[Identity, ...] = (
     Identity("E4.57", "boundary trace combination of the normal factor", _any,
              _trace_row(_boundary_inputs, to_clifford, lambda n, u, v, w, e:
                         normal_trace_combination(u, v, w) * _tr_id(n))),
-    Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _any, _run_e460),
-    Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _any, _run_e461),
+    Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _any,
+             _pole_row(POLY_ONE, 1)),
+    Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _any,
+             _pole_row(Poly((GR_I,)), 0)),
     Identity("E4.62", "residue derivative closed form", _any, _run_e462),
     Identity("E4.63", "boundary density against the catalogued coefficient", _any, _run_e463),
     Identity("T4.5", "interior density, torsion-vector case", _any,
              _density_row(_torsion_inputs, _torsion_vector)),
-    Identity("R4.7", "interior density vanishes for pure vector perturbation", _any, _run_r47),
-    Identity("T4.8γ", "interior density vanishes for the grading perturbation", _any, _run_t48g),
+    Identity("R4.7", "interior density vanishes for pure vector perturbation", _any,
+             _density_row(lambda n, rng: _oneforms(n, rng, 1, 2, 3, 1),
+                          lambda y, rng: TorsionVector(ThreeForm(y.dim), y))),
+    Identity("T4.8γ", "interior density vanishes for the grading perturbation", _any,
+             _density_row(lambda n, rng: (*_oneforms(n, rng, 1, 2, 3), None),
+                          lambda x, rng: Grading())),
     Identity("T4.10", "interior density, vector-grading case", _any,
              _density_row(_vector_inputs, lambda x, rng: VectorGrading(x))),
     Identity("T4.11n4", "interior density, grading-torsion case at n=4", lambda n: n == 4,
              _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t))),
     Identity("T4.11n6", "interior density, grading-torsion case at n=6", lambda n: n == 6,
              _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t))),
-    Identity("T4.13", "interior plus boundary against the catalogued total", _any, _run_t413),
+    Identity("T4.13", "interior plus boundary against the catalogued total", _any,
+             _density_row(_boundary_inputs, _boundary_torsion_vector, with_boundary=True)),
 )
 
 

@@ -8,7 +8,6 @@ that works on literal representation matrices instead of blades.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -38,12 +37,18 @@ from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational,
     vol_sphere
 from spectral_torsion.forms import frame_product, metric_pair, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
-from spectral_torsion.verify import rand_threeform as _rand_threeform
 
 from matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
 
-# the tests draw denser 3-forms than the verify catalog
-rand_threeform = functools.partial(_rand_threeform, sparsity=0.6)
+
+def rand_threeform(rng: random.Random, n: int, keep: float = 0.6) -> ThreeForm:
+    """A 3-form that keeps each component with probability `keep`: the tests
+    draw denser 3-forms than the verify catalog, in the same order."""
+    comps = {}
+    for abc in itertools.combinations(range(1, n + 1), 3):
+        if rng.random() < keep:
+            comps[abc] = rand_rational(rng)
+    return ThreeForm(n, comps)
 
 
 def rand_multivector(rng: random.Random, n: int, max_blades: int = 6) -> Multivector:
@@ -222,14 +227,14 @@ def sigma_minus2m_reference(b: Multivector) -> XiPolynomialMV:
             term = mv_mul(bracket, Multivector.generator(n, l))
             if not term.is_zero():
                 _add_xi_term(terms, xi_monomial(n, i, l), term)
-    return XiPolynomialMV(n, n, terms)
+    return XiPolynomialMV(n, terms)
 
 
 def integrate_sphere_reference(n, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)): each surviving
     coefficient scaled by its moment weight and added coefficient by
     coefficient."""
-    total = Multivector(p.mv_dim)
+    total = Multivector(p.dim)
     for expo, mv in p.terms.items():
         weight = moment(n, expo)
         if weight:
@@ -260,7 +265,7 @@ def sphere_trace_integral_reference(n, left, middle, generator_first) -> Gaussia
             term = mv_mul(core, Multivector.generator(n, l))
             if not term.is_zero():
                 _add_xi_term(terms, xi_monomial(n, i, l), term)
-    integrated = integrate_sphere_reference(n, XiPolynomialMV(n, n, terms))
+    integrated = integrate_sphere_reference(n, XiPolynomialMV(n, terms))
     return trace(integrated)
 
 

@@ -1,10 +1,11 @@
-"""The report of tools/bench_pairs.py, on canned benchmark result lines; no
-benchmark is run."""
+"""The report of tools/bench_pairs.py, on canned benchmark result lines, and
+the checkouts it runs in; no benchmark is run."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,47 @@ def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
     (tmp_path / "tools.py").write_text("outside = True\n")
     assert bench_pairs.source_lines(tmp_path) == 5
     assert bench_pairs.source_lines(tmp_path / "empty") == 0
+
+
+def _git(repo, *args):
+    subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_both_sides_run_from_fresh_copies_without_bytecode(tmp_path, monkeypatch):
+    """Neither side runs in the repository itself: the base is an extract and
+    the change a copy of the working tree's tracked and untracked files,
+    with no __pycache__ and no ignored file.  Both copies are gone at the
+    end."""
+    repo = tmp_path / "repo"
+    package = repo / "src" / "spectral_torsion"
+    (package / "__pycache__").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (package / "core.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    (package / "new.py").write_text("y = 2\nz = 3\n")  # untracked
+    (package / "__pycache__" / "core.cpython-311.pyc").write_bytes(b"stale")
+    (repo / "ignored.txt").write_text("left behind by a run\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    def extract(revision, target):
+        (target / "src" / "spectral_torsion").mkdir(parents=True)
+        (target / "src" / "spectral_torsion" / "core.py").write_text("x = 1\n")
+    monkeypatch.setattr(bench_pairs, "_extract", extract)
+    seen = []
+
+    def run(checkout, command):
+        seen.append((checkout, sorted(str(path.relative_to(checkout))
+                                      for path in checkout.rglob("*") if path.is_file())))
+        return bench_pairs.parse_result(_stdout(0.0006, 1000))
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    assert bench_pairs.main(["HEAD", "--workload", "density_api", "--seeds", "1", "2",
+                             "--seconds", "1"]) == 0
+    checkouts = {checkout for checkout, _ in seen}
+    assert len(seen) == 4 and len(checkouts) == 2
+    assert not checkouts & {repo, bench_pairs.ROOT, _PATH.parent.parent}
+    copied = [files for _, files in seen if "src/spectral_torsion/new.py" in files]
+    assert len(copied) == 2 and all(files == [".gitignore", "BENCHMARK.json", "src/spectral_torsion/core.py",
+                                    "src/spectral_torsion/new.py"] for files in copied)
+    assert not any(checkout.exists() for checkout in checkouts)

@@ -36,7 +36,7 @@ DOCUMENTED = (TypeError, ValueError, ZeroDivisionError, MissingAtom)
 VALUES = [
     GaussianRational(1, 2), sym(3), Rational(1, 3), Multivector.generator(4, 1),
     OneForm.basis(4, 2), ThreeForm(4, {(1, 2, 3): 1}), Poly((1, 2)),
-    XiRational(Poly((1,)), 1, 1), XiPolynomialMV(4, 4, {xi_monomial(4): Multivector(4, {0: 1})}),
+    XiRational(Poly((1,)), 1, 1), XiPolynomialMV(4, {xi_monomial(4): Multivector(4, {0: 1})}),
     ManifoldSpec(4), Grading(), TorsionVector(ThreeForm(4), OneForm.basis(4, 1)),
 ]
 

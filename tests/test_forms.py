@@ -102,8 +102,7 @@ _DIM_BUILDERS = {
     "Multivector.generator": lambda dim: Multivector.generator(dim, 1),
     "xi_monomial": xi_monomial,
     "xi_monomial(dim, 1)": lambda dim: xi_monomial(dim, 1),
-    "XiPolynomialMV.nvars": lambda dim: XiPolynomialMV(dim, 4, {}),
-    "XiPolynomialMV.mv_dim": lambda dim: XiPolynomialMV(4, dim, {}),
+    "XiPolynomialMV": lambda dim: XiPolynomialMV(dim, {}),
 }
 
 
@@ -111,7 +110,7 @@ _DIM_BUILDERS = {
 def test_every_constructor_takes_a_dimension_in_1_to_16(name):
     """ThreeForm(0), xi_monomial(-2) and OneForm([1] * 17) used to be built:
     forms and xi-polynomials took any int dimension, xi_monomial(True)
-    returned (0,) and XiPolynomialMV(4.0, 4, {}) was accepted.  A form
+    returned (0,) and XiPolynomialMV(4.0, {}) was accepted.  A form
     outside Cl(1)..Cl(16) cannot be built, so none reaches to_clifford.  A
     one-form's length is an int >= 0, so a bool, a float, a string or a
     negative dimension cannot reach it."""
@@ -133,7 +132,7 @@ def test_xi_polynomial_terms_map_to_multivectors(terms, message):
     """A list of terms and an int term used to raise AttributeError, and a
     one-form term was kept."""
     with pytest.raises(TypeError, match=f"^{message}$"):
-        XiPolynomialMV(4, 4, terms)
+        XiPolynomialMV(4, terms)
 
 
 def test_basis_index_outside_the_dimension():

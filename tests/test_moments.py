@@ -139,14 +139,14 @@ def test_moment_refuses_bad_arguments_after_the_equal_key_is_cached():
 
 def test_integrate_sphere_odd_term_dies():
     n = 4
-    p = XiPolynomialMV(n, n, {xi_monomial(n, 1): Multivector.generator(n, 1)})
+    p = XiPolynomialMV(n, {xi_monomial(n, 1): Multivector.generator(n, 1)})
     assert integrate_sphere(n, p).is_zero()
 
 
 def test_integrate_sphere_sums_to_volume():
     n = 4
     terms = {xi_monomial(n, i, i): Multivector(n, {0: 1}) for i in range(1, n + 1)}
-    out = integrate_sphere(n, XiPolynomialMV(n, n, terms))
+    out = integrate_sphere(n, XiPolynomialMV(n, terms))
     assert out == Multivector(n, {0: 1})  # in units of vol(S^3)
 
 
@@ -156,7 +156,7 @@ def test_integrate_sphere_mixed_term_dies():
         xi_monomial(n, 1, 2): Multivector(n, {0b11: 1}),
         xi_monomial(n, 1, 1): Multivector(n, {0: 1}),
     }
-    out = integrate_sphere(n, XiPolynomialMV(n, n, terms))
+    out = integrate_sphere(n, XiPolynomialMV(n, terms))
     assert out == Multivector(n, {0: rational("1/4")})  # units of vol(S^3)
 
 
@@ -180,7 +180,7 @@ def _termwise_polynomial(rng, n):
         draw = draws[k % len(draws)]
         blades = rng.sample(range(1 << n), min(1 << n, 12))
         terms[expo] = Multivector(n, {mask: draw() for mask in blades})
-    return XiPolynomialMV(n, n, terms)
+    return XiPolynomialMV(n, terms)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -201,6 +201,6 @@ def test_integrate_sphere_matches_termwise(n):
     assert not got.is_zero()
     # only the even monomials of degree 0, 2 and 4 survive: a single one of each
     for expo in (xi_monomial(n), xi_monomial(n, 1, 1), xi_monomial(n, 1, 1, 2, 2)):
-        single = XiPolynomialMV(n, n, {expo: p.terms[expo]})
+        single = XiPolynomialMV(n, {expo: p.terms[expo]})
         assert integrate_sphere(n, single) == integrate_sphere_reference(n, single)
-    assert integrate_sphere(n, XiPolynomialMV(n, n)).is_zero()
+    assert integrate_sphere(n, XiPolynomialMV(n)).is_zero()

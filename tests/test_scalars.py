@@ -257,7 +257,7 @@ _VALUE_TYPES = {
     "OneForm": (lambda: OneForm([1, "2/3"]), "dim", (rational(1), rational("2/3"))),
     "ThreeForm": (lambda: ThreeForm(4, {(1, 2, 3): 1, (2, 3, 4): -2}), "dim",
                   (4, frozenset({(1, 2, 3): rational(1), (2, 3, 4): rational(-2)}.items()))),
-    "XiPolynomialMV": (lambda: XiPolynomialMV(2, 4, {(1, 1): Multivector.generator(4, 2)}),
+    "XiPolynomialMV": (lambda: XiPolynomialMV(4, {(1, 1, 0, 0): Multivector.generator(4, 2)}),
                        "terms", None),
     "Poly": (lambda: Poly((1, 0, GaussianRational(0, 3))), "coeffs",
              (GaussianRational(1), GaussianRational(0), GaussianRational(0, 3))),

@@ -205,7 +205,7 @@ def test_sigma_matches_generator_products(n, rng):
         even = {expo: mv for expo, mv in full.items() if not any(e % 2 for e in expo)}
         assert got.terms == even
         assert list(got.terms) == list(even)
-        dropped = XiPolynomialMV(n, n, {expo: full[expo] for expo in full.keys() - even.keys()})
+        dropped = XiPolynomialMV(n, {expo: full[expo] for expo in full.keys() - even.keys()})
         assert integrate_sphere_reference(n, dropped).is_zero()
 
 
@@ -749,7 +749,7 @@ def test_interior_density_builds_one_symbol(monkeypatch):
         built.clear()
         interior_density(u, v, w, case, n)
         assert len(built) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
-        for _, _, terms in built:
+        for _, terms in built:
             masks = {mask for term in terms.values() for _, acc in term._parts for mask in acc}
             assert masks <= {0b1, 0b111}, type(case).__name__
 

@@ -432,7 +432,7 @@ def test_high_dimension_spot_check(rng):
     # beyond the acceptance range the closed forms still hold exactly
     n = 10
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
-    t, y = rand_threeform(rng, n, sparsity=0.3), rand_oneform(rng, n)
+    t, y = rand_threeform(rng, n, keep=0.3), rand_oneform(rng, n)
     case = TorsionVector(t, y)
     assert interior_density(u, v, w, case, n) == \
         theorem_value(case, u, v, w, ManifoldSpec(n))

@@ -12,7 +12,7 @@ from spectral_torsion import ManifoldSpec, Multivector, SymScalar, grading, mv_m
     to_clifford, trace, verify_suite
 from spectral_torsion import verify
 from spectral_torsion.clifford import _from_int_parts
-from spectral_torsion.scalars import GaussianRational, rational
+from spectral_torsion.scalars import GR_I, GaussianRational, rational
 from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
 
 from conftest import rand_multivector, rand_oneform, rand_threeform, scale_reference, \
@@ -244,6 +244,22 @@ def test_a_trial_mismatch_ends_the_row(monkeypatch):
     monkeypatch.setattr(verify, "CATALOG", (verify.Identity("X", "", lambda n: True, run),))
     assert [row.matches for row in verify_suite(ManifoldSpec(4))] == [False]
     assert len(trials) == 2
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_e461_misses_its_reference_by_exactly_a_factor_i(n):
+    """E4.61 and E4.60 are one pole-mirror rule, at numerators i and 1.  The
+    catalogued E4.61 value has no factor i, so the computed value is exactly
+    i times it (3/8 i against 3/8 at n=4, 2027025/512 i against 2027025/512
+    at n=16), while E4.60 matches: the mismatch is the reference's."""
+    rows = {ident.id: ident for ident in CATALOG}
+    computed, reference, ok = rows["E4.61"].run(n, None)
+    assert not ok and not reference.is_zero()
+    assert computed == reference * GR_I
+    assert rows["E4.60"].run(n, None)[2]
+    if n in (4, 16):
+        assert (str(computed), str(reference)) == \
+            {4: ("(3/8 i)", "3/8"), 16: ("(2027025/512 i)", "2027025/512")}[n]
 
 
 def _suite_every_trial(n, seed, trials=5):

@@ -6,13 +6,13 @@ Run from the repository root, for example:
 
 For every seed the script runs ``perfbench/run.py --workload W --seed S
 --seconds X --trace 0`` once in a temporary checkout of the base revision and
-once in the working tree, base first on odd pairs and change first on even
-ones, so that a slow drift of the machine favours neither side.  It prints
-each pair's end-to-end metrics, ``correct`` and the run's CPU speed relative
-to the reference (from the run's wall-clock note), then, per metric, the median
-of each side with its spread (interquartile range over median), the number
-of pairs in which the change was better (lower or higher as
-``BENCHMARK.json`` declares) and a verdict, read against the metric's
+once in a temporary copy of the working tree, base first on odd pairs and
+change first on even ones, so that a slow drift of the machine favours neither
+side.  It prints each pair's end-to-end metrics, ``correct`` and the run's CPU
+speed relative to the reference (from the run's wall-clock note), then, per
+metric, the median of each side with its spread (interquartile range over
+median), the number of pairs in which the change was better (lower or higher
+as ``BENCHMARK.json`` declares) and a verdict, read against the metric's
 declared ``bound``, a fraction of the base median:
 
 * ``worse``: the change median is worse than the base median by more than
@@ -28,10 +28,13 @@ the host that the scaled times did not absorb.  A last line gives the line
 totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
 as ``wc -l`` counts them, and their difference.
 
-The checkout is extracted with
-``git archive`` into a temporary directory, which is removed at the end
-whatever happens; the repository's worktree list never changes.
-Standard library only.
+The base is extracted with ``git archive`` into a temporary directory.  The
+change side is a copy of the working tree's files that git lists as tracked or
+as untracked and not ignored (``git ls-files -co --exclude-standard``), never a
+``__pycache__``, in a second one; so both sides start without bytecode, and
+neither reads what earlier runs left in the working tree.  Both directories
+are removed at the end whatever happens; the repository's worktree list never
+changes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -196,6 +199,19 @@ def _extract(revision: str, target: Path) -> None:
             tar.extractall(target)
 
 
+def _copy_worktree(target: Path) -> None:
+    """The working tree's tracked and untracked, not ignored, files, as plain
+    files under target, leaving out deleted files and any ``__pycache__``."""
+    listed = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+                            capture_output=True, check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if "__pycache__" in Path(name).parts or not source.is_file():
+            continue
+        (target / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target / name)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare the working tree against")
@@ -206,21 +222,23 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, bounds = better_directions(benchmark), declared_bounds(benchmark)
     base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    change_dir = Path(tempfile.mkdtemp(prefix="bench-change-"))
     pairs = []
     try:
         _extract(args.base, base_dir)
-        base_lines = source_lines(base_dir)
+        _copy_worktree(change_dir)
+        base_lines, change_lines = source_lines(base_dir), source_lines(change_dir)
         for index, seed in enumerate(args.seeds, 1):
             command = run_command(args.workload, seed, args.seconds)
-            order = [("base", base_dir), ("change", ROOT)]
+            order = [("base", base_dir), ("change", change_dir)]
             results = {side: _run(checkout, command)
                        for side, checkout in (order if index % 2 else order[::-1])}
             pairs.append((results["base"], results["change"]))
             print("\n".join(pair_lines(index, seed, *pairs[-1], better)), flush=True)
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
+        shutil.rmtree(change_dir, ignore_errors=True)
     print("\n".join(summary_lines(pairs, better, bounds)))
-    change_lines = source_lines(ROOT)
     print(f"src/spectral_torsion/*.py lines: base {base_lines}, change {change_lines}, "
           f"difference {change_lines - base_lines:+d}")
     return 0
