@@ -102,7 +102,10 @@ _DIM_BUILDERS = {
     "Multivector.generator": lambda dim: Multivector.generator(dim, 1),
     "xi_monomial": xi_monomial,
     "xi_monomial(dim, 1)": lambda dim: xi_monomial(dim, 1),
-    "XiPolynomialMV": lambda dim: XiPolynomialMV(dim, {}),
+    # its one dimension counts the cosphere variables and is the coefficients'
+    # Clifford dimension, checked with an empty mapping and with no terms
+    "XiPolynomialMV.nvars": lambda dim: XiPolynomialMV(dim, {}),
+    "XiPolynomialMV.mv_dim": lambda dim: XiPolynomialMV(dim),
 }
 
 
