@@ -392,6 +392,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the parse-error code
         return int(exc.code or 0)
+    if hasattr(sys.stdout, "reconfigure"):  # UTF-8 whatever the locale; a StringIO has none
+        sys.stdout.reconfigure(encoding="utf-8")
     # MAX_INPUT_DIGITS bounds every input, so exact results and the numbers
     # that messages echo print in full whatever the interpreter's limit
     try:

@@ -383,8 +383,7 @@ def _triple_scalar(a: Multivector, b: Multivector, c: Multivector) -> GaussianRa
     return _exact(shares)
 
 
-def _scale_grades(b: Multivector, factors: tuple[int, ...] | list[int],
-                  den: int = 1) -> Multivector:
+def _scale_grades(b: Multivector, factors: tuple[int, ...] | list[int], den: int) -> Multivector:
     """b with each grade-k blade times factors[k] / den: its integer
     numerators scaled by factors[k], each part's denominator by den, with no
     entry for a factor of 0 and no part left empty."""

@@ -18,13 +18,14 @@ that depends only on the blade's grade, and the trace against C sees grades
 symbol of e_1 + e_1 e_2 e_3 on every call, applies them to B and traces C
 against the result; the symbol of B itself is never built.
 
-CASE_NAMES and _CASE_FIELDS declare the cases and their fields once (the
-command line parses a configuration from them); interior_density alone
-builds B.
+The dataclasses declare the cases and their fields once; CASE_NAMES names
+them and _CASE_FIELDS, read off them, gives each field's form type (the
+command line parses a configuration from it); interior_density alone builds B.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 from .clifford import (
@@ -80,13 +81,8 @@ CASE_NAMES = {
 }
 
 
-# (field, form type) of each perturbation case
-_CASE_FIELDS = {
-    TorsionVector: (("T", ThreeForm), ("Y", OneForm)),
-    Grading: (),
-    VectorGrading: (("X", OneForm),),
-    TorsionGrading: (("T", ThreeForm),),
-}
+# (field, form type) of each perturbation case, in declaration order
+_CASE_FIELDS = {case: tuple(typing.get_type_hints(case).items()) for case in CASE_NAMES.values()}
 
 
 def _check_case(case: PerturbationCase, n: int) -> None:

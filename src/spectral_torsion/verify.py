@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .clifford import Multivector, _grading, _scale_grades, grading, mv_mul, \
+from .clifford import MAX_DIM, Multivector, _grading, _scale_grades, grading, mv_mul, \
     scalar_product, supertrace, trace
 from .forms import OneForm, ThreeForm, _complement, eval_threeform, frame_product, \
     to_clifford
@@ -58,9 +58,7 @@ from .torsion import (
 
 DEFAULT_SEED = 20240810
 
-FINAL_IDS = ("T4.5", "R4.7", "T4.8γ", "T4.10", "T4.11n4", "T4.11n6")
-
-# IDENTITY_IDS (every catalog key, in order) is defined below the catalog.
+# IDENTITY_IDS (every catalog key, in order) and FINAL_IDS are read off the catalog below.
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +94,12 @@ def rand_threeform(rng: random.Random, n: int) -> ThreeForm:
 
 
 def _sphere_trace_integral(n: int, left: Multivector, middle: Multivector,
-                           generator_first: bool) -> GaussianRational:
-    """Integral over |xi|=1 of Tr(left * c(e_i) * middle * xi_i c(xi)) summed
-    over i (generator_first) or Tr(left * middle * c(e_i) * xi_i c(xi)), in
-    units of vol(S^(n-1)): middle scaled by grade, traced against left."""
-    return trace(left, _scale_grades(middle, *_sphere_factors(n, generator_first)))
+                           positions: tuple[bool, ...]) -> GaussianRational:
+    """Integral over |xi|=1 of Tr(left * c(e_i) * middle * xi_i c(xi)) summed over i
+    (generator first, True) or Tr(left * middle * c(e_i) * xi_i c(xi)), summed over the
+    positions, in units of vol(S^(n-1)): middle scaled by grade, traced against left."""
+    return sum(trace(left, _scale_grades(middle, *_sphere_factors(n, generator_first)))
+               for generator_first in positions)
 
 
 @functools.cache
@@ -134,8 +133,9 @@ def _probe(f: XiRational) -> SymScalar:
 class Identity:
     id: str
     description: str
-    applies: Callable[[int], bool]
+    dims: range | tuple[int, ...]  # the even dimensions the row runs at
     run: Callable[[int, random.Random | None], tuple[SymScalar, SymScalar, bool]]
+    final: bool = False  # a final-theorem row, which gates the verify exit code
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,13 @@ def _trace_row(inputs, middle, reference):
     return run
 
 
-def _sphere_row(inputs, middle, generator_first, weight, base):
-    """A row comparing `_sphere_trace_integral` of C = c(u)c(v)c(w) and M = middle(x)
-    with weight(n) * base(u, v, w, x, C, M) * 2^m, in units of vol(S^(n-1))."""
+def _sphere_row(inputs, middle, positions, weight, base):
+    """A row comparing `_sphere_trace_integral` of C = c(u)c(v)c(w) and M = middle(x) at
+    the positions with weight(n) * base(u, v, w, x, C, M) * 2^m, in units of vol(S^(n-1))."""
     def run(n, rng):
         u, v, w, x = inputs(n, rng)
         cuvw, right = frame_product(u, v, w, n), middle(x)
-        computed = _sphere_trace_integral(n, cuvw, right, generator_first)
+        computed = _sphere_trace_integral(n, cuvw, right, positions)
         reference = base(u, v, w, x, cuvw, right) * _tr_id(n) * weight(n)
         return _exact(computed, reference, (vol_sphere(n - 1),))
     return run
@@ -267,15 +267,6 @@ def _run_e417(n, rng):
     return _exact(computed, reference, (vol_sphere(n - 1),))
 
 
-def _run_e418(n, rng):
-    u, v, w, y = _pairing_inputs(n, rng)
-    cuvw, cy = frame_product(u, v, w, n), to_clifford(y)
-    computed = (_sphere_trace_integral(n, cuvw, cy, generator_first=False)
-                + _sphere_trace_integral(n, cuvw, cy, generator_first=True))
-    reference = -_frame_pairing(u, v, w, y) * _tr_id(n) / rational(n // 2)
-    return _exact(computed, reference, (vol_sphere(n - 1),))
-
-
 def _run_l49(n, rng):
     top_mask = (1 << n) - 1
     if rng is None:
@@ -333,75 +324,77 @@ def _run_e463(n, rng):
     return _simple(boundary_density(u, v, w, n), theorem_boundary_value(u, v, w, n))
 
 
-def _any(n: int) -> bool:
-    return True
-
+_ALL_N = range(4, MAX_DIM + 1, 2)
 
 CATALOG: tuple[Identity, ...] = (
-    Identity("L4.3a", "four-factor trace against metric pairings", _any,
+    Identity("L4.3a", "four-factor trace against metric pairings", _ALL_N,
              _trace_row(_pairing_inputs, to_clifford, lambda n, u, v, w, y:
                         _frame_pairing(u, v, w, y) * _tr_id(n))),
-    Identity("L4.3b", "trace of three one-forms against a 3-form", _any,
+    Identity("L4.3b", "trace of three one-forms against a 3-form", _ALL_N,
              _trace_row(_torsion_inputs, to_clifford, lambda n, u, v, w, t:
                         eval_threeform(t, u, v, w) * _tr_id(n))),
-    Identity("E4.17", "second sphere moment of the covariables", _any, _run_e417),
-    Identity("E4.18", "sphere integral of the vector anticommutator trace", _any, _run_e418),
-    Identity("E4.19", "sphere integral, 3-form right of the frame factor", _any,
-             _sphere_row(_torsion_inputs, to_clifford, False, lambda n: -1, _threeform_at)),
-    Identity("E4.20", "sphere integral, 3-form left of the frame factor", _any,
-             _sphere_row(_torsion_inputs, to_clifford, True, lambda n: -5, _threeform_at)),
-    Identity("L4.9", "supertrace: sub-top blades vanish, top blade value", _any, _run_l49),
-    Identity("E4.31", "constant symbol term for the grading perturbation", _any, _run_e431),
-    Identity("E4.34", "grading trace as a top wedge pairing (n=4)", lambda n: n == 4,
+    Identity("E4.17", "second sphere moment of the covariables", _ALL_N, _run_e417),
+    Identity("E4.18", "sphere integral of the vector anticommutator trace", _ALL_N,
+             _sphere_row(_pairing_inputs, to_clifford, (False, True), lambda n: Rational(-2, n),
+                         lambda u, v, w, y, cuvw, middle: _frame_pairing(u, v, w, y))),
+    Identity("E4.19", "sphere integral, 3-form right of the frame factor", _ALL_N,
+             _sphere_row(_torsion_inputs, to_clifford, (False,), lambda n: -1, _threeform_at)),
+    Identity("E4.20", "sphere integral, 3-form left of the frame factor", _ALL_N,
+             _sphere_row(_torsion_inputs, to_clifford, (True,), lambda n: -5, _threeform_at)),
+    Identity("L4.9", "supertrace: sub-top blades vanish, top blade value", _ALL_N, _run_l49),
+    Identity("E4.31", "constant symbol term for the grading perturbation", _ALL_N, _run_e431),
+    Identity("E4.34", "grading trace as a top wedge pairing (n=4)", (4,),
              _trace_row(_vector_inputs, _graded, lambda n, u, v, w, x:
                         rational(-4) * eval_threeform(_complement(x, n), u, v, w))),
-    Identity("E4.36", "sphere integral, vector-grading right of the frame factor", _any,
-             _sphere_row(_vector_inputs, _graded, False, lambda n: -1, _witness)),
-    Identity("E4.37", "sphere integral, vector-grading left of the frame factor", _any,
-             _sphere_row(_vector_inputs, _graded, True, lambda n: Rational(2 - n, n), _witness)),
-    Identity("E4.39", "grading-torsion trace as a top wedge pairing (n=6)", lambda n: n == 6,
+    Identity("E4.36", "sphere integral, vector-grading right of the frame factor", _ALL_N,
+             _sphere_row(_vector_inputs, _graded, (False,), lambda n: -1, _witness)),
+    Identity("E4.37", "sphere integral, vector-grading left of the frame factor", _ALL_N,
+             _sphere_row(_vector_inputs, _graded, (True,), lambda n: Rational(2 - n, n),
+                         _witness)),
+    Identity("E4.39", "grading-torsion trace as a top wedge pairing (n=6)", (6,),
              _trace_row(_grading_torsion_inputs, _graded, lambda n, u, v, w, t:
                         rational(8) * (GR_ONE / i_power(3))
                         * eval_threeform(_complement(t, n), u, v, w))),
-    Identity("E4.41", "sphere integral, grading-torsion left of the frame factor", _any,
-             _sphere_row(_grading_torsion_inputs, _graded, True, lambda n: Rational(n - 6, n),
+    Identity("E4.41", "sphere integral, grading-torsion left of the frame factor", _ALL_N,
+             _sphere_row(_grading_torsion_inputs, _graded, (True,), lambda n: Rational(n - 6, n),
                          _witness)),
-    Identity("E4.42", "sphere integral, grading-torsion right of the frame factor", _any,
-             _sphere_row(_grading_torsion_inputs, _graded, False, lambda n: -1, _witness)),
-    Identity("E4.49", "grading-torsion trace via metric pairings (n=4)", lambda n: n == 4,
+    Identity("E4.42", "sphere integral, grading-torsion right of the frame factor", _ALL_N,
+             _sphere_row(_grading_torsion_inputs, _graded, (False,), lambda n: -1, _witness)),
+    Identity("E4.49", "grading-torsion trace via metric pairings (n=4)", (4,),
              _trace_row(_grading_torsion_inputs, _graded, lambda n, u, v, w, t:
                         rational(4) * _frame_pairing(u, v, w, _complement(t, n)))),
-    Identity("E4.55", "half-line projection of the inverse symbol", _any, _run_e455),
-    Identity("E4.56", "normal derivative of the inverse-power symbol", _any, _run_e456),
-    Identity("E4.57", "boundary trace combination of the normal factor", _any,
+    Identity("E4.55", "half-line projection of the inverse symbol", _ALL_N, _run_e455),
+    Identity("E4.56", "normal derivative of the inverse-power symbol", _ALL_N, _run_e456),
+    Identity("E4.57", "boundary trace combination of the normal factor", _ALL_N,
              _trace_row(_boundary_inputs, to_clifford, lambda n, u, v, w, e:
                         normal_trace_combination(u, v, w) * _tr_id(n))),
-    Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _any,
+    Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _ALL_N,
              _pole_row(POLY_ONE, 1)),
-    Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _any,
+    Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _ALL_N,
              _pole_row(Poly((GR_I,)), 0)),
-    Identity("E4.62", "residue derivative closed form", _any, _run_e462),
-    Identity("E4.63", "boundary density against the catalogued coefficient", _any, _run_e463),
-    Identity("T4.5", "interior density, torsion-vector case", _any,
-             _density_row(_torsion_inputs, _torsion_vector)),
-    Identity("R4.7", "interior density vanishes for pure vector perturbation", _any,
+    Identity("E4.62", "residue derivative closed form", _ALL_N, _run_e462),
+    Identity("E4.63", "boundary density against the catalogued coefficient", _ALL_N, _run_e463),
+    Identity("T4.5", "interior density, torsion-vector case", _ALL_N,
+             _density_row(_torsion_inputs, _torsion_vector), final=True),
+    Identity("R4.7", "interior density vanishes for pure vector perturbation", _ALL_N,
              _density_row(lambda n, rng: _oneforms(n, rng, 1, 2, 3, 1),
-                          lambda y, rng: TorsionVector(ThreeForm(y.dim), y))),
-    Identity("T4.8γ", "interior density vanishes for the grading perturbation", _any,
+                          lambda y, rng: TorsionVector(ThreeForm(y.dim), y)), final=True),
+    Identity("T4.8γ", "interior density vanishes for the grading perturbation", _ALL_N,
              _density_row(lambda n, rng: (*_oneforms(n, rng, 1, 2, 3), None),
-                          lambda x, rng: Grading())),
-    Identity("T4.10", "interior density, vector-grading case", _any,
-             _density_row(_vector_inputs, lambda x, rng: VectorGrading(x))),
-    Identity("T4.11n4", "interior density, grading-torsion case at n=4", lambda n: n == 4,
-             _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t))),
-    Identity("T4.11n6", "interior density, grading-torsion case at n=6", lambda n: n == 6,
-             _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t))),
-    Identity("T4.13", "interior plus boundary against the catalogued total", _any,
+                          lambda x, rng: Grading()), final=True),
+    Identity("T4.10", "interior density, vector-grading case", _ALL_N,
+             _density_row(_vector_inputs, lambda x, rng: VectorGrading(x)), final=True),
+    Identity("T4.11n4", "interior density, grading-torsion case at n=4", (4,),
+             _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t)), final=True),
+    Identity("T4.11n6", "interior density, grading-torsion case at n=6", (6,),
+             _density_row(_grading_torsion_inputs, lambda t, rng: TorsionGrading(t)), final=True),
+    Identity("T4.13", "interior plus boundary against the catalogued total", _ALL_N,
              _density_row(_boundary_inputs, _boundary_torsion_vector, with_boundary=True)),
 )
 
 
 IDENTITY_IDS = tuple(ident.id for ident in CATALOG)
+FINAL_IDS = tuple(ident.id for ident in CATALOG if ident.final)
 
 
 def verify_suite(spec: ManifoldSpec, seed: int | None = None,
@@ -421,7 +414,7 @@ def verify_suite(spec: ManifoldSpec, seed: int | None = None,
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     rows = []
     for ident in CATALOG:
-        if not ident.applies(n):
+        if n not in ident.dims:
             continue
         computed, reference, ok = ident.run(n, None)
         for _ in range(trials if ok else 0):

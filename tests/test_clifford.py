@@ -262,12 +262,12 @@ def test_conjugate_sum_stores_no_zero_entry(n, rng):
     factors = [(-1) ** k * (2 * k - n) for k in range(n + 1)]
     if n == 4:
         mixed = Multivector(4, {0b11: 1, 0b1: 2})
-        assert _scale_grades(mixed, factors)._parts == [(1, {0b1: (4, 0)})]
+        assert _scale_grades(mixed, factors, 1)._parts == [(1, {0b1: (4, 0)})]
         assert _scale_grades(mixed, factors, 3)._parts == [(3, {0b1: (4, 0)})]
-        assert _scale_grades(Multivector(4, {0b11: 1}), factors)._parts == []
+        assert _scale_grades(Multivector(4, {0b11: 1}), factors, 1)._parts == []
     for _ in range(5):
         b = rand_multivector(rng, n, 12)
-        got = _scale_grades(b, factors)
+        got = _scale_grades(b, factors, 1)
         assert all(acc for _, acc in got._parts)
         assert all(mask.bit_count() != n // 2 for _, acc in got._parts for mask in acc)
         assert got == _conjugate_sum_by_products(b)

@@ -1,7 +1,9 @@
 """Golden CLI outputs: stdout bytes and exit codes of fixed invocations.
 
 Each case runs `cli.main` in process and compares what it writes to stdout,
-byte for byte, and its exit code against the files under `tests/golden/`.
+byte for byte, and its exit code against the files under `tests/golden/`;
+the cases with non-ASCII output also run in a fresh process whose stdout
+encoding is ASCII or Latin-1.
 The goldens pin the public output while the internals change; regenerate
 them only for an intended output change, with
 
@@ -14,6 +16,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +110,31 @@ def test_golden_output(name, tmp_path, monkeypatch):
     out, code = run_case(name, tmp_path)
     assert code == _expected_exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# invocations whose stdout holds non-ASCII text (the row id T4.8γ)
+UTF8_CASES = ("compute_grading", "verify_4", "verify_4_json")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("name", UTF8_CASES)
+def test_golden_output_is_utf8_whatever_the_stdout_encoding(name, encoding, tmp_path):
+    """A fresh process whose stdout encoding cannot write the output still
+    writes the golden bytes, UTF-8, and exits with the golden code."""
+    if name in COMPUTE_CONFIGS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(COMPUTE_CONFIGS[name]), encoding="utf-8")
+        argv = ["compute", str(path)]
+    else:
+        argv = OTHER_ARGV[name]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "SPECTRAL_TORSION_SEED"}
+    env.update(PYTHONIOENCODING=encoding,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "spectral_torsion.cli", *argv],
+                            env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (_expected_exit_codes()[name], b"")
+    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":

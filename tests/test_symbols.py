@@ -78,6 +78,17 @@ def test_perturbation_vector_grading():
     assert perturbation_multivector_reference(case, 4) == expected
 
 
+def test_case_fields_are_read_off_the_case_dataclasses():
+    """Each case's (field, form type) pairs, in declaration order, as classes."""
+    assert symbols._CASE_FIELDS == {
+        TorsionVector: (("T", ThreeForm), ("Y", OneForm)),
+        Grading: (),
+        VectorGrading: (("X", OneForm),),
+        TorsionGrading: (("T", ThreeForm),),
+    }
+    assert list(symbols._CASE_FIELDS) == list(symbols.CASE_NAMES.values())
+
+
 def test_perturbation_dim_checked():
     """X, T and Y are checked against n with the forms' one same-dimension
     message, before u, v and w."""

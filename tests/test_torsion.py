@@ -130,7 +130,8 @@ def test_verify_suite_seed_is_none_or_an_int(seed, monkeypatch):
 
 
 class _NoRow:
-    def applies(self, n):
+    @property
+    def dims(self):
         raise AssertionError("a catalog row ran before the arguments were checked")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -49,9 +50,12 @@ def _operands(rng, n):
 def test_sphere_trace_integral_matches_xi_polynomial(n):
     rng = random.Random(f"sphere-{n}")
     for left, middle in _operands(rng, n):
-        for generator_first in (True, False):
-            assert _sphere_trace_integral(n, left, middle, generator_first) == \
-                sphere_trace_integral_reference(n, left, middle, generator_first)
+        reference = {generator_first: sphere_trace_integral_reference(n, left, middle,
+                                                                      generator_first)
+                     for generator_first in (True, False)}
+        for positions in ((True,), (False,), (False, True)):
+            assert _sphere_trace_integral(n, left, middle, positions) == \
+                sum(reference[generator_first] for generator_first in positions)
 
 
 def _squares_to_plus_one(a, b):
@@ -152,7 +156,7 @@ def test_trace_rows_match_the_product_route(n, monkeypatch):
     gives the same values and flag as through trace(mv_mul(...)), on the
     basis inputs and on random ones."""
     assert TRACE_PRODUCT_ROWS <= {ident.id for ident in CATALOG}
-    rows = [ident for ident in CATALOG if ident.id in TRACE_PRODUCT_ROWS and ident.applies(n)]
+    rows = [ident for ident in CATALOG if ident.id in TRACE_PRODUCT_ROWS and n in ident.dims]
 
     def outcomes():
         return [ident.run(n, rng) for ident in rows
@@ -202,7 +206,7 @@ def test_rows_without_random_input_run_one_trial(n, monkeypatch):
                 except _Drew:
                     pass
             return SymScalar(), SymScalar(), True
-        return type(ident)(ident.id, ident.description, ident.applies, run)
+        return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
     verify_suite(ManifoldSpec(n))
@@ -221,7 +225,7 @@ def test_a_row_stops_at_its_first_mismatch(n, monkeypatch):
             if rng is not None:
                 trials[ident.id] = trials.get(ident.id, 0) + 1
             return ident.run(n, rng)
-        return type(ident)(ident.id, ident.description, ident.applies, run)
+        return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
     rows = verify_suite(ManifoldSpec(n))
@@ -241,9 +245,23 @@ def test_a_trial_mismatch_ends_the_row(monkeypatch):
         trials.append(rng.random())
         return SymScalar(), SymScalar(), len(trials) != 2
 
-    monkeypatch.setattr(verify, "CATALOG", (verify.Identity("X", "", lambda n: True, run),))
+    monkeypatch.setattr(verify, "CATALOG", (verify.Identity("X", "", (4,), run),))
     assert [row.matches for row in verify_suite(ManifoldSpec(4))] == [False]
     assert len(trials) == 2
+
+
+def test_row_keys_dimensions_and_finality_are_read_off_the_catalog():
+    """IDENTITY_IDS and FINAL_IDS keep their values and order; a row with
+    restricted dims runs at those n alone, every other at each even n."""
+    assert verify.IDENTITY_IDS == (
+        "L4.3a", "L4.3b", "E4.17", "E4.18", "E4.19", "E4.20", "L4.9", "E4.31", "E4.34",
+        "E4.36", "E4.37", "E4.39", "E4.41", "E4.42", "E4.49", "E4.55", "E4.56", "E4.57",
+        "E4.60", "E4.61", "E4.62", "E4.63", "T4.5", "R4.7", "T4.8γ", "T4.10", "T4.11n4",
+        "T4.11n6", "T4.13")
+    assert verify.FINAL_IDS == ("T4.5", "R4.7", "T4.8γ", "T4.10", "T4.11n4", "T4.11n6")
+    restricted = {"E4.34": [4], "E4.39": [6], "E4.49": [4], "T4.11n4": [4], "T4.11n6": [6]}
+    for ident in CATALOG:
+        assert list(ident.dims) == restricted.get(ident.id, list(range(4, 17, 2))), ident.id
 
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
@@ -267,7 +285,7 @@ def _suite_every_trial(n, seed, trials=5):
     rng = random.Random(seed)
     rows = []
     for ident in CATALOG:
-        if not ident.applies(n):
+        if n not in ident.dims:
             continue
         computed, reference, ok = ident.run(n, None)
         for _ in range(trials):
@@ -334,7 +352,7 @@ def test_every_trial_is_pinned(n, monkeypatch):
             computed, reference, ok = ident.run(n, rng)
             runs.append(f"{ident.id}\t{rng is None}\t{computed}\t{reference}\t{ok}")
             return computed, reference, ok
-        return type(ident)(ident.id, ident.description, ident.applies, run)
+        return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(recorded(ident) for ident in CATALOG))
     verify_suite(ManifoldSpec(n))

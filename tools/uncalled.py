@@ -230,7 +230,8 @@ def _config(rng: random.Random, n: int, case: str, with_boundary: bool, draw=Non
 
 
 def drive_cli() -> None:
-    """Every subcommand of the command line, in process, output discarded."""
+    """Every subcommand of the command line, in process, output discarded
+    into a byte buffer behind a text layer, as a process's stdout is."""
     from spectral_torsion.cli import main
     from spectral_torsion.symbols import CASE_NAMES
 
@@ -257,7 +258,7 @@ def drive_cli() -> None:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(config, handle)
             commands.append(["compute", path])
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
             for argv in commands:
                 code = main(argv)
                 if code not in (0, 1):  # verify exits 1 on a final-row mismatch
