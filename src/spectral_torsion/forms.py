@@ -117,8 +117,8 @@ def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational
     return _exact(shares).re
 
 
-def _complement(x, n: int):
-    """The complement dual of a one-form or 3-form x of dimension n.
+def _complement(x):
+    """The complement dual of a one-form or 3-form x, of dimension n = x.dim.
 
     Each stored component moves to the complementary index tuple, signed so
     that the top pairing of a ^ x is the pairing of a with the dual: a k-form
@@ -126,7 +126,8 @@ def _complement(x, n: int):
     the blade product c(e_rest) c(e_key), read from _sign_mask.
     """
     kind = OneForm if isinstance(x, OneForm) else ThreeForm
-    _same_dim(x, n, kind)
+    _same_dim(x, x, kind)
+    n = x.dim
     top = (1 << n) - 1
     dual = {}
     for key, c in _clifford_items(x):
@@ -154,8 +155,15 @@ def to_clifford(x) -> Multivector:
     return _from_int_parts(x.dim, _rational_runs(items))
 
 
-def frame_product(u: OneForm, v: OneForm, w: OneForm, n: int) -> Multivector:
-    """c(u) c(v) c(w), the frame factor, for one-forms of dimension n."""
-    for x in (u, v, w):
-        _same_dim(x, n, OneForm)
+def _frame_dim(u: OneForm, v: OneForm, w: OneForm) -> int:
+    """The one frame rule: one-forms u, v and w of u's dimension, returned."""
+    _same_dim(u, u, OneForm)
+    for x in (v, w):
+        _same_dim(x, u.dim, OneForm)
+    return u.dim
+
+
+def frame_product(u: OneForm, v: OneForm, w: OneForm) -> Multivector:
+    """c(u) c(v) c(w), the frame factor, for one-forms of one dimension."""
+    _frame_dim(u, v, w)
     return mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))

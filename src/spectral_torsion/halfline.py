@@ -14,8 +14,8 @@ import functools
 import math
 from itertools import zip_longest
 
-from .clifford import Multivector, _check_even_dim, _same_dim, mv_mul, trace
-from .forms import OneForm, to_clifford
+from .clifford import Multivector, _check_even_dim, mv_mul, trace
+from .forms import OneForm, _frame_dim, to_clifford
 from .scalars import (
     DIM_F,
     GR_I,
@@ -270,7 +270,7 @@ def _normal_generator(n: int) -> Multivector:
     return Multivector.generator(n, n)
 
 
-def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
+def boundary_density(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """The boundary addend of the torsion functional.
 
     Entry i of the boundary integrand is tr(c(u)c(v)c(w)c(e_i)) times the
@@ -284,9 +284,8 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
     Gaussian-rational multiple of
     pi * (u_n g(v,w) - v_n g(u,w) + w_n g(u,v)) * 2^m * dim_F * vol(S^(n-2)).
     """
+    n = _frame_dim(u, v, w)
     _check_even_dim(n, 4)
-    for x in (u, v, w):
-        _same_dim(x, n, OneForm)
     factor = trace(to_clifford(u), to_clifford(v),
                    mv_mul(to_clifford(w), _normal_generator(n)))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),

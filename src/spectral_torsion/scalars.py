@@ -253,15 +253,9 @@ def atom_name(a: Atom) -> str:
     raise ValueError(f"unknown atom {a!r}")
 
 
-Monomial = tuple  # sorted tuple of atoms
-
-
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
-
-
 class SymScalar:
-    """Finite Gaussian-rational combination of atom monomials, in canonical form.
+    """Finite Gaussian-rational combination of atom monomials (sorted tuples
+    of atoms), in canonical form.
 
     No zero coefficients are stored; equality is dict equality, which makes
     closed-form comparisons exact structural identities.
@@ -269,7 +263,7 @@ class SymScalar:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
+    def __init__(self, terms: Mapping[tuple, GaussianRational] | None = None):
         clean = {}
         if terms is not None:
             for mono, coeff in _mapping_items(terms):
@@ -317,7 +311,7 @@ class SymScalar:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
+                mono = tuple(sorted(m1 + m2))
                 term = c1 * c2
                 cur = out.get(mono)
                 out[mono] = term if cur is None else cur + term

@@ -39,7 +39,7 @@ from .clifford import (
     mv_mul,
     trace,
 )
-from .forms import OneForm, ThreeForm, _clifford_items, frame_product
+from .forms import OneForm, ThreeForm, _clifford_items, _frame_dim, frame_product
 from .moments import XiPolynomialMV, _grade_factors, xi_monomial
 from .scalars import SymScalar, TR_F_PHI, vol_sphere
 
@@ -141,7 +141,7 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
 
 
 def interior_density(u: OneForm, v: OneForm, w: OneForm,
-                     case: PerturbationCase, n: int) -> SymScalar:
+                     case: PerturbationCase) -> SymScalar:
     """Unit-cosphere integral of the symbol trace: the interior density.
 
     Carries one factor tr_F(Phi) (every surviving term is perturbation
@@ -159,12 +159,10 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     from the rest is scaled by grade and traced against C; the symbol of B
     is never built.
     """
-    _check_even_dim(n)
+    n = _frame_dim(u, v, w)
+    _check_even_dim(n, 4)
     _check_case(case, n)
     items, blade = _form_factor(case, n)
-    _check_even_dim(n, 4)
-    for x in (u, v, w):
-        _same_dim(x, n, OneForm)
     top = 0 if blade is None else (1 << n) - 1  # the blade is _grading(n, turns)
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
     if kept:  # the weights' symbol is built only for a non-empty projection
@@ -175,4 +173,4 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     b = _from_int_parts(n, _rational_runs(kept))
     weighted = _scale_grades(b if blade is None else mv_mul(b, blade), factors, den)
     return SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI),
-                                   trace(frame_product(u, v, w, n), weighted))
+                                   trace(frame_product(u, v, w), weighted))

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .clifford import DimensionMismatch, MAX_DIM, OddDimension, _check_even_dim, _same_dim
-from .forms import OneForm, _complement, _integer_row, eval_threeform, metric_pair
+from .forms import OneForm, _complement, _frame_dim, _integer_row, eval_threeform, metric_pair
 from .halfline import boundary_density
 from .scalars import (
     DIM_F,
@@ -83,8 +83,7 @@ def normal_trace_combination(u: OneForm, v: OneForm, w: OneForm) -> Rational:
     Summed on integer numerators over the rows' common denominators, with
     one Rational at the end.
     """
-    for x in (u, v, w):
-        _same_dim(x, u, OneForm)
+    _frame_dim(u, v, w)
     (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
     numerator = (u[-1] * sum(map(operator.mul, v, w))
                  - v[-1] * sum(map(operator.mul, u, w))
@@ -101,12 +100,13 @@ def _boundary_coefficient(m: int) -> GaussianRational:
                                         * 2 ** (2 * m - 1)))
 
 
-def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm, n: int) -> SymScalar:
+def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """Catalogued boundary addend:
 
     (2m-2)! (1-m) i 2^(1-2m) pi / (m!(m-1)!) * combination * 2^m dim_F vol(S^(n-2)).
     """
-    _check_even_dim(n, 4)  # before the cache: 4.0 // 2 would hit m = 2
+    n = _frame_dim(u, v, w)
+    _check_even_dim(n, 4)  # before the cache: 5 // 2 would hit m = 2
     return SymScalar.from_monomial(
         (PI, DIM_F, vol_sphere(n - 2)),
         _boundary_coefficient(n // 2) * normal_trace_combination(u, v, w))
@@ -133,17 +133,17 @@ def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
     elif isinstance(case, Grading):
         coeff = 0
     elif isinstance(case, VectorGrading):
-        coeff = (rational(8) * eval_threeform(_complement(case.X, n), u, v, w)
+        coeff = (rational(8) * eval_threeform(_complement(case.X), u, v, w)
                  if n == 4 else 0)
     elif n == 4:  # TorsionGrading, the one case left
-        coeff = rational(-16) * GR_I * _frame_pairing(u, v, w, _complement(case.T, n))
+        coeff = rational(-16) * GR_I * _frame_pairing(u, v, w, _complement(case.T))
     elif n == 6:
-        coeff = rational(16) * eval_threeform(_complement(case.T, n), u, v, w)
+        coeff = rational(16) * eval_threeform(_complement(case.T), u, v, w)
     else:
         coeff = 0
     value = SymScalar.from_monomial((TR_F_PHI, vol_sphere(n - 1)), coeff)
     if spec.with_boundary:
-        value = value + theorem_boundary_value(u, v, w, n)
+        value = value + theorem_boundary_value(u, v, w)
     return value
 
 
@@ -157,9 +157,9 @@ def spectral_torsion(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
         raise TypeError(f"seed must be None or an int, got {seed!r}")
     if type(with_identities) is not bool:
         raise TypeError(f"with_identities must be a bool, got {with_identities!r}")
-    interior = interior_density(u, v, w, case, spec.dim)
-    boundary = boundary_density(u, v, w, spec.dim) if spec.with_boundary \
-        else SymScalar()
+    _same_dim(u, spec.dim, OneForm)  # the densities read n off the forms
+    interior = interior_density(u, v, w, case)
+    boundary = boundary_density(u, v, w) if spec.with_boundary else SymScalar()
     reference = theorem_value(case, u, v, w, spec)
     comparisons: tuple = ()
     if with_identities:

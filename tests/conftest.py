@@ -283,7 +283,7 @@ def boundary_symbol(u, v, w, n) -> dict:
     """
     if n % 2 != 0 or n < 4:
         raise DimensionMismatch(f"boundary setting needs even n >= 4, got {n}")
-    cuvw = frame_product(u, v, w, n)
+    cuvw = frame_product(u, v, w)
     tangential_half, normal_half = half_inverse_symbol_components()
     dsym = dxn_symbol(n // 2)
     out = {xi_monomial(n - 1): (normal_half * dsym,
@@ -315,7 +315,7 @@ def boundary_pieces_reference(u, v, w, n) -> tuple[SymScalar, SymScalar]:
 def boundary_density_reference(u, v, w, n) -> SymScalar:
     """The boundary addend with the frame factor built: 2^m <C c(e_n)>_0
     for C = c(u)c(v)c(w), times the normal entry's xi_n integral."""
-    factor = trace(frame_product(u, v, w, n), Multivector.generator(n, n))
+    factor = trace(frame_product(u, v, w), Multivector.generator(n, n))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
                                    factor * _normal_integral(n // 2))
 

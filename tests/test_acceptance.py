@@ -83,12 +83,12 @@ def test_criterion_1_torsion_vector_closed_form():
         for k in range(100):
             u, v, w = (rand_oneform(rng, n) for _ in range(3))
             t, y = rand_threeform(rng, n), rand_oneform(rng, n)
-            got = interior_density(u, v, w, TorsionVector(t, y), n)
+            got = interior_density(u, v, w, TorsionVector(t, y))
             expected = _vol_trf(n, rational(-(2 ** (m + 1))) * eval_threeform(t, u, v, w))
             assert got == expected, (n, k)
             if k % 10 == 0:  # Y-independence, exactly
                 assert got == interior_density(
-                    u, v, w, TorsionVector(t, OneForm.zero(n)), n)
+                    u, v, w, TorsionVector(t, OneForm.zero(n)))
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"n={n} took {elapsed:.1f}s"
     _report("1 (torsion-vector closed form, Y-independence, <10s/dim)", True)
@@ -102,8 +102,8 @@ def test_criterion_2_vanishing_cases():
             u, v, w = (rand_oneform(rng, n) for _ in range(3))
             y = rand_oneform(rng, n)
             assert interior_density(
-                u, v, w, TorsionVector(ThreeForm(n), y), n).is_zero()
-            assert interior_density(u, v, w, Grading(), n).is_zero()
+                u, v, w, TorsionVector(ThreeForm(n), y)).is_zero()
+            assert interior_density(u, v, w, Grading()).is_zero()
     _report("2 (zero-torsion and grading cases vanish)", True)
 
 
@@ -113,14 +113,14 @@ def test_criterion_3_vector_grading():
     n = 4
     for _ in range(40):
         u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
-        got = interior_density(u, v, w, VectorGrading(x), n)
+        got = interior_density(u, v, w, VectorGrading(x))
         # sign check: the pairing is the literal 4x4 determinant
         pairing = det_exact([f.components for f in (u, v, w, x)])
         assert got == _vol_trf(n, pairing * rational(8))
     for n in (6, 8):
         for _ in range(10):
             u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
-            assert interior_density(u, v, w, VectorGrading(x), n).is_zero()
+            assert interior_density(u, v, w, VectorGrading(x)).is_zero()
     _report("3 (vector-grading: +2^3 pairing at n=4, zero for n>4)", True)
 
 
@@ -132,21 +132,21 @@ def test_criterion_4_grading_torsion():
     for _ in range(25):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         t = rand_threeform(rng, n)
-        got = interior_density(u, v, w, TorsionGrading(t), n)
+        got = interior_density(u, v, w, TorsionGrading(t))
         expected = _vol_trf(n, top_pairing_oracle(u, v, w, t) * rational(16))
         assert got == expected
     print("ACCEPTANCE 4 [n=6 clause]: PASS")
     n = 8
     for _ in range(10):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
-        assert interior_density(u, v, w, TorsionGrading(rand_threeform(rng, n)), n).is_zero()
+        assert interior_density(u, v, w, TorsionGrading(rand_threeform(rng, n))).is_zero()
     print("ACCEPTANCE 4 [n=8 clause]: PASS")
     n = 4
     failures = []
     for _ in range(25):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         t = rand_threeform(rng, n)
-        got = interior_density(u, v, w, TorsionGrading(t), n)
+        got = interior_density(u, v, w, TorsionGrading(t))
         combo = (-top_pairing_oracle(w, t) * metric_pair(u, v)
                  + top_pairing_oracle(v, t) * metric_pair(u, w)
                  - top_pairing_oracle(u, t) * metric_pair(v, w))
@@ -250,7 +250,7 @@ def test_criterion_8_boundary_structure():
             u, v, w = (rand_oneform(rng, n) for _ in range(3))
             tangential, normal = boundary_pieces_reference(u, v, w, n)
             assert tangential.is_zero()
-            assert boundary_density(u, v, w, n) == normal
+            assert boundary_density(u, v, w) == normal
             comb = normal_trace_combination(u, v, w)
             assert normal == SymScalar.from_monomial(
                 (PI, DIM_F, vol_sphere(n - 2)),

@@ -828,9 +828,9 @@ def test_per_dimension_constants_are_built_once_and_never_change(rng):
         assert grading(n) is grading(n)
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         t = rand_threeform(rng, n)
-        boundary_density(u, v, w, n)
+        boundary_density(u, v, w)
         for case in (Grading(), VectorGrading(u), TorsionGrading(t)):
-            interior_density(u, v, w, case, n)
+            interior_density(u, v, w, case)
         gamma = grading(n)
         mv_mul(to_clifford(u), gamma)
         mv_mul(to_clifford(t), clifford._grading(n, 1))

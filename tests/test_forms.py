@@ -37,7 +37,7 @@ def basis(n, i):
 
 def top_pairing(u, v, w, x):
     """<u ^ v ^ w ^ x, e_1* ^ ... ^ e_n*> by the complement dual of x."""
-    return eval_threeform(_complement(x, x.dim), u, v, w)
+    return eval_threeform(_complement(x), u, v, w)
 
 
 def test_metric_pair_basis():
@@ -56,8 +56,8 @@ def test_eval_threeform_basic():
 def test_top_pairing_basis():
     assert top_pairing(basis(4, 1), basis(4, 2), basis(4, 3), basis(4, 4)) == 1
     assert top_pairing(basis(4, 2), basis(4, 1), basis(4, 3), basis(4, 4)) == -1
-    assert _complement(basis(4, 4), 4) == ThreeForm(4, {(1, 2, 3): 1})
-    assert _complement(ThreeForm(4, {(1, 3, 4): 1}), 4) == OneForm((0, -1, 0, 0))
+    assert _complement(basis(4, 4)) == ThreeForm(4, {(1, 2, 3): 1})
+    assert _complement(ThreeForm(4, {(1, 3, 4): 1})) == OneForm((0, -1, 0, 0))
 
 
 def test_top_pairing_is_determinant(rng):
@@ -77,9 +77,9 @@ def test_top_pairing_alternating(rng):
 
 def test_complementary_threeform_pairing():
     t = ThreeForm(6, {(4, 5, 6): 1})
-    assert _complement(t, 6) == ThreeForm(6, {(1, 2, 3): 1})
+    assert _complement(t) == ThreeForm(6, {(1, 2, 3): 1})
     assert top_pairing(basis(6, 1), basis(6, 2), basis(6, 3), t) == 1
-    assert _complement(ThreeForm(6), 6) == ThreeForm(6)
+    assert _complement(ThreeForm(6)) == ThreeForm(6)
 
 
 def test_to_clifford_basics():
@@ -245,10 +245,8 @@ def test_dimension_errors_share_one_message():
     with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
         eval_threeform(t4, basis(4, 2), u6, basis(4, 3))
     with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
-        frame_product(u4, u6, u4, 4)
+        frame_product(u4, u6, u4)
     with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
-        frame_product(u4, u4, u4, 6)
-    with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
-        _complement(t4, 6)
+        frame_product(u6, u6, u4)
     with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
         metric_pair(u4, u6)

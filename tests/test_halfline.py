@@ -331,7 +331,7 @@ def test_boundary_density_tangential_inputs_vanish(rng):
     u = OneForm((rand_rational(rng), rand_rational(rng), rand_rational(rng), 0))
     v = OneForm((rand_rational(rng), rand_rational(rng), rand_rational(rng), 0))
     w = OneForm((rand_rational(rng), rand_rational(rng), rand_rational(rng), 0))
-    assert boundary_density(u, v, w, n).is_zero()
+    assert boundary_density(u, v, w).is_zero()
 
 
 def test_boundary_pieces_tangential_term_is_zero(rng):
@@ -340,7 +340,7 @@ def test_boundary_pieces_tangential_term_is_zero(rng):
     tangential, normal = boundary_pieces_reference(u, v, w, n)
     assert tangential.is_zero()
     assert not normal.is_zero()
-    assert boundary_density(u, v, w, n) == normal
+    assert boundary_density(u, v, w) == normal
 
 
 def test_boundary_symbol_structure(rng):
@@ -371,7 +371,7 @@ def test_boundary_pieces_match_per_entry_route(n):
     for u, v, w in inputs:
         tangential, normal = boundary_pieces_reference(u, v, w, n)
         assert tangential.is_zero()
-        assert boundary_density(u, v, w, n) == normal
+        assert boundary_density(u, v, w) == normal
 
 
 def test_boundary_density_n16_time_bound():
@@ -381,10 +381,10 @@ def test_boundary_density_n16_time_bound():
     rng = random.Random(f"boundary-time-{n}")
     inputs = [tuple(rand_oneform(rng, n) for _ in range(3)) for _ in range(20)]
     start = time.monotonic()
-    values = [boundary_density(u, v, w, n) for u, v, w in inputs]
+    values = [boundary_density(u, v, w) for u, v, w in inputs]
     elapsed = time.monotonic() - start
     for (u, v, w), value in zip(inputs, values):
-        assert value == theorem_boundary_value(u, v, w, n)
+        assert value == theorem_boundary_value(u, v, w)
     assert elapsed < 0.3, f"20 boundary densities at n=16 took {elapsed:.2f}s"
 
 
@@ -408,8 +408,8 @@ def test_boundary_density_matches_the_frame_product_route(kind, n):
     _RUN_DEN_BITS."""
     u, v, w = _boundary_rows(kind, n)
     if kind == "coprime" and n >= 14:
-        assert "bits" in long_input(frame_product(u, v, w, n))
-    assert boundary_density(u, v, w, n) == boundary_density_reference(u, v, w, n)
+        assert "bits" in long_input(frame_product(u, v, w))
+    assert boundary_density(u, v, w) == boundary_density_reference(u, v, w, n)
 
 
 @pytest.mark.parametrize("n", range(4, 17, 2))
@@ -436,9 +436,9 @@ def test_boundary_density_n16_long_inputs_time_bound():
     draw = coprime_draw(random.Random("boundary-long-n16"), digits=200)
     u, v, w = (OneForm(tuple(draw() for _ in range(n))) for _ in range(3))
     start = time.monotonic()
-    value = boundary_density(u, v, w, n)
+    value = boundary_density(u, v, w)
     elapsed = time.monotonic() - start
-    assert value == theorem_boundary_value(u, v, w, n)
+    assert value == theorem_boundary_value(u, v, w)
     assert elapsed < 0.2, f"boundary_density at n=16 on 200-digit inputs took " \
         f"{elapsed:.3f}s on {Rational.__module__}.{Rational.__name__}"
 
@@ -456,7 +456,7 @@ def test_boundary_density_makes_one_clifford_product(monkeypatch):
     for n in range(4, 17, 2):
         u, v, w = _boundary_rows("dense", n)
         products.clear()
-        assert boundary_density(u, v, w, n) == boundary_density_reference(u, v, w, n)
+        assert boundary_density(u, v, w) == boundary_density_reference(u, v, w, n)
         assert len(products) == 1
         assert products[0][1] is halfline._normal_generator(n)
 
@@ -471,36 +471,36 @@ def test_half_line_functions_take_only_an_xirational(call, arg):
 def test_boundary_density_rejects_small_odd_or_large_dimension():
     """The one even-dimension rule, with the boundary's lower bound 4."""
     for n, error, message in ((2, DimensionMismatch, r"dimension must be in \[4, 16\], got 2"),
-                              (18, DimensionMismatch, r"dimension must be in \[4, 16\], got 18"),
                               (5, OddDimension, "dimension must be even, got 5")):
-        z = OneForm.zero(min(n, 16))
+        z = OneForm.zero(n)
         with pytest.raises(error, match=message):
-            boundary_density(z, z, z, n)
+            boundary_density(z, z, z)
 
 
 def test_theorem_boundary_value_checks_the_dimension_before_its_cache():
     z = OneForm.zero(4)
-    assert theorem_boundary_value(z, z, z, 4).is_zero()  # caches m = 2
-    with pytest.raises(OddDimension, match=r"^dimension must be even, got 4\.0$"):
-        theorem_boundary_value(z, z, z, 4.0)
+    assert theorem_boundary_value(z, z, z).is_zero()  # caches m = 2
+    z = OneForm.zero(5)  # 5 // 2 would hit m = 2
+    with pytest.raises(OddDimension, match=r"^dimension must be even, got 5$"):
+        theorem_boundary_value(z, z, z)
     with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
-        theorem_boundary_value(OneForm.zero(2), OneForm.zero(2), OneForm.zero(2), 2)
+        theorem_boundary_value(OneForm.zero(2), OneForm.zero(2), OneForm.zero(2))
 
 
 def test_boundary_density_example_n4():
     n = 4
-    value = boundary_density(basis(n, 4), basis(n, 1), basis(n, 1), n)
+    value = boundary_density(basis(n, 4), basis(n, 1), basis(n, 1))
     expected = SymScalar.from_monomial(
         (PI, DIM_F, vol_sphere(2)), GaussianRational(0, rational("-1/2")))
     assert value == expected
-    assert value == theorem_boundary_value(basis(n, 4), basis(n, 1), basis(n, 1), n)
+    assert value == theorem_boundary_value(basis(n, 4), basis(n, 1), basis(n, 1))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_boundary_density_matches_catalogued_coefficient(n, rng):
     for _ in range(10):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
-        assert boundary_density(u, v, w, n) == theorem_boundary_value(u, v, w, n)
+        assert boundary_density(u, v, w) == theorem_boundary_value(u, v, w)
 
 
 def test_boundary_density_trilinear(rng):
@@ -508,9 +508,9 @@ def test_boundary_density_trilinear(rng):
     u1, u2, v, w = (rand_oneform(rng, n) for _ in range(4))
     a, b = rational("3/2"), rational("-2")
     u = OneForm([a * p + b * q for p, q in zip(u1.components, u2.components)])
-    lhs = boundary_density(u, v, w, n)
-    rhs = (boundary_density(u1, v, w, n) * sym(a)
-           + boundary_density(u2, v, w, n) * sym(b))
+    lhs = boundary_density(u, v, w)
+    rhs = (boundary_density(u1, v, w) * sym(a)
+           + boundary_density(u2, v, w) * sym(b))
     assert lhs == rhs
 
 
@@ -523,7 +523,7 @@ def test_boundary_density_tangential_rotation_invariance(rng):
     q = [[q_small[i][j] if i < n - 1 and j < n - 1 else rational(int(i == j))
           for j in range(n)] for i in range(n)]
     ur, vr, wr = (rotate_oneform(q, x) for x in (u, v, w))
-    assert boundary_density(ur, vr, wr, n) == boundary_density(u, v, w, n)
+    assert boundary_density(ur, vr, wr) == boundary_density(u, v, w)
 
 
 def test_boundary_density_numeric_crosscheck():
@@ -531,7 +531,7 @@ def test_boundary_density_numeric_crosscheck():
     n = 4
     m = 2
     u, v, w = basis(n, 4), basis(n, 1), basis(n, 1)
-    value = boundary_density(u, v, w, n)
+    value = boundary_density(u, v, w)
     from spectral_torsion.moments import vol_numeric
     env = {PI: math.pi, DIM_F: 1.0, vol_sphere(n - 2): vol_numeric(n - 2)}
     exact = value.evaluate(env)

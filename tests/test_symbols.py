@@ -90,13 +90,13 @@ def test_case_fields_are_read_off_the_case_dataclasses():
 
 
 def test_perturbation_dim_checked():
-    """X, T and Y are checked against n with the forms' one same-dimension
-    message, before u, v and w."""
+    """X, T and Y are checked against n = u.dim with the forms' one
+    same-dimension message."""
     u = basis(6, 1)
     for case in (VectorGrading(basis(4, 1)), TorsionGrading(ThreeForm(4)),
                  TorsionVector(ThreeForm(6), basis(4, 1))):
         with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
-            interior_density(u, u, u, case, 6)
+            interior_density(u, u, u, case)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -117,7 +117,7 @@ def test_perturbation_multivector_matches_the_fraction_oracle(kind, n, monkeypat
                         lambda b, *args: built.append(b) or scale(b, *args))
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
         built.clear()
-        interior_density(*uvw(n), case, n)
+        interior_density(*uvw(n), case)
         expected = Multivector(n, {mask: c for mask, c in
                                    perturbation_multivector_reference(case, n).coeffs.items()
                                    if mask.bit_count() == 3})
@@ -264,7 +264,7 @@ def test_interior_density_n10_time_bound():
     t = rand_threeform(rng, n)
     start = time.monotonic()
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
-        interior_density(u, v, w, case, n)
+        interior_density(u, v, w, case)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, \
         f"four n=10 densities took {elapsed:.2f}s on {Rational.__module__}.{Rational.__name__}"
@@ -289,7 +289,7 @@ def test_symbol_trace_weights_each_blade_by_its_grade(n):
         # the symbol of B does not depend on u, v, w: integrate it once per blade
         integrated = integrate_sphere_reference(n, sigma_minus2m_reference(b))
         for u, v, w in itertools.product(e, repeat=3):
-            expected = scalar_product(frame_product(u, v, w, n), b) * weight
+            expected = scalar_product(frame_product(u, v, w), b) * weight
             cuvw = mv_mul(mv_mul(to_clifford(u), to_clifford(v)), to_clifford(w))
             assert trace(mv_mul(cuvw, integrated)) == expected, (mask, u, v, w)
             nonzero += not expected.is_zero()
@@ -334,7 +334,7 @@ def test_interior_density_matches_the_unprojected_route(n):
     for u, v, w, x, y, t in inputs:
         for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
             full = symbol_trace_reference(u, v, w, perturbation_multivector_reference(case, n), n)
-            assert interior_density(u, v, w, case, n) == SymScalar.from_monomial(
+            assert interior_density(u, v, w, case) == SymScalar.from_monomial(
                 (vol_sphere(n - 1), TR_F_PHI), full)
 
 
@@ -358,7 +358,7 @@ def test_graded_densities_n16_time_bound():
     t = rand_threeform(rng, n)
     for case in (Grading(), VectorGrading(x), TorsionGrading(t)):
         start = time.monotonic()
-        value = interior_density(u, v, w, case, n)
+        value = interior_density(u, v, w, case)
         elapsed = time.monotonic() - start
         assert value == theorem_value(case, u, v, w, ManifoldSpec(n))
         assert elapsed < 0.1, f"{type(case).__name__} at n=16 took {elapsed:.3f}s on " \
@@ -376,7 +376,7 @@ def _timed_density(u, v, w, case, n):
     """The torsion_vector density, checked against theorem_value, and its
     wall time."""
     start = time.monotonic()
-    value = interior_density(u, v, w, case, n)
+    value = interior_density(u, v, w, case)
     elapsed = time.monotonic() - start
     assert value == theorem_value(case, u, v, w, ManifoldSpec(n))
     return elapsed
@@ -474,7 +474,7 @@ def test_torsion_vector_density_n16_long_inputs_time_bound():
     """
     n = 16
     u, v, w, case = _long_n16_torsion_vector()
-    assert "bits" in long_input(frame_product(u, v, w, n))
+    assert "bits" in long_input(frame_product(u, v, w))
     assert "parts" in long_input(perturbation_multivector_reference(case, n))
     elapsed = _timed_density(u, v, w, case, n)
     assert elapsed < 1.5, f"torsion_vector at n=16 on 25-digit inputs took {elapsed:.2f}s " \
@@ -550,7 +550,7 @@ def test_density_matches_matrix_oracle_torsion_vector(n, rng):
     for _ in range(5):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
-        assert interior_density(u, v, w, case, n) == \
+        assert interior_density(u, v, w, case) == \
             density_via_matrix_rep(u, v, w, case, n)
 
 
@@ -563,7 +563,7 @@ def test_density_matches_matrix_oracle_all_cases(n, rng):
     ]
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     for case in cases:
-        assert interior_density(u, v, w, case, n) == \
+        assert interior_density(u, v, w, case) == \
             density_via_matrix_rep(u, v, w, case, n)
 
 
@@ -571,8 +571,8 @@ def test_density_y_independence(rng):
     for n in (4, 6):
         t = rand_threeform(rng, n)
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
-        with_y = interior_density(u, v, w, TorsionVector(t, rand_oneform(rng, n)), n)
-        without = interior_density(u, v, w, TorsionVector(t, OneForm.zero(n)), n)
+        with_y = interior_density(u, v, w, TorsionVector(t, rand_oneform(rng, n)))
+        without = interior_density(u, v, w, TorsionVector(t, OneForm.zero(n)))
         assert with_y == without
 
 
@@ -582,20 +582,20 @@ def test_density_trilinear(rng):
     u1, u2, v, w = (rand_oneform(rng, n) for _ in range(4))
     a, b = rational("2/3"), rational("-5")
     u = OneForm([a * p + b * q for p, q in zip(u1.components, u2.components)])
-    lhs = interior_density(u, v, w, case, n)
-    rhs = (interior_density(u1, v, w, case, n) * sym(a)
-           + interior_density(u2, v, w, case, n) * sym(b))
+    lhs = interior_density(u, v, w, case)
+    rhs = (interior_density(u1, v, w, case) * sym(a)
+           + interior_density(u2, v, w, case) * sym(b))
     assert lhs == rhs
 
 
 def test_vector_grading_density_examples():
     n = 4
     u, v, w = uvw(n)
-    d = interior_density(u, v, w, VectorGrading(basis(n, 4)), n)
+    d = interior_density(u, v, w, VectorGrading(basis(n, 4)))
     assert d == theorem_value(VectorGrading(basis(n, 4)), u, v, w, ManifoldSpec(n))
     n = 6
     u, v, w = uvw(n)
-    assert interior_density(u, v, w, VectorGrading(basis(n, 4)), n).is_zero()
+    assert interior_density(u, v, w, VectorGrading(basis(n, 4))).is_zero()
 
 
 def test_grading_torsion_n4_exact_zero_confirmed_by_matrix_oracle(rng):
@@ -609,7 +609,7 @@ def test_grading_torsion_n4_exact_zero_confirmed_by_matrix_oracle(rng):
     for _ in range(8):
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         case = TorsionGrading(rand_threeform(rng, n))
-        pipeline = interior_density(u, v, w, case, n)
+        pipeline = interior_density(u, v, w, case)
         oracle = density_via_matrix_rep(u, v, w, case, n)
         assert pipeline.is_zero()
         assert oracle.is_zero()
@@ -619,7 +619,7 @@ def test_grading_torsion_n6_value():
     n = 6
     u, v, w = uvw(n)
     t = ThreeForm(n, {(4, 5, 6): 1})
-    d = interior_density(u, v, w, TorsionGrading(t), n)
+    d = interior_density(u, v, w, TorsionGrading(t))
     assert d == theorem_value(TorsionGrading(t), u, v, w, ManifoldSpec(n))
     assert not d.is_zero()
 
@@ -627,7 +627,7 @@ def test_grading_torsion_n6_value():
 def test_grading_torsion_n8_zero(rng):
     n = 8
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
-    assert interior_density(u, v, w, TorsionGrading(rand_threeform(rng, n)), n).is_zero()
+    assert interior_density(u, v, w, TorsionGrading(rand_threeform(rng, n))).is_zero()
 
 
 @pytest.mark.parametrize("case_name", ["torsion_vector", "torsion_grading"])
@@ -682,11 +682,11 @@ def test_densities_leave_the_frame_product_and_perturbation_unbuilt(monkeypatch)
     monkeypatch.setattr(symbols, "mv_mul", capture("B", symbols.mv_mul))
     monkeypatch.setattr(symbols, "frame_product", capture("C", symbols.frame_product))
     monkeypatch.setattr(symbols, "sigma_minus2m", capture_argument(symbols.sigma_minus2m))
-    boundary_density(u, v, w, 8)
+    boundary_density(u, v, w)
     # Grading() is left out: its projection is empty at every n
     for case in (TorsionVector(t, y), VectorGrading(x), TorsionGrading(t)):
-        interior_density(u, v, w, case, 8)
-    interior_density(u6, v6, w6, TorsionGrading(t6), 6)
+        interior_density(u, v, w, case)
+    interior_density(u6, v6, w6, TorsionGrading(t6))
     # the boundary's one product; the weights' symbol and C for
     # torsion_vector; nothing for the n=8 graded cases; the weights' symbol,
     # the projected B's product and C at n=6
@@ -730,7 +730,7 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
         t = rand_threeform(rng, n)
         for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
             calls.clear()
-            interior_density(u, v, w, case, n)
+            interior_density(u, v, w, case)
             names = []
             if _HAS_GRADE_3[type(case)](n):
                 names = ([] if isinstance(case, TorsionVector) else ["symbols"]) + ["forms"] * 2
@@ -758,7 +758,7 @@ def test_interior_density_builds_one_symbol(monkeypatch):
     monkeypatch.setattr(moments.XiPolynomialMV, "__init__", counted)
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
         built.clear()
-        interior_density(u, v, w, case, n)
+        interior_density(u, v, w, case)
         assert len(built) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
         for _, terms in built:
             masks = {mask for term in terms.values() for _, acc in term._parts for mask in acc}
@@ -790,7 +790,7 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
                  "frame_product", "trace"):
         monkeypatch.setattr(symbols, name, _refuse(name))
     for case, reference in zip(cases, references):
-        assert interior_density(u, v, w, case, n) == SymScalar() == \
+        assert interior_density(u, v, w, case) == SymScalar() == \
             SymScalar.from_monomial((vol_sphere(n - 1), TR_F_PHI), reference)
 
 
@@ -805,21 +805,20 @@ def test_empty_projection_reads_a_long_b_as_stored(monkeypatch):
     assert "parts" in long_input(perturbation_multivector_reference(case, n))
     for name in ("_rational_runs", "_from_int_parts", "mv_mul"):
         monkeypatch.setattr(symbols, name, _refuse(name))
-    assert interior_density(u, v, w, case, n) == SymScalar()
+    assert interior_density(u, v, w, case) == SymScalar()
 
 
 def test_empty_projection_checks_the_arguments_first():
-    """The zero density is returned only after u, v and w are checked
-    against n and n against the symbol's lower bound 4."""
+    """The zero density is returned only after v and w are checked against
+    n = u.dim and n against the symbol's lower bound 4; spectral_torsion
+    checks the frame against its spec before any density."""
     u6, u4, u2 = basis(6, 1), basis(4, 1), basis(2, 1)
     with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
-        interior_density(u6, u6, u6, Grading(), 4)
-    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
-        interior_density(u4, u4, u6, Grading(), 4)
+        interior_density(u4, u4, u6, Grading())
     with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
         spectral_torsion(Grading(), u6, u6, u6, ManifoldSpec(4))
     with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
-        interior_density(u2, u2, u2, Grading(), 2)
+        interior_density(u2, u2, u2, Grading())
 
 
 class _Traced(Exception):
@@ -858,11 +857,11 @@ def test_projected_perturbation_is_the_grade_1_and_3_part_of_b(kind, n, monkeypa
         expected = dict(integrate_sphere(n, sigma_minus2m(_grade_1_and_3_part(b))).coeffs)
         assert bool(expected) == _HAS_GRADE_3[type(case)](n), type(case).__name__
         try:
-            assert interior_density(u, v, w, case, n) == SymScalar()
+            assert interior_density(u, v, w, case) == SymScalar()
         except _Traced as stopped:
             c, weighted = stopped.args
             assert expected, f"{type(case).__name__} traced with no grade-3 blade"
-            assert c == frame_product(u, v, w, n)
+            assert c == frame_product(u, v, w)
             assert dict(weighted.coeffs) == expected, type(case).__name__
         else:
             assert not expected, type(case).__name__
@@ -885,7 +884,7 @@ def _symbol_route(u, v, w, case, n):
     b13 = _grade_1_and_3_part(perturbation_multivector_reference(case, n))
     return SymScalar.from_monomial(
         (vol_sphere(n - 1), TR_F_PHI),
-        trace(frame_product(u, v, w, n), integrate_sphere(n, sigma_minus2m(b13))))
+        trace(frame_product(u, v, w), integrate_sphere(n, sigma_minus2m(b13))))
 
 
 @pytest.mark.parametrize("n,kind", [(n, "dense") for n in range(4, 17, 2)]
@@ -906,7 +905,7 @@ def test_weighted_density_equals_the_symbol_route(n, kind):
     assert kind != "coprime" or \
         "parts" in long_input(perturbation_multivector_reference(long_case, n))
     for case in (long_case, Grading(), VectorGrading(x), TorsionGrading(t)):
-        assert interior_density(u, v, w, case, n) == _symbol_route(u, v, w, case, n), \
+        assert interior_density(u, v, w, case) == _symbol_route(u, v, w, case, n), \
             type(case).__name__
 
 
@@ -937,7 +936,7 @@ def test_n4_densities_proved_on_every_basis_input():
     for name, perturbations in cases.items():
         for u, v, w in itertools.product(e, repeat=3):
             for case in perturbations:
-                got = interior_density(u, v, w, case, n)
+                got = interior_density(u, v, w, case)
                 expected = SymScalar() if name == "torsion_grading" \
                     else theorem_value(case, u, v, w, spec)
                 assert got == expected, (name, u, v, w, case)
@@ -960,7 +959,7 @@ def test_torsion_vector_n6_proved_on_every_basis_input():
     count = 0
     for u, v, w in itertools.product(e, repeat=3):
         for case in perturbations:
-            assert interior_density(u, v, w, case, n) == theorem_value(case, u, v, w, spec), \
+            assert interior_density(u, v, w, case) == theorem_value(case, u, v, w, spec), \
                 (u, v, w, case)
             count += 1
     assert count == 5616
@@ -981,7 +980,7 @@ def test_grading_torsion_n4_catalogued_form_is_nonzero_only_where_the_density_is
         case = TorsionGrading(ThreeForm(n, {ijk: 1}))
         if not theorem_value(case, u, v, w, spec).is_zero():
             found.append((a, b, c, ijk))
-            assert interior_density(u, v, w, case, n).is_zero()
+            assert interior_density(u, v, w, case).is_zero()
     listed = []
     for ijk in itertools.combinations(range(1, n + 1), 3):
         d = ({1, 2, 3, 4} - set(ijk)).pop()

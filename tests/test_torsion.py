@@ -37,7 +37,7 @@ from spectral_torsion import (
 )
 from spectral_torsion import torsion, verify
 from spectral_torsion.clifford import scalar_product
-from spectral_torsion.forms import eval_threeform
+from spectral_torsion.forms import _complement, eval_threeform
 from spectral_torsion.moments import integrate_sphere
 from spectral_torsion.symbols import sigma_minus2m
 from spectral_torsion.torsion import normal_trace_combination
@@ -92,11 +92,11 @@ def test_spectral_torsion_and_theorem_value_need_a_manifold_spec(call, monkeypat
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: interior_density(_U4, _U4, _U4, VectorGrading(_T4), 4),
+    (lambda: interior_density(_U4, _U4, _U4, VectorGrading(_T4)),
      "VectorGrading.X must be a OneForm, got ThreeForm"),
     (lambda: spectral_torsion(TorsionVector(_U4, _U4), _U4, _U4, _U4, ManifoldSpec(4)),
      "TorsionVector.T must be a ThreeForm, got OneForm"),
-    (lambda: interior_density(_U4, _U4, _U4, TorsionVector(_T4, None), 4),
+    (lambda: interior_density(_U4, _U4, _U4, TorsionVector(_T4, None)),
      "TorsionVector.Y must be a OneForm, got NoneType"),
     (lambda: theorem_value(TorsionGrading(_U4), _U4, _U4, _U4, ManifoldSpec(4)),
      "TorsionGrading.T must be a ThreeForm, got OneForm"),
@@ -112,6 +112,17 @@ def test_case_fields_are_type_checked(call, message):
 
 def _no_density(*args):
     raise AssertionError("a density was computed before the arguments were checked")
+
+
+@pytest.mark.parametrize("with_boundary", [False, True])
+def test_spectral_torsion_checks_the_frame_against_its_spec_first(with_boundary, monkeypatch):
+    """The densities read n off the forms, so spectral_torsion refuses a
+    frame of another dimension than its spec's before either runs."""
+    for name in ("interior_density", "boundary_density"):
+        monkeypatch.setattr(torsion, name, _no_density)
+    u6 = OneForm.basis(6, 1)
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        spectral_torsion(Grading(), u6, u6, u6, ManifoldSpec(4, with_boundary))
 
 
 @pytest.mark.parametrize("seed", ["x", 1.5, True])
@@ -166,9 +177,9 @@ _ONE_THREE = "a OneForm, got ThreeForm"
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda: interior_density(_LIST4, _U4, _U4, TorsionVector(_T4, _U4), 4), _FORM),
-    (lambda: interior_density(_U4, _U4, _LIST4, Grading(), 4), _FORM),
-    (lambda: boundary_density(_U4, _LIST4, _U4, 4), _FORM),
+    (lambda: interior_density(_LIST4, _U4, _U4, TorsionVector(_T4, _U4)), _FORM),
+    (lambda: interior_density(_U4, _U4, _LIST4, Grading()), _FORM),
+    (lambda: boundary_density(_U4, _LIST4, _U4), _FORM),
     (lambda: metric_pair(_U4, _LIST4), _FORM),
     (lambda: metric_pair(_LIST4, _U4), _FORM),
     (lambda: eval_threeform(_T4, _U4, _U4, _LIST4), _FORM),
@@ -194,8 +205,8 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: scalar_product(_E1, _T4), "a Multivector, got ThreeForm"),
     (lambda: supertrace(_U4), _MV_FORM),
     (lambda: sigma_minus2m(_U4), _MV_FORM),
-    (lambda: boundary_density(_T4, _U4, _U4, 4), _ONE_THREE),
-    (lambda: interior_density(_T4, _U4, _U4, TorsionVector(_T4, _U4), 4), _ONE_THREE),
+    (lambda: boundary_density(_T4, _U4, _U4), _ONE_THREE),
+    (lambda: interior_density(_T4, _U4, _U4, TorsionVector(_T4, _U4)), _ONE_THREE),
     (lambda: theorem_value(TorsionVector(_T4, _U4), _T4, _U4, _U4, ManifoldSpec(4)),
      _ONE_THREE),
     (lambda: theorem_value(Grading(), _U4, _T4, _U4, ManifoldSpec(4)), _ONE_THREE),
@@ -204,6 +215,8 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: eval_threeform(_T4, _T4, _U4, _U4), _ONE_THREE),
     (lambda: eval_threeform(_U4, _U4, _U4, _U4), "a ThreeForm, got OneForm"),
     (lambda: metric_pair(_T4, _U4), _ONE_THREE),
+    (lambda: _complement(_LIST4), _FORM),
+    (lambda: verify._sphere_trace_integral(_LIST4, _E1, (True,)), _FORM),
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
         "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
         "trace-second", "trace-third", "supertrace", "multivector-coeffs",
@@ -212,7 +225,8 @@ _ONE_THREE = "a OneForm, got ThreeForm"
         "mv_mul-form", "trace-form", "scalar_product-form", "supertrace-form",
         "sigma-form", "boundary-threeform", "interior-threeform",
         "theorem-threeform", "theorem-zero-threeform", "spectral_torsion-threeform",
-        "threeform-row-threeform", "threeform-t-oneform", "metric-threeform"])
+        "threeform-row-threeform", "threeform-t-oneform", "metric-threeform",
+        "complement", "sphere-trace-integral"])
 def test_a_list_argument_is_a_type_error(call, expected):
     """A list where a form or a multivector belongs has no int dim: the one
     same-dimension rule refuses it with a TypeError naming its type, not an
@@ -343,10 +357,10 @@ def test_torsion_vector_density_antisymmetric(rng):
     n = 6
     case = TorsionVector(rand_threeform(rng, n), rand_oneform(rng, n))
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
-    base = interior_density(u, v, w, case, n)
-    assert (interior_density(v, u, w, case, n) + base).is_zero()
-    assert (interior_density(u, w, v, case, n) + base).is_zero()
-    assert interior_density(u, u, w, case, n).is_zero()
+    base = interior_density(u, v, w, case)
+    assert (interior_density(v, u, w, case) + base).is_zero()
+    assert (interior_density(u, w, v, case) + base).is_zero()
+    assert interior_density(u, u, w, case).is_zero()
 
 
 def test_frame_rotation_invariance(rng):
@@ -366,8 +380,8 @@ def test_frame_rotation_invariance(rng):
         (VectorGrading(x), VectorGrading(xr)),
         (TorsionGrading(t), TorsionGrading(tr_)),
     ):
-        assert interior_density(u, v, w, case, n) == \
-            interior_density(ur, vr, wr, rotated, n)
+        assert interior_density(u, v, w, case) == \
+            interior_density(ur, vr, wr, rotated)
 
 
 def test_report_identity_rows_present():
@@ -435,9 +449,9 @@ def test_high_dimension_spot_check(rng):
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     t, y = rand_threeform(rng, n, keep=0.3), rand_oneform(rng, n)
     case = TorsionVector(t, y)
-    assert interior_density(u, v, w, case, n) == \
+    assert interior_density(u, v, w, case) == \
         theorem_value(case, u, v, w, ManifoldSpec(n))
-    assert interior_density(u, v, w, TorsionGrading(t), n).is_zero()
+    assert interior_density(u, v, w, TorsionGrading(t)).is_zero()
 
 
 def test_theorem_value_n16_time_bound():

@@ -3,7 +3,6 @@ command line is not run."""
 
 from __future__ import annotations
 
-import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -127,31 +126,39 @@ def test_unreached_reports_each_statement_that_never_ran():
     # the else branch never ran.  Left out: the docstring, the raise, the
     # except body, the body of unused, which never ran, and the value-type
     # protocol method __repr__, whose last statement never ran
-    assert uncalled.unreached(BRANCHES, called, lines) == [(9, "run")]
+    assert uncalled.unreached(BRANCHES, called, lines) == [(9, "run", "total.append(-1)")]
 
 
 def test_unreached_reads_a_statement_at_its_first_line():
     source = "def f():\n    @g\n    def h():\n        pass\n    for x in y:\n        pass\n"
     # only the decorator's line and the loop's header ran; h never ran
-    assert uncalled.unreached(source, {1}, {2, 5}) == [(6, "f")]
-    assert uncalled.unreached(source, {1}, set()) == [(2, "f"), (5, "f"), (6, "f")]
+    assert uncalled.unreached(source, {1}, {2, 5}) == [(6, "f", "pass")]
+    assert uncalled.unreached(source, {1}, set()) == [
+        (2, "f", "@g"), (5, "f", "for x in y:"), (6, "f", "pass")]
 
 
-# "``file.py:N`` in ``qualname``" or "``file.py:N-M`` in ``qualname``"
-_ENTRY = re.compile(r"``(\w+\.py):(\d+)(?:-(\d+))?``\s+in\s+``([\w.<>]+)``")
+# "``file.py`` in ``qualname``: ``text``", with more texts joined by "and"
+_TEXT = r"``(?!\w+\.py``)[^`]+``"
+_ENTRY = re.compile(rf"``(\w+\.py)`` in ``([\w.<>]+)``:\s+({_TEXT}(?:\s+and\s+{_TEXT})*)")
 
 
-def test_the_docstring_list_names_lines_inside_their_functions():
-    """Each statement that the script's docstring lists lies, all of its
-    line range, inside the function that the entry names."""
+def test_the_docstring_list_names_statements_of_their_functions():
+    """Each statement that the script's docstring lists, by its first source
+    line, is a statement of the function that the entry names."""
     doc = uncalled.__doc__
     entries = _ENTRY.findall(doc)
-    assert entries and len(entries) == len(re.findall(r"``\w+\.py:", doc))
-    spans = {}
-    for name, first, last, qualname in entries:
-        if name not in spans:
-            tree = ast.parse((uncalled.PACKAGE / name).read_text(encoding="utf-8"))
-            spans[name] = {q: (start, node.end_lineno)
-                           for start, q, node in uncalled._functions(tree)}
-        start, end = spans[name][qualname]
-        assert start <= int(first) <= int(last or first) <= end, (name, first, qualname)
+    assert entries and len(entries) == len(re.findall(r"``\w+\.py`` in", doc))
+    known = {}
+    for name, qualname, texts in entries:
+        if name not in known:
+            source = (uncalled.PACKAGE / name).read_text(encoding="utf-8")
+            known[name] = {(q, text) for _, _, q, text in uncalled.statements(source)}
+        for text in re.findall(r"``([^`]+)``", texts):
+            assert (qualname, text) in known[name], (name, qualname, text)
+
+
+def test_statements_reads_each_statement_by_its_first_line():
+    assert [(q, text) for _, _, q, text in uncalled.statements(BRANCHES)] == [
+        ("run", "total = ["), ("run", "if x > 0:"), ("run", "total.append(1)"),
+        ("run", "total.append(-1)"), ("run", "if x > 9:"), ("run", "try:"),
+        ("run", "total.append(int(x))"), ("run", "return total"), ("unused", "return x")]

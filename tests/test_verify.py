@@ -54,7 +54,7 @@ def test_sphere_trace_integral_matches_xi_polynomial(n):
                                                                       generator_first)
                      for generator_first in (True, False)}
         for positions in ((True,), (False,), (False, True)):
-            assert _sphere_trace_integral(n, left, middle, positions) == \
+            assert _sphere_trace_integral(left, middle, positions) == \
                 sum(reference[generator_first] for generator_first in positions)
 
 
@@ -358,3 +358,34 @@ def test_every_trial_is_pinned(n, monkeypatch):
     verify_suite(ManifoldSpec(n))
     text = "\n".join(runs)
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_HASHES[n]
+
+
+class _Recording:
+    """A catalog row at n = 4 that records the draw of each of its trials."""
+
+    id = description = "recording"
+    dims = (4,)
+    final = False
+
+    def __init__(self):
+        self.draws = []
+
+    def run(self, n, rng):
+        if rng is not None:
+            self.draws.append(rng.random())
+        return SymScalar(), SymScalar(), True
+
+
+def test_distinct_seeds_draw_distinct_trials(monkeypatch):
+    """random.Random(-s) repeats random.Random(s), so verify_suite seeds a
+    negative seed otherwise; every seed >= 0 keeps random.Random(seed)'s trials."""
+    draws = {}
+    for seed in (5, -5, 0, -1, 1):
+        row = _Recording()
+        monkeypatch.setattr(verify, "CATALOG", (row,))
+        verify_suite(ManifoldSpec(4), seed=seed)
+        draws[seed] = tuple(row.draws)
+    assert len(set(draws.values())) == len(draws)
+    for seed in (5, 0, 1):
+        rng = random.Random(seed)
+        assert draws[seed] == tuple(rng.random() for _ in range(5))

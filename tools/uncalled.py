@@ -20,8 +20,9 @@ that is called and every line that runs in the package's sources:
 
 It prints, one a line as ``module.qualname``, each function defined in the
 package's sources whose code never ran.  Then it prints, one a line as
-``file:line in qualname``, each statement of a function that ran which never
-ran itself, and exits 0.  Both lists leave out the value-type protocol
+``file:line in qualname: text``, each statement of a function that ran which
+never ran itself, where text is the statement's first source line, and
+exits 0.  Both lists leave out the value-type protocol
 (equality, hashing, printing, ``is_zero``, truth, copy, pickle and the
 immutability guard): it serves users and tests whether or not a program path
 reaches it.  The statements leave out docstrings, ``raise`` statements, the
@@ -30,38 +31,47 @@ uncalled.  The run takes about a minute on a 2-CPU VM, twice the time of a
 run that records calls alone, since every line of the package is traced.
 Standard library only.
 
-The statements that the report still lists, and what reaches each:
+The statements that the report still lists, and what reaches each, by
+file, function and text, since their line numbers move with every edit:
 
-- ``cli.py:82`` in ``_ascii_int``: the grammar named in a bad integer's
-  message (``test_cli::test_error_messages``, ``trace --dim x``);
-- ``cli.py:169-170`` in ``_unlimited_int_str``: interpreters 3.10.0-3.10.6,
-  which have no int-to-str limit to lift and which ``requires-python``
-  admits (``test_cli::test_compute_runs_on_an_interpreter_without_the_int_limit``);
-- ``cli.py:387`` in ``main``: ``--alpha`` followed by a negative exponent
-  (``test_cli::test_error_messages``, ``moments-negative-first``);
-- ``clifford.py:48`` in ``_same_dim``: the operand named when one has no
-  int ``dim`` (``test_torsion::test_a_list_argument_is_a_type_error``);
-- ``halfline.py:58`` in ``Poly.__add__``, ``halfline.py:63`` in
-  ``Poly.__mul__`` and ``halfline.py:152`` in ``XiRational.__mul__``: an
+- ``cli.py`` in ``_ascii_int``: ``grammar = "[+-]?[0-9]+" if signed else "[0-9]+"``:
+  the grammar named in a bad integer's message
+  (``test_cli::test_error_messages``, ``trace --dim x``);
+- ``cli.py`` in ``_unlimited_int_str``: ``yield`` and ``return``:
+  interpreters 3.10.0-3.10.6, which have no int-to-str limit to lift and
+  which ``requires-python`` admits
+  (``test_cli::test_compute_runs_on_an_interpreter_without_the_int_limit``);
+- ``cli.py`` in ``main``: ``tokens[-1] += "=" + token``: ``--alpha``
+  followed by a negative exponent (``test_cli::test_error_messages``,
+  ``moments-negative-first``);
+- ``clifford.py`` in ``_same_dim``: ``x = b if type(a_dim) is int else a``:
+  the operand named when one has no int ``dim``
+  (``test_torsion::test_a_list_argument_is_a_type_error``);
+- ``halfline.py`` in ``Poly.__add__``: ``return NotImplemented``,
+  ``halfline.py`` in ``Poly.__mul__``: ``return NotImplemented`` and
+  ``halfline.py`` in ``XiRational.__mul__``: ``return NotImplemented``: an
   operand of another type, which is a TypeError
   (``test_halfline::test_poly_and_xirational_arithmetic_refuse_a_foreign_operand``);
-- ``halfline.py:82`` in ``Poly.divide_linear``: the zero polynomial, and
-  ``halfline.py:111`` in ``_cancel``: a numerator root at +-i, both public
-  semantics of ``Poly`` and ``XiRational``
+- ``halfline.py`` in ``Poly.divide_linear``: ``return Poly(), GR_ZERO``:
+  the zero polynomial, and ``halfline.py`` in ``_cancel``:
+  ``numer, mult = quotient, mult - 1``: a numerator root at +-i, both
+  public semantics of ``Poly`` and ``XiRational``
   (``test_halfline::test_xirational_equality_matches_cross_multiplication``);
-- ``halfline.py:189`` in ``_series``: no pole at i, so ``pi_plus`` and
-  ``line_integral`` are 0
+- ``halfline.py`` in ``_series``: ``return []``: no pole at i, so
+  ``pi_plus`` and ``line_integral`` are 0
   (``test_halfline::test_line_integral_without_a_pole_at_i_is_zero``);
-- ``halfline.py:236`` in ``line_integral``: the zero symbol
+- ``halfline.py`` in ``line_integral``: ``return GR_ZERO``: the zero symbol
   (``test_exactness::test_exact_return_types``);
-- ``scalars.py:107`` in ``GaussianRational.__add__``: a ``SymScalar``
+- ``scalars.py`` in ``GaussianRational.__add__``:
+  ``return NotImplemented  # SymScalar.__radd__ answers``: a ``SymScalar``
   operand, whose ``__radd__`` gives the sum
   (``test_scalars::test_gaussian_plus_symscalar_is_symscalar_plus_gaussian``);
-- ``scalars.py:213-214`` in ``_as_gaussian``: a bool, which the validating
-  constructor refuses, or another int subclass
+- ``scalars.py`` in ``_as_gaussian``: ``if isinstance(x, int):`` and
+  ``return GaussianRational(x)``: a bool, which the validating constructor
+  refuses, or another int subclass
   (``test_scalars::test_int_and_rational_operands_keep_their_values``);
-- ``scalars.py:307`` in ``SymScalar.__add__``: two terms that cancel
-  (``test_torsion::test_torsion_vector_density_antisymmetric``).
+- ``scalars.py`` in ``SymScalar.__add__``: ``del out[mono]``: two terms
+  that cancel (``test_torsion::test_torsion_vector_density_antisymmetric``).
 """
 
 from __future__ import annotations
@@ -142,20 +152,27 @@ def _first_line(node: ast.stmt) -> int:
     return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
 
 
-def unreached(source: str, called: set[int], lines: set[int]) -> list[tuple[int, str]]:
-    """(first line, qualname) of each statement that never ran in the functions
-    of a module's source that did, sorted.  `called` holds the first lines of
-    the functions that ran, `lines` the lines that ran.  Docstrings, raise
-    statements, the bodies of except handlers and the value-type protocol
-    are left out."""
-    found = []
+def statements(source: str):
+    """(function's first line, statement's first line, qualname, text) of each
+    statement of each function in a module's source, where text is the
+    statement's first source line, stripped.  Docstrings, raise statements,
+    the bodies of except handlers and the value-type protocol are left out."""
+    text = source.splitlines()
     for first, qualname, node in _functions(ast.parse(source)):
-        if first not in called or qualname.rsplit(".", 1)[-1] in PROTOCOL:
+        if qualname.rsplit(".", 1)[-1] in PROTOCOL:
             continue
         body = node.body[1:] if ast.get_docstring(node, clean=False) is not None else node.body
-        found += [(line, qualname) for line in map(_first_line, _statements(body))
-                  if line not in lines]
-    return sorted(found)
+        for line in map(_first_line, _statements(body)):
+            yield first, line, qualname, text[line - 1].strip()
+
+
+def unreached(source: str, called: set[int], lines: set[int]) -> list[tuple[int, str, str]]:
+    """(first line, qualname, text) of each statement (see `statements`) that
+    never ran in the functions of a module's source that did, sorted.
+    `called` holds the first lines of the functions that ran, `lines` the
+    lines that ran."""
+    return sorted((line, qualname, text) for first, line, qualname, text in statements(source)
+                  if first in called and line not in lines)
 
 
 def record(drive, files: dict[str, str]) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
@@ -275,9 +292,10 @@ def main() -> int:
     for name in uncalled(defined, called):
         print(name)
     for module, text in texts.items():
-        for line, qualname in unreached(text, {first for m, first in called if m == module},
-                                        {line for m, line in lines if m == module}):
-            print(f"{module}.py:{line} in {qualname}")
+        for line, qualname, statement in unreached(
+                text, {first for m, first in called if m == module},
+                {line for m, line in lines if m == module}):
+            print(f"{module}.py:{line} in {qualname}: {statement}")
     return 0
 
 
