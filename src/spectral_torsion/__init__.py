@@ -35,7 +35,6 @@ from .forms import (
     ThreeForm,
     eval_threeform,
     frame_product,
-    metric_pair,
     to_clifford,
 )
 from .moments import (
@@ -68,7 +67,6 @@ from .torsion import (
     ManifoldSpec,
     TorsionReport,
     UnsupportedDimension,
-    normal_trace_combination,
     spectral_torsion,
     theorem_boundary_value,
     theorem_value,

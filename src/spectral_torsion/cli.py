@@ -91,6 +91,17 @@ def _json_int(raw: str) -> int:
     return int(raw)
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object of the config as a dict; a field given twice is a
+    ConfigError, where a plain dict would keep the last value silently."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ConfigError(f"duplicate field {key!r}")
+        fields[key] = value
+    return fields
+
+
 def _seed_from_env() -> int:
     raw = os.environ.get("SPECTRAL_TORSION_SEED")
     return DEFAULT_SEED if raw is None else _ascii_int(raw, "SPECTRAL_TORSION_SEED")
@@ -244,7 +255,7 @@ def _cmd_compute(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     try:
-        config = json.loads(raw, parse_int=_json_int)
+        config = json.loads(raw, parse_int=_json_int, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ConfigError, RecursionError) as exc:  # a digit cap; nesting too deep
@@ -262,7 +273,7 @@ def _cmd_compute(args) -> int:
 def run_verify(dims: list[int], seed: int) -> dict:
     results = []
     for n in dims:
-        rows = verify_suite(ManifoldSpec(n), seed=seed)
+        rows = verify_suite(n, seed=seed)
         results.append({
             "dimension": n,
             "rows": [{**_ledger_row(row), "final": row.id in FINAL_IDS} for row in rows],

@@ -84,14 +84,6 @@ def _integer_row(x: OneForm) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in x.components]
 
 
-def metric_pair(u: OneForm, v: OneForm) -> Rational:
-    """g(u, v) in the orthonormal frame: the exact dot product."""
-    _same_dim(v, v, OneForm)
-    _same_dim(u, v, OneForm)
-    return sum((a * b for a, b in zip(u.components, v.components)),
-               rational(0))
-
-
 def eval_threeform(t: ThreeForm, u: OneForm, v: OneForm, w: OneForm) -> Rational:
     """T(u, v, w): full antisymmetrization of the stored components.
 

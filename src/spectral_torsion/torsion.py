@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .clifford import DimensionMismatch, MAX_DIM, OddDimension, _check_even_dim, _same_dim
-from .forms import OneForm, _complement, _frame_dim, _integer_row, eval_threeform, metric_pair
+from .forms import OneForm, _complement, _frame_dim, _integer_row, eval_threeform
 from .halfline import boundary_density
 from .scalars import (
     DIM_F,
@@ -77,20 +77,6 @@ class TorsionReport:
         return self.interior_density + self.boundary_density
 
 
-def normal_trace_combination(u: OneForm, v: OneForm, w: OneForm) -> Rational:
-    """u_n g(v,w) - v_n g(u,w) + w_n g(u,v) in the boundary-adapted frame.
-
-    Summed on integer numerators over the rows' common denominators, with
-    one Rational at the end.
-    """
-    _frame_dim(u, v, w)
-    (du, u), (dv, v), (dw, w) = (_integer_row(x) for x in (u, v, w))
-    numerator = (u[-1] * sum(map(operator.mul, v, w))
-                 - v[-1] * sum(map(operator.mul, u, w))
-                 + w[-1] * sum(map(operator.mul, u, v)))
-    return Rational(numerator, du * dv * dw)
-
-
 @functools.cache
 def _boundary_coefficient(m: int) -> GaussianRational:
     """(2m-2)! (1-m) i 2^(1-2m) 2^m / (m!(m-1)!), the catalogued boundary
@@ -100,23 +86,38 @@ def _boundary_coefficient(m: int) -> GaussianRational:
                                         * 2 ** (2 * m - 1)))
 
 
+@functools.cache
+def _normal_covector(n: int) -> OneForm:
+    """e_n, built once per dimension; theorem_boundary_value checks n first."""
+    return OneForm.basis(n, n)
+
+
 def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """Catalogued boundary addend:
 
-    (2m-2)! (1-m) i 2^(1-2m) pi / (m!(m-1)!) * combination * 2^m dim_F vol(S^(n-2)).
+    (2m-2)! (1-m) i 2^(1-2m) pi / (m!(m-1)!) * combination * 2^m dim_F vol(S^(n-2)),
+
+    with the combination u_n g(v,w) - v_n g(u,w) + w_n g(u,v) read as the
+    frame pairing <c(u)c(v)c(w)c(e_n)>_0.
     """
     n = _frame_dim(u, v, w)
-    _check_even_dim(n, 4)  # before the cache: 5 // 2 would hit m = 2
+    _check_even_dim(n, 4)  # before the caches: 5 // 2 would hit m = 2
     return SymScalar.from_monomial(
         (PI, DIM_F, vol_sphere(n - 2)),
-        _boundary_coefficient(n // 2) * normal_trace_combination(u, v, w))
+        _boundary_coefficient(n // 2) * _frame_pairing(u, v, w, _normal_covector(n)))
 
 
 def _frame_pairing(u: OneForm, v: OneForm, w: OneForm, y: OneForm) -> Rational:
-    """<c(u)c(v)c(w)c(y)>_0 = g(v,w)g(u,y) - g(u,w)g(v,y) + g(u,v)g(w,y)."""
-    return (metric_pair(v, w) * metric_pair(u, y)
-            - metric_pair(u, w) * metric_pair(v, y)
-            + metric_pair(u, v) * metric_pair(w, y))
+    """<c(u)c(v)c(w)c(y)>_0 = g(v,w)g(u,y) - g(u,w)g(v,y) + g(u,v)g(w,y).
+
+    Summed on integer numerators over the rows' common denominators, with
+    one Rational at the end.
+    """
+    _same_dim(y, _frame_dim(u, v, w), OneForm)
+    (du, u), (dv, v), (dw, w), (dy, y) = (_integer_row(x) for x in (u, v, w, y))
+    uv, uw, vw, uy, vy, wy = (sum(map(operator.mul, a, b)) for a, b in
+                              ((u, v), (u, w), (v, w), (u, y), (v, y), (w, y)))
+    return Rational(vw * uy - uw * vy + uv * wy, du * dv * dw * dy)
 
 
 def theorem_value(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
@@ -164,7 +165,7 @@ def spectral_torsion(case: PerturbationCase, u: OneForm, v: OneForm, w: OneForm,
     comparisons: tuple = ()
     if with_identities:
         from .verify import verify_suite
-        comparisons = tuple(verify_suite(spec, seed=seed))
+        comparisons = tuple(verify_suite(spec.dim, seed=seed))
     return TorsionReport(
         interior_density=interior,
         boundary_density=boundary,

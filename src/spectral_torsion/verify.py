@@ -47,14 +47,7 @@ from .scalars import (
     vol_sphere,
 )
 from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, sigma_minus2m
-from .torsion import (
-    ManifoldSpec,
-    _check_spec,
-    _frame_pairing,
-    normal_trace_combination,
-    spectral_torsion,
-    theorem_boundary_value,
-)
+from .torsion import ManifoldSpec, _frame_pairing, spectral_torsion, theorem_boundary_value
 
 DEFAULT_SEED = 20240810
 
@@ -213,6 +206,10 @@ def _witness(u, v, w, x, cuvw, middle):  # <c(u)c(v)c(w) M>_0 of the integrand's
     return scalar_product(cuvw, middle)
 
 
+def _pairing_reference(n, u, v, w, y):  # tr(c(u)c(v)c(w)c(y)) = 2^m <c(u)c(v)c(w)c(y)>_0
+    return _frame_pairing(u, v, w, y) * _tr_id(n)
+
+
 def _pairing_inputs(n, rng):
     return _oneforms(n, rng, 1, 1, 2, 2)
 
@@ -326,8 +323,7 @@ _ALL_N = range(4, MAX_DIM + 1, 2)
 
 CATALOG: tuple[Identity, ...] = (
     Identity("L4.3a", "four-factor trace against metric pairings", _ALL_N,
-             _trace_row(_pairing_inputs, to_clifford, lambda n, u, v, w, y:
-                        _frame_pairing(u, v, w, y) * _tr_id(n))),
+             _trace_row(_pairing_inputs, to_clifford, _pairing_reference)),
     Identity("L4.3b", "trace of three one-forms against a 3-form", _ALL_N,
              _trace_row(_torsion_inputs, to_clifford, lambda n, u, v, w, t:
                         eval_threeform(t, u, v, w) * _tr_id(n))),
@@ -364,8 +360,7 @@ CATALOG: tuple[Identity, ...] = (
     Identity("E4.55", "half-line projection of the inverse symbol", _ALL_N, _run_e455),
     Identity("E4.56", "normal derivative of the inverse-power symbol", _ALL_N, _run_e456),
     Identity("E4.57", "boundary trace combination of the normal factor", _ALL_N,
-             _trace_row(_boundary_inputs, to_clifford, lambda n, u, v, w, e:
-                        normal_trace_combination(u, v, w) * _tr_id(n))),
+             _trace_row(_boundary_inputs, to_clifford, _pairing_reference)),
     Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _ALL_N,
              _pole_row(POLY_ONE, 1)),
     Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _ALL_N,
@@ -395,20 +390,19 @@ IDENTITY_IDS = tuple(ident.id for ident in CATALOG)
 FINAL_IDS = tuple(ident.id for ident in CATALOG if ident.final)
 
 
-def verify_suite(spec: ManifoldSpec, seed: int | None = None,
+def verify_suite(n: int, seed: int | None = None,
                  trials: int = 5) -> list[IdentityComparison]:
-    """Run every applicable catalog row at the given dimension.
+    """Run every catalog row that runs at the even dimension n.
 
     Never aborts on mismatch; each row carries its own flag, which its first
     mismatch decides.  That ends the row's trials, as does a trial that leaves
     the rng state unchanged: it drew no input, so every later one repeats it.
     """
-    _check_spec(spec, "verify_suite")
+    ManifoldSpec(n)  # the one dimension rule, and its message
     if seed is not None and type(seed) is not int:
         raise TypeError(f"seed must be None or an int, got {seed!r}")
     if type(trials) is not int or trials < 0:
         raise ValueError(f"trials must be an int >= 0, got {trials!r}")
-    n = spec.dim
     # a negative seed as its signed bytes: random.Random(-s) would repeat random.Random(s)
     rng = random.Random(DEFAULT_SEED if seed is None else seed if seed >= 0
                         else seed.to_bytes(seed.bit_length() // 8 + 1, "little", signed=True))

@@ -28,14 +28,14 @@ from spectral_torsion import (
     rational,
     trace,
 )
-from spectral_torsion.clifford import _RUN_DEN_BITS, DimensionMismatch, _sign_mask, \
+from spectral_torsion.clifford import _RUN_DEN_BITS, DimensionMismatch, _same_dim, _sign_mask, \
     blade_product
 from spectral_torsion.halfline import _normal_integral, dxn_symbol, \
     half_inverse_symbol_components, line_integral
 from spectral_torsion.moments import XiPolynomialMV, moment, xi_monomial
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, PI, GaussianRational, Rational, \
     vol_sphere
-from spectral_torsion.forms import frame_product, metric_pair, to_clifford
+from spectral_torsion.forms import frame_product, to_clifford
 from spectral_torsion.verify import rand_oneform, rand_rational  # noqa: F401 (re-exported)
 
 from matrix_rep import MatrixRep, mat_mul, mat_trace, mat_add, mat_scale
@@ -318,6 +318,14 @@ def boundary_density_reference(u, v, w, n) -> SymScalar:
     factor = trace(frame_product(u, v, w), Multivector.generator(n, n))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
                                    factor * _normal_integral(n // 2))
+
+
+def metric_pair(u: OneForm, v: OneForm) -> Rational:
+    """g(u, v) in the orthonormal frame: the exact dot product."""
+    _same_dim(v, v, OneForm)
+    _same_dim(u, v, OneForm)
+    return sum((a * b for a, b in zip(u.components, v.components)),
+               rational(0))
 
 
 def normal_trace_combination_reference(u, v, w):

@@ -17,7 +17,6 @@ import time
 
 from spectral_torsion import (
     Grading,
-    ManifoldSpec,
     Multivector,
     OneForm,
     PI,
@@ -32,10 +31,8 @@ from spectral_torsion import (
     eval_threeform,
     interior_density,
     line_integral,
-    metric_pair,
     moment,
     mv_mul,
-    normal_trace_combination,
     rational,
     residue_derivative,
     supertrace,
@@ -52,6 +49,8 @@ from spectral_torsion.scalars import DIM_F, GaussianRational, i_power
 from conftest import (
     boundary_pieces_reference,
     det_exact,
+    metric_pair,
+    normal_trace_combination_reference,
     quad_oracle,
     rand_multivector,
     rand_oneform,
@@ -190,7 +189,7 @@ def test_criterion_5_property_suites():
                 eval_threeform(t, u, v, w) * 2 ** m
             # boundary trace combination
             assert trace(mv_mul(cuvw, Multivector.generator(n, n))) == \
-                normal_trace_combination(u, v, w) * 2 ** m
+                normal_trace_combination_reference(u, v, w) * 2 ** m
         # four-generator delta formula
         for _ in range(30):
             i, j, k, l = (rng.randint(1, n) for _ in range(4))
@@ -251,7 +250,7 @@ def test_criterion_8_boundary_structure():
             tangential, normal = boundary_pieces_reference(u, v, w, n)
             assert tangential.is_zero()
             assert boundary_density(u, v, w) == normal
-            comb = normal_trace_combination(u, v, w)
+            comb = normal_trace_combination_reference(u, v, w)
             assert normal == SymScalar.from_monomial(
                 (PI, DIM_F, vol_sphere(n - 2)),
                 stated_mu * rational(2 ** m) * comb)
@@ -263,7 +262,7 @@ def test_criterion_8_boundary_structure():
         assert abs(exact.real - numeric.real) < 1e-9
         assert abs(exact.imag - numeric.imag) < 1e-9
     # comparison emitted in the E4.63 row (a match here)
-    rows = {r.id: r for r in verify_suite(ManifoldSpec(4), trials=2)}
+    rows = {r.id: r for r in verify_suite(4, trials=2)}
     assert rows["E4.63"].matches
     _report("8 (boundary structure, catalogued coefficient, quadrature)", True)
 
@@ -277,7 +276,7 @@ def test_criterion_9_discrepancy_ledger_and_exit_policy():
     expected_reference = {4: SymScalar.from_atom(vol_sphere(3), -20),
                           6: SymScalar.from_atom(vol_sphere(5), -40)}
     for n in (4, 6):
-        rows = {r.id: r for r in verify_suite(ManifoldSpec(n), trials=2)}
+        rows = {r.id: r for r in verify_suite(n, trials=2)}
         row = rows["E4.20"]
         assert not row.matches
         assert row.computed == expected_computed[n]

@@ -160,6 +160,16 @@ def test_verdict_better_needs_nine_in_ten_and_a_gap_past_the_base_iqr():
     assert bench_pairs.verdict(_sides([1000] * 10, more), "higher", 0.25) == "better"
 
 
+@pytest.mark.parametrize("count, expected", [(1, "same"), (3, "same"), (10, "better")])
+def test_verdict_better_needs_ten_pairs(count, expected):
+    """One pair wins 1/1 with an IQR of 0, and three win 3/3: neither shows
+    9 in 10, so only the side of ten pairs reads better."""
+    bases = _STEADY[:count]
+    assert bench_pairs.verdict(_sides(bases, [x - 0.05 for x in bases]), "lower", 0.25) \
+        == expected
+    assert bench_pairs.verdict([(1.0, 0.999)] * count, "lower", 0.25) == expected
+
+
 def test_verdict_same_on_equal_runs_and_small_losses():
     assert bench_pairs.verdict(_sides(_STEADY, _STEADY), "lower", 0.25) == "same"
     slower = [x * 1.2 for x in _STEADY]  # 20% worse, inside a 25% bound

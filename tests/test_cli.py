@@ -525,6 +525,11 @@ _PINNED_ERRORS = [
                  "error: configuration must be a JSON object\n", id="compute-not-object"),
     pytest.param(_COMPUTE, _config(case="grading", drop=("T",), with_boundry=True), 2,
                  "error: unknown field 'with_boundry'\n", id="compute-unknown-field"),
+    # a plain dict keeps the last of two keys: this job would drop its boundary
+    pytest.param(_COMPUTE, json.dumps(_config(case="grading", drop=("T",), with_boundary=True))
+                 [:-1] + ', "with_boundary": false}', 2,
+                 "error: {path}: duplicate field 'with_boundary'\n",
+                 id="compute-duplicate-field"),
     pytest.param(_COMPUTE, _config(u=[_BIG, "0", "0", "0"], v=["0", _BIG, "0", "0"],
                                    w=["0", "0", _BIG, "0"], T=[[1, 2, 3, _BIG]],
                                    numeric_eval=True), 3,

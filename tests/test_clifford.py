@@ -22,7 +22,6 @@ from spectral_torsion import (
     eval_threeform,
     grading,
     interior_density,
-    metric_pair,
     mv_mul,
     rational,
     scalar_product,
@@ -37,8 +36,8 @@ from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
 from spectral_torsion.verify import _sphere_factors
 
-from conftest import add_reference, blade_mask, coprime_draw, long_input, mv_mul_reference, \
-    product_by_sorting, rand_multivector, rand_oneform, rand_threeform, \
+from conftest import add_reference, blade_mask, coprime_draw, long_input, metric_pair, \
+    mv_mul_reference, product_by_sorting, rand_multivector, rand_oneform, rand_threeform, \
     scalar_product_reference, scale_reference
 from matrix_rep import MatrixRep, mat_add, mat_mul
 

@@ -17,7 +17,6 @@ from spectral_torsion import (
     XiPolynomialMV,
     eval_threeform,
     frame_product,
-    metric_pair,
     mv_mul,
     rational,
     to_clifford,
@@ -26,9 +25,10 @@ from spectral_torsion import (
 )
 from spectral_torsion.clifford import MAX_DIM
 from spectral_torsion.forms import _complement
+from spectral_torsion.torsion import _frame_pairing
 
 from conftest import add_reference, coprime_draw, det_exact, eval_threeform_reference, \
-    long_input, rand_oneform, rand_rational, rand_threeform, to_clifford_reference
+    long_input, metric_pair, rand_oneform, rand_rational, rand_threeform, to_clifford_reference
 
 
 def basis(n, i):
@@ -41,6 +41,7 @@ def top_pairing(u, v, w, x):
 
 
 def test_metric_pair_basis():
+    """The tests' metric oracle on basis one-forms."""
     assert metric_pair(basis(4, 1), basis(4, 1)) == 1
     assert metric_pair(basis(4, 1), basis(4, 2)) == 0
 
@@ -248,5 +249,5 @@ def test_dimension_errors_share_one_message():
         frame_product(u4, u6, u4)
     with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
         frame_product(u6, u6, u4)
-    with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 6$"):
-        metric_pair(u4, u6)
+    with pytest.raises(DimensionMismatch, match=r"^dim 6 vs 4$"):
+        _frame_pairing(u4, u4, u4, u6)

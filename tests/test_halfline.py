@@ -20,7 +20,6 @@ from spectral_torsion import (
     boundary_density,
     dxn_symbol,
     line_integral,
-    normal_trace_combination,
     pi_plus,
     rational,
     residue_derivative,
@@ -32,6 +31,7 @@ from spectral_torsion import halfline
 from spectral_torsion.halfline import POLY_ONE, POLY_X, Poly, _normal_integral, \
     half_inverse_symbol_components
 from spectral_torsion.forms import frame_product
+from spectral_torsion.torsion import _frame_pairing
 from spectral_torsion.scalars import DIM_F, GR_I, GR_ZERO, GaussianRational, Rational
 
 from conftest import (
@@ -415,10 +415,12 @@ def test_boundary_density_matches_the_frame_product_route(kind, n):
 @pytest.mark.parametrize("n", range(4, 17, 2))
 @pytest.mark.parametrize("kind", ["dense", "coprime"])
 def test_normal_trace_combination_matches_the_metric_pairs(kind, n):
+    """The boundary addend's combination is the frame pairing at y = e_n."""
     u, v, w = _boundary_rows(kind, n)
-    assert normal_trace_combination(u, v, w) == normal_trace_combination_reference(u, v, w)
+    e_n = OneForm.basis(n, n)
+    assert _frame_pairing(u, v, w, e_n) == normal_trace_combination_reference(u, v, w)
     with pytest.raises(DimensionMismatch):
-        normal_trace_combination(u, v, OneForm.zero(n + 1))
+        _frame_pairing(u, v, OneForm.zero(n + 1), e_n)
 
 
 def test_boundary_density_n16_long_inputs_time_bound():
@@ -537,7 +539,7 @@ def test_boundary_density_numeric_crosscheck():
     exact = value.evaluate(env)
     _, normal_half = half_inverse_symbol_components()
     f = normal_half * dxn_symbol(m)
-    comb = float(normal_trace_combination(u, v, w))
+    comb = float(normal_trace_combination_reference(u, v, w))
     numeric = quad_oracle(f) * comb * (2 ** m) * vol_numeric(n - 2)
     assert exact.real == pytest.approx(numeric.real, abs=1e-9)
     assert exact.imag == pytest.approx(numeric.imag, abs=1e-9)

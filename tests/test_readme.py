@@ -95,11 +95,11 @@ def test_resolves_follows_dotted_names():
 def test_known_discrepancies_are_the_flagged_rows():
     """The rows the README lists as known discrepancies are exactly the rows
     verify_suite flags at n=4 and 6."""
-    from spectral_torsion import ManifoldSpec, verify_suite
+    from spectral_torsion import verify_suite
 
     text = README.read_text(encoding="utf-8")
     section = text.split("### Known reference discrepancies", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"`([A-Z]\d+\.\d+\w*)`", section))
-    flagged = {row.id for n in (4, 6) for row in verify_suite(ManifoldSpec(n))
+    flagged = {row.id for n in (4, 6) for row in verify_suite(n)
                if not row.matches}
     assert listed == flagged

@@ -25,11 +25,11 @@ from spectral_torsion import (
     VectorGrading,
     boundary_density,
     interior_density,
-    metric_pair,
     mv_mul,
     rational,
     spectral_torsion,
     supertrace,
+    theorem_boundary_value,
     theorem_value,
     trace,
     verify_suite,
@@ -40,11 +40,12 @@ from spectral_torsion.clifford import scalar_product
 from spectral_torsion.forms import _complement, eval_threeform
 from spectral_torsion.moments import integrate_sphere
 from spectral_torsion.symbols import sigma_minus2m
-from spectral_torsion.torsion import normal_trace_combination
+from spectral_torsion.torsion import _frame_pairing
 from spectral_torsion.scalars import GaussianRational, Rational
 
 from conftest import (
     cayley_rotation,
+    product_by_sorting,
     rand_oneform,
     rand_rational,
     rand_threeform,
@@ -74,18 +75,13 @@ def test_manifold_spec_validation():
             ManifoldSpec(4, with_boundary=flag)
 
 
-def test_verify_suite_needs_a_manifold_spec():
-    with pytest.raises(TypeError, match=r"^verify_suite needs a ManifoldSpec, got int$"):
-        verify_suite(4)
-
-
 _U4, _T4 = OneForm.basis(4, 1), ThreeForm(4, {(1, 2, 3): 1})
 
 
 @pytest.mark.parametrize("call", [spectral_torsion, theorem_value])
 def test_spectral_torsion_and_theorem_value_need_a_manifold_spec(call, monkeypatch):
-    """A bare dimension is verify_suite's TypeError, raised before any
-    density, not an AttributeError on its missing dim."""
+    """A bare dimension is a TypeError, raised before any density, not an
+    AttributeError on its missing dim."""
     monkeypatch.setattr(torsion, "interior_density", _no_density)
     with pytest.raises(TypeError, match=rf"^{call.__name__} needs a ManifoldSpec, got int$"):
         call(Grading(), _U4, _U4, _U4, 4)
@@ -132,7 +128,7 @@ def test_verify_suite_seed_is_none_or_an_int(seed, monkeypatch):
     the catalog on or off."""
     message = rf"^seed must be None or an int, got {seed!r}$"
     with pytest.raises(TypeError, match=message):
-        verify_suite(ManifoldSpec(4), seed=seed)
+        verify_suite(4, seed=seed)
     monkeypatch.setattr(torsion, "interior_density", _no_density)
     for with_identities in (True, False):
         with pytest.raises(TypeError, match=message):
@@ -146,6 +142,17 @@ class _NoRow:
         raise AssertionError("a catalog row ran before the arguments were checked")
 
 
+def test_verify_suite_takes_an_even_dimension(monkeypatch):
+    """verify_suite(n) checks n by ManifoldSpec's rule and message before any
+    row runs.  A spec is not a dimension: the rows that need a boundary
+    build their own."""
+    monkeypatch.setattr(verify, "CATALOG", (_NoRow(),))
+    for n in (2, 5, 18, 4.0, True, "4", ManifoldSpec(4, True)):
+        message = rf"^dimension must be even with 4 <= n <= 16, got {re.escape(str(n))}$"
+        with pytest.raises(UnsupportedDimension, match=message):
+            verify_suite(n)
+
+
 @pytest.mark.parametrize("trials", [-3, True, 2.5, "5", None])
 def test_verify_suite_trials_is_an_int_at_least_0(trials, monkeypatch):
     """One trials rule: an int >= 0, not a bool, checked before any row runs.
@@ -153,10 +160,10 @@ def test_verify_suite_trials_is_an_int_at_least_0(trials, monkeypatch):
     monkeypatch.setattr(verify, "CATALOG", (_NoRow(),))
     message = rf"^trials must be an int >= 0, got {re.escape(repr(trials))}$"
     with pytest.raises(ValueError, match=message):
-        verify_suite(ManifoldSpec(4), trials=trials)
+        verify_suite(4, trials=trials)
     monkeypatch.undo()
-    rows = verify_suite(ManifoldSpec(4), trials=0)
-    assert [row.id for row in rows] == [row.id for row in verify_suite(ManifoldSpec(4))]
+    rows = verify_suite(4, trials=0)
+    assert [row.id for row in rows] == [row.id for row in verify_suite(4)]
 
 
 @pytest.mark.parametrize("flag", [1, 0, None, "yes"])
@@ -180,8 +187,8 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: interior_density(_LIST4, _U4, _U4, TorsionVector(_T4, _U4)), _FORM),
     (lambda: interior_density(_U4, _U4, _LIST4, Grading()), _FORM),
     (lambda: boundary_density(_U4, _LIST4, _U4), _FORM),
-    (lambda: metric_pair(_U4, _LIST4), _FORM),
-    (lambda: metric_pair(_LIST4, _U4), _FORM),
+    (lambda: _frame_pairing(_U4, _U4, _U4, _LIST4), _FORM),
+    (lambda: _frame_pairing(_LIST4, _U4, _U4, _U4), _FORM),
     (lambda: eval_threeform(_T4, _U4, _U4, _LIST4), _FORM),
     (lambda: eval_threeform(_LIST4, _U4, _U4, _U4), _FORM),
     (lambda: mv_mul(_E1, _LIST4), _FORM),
@@ -195,9 +202,9 @@ _ONE_THREE = "a OneForm, got ThreeForm"
     (lambda: SymScalar([1]), _MAPPING),
     (lambda: mv_mul(_E1, 4), _INT),
     (lambda: scalar_product(_E1, 4), _INT),
-    (lambda: metric_pair(_U4, 4), _INT),
+    (lambda: _frame_pairing(_U4, _U4, _U4, 4), _INT),
     (lambda: eval_threeform(4, _U4, _U4, _U4), _INT),
-    (lambda: normal_trace_combination(4, _U4, _U4), _INT),
+    (lambda: theorem_boundary_value(4, _U4, _U4), _INT),
     (lambda: sigma_minus2m([1]), _FORM),
     (lambda: integrate_sphere(4, [1]), "an XiPolynomialMV, got list"),
     (lambda: mv_mul(_E1, _U4), _MV_FORM),
@@ -214,9 +221,11 @@ _ONE_THREE = "a OneForm, got ThreeForm"
      _ONE_THREE),
     (lambda: eval_threeform(_T4, _T4, _U4, _U4), _ONE_THREE),
     (lambda: eval_threeform(_U4, _U4, _U4, _U4), "a ThreeForm, got OneForm"),
-    (lambda: metric_pair(_T4, _U4), _ONE_THREE),
+    (lambda: _frame_pairing(_U4, _U4, _U4, _T4), _ONE_THREE),
     (lambda: _complement(_LIST4), _FORM),
     (lambda: verify._sphere_trace_integral(_LIST4, _E1, (True,)), _FORM),
+    # metric-*: the frame pairing, a sum of metric pairings, with a bad y or u;
+    # normal-trace-int: the boundary addend, which reads it at y = e_n
 ], ids=["interior", "interior-zero", "boundary", "metric-right", "metric-left",
         "threeform-row", "threeform-t", "mv_mul-right", "mv_mul-left", "trace",
         "trace-second", "trace-third", "supertrace", "multivector-coeffs",
@@ -260,6 +269,28 @@ def test_theorem_torsion_grading_n8_zero(rng):
     u, v, w = (rand_oneform(rng, n) for _ in range(3))
     case = TorsionGrading(rand_threeform(rng, n))
     assert theorem_value(case, u, v, w, ManifoldSpec(n)).is_zero()
+
+
+def _word_scalar(*indices) -> int:
+    """The scalar part of c(e_i)c(e_j)... read by sorting the word: one sign
+    per transposition and one per contracted pair, c(e_a)^2 = -1."""
+    rest, sign = product_by_sorting(*([i] for i in indices))
+    return 0 if rest else sign
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_frame_pairing_on_every_basis_input(n):
+    """<c(u)c(v)c(w)c(y)>_0 is multilinear, so basis inputs prove it: every
+    (e_i, e_j, e_k, e_n), the boundary addend's y, at every even n <= 16, and
+    every (e_i, e_j, e_k, e_l) at n <= 8, against the sorted generator word."""
+    e = [None] + [basis(n, i) for i in range(1, n + 1)]
+    indices = range(1, n + 1)
+    last = indices if n <= 8 else (n,)
+    checked = 0
+    for i, j, k, l in itertools.product(indices, indices, indices, last):
+        assert _frame_pairing(e[i], e[j], e[k], e[l]) == _word_scalar(i, j, k, l), (i, j, k, l)
+        checked += 1
+    assert checked == n ** 3 * len(last)
 
 
 @pytest.mark.parametrize("case_name, n, inputs", [
@@ -398,7 +429,7 @@ def test_report_identity_rows_present():
 
 
 def test_verify_suite_reports_documented_mismatches_n4():
-    rows = {r.id: r for r in verify_suite(ManifoldSpec(4))}
+    rows = {r.id: r for r in verify_suite(4)}
     assert not rows["E4.20"].matches
     assert rows["E4.20"].computed == SymScalar.from_atom(vol_sphere(3), -2)
     assert rows["E4.20"].reference == SymScalar.from_atom(vol_sphere(3), -20)
@@ -412,7 +443,7 @@ def test_verify_suite_reports_documented_mismatches_n4():
 
 
 def test_verify_suite_final_rows_n6_all_match():
-    rows = verify_suite(ManifoldSpec(6))
+    rows = verify_suite(6)
     finals = [r for r in rows if r.id in FINAL_IDS]
     assert finals and all(r.matches for r in finals)
     by_id = {r.id: r for r in rows}
@@ -423,7 +454,7 @@ def test_verify_suite_final_rows_n6_all_match():
 
 def test_verify_suite_structural_rows_match_everywhere():
     for n in (4, 6, 8):
-        rows = {r.id: r for r in verify_suite(ManifoldSpec(n), trials=2)}
+        rows = {r.id: r for r in verify_suite(n, trials=2)}
         for key in ("L4.3a", "L4.3b", "E4.17", "E4.18", "E4.19", "L4.9",
                     "E4.36", "E4.37", "E4.42", "E4.55", "E4.56", "E4.57",
                     "E4.60", "E4.62", "E4.63", "T4.5", "R4.7", "T4.8γ",
@@ -432,14 +463,14 @@ def test_verify_suite_structural_rows_match_everywhere():
 
 
 def test_verify_suite_deterministic_with_seed():
-    a = verify_suite(ManifoldSpec(4), seed=7)
-    b = verify_suite(ManifoldSpec(4), seed=7)
+    a = verify_suite(4, seed=7)
+    b = verify_suite(4, seed=7)
     assert [(r.id, r.matches, str(r.computed)) for r in a] == \
         [(r.id, r.matches, str(r.computed)) for r in b]
 
 
 def test_verify_suite_never_aborts_on_mismatch():
-    rows = verify_suite(ManifoldSpec(4), trials=1)
+    rows = verify_suite(4, trials=1)
     assert len(rows) >= 25
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from spectral_torsion import ManifoldSpec, Multivector, SymScalar, grading, mv_mul, \
+from spectral_torsion import Multivector, SymScalar, grading, mv_mul, \
     to_clifford, trace, verify_suite
 from spectral_torsion import verify
 from spectral_torsion.clifford import _from_int_parts
@@ -88,7 +88,7 @@ def test_generator_last_rows_read_their_factor_off_the_clifford_product(monkeypa
 def test_verify_suite_n8_time_bound():
     """The whole n=8 catalog, canonical inputs plus 5 trials per row."""
     start = time.monotonic()
-    rows = verify_suite(ManifoldSpec(8))
+    rows = verify_suite(8)
     elapsed = time.monotonic() - start
     assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
     assert elapsed < 3.5, f"verify_suite at n=8 took {elapsed:.1f}s"
@@ -97,7 +97,7 @@ def test_verify_suite_n8_time_bound():
 def test_verify_suite_n12_time_bound():
     """The whole n=12 catalog, canonical inputs plus 5 trials per row."""
     start = time.monotonic()
-    rows = verify_suite(ManifoldSpec(12))
+    rows = verify_suite(12)
     elapsed = time.monotonic() - start
     assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
     assert elapsed < 5.0, f"verify_suite at n=12 took {elapsed:.1f}s"
@@ -113,7 +113,7 @@ def test_verify_suite_n16_time_bound():
     the sphere integral, it took 11-14 s.
     """
     start = time.monotonic()
-    rows = verify_suite(ManifoldSpec(16))
+    rows = verify_suite(16)
     elapsed = time.monotonic() - start
     assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
     assert elapsed < 4.0, f"verify_suite at n=16 took {elapsed:.1f}s"
@@ -129,7 +129,7 @@ def test_verify_suite_n16_tight_time_bound():
     took 1.0-1.3 s.
     """
     start = time.monotonic()
-    rows = verify_suite(ManifoldSpec(16))
+    rows = verify_suite(16)
     elapsed = time.monotonic() - start
     assert {row.id for row in rows if not row.matches} == {"E4.20", "E4.31", "E4.61"}
     assert elapsed < 1.2, f"verify_suite at n=16 took {elapsed:.2f}s"
@@ -209,7 +209,7 @@ def test_rows_without_random_input_run_one_trial(n, monkeypatch):
         return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
-    verify_suite(ManifoldSpec(n))
+    verify_suite(n)
     assert {row for row, count in trials.items() if count == 1} == DRAWLESS_ROWS
     assert set(trials.values()) == {1, 5}
 
@@ -228,7 +228,7 @@ def test_a_row_stops_at_its_first_mismatch(n, monkeypatch):
         return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(counted(ident) for ident in CATALOG))
-    rows = verify_suite(ManifoldSpec(n))
+    rows = verify_suite(n)
     mismatched = {row.id for row in rows if not row.matches}
     assert mismatched == {4: {"E4.20", "E4.31", "E4.41", "E4.61", "T4.11n4"},
                           6: {"E4.20", "E4.31", "E4.61"}}[n]
@@ -246,7 +246,7 @@ def test_a_trial_mismatch_ends_the_row(monkeypatch):
         return SymScalar(), SymScalar(), len(trials) != 2
 
     monkeypatch.setattr(verify, "CATALOG", (verify.Identity("X", "", (4,), run),))
-    assert [row.matches for row in verify_suite(ManifoldSpec(4))] == [False]
+    assert [row.matches for row in verify_suite(4)] == [False]
     assert len(trials) == 2
 
 
@@ -297,7 +297,7 @@ def _suite_every_trial(n, seed, trials=5):
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("seed", [None, 7])
 def test_verify_suite_matches_every_trial_loop(n, seed):
-    rows = verify_suite(ManifoldSpec(n), seed=seed)
+    rows = verify_suite(n, seed=seed)
     assert [(row.id, str(row.computed), str(row.reference), row.matches)
             for row in rows] == _suite_every_trial(n, DEFAULT_SEED if seed is None else seed)
 
@@ -322,7 +322,7 @@ def test_verify_rows_are_pinned(n, seed):
     every even n from 4 to 16 when they were recorded.
     """
     text = "\n".join(f"{row.id}\t{row.computed}\t{row.reference}\t{row.matches}"
-                     for row in verify_suite(ManifoldSpec(n), seed=seed))
+                     for row in verify_suite(n, seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == ROW_HASHES[n]
 
 
@@ -355,7 +355,7 @@ def test_every_trial_is_pinned(n, monkeypatch):
         return dataclasses.replace(ident, run=run)
 
     monkeypatch.setattr(verify, "CATALOG", tuple(recorded(ident) for ident in CATALOG))
-    verify_suite(ManifoldSpec(n))
+    verify_suite(n)
     text = "\n".join(runs)
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_HASHES[n]
 
@@ -383,7 +383,7 @@ def test_distinct_seeds_draw_distinct_trials(monkeypatch):
     for seed in (5, -5, 0, -1, 1):
         row = _Recording()
         monkeypatch.setattr(verify, "CATALOG", (row,))
-        verify_suite(ManifoldSpec(4), seed=seed)
+        verify_suite(4, seed=seed)
         draws[seed] = tuple(row.draws)
     assert len(set(draws.values())) == len(draws)
     for seed in (5, 0, 1):

@@ -19,8 +19,10 @@ declared ``bound``, a fraction of the base median:
   the bound;
 * ``unresolved``: the base spread exceeds the bound, and not every change
   run beats every base run;
-* ``better``: the change won at least 9 in 10 pairs, and its median beats
-  the base median by more than the base interquartile range;
+* ``better``: there are at least 10 pairs, the change won at least 9 in 10
+  of them, and its median beats the base median by more than the base
+  interquartile range (fewer pairs cannot show 9 in 10, and the range of
+  one or two runs says nothing of the noise);
 * ``same``: otherwise.
 
 The summary ends with each side's median CPU speed, which shows a drift of
@@ -52,6 +54,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the fewest pairs from which a "better" verdict is read
+MIN_BETTER_PAIRS = 10
 
 # the end of perfbench/run.py's wall-clock note
 _SPEED = re.compile(r"CPU speed (\S+) of the reference")
@@ -134,7 +139,7 @@ def verdict(sides: list[tuple[float, float]], direction: str, bound: float) -> s
     if spread(bases) > bound and not all(_beats(c, b, direction) for c in changes for b in bases):
         return "unresolved"
     won = sum(_beats(c, b, direction) for b, c in sides)
-    if 10 * won >= 9 * len(sides) and gain > _iqr(bases):
+    if len(sides) >= MIN_BETTER_PAIRS and 10 * won >= 9 * len(sides) and gain > _iqr(bases):
         return "better"
     return "same"
 
