@@ -61,7 +61,6 @@ from .halfline import (
     dxn_symbol,
     line_integral,
     pi_plus,
-    residue_derivative,
 )
 from .torsion import (
     ManifoldSpec,

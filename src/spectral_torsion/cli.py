@@ -159,7 +159,7 @@ def _build_case(config: dict, n: int):
             parse = _parse_oneform if form is OneForm else _parse_threeform
             values.append(parse(config[field], field, n))
         elif field == "Y":  # the one optional field
-            values.append(OneForm.zero(n))
+            values.append(OneForm((0,) * n))
         else:
             raise ConsistencyError(f"case requires field {field!r}")
     return CASE_NAMES[name](*values)

@@ -38,11 +38,6 @@ class OneForm(_Value):
         _check_index(i, dim, "basis")
         return cls(tuple(1 if j == i else 0 for j in range(1, dim + 1)))
 
-    @classmethod
-    def zero(cls, dim: int) -> "OneForm":
-        _check_dim(dim)
-        return cls((0,) * dim)
-
     def _key(self):
         return self.components  # its length is the dimension
 

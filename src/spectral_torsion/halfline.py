@@ -208,25 +208,11 @@ def pi_plus(f: XiRational) -> XiRational:
     return XiRational(numer, f.up)
 
 
-def _check_order(m: int) -> None:
-    """The one order rule of the xi_n symbols: an int (not a bool) m >= 2."""
-    if type(m) is not int or m < 2:
-        raise ValueError(f"need an int m >= 2, got {m!r}")
-
-
 def dxn_symbol(m: int) -> XiRational:
     """d/dxi_n of (1 + xi_n^2)^(1-m) on |xi'| = 1: 2(1-m) xi_n (1+xi_n^2)^(-m)."""
-    _check_order(m)
+    if type(m) is not int or m < 2:  # a bool is not an order
+        raise ValueError(f"need an int m >= 2, got {m!r}")
     return XiRational(Poly((GR_ZERO, GaussianRational(2 * (1 - m)))), m, m)
-
-
-def residue_derivative(m: int) -> GaussianRational:
-    """(d/dx)^m [x / (x+i)^m] at x = i, computed by exact differentiation.
-
-    Closed form: (2m-2)! (-i) 2^(-2m) / (m-1)!.
-    """
-    _check_order(m)
-    return XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m]
 
 
 def line_integral(f: XiRational) -> GaussianRational:

@@ -25,13 +25,13 @@ from .forms import OneForm, ThreeForm, _complement, eval_threeform, frame_produc
     to_clifford
 from .halfline import (
     POLY_ONE,
+    POLY_X,
     Poly,
     XiRational,
     boundary_density,
     dxn_symbol,
     half_inverse_symbol_components,
     pi_plus,
-    residue_derivative,
 )
 from .moments import XiPolynomialMV, _grade_factors, moment, xi_monomial
 from .scalars import (
@@ -239,14 +239,14 @@ def _boundary_inputs(n, rng):
 
 def _torsion_vector(t, rng):
     """(T, Y) with Y drawn after T, or Y = 0 on the canonical input."""
-    return TorsionVector(t, OneForm.zero(t.dim) if rng is None else rand_oneform(rng, t.dim))
+    return TorsionVector(t, OneForm((0,) * t.dim) if rng is None else rand_oneform(rng, t.dim))
 
 
 def _boundary_torsion_vector(normal, rng):
     """(T, Y) with Y drawn before T, or (e_123, 0) on the canonical input."""
     n = normal.dim
     if rng is None:
-        return TorsionVector(ThreeForm(n, {(1, 2, 3): 1}), OneForm.zero(n))
+        return TorsionVector(ThreeForm(n, {(1, 2, 3): 1}), OneForm((0,) * n))
     y = rand_oneform(rng, n)
     return TorsionVector(rand_threeform(rng, n), y)
 
@@ -306,7 +306,7 @@ def _run_e456(n, rng):
 
 def _run_e462(n, rng):
     m = n // 2
-    computed = residue_derivative(m)
+    computed = XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m]  # of x/(x+i)^m
     reference = (GaussianRational(0, -1)
                  * rational(math.factorial(2 * m - 2))
                  / rational(math.factorial(m - 1) * 2 ** (2 * m)))

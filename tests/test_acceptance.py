@@ -26,6 +26,7 @@ from spectral_torsion import (
     TorsionVector,
     TR_F_PHI,
     VectorGrading,
+    XiRational,
     boundary_density,
     dxn_symbol,
     eval_threeform,
@@ -34,7 +35,6 @@ from spectral_torsion import (
     moment,
     mv_mul,
     rational,
-    residue_derivative,
     supertrace,
     to_clifford,
     trace,
@@ -42,9 +42,9 @@ from spectral_torsion import (
     vol_sphere,
 )
 from spectral_torsion.cli import run_verify
-from spectral_torsion.halfline import half_inverse_symbol_components
+from spectral_torsion.halfline import POLY_X, half_inverse_symbol_components
 from spectral_torsion.moments import xi_monomial
-from spectral_torsion.scalars import DIM_F, GaussianRational, i_power
+from spectral_torsion.scalars import DIM_F, GR_I, GaussianRational, i_power
 
 from conftest import (
     boundary_pieces_reference,
@@ -87,7 +87,7 @@ def test_criterion_1_torsion_vector_closed_form():
             assert got == expected, (n, k)
             if k % 10 == 0:  # Y-independence, exactly
                 assert got == interior_density(
-                    u, v, w, TorsionVector(t, OneForm.zero(n)))
+                    u, v, w, TorsionVector(t, OneForm((0,) * n)))
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"n={n} took {elapsed:.1f}s"
     _report("1 (torsion-vector closed form, Y-independence, <10s/dim)", True)
@@ -224,7 +224,7 @@ def test_criterion_7_residue_machinery():
         expected = (GaussianRational(0, -1)
                     * rational(math.factorial(2 * m - 2))
                     / rational(math.factorial(m - 1) * 2 ** (2 * m)))
-        assert residue_derivative(m) == expected
+        assert XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m] == expected
     for m in (2, 3, 4):
         for half in half_inverse_symbol_components():
             f = half * dxn_symbol(m)

@@ -185,8 +185,40 @@ def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "sub" / "deep.py").write_text("not = 'counted'\n")
     (tmp_path / "tools.py").write_text("outside = True\n")
-    assert bench_pairs.source_lines(tmp_path) == 5
-    assert bench_pairs.source_lines(tmp_path / "empty") == 0
+    assert bench_pairs.module_lines(tmp_path) == {"__init__.py": 2, "core.py": 3}
+    assert bench_pairs.module_lines(tmp_path / "empty") == {}
+
+
+def test_lines_line_names_each_module_whose_count_changed(tmp_path):
+    """The totals, their difference, then every module whose newline count
+    differs, in name order, a module missing from one tree counted as 0."""
+    trees = {"base": {"core.py": "a\nb\nc\n", "gone.py": "x\n", "same.py": "s\n"},
+             "change": {"core.py": "a\n", "new.py": "y\nz\n", "same.py": "t\n"}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "spectral_torsion"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    assert bench_pairs.lines_line(tmp_path / "base", tmp_path / "change") == (
+        "src/spectral_torsion/*.py lines: base 5, change 4, difference -1; "
+        "changed: core.py 3 -> 1, gone.py 1 -> 0, new.py 0 -> 2")
+    assert bench_pairs.lines_line(tmp_path / "base", tmp_path / "base").endswith(
+        "difference +0; changed: none")
+
+
+def test_an_undeclared_workload_exits_2_before_any_checkout(monkeypatch, capsys):
+    """--workload takes its choices from BENCHMARK.json's workloads, so a
+    misspelt name stops in argparse, before a directory is made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mkdtemp called")
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", refuse)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["HEAD", "--workload", "density-api", "--seeds", "1",
+                          "--seconds", "1"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --workload: invalid choice: 'density-api'" in err
+    assert "density_api" in err and "cli_jobs" in err  # the declared names
 
 
 def _git(repo, *args):

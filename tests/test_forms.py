@@ -85,7 +85,7 @@ def test_complementary_threeform_pairing():
 
 def test_to_clifford_basics():
     assert to_clifford(basis(4, 1)) == Multivector(4, {0b1: 1})
-    assert to_clifford(OneForm.zero(4)).is_zero()
+    assert to_clifford(OneForm((0,) * 4)).is_zero()
     assert to_clifford(ThreeForm(6)) == Multivector(6)
     with pytest.raises(TypeError, match="cannot embed int"):
         to_clifford(3)
@@ -97,7 +97,6 @@ def test_to_clifford_basics():
 _DIM_BUILDERS = {
     "OneForm": lambda dim: OneForm([0] * dim),  # its dimension is its length
     "OneForm.basis": lambda dim: OneForm.basis(dim, 1),
-    "OneForm.zero": OneForm.zero,
     "ThreeForm": ThreeForm,
     "Multivector": Multivector,
     "Multivector.generator": lambda dim: Multivector.generator(dim, 1),
@@ -130,7 +129,7 @@ def test_every_constructor_takes_a_dimension_in_1_to_16(name):
 @pytest.mark.parametrize("terms, message", [
     ([1, 2], "expected a mapping, got list"),
     ({(0, 0, 0, 0): 5}, "expected a form or a multivector, got int"),
-    ({(0, 0, 0, 0): OneForm.zero(4)}, "expected a Multivector, got OneForm"),
+    ({(0, 0, 0, 0): OneForm((0,) * 4)}, "expected a Multivector, got OneForm"),
 ], ids=["list", "int-term", "oneform-term"])
 def test_xi_polynomial_terms_map_to_multivectors(terms, message):
     """A list of terms and an int term used to raise AttributeError, and a
@@ -164,8 +163,7 @@ def test_oneform_components_come_in_order():
 def test_forms_refuse_a_float_or_bool_dimension():
     """True and 4.0 compare like the ints 1 and 4, yet neither is a dimension."""
     for dim in (4.0, True):
-        for build in (lambda: ThreeForm(dim, {}), lambda: OneForm.zero(dim),
-                      lambda: OneForm.basis(dim, 1)):
+        for build in (lambda: ThreeForm(dim, {}), lambda: OneForm.basis(dim, 1)):
             with pytest.raises(DimensionMismatch,
                                match=rf"^dimension must be in \[1, 16\], got {dim}$"):
                 build()

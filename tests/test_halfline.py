@@ -22,7 +22,6 @@ from spectral_torsion import (
     line_integral,
     pi_plus,
     rational,
-    residue_derivative,
     sym,
     theorem_boundary_value,
     vol_sphere,
@@ -233,12 +232,17 @@ def test_dxn_symbol_is_exact_derivative():
 # -- residue derivatives -----------------------------------------------------------
 
 
+def _pole_derivative(m):
+    """(d/dx)^m [x / (x+i)^m] at x = i, the value row E4.62 reads."""
+    return XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m]
+
+
 def test_residue_derivative_m2():
-    assert residue_derivative(2) == GaussianRational(0, rational("-1/8"))
+    assert _pole_derivative(2) == GaussianRational(0, rational("-1/8"))
 
 
 def test_residue_derivative_m3():
-    assert residue_derivative(3) == GaussianRational(0, rational("-3/16"))
+    assert _pole_derivative(3) == GaussianRational(0, rational("-3/16"))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -246,17 +250,25 @@ def test_residue_derivative_closed_form(m):
     expected = (GaussianRational(0, -1)
                 * rational(math.factorial(2 * m - 2))
                 / rational(math.factorial(m - 1) * 2 ** (2 * m)))
-    assert residue_derivative(m) == expected
+    assert _pole_derivative(m) == expected
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_normal_integral_is_the_pole_derivative(m):
+    """The boundary constant, the line integral of pi+'s normal weight times
+    dxn_symbol(m), equals -2(1-m)/m! times the m-th derivative of
+    x/(x+i)^m at x = i: the residue route and the exact differentiation
+    that row E4.62 reads give one value for every m the boundary takes."""
+    factor = rational(-2 * (1 - m)) / rational(math.factorial(m))
+    assert _normal_integral(m) == _pole_derivative(m) * factor
 
 
 @pytest.mark.parametrize("m", [3.0, 2.5, True, 1])
 def test_residue_derivative_and_dxn_symbol_refuse_non_int_orders(m):
-    """Both refuse an order that is not an int >= 2, a float or a bool
-    included, with one message, before any differentiation or Rational
-    conversion."""
-    for fn in (residue_derivative, dxn_symbol):
-        with pytest.raises(ValueError, match=rf"^need an int m >= 2, got {m!r}$"):
-            fn(m)
+    """dxn_symbol refuses an order that is not an int >= 2, a float or a
+    bool included, before any Rational conversion."""
+    with pytest.raises(ValueError, match=rf"^need an int m >= 2, got {m!r}$"):
+        dxn_symbol(m)
 
 
 @pytest.mark.parametrize("order", [-1, -3, True, False, 1.0, "1"])
@@ -367,7 +379,7 @@ def test_boundary_pieces_match_per_entry_route(n):
     rng = random.Random(f"boundary-{n}")
     inputs = [tuple(rand_oneform(rng, n) for _ in range(3)) for _ in range(3)]
     inputs.append((basis(n, n), basis(n, 1), basis(n, 1)))
-    inputs.append((OneForm.zero(n),) * 3)
+    inputs.append((OneForm((0,) * n),) * 3)
     for u, v, w in inputs:
         tangential, normal = boundary_pieces_reference(u, v, w, n)
         assert tangential.is_zero()
@@ -420,7 +432,7 @@ def test_normal_trace_combination_matches_the_metric_pairs(kind, n):
     e_n = OneForm.basis(n, n)
     assert _frame_pairing(u, v, w, e_n) == normal_trace_combination_reference(u, v, w)
     with pytest.raises(DimensionMismatch):
-        _frame_pairing(u, v, OneForm.zero(n + 1), e_n)
+        _frame_pairing(u, v, OneForm((0,) * (n + 1)), e_n)
 
 
 def test_boundary_density_n16_long_inputs_time_bound():
@@ -474,19 +486,19 @@ def test_boundary_density_rejects_small_odd_or_large_dimension():
     """The one even-dimension rule, with the boundary's lower bound 4."""
     for n, error, message in ((2, DimensionMismatch, r"dimension must be in \[4, 16\], got 2"),
                               (5, OddDimension, "dimension must be even, got 5")):
-        z = OneForm.zero(n)
+        z = OneForm((0,) * n)
         with pytest.raises(error, match=message):
             boundary_density(z, z, z)
 
 
 def test_theorem_boundary_value_checks_the_dimension_before_its_cache():
-    z = OneForm.zero(4)
+    z = OneForm((0,) * 4)
     assert theorem_boundary_value(z, z, z).is_zero()  # caches m = 2
-    z = OneForm.zero(5)  # 5 // 2 would hit m = 2
+    z = OneForm((0,) * 5)  # 5 // 2 would hit m = 2
     with pytest.raises(OddDimension, match=r"^dimension must be even, got 5$"):
         theorem_boundary_value(z, z, z)
     with pytest.raises(DimensionMismatch, match=r"dimension must be in \[4, 16\], got 2"):
-        theorem_boundary_value(OneForm.zero(2), OneForm.zero(2), OneForm.zero(2))
+        theorem_boundary_value(OneForm((0,) * 2), OneForm((0,) * 2), OneForm((0,) * 2))
 
 
 def test_boundary_density_example_n4():

@@ -157,7 +157,7 @@ def test_sigma_zero_inputs(monkeypatch):
     E4.31, which multiplies the constant term by C, still runs when a zero
     one-form makes C zero (both sides are 0)."""
     n = 4
-    z = OneForm.zero(n)
+    z = OneForm((0,) * n)
     rng = random.Random(3)
     sigma = sigma_minus2m(perturbation_multivector_reference(TorsionVector(ThreeForm(n), z), n))
     assert sigma.is_zero() and sigma.terms == {}
@@ -178,7 +178,7 @@ def _sigma_cases(kind, n, rng):
     if kind == "sparse":
         # basis and zero one-forms: B_i vanishes for some i (for c(e_1) Gamma
         # at i = 1, for a single 3-form blade outside it), or B is zero
-        e, z = (lambda i: OneForm.basis(n, i)), OneForm.zero(n)
+        e, z = (lambda i: OneForm.basis(n, i)), OneForm((0,) * n)
         t = ThreeForm(n, {(1, 2, 4): rational(2)})
         return [TorsionVector(t, e(n)), TorsionVector(t, z), VectorGrading(e(1)),
                 TorsionGrading(t), TorsionVector(ThreeForm(n), z), VectorGrading(z),
@@ -572,7 +572,7 @@ def test_density_y_independence(rng):
         t = rand_threeform(rng, n)
         u, v, w = (rand_oneform(rng, n) for _ in range(3))
         with_y = interior_density(u, v, w, TorsionVector(t, rand_oneform(rng, n)))
-        without = interior_density(u, v, w, TorsionVector(t, OneForm.zero(n)))
+        without = interior_density(u, v, w, TorsionVector(t, OneForm((0,) * n)))
         assert with_y == without
 
 
@@ -925,7 +925,7 @@ def test_n4_densities_proved_on_every_basis_input():
     n = 4
     spec = ManifoldSpec(n)
     e = [basis(n, i) for i in range(1, n + 1)]
-    z, threes = OneForm.zero(n), _basis_threeforms(n)
+    z, threes = OneForm((0,) * n), _basis_threeforms(n)
     cases = {
         "torsion_vector": [TorsionVector(t, z) for t in threes]
                           + [TorsionVector(ThreeForm(n), y) for y in e],
@@ -953,7 +953,7 @@ def test_torsion_vector_n6_proved_on_every_basis_input():
     n = 6
     spec = ManifoldSpec(n)
     e = [basis(n, i) for i in range(1, n + 1)]
-    z = OneForm.zero(n)
+    z = OneForm((0,) * n)
     perturbations = ([TorsionVector(t, z) for t in _basis_threeforms(n)]
                      + [TorsionVector(ThreeForm(n), y) for y in e])
     count = 0

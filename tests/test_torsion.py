@@ -253,7 +253,7 @@ def test_a_list_argument_is_a_type_error(call, expected):
 def test_theorem_torsion_vector_n6():
     n = 6
     t = ThreeForm(n, {(1, 2, 3): 1})
-    case = TorsionVector(t, OneForm.zero(n))
+    case = TorsionVector(t, OneForm((0,) * n))
     value = theorem_value(case, basis(n, 1), basis(n, 2), basis(n, 3), ManifoldSpec(n))
     assert value == SymScalar.from_monomial((vol_sphere(5), TR_F_PHI), -16)
 
@@ -418,7 +418,7 @@ def test_frame_rotation_invariance(rng):
 def test_report_identity_rows_present():
     n = 4
     report = spectral_torsion(
-        TorsionVector(ThreeForm(n, {(1, 2, 3): 1}), OneForm.zero(n)),
+        TorsionVector(ThreeForm(n, {(1, 2, 3): 1}), OneForm((0,) * n)),
         basis(n, 1), basis(n, 2), basis(n, 3), ManifoldSpec(n),
         with_identities=True)
     ids = {row.id for row in report.identity_comparisons}

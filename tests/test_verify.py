@@ -280,6 +280,20 @@ def test_e461_misses_its_reference_by_exactly_a_factor_i(n):
             {4: ("(3/8 i)", "3/8"), 16: ("(2027025/512 i)", "2027025/512")}[n]
 
 
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_e462_is_e460_minus_e461_at_the_pole_mirror(n):
+    """x/(x+i)^m = 1/(x+i)^(m-1) - i/(x+i)^m, so on the canonical run
+    E4.62's computed value is E4.60's minus E4.61's.  E4.62's reference is
+    E4.60's minus i times E4.61's: the factor i that E4.61's catalogued
+    value lacks is in its reference, not in its derivative."""
+    rows = {ident.id: ident.run(n, None) for ident in CATALOG
+            if ident.id in ("E4.60", "E4.61", "E4.62")}
+    (c60, r60, _), (c61, r61, _), (c62, r62, ok62) = (rows[i] for i in ("E4.60", "E4.61", "E4.62"))
+    assert ok62
+    assert c62 + c61 == c60
+    assert r62 + r61 * GR_I == r60
+
+
 def _suite_every_trial(n, seed, trials=5):
     """verify_suite without its early stops: every row runs every trial."""
     rng = random.Random(seed)

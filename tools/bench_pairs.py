@@ -28,7 +28,10 @@ declared ``bound``, a fraction of the base median:
 The summary ends with each side's median CPU speed, which shows a drift of
 the host that the scaled times did not absorb.  A last line gives the line
 totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
-as ``wc -l`` counts them, and their difference.
+as ``wc -l`` counts them, their difference, and each module whose count
+changed.  ``--workload`` takes one of the ``workloads`` that
+``BENCHMARK.json`` declares; any other name exits 2 before anything is
+extracted.
 
 The base is extracted with ``git archive`` into a temporary directory.  The
 change side is a copy of the working tree's files that git lists as tracked or
@@ -173,11 +176,24 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
     return lines
 
 
-def source_lines(root: Path) -> int:
-    """The newline count of src/spectral_torsion/*.py under root, the total
-    that `wc -l` prints."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (root / "src" / "spectral_torsion").glob("*.py"))
+def module_lines(root: Path) -> dict[str, int]:
+    """{file name: newline count} of src/spectral_torsion/*.py under root, as
+    `wc -l` counts each file."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in (root / "src" / "spectral_torsion").glob("*.py")}
+
+
+def lines_line(base_root: Path, change_root: Path) -> str:
+    """The module_lines totals of two trees (the totals `wc -l` prints), their
+    difference and each module whose count changed, a module missing from
+    one tree counted as 0."""
+    base, change = module_lines(base_root), module_lines(change_root)
+    total_base, total_change = sum(base.values()), sum(change.values())
+    changed = [f"{name} {base.get(name, 0)} -> {change.get(name, 0)}"
+               for name in sorted(base.keys() | change.keys())
+               if base.get(name, 0) != change.get(name, 0)]
+    return (f"src/spectral_torsion/*.py lines: base {total_base}, change {total_change}, "
+            f"difference {total_change - total_base:+d}; changed: {', '.join(changed) or 'none'}")
 
 
 def run_command(workload: str, seed: int, seconds: float) -> list[str]:
@@ -218,13 +234,14 @@ def _copy_worktree(target: Path) -> None:
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare the working tree against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[workload["name"] for workload in benchmark["workloads"]])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, bounds = better_directions(benchmark), declared_bounds(benchmark)
     base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
     change_dir = Path(tempfile.mkdtemp(prefix="bench-change-"))
@@ -232,7 +249,7 @@ def main(argv=None) -> int:
     try:
         _extract(args.base, base_dir)
         _copy_worktree(change_dir)
-        base_lines, change_lines = source_lines(base_dir), source_lines(change_dir)
+        lines = lines_line(base_dir, change_dir)
         for index, seed in enumerate(args.seeds, 1):
             command = run_command(args.workload, seed, args.seconds)
             order = [("base", base_dir), ("change", change_dir)]
@@ -244,8 +261,7 @@ def main(argv=None) -> int:
         shutil.rmtree(base_dir, ignore_errors=True)
         shutil.rmtree(change_dir, ignore_errors=True)
     print("\n".join(summary_lines(pairs, better, bounds)))
-    print(f"src/spectral_torsion/*.py lines: base {base_lines}, change {change_lines}, "
-          f"difference {change_lines - base_lines:+d}")
+    print(lines)
     return 0
 
 
