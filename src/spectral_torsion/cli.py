@@ -271,19 +271,14 @@ def _cmd_compute(args) -> int:
 
 
 def run_verify(dims: list[int], seed: int) -> dict:
-    results = []
-    for n in dims:
-        rows = verify_suite(n, seed=seed)
-        results.append({
-            "dimension": n,
-            "rows": [{**_ledger_row(row), "final": row.id in FINAL_IDS} for row in rows],
-        })
-    all_final_match = all(
-        row["matches"]
-        for result in results for row in result["rows"] if row["final"]
-    )
+    """The ledger of each listed dimension, in order; the catalog runs once
+    per distinct n, and a repeated n reuses its rows."""
+    ledgers = {n: [{**_ledger_row(row), "final": row.id in FINAL_IDS}
+                   for row in verify_suite(n, seed=seed)] for n in dict.fromkeys(dims)}
+    all_final_match = all(row["matches"] for rows in ledgers.values()
+                          for row in rows if row["final"])
     return {"dimensions": dims, "all_final_match": all_final_match,
-            "results": results}
+            "results": [{"dimension": n, "rows": ledgers[n]} for n in dims]}
 
 
 def _cmd_verify(args) -> int:

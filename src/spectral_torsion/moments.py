@@ -122,12 +122,17 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     return _from_int_parts(n, [(den * scale, acc) for den, acc in sums.items()])
 
 
+# A bounded lru_cache keyed on symbol too: other symbols share an n, a wrapped
+# symbol (a tracer's) must integrate again, and such keys may never hit twice.
+@functools.lru_cache(maxsize=64)
 def _grade_factors(n: int, grades, symbol) -> tuple[tuple[int, ...], int]:
     """The factors by which the sphere integral of symbol(A) scales A's blades
     of each listed grade k, as integers f_k over one denominator D (f_k = 0
     on every other grade), read off the integrated symbol of one blade
     e_1...e_k per grade.  symbol must scale each blade by a real factor of
-    its grade alone, over one denominator."""
+    its grade alone, over one denominator.  The result is cached on all
+    three arguments, so one process integrates a given symbol once per n
+    and grade list; grades must be hashable."""
     masks = [(1 << k) - 1 for k in grades]
     unit = _from_int_parts(n, [(1, {mask: (1, 0) for mask in masks})])
     (den, acc), = integrate_sphere(n, symbol(unit))._parts

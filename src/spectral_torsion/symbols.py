@@ -15,8 +15,9 @@ The interior density is the sphere integral of the trace of C times this
 symbol, C = c(u)c(v)c(w).  The integral scales each blade of B by a factor
 that depends only on the blade's grade, and the trace against C sees grades
 1 and 3 only.  interior_density reads those two factors off the integrated
-symbol of e_1 + e_1 e_2 e_3 on every call, applies them to B and traces C
-against the result; the symbol of B itself is never built.
+symbol of e_1 + e_1 e_2 e_3, computed once per dimension per process
+(_grade_factors is cached), applies them to B and traces C against the
+result; the symbol of B itself is never built.
 
 The dataclasses declare the cases and their fields once; CASE_NAMES names
 them and _CASE_FIELDS, read off them, gives each field's form type (the
@@ -157,7 +158,8 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     no rational converted and no product, symbol or C built.  Otherwise the
     items whose grade factor (_grade_factors) is 0 are dropped, and B built
     from the rest is scaled by grade and traced against C; the symbol of B
-    is never built.
+    is never built.  The factors' symbol, of e_1 + e_1 e_2 e_3, is built and
+    integrated on the first such call at n; later calls read the cache.
     """
     n = _frame_dim(u, v, w)
     _check_even_dim(n, 4)
@@ -165,7 +167,7 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     items, blade = _form_factor(case, n)
     top = 0 if blade is None else (1 << n) - 1  # the blade is _grading(n, turns)
     kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
-    if kept:  # the weights' symbol is built only for a non-empty projection
+    if kept:  # the weights are read only for a non-empty projection
         factors, den = _grade_factors(n, (1, 3), sigma_minus2m)
         kept = [item for item in kept if factors[(item[0] ^ top).bit_count()]]
     if not kept:

@@ -87,9 +87,10 @@ def _boundary_coefficient(m: int) -> GaussianRational:
 
 
 @functools.cache
-def _normal_covector(n: int) -> OneForm:
-    """e_n, built once per dimension; theorem_boundary_value checks n first."""
-    return OneForm.basis(n, n)
+def _normal_row(n: int) -> tuple[int, tuple[int, ...]]:
+    """e_n's integer row, built once per dimension; theorem_boundary_value
+    checks n first."""
+    return 1, (0,) * (n - 1) + (1,)
 
 
 def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
@@ -98,23 +99,30 @@ def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     (2m-2)! (1-m) i 2^(1-2m) pi / (m!(m-1)!) * combination * 2^m dim_F vol(S^(n-2)),
 
     with the combination u_n g(v,w) - v_n g(u,w) + w_n g(u,v) read as the
-    frame pairing <c(u)c(v)c(w)c(e_n)>_0.
+    frame pairing <c(u)c(v)c(w)c(e_n)>_0 on the frame's rows and e_n's.
     """
     n = _frame_dim(u, v, w)
     _check_even_dim(n, 4)  # before the caches: 5 // 2 would hit m = 2
-    return SymScalar.from_monomial(
-        (PI, DIM_F, vol_sphere(n - 2)),
-        _boundary_coefficient(n // 2) * _frame_pairing(u, v, w, _normal_covector(n)))
+    pairing = _row_pairing(*map(_integer_row, (u, v, w)), _normal_row(n))
+    return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
+                                   _boundary_coefficient(n // 2) * pairing)
 
 
 def _frame_pairing(u: OneForm, v: OneForm, w: OneForm, y: OneForm) -> Rational:
-    """<c(u)c(v)c(w)c(y)>_0 = g(v,w)g(u,y) - g(u,w)g(v,y) + g(u,v)g(w,y).
+    """<c(u)c(v)c(w)c(y)>_0 for one-forms of one dimension (_row_pairing)."""
+    _same_dim(y, _frame_dim(u, v, w), OneForm)
+    return _row_pairing(*map(_integer_row, (u, v, w, y)))
+
+
+def _row_pairing(*rows: tuple) -> Rational:
+    """<c(u)c(v)c(w)c(y)>_0 = g(v,w)g(u,y) - g(u,w)g(v,y) + g(u,v)g(w,y),
+    the one closed form of the four-factor pairing, on the integer rows
+    (den, numerators) of u, v, w and y, which the caller checks.
 
     Summed on integer numerators over the rows' common denominators, with
     one Rational at the end.
     """
-    _same_dim(y, _frame_dim(u, v, w), OneForm)
-    (du, u), (dv, v), (dw, w), (dy, y) = (_integer_row(x) for x in (u, v, w, y))
+    (du, u), (dv, v), (dw, w), (dy, y) = rows
     uv, uw, vw, uy, vy, wy = (sum(map(operator.mul, a, b)) for a, b in
                               ((u, v), (u, w), (v, w), (u, y), (v, y), (w, y)))
     return Rational(vw * uy - uw * vy + uv * wy, du * dv * dw * dy)

@@ -221,8 +221,26 @@ def test_an_undeclared_workload_exits_2_before_any_checkout(monkeypatch, capsys)
     assert "density_api" in err and "cli_jobs" in err  # the declared names
 
 
+def test_an_unknown_base_revision_exits_2_before_any_checkout(monkeypatch, capsys):
+    """A base that git cannot resolve to a commit stops with an error line,
+    before a directory is made or anything is extracted."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mkdtemp called")
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", refuse)
+    monkeypatch.setattr(bench_pairs, "_extract", refuse)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["nosuchrev", "--workload", "density_api", "--seeds", "1",
+                          "--seconds", "1"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: base: 'nosuchrev' is not a commit that git knows" in err
+    assert "Traceback" not in err
+
+
 def _git(repo, *args):
-    subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+                    "-c", "commit.gpgsign=false", *args],
+                   cwd=repo, check=True, capture_output=True)
 
 
 def test_both_sides_run_from_fresh_copies_without_bytecode(tmp_path, monkeypatch):
@@ -238,6 +256,7 @@ def test_both_sides_run_from_fresh_copies_without_bytecode(tmp_path, monkeypatch
     (package / "core.py").write_text("x = 1\n")
     _git(repo, "init", "-q")
     _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "base")  # the base must name a commit
     (package / "new.py").write_text("y = 2\nz = 3\n")  # untracked
     (package / "__pycache__" / "core.cpython-311.pyc").write_bytes(b"stale")
     (repo / "ignored.txt").write_text("left behind by a run\n")

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spectral_torsion import cli
 from spectral_torsion.cli import MAX_INPUT_DIGITS, MAX_MOMENT_DEGREE, ConfigError, \
     ConsistencyError, _unlimited_int_str, main, render_output, run_compute
 from spectral_torsion.scalars import Rational
@@ -256,6 +257,33 @@ def test_verify_intermediate_mismatch_reported_not_fatal(capsys):
     assert rows["E4.20"]["matches"] is False
     assert rows["E4.20"]["computed"] and rows["E4.20"]["reference"]
     assert code == 0
+
+
+def test_verify_runs_each_distinct_dimension_once(capsys, monkeypatch):
+    """A repeated dimension reuses its rows: the catalog runs once per
+    distinct n, and both outputs equal those of one run per entry."""
+    calls = []
+    suite = cli.verify_suite
+
+    def counted(n, seed):
+        calls.append(n)
+        return suite(n, seed=seed)
+
+    monkeypatch.setattr(cli, "verify_suite", counted)
+    payload = cli.run_verify([4, 4, 6, 4], seed=7)
+    assert calls == [4, 6]
+    singles = [cli.run_verify([n], seed=7) for n in (4, 4, 6, 4)]
+    assert payload["dimensions"] == [4, 4, 6, 4]
+    assert payload["results"] == [single["results"][0] for single in singles]
+    assert payload["all_final_match"] is False  # T4.11n4 at n = 4
+    assert render_output(payload) == render_output(
+        {"dimensions": [4, 4, 6, 4], "all_final_match": False,
+         "results": [single["results"][0] for single in singles]})
+    code, out, _ = run(capsys, "verify", "4", "4", "6", "4")
+    texts = [run(capsys, "verify", n) for n in ("4", "4", "6", "4")]
+    assert code == 1
+    blocks = [text.rsplit("\n", 2)[0] for _, text, _ in texts]  # without the verdict line
+    assert out == "\n".join(blocks) + "\nFINAL ROW MISMATCH\n"
 
 
 def test_verify_odd_dim_exits_2(capsys):

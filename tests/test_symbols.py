@@ -8,10 +8,13 @@ nonzero closed form is not).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -737,17 +740,8 @@ def test_interior_density_forms_no_product_with_the_frame_factor(monkeypatch):
             assert calls == names, (n, type(case).__name__)
 
 
-def test_interior_density_builds_one_symbol(monkeypatch):
-    """One interior_density constructs one XiPolynomialMV when B has a
-    grade-1 or grade-3 blade, and none otherwise: at n=6 one for
-    torsion_vector and torsion_grading, none for the grading and
-    vector_grading.  The symbol is that of the unit blades e_1 and
-    e_1 e_2 e_3 whose weights the density reads: its terms hold no other
-    blade, so B's own symbol is never built."""
-    n = 6
-    rng = random.Random("one-symbol")
-    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
-    t = rand_threeform(rng, n)
+def _count_symbols(monkeypatch) -> list:
+    """The arguments of every XiPolynomialMV built from here on."""
     built = []
     init = moments.XiPolynomialMV.__init__
 
@@ -756,13 +750,92 @@ def test_interior_density_builds_one_symbol(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(moments.XiPolynomialMV, "__init__", counted)
+    return built
+
+
+def test_interior_density_builds_one_symbol(monkeypatch):
+    """One interior_density constructs one XiPolynomialMV when B has a
+    grade-1 or grade-3 blade, and none otherwise: at n=6 one for
+    torsion_vector and torsion_grading, none for the grading and
+    vector_grading.  The symbol is that of the unit blades e_1 and
+    e_1 e_2 e_3 whose weights the density reads: its terms hold no other
+    blade, so B's own symbol is never built.  Each case starts from a cold
+    grade-factor cache."""
+    n = 6
+    rng = random.Random("one-symbol")
+    u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
+    t = rand_threeform(rng, n)
+    built = _count_symbols(monkeypatch)
     for case in (TorsionVector(t, y), Grading(), VectorGrading(x), TorsionGrading(t)):
+        moments._grade_factors.cache_clear()
         built.clear()
         interior_density(u, v, w, case)
         assert len(built) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
         for _, terms in built:
             masks = {mask for term in terms.values() for _, acc in term._parts for mask in acc}
             assert masks <= {0b1, 0b111}, type(case).__name__
+
+
+def test_interior_density_builds_its_symbol_once_per_dimension(monkeypatch):
+    """The grade factors are cached per dimension: a second density at the
+    same n, on other inputs and another case, builds no XiPolynomialMV, and
+    the first one at a new n builds one."""
+    rng = random.Random("symbol-once-per-n")
+    u6, v6, w6, y6 = (rand_oneform(rng, 6) for _ in range(4))
+    u8, v8, w8, y8 = (rand_oneform(rng, 8) for _ in range(4))
+    t6, t8 = rand_threeform(rng, 6), rand_threeform(rng, 8)
+    moments._grade_factors.cache_clear()
+    built = _count_symbols(monkeypatch)
+    interior_density(u6, v6, w6, TorsionVector(t6, y6))
+    assert len(built) == 1
+    built.clear()
+    interior_density(w6, u6, v6, TorsionGrading(t6))
+    interior_density(v6, w6, u6, TorsionVector(t6, u6))
+    assert built == []
+    interior_density(u8, v8, w8, TorsionVector(t8, y8))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_cached_grade_factors_equal_a_cold_integration(n):
+    """The factors that interior_density leaves in the cache are those that
+    the uncached rule computes afresh from the same symbol."""
+    rng = random.Random(f"cached-factors-{n}")
+    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    interior_density(u, v, w, TorsionVector(rand_threeform(rng, n), y))
+    hits = moments._grade_factors.cache_info().hits
+    cached = moments._grade_factors(n, (1, 3), symbols.sigma_minus2m)
+    assert moments._grade_factors.cache_info().hits == hits + 1
+    assert cached == moments._grade_factors.__wrapped__(n, (1, 3), symbols.sigma_minus2m)
+
+
+def _tracing(monkeypatch):
+    """perfbench/tracing.py, loaded by path; its dataclass needs the module
+    in sys.modules while it runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_traced_density_after_a_warm_one_still_integrates(monkeypatch):
+    """The benchmark's traced pass follows an untraced one.  Its tracer
+    rebinds symbols.sigma_minus2m to a wrapper, a new key of the factor
+    cache, so a traced density at a warm n still builds and integrates the
+    symbol: the symbol, sphere-integral and moment layers record calls."""
+    n = 6
+    rng = random.Random("traced-after-warm")
+    u, v, w, y = (rand_oneform(rng, n) for _ in range(4))
+    case = TorsionVector(rand_threeform(rng, n), y)
+    untraced = interior_density(u, v, w, case)
+    with _tracing(monkeypatch).Tracer() as tracer:
+        traced = symbols.interior_density(u, v, w, case)
+    assert traced == untraced
+    for layer in ("symbols.sigma_minus2m", "moments.integrate_sphere", "moments.moment"):
+        assert tracer.get(layer).calls > 0, layer
+    assert symbols.sigma_minus2m is sigma_minus2m  # the tracer is gone
 
 
 def _refuse(name):

@@ -30,7 +30,8 @@ the host that the scaled times did not absorb.  A last line gives the line
 totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
 as ``wc -l`` counts them, their difference, and each module whose count
 changed.  ``--workload`` takes one of the ``workloads`` that
-``BENCHMARK.json`` declares; any other name exits 2 before anything is
+``BENCHMARK.json`` declares; any other name, or a base that ``git rev-parse
+--verify`` does not resolve to a commit, exits 2 before anything is
 extracted.
 
 The base is extracted with ``git archive`` into a temporary directory.  The
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
+    if subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"],
+                      cwd=ROOT, capture_output=True).returncode != 0:
+        parser.error(f"base: {args.base!r} is not a commit that git knows")
     better, bounds = better_directions(benchmark), declared_bounds(benchmark)
     base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
     change_dir = Path(tempfile.mkdtemp(prefix="bench-change-"))
