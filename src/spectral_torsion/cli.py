@@ -145,7 +145,9 @@ def _parse_threeform(items, key: str, n: int) -> ThreeForm:
         if not 1 <= a < b < c <= n:
             raise ConsistencyError(
                 f"{key}: triple {(a, b, c)} not strictly increasing within 1..{n}")
-        comps[(a, b, c)] = comps.get((a, b, c), rational(0)) + coeff
+        if (a, b, c) in comps:
+            raise ConfigError(f"{key}: triple {(a, b, c)} given twice")
+        comps[(a, b, c)] = coeff
     return ThreeForm(n, comps)
 
 

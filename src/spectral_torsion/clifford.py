@@ -237,8 +237,8 @@ def _int_product(a_parts, b_parts) -> list[tuple[int, dict[int, list[int]]]]:
     One (den, {mask: [re, im]}) part per pair of parts; the part is the
     product's share over den, with numerators that may cancel to 0.  The
     right operand's nonzero terms are flattened once: the inner loop reads
-    them for every left blade, and a sum such as integrate_sphere's can hold
-    a zero on every blade of one grade.
+    them for every left blade, and a product's parts, as this function
+    leaves them, may hold numerators that cancelled to 0.
     """
     parts = []
     b_flat = [(den_b, [(mb, br, bi) for mb, (br, bi) in b_acc.items() if br or bi])

@@ -23,11 +23,7 @@ from .scalars import Rational, _Value, _mapping_items, rational, vol_sphere
 
 def moment(n: int, alpha) -> Rational:
     """Exact integral of prod xi_i^alpha_i over S^(n-1), n >= 2, in units of
-    vol(S^(n-1)).
-
-    The arguments are checked before the cache is read: 2.0 and True hash
-    and compare like the ints 2 and 1, so a cached key would answer them.
-    """
+    vol(S^(n-1))."""
     if type(n) is not int or n < 2:
         raise ValueError(f"ambient dimension must be an int >= 2, got {n!r}")
     alpha = tuple(alpha)
@@ -35,11 +31,6 @@ def moment(n: int, alpha) -> Rational:
         raise DimensionMismatch(f"exponent vector length {len(alpha)} != {n}")
     if any(type(a) is not int or a < 0 for a in alpha):
         raise ValueError(f"exponents must be non-negative ints, got {alpha!r}")
-    return _moment(n, alpha)
-
-
-@functools.lru_cache(maxsize=4096)
-def _moment(n: int, alpha: tuple) -> Rational:
     if any(a % 2 for a in alpha):
         return rational(0)
     num = math.prod(math.prod(range(a - 1, 1, -2)) for a in alpha)  # (a-1)!! each
@@ -100,26 +91,19 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
     """Termwise sphere integration in units of vol(S^(n-1)).
 
     The result is sum_alpha moment(n, alpha) * terms[alpha]; the caller
-    attaches the volume atom.  The surviving terms' integer numerators,
-    scaled by their moments over the lcm L of the moment denominators, are
-    summed into one part per denominator D, kept over D * L.
+    attaches the volume atom.  Each surviving term's stored parts are kept,
+    scaled by its moment: numerators times its numerator, denominators times
+    its denominator.
     """
     if not isinstance(p, XiPolynomialMV):
         raise TypeError(f"expected an XiPolynomialMV, got {type(p).__name__}")
     if p.dim != n:
         raise DimensionMismatch(f"polynomial in {p.dim} vars, sphere needs {n}")
-    weights = {expo: weight for expo in p.terms if (weight := moment(n, expo))}
-    scale = math.lcm(*(weight.denominator for weight in weights.values()))
-    sums: dict[int, dict[int, tuple[int, int]]] = {}
-    for expo, weight in weights.items():
-        factor = weight.numerator * (scale // weight.denominator)
-        for den, part in p.terms[expo]._parts:
-            acc = sums.setdefault(den, {})
-            for mask, (re, im) in part.items():
-                cur = acc.get(mask)
-                re, im = re * factor, im * factor
-                acc[mask] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    return _from_int_parts(n, [(den * scale, acc) for den, acc in sums.items()])
+    return _from_int_parts(n, [
+        (den * weight.denominator, {mask: (re * weight.numerator, im * weight.numerator)
+                                    for mask, (re, im) in acc.items()})
+        for expo, mv in p.terms.items() if (weight := moment(n, expo))
+        for den, acc in mv._parts])
 
 
 # A bounded lru_cache keyed on symbol too: other symbols share an n, a wrapped
@@ -127,16 +111,16 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
 @functools.lru_cache(maxsize=64)
 def _grade_factors(n: int, grades, symbol) -> tuple[tuple[int, ...], int]:
     """The factors by which the sphere integral of symbol(A) scales A's blades
-    of each listed grade k, as integers f_k over one denominator D (f_k = 0
-    on every other grade), read off the integrated symbol of one blade
-    e_1...e_k per grade.  symbol must scale each blade by a real factor of
-    its grade alone, over one denominator.  The result is cached on all
-    three arguments, so one process integrates a given symbol once per n
-    and grade list; grades must be hashable."""
-    masks = [(1 << k) - 1 for k in grades]
-    unit = _from_int_parts(n, [(1, {mask: (1, 0) for mask in masks})])
-    (den, acc), = integrate_sphere(n, symbol(unit))._parts
+    of each listed grade k, as integers f_k over one denominator D, the lcm
+    of the factors' reduced denominators (f_k = 0 on every other grade), read
+    off the integrated symbol of one blade e_1...e_k per grade.  symbol must
+    scale each blade by a real factor of its grade alone.  The result is
+    cached on all three arguments, so one process integrates a given symbol
+    once per n and grade list; grades must be hashable."""
+    unit = _from_int_parts(n, [(1, {(1 << k) - 1: (1, 0) for k in grades})])
+    coeffs = integrate_sphere(n, symbol(unit)).coeffs
+    den = math.lcm(*(c.re.denominator for c in coeffs.values()))
     factors = [0] * (n + 1)
-    for mask in masks:
-        factors[mask.bit_count()] = acc.get(mask, (0, 0))[0]
+    for mask, c in coeffs.items():
+        factors[mask.bit_count()] = c.re.numerator * (den // c.re.denominator)
     return tuple(factors), den

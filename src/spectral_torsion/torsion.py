@@ -86,13 +86,6 @@ def _boundary_coefficient(m: int) -> GaussianRational:
                                         * 2 ** (2 * m - 1)))
 
 
-@functools.cache
-def _normal_row(n: int) -> tuple[int, tuple[int, ...]]:
-    """e_n's integer row, built once per dimension; theorem_boundary_value
-    checks n first."""
-    return 1, (0,) * (n - 1) + (1,)
-
-
 def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """Catalogued boundary addend:
 
@@ -102,8 +95,8 @@ def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     frame pairing <c(u)c(v)c(w)c(e_n)>_0 on the frame's rows and e_n's.
     """
     n = _frame_dim(u, v, w)
-    _check_even_dim(n, 4)  # before the caches: 5 // 2 would hit m = 2
-    pairing = _row_pairing(*map(_integer_row, (u, v, w)), _normal_row(n))
+    _check_even_dim(n, 4)  # before the cache: 5 // 2 would hit m = 2
+    pairing = _row_pairing(*map(_integer_row, (u, v, w)), (1, (0,) * (n - 1) + (1,)))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
                                    _boundary_coefficient(n // 2) * pairing)
 

@@ -537,6 +537,9 @@ _PINNED_ERRORS = [
     pytest.param(_COMPUTE, _config(T=[[True, 2, 3, "1"]]), 2,
                  "error: T: indices must be integers in [True, 2, 3, '1']\n",
                  id="compute-index"),
+    # summed, a repeated record would double T's coefficient silently
+    pytest.param(_COMPUTE, _config(T=[[1, 2, 3, "1"], [1, 2, 3, "1"]]), 2,
+                 "error: T: triple (1, 2, 3) given twice\n", id="compute-repeated-triple"),
     pytest.param(_COMPUTE, _config(drop=("w",)), 2,
                  "error: missing required field 'w'\n", id="compute-missing-field"),
     pytest.param(_COMPUTE, _config(case="vector_grading"), 3,
