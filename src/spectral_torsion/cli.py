@@ -10,7 +10,8 @@ Exit codes: 0 success; 1 a final-theorem row failed in verify; 2 parse or
 validation error; 3 dimension/case inconsistency in a compute job.  The
 commands raise ConfigError (2) or ConsistencyError (3); main alone prints the
 one line `error: <message>` on stderr and returns the code.
-A job's case fields are read from symbols' case table; Y alone defaults to 0.
+A job reads its case's fields off symbols' case table (Y alone defaults to 0)
+and refuses another case's field.
 SPECTRAL_TORSION_SEED fixes the randomized-trial seed for verify and for
 compute's identity rows.  Every integer argument, and the seed, reads the
 ASCII grammar [+-]?[0-9]+.  No input integer, and no numerator or
@@ -45,9 +46,10 @@ EXIT_INCONSISTENT = 3
 # about 12,000 digits and takes a tenth of a second
 MAX_MOMENT_DEGREE = 20000
 
-# a compute configuration's fields, the cases' from their table; any other is refused
-CONFIG_FIELDS = frozenset({"dimension", "case", "u", "v", "w", "with_boundary", "numeric_eval"}
-                          | {field for fields in _CASE_FIELDS.values() for field, _ in fields})
+# a compute configuration's fields: every job's, and the cases' from their table;
+# any other is refused, and so is a case field that the job's case does not take
+_JOB_FIELDS = frozenset({"dimension", "case", "u", "v", "w", "with_boundary", "numeric_eval"})
+CONFIG_FIELDS = _JOB_FIELDS | {field for fields in _CASE_FIELDS.values() for field, _ in fields}
 
 # the most digits one input integer may have, sign not counted: CPython's
 # default int-to-str limit, which interpreters before 3.10.7 do not enforce
@@ -164,6 +166,10 @@ def _build_case(config: dict, n: int):
             values.append(OneForm((0,) * n))
         else:
             raise ConsistencyError(f"case requires field {field!r}")
+    own = _JOB_FIELDS | {field for field, _ in _CASE_FIELDS[CASE_NAMES[name]]}
+    foreign = [key for key in config if key not in own]
+    if foreign:
+        raise ConfigError(f"case {name} takes no field {foreign[0]!r}")
     return CASE_NAMES[name](*values)
 
 

@@ -14,7 +14,7 @@ import functools
 import math
 from itertools import zip_longest
 
-from .clifford import Multivector, _check_even_dim, mv_mul, trace
+from .clifford import _check_even_dim, _from_int_parts, mv_mul, trace
 from .forms import OneForm, _frame_dim, to_clifford
 from .scalars import (
     DIM_F,
@@ -250,12 +250,6 @@ def _normal_integral(m: int) -> GaussianRational:
     return line_integral(half_inverse_symbol_components()[1] * dxn_symbol(m))
 
 
-@functools.cache
-def _normal_generator(n: int) -> Multivector:
-    """c(e_n), built once per dimension; boundary_density checks n first."""
-    return Multivector.generator(n, n)
-
-
 def boundary_density(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """The boundary addend of the torsion functional.
 
@@ -272,7 +266,7 @@ def boundary_density(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """
     n = _frame_dim(u, v, w)
     _check_even_dim(n, 4)
-    factor = trace(to_clifford(u), to_clifford(v),
-                   mv_mul(to_clifford(w), _normal_generator(n)))
+    normal = _from_int_parts(n, [(1, {1 << (n - 1): (1, 0)})])  # c(e_n)
+    factor = trace(to_clifford(u), to_clifford(v), mv_mul(to_clifford(w), normal))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
                                    factor * _normal_integral(n // 2))

@@ -106,8 +106,8 @@ def integrate_sphere(n: int, p: XiPolynomialMV) -> Multivector:
         for den, acc in mv._parts])
 
 
-# A bounded lru_cache keyed on symbol too: other symbols share an n, a wrapped
-# symbol (a tracer's) must integrate again, and such keys may never hit twice.
+# A bounded lru_cache keyed on symbol too: other symbols share an n, and a
+# wrapped symbol (a tracer's) must integrate again; only such keys never hit twice.
 @functools.lru_cache(maxsize=64)
 def _grade_factors(n: int, grades, symbol) -> tuple[tuple[int, ...], int]:
     """The factors by which the sphere integral of symbol(A) scales A's blades

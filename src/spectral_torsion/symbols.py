@@ -148,28 +148,22 @@ def interior_density(u: OneForm, v: OneForm, w: OneForm,
     Carries one factor tr_F(Phi) (every surviving term is perturbation
     linear) and the atom vol(S^(n-1)) from the sphere moments, attached here
     to the exact trace.  The sphere integral of the symbol scales each blade
-    of B by a factor of its grade, and the trace pairs C = c(u)c(v)c(w),
-    of grades 1 and 3, only with equal blades, so only B's grade-1 and
-    grade-3 blades count.  B is its form factor times at most one blade, so
-    a factor item on mask M lands on M ^ (the blade's mask); items are kept
-    by that grade before any is converted or multiplied.  With none (the
-    grading at every n, c(X) grading from n = 6, sqrt(-1) c(T) grading from
-    n = 8) the density is 0, returned once the arguments are checked, with
-    no rational converted and no product, symbol or C built.  Otherwise the
-    items whose grade factor (_grade_factors) is 0 are dropped, and B built
-    from the rest is scaled by grade and traced against C; the symbol of B
-    is never built.  The factors' symbol, of e_1 + e_1 e_2 e_3, is built and
-    integrated on the first such call at n; later calls read the cache.
+    of B by its grade's factor, read (_grade_factors) off the integrated
+    symbol of e_1 + e_1 e_2 e_3 once per dimension per process; the factor is
+    0 off grades 1 and 3, the grades of C = c(u)c(v)c(w).  B is its form
+    factor times at most one blade, so an item on mask M lands on M ^ (the
+    blade's mask); items with factor 0 there are dropped before any is
+    converted or multiplied.  With none left the density is 0, and no
+    product, C or trace is built; otherwise B, built from the rest, is
+    scaled by grade and traced against C.  The symbol of B is never built.
     """
     n = _frame_dim(u, v, w)
     _check_even_dim(n, 4)
     _check_case(case, n)
     items, blade = _form_factor(case, n)
     top = 0 if blade is None else (1 << n) - 1  # the blade is _grading(n, turns)
-    kept = [item for item in items if (item[0] ^ top).bit_count() in (1, 3)]
-    if kept:  # the weights are read only for a non-empty projection
-        factors, den = _grade_factors(n, (1, 3), sigma_minus2m)
-        kept = [item for item in kept if factors[(item[0] ^ top).bit_count()]]
+    factors, den = _grade_factors(n, (1, 3), sigma_minus2m)
+    kept = [item for item in items if factors[(item[0] ^ top).bit_count()]]
     if not kept:
         return SymScalar()
     b = _from_int_parts(n, _rational_runs(kept))

@@ -8,7 +8,6 @@ never silently repaired.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -77,15 +76,6 @@ class TorsionReport:
         return self.interior_density + self.boundary_density
 
 
-@functools.cache
-def _boundary_coefficient(m: int) -> GaussianRational:
-    """(2m-2)! (1-m) i 2^(1-2m) 2^m / (m!(m-1)!), the catalogued boundary
-    addend's coefficient of pi * combination * dim_F * vol(S^(n-2))."""
-    return GaussianRational(0, Rational(math.factorial(2 * m - 2) * (1 - m) * 2 ** m,
-                                        math.factorial(m) * math.factorial(m - 1)
-                                        * 2 ** (2 * m - 1)))
-
-
 def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     """Catalogued boundary addend:
 
@@ -95,10 +85,13 @@ def theorem_boundary_value(u: OneForm, v: OneForm, w: OneForm) -> SymScalar:
     frame pairing <c(u)c(v)c(w)c(e_n)>_0 on the frame's rows and e_n's.
     """
     n = _frame_dim(u, v, w)
-    _check_even_dim(n, 4)  # before the cache: 5 // 2 would hit m = 2
+    _check_even_dim(n, 4)
+    m = n // 2
     pairing = _row_pairing(*map(_integer_row, (u, v, w)), (1, (0,) * (n - 1) + (1,)))
+    coefficient = Rational(math.factorial(2 * m - 2) * (1 - m),
+                           math.factorial(m) * math.factorial(m - 1) * 2 ** (m - 1))
     return SymScalar.from_monomial((PI, DIM_F, vol_sphere(n - 2)),
-                                   _boundary_coefficient(n // 2) * pairing)
+                                   GaussianRational(0, coefficient * pairing))
 
 
 def _frame_pairing(u: OneForm, v: OneForm, w: OneForm, y: OneForm) -> Rational:

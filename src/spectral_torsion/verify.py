@@ -96,21 +96,21 @@ def _sphere_trace_integral(left: Multivector, middle: Multivector,
                for generator_first in positions)
 
 
-@functools.cache
 def _sphere_factors(n: int, generator_first: bool) -> tuple[tuple[int, ...], int]:
-    """The grade factors of the symbol whose xi_i^2 terms are c(e_i) A c(e_i),
-    or A c(e_i) c(e_i); its xi_i xi_j terms (i != j) integrate to 0 (E4.17)."""
-    generators = [Multivector.generator(n, i) for i in range(1, n + 1)]
-
-    def symbol(a: Multivector) -> XiPolynomialMV:
-        return XiPolynomialMV(n, {
-            xi_monomial(n, i, i): mv_mul(g, mv_mul(a, g)) if generator_first
-            else mv_mul(a, mv_mul(g, g)) for i, g in enumerate(generators, 1)})
-    return _grade_factors(n, range(n + 1), symbol)
+    """The grade factors of a module-level sphere symbol, kept by _grade_factors' cache."""
+    return _grade_factors(n, range(n + 1), _SPHERE_SYMBOLS[generator_first])
 
 
-def _tr_id(n: int):
-    return rational(2 ** (n // 2))
+def _sphere_symbol(generator_first: bool, a: Multivector) -> XiPolynomialMV:
+    """The symbol whose xi_i^2 terms are c(e_i) A c(e_i), or A c(e_i) c(e_i);
+    its xi_i xi_j terms (i != j) integrate to 0 (E4.17)."""
+    n = a.dim
+    generators = {xi_monomial(n, i, i): Multivector.generator(n, i) for i in range(1, n + 1)}
+    return XiPolynomialMV(n, {expo: mv_mul(g, mv_mul(a, g)) if generator_first
+                              else mv_mul(a, mv_mul(g, g)) for expo, g in generators.items()})
+
+
+_SPHERE_SYMBOLS = functools.partial(_sphere_symbol, False), functools.partial(_sphere_symbol, True)
 
 
 def _probe(f: XiRational) -> SymScalar:
@@ -166,7 +166,7 @@ def _sphere_row(inputs, middle, positions, weight, base):
         u, v, w, x = inputs(n, rng)
         cuvw, right = frame_product(u, v, w), middle(x)
         computed = _sphere_trace_integral(cuvw, right, positions)
-        reference = base(u, v, w, x, cuvw, right) * _tr_id(n) * weight(n)
+        reference = base(u, v, w, x, cuvw, right) * 2 ** (n // 2) * weight(n)
         return _in_units(computed, reference, (vol_sphere(n - 1),))
     return run
 
@@ -207,7 +207,7 @@ def _witness(u, v, w, x, cuvw, middle):  # <c(u)c(v)c(w) M>_0 of the integrand's
 
 
 def _pairing_reference(n, u, v, w, y):  # tr(c(u)c(v)c(w)c(y)) = 2^m <c(u)c(v)c(w)c(y)>_0
-    return _frame_pairing(u, v, w, y) * _tr_id(n)
+    return _frame_pairing(u, v, w, y) * 2 ** (n // 2)
 
 
 def _pairing_inputs(n, rng):
@@ -326,7 +326,7 @@ CATALOG: tuple[Identity, ...] = (
              _trace_row(_pairing_inputs, to_clifford, _pairing_reference)),
     Identity("L4.3b", "trace of three one-forms against a 3-form", _ALL_N,
              _trace_row(_torsion_inputs, to_clifford, lambda n, u, v, w, t:
-                        eval_threeform(t, u, v, w) * _tr_id(n))),
+                        eval_threeform(t, u, v, w) * 2 ** (n // 2))),
     Identity("E4.17", "second sphere moment of the covariables", _ALL_N, _run_e417),
     Identity("E4.18", "sphere integral of the vector anticommutator trace", _ALL_N,
              _sphere_row(_pairing_inputs, to_clifford, (False, True), lambda n: Rational(-2, n),

@@ -177,6 +177,34 @@ def test_verdict_same_on_equal_runs_and_small_losses():
     assert bench_pairs.verdict(_sides(_STEADY, slower), "lower", 0.05) == "worse"
 
 
+def _verdicts(runs) -> dict:
+    """{metric: verdict} of the summary over (base, change) _stdout argument pairs."""
+    pairs = [tuple(bench_pairs.parse_result(_stdout(**side)) for side in pair) for pair in runs]
+    return {line.split()[0]: line.split()[-1]
+            for line in bench_pairs.summary_lines(pairs, BETTER, BOUNDS)[1:-2]}
+
+
+def test_a_broken_run_makes_every_verdict_invalid():
+    """Ten pairs in which the change is 10% faster read better; one run that
+    is not correct, on either side, or one change run that fails a larger
+    share of its jobs than its base turns every metric invalid.  Equal
+    failures on both sides leave the verdicts as they are."""
+    base, change = {"p50": 0.0006, "rate": 1000}, {"p50": 0.00054, "rate": 1100}
+    runs = [(dict(base), dict(change)) for _ in range(10)]
+    assert _verdicts(runs) == {"jobs_per_s": "better", "job_p50_s": "better"}
+    invalid = {"jobs_per_s": "invalid", "job_p50_s": "invalid"}
+    for side, broken in ((1, {"correct": False}), (0, {"correct": False}),
+                         (1, {"failed": 2}), (1, {"correct": False, "failed": 2})):
+        runs_broken = [list(pair) for pair in runs]
+        runs_broken[3][side] = {**runs_broken[3][side], **broken}
+        assert _verdicts(runs_broken) == invalid, (side, broken)
+    # the base failing more, or both sides failing alike, is no reason to refuse
+    both = [({**b, "failed": 2}, {**c, "failed": 2}) for b, c in runs]
+    assert _verdicts(both) == {"jobs_per_s": "better", "job_p50_s": "better"}
+    base_worse = [({**b, "failed": 3}, c) for b, c in runs]
+    assert _verdicts(base_worse) == {"jobs_per_s": "better", "job_p50_s": "better"}
+
+
 def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
     package = tmp_path / "src" / "spectral_torsion"
     (package / "sub").mkdir(parents=True)

@@ -556,6 +556,9 @@ _PINNED_ERRORS = [
                  "error: configuration must be a JSON object\n", id="compute-not-object"),
     pytest.param(_COMPUTE, _config(case="grading", drop=("T",), with_boundry=True), 2,
                  "error: unknown field 'with_boundry'\n", id="compute-unknown-field"),
+    # another case's field, never parsed, used to be ignored: the first is named
+    pytest.param(_COMPUTE, {**_config(case="grading", drop=("T",)), "X": "garbage", "T": 7}, 2,
+                 "error: case grading takes no field 'X'\n", id="compute-foreign-field"),
     # a plain dict keeps the last of two keys: this job would drop its boundary
     pytest.param(_COMPUTE, json.dumps(_config(case="grading", drop=("T",), with_boundary=True))
                  [:-1] + ', "with_boundary": false}', 2,

@@ -30,7 +30,7 @@ from spectral_torsion import (
     to_clifford,
     trace,
 )
-from spectral_torsion import clifford, halfline
+from spectral_torsion import clifford
 from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_runs, \
     _scale_grades, blade_product
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
@@ -811,17 +811,16 @@ def test_three_factor_trace_checks_every_factor():
 
 
 def _fresh_constants(n):
-    """gamma, i gamma and c(e_n), built anew."""
+    """gamma and i gamma, built anew."""
     gamma = Multivector(n, {(1 << n) - 1: i_power(n // 2)})
-    return gamma, Multivector(n, {(1 << n) - 1: i_power(n // 2 + 1)}), \
-        Multivector(n, {1 << (n - 1): 1})
+    return gamma, Multivector(n, {(1 << n) - 1: i_power(n // 2 + 1)})
 
 
 def test_per_dimension_constants_are_built_once_and_never_change(rng):
-    """grading(n), the torsion-grading factor i gamma and the boundary's
-    c(e_n) come from per-dimension caches; after densities, products (the
-    graded perturbations' c(X) gamma and c(T) i gamma among them) and traces
-    that read them, they still equal fresh builds part for part, and their
+    """grading(n) and the torsion-grading factor i gamma come from
+    per-dimension caches; after densities, products (the graded
+    perturbations' c(X) gamma and c(T) i gamma among them) and traces that
+    read them, they still equal fresh builds part for part, and their
     coefficients cannot be written."""
     for n in range(4, 17, 2):
         assert grading(n) is grading(n)
@@ -836,9 +835,8 @@ def test_per_dimension_constants_are_built_once_and_never_change(rng):
         mv_mul(gamma, gamma)
         trace(gamma, gamma, gamma)
         supertrace(gamma)
-        cached = (gamma, clifford._grading(n, 1), halfline._normal_generator(n))
+        cached = (gamma, clifford._grading(n, 1))
         assert cached[1] is clifford._grading(n, 1)
-        assert cached[2] is halfline._normal_generator(n)
         for kept, fresh in zip(cached, _fresh_constants(n)):
             assert kept._parts == fresh._parts and kept.coeffs == fresh.coeffs
             with pytest.raises(TypeError):  # a shared value's coefficients are read-only

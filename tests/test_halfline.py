@@ -11,6 +11,7 @@ import pytest
 
 from spectral_torsion import (
     DimensionMismatch,
+    Multivector,
     NonIntegrable,
     OddDimension,
     OneForm,
@@ -472,7 +473,7 @@ def test_boundary_density_makes_one_clifford_product(monkeypatch):
         products.clear()
         assert boundary_density(u, v, w) == boundary_density_reference(u, v, w, n)
         assert len(products) == 1
-        assert products[0][1] is halfline._normal_generator(n)
+        assert products[0][1] == Multivector.generator(n, n)
 
 
 @pytest.mark.parametrize("call", [line_integral, pi_plus])

@@ -754,13 +754,11 @@ def _count_symbols(monkeypatch) -> list:
 
 
 def test_interior_density_builds_one_symbol(monkeypatch):
-    """One interior_density constructs one XiPolynomialMV when B has a
-    grade-1 or grade-3 blade, and none otherwise: at n=6 one for
-    torsion_vector and torsion_grading, none for the grading and
-    vector_grading.  The symbol is that of the unit blades e_1 and
-    e_1 e_2 e_3 whose weights the density reads: its terms hold no other
-    blade, so B's own symbol is never built.  Each case starts from a cold
-    grade-factor cache."""
+    """One interior_density on a cold grade-factor cache constructs one
+    XiPolynomialMV, for every case at n=6, B with a grade-1 or grade-3 blade
+    or not.  The symbol is that of the unit blades e_1 and e_1 e_2 e_3 whose
+    weights the density reads: its terms hold no other blade, so B's own
+    symbol is never built."""
     n = 6
     rng = random.Random("one-symbol")
     u, v, w, x, y = (rand_oneform(rng, n) for _ in range(5))
@@ -770,7 +768,7 @@ def test_interior_density_builds_one_symbol(monkeypatch):
         moments._grade_factors.cache_clear()
         built.clear()
         interior_density(u, v, w, case)
-        assert len(built) == _HAS_GRADE_1_OR_3[type(case)](n), type(case).__name__
+        assert len(built) == 1, type(case).__name__
         for _, terms in built:
             masks = {mask for term in terms.values() for _, acc in term._parts for mask in acc}
             assert masks <= {0b1, 0b111}, type(case).__name__
@@ -849,8 +847,8 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
     """Where B has no grade-1 or grade-3 blade, the density is SymScalar()
     and so is the trace of the integrated symbol built from all of B
     (conftest.symbol_trace_reference), and interior_density converts no
-    rational and builds no product, no symbol, no sphere integral, no C and
-    no trace."""
+    rational and builds no product, no C and no trace: it reads only its
+    grade factors."""
     rng = random.Random(f"empty-projection-{n}")
     u, v, w, x = (rand_oneform(rng, n) for _ in range(4))
     t = rand_threeform(rng, n)
@@ -859,8 +857,7 @@ def test_empty_projection_density_is_zero_with_nothing_built(n, monkeypatch):
     assert len(cases) == 1 + (n >= 6) + (n >= 8)
     references = [symbol_trace_reference(u, v, w, perturbation_multivector_reference(case, n), n)
                   for case in cases]
-    for name in ("_rational_runs", "mv_mul", "sigma_minus2m", "_grade_factors",
-                 "frame_product", "trace"):
+    for name in ("_rational_runs", "mv_mul", "frame_product", "trace"):
         monkeypatch.setattr(symbols, name, _refuse(name))
     for case, reference in zip(cases, references):
         assert interior_density(u, v, w, case) == SymScalar() == \

@@ -11,7 +11,7 @@ import pytest
 
 from spectral_torsion import Multivector, SymScalar, grading, mv_mul, \
     to_clifford, trace, verify_suite
-from spectral_torsion import verify
+from spectral_torsion import moments, verify
 from spectral_torsion.clifford import _from_int_parts
 from spectral_torsion.scalars import GR_I, GaussianRational, Rational, rational
 from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
@@ -76,13 +76,29 @@ def test_generator_last_rows_read_their_factor_off_the_clifford_product(monkeypa
     assert all(rows[i].run(n, None)[2] for n, ids in checked.items() for i in ids)
     with monkeypatch.context() as patch:
         patch.setattr(verify, "mv_mul", _squares_to_plus_one)
-        verify._sphere_factors.cache_clear()
+        moments._grade_factors.cache_clear()
         try:
             for n, ids in checked.items():
                 assert not any(rows[i].run(n, None)[2] for i in ids), n
         finally:
             patch.undo()
-            verify._sphere_factors.cache_clear()
+            moments._grade_factors.cache_clear()
+
+
+def test_clearing_the_grade_factor_cache_integrates_every_symbol_again():
+    """The catalog's two sphere symbols and the interior's sigma_minus2m keep
+    their factors in moments._grade_factors alone: once it is cleared, a run
+    at n = 4 and 6 integrates all three symbols at each n again, and a
+    second run reads every factor from the cache."""
+    misses = []
+    for clear in (True, True, False):
+        if clear:
+            moments._grade_factors.cache_clear()
+        before = moments._grade_factors.cache_info().misses
+        verify_suite(4)
+        verify_suite(6)
+        misses.append(moments._grade_factors.cache_info().misses - before)
+    assert misses == [6, 6, 0]
 
 
 def test_verify_suite_n8_time_bound():

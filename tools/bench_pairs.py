@@ -25,6 +25,10 @@ declared ``bound``, a fraction of the base median:
   one or two runs says nothing of the noise);
 * ``same``: otherwise.
 
+Every metric reads ``invalid`` instead when the runs cannot be compared: a
+run on either side is not ``correct``, or in some pair the change failed a
+larger share of its attempted jobs than its base did.
+
 The summary ends with each side's median CPU speed, which shows a drift of
 the host that the scaled times did not absorb.  A last line gives the line
 totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
@@ -148,12 +152,22 @@ def verdict(sides: list[tuple[float, float]], direction: str, bound: float) -> s
     return "same"
 
 
+def broken(pairs: list[tuple[dict, dict]]) -> bool:
+    """Whether a run is not correct, or a change failed a larger share of
+    its attempted jobs than its base, in any (base, change) result pair."""
+    return any(not base["correct"] or not change["correct"]
+               or change["failed"] * base["attempted"] > base["failed"] * change["attempted"]
+               for base, change in pairs)
+
+
 def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
                   bounds: dict[str, float]) -> list[str]:
     """Per metric, the median and the IQR/median spread of each side over
     (base, change) result pairs, the pairs in which the change was better
-    and the verdict; then the pairs in which both runs were correct and
-    each side's median CPU speed over the runs that printed one."""
+    and the verdict, "invalid" for every metric when the pairs are broken;
+    then the pairs in which both runs were correct and each side's median
+    CPU speed over the runs that printed one."""
+    invalid = broken(pairs)
     lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
              f"{'change median':>14} {'spread':>7} {'change won':>10} verdict"]
     for name, direction in better.items():
@@ -166,7 +180,7 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
         lines.append(f"{name:14} {direction:6} {statistics.median(bases):12.6g} "
                      f"{spread(bases):7.3f} {statistics.median(changes):14.6g} "
                      f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10} "
-                     f"{verdict(sides, direction, bounds[name])}")
+                     f"{'invalid' if invalid else verdict(sides, direction, bounds[name])}")
     correct = sum(base["correct"] and change["correct"] for base, change in pairs)
     lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
     medians = []
