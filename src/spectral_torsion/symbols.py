@@ -125,17 +125,14 @@ def sigma_minus2m(b: Multivector) -> XiPolynomialMV:
     _check_even_dim(n, 4)
     terms: dict[tuple, Multivector] = {xi_monomial(n): b}
 
-    # m {c(e_a), B} = n B_a c(e_a), B_a the blades of B that commute with
-    # c(e_a): odd ones that hold e_a, even ones that do not.  So the xi_a^2
-    # term is -n B_a.  Each nonzero blade's parity and -n (re, im) are read
-    # once per part.
-    parts = [(den, [(mask, mask.bit_count() & 1, (-n * re, -n * im))
-                    for mask, (re, im) in acc.items() if re or im])
-             for den, acc in b._parts]
-    # A part with no such blade, or a term with no such part, is not built.
+    # m {c(e_a), B} = n B_a c(e_a), B_a the nonzero blades of B that commute
+    # with c(e_a): odd ones that hold e_a, even ones that do not.  So the xi_a^2
+    # term is -n B_a.  A part with no such blade, or a term with no such part,
+    # is not built.
     for a in range(n):
-        square = [(den, acc) for den, blades in parts
-                  if (acc := {mask: v for mask, odd, v in blades if odd == mask >> a & 1})]
+        square = [(den, acc) for den, blades in b._parts
+                  if (acc := {mask: (-n * re, -n * im) for mask, (re, im) in blades.items()
+                              if (re or im) and mask.bit_count() & 1 == mask >> a & 1})]
         if square:
             terms[xi_monomial(n, a + 1, a + 1)] = _from_int_parts(n, square)
     return XiPolynomialMV(n, terms)

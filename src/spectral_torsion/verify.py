@@ -90,15 +90,11 @@ def _sphere_trace_integral(left: Multivector, middle: Multivector,
                            positions: tuple[bool, ...]) -> GaussianRational:
     """Integral over |xi|=1 of Tr(left * c(e_i) * middle * xi_i c(xi)) summed over i
     (generator first, True) or Tr(left * middle * c(e_i) * xi_i c(xi)), summed over the
-    positions, in units of vol(S^(n-1)): middle scaled by grade, traced against left."""
+    positions, in units of vol(S^(n-1)): middle scaled by the grade factors of the
+    module-level sphere symbols (_grade_factors' cache), traced against left."""
     _same_dim(left, left, Multivector)
-    return sum(trace(left, _scale_grades(middle, *_sphere_factors(left.dim, generator_first)))
-               for generator_first in positions)
-
-
-def _sphere_factors(n: int, generator_first: bool) -> tuple[tuple[int, ...], int]:
-    """The grade factors of a module-level sphere symbol, kept by _grade_factors' cache."""
-    return _grade_factors(n, range(n + 1), _SPHERE_SYMBOLS[generator_first])
+    return sum(trace(left, _scale_grades(middle, *_grade_factors(
+        left.dim, range(left.dim + 1), _SPHERE_SYMBOLS[position]))) for position in positions)
 
 
 def _sphere_symbol(generator_first: bool, a: Multivector) -> XiPolynomialMV:
@@ -149,13 +145,14 @@ def _in_units(computed, reference, atoms: tuple = ()):
     return computed, reference, computed == reference
 
 
-def _trace_row(inputs, middle, reference):
-    """A row comparing tr(c(u)c(v)c(w) M) = 2^m <c(u)c(v)c(w) M>_0, with
-    M = middle(x) for the inputs (u, v, w, x), against reference(n, u, v, w, x)."""
+def _trace_row(inputs, middle, base):
+    """A row comparing tr(C M), C = c(u)c(v)c(w) and M = middle(x) for the inputs
+    (u, v, w, x), with tr(1) = 2^m times base(u, v, w, x, C, M), a closed form of
+    <C M>_0.  The base is never _witness: that would compare the trace with itself."""
     def run(n, rng):
         u, v, w, x = inputs(n, rng)
-        computed = trace(frame_product(u, v, w), middle(x))
-        return _in_units(computed, reference(n, u, v, w, x))
+        cuvw, right = frame_product(u, v, w), middle(x)
+        return _in_units(trace(cuvw, right), base(u, v, w, x, cuvw, right) * 2 ** (n // 2))
     return run
 
 
@@ -206,8 +203,8 @@ def _witness(u, v, w, x, cuvw, middle):  # <c(u)c(v)c(w) M>_0 of the integrand's
     return scalar_product(cuvw, middle)
 
 
-def _pairing_reference(n, u, v, w, y):  # tr(c(u)c(v)c(w)c(y)) = 2^m <c(u)c(v)c(w)c(y)>_0
-    return _frame_pairing(u, v, w, y) * 2 ** (n // 2)
+def _pairing(u, v, w, y, cuvw, middle):  # <c(u)c(v)c(w)c(y)>_0 by L4.3a
+    return _frame_pairing(u, v, w, y)
 
 
 def _pairing_inputs(n, rng):
@@ -323,14 +320,13 @@ _ALL_N = range(4, MAX_DIM + 1, 2)
 
 CATALOG: tuple[Identity, ...] = (
     Identity("L4.3a", "four-factor trace against metric pairings", _ALL_N,
-             _trace_row(_pairing_inputs, to_clifford, _pairing_reference)),
+             _trace_row(_pairing_inputs, to_clifford, _pairing)),
     Identity("L4.3b", "trace of three one-forms against a 3-form", _ALL_N,
-             _trace_row(_torsion_inputs, to_clifford, lambda n, u, v, w, t:
-                        eval_threeform(t, u, v, w) * 2 ** (n // 2))),
+             _trace_row(_torsion_inputs, to_clifford, _threeform_at)),
     Identity("E4.17", "second sphere moment of the covariables", _ALL_N, _run_e417),
     Identity("E4.18", "sphere integral of the vector anticommutator trace", _ALL_N,
              _sphere_row(_pairing_inputs, to_clifford, (False, True), lambda n: Rational(-2, n),
-                         lambda u, v, w, y, cuvw, middle: _frame_pairing(u, v, w, y))),
+                         _pairing)),
     Identity("E4.19", "sphere integral, 3-form right of the frame factor", _ALL_N,
              _sphere_row(_torsion_inputs, to_clifford, (False,), lambda n: -1, _threeform_at)),
     Identity("E4.20", "sphere integral, 3-form left of the frame factor", _ALL_N,
@@ -338,29 +334,28 @@ CATALOG: tuple[Identity, ...] = (
     Identity("L4.9", "supertrace: sub-top blades vanish, top blade value", _ALL_N, _run_l49),
     Identity("E4.31", "constant symbol term for the grading perturbation", _ALL_N, _run_e431),
     Identity("E4.34", "grading trace as a top wedge pairing (n=4)", (4,),
-             _trace_row(_vector_inputs, _graded, lambda n, u, v, w, x:
-                        rational(-4) * eval_threeform(_complement(x), u, v, w))),
+             _trace_row(_vector_inputs, _graded, lambda u, v, w, x, *_:  # -4 = -tr(1)
+                        -eval_threeform(_complement(x), u, v, w))),
     Identity("E4.36", "sphere integral, vector-grading right of the frame factor", _ALL_N,
              _sphere_row(_vector_inputs, _graded, (False,), lambda n: -1, _witness)),
     Identity("E4.37", "sphere integral, vector-grading left of the frame factor", _ALL_N,
              _sphere_row(_vector_inputs, _graded, (True,), lambda n: Rational(2 - n, n),
                          _witness)),
     Identity("E4.39", "grading-torsion trace as a top wedge pairing (n=6)", (6,),
-             _trace_row(_grading_torsion_inputs, _graded, lambda n, u, v, w, t:
-                        rational(8) * (GR_ONE / i_power(3))
-                        * eval_threeform(_complement(t), u, v, w))),
+             _trace_row(_grading_torsion_inputs, _graded, lambda u, v, w, t, *_:  # 8/i^3 = i tr(1)
+                        GR_I * eval_threeform(_complement(t), u, v, w))),
     Identity("E4.41", "sphere integral, grading-torsion left of the frame factor", _ALL_N,
              _sphere_row(_grading_torsion_inputs, _graded, (True,), lambda n: Rational(n - 6, n),
                          _witness)),
     Identity("E4.42", "sphere integral, grading-torsion right of the frame factor", _ALL_N,
              _sphere_row(_grading_torsion_inputs, _graded, (False,), lambda n: -1, _witness)),
     Identity("E4.49", "grading-torsion trace via metric pairings (n=4)", (4,),
-             _trace_row(_grading_torsion_inputs, _graded, lambda n, u, v, w, t:
-                        rational(4) * _frame_pairing(u, v, w, _complement(t)))),
+             _trace_row(_grading_torsion_inputs, _graded, lambda u, v, w, t, *_:  # 4 = tr(1)
+                        _frame_pairing(u, v, w, _complement(t)))),
     Identity("E4.55", "half-line projection of the inverse symbol", _ALL_N, _run_e455),
     Identity("E4.56", "normal derivative of the inverse-power symbol", _ALL_N, _run_e456),
     Identity("E4.57", "boundary trace combination of the normal factor", _ALL_N,
-             _trace_row(_boundary_inputs, to_clifford, _pairing_reference)),
+             _trace_row(_boundary_inputs, to_clifford, _pairing)),
     Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _ALL_N,
              _pole_row(POLY_ONE, 1)),
     Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _ALL_N,

@@ -205,6 +205,24 @@ def test_a_broken_run_makes_every_verdict_invalid():
     assert _verdicts(base_worse) == {"jobs_per_s": "better", "job_p50_s": "better"}
 
 
+def test_better_is_read_only_from_pairs_whose_runs_kept_one_cpu_speed():
+    """Ten pairs in which the change won every steady pair read better over
+    all pairs.  One base run at CPU speed 1.71, against 2.45 for the other 19
+    runs, drifts its pair; the 9 steady pairs left are too few for better, so
+    the metrics read unresolved.  An eleventh steady pair restores better,
+    and a run that printed no speed drifts no pair."""
+    base, change = {"p50": 0.0006, "rate": 1000}, {"p50": 0.00057, "rate": 1050}
+    runs = [({**base, "speed": 2.45}, {**change, "speed": 2.45}) for _ in range(10)]
+    runs[3] = ({"p50": 0.00086, "rate": 700, "speed": 1.71}, {**change, "speed": 2.45})
+    unresolved = {"jobs_per_s": "unresolved", "job_p50_s": "unresolved"}
+    assert _verdicts(runs) == unresolved
+    better = {"jobs_per_s": "better", "job_p50_s": "better"}
+    assert _verdicts(runs + [runs[0]]) == better
+    assert _verdicts([(b, c) if b["speed"] > 2 else ({**b, "speed": None}, c)
+                      for b, c in runs]) == better
+    assert 2.45 - 1.71 > bench_pairs.MAX_SPEED_DRIFT * 2.45 > 2.45 - 2.24
+
+
 def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
     package = tmp_path / "src" / "spectral_torsion"
     (package / "sub").mkdir(parents=True)

@@ -33,8 +33,9 @@ from spectral_torsion import (
 from spectral_torsion import clifford
 from spectral_torsion.clifford import _RUN_DEN_BITS, _from_int_parts, _rational_runs, \
     _scale_grades, blade_product
+from spectral_torsion.moments import _grade_factors
 from spectral_torsion.scalars import GaussianRational, Rational, i_power
-from spectral_torsion.verify import _sphere_factors
+from spectral_torsion.verify import _SPHERE_SYMBOLS
 
 from conftest import add_reference, blade_mask, coprime_draw, long_input, metric_pair, \
     mv_mul_reference, product_by_sorting, rand_multivector, rand_oneform, rand_threeform, \
@@ -210,7 +211,8 @@ def _generator_last_by_products(b):
 
 def _sphere_scaled(b, generator_first):
     """b scaled by grade with the identity catalog's sphere factors."""
-    return _scale_grades(b, *_sphere_factors(b.dim, generator_first))
+    return _scale_grades(b, *_grade_factors(b.dim, range(b.dim + 1),
+                                            _SPHERE_SYMBOLS[generator_first]))
 
 
 def _sphere_by_products(b, generator_first):

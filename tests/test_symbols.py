@@ -488,12 +488,15 @@ def test_torsion_vector_density_n16_long_inputs_tight_time_bound():
     """The input of test_torsion_vector_density_n16_long_inputs_time_bound,
     under a tighter bound: five densities timed together.
 
-    B splits into 24 integer parts that hold disjoint blades, so the symbol
-    terms' is_zero reads their numerators and builds no coefficient.  On the
-    fractions backend (2-vCPU VM) the five took 0.35 s in the first
-    full-suite run and 0.40-0.44 s in two runs of this file; the bound is
-    about 2.3x the slowest.  When is_zero built every term's coefficients,
-    the five took 1.36 s.
+    B splits into 24 integer parts that hold disjoint blades.  The density
+    builds no symbol of B: it scales those parts by grade, and the trace
+    against C sums one share per pair of parts (scalar_product), so no
+    coefficient of B or C is built; the time goes to that trace's exact sum
+    and to building C.  On the fractions backend (2-vCPU VM) the five took
+    0.35 s in the first full-suite run and 0.40-0.44 s in two runs of this
+    file; the bound is about 2.3x the slowest.  When the density still built
+    the symbol of B and is_zero built every term's coefficients, the five
+    took 1.36 s.
     """
     n = 16
     u, v, w, case = _long_n16_torsion_vector()

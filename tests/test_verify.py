@@ -12,7 +12,7 @@ import pytest
 from spectral_torsion import Multivector, SymScalar, grading, mv_mul, \
     to_clifford, trace, verify_suite
 from spectral_torsion import moments, verify
-from spectral_torsion.clifford import _from_int_parts
+from spectral_torsion.clifford import MAX_DIM, _from_int_parts
 from spectral_torsion.scalars import GR_I, GaussianRational, Rational, rational
 from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
 
@@ -378,6 +378,28 @@ def test_verify_suite_matches_every_trial_loop(n, seed):
     rows = verify_suite(n, seed=seed)
     assert [(row.id, str(row.computed), str(row.reference), row.matches)
             for row in rows] == _suite_every_trial(n, DEFAULT_SEED if seed is None else seed)
+
+
+@pytest.mark.parametrize("n", range(4, MAX_DIM + 1, 2))
+def test_rows_comparing_zero_with_zero(n):
+    """The rows whose two sides are exactly 0 on the canonical input and on
+    every trial of the default seed, drawn in catalog order as
+    _suite_every_trial draws them.  In the density rows R4.7, T4.8γ and T4.10
+    the computed 0 is the row's claim.  The sphere rows' zeros come from
+    grade selection: C = c(u)c(v)c(w) has grades 1 and 3, so <C M>_0 = 0 for
+    the middles c(x)γ of grade n-1 (E4.36, E4.37) and c(t)γ of grade n-3
+    (E4.41 and E4.42 at n >= 8); at n = 6 E4.41's sphere factor and its
+    weight (n-6)/n are both 0."""
+    rng = random.Random(DEFAULT_SEED)
+    zero = set()
+    for ident in CATALOG:
+        if n not in ident.dims:
+            continue
+        runs = [ident.run(n, None)] + [ident.run(n, rng) for _ in range(5)]
+        if all(computed == 0 and reference == 0 for computed, reference, _ in runs):
+            zero.add(ident.id)
+    expected = {"R4.7", "T4.8γ"} | ({"E4.36", "E4.37", "E4.41", "T4.10"} if n >= 6 else set())
+    assert zero == expected | ({"E4.42"} if n >= 8 else set())
 
 
 # SHA-256 of the rows "id<TAB>computed<TAB>reference<TAB>flag", one a line

@@ -18,12 +18,18 @@ declared ``bound``, a fraction of the base median:
 * ``worse``: the change median is worse than the base median by more than
   the bound;
 * ``unresolved``: the base spread exceeds the bound, and not every change
-  run beats every base run;
-* ``better``: there are at least 10 pairs, the change won at least 9 in 10
-  of them, and its median beats the base median by more than the base
-  interquartile range (fewer pairs cannot show 9 in 10, and the range of
-  one or two runs says nothing of the noise);
+  run beats every base run; or the metric reads ``better`` over all pairs
+  but not over the steady ones;
+* ``better``: over the steady pairs, there are at least 10 of them, the
+  change won at least 9 in 10 of them, and its median beats the base median
+  by more than the base interquartile range (fewer pairs cannot show 9 in
+  10, and the range of one or two runs says nothing of the noise);
 * ``same``: otherwise.
+
+A pair is *drifted*, and not steady, when both of its runs printed a CPU
+speed and the two differ by more than ``MAX_SPEED_DRIFT`` of the faster
+one: the host changed speed between the two runs, so the scaled times of
+the pair compare the host with itself, not the change with its base.
 
 Every metric reads ``invalid`` instead when the runs cannot be compared: a
 run on either side is not ``correct``, or in some pair the change failed a
@@ -65,6 +71,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the fewest pairs from which a "better" verdict is read
 MIN_BETTER_PAIRS = 10
+# the largest CPU speed difference of a steady pair's runs, a fraction of the faster
+MAX_SPEED_DRIFT = 0.1
 
 # the end of perfbench/run.py's wall-clock note
 _SPEED = re.compile(r"CPU speed (\S+) of the reference")
@@ -164,23 +172,33 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
                   bounds: dict[str, float]) -> list[str]:
     """Per metric, the median and the IQR/median spread of each side over
     (base, change) result pairs, the pairs in which the change was better
-    and the verdict, "invalid" for every metric when the pairs are broken;
-    then the pairs in which both runs were correct and each side's median
-    CPU speed over the runs that printed one."""
+    and the verdict, "better" only as the steady pairs read it and "invalid"
+    for every metric when the pairs are broken; then the pairs in which both
+    runs were correct and each side's median CPU speed over the runs that
+    printed one."""
     invalid = broken(pairs)
+    drifted = [None not in speeds and max(speeds) - min(speeds) > MAX_SPEED_DRIFT * max(speeds)
+               for speeds in ((base["speed"], change["speed"]) for base, change in pairs)]
     lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
              f"{'change median':>14} {'spread':>7} {'change won':>10} verdict"]
     for name, direction in better.items():
-        sides = [(_values(base).get(name), _values(change).get(name)) for base, change in pairs]
-        sides = [(b, c) for b, c in sides if b is not None and c is not None]
-        if not sides:
+        kept = [((_values(base).get(name), _values(change).get(name)), drift)
+                for (base, change), drift in zip(pairs, drifted)]
+        kept = [(side, drift) for side, drift in kept if None not in side]
+        if not kept:
             continue
+        sides, steady = [side for side, _ in kept], [side for side, drift in kept if not drift]
+        reading = "invalid" if invalid else verdict(sides, direction, bounds[name])
+        steady_better = bool(steady) and verdict(steady, direction, bounds[name]) == "better"
+        if reading == "better" and not steady_better:
+            reading = "unresolved"
+        elif reading == "same" and steady_better:
+            reading = "better"
         won = sum(_beats(c, b, direction) for b, c in sides)
         bases, changes = [b for b, _ in sides], [c for _, c in sides]
         lines.append(f"{name:14} {direction:6} {statistics.median(bases):12.6g} "
                      f"{spread(bases):7.3f} {statistics.median(changes):14.6g} "
-                     f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10} "
-                     f"{'invalid' if invalid else verdict(sides, direction, bounds[name])}")
+                     f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10} {reading}")
     correct = sum(base["correct"] and change["correct"] for base, change in pairs)
     lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
     medians = []
