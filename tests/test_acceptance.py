@@ -262,7 +262,7 @@ def test_criterion_8_boundary_structure():
         assert abs(exact.real - numeric.real) < 1e-9
         assert abs(exact.imag - numeric.imag) < 1e-9
     # comparison emitted in the E4.63 row (a match here)
-    rows = {r.id: r for r in verify_suite(4, trials=2)}
+    rows = {r.id: r for r in verify_suite(4)}
     assert rows["E4.63"].matches
     _report("8 (boundary structure, catalogued coefficient, quadrature)", True)
 
@@ -276,7 +276,7 @@ def test_criterion_9_discrepancy_ledger_and_exit_policy():
     expected_reference = {4: SymScalar.from_atom(vol_sphere(3), -20),
                           6: SymScalar.from_atom(vol_sphere(5), -40)}
     for n in (4, 6):
-        rows = {r.id: r for r in verify_suite(n, trials=2)}
+        rows = {r.id: r for r in verify_suite(n)}
         row = rows["E4.20"]
         assert not row.matches
         assert row.computed == expected_computed[n]

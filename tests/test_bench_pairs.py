@@ -45,20 +45,27 @@ def test_parse_result_reads_the_last_line():
         bench_pairs.parse_result("\n \n")
 
 
+def _split(summary):
+    """(metric rows, the lines after them) of a summary, its header left out."""
+    end = next(i for i, line in enumerate(summary) if line.startswith("pairs with both runs"))
+    return summary[1:end], summary[end:]
+
+
 def test_summary_counts_the_pairs_the_change_won_in_each_direction():
     runs = [((0.00064, 980), (0.00055, 1030)), ((0.00062, 990), (0.00056, 985)),
             ((0.00060, 1000), (0.00061, 1010))]
     pairs = [tuple(bench_pairs.parse_result(_stdout(*side)) for side in pair)
              for pair in runs]
     lines = bench_pairs.summary_lines(pairs, BETTER, BOUNDS)
-    rows = {line.split()[0]: line.split() for line in lines[1:-2]}
+    table, tail = _split(lines)
+    rows = {line.split()[0]: line.split() for line in table}
     # jobs_per_s: higher wins in pairs 1 and 3; job_p50_s: lower wins in 1 and 2.
     # Spread: base jobs_per_s 980, 990, 1000 has quartiles 985 and 995, so 10/990
     assert rows["jobs_per_s"][1:] == ["higher", "990", "0.010", "1010", "0.022", "2/3", "same"]
     assert rows["job_p50_s"][1:] == ["lower", "0.00062", "0.032", "0.00056", "0.054", "2/3",
                                      "same"]
     assert "peak_rss_mb" not in rows  # not an end-to-end metric of BETTER
-    assert lines[-2] == "pairs with both runs correct: 3/3"
+    assert tail[0] == "pairs with both runs correct: 3/3"
 
 
 def test_spread_is_the_interquartile_range_over_the_median():
@@ -82,7 +89,7 @@ def test_pair_lines_show_correct_and_failed_jobs():
         "speed=1.5",
     ]
     summary = bench_pairs.summary_lines([(base, change)], BETTER, BOUNDS)
-    assert summary[-2] == "pairs with both runs correct: 0/1"
+    assert _split(summary)[1][0] == "pairs with both runs correct: 0/1"
 
 
 def test_pair_lines_and_summary_show_each_runs_cpu_speed():
@@ -97,14 +104,16 @@ def test_pair_lines_and_summary_show_each_runs_cpu_speed():
     lines = bench_pairs.pair_lines(1, 401, *pairs[0], BETTER)
     assert [line.split()[-1] for line in lines] == ["speed=1.1", "speed=2.3"]
     assert bench_pairs.pair_lines(2, 402, *pairs[1], BETTER)[1].endswith(" speed=?")
-    summary = bench_pairs.summary_lines(pairs, BETTER, BOUNDS)
-    assert summary[-1] == "median CPU speed of the reference: base 1.2, change 2.1"
+    rows, tail = _split(bench_pairs.summary_lines(pairs, BETTER, BOUNDS))
+    assert tail[1] == "median CPU speed of the reference: base 1.2, change 2.1"
+    assert tail[2] == "steady pairs: 1/3; drifted: 1, 3"
     # the verdict rows are the same as on runs that printed no speed
     plain = [tuple(bench_pairs.parse_result(_stdout(p50, rate, speed=None))
                    for p50, rate, _ in pair) for pair in runs]
-    bare = bench_pairs.summary_lines(plain, BETTER, BOUNDS)
-    assert bare[:-1] == summary[:-1]
-    assert bare[-1] == "median CPU speed of the reference: base ?, change ?"
+    bare_rows, bare_tail = _split(bench_pairs.summary_lines(plain, BETTER, BOUNDS))
+    assert (bare_rows, bare_tail[0]) == (rows, tail[0])
+    assert bare_tail[1] == "median CPU speed of the reference: base ?, change ?"
+    assert bare_tail[2] == "steady pairs: 3/3; drifted: none"
 
 
 def test_directions_and_command_follow_the_benchmark_declaration():
@@ -181,7 +190,7 @@ def _verdicts(runs) -> dict:
     """{metric: verdict} of the summary over (base, change) _stdout argument pairs."""
     pairs = [tuple(bench_pairs.parse_result(_stdout(**side)) for side in pair) for pair in runs]
     return {line.split()[0]: line.split()[-1]
-            for line in bench_pairs.summary_lines(pairs, BETTER, BOUNDS)[1:-2]}
+            for line in _split(bench_pairs.summary_lines(pairs, BETTER, BOUNDS))[0]}
 
 
 def test_a_broken_run_makes_every_verdict_invalid():
@@ -221,6 +230,27 @@ def test_better_is_read_only_from_pairs_whose_runs_kept_one_cpu_speed():
     assert _verdicts([(b, c) if b["speed"] > 2 else ({**b, "speed": None}, c)
                       for b, c in runs]) == better
     assert 2.45 - 1.71 > bench_pairs.MAX_SPEED_DRIFT * 2.45 > 2.45 - 2.24
+
+
+def test_summary_counts_the_steady_pairs_and_names_the_drifted_ones():
+    """Ten pairs, three of them drifted (pairs 2, 5 and 9): the summary prints
+    7/10 steady pairs with the drifted indices, and a last line saying that no
+    metric could read better from them.  Ten steady pairs print no such line."""
+    base, change = {"p50": 0.0006, "rate": 1000}, {"p50": 0.00054, "rate": 1100}
+    runs = [({**base, "speed": 2.45}, {**change, "speed": 2.45}) for _ in range(10)]
+    for index in (1, 4, 8):
+        runs[index] = ({**base, "speed": 1.71}, {**change, "speed": 2.45})
+    pairs = [tuple(bench_pairs.parse_result(_stdout(**side)) for side in pair) for pair in runs]
+    rows, tail = _split(bench_pairs.summary_lines(pairs, BETTER, BOUNDS))
+    assert tail[2:] == ["steady pairs: 7/10; drifted: 2, 5, 9",
+                        "no metric could read better from 7 steady pairs, fewer than 10: "
+                        "more seeds are needed"]
+    assert all(row.split()[-1] != "better" for row in rows)
+    steady = [(b, {**c, "speed": b["speed"]}) for b, c in runs]
+    pairs = [tuple(bench_pairs.parse_result(_stdout(**side)) for side in pair) for pair in steady]
+    rows, tail = _split(bench_pairs.summary_lines(pairs, BETTER, BOUNDS))
+    assert tail[2:] == ["steady pairs: 10/10; drifted: none"]
+    assert [row.split()[-1] for row in rows] == ["better", "better"]
 
 
 def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):

@@ -14,7 +14,7 @@ from spectral_torsion import Multivector, SymScalar, grading, mv_mul, \
 from spectral_torsion import moments, verify
 from spectral_torsion.clifford import MAX_DIM, _from_int_parts
 from spectral_torsion.scalars import GR_I, GaussianRational, Rational, rational
-from spectral_torsion.verify import CATALOG, DEFAULT_SEED, _sphere_trace_integral
+from spectral_torsion.verify import CATALOG, DEFAULT_SEED, TRIALS, _sphere_trace_integral
 
 from conftest import rand_multivector, rand_oneform, rand_threeform, scale_reference, \
     sphere_trace_integral_reference
@@ -358,7 +358,7 @@ def test_e462_is_e460_minus_e461_at_the_pole_mirror(n):
     assert r62 + r61 * GR_I == r60
 
 
-def _suite_every_trial(n, seed, trials=5):
+def _suite_every_trial(n, seed):
     """verify_suite without its early stops: every row runs every trial."""
     rng = random.Random(seed)
     rows = []
@@ -366,7 +366,7 @@ def _suite_every_trial(n, seed, trials=5):
         if n not in ident.dims:
             continue
         computed, reference, ok = ident.run(n, None)
-        for _ in range(trials):
+        for _ in range(TRIALS):
             ok = ident.run(n, rng)[2] and ok
         rows.append((ident.id, str(computed), str(reference), ok))
     return rows
@@ -489,3 +489,21 @@ def test_distinct_seeds_draw_distinct_trials(monkeypatch):
     for seed in (5, 0, 1):
         rng = random.Random(seed)
         assert draws[seed] == tuple(rng.random() for _ in range(5))
+
+
+class _DrawingOnce(_Recording):
+    """A recording row whose trials after the first draw nothing."""
+
+    def run(self, n, rng):
+        if rng is not None:
+            self.draws.append(None if self.draws else rng.random())
+        return SymScalar(), SymScalar(), True
+
+
+def test_a_row_that_draws_in_its_first_trial_runs_every_trial(monkeypatch):
+    """Only the first trial's draw is checked: a row that draws in it runs
+    all TRIALS trials, even when a later trial draws nothing."""
+    row = _DrawingOnce()
+    monkeypatch.setattr(verify, "CATALOG", (row,))
+    assert [r.matches for r in verify_suite(4)] == [True]
+    assert len(row.draws) == TRIALS

@@ -35,8 +35,12 @@ Every metric reads ``invalid`` instead when the runs cannot be compared: a
 run on either side is not ``correct``, or in some pair the change failed a
 larger share of its attempted jobs than its base did.
 
-The summary ends with each side's median CPU speed, which shows a drift of
-the host that the scaled times did not absorb.  A last line gives the line
+The summary then gives each side's median CPU speed, which shows a drift of
+the host that the scaled times did not absorb, and the steady pairs with the
+indices of the drifted ones (``steady pairs: 7/10; drifted: 1, 2, 3``).
+When fewer than ``MIN_BETTER_PAIRS`` pairs were steady, one more line says
+that no metric could read ``better`` and that more seeds are needed.  A last
+line, printed after the summary, gives the line
 totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
 as ``wc -l`` counts them, their difference, and each module whose count
 changed.  ``--workload`` takes one of the ``workloads`` that
@@ -174,8 +178,10 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
     (base, change) result pairs, the pairs in which the change was better
     and the verdict, "better" only as the steady pairs read it and "invalid"
     for every metric when the pairs are broken; then the pairs in which both
-    runs were correct and each side's median CPU speed over the runs that
-    printed one."""
+    runs were correct, each side's median CPU speed over the runs that
+    printed one, and the steady pairs with the indices of the drifted ones;
+    when fewer than MIN_BETTER_PAIRS were steady, a last line says that no
+    metric could read "better"."""
     invalid = broken(pairs)
     drifted = [None not in speeds and max(speeds) - min(speeds) > MAX_SPEED_DRIFT * max(speeds)
                for speeds in ((base["speed"], change["speed"]) for base, change in pairs)]
@@ -206,6 +212,12 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
         speeds = [pair[index]["speed"] for pair in pairs if pair[index]["speed"] is not None]
         medians.append(f"{side} {statistics.median(speeds):.4g}" if speeds else f"{side} ?")
     lines.append("median CPU speed of the reference: " + ", ".join(medians))
+    steady = drifted.count(False)
+    drifts = ", ".join(str(index) for index, drift in enumerate(drifted, 1) if drift)
+    lines.append(f"steady pairs: {steady}/{len(pairs)}; drifted: {drifts or 'none'}")
+    if steady < MIN_BETTER_PAIRS:
+        lines.append(f"no metric could read better from {steady} steady pairs, fewer than "
+                     f"{MIN_BETTER_PAIRS}: more seeds are needed")
     return lines
 
 
