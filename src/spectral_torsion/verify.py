@@ -6,6 +6,10 @@ residue calculus) and compared against its catalogued reference value.
 Mismatches are reported as data; only the final-theorem rows gate the
 verify exit code.
 
+Each row is a `_Row(draw, computed, reference, show)`: its random draws, its two
+exact values by independent routes from the drawn inputs, and its displayed
+values and flag.  The tests pin the package functions that the two sides share.
+
 Row ids are stable catalog keys.  The match flag is decided over TRIALS
 randomized exact trials; the displayed computed/reference values come from a
 fixed canonical input so tables are deterministic.
@@ -17,7 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .clifford import MAX_DIM, Multivector, _grading, _same_dim, _scale_grades, grading, \
     mv_mul, scalar_product, supertrace, trace
@@ -46,8 +50,9 @@ from .scalars import (
     sym,
     vol_sphere,
 )
-from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, sigma_minus2m
-from .torsion import ManifoldSpec, _frame_pairing, spectral_torsion, theorem_boundary_value
+from .symbols import Grading, TorsionGrading, TorsionVector, VectorGrading, interior_density, \
+    sigma_minus2m
+from .torsion import ManifoldSpec, _frame_pairing, theorem_boundary_value, theorem_value
 
 DEFAULT_SEED = 20240810
 TRIALS = 5  # randomized trials per row
@@ -109,6 +114,17 @@ def _sphere_symbol(generator_first: bool, a: Multivector) -> XiPolynomialMV:
 
 _SPHERE_SYMBOLS = functools.partial(_sphere_symbol, False), functools.partial(_sphere_symbol, True)
 
+# Per sphere row, at n: generator positions (True: first), middle grade, catalogued weight
+_SPHERE_WEIGHTS = {
+    "E4.18": ((False, True), lambda n: 1, lambda n: Rational(-2, n)),
+    "E4.19": ((False,), lambda n: 3, lambda n: -1),
+    "E4.20": ((True,), lambda n: 3, lambda n: -5),
+    "E4.36": ((False,), lambda n: n - 1, lambda n: -1),
+    "E4.37": ((True,), lambda n: n - 1, lambda n: Rational(2 - n, n)),
+    "E4.41": ((True,), lambda n: n - 3, lambda n: Rational(n - 6, n)),
+    "E4.42": ((False,), lambda n: n - 3, lambda n: -1),
+}
+
 
 def _probe(f: XiRational) -> SymScalar:
     """Display probe for a rational symbol: exact value at xi_n = 2."""
@@ -140,72 +156,92 @@ class IdentityComparison:
     matches: bool
 
 
-def _in_units(computed, reference, atoms: tuple = ()):
-    """A row of exact values in units of the monomial `atoms`, attached here."""
+def _in_units(n, computed, reference, atoms=()):
+    """Exact values in units of the monomial `atoms`, attached here."""
     computed, reference = (SymScalar.from_monomial(atoms, x) for x in (computed, reference))
     return computed, reference, computed == reference
 
 
+def _on_sphere(n, computed, reference):  # in units of vol(S^(n-1))
+    return _in_units(n, computed, reference, (vol_sphere(n - 1),))
+
+
+def _as_is(n, computed, reference):
+    return computed, reference, computed == reference
+
+
+class _Row(NamedTuple):
+    """A row's run in parts: draw(n, rng) gives the inputs, the canonical ones when
+    rng is None, computed(*inputs) and reference(*inputs) the two exact values,
+    and show(n, computed, reference) the displayed values and the flag."""
+
+    draw: Callable
+    computed: Callable
+    reference: Callable
+    show: Callable = _in_units
+
+    def __call__(self, n, rng):
+        inputs = self.draw(n, rng)
+        return self.show(n, self.computed(*inputs), self.reference(*inputs))
+
+
+def _frame_draw(inputs, middle):
+    """The inputs (u, v, w, x), then C = c(u)c(v)c(w) and M = middle(x), built once."""
+    def draw(n, rng):
+        u, v, w, x = inputs(n, rng)
+        return u, v, w, x, frame_product(u, v, w), middle(x)
+    return draw
+
+
 def _trace_row(inputs, middle, base):
-    """A row comparing tr(C M), C = c(u)c(v)c(w) and M = middle(x) for the inputs
-    (u, v, w, x), with tr(1) = 2^m times base(u, v, w, x, C, M), a closed form of
-    <C M>_0.  The base is never _witness: that would compare the trace with itself."""
-    def run(n, rng):
-        u, v, w, x = inputs(n, rng)
-        cuvw, right = frame_product(u, v, w), middle(x)
-        return _in_units(trace(cuvw, right), base(u, v, w, x, cuvw, right) * 2 ** (n // 2))
-    return run
+    """A row comparing tr(C M) with 2^m times the closed form base(u, v, w, x) of <C M>_0."""
+    return _Row(_frame_draw(inputs, middle), lambda u, v, w, x, cuvw, right: trace(cuvw, right),
+                lambda u, v, w, x, *_: base(u, v, w, x) * 2 ** (u.dim // 2))
 
 
-def _sphere_row(inputs, middle, positions, weight, base):
-    """A row comparing `_sphere_trace_integral` of C = c(u)c(v)c(w) and M = middle(x) at
-    the positions with weight(n) * base(u, v, w, x, C, M) * 2^m, in units of vol(S^(n-1))."""
-    def run(n, rng):
-        u, v, w, x = inputs(n, rng)
-        cuvw, right = frame_product(u, v, w), middle(x)
-        computed = _sphere_trace_integral(cuvw, right, positions)
-        reference = base(u, v, w, x, cuvw, right) * 2 ** (n // 2) * weight(n)
-        return _in_units(computed, reference, (vol_sphere(n - 1),))
-    return run
+def _sphere_row(row_id, inputs, middle, base=None):
+    """A row comparing `_sphere_trace_integral` of C and M of _frame_draw at the row's
+    positions with its weight(n) * 2^m times base(u, v, w, x), a closed form of <C M>_0,
+    or without a base the witness scalar_product(C, M) of the integrand's own factors."""
+    positions, _, weight = _SPHERE_WEIGHTS[row_id]
+    return _Row(_frame_draw(inputs, middle),
+                lambda u, v, w, x, cuvw, right: _sphere_trace_integral(cuvw, right, positions),
+                lambda u, v, w, x, cuvw, right: (scalar_product(cuvw, right) if base is None
+                                                 else base(u, v, w, x))
+                * 2 ** (u.dim // 2) * weight(u.dim),
+                _on_sphere)
 
 
 def _density_row(inputs, case, with_boundary=False):
-    """A row comparing spectral_torsion's total on the perturbation case(x, rng)
-    with its catalogued theorem value; the case draws after the inputs."""
-    def run(n, rng):
+    """A row comparing the interior density (plus the boundary's with_boundary) on the
+    perturbation case(x, rng), drawn after the inputs, with its theorem value."""
+    def draw(n, rng):
         u, v, w, x = inputs(n, rng)
-        report = spectral_torsion(case(x, rng), u, v, w, ManifoldSpec(n, with_boundary))
-        return report.total, report.theorem_value, report.matches_theorem
-    return run
+        return u, v, w, case(x, rng), ManifoldSpec(n, with_boundary)
+    return _Row(draw, lambda u, v, w, case, spec: interior_density(u, v, w, case)
+                + (boundary_density(u, v, w) if with_boundary else SymScalar()),
+                lambda u, v, w, case, spec: theorem_value(case, u, v, w, spec), _as_is)
+
+
+def _half_dim(n, rng):
+    return n // 2,
 
 
 def _pole_row(numer, k):
     """A row comparing the m-th derivative of numer/(x+i)^(m-k) at x = i with
     (-1)^m (2m-1-k)!/(m-1-k)! (2i)^(k-2m)."""
-    def run(n, rng):
-        m = n // 2
-        computed = XiRational(numer, down=m - k).derivatives_at(GR_I, m)[m]
-        sign = 1 if m % 2 == 0 else -1
-        factor = sign * (math.factorial(2 * m - 1 - k) // math.factorial(m - 1 - k))
-        return _in_units(computed, GaussianRational(0, 2) ** (k - 2 * m) * factor)
-    return run
+    return _Row(_half_dim, lambda m: XiRational(numer, down=m - k).derivatives_at(GR_I, m)[m],
+                lambda m: GaussianRational(0, 2) ** (k - 2 * m)
+                * ((-1) ** m * (math.factorial(2 * m - 1 - k) // math.factorial(m - 1 - k))))
+
+
+def _threeform_at(u, v, w, t):  # T(u, v, w): <c(u)c(v)c(w) c(T)>_0 by L4.3b
+    return eval_threeform(t, u, v, w)
 
 
 def _graded(x) -> Multivector:
     """c(x) times the grading, for a one-form or 3-form x."""
     return mv_mul(to_clifford(x), grading(x.dim))
-
-
-def _threeform_at(u, v, w, t, cuvw, middle):  # T(u, v, w): <c(u)c(v)c(w) c(T)>_0 by L4.3b
-    return eval_threeform(t, u, v, w)
-
-
-def _witness(u, v, w, x, cuvw, middle):  # <c(u)c(v)c(w) M>_0 of the integrand's own factors
-    return scalar_product(cuvw, middle)
-
-
-def _pairing(u, v, w, y, cuvw, middle):  # <c(u)c(v)c(w)c(y)>_0 by L4.3a
-    return _frame_pairing(u, v, w, y)
 
 
 def _pairing_inputs(n, rng):
@@ -248,120 +284,83 @@ def _boundary_torsion_vector(normal, rng):
     return TorsionVector(rand_threeform(rng, n), y)
 
 
-def _run_e417(n, rng):
-    if rng is None:
-        i = j = 1
-    else:
-        i, j = rng.randint(1, n), rng.randint(1, n)
-    computed = moment(n, xi_monomial(n, i, j))
-    reference = rational(1) / rational(n) if i == j else rational(0)
-    return _in_units(computed, reference, (vol_sphere(n - 1),))
+def _blade_probe(n, computed, reference):
+    """One blade coefficient for display; the flag compares the full multivectors."""
+    mask = min(reference.coeffs, default=0)
+    return (sym(computed.coeffs.get(mask, GR_ZERO)), sym(reference.coeffs.get(mask, GR_ZERO)),
+            computed == reference)
 
 
-def _run_l49(n, rng):
-    top_mask = (1 << n) - 1
-    if rng is None:
-        sub_mask = 1
-    else:
-        sub_mask = rng.randint(0, top_mask - 1)  # any grade < n blade
-    computed = (supertrace(Multivector(n, {top_mask: 1}))
-                + supertrace(Multivector(n, {sub_mask: 1})))
-    m = n // 2
-    reference = rational(2 ** m) * (GR_ONE / i_power(m))
-    return _in_units(computed, reference)
-
-
-def _run_e431(n, rng):
-    cuvw = frame_product(*_oneforms(n, rng, 1, 2, 3))
-    constant = sigma_minus2m(grading(n)).terms.get(xi_monomial(n), Multivector(n))
-    # the reference is C times i^2 grading(n) = -grading(n)
-    computed_mv, reference_mv = mv_mul(cuvw, constant), mv_mul(cuvw, _grading(n, 2))
-    # probe one blade coefficient for display; match over full multivectors
-    probe_mask = next(iter(sorted(reference_mv.coeffs)), 0)
-    return (sym(computed_mv.coeffs.get(probe_mask, GR_ZERO)),
-            sym(reference_mv.coeffs.get(probe_mask, GR_ZERO)),
-            computed_mv == reference_mv)
-
-
-def _run_e455(n, rng):
+def _projected_components():
+    """The half inverse symbol's (tangential, normal) and pi_plus of the tangential."""
     tangential, normal = half_inverse_symbol_components()
-    ref_tan = XiRational(Poly((rational(1) / rational(2),)), up=1)
-    ref_nor = XiRational(Poly((GR_I * (rational(1) / rational(2)),)), up=1)
-    exact = (tangential == ref_tan and normal == ref_nor
-             and pi_plus(tangential) == tangential)
-    return (_probe(tangential) + _probe(normal),
-            _probe(ref_tan) + _probe(ref_nor), exact)
-
-
-def _run_e456(n, rng):
-    m = n // 2
-    inverse_power = XiRational(POLY_ONE, m - 1, m - 1)
-    computed = inverse_power.derivative()
-    reference = dxn_symbol(m)
-    return _probe(computed), _probe(reference), computed == reference
-
-
-def _run_e462(n, rng):
-    m = n // 2
-    computed = XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m]  # of x/(x+i)^m
-    reference = (GaussianRational(0, -1)
-                 * rational(math.factorial(2 * m - 2))
-                 / rational(math.factorial(m - 1) * 2 ** (2 * m)))
-    return _in_units(computed, reference)
-
-
-def _run_e463(n, rng):
-    u, v, w, _ = _boundary_inputs(n, rng)
-    computed, reference = boundary_density(u, v, w), theorem_boundary_value(u, v, w)
-    return computed, reference, computed == reference
+    return tangential, normal, pi_plus(tangential)
 
 
 _ALL_N = range(4, MAX_DIM + 1, 2)
 
 CATALOG: tuple[Identity, ...] = (
     Identity("L4.3a", "four-factor trace against metric pairings", _ALL_N,
-             _trace_row(_pairing_inputs, to_clifford, _pairing)),
+             _trace_row(_pairing_inputs, to_clifford, _frame_pairing)),
     Identity("L4.3b", "trace of three one-forms against a 3-form", _ALL_N,
              _trace_row(_torsion_inputs, to_clifford, _threeform_at)),
-    Identity("E4.17", "second sphere moment of the covariables", _ALL_N, _run_e417),
+    Identity("E4.17", "second sphere moment of the covariables", _ALL_N, _Row(
+        lambda n, rng: (n, 1, 1) if rng is None else (n, rng.randint(1, n), rng.randint(1, n)),
+        lambda n, i, j: moment(n, xi_monomial(n, i, j)),
+        lambda n, i, j: rational(1) / rational(n) if i == j else rational(0), _on_sphere)),
     Identity("E4.18", "sphere integral of the vector anticommutator trace", _ALL_N,
-             _sphere_row(_pairing_inputs, to_clifford, (False, True), lambda n: Rational(-2, n),
-                         _pairing)),
+             _sphere_row("E4.18", _pairing_inputs, to_clifford, _frame_pairing)),
     Identity("E4.19", "sphere integral, 3-form right of the frame factor", _ALL_N,
-             _sphere_row(_torsion_inputs, to_clifford, (False,), lambda n: -1, _threeform_at)),
+             _sphere_row("E4.19", _torsion_inputs, to_clifford, _threeform_at)),
     Identity("E4.20", "sphere integral, 3-form left of the frame factor", _ALL_N,
-             _sphere_row(_torsion_inputs, to_clifford, (True,), lambda n: -5, _threeform_at)),
-    Identity("L4.9", "supertrace: sub-top blades vanish, top blade value", _ALL_N, _run_l49),
-    Identity("E4.31", "constant symbol term for the grading perturbation", _ALL_N, _run_e431),
+             _sphere_row("E4.20", _torsion_inputs, to_clifford, _threeform_at)),
+    Identity("L4.9", "supertrace: sub-top blades vanish, top blade value", _ALL_N, _Row(
+        lambda n, rng: (n, 1 if rng is None else rng.randint(0, (1 << n) - 2)),  # grade < n
+        lambda n, sub_mask: (supertrace(Multivector(n, {(1 << n) - 1: 1}))
+                             + supertrace(Multivector(n, {sub_mask: 1}))),
+        lambda n, _: rational(2 ** (n // 2)) * (GR_ONE / i_power(n // 2)))),
+    Identity("E4.31", "constant symbol term for the grading perturbation", _ALL_N, _Row(
+        lambda n, rng: (n, frame_product(*_oneforms(n, rng, 1, 2, 3))),
+        lambda n, cuvw: mv_mul(cuvw, sigma_minus2m(grading(n)).terms.get(xi_monomial(n),
+                                                                           Multivector(n))),
+        lambda n, cuvw: mv_mul(cuvw, _grading(n, 2)), _blade_probe)),  # C times i^2 grading(n)
     Identity("E4.34", "grading trace as a top wedge pairing (n=4)", (4,),
-             _trace_row(_vector_inputs, _graded, lambda u, v, w, x, *_:  # -4 = -tr(1)
+             _trace_row(_vector_inputs, _graded, lambda u, v, w, x:  # -4 = -tr(1)
                         -eval_threeform(_complement(x), u, v, w))),
     Identity("E4.36", "sphere integral, vector-grading right of the frame factor", _ALL_N,
-             _sphere_row(_vector_inputs, _graded, (False,), lambda n: -1, _witness)),
+             _sphere_row("E4.36", _vector_inputs, _graded)),
     Identity("E4.37", "sphere integral, vector-grading left of the frame factor", _ALL_N,
-             _sphere_row(_vector_inputs, _graded, (True,), lambda n: Rational(2 - n, n),
-                         _witness)),
+             _sphere_row("E4.37", _vector_inputs, _graded)),
     Identity("E4.39", "grading-torsion trace as a top wedge pairing (n=6)", (6,),
-             _trace_row(_grading_torsion_inputs, _graded, lambda u, v, w, t, *_:  # 8/i^3 = i tr(1)
+             _trace_row(_grading_torsion_inputs, _graded, lambda u, v, w, t:  # 8/i^3 = i tr(1)
                         GR_I * eval_threeform(_complement(t), u, v, w))),
     Identity("E4.41", "sphere integral, grading-torsion left of the frame factor", _ALL_N,
-             _sphere_row(_grading_torsion_inputs, _graded, (True,), lambda n: Rational(n - 6, n),
-                         _witness)),
+             _sphere_row("E4.41", _grading_torsion_inputs, _graded)),
     Identity("E4.42", "sphere integral, grading-torsion right of the frame factor", _ALL_N,
-             _sphere_row(_grading_torsion_inputs, _graded, (False,), lambda n: -1, _witness)),
+             _sphere_row("E4.42", _grading_torsion_inputs, _graded)),
     Identity("E4.49", "grading-torsion trace via metric pairings (n=4)", (4,),
-             _trace_row(_grading_torsion_inputs, _graded, lambda u, v, w, t, *_:  # 4 = tr(1)
+             _trace_row(_grading_torsion_inputs, _graded, lambda u, v, w, t:  # 4 = tr(1)
                         _frame_pairing(u, v, w, _complement(t)))),
-    Identity("E4.55", "half-line projection of the inverse symbol", _ALL_N, _run_e455),
-    Identity("E4.56", "normal derivative of the inverse-power symbol", _ALL_N, _run_e456),
+    Identity("E4.55", "half-line projection of the inverse symbol", _ALL_N, _Row(
+        lambda n, rng: (), _projected_components,  # (1/2)/(x+i), (i/2)/(x+i), the first again
+        lambda: tuple(XiRational(Poly((c / 2,)), up=1) for c in (GR_ONE, GR_I, GR_ONE)),
+        lambda n, c, r: (_probe(c[0]) + _probe(c[1]), _probe(r[0]) + _probe(r[1]), c == r))),
+    Identity("E4.56", "normal derivative of the inverse-power symbol", _ALL_N, _Row(
+        _half_dim, lambda m: XiRational(POLY_ONE, m - 1, m - 1).derivative(), dxn_symbol,
+        lambda n, c, r: (_probe(c), _probe(r), c == r))),
     Identity("E4.57", "boundary trace combination of the normal factor", _ALL_N,
-             _trace_row(_boundary_inputs, to_clifford, _pairing)),
+             _trace_row(_boundary_inputs, to_clifford, _frame_pairing)),
     Identity("E4.60", "m-th derivative of the (1-m) inverse power at the pole mirror", _ALL_N,
              _pole_row(POLY_ONE, 1)),
     Identity("E4.61", "m-th derivative of the m-th inverse power at the pole mirror", _ALL_N,
              _pole_row(Poly((GR_I,)), 0)),
-    Identity("E4.62", "residue derivative closed form", _ALL_N, _run_e462),
-    Identity("E4.63", "boundary density against the catalogued coefficient", _ALL_N, _run_e463),
+    Identity("E4.62", "residue derivative closed form", _ALL_N, _Row(
+        _half_dim, lambda m: XiRational(POLY_X, down=m).derivatives_at(GR_I, m)[m],  # x/(x+i)^m
+        lambda m: (GaussianRational(0, -1) * rational(math.factorial(2 * m - 2))
+                   / rational(math.factorial(m - 1) * 2 ** (2 * m))))),
+    Identity("E4.63", "boundary density against the catalogued coefficient", _ALL_N, _Row(
+        _boundary_inputs, lambda u, v, w, _: boundary_density(u, v, w),
+        lambda u, v, w, _: theorem_boundary_value(u, v, w), _as_is)),
     Identity("T4.5", "interior density, torsion-vector case", _ALL_N,
              _density_row(_torsion_inputs, _torsion_vector), final=True),
     Identity("R4.7", "interior density vanishes for pure vector perturbation", _ALL_N,

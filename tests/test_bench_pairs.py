@@ -275,10 +275,12 @@ def test_lines_line_names_each_module_whose_count_changed(tmp_path):
         package.mkdir(parents=True)
         for name, text in files.items():
             (package / name).write_text(text)
-    assert bench_pairs.lines_line(tmp_path / "base", tmp_path / "change") == (
+    assert bench_pairs.lines_line(bench_pairs.line_counts(tmp_path / "base",
+                                                          tmp_path / "change")) == (
         "src/spectral_torsion/*.py lines: base 5, change 4, difference -1; "
         "changed: core.py 3 -> 1, gone.py 1 -> 0, new.py 0 -> 2")
-    assert bench_pairs.lines_line(tmp_path / "base", tmp_path / "base").endswith(
+    assert bench_pairs.lines_line(bench_pairs.line_counts(tmp_path / "base",
+                                                          tmp_path / "base")).endswith(
         "difference +0; changed: none")
 
 
@@ -358,3 +360,82 @@ def test_both_sides_run_from_fresh_copies_without_bytecode(tmp_path, monkeypatch
     assert len(copied) == 2 and all(files == [".gitignore", "BENCHMARK.json", "src/spectral_torsion/core.py",
                                     "src/spectral_torsion/new.py"] for files in copied)
     assert not any(checkout.exists() for checkout in checkouts)
+
+
+def _canned_pairs():
+    """Three pairs of canned runs, the second drifted (CPU speed 1.1 against 2.3)."""
+    runs = [((0.00064, 980, 2.3), (0.00055, 1030, 2.3)),
+            ((0.00062, 990, 1.1), (0.00056, 985, 2.3)),
+            ((0.00060, 1000, None), (0.00061, 1010, 1.9))]
+    return [tuple(bench_pairs.parse_result(_stdout(p50, rate, speed=speed))
+                  for p50, rate, speed in pair) for pair in runs]
+
+
+def test_record_holds_each_pair_and_the_printed_summary():
+    """The record keeps the settings, each pair's sides with their steadiness,
+    the rows that the summary prints and the line counts, as JSON data."""
+    pairs = _canned_pairs()
+    counts = {"base": 5, "change": 4, "difference": -1, "changed": {"core.py": [3, 2]}}
+    change = {"commit": "c" * 40, "dirty": True}
+    entry = bench_pairs.record("b" * 40, change, "density_api", [401, 402, 403], 5.0, pairs,
+                               BETTER, BOUNDS, counts)
+    assert json.loads(json.dumps(entry)) == entry
+    assert (entry["base"], entry["change"], entry["workload"], entry["seeds"],
+            entry["seconds"], entry["lines"]) == ("b" * 40, change, "density_api",
+                                                  [401, 402, 403], 5.0, counts)
+    assert [pair["seed"] for pair in entry["pairs"]] == [401, 402, 403]
+    assert [pair["steady"] for pair in entry["pairs"]] == [True, False, True]
+    assert entry["pairs"][1]["base"] == {"correct": True, "failed": 0, "attempted": 72,
+                                         "speed": 1.1,
+                                         "metrics": {"jobs_per_s": 990, "job_p50_s": 0.00062}}
+    assert entry["pairs"][2]["base"]["speed"] is None
+    assert entry["pairs"][0]["change"]["metrics"] == {"jobs_per_s": 1030, "job_p50_s": 0.00055}
+    table, _ = _split(bench_pairs.summary_lines(pairs, BETTER, BOUNDS))
+    printed = {line.split()[0]: line.split()[1:] for line in table}
+    for row in entry["metrics"]:
+        direction, base, base_spread, change_median, change_spread, won, reading = \
+            printed[row["metric"]]
+        assert (row["better"], f"{row['won']}/{row['pairs']}", row["verdict"]) == \
+            (direction, won, reading)
+        assert (f"{row['base_median']:.6g}", f"{row['base_spread']:.3f}") == (base, base_spread)
+        assert f"{row['change_median']:.6g}" == change_median
+    assert [row["metric"] for row in entry["metrics"]] == list(printed)
+
+
+def test_append_record_extends_the_list_in_path(tmp_path):
+    path = tmp_path / "BENCH_pairs.json"
+    bench_pairs.append_record(path, {"n": 1})
+    bench_pairs.append_record(path, {"n": 2})
+    assert json.loads(path.read_text()) == [{"n": 1}, {"n": 2}]
+
+
+def test_record_leaves_stdout_as_it_is(tmp_path, monkeypatch, capsys):
+    """A --record run prints what a run without it prints, and appends one
+    record per invocation, with the base and the change commits and a dirty
+    flag for an untracked file."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "spectral_torsion").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    (repo / "src" / "spectral_torsion" / "core.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "spectral_torsion" / "new.py").write_text("y = 2\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "_run",
+                        lambda checkout, command: bench_pairs.parse_result(_stdout(0.0006, 1000)))
+    argv = ["HEAD", "--workload", "density_api", "--seeds", "1", "2", "--seconds", "1"]
+    path = tmp_path / "BENCH_pairs.json"
+    printed = []
+    for extra in ([], ["--record", str(path)], ["--record", str(path)]):
+        assert bench_pairs.main(argv + extra) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[2]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    records = json.loads(path.read_text())
+    assert len(records) == 2
+    assert records[0]["base"] == head and records[0]["change"] == {"commit": head, "dirty": True}
+    assert records[0]["seeds"] == [1, 2] and len(records[0]["pairs"]) == 2
+    assert records[0]["lines"] == {"base": 1, "change": 2, "difference": 1,
+                                   "changed": {"new.py": [0, 1]}}

@@ -165,7 +165,8 @@ def test_sigma_zero_inputs(monkeypatch):
     sigma = sigma_minus2m(perturbation_multivector_reference(TorsionVector(ThreeForm(n), z), n))
     assert sigma.is_zero() and sigma.terms == {}
     monkeypatch.setattr(verify, "_oneforms", lambda n, rng, *canonical: (z,) * len(canonical))
-    assert verify._run_e431(n, rng) == (sym(0), sym(0), True)
+    e431, = (ident for ident in verify.CATALOG if ident.id == "E4.31")
+    assert e431.run(n, rng) == (sym(0), sym(0), True)
 
 
 def test_sigma_degree_structure(rng):

@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -400,6 +403,151 @@ def test_rows_comparing_zero_with_zero(n):
             zero.add(ident.id)
     expected = {"R4.7", "T4.8γ"} | ({"E4.36", "E4.37", "E4.41", "T4.10"} if n >= 6 else set())
     assert zero == expected | ({"E4.42"} if n >= 8 else set())
+
+
+# Why a package function may serve both sides of a row: each computes no part
+# of the row's claim, or its sharing is what the row compares.
+SHARED_BECAUSE = {
+    "clifford._same_dim": "the operands' dimension rule, which computes no value",
+    "clifford._check_dim": "the dimension rule of a Multivector or form built on each side",
+    "clifford._check_even_dim": "the even-dimension rule of both boundary routes",
+    "forms._frame_dim": "the frame rule on (u, v, w), which both boundary routes check",
+    "symbols._check_case": "the perturbation-case rule, which both density routes check",
+    "clifford._exact": "the exact sum of scalar_product and eval_threeform; perfbench's "
+                       "reference sums and the conftest oracles check both without it",
+    "clifford._rational_runs": "the one rule that puts rationals into integer parts, for "
+                               "every Multivector and for eval_threeform's 3-form",
+    "clifford._sign_mask": "the blade sign of the Clifford kernel, which _complement's "
+                           "dual reads for its sign",
+    "forms._clifford_items": "the blade masks of a form, read by to_clifford and _complement",
+    "clifford.scalar_product": "the witness <C M>_0 of the integrand's own factors, which "
+                               "trace reads too: the row's claim is the sphere weight",
+    "clifford.mv_mul": "E4.31 multiplies C by the symbol's constant term and by -grading(n), "
+                       "so both sides run the Clifford product",
+    "clifford._int_product": "part of mv_mul, above",
+    "clifford._from_int_parts": "part of mv_mul, above",
+    "clifford.Multivector.__init__": "the Multivector(n) that E4.31's symbol lookup "
+                                     "defaults to, and _grading's grading",
+    "clifford._grading": "the grading, times i^k, that both sides of E4.31 read",
+    "halfline.XiRational.__init__": "both sides of E4.55 and E4.56 build rational symbols",
+    "halfline.Poly.__init__": "the numerators of those symbols",
+    "halfline.Poly.is_zero": "the constructor's zero test",
+    "halfline._cancel": "the constructor cancels the factors (x +- i) that the numerator holds",
+    "halfline.Poly.divide_linear": "part of _cancel, above",
+}
+
+_CHECKS = {"clifford._same_dim"}
+_TRACE = _CHECKS | {"clifford._exact"}  # a trace against eval_threeform's closed form
+_WITNESS = _TRACE | {"clifford.scalar_product"}
+_SYMBOLS = {"halfline.XiRational.__init__", "halfline.Poly.__init__", "halfline.Poly.is_zero",
+            "halfline._cancel", "halfline.Poly.divide_linear"}
+_DENSITY = _CHECKS | {"symbols._check_case"}
+_GRADED_DENSITY = _DENSITY | {"clifford._check_dim", "forms._clifford_items"}
+
+# The package functions, scalar arithmetic left out, that both sides of a row
+# call on its canonical input, over n = 4 and 6, as measured.
+SHARED = {
+    "L4.3a": _CHECKS, "L4.3b": _TRACE, "E4.17": set(), "E4.18": _CHECKS,
+    "E4.19": _TRACE | {"clifford._rational_runs"}, "E4.20": _TRACE | {"clifford._rational_runs"},
+    "L4.9": set(),
+    "E4.31": _CHECKS | {"clifford.mv_mul", "clifford._int_product", "clifford._from_int_parts",
+                        "clifford.Multivector.__init__", "clifford._grading",
+                        "clifford._check_dim", "clifford._rational_runs", "clifford._sign_mask"},
+    "E4.34": _TRACE, "E4.36": _WITNESS, "E4.37": _WITNESS, "E4.39": _TRACE,
+    "E4.41": _WITNESS, "E4.42": _WITNESS, "E4.49": _CHECKS,
+    "E4.55": _SYMBOLS, "E4.56": _SYMBOLS, "E4.57": _CHECKS,
+    "E4.60": set(), "E4.61": set(), "E4.62": set(),
+    "E4.63": _CHECKS | {"clifford._check_even_dim", "forms._frame_dim"},
+    "T4.5": _DENSITY | {"clifford._exact", "clifford._rational_runs"},
+    "R4.7": _DENSITY | {"clifford._exact"},
+    "T4.8γ": _DENSITY,
+    "T4.10": _GRADED_DENSITY | {"clifford._exact", "clifford._rational_runs",
+                                "clifford._sign_mask"},
+    "T4.11n4": _GRADED_DENSITY | {"forms._frame_dim"},
+    "T4.11n6": _GRADED_DENSITY | {"clifford._exact", "clifford._rational_runs",
+                                  "clifford._sign_mask"},
+    "T4.13": _DENSITY | {"clifford._check_even_dim", "clifford._exact",
+                         "clifford._rational_runs", "forms._frame_dim"},
+}
+
+_PACKAGE = Path(verify.__file__).resolve().parent
+
+
+def _package_calls(side, inputs):
+    """The code of each package function that side(*inputs) calls, with the
+    package's caches cleared first so that a cached value hides no call."""
+    for cached in {value for name, module in list(sys.modules.items())
+                   if name.startswith("spectral_torsion.") for value in vars(module).values()
+                   if hasattr(value, "cache_clear")}:
+        cached.cache_clear()
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        side(*inputs)
+    finally:
+        sys.setprofile(previous)
+    return codes
+
+
+def _names(codes):
+    """module.qualname of the package's functions among codes, with scalar
+    arithmetic and comprehensions (which Python 3.12 inlines) left out."""
+    names = set()
+    for code in codes:
+        path = Path(code.co_filename).resolve()
+        qualname = getattr(code, "co_qualname", code.co_name)
+        if path.parent == _PACKAGE and path.stem != "scalars" and "comp>" not in qualname \
+                and "<genexpr>" not in qualname:
+            names.add(f"{path.stem}.{qualname}")
+    return names
+
+
+def test_row_sides_share_only_the_listed_functions():
+    """The two sides of each row stay independent routes: on the canonical
+    input at n = 4 and 6, each side runs on inputs of its own draw, and the
+    package functions that both call are the row's SHARED entry, each with
+    its reason in SHARED_BECAUSE.  A reference that comes to read the
+    computed route (say E4.19's through _sphere_trace_integral) fails here."""
+    assert SHARED.keys() == set(verify.IDENTITY_IDS)
+    assert set().union(*SHARED.values()) == SHARED_BECAUSE.keys()
+    for ident in CATALOG:
+        row, shared = ident.run, set()
+        for n in (4, 6):
+            if n in ident.dims:
+                shared |= _names(_package_calls(row.computed, row.draw(n, None))
+                                 & _package_calls(row.reference, row.draw(n, None)))
+        assert shared == SHARED[ident.id], ident.id
+
+
+# (row, n): (computed weight, catalogued weight) wherever the two differ
+SPHERE_WEIGHT_MISMATCHES = {
+    **{("E4.20", n): (Fraction(n - 6, n), -5) for n in range(4, MAX_DIM + 1, 2)},
+    **{("E4.41", n): (Fraction(6 - n, n), Fraction(n - 6, n)) for n in (4, 8, 10, 12, 14, 16)},
+}
+
+
+def test_sphere_weights_against_the_grade_factors():
+    """Each sphere row's catalogued weight against the sum, over the row's
+    generator positions, of the sphere symbol's grade factor at its middle
+    factor's grade, at every even n: the differences are data, and never a
+    reason to edit a weight.  E4.41's middle has grade n - 3, which meets
+    C's grades 1 and 3 only at n = 4 and 6, so from n = 8 on the row
+    compares 0 with 0 and its sign shows here alone."""
+    mismatches = {}
+    for row_id, (positions, grade, weight) in verify._SPHERE_WEIGHTS.items():
+        for n in range(4, MAX_DIM + 1, 2):
+            computed = sum(Fraction(factors[grade(n)], den) for factors, den in (
+                moments._grade_factors(n, range(n + 1), verify._SPHERE_SYMBOLS[position])
+                for position in positions))
+            if computed != weight(n):
+                mismatches[row_id, n] = computed, weight(n)
+    assert mismatches == SPHERE_WEIGHT_MISMATCHES
 
 
 # SHA-256 of the rows "id<TAB>computed<TAB>reference<TAB>flag", one a line

@@ -43,7 +43,13 @@ that no metric could read ``better`` and that more seeds are needed.  A last
 line, printed after the summary, gives the line
 totals of ``src/spectral_torsion/*.py`` in the base and in the working tree,
 as ``wc -l`` counts them, their difference, and each module whose count
-changed.  ``--workload`` takes one of the ``workloads`` that
+changed.  With ``--record PATH`` the script also appends one JSON record
+of the invocation to the list in PATH (made when missing), and prints
+nothing more: the base commit, the change's commit with a flag for
+uncommitted changes, the workload, seeds and seconds, each pair's seed,
+steadiness and per-side end-to-end metrics, ``correct``, failed and
+attempted jobs and CPU speed, each metric's summary row, and the line
+counts.  ``--workload`` takes one of the ``workloads`` that
 ``BENCHMARK.json`` declares; any other name, or a base that ``git rev-parse
 --verify`` does not resolve to a commit, exits 2 before anything is
 extracted.
@@ -172,21 +178,22 @@ def broken(pairs: list[tuple[dict, dict]]) -> bool:
                for base, change in pairs)
 
 
-def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
-                  bounds: dict[str, float]) -> list[str]:
-    """Per metric, the median and the IQR/median spread of each side over
-    (base, change) result pairs, the pairs in which the change was better
-    and the verdict, "better" only as the steady pairs read it and "invalid"
-    for every metric when the pairs are broken; then the pairs in which both
-    runs were correct, each side's median CPU speed over the runs that
-    printed one, and the steady pairs with the indices of the drifted ones;
-    when fewer than MIN_BETTER_PAIRS were steady, a last line says that no
-    metric could read "better"."""
+def drifted_pairs(pairs: list[tuple[dict, dict]]) -> list[bool]:
+    """Per (base, change) result pair, whether it drifted (module docstring)."""
+    return [None not in speeds and max(speeds) - min(speeds) > MAX_SPEED_DRIFT * max(speeds)
+            for speeds in ((base["speed"], change["speed"]) for base, change in pairs)]
+
+
+def metric_rows(pairs: list[tuple[dict, dict]], better: dict[str, str],
+                bounds: dict[str, float]) -> list[dict]:
+    """Per metric that some pair reports on both sides: its direction, the
+    median and the IQR/median spread of each side, the pairs in which the
+    change was better out of the pairs compared, and the verdict, "better"
+    only as the steady pairs read it and "invalid" for every metric when the
+    pairs are broken."""
     invalid = broken(pairs)
-    drifted = [None not in speeds and max(speeds) - min(speeds) > MAX_SPEED_DRIFT * max(speeds)
-               for speeds in ((base["speed"], change["speed"]) for base, change in pairs)]
-    lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
-             f"{'change median':>14} {'spread':>7} {'change won':>10} verdict"]
+    drifted = drifted_pairs(pairs)
+    rows = []
     for name, direction in better.items():
         kept = [((_values(base).get(name), _values(change).get(name)), drift)
                 for (base, change), drift in zip(pairs, drifted)]
@@ -200,12 +207,32 @@ def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
             reading = "unresolved"
         elif reading == "same" and steady_better:
             reading = "better"
-        won = sum(_beats(c, b, direction) for b, c in sides)
         bases, changes = [b for b, _ in sides], [c for _, c in sides]
-        lines.append(f"{name:14} {direction:6} {statistics.median(bases):12.6g} "
-                     f"{spread(bases):7.3f} {statistics.median(changes):14.6g} "
-                     f"{spread(changes):7.3f} {f'{won}/{len(sides)}':>10} {reading}")
+        rows.append({"metric": name, "better": direction,
+                     "base_median": statistics.median(bases), "base_spread": spread(bases),
+                     "change_median": statistics.median(changes),
+                     "change_spread": spread(changes),
+                     "won": sum(_beats(c, b, direction) for b, c in sides),
+                     "pairs": len(sides), "verdict": reading})
+    return rows
+
+
+def summary_lines(pairs: list[tuple[dict, dict]], better: dict[str, str],
+                  bounds: dict[str, float]) -> list[str]:
+    """The metric_rows as a table; then the pairs in which both runs were
+    correct, each side's median CPU speed over the runs that printed one,
+    and the steady pairs with the indices of the drifted ones; when fewer
+    than MIN_BETTER_PAIRS were steady, a last line says that no metric could
+    read "better"."""
+    lines = [f"{'metric':14} {'better':6} {'base median':>12} {'spread':>7} "
+             f"{'change median':>14} {'spread':>7} {'change won':>10} verdict"]
+    for row in metric_rows(pairs, better, bounds):
+        won = f"{row['won']}/{row['pairs']}"
+        lines.append(f"{row['metric']:14} {row['better']:6} {row['base_median']:12.6g} "
+                     f"{row['base_spread']:7.3f} {row['change_median']:14.6g} "
+                     f"{row['change_spread']:7.3f} {won:>10} {row['verdict']}")
     correct = sum(base["correct"] and change["correct"] for base, change in pairs)
+    drifted = drifted_pairs(pairs)
     lines.append(f"pairs with both runs correct: {correct}/{len(pairs)}")
     medians = []
     for side, index in (("base", 0), ("change", 1)):
@@ -228,17 +255,52 @@ def module_lines(root: Path) -> dict[str, int]:
             for path in (root / "src" / "spectral_torsion").glob("*.py")}
 
 
-def lines_line(base_root: Path, change_root: Path) -> str:
+def line_counts(base_root: Path, change_root: Path) -> dict:
     """The module_lines totals of two trees (the totals `wc -l` prints), their
-    difference and each module whose count changed, a module missing from
-    one tree counted as 0."""
+    difference and {module: [base count, change count]} for each module whose
+    count changed, in name order, a module missing from one tree counted as 0."""
     base, change = module_lines(base_root), module_lines(change_root)
     total_base, total_change = sum(base.values()), sum(change.values())
-    changed = [f"{name} {base.get(name, 0)} -> {change.get(name, 0)}"
-               for name in sorted(base.keys() | change.keys())
-               if base.get(name, 0) != change.get(name, 0)]
-    return (f"src/spectral_torsion/*.py lines: base {total_base}, change {total_change}, "
-            f"difference {total_change - total_base:+d}; changed: {', '.join(changed) or 'none'}")
+    return {"base": total_base, "change": total_change, "difference": total_change - total_base,
+            "changed": {name: [base.get(name, 0), change.get(name, 0)]
+                        for name in sorted(base.keys() | change.keys())
+                        if base.get(name, 0) != change.get(name, 0)}}
+
+
+def lines_line(counts: dict) -> str:
+    """The line printed for line_counts."""
+    changed = [f"{name} {old} -> {new}" for name, (old, new) in counts["changed"].items()]
+    return (f"src/spectral_torsion/*.py lines: base {counts['base']}, change {counts['change']}, "
+            f"difference {counts['difference']:+d}; changed: {', '.join(changed) or 'none'}")
+
+
+def record(base: str, change: dict, workload: str, seeds: list[int], seconds: float,
+           pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float],
+           counts: dict) -> dict:
+    """One invocation as JSON data: the base commit, the change ({"commit",
+    "dirty"}), the run settings, each pair, the metric_rows and the
+    line_counts."""
+    def side(result):
+        return {"correct": result["correct"], "failed": result["failed"],
+                "attempted": result["attempted"], "speed": result["speed"],
+                "metrics": {name: value for name, value in _values(result).items()
+                            if name in better}}
+    return {"base": base, "change": change, "workload": workload, "seeds": seeds,
+            "seconds": seconds,
+            "pairs": [{"seed": seed, "steady": not drift, "base": side(b), "change": side(c)}
+                      for seed, (b, c), drift in zip(seeds, pairs, drifted_pairs(pairs))],
+            "metrics": metric_rows(pairs, better, bounds), "lines": counts}
+
+
+def append_record(path: Path, entry: dict) -> None:
+    """entry appended to the JSON list in path, which is made when missing."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(records + [entry], indent=1) + "\n")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def run_command(workload: str, seed: int, seconds: float) -> list[str]:
@@ -286,9 +348,12 @@ def main(argv=None) -> int:
                         choices=[workload["name"] for workload in benchmark["workloads"]])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="append a JSON record of this invocation to the list in PATH")
     args = parser.parse_args(argv)
-    if subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"],
-                      cwd=ROOT, capture_output=True).returncode != 0:
+    base = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    if base.returncode != 0:
         parser.error(f"base: {args.base!r} is not a commit that git knows")
     better, bounds = better_directions(benchmark), declared_bounds(benchmark)
     base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
@@ -297,7 +362,7 @@ def main(argv=None) -> int:
     try:
         _extract(args.base, base_dir)
         _copy_worktree(change_dir)
-        lines = lines_line(base_dir, change_dir)
+        counts = line_counts(base_dir, change_dir)
         for index, seed in enumerate(args.seeds, 1):
             command = run_command(args.workload, seed, args.seconds)
             order = [("base", base_dir), ("change", change_dir)]
@@ -309,7 +374,11 @@ def main(argv=None) -> int:
         shutil.rmtree(base_dir, ignore_errors=True)
         shutil.rmtree(change_dir, ignore_errors=True)
     print("\n".join(summary_lines(pairs, better, bounds)))
-    print(lines)
+    print(lines_line(counts))
+    if args.record:
+        change = {"commit": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain"))}
+        append_record(args.record, record(base.stdout.strip(), change, args.workload, args.seeds,
+                                          args.seconds, pairs, better, bounds, counts))
     return 0
 
 
