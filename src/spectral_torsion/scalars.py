@@ -21,11 +21,13 @@ class MissingAtom(KeyError):
 class _Value:
     """The value-type protocol: immutable, compared and hashed by `_key()`.
 
-    Constructors write their slots with object.__setattr__; afterwards
-    assigning or deleting an attribute raises AttributeError.  Values of
-    different types never compare equal.  A copy is the value itself, since
-    neither it nor its parts are ever mutated; a pickle rebuilds it from its
-    slots.
+    Constructors write their slots with object.__setattr__, as the fast
+    constructors _gr and clifford._from_int_parts do; afterwards assigning
+    or deleting an attribute raises AttributeError.  Values of different
+    types never compare equal, except that GaussianRational and SymScalar
+    keep their own equality and hashing: a constant equals, and hashes as,
+    its number.  A copy is the value itself, since neither it nor its parts
+    are ever mutated; a pickle rebuilds it from its slots.
     """
 
     __slots__ = ()
@@ -88,17 +90,14 @@ def rational(value) -> Rational:
 _ZERO = Rational(0)
 
 
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts.
-
-    Treated as immutable everywhere; arithmetic always builds new values.
-    """
+class GaussianRational(_Value):
+    """Exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = rational(re)
-        self.im = rational(im)
+        object.__setattr__(self, "re", rational(re))
+        object.__setattr__(self, "im", rational(im))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -184,15 +183,12 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
-    def __reduce__(self):  # slots without __getstate__: protocols 0 and 1 need this
-        return GaussianRational, (self.re, self.im)
-
 
 def _gr(re, im) -> GaussianRational:
     """Fast constructor for already-reduced rational parts."""
     z = GaussianRational.__new__(GaussianRational)
-    z.re = re
-    z.im = im
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
     return z
 
 
@@ -253,12 +249,12 @@ def atom_name(a: Atom) -> str:
     raise ValueError(f"unknown atom {a!r}")
 
 
-class SymScalar:
+class SymScalar(_Value):
     """Finite Gaussian-rational combination of atom monomials (sorted tuples
     of atoms), in canonical form.
 
-    No zero coefficients are stored; equality is dict equality, which makes
-    closed-form comparisons exact structural identities.
+    The constructor drops zero coefficients, so equality is dict equality,
+    which makes closed-form comparisons exact structural identities.
     """
 
     __slots__ = ("terms",)
@@ -270,7 +266,7 @@ class SymScalar:
                 coeff = _as_gaussian(coeff)
                 if not coeff.is_zero():
                     clean[mono] = coeff
-        self.terms = clean
+        object.__setattr__(self, "terms", clean)
 
     # -- constructors -------------------------------------------------
 
@@ -293,15 +289,8 @@ class SymScalar:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             cur = out.get(mono)
-            if cur is None:
-                out[mono] = coeff
-            else:
-                sre, sim = cur.re + coeff.re, cur.im + coeff.im
-                if sre == 0 and sim == 0:
-                    del out[mono]
-                else:
-                    out[mono] = _gr(sre, sim)
-        return _raw_sym(out)
+            out[mono] = coeff if cur is None else cur + coeff
+        return SymScalar(out)
 
     __radd__ = __add__
 
@@ -393,16 +382,6 @@ class SymScalar:
 
     def __repr__(self):
         return f"SymScalar<{self}>"
-
-    def __reduce__(self):
-        return SymScalar, (self.terms,)
-
-
-def _raw_sym(terms: dict) -> SymScalar:
-    """Fast constructor: `terms` must already be free of zero coefficients."""
-    s = SymScalar.__new__(SymScalar)
-    s.terms = terms
-    return s
 
 
 def sym(x) -> SymScalar:

@@ -252,6 +252,13 @@ def test_equal_scalars_hash_alike():
 # (a builder of one value, the attribute to probe, what the value has always
 # hashed as: the protocol must not move any set or dict key)
 _VALUE_TYPES = {
+    # not plain numbers, since a scalar constant equals its number by design
+    "GaussianRational": (lambda: GaussianRational(rational("-2/3"), 5), "re",
+                         (rational("-2/3"), rational(5))),
+    "SymScalar": (lambda: SymScalar({(PI, vol_sphere(3)): GaussianRational(rational("1/2"), -1),
+                                     (): 2}), "terms",
+                  frozenset({(PI, vol_sphere(3)): GaussianRational(rational("1/2"), -1),
+                             (): GaussianRational(2)}.items())),
     "Multivector": (lambda: Multivector(4, {1: 1, 6: GaussianRational(0, 2)}), "dim",
                     (4, frozenset({1: GaussianRational(1), 6: GaussianRational(0, 2)}.items()))),
     "OneForm": (lambda: OneForm([1, "2/3"]), "dim", (rational(1), rational("2/3"))),
@@ -269,7 +276,8 @@ _VALUE_TYPES = {
 def test_value_types_are_immutable_and_compared_by_value(name):
     """The one value-type protocol: assigning or deleting an attribute is an
     AttributeError, equal values are equal and hash alike, a value never
-    equals another type's, and XiPolynomialMV is unhashable."""
+    equals another type's, and XiPolynomialMV is unhashable.  The scalars
+    and Multivector keep their own __eq__, which reads no key."""
     build, attribute, hashed_as = _VALUE_TYPES[name]
     a, b = build(), build()
     message = rf"^{name} is immutable$"
@@ -281,7 +289,7 @@ def test_value_types_are_immutable_and_compared_by_value(name):
     assert a is not b and a == b and not a != b
     for other in (None, 1, OneForm([1]), Poly((1,))):
         assert a != other and not a == other
-    if name != "Multivector":  # its own __eq__ reads the coefficients, not a key
+    if name not in ("GaussianRational", "SymScalar", "Multivector"):
         assert a != a._key()
     if hashed_as is None:
         with pytest.raises(TypeError, match="unhashable type"):
@@ -314,8 +322,8 @@ def test_value_types_copy_and_pickle(name):
     SymScalar.from_monomial((PI, vol_sphere(3)), GaussianRational(rational("1/2"), -1)),
     SymScalar()])
 def test_scalars_copy_and_pickle_at_every_protocol(value):
-    """GaussianRational and SymScalar, which are not _Values, copy and
-    round-trip through pickle at every protocol to an equal value of the
+    """GaussianRational and SymScalar, i and the zero scalar included, copy
+    and round-trip through pickle at every protocol to an equal value of the
     same type that hashes alike."""
     for other in [copy.copy(value), copy.deepcopy(value)] + [
             pickle.loads(pickle.dumps(value, protocol))

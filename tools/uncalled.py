@@ -69,9 +69,7 @@ file, function and text, since their line numbers move with every edit:
 - ``scalars.py`` in ``_as_gaussian``: ``if isinstance(x, int):`` and
   ``return GaussianRational(x)``: a bool, which the validating constructor
   refuses, or another int subclass
-  (``test_scalars::test_int_and_rational_operands_keep_their_values``);
-- ``scalars.py`` in ``SymScalar.__add__``: ``del out[mono]``: two terms
-  that cancel (``test_torsion::test_torsion_vector_density_antisymmetric``).
+  (``test_scalars::test_int_and_rational_operands_keep_their_values``).
 """
 
 from __future__ import annotations
